@@ -77,6 +77,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
+    except RuntimeError as exc:
+        # a solve the answer depends on failed, e.g. is_bounded's recession
+        # solves
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
 
     text = report.to_json() if args.format == "json" else report.to_text()
     if args.out:

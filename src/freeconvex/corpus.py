@@ -14,7 +14,7 @@ import csv
 import io as _stdio
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 

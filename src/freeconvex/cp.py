@@ -9,10 +9,9 @@ Kraus operators V_l (n x m) with Phi(X) = sum_l V_l* X V_l.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -22,7 +22,7 @@ from .algebra import (HermitianTuple, LinearPencil, NCPolynomial,
                       require_hermitian)
 from .cp import InterpolationMode, interpolate
 from .possatz import Certificate, search_certificate, verify_certificate
-from .sdp import SolveStatus
+from .sdp import FEAS_TOL, SolveStatus
 from .spectra import (Spectrahedrop, dominates, drop_level1_bounded,
                       drop_membership, drop_polar_membership, hull_of_union,
                       is_bounded, monicize, polar_membership,
@@ -554,7 +554,7 @@ def run(pf: ProblemFile) -> Report:
                   detail=detail, witnesses=witnesses,
                   timings={"seconds": elapsed},
                   tolerances={"tol": tol, "max_iter": max_iter,
-                              "feas_tol": 1e-7},
+                              "feas_tol": FEAS_TOL},
                   provenance=pf.to_dict())
 
 

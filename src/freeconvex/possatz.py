@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import (HermitianTuple, LinearPencil, NCPolynomial,
-                      hermitian_part, word_key)
+from .algebra import LinearPencil, NCPolynomial, hermitian_part, word_key
 from .sdp import FEAS_TOL, HermitianProblem, SolveStatus
 
 __all__ = [

@@ -19,6 +19,14 @@ optional trace cap ``sum_b tr Z_b <= trace_cap`` can be requested for
 callers that want a compact phase-I search region; the self-dual embedding
 does not need it, so it is off by default.
 
+Each iteration solves the Nesterov-Todd system through the Schur complement
+M_ij = sum_b <A_bi, W_b A_bj W_b> over the m equality rows, the assembly of
+Fujisawa, Kojima and Nakata (Math. Prog. 79, 1997) and SDPT3.  The rows of
+each n x n block are unpacked once per solve into full matrices, W A_j W is
+one batched product per block and iteration, and the NT operator v -> W v W
+is applied through W, never stored.  A block costs O(m n^2) memory and
+O(m n^3 + m^2 n^2) time per iteration.
+
 Complex Hermitian problems enter through :class:`HermitianProblem`, which
 realifies blocks via [[Re, -Im], [Im, Re]] and maps witnesses back.
 """
@@ -82,26 +90,18 @@ def svec(s: np.ndarray) -> np.ndarray:
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of svec; a stack of svecs (..., svec_dim(n)) gives (..., n, n)."""
     iu, ju, w = _svec_idx(n)
-    out = np.zeros((n, n))
-    out[iu, ju] = v / w
-    out = out + out.T
-    out[np.arange(n), np.arange(n)] *= 0.5
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (n, n))
+    half = v / w
+    out[..., iu, ju] = half
+    out[..., ju, iu] = half
     return out
 
 
 def svec_dim(n: int) -> int:
     return n * (n + 1) // 2
-
-
-def symkron(w: np.ndarray) -> np.ndarray:
-    """Dense matrix of z -> svec(W smat(z) W) on the svec coordinates."""
-    n = w.shape[0]
-    iu, ju, sc = _svec_idx(n)
-    a = w[np.ix_(iu, iu)] * w[np.ix_(ju, ju)]
-    b = w[np.ix_(iu, ju)] * w[np.ix_(ju, iu)]
-    # (W_ik W_jl + W_il W_jk) * m_ij * m_kl with m = 1/sqrt2 on the diagonal
-    return (a + b) * (np.outer(sc, sc) * 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def _scale_rows(A_parts, A_free, b):
 
 
 class _IPMFailure(Exception):
-    pass
+    iterations = 0     # iterations the failed attempt ran before it gave up
 
 
 def _max_step(z: np.ndarray, dz: np.ndarray, lz: np.ndarray) -> float:
@@ -289,6 +289,19 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray):
         raise _IPMFailure("scaling matrix not positive definite")
     w = lz @ (evecs @ ((evals ** -0.5)[:, None] * evecs.T)) @ lz.T
     return 0.5 * (w + w.T), lz, ls
+
+
+def _schur(A_mats: Sequence[np.ndarray], W: Sequence[np.ndarray],
+           m: int) -> np.ndarray:
+    """Schur complement M_ij = sum_b <A_bi, W_b A_bj W_b>.
+
+    A_mats[b] stacks the m equality rows of block b as full (m, n, n)
+    matrices; W_b A_bj W_b is formed for all rows in one batched product.
+    """
+    M = np.zeros((m, m))
+    for F, w in zip(A_mats, W):
+        M += F.reshape(m, -1) @ (w @ F @ w).reshape(m, -1).T
+    return M
 
 
 @dataclass
@@ -346,251 +359,275 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
             info["loose"] = True
         return _HSDResult("optimal", Zs, us, ys, pobj_, it, info)
 
-    for it in range(1, max_iter + 1):
-        # the HSD solution set is a ray: renormalize if the iterate grows
-        big = max([float(np.abs(zb).max()) for zb in Z]
-                  + [float(np.abs(sb).max()) for sb in S] + [tau, kappa])
-        if not math.isfinite(big):
-            raise _IPMFailure("iterate diverged")
-        if big > 1e8:
-            lam = 1.0 / big
-            Z = [zb * lam for zb in Z]
-            S = [sb * lam for sb in S]
-            u, y = u * lam, y * lam
-            tau, kappa = tau * lam, kappa * lam
-        z_sv = [svec(Z[k]) for k in range(nb)]
-        s_sv = [svec(S[k]) for k in range(nb)]
-        Ax = sum(A_parts[k] @ z_sv[k] for k in range(nb))
-        if nf:
-            Ax = Ax + A_free @ u
-        rP = Ax - b * tau
-        rD = [A_parts[k].T @ y + s_sv[k] - c_parts[k] * tau for k in range(nb)]
-        rDf = (A_free.T @ y - c_free * tau) if nf else np.zeros(0)
-        cx = cdot(z_sv, u)
-        by = float(b @ y)
-        rG = cx - by + kappa
-        gap = sum(float(z_sv[k] @ s_sv[k]) for k in range(nb)) + tau * kappa
-        mu = gap / ordn
+    # equality rows unpacked once into full matrices for the Schur complement,
+    # and the blocks whose objective is nonzero (none in phase I)
+    A_mats = [smat(A_parts[k], sizes[k]) for k in range(nb)]
+    c_blocks = [k for k in range(nb) if c_parts[k].any()]
 
-        # convergence / certificate tests on the normalized iterate
-        pres = float(np.abs(rP).max()) / (tau * bnorm)
-        dres = max([float(np.abs(r).max()) for r in rD] + [0.0])
-        if nf:
-            dres = max(dres, float(np.abs(rDf).max()))
-        dres /= (tau * cnorm)
-        pobj, dobj = cx / tau, by / tau
-        relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        score = max(pres / ptol, dres / ptol, relgap / gtol)
-        improved = score < 0.98 * best_score
-        if score < best_score:
-            best_score = score
-            best_snapshot = ([zb / tau for zb in Z], u / tau, y / tau, pobj,
-                             {"pres": pres, "dres": dres, "relgap": relgap})
-        if pres <= ptol and dres <= ptol and relgap <= gtol:
-            return finish(best_snapshot, it, loose=False)
-        # infeasibility certificates (rays are re-verified by the callers)
-        def certificates():
-            if by > 0:
-                hres = max([float(np.abs(A_parts[k].T @ y + s_sv[k]).max())
-                            for k in range(nb)] + [0.0])
-                if nf:
-                    hres = max(hres, float(np.abs(A_free.T @ y).max()))
-                if hres <= 1e-6 * by:
-                    return _HSDResult("pinfeas", iterations=it,
-                                      info={"farkas_resid": hres / by, "by": by})
-            if cx < 0:
-                uray = float(np.abs(rP + b * tau).max())  # = |A x|
-                if uray <= 1e-6 * (-cx):
-                    return _HSDResult("unbounded", iterations=it,
-                                      ray=[zb / (-cx) for zb in Z],
-                                      ray_free=(u / (-cx) if nf else None),
-                                      info={"ray_resid": uray / (-cx)})
-            return None
-
-        cert = certificates()
-        if cert is not None:
-            return cert
-        if tau <= 1e-12 and kappa <= 1e-12:
-            raise _IPMFailure("tau and kappa both collapsed")
-        stall = 0 if improved else stall + 1
-        window = 8 if best_score <= 100.0 else 25
-        if stall > window or mu <= 1e-25:
-            if best_score <= 100.0:
-                # numerically converged as far as it will go
-                return finish(best_snapshot, it, loose=True)
-            raise _IPMFailure(
-                f"stalled at iteration {it} (mu={mu:.2e}, pres={pres:.2e}, "
-                f"dres={dres:.2e}, relgap={relgap:.2e})")
-
-        # NT scaling and Schur complement
-        W, Lz, Ls, SK, Sinv = [], [], [], [], []
-        for k in range(nb):
-            try:
-                w, lz, ls = _nt_scaling(Z[k], S[k])
-            except np.linalg.LinAlgError:
-                raise _IPMFailure("iterate left the cone")
-            W.append(w)
-            Lz.append(lz)
-            Ls.append(ls)
-            SK.append(symkron(w))
-            si = np.linalg.inv(S[k])
-            Sinv.append(0.5 * (si + si.T))
-        M = np.zeros((m, m))
-        for k in range(nb):
-            M += A_parts[k] @ SK[k] @ A_parts[k].T
-        M[np.arange(m), np.arange(m)] += 1e-13 * (1.0 + np.trace(M) / m)
-
-        cho = None
-        try:
-            cho = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            pass
-        if cho is None:
-            lu = sla.lu_factor(M + 1e-10 * np.eye(m), check_finite=False)
-            solveM = lambda v: sla.lu_solve(lu, v, check_finite=False)
-        else:
-            solveM = lambda v: sla.cho_solve((cho, True), v, check_finite=False)
-
-        if nf:
-            MiAf = solveM(A_free)
-            small = A_free.T @ MiAf
-            small = 0.5 * (small + small.T) + 1e-13 * np.eye(nf)
-            small_lu = sla.lu_factor(small, check_finite=False)
-
-        def kkt_once(v1, v2):
+    it = 0
+    try:
+        for it in range(1, max_iter + 1):
+            # the HSD solution set is a ray: renormalize if the iterate grows
+            big = max([float(np.abs(zb).max()) for zb in Z]
+                      + [float(np.abs(sb).max()) for sb in S] + [tau, kappa])
+            if not math.isfinite(big):
+                raise _IPMFailure("iterate diverged")
+            if big > 1e8:
+                lam = 1.0 / big
+                Z = [zb * lam for zb in Z]
+                S = [sb * lam for sb in S]
+                u, y = u * lam, y * lam
+                tau, kappa = tau * lam, kappa * lam
+            z_sv = [svec(Z[k]) for k in range(nb)]
+            s_sv = [svec(S[k]) for k in range(nb)]
+            Ax = sum(A_parts[k] @ z_sv[k] for k in range(nb))
             if nf:
-                Miv1 = solveM(v1)
-                d = sla.lu_solve(small_lu, A_free.T @ Miv1 - v2, check_finite=False)
-                a = Miv1 - MiAf @ d
+                Ax = Ax + A_free @ u
+            rP = Ax - b * tau
+            rD = [A_parts[k].T @ y + s_sv[k] - c_parts[k] * tau for k in range(nb)]
+            rDf = (A_free.T @ y - c_free * tau) if nf else np.zeros(0)
+            cx = cdot(z_sv, u)
+            by = float(b @ y)
+            rG = cx - by + kappa
+            gap = sum(float(z_sv[k] @ s_sv[k]) for k in range(nb)) + tau * kappa
+            mu = gap / ordn
+
+            # convergence / certificate tests on the normalized iterate
+            pres = float(np.abs(rP).max()) / (tau * bnorm)
+            dres = max([float(np.abs(r).max()) for r in rD] + [0.0])
+            if nf:
+                dres = max(dres, float(np.abs(rDf).max()))
+            dres /= (tau * cnorm)
+            pobj, dobj = cx / tau, by / tau
+            relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+            score = max(pres / ptol, dres / ptol, relgap / gtol)
+            improved = score < 0.98 * best_score
+            if score < best_score:
+                best_score = score
+                best_snapshot = ([zb / tau for zb in Z], u / tau, y / tau, pobj,
+                                 {"pres": pres, "dres": dres, "relgap": relgap})
+            if pres <= ptol and dres <= ptol and relgap <= gtol:
+                return finish(best_snapshot, it, loose=False)
+            # infeasibility certificates (rays are re-verified by the callers)
+            def certificates():
+                if by > 0:
+                    hres = max([float(np.abs(A_parts[k].T @ y + s_sv[k]).max())
+                                for k in range(nb)] + [0.0])
+                    if nf:
+                        hres = max(hres, float(np.abs(A_free.T @ y).max()))
+                    if hres <= 1e-6 * by:
+                        return _HSDResult("pinfeas", iterations=it,
+                                          info={"farkas_resid": hres / by, "by": by})
+                if cx < 0:
+                    uray = float(np.abs(rP + b * tau).max())  # = |A x|
+                    if uray <= 1e-6 * (-cx):
+                        return _HSDResult("unbounded", iterations=it,
+                                          ray=[zb / (-cx) for zb in Z],
+                                          ray_free=(u / (-cx) if nf else None),
+                                          info={"ray_resid": uray / (-cx)})
+                return None
+
+            cert = certificates()
+            if cert is not None:
+                return cert
+            if tau <= 1e-12 and kappa <= 1e-12:
+                raise _IPMFailure("tau and kappa both collapsed")
+            stall = 0 if improved else stall + 1
+            window = 8 if best_score <= 100.0 else 25
+            if stall > window or mu <= 1e-25:
+                if best_score <= 100.0:
+                    # numerically converged as far as it will go
+                    return finish(best_snapshot, it, loose=True)
+                raise _IPMFailure(
+                    f"stalled at iteration {it} (mu={mu:.2e}, pres={pres:.2e}, "
+                    f"dres={dres:.2e}, relgap={relgap:.2e})")
+
+            # NT scaling and Schur complement; the NT operator v -> W v W is
+            # applied through W and never formed as a matrix
+            W, Lz, Ls, Sinv = [], [], [], []
+            for k in range(nb):
+                try:
+                    w, lz, ls = _nt_scaling(Z[k], S[k])
+                except np.linalg.LinAlgError:
+                    raise _IPMFailure("iterate left the cone")
+                W.append(w)
+                Lz.append(lz)
+                Ls.append(ls)
+                si = np.linalg.inv(S[k])
+                Sinv.append(0.5 * (si + si.T))
+            M = _schur(A_mats, W, m)
+            M[np.arange(m), np.arange(m)] += 1e-13 * (1.0 + np.trace(M) / m)
+
+            cho = None
+            try:
+                cho = np.linalg.cholesky(M)
+            except np.linalg.LinAlgError:
+                pass
+            if cho is None:
+                lu = sla.lu_factor(M + 1e-10 * np.eye(m), check_finite=False)
+                solveM = lambda v: sla.lu_solve(lu, v, check_finite=False)
             else:
-                a = solveM(v1)
-                d = np.zeros(0)
-            return a, d
+                solveM = lambda v: sla.cho_solve((cho, True), v, check_finite=False)
 
-        def kkt(v1, v2):
-            """Solve [[M, Af],[Af', 0]] [a; d] = [v1; v2], one refinement."""
-            a, d = kkt_once(v1, v2)
-            r1 = v1 - M @ a - (A_free @ d if nf else 0.0)
-            r2 = (v2 - A_free.T @ a) if nf else np.zeros(0)
-            a2, d2 = kkt_once(r1, r2)
-            return a + a2, d + d2
+            if nf:
+                MiAf = solveM(A_free)
+                small = A_free.T @ MiAf
+                small = 0.5 * (small + small.T) + 1e-13 * np.eye(nf)
+                small_lu = sla.lu_factor(small, check_finite=False)
 
-        q = sum(A_parts[k] @ (SK[k] @ c_parts[k]) for k in range(nb))
-        cSKc = sum(float(c_parts[k] @ (SK[k] @ c_parts[k])) for k in range(nb))
-        dy1, du1 = kkt(q + b, c_free if nf else np.zeros(0))
+            def kkt_once(v1, v2):
+                if nf:
+                    Miv1 = solveM(v1)
+                    d = sla.lu_solve(small_lu, A_free.T @ Miv1 - v2, check_finite=False)
+                    a = Miv1 - MiAf @ d
+                else:
+                    a = solveM(v1)
+                    d = np.zeros(0)
+                return a, d
 
-        def direction(rc_parts, rc_tk):
-            # dz = rc + SK rD + SK A'dy - SK c dtau, eliminated into the
-            # bordered Schur system over (dy, du, dtau)
-            r1 = -rP.copy()
+            def kkt(v1, v2):
+                """Solve [[M, Af],[Af', 0]] [a; d] = [v1; v2], one refinement."""
+                a, d = kkt_once(v1, v2)
+                r1 = v1 - M @ a - (A_free @ d if nf else 0.0)
+                r2 = (v2 - A_free.T @ a) if nf else np.zeros(0)
+                a2, d2 = kkt_once(r1, r2)
+                return a + a2, d + d2
+
+            # the parts of the elimination that stay fixed within an iteration
+            WCW = {k: svec(W[k] @ smat(c_parts[k], sizes[k]) @ W[k])
+                   for k in c_blocks}
+            q = sum((A_parts[k] @ WCW[k] for k in c_blocks), np.zeros(m))
+            cWCW = sum(float(c_parts[k] @ WCW[k]) for k in c_blocks)
+            dy1, du1 = kkt(q + b, c_free if nf else np.zeros(0))
+            WrDW = [svec(W[k] @ smat(rD[k], sizes[k]) @ W[k]) for k in range(nb)]
+            r1_rD = -rP - sum(A_parts[k] @ WrDW[k] for k in range(nb))
+            cWrDW = sum(float(c_parts[k] @ WrDW[k]) for k in c_blocks)
+
+            def direction(rc_parts, rc_tk):
+                # dZ = rc - W dS W with dS = c dtau - rD - A'dy, eliminated
+                # into the bordered Schur system over (dy, du, dtau)
+                r1 = r1_rD - sum(A_parts[k] @ rc_parts[k] for k in range(nb))
+                r2 = -rDf if nf else np.zeros(0)
+                dy0, du0 = kkt(r1, r2)
+                crc = sum(float(c_parts[k] @ rc_parts[k]) for k in c_blocks)
+                r3 = -rG - crc - cWrDW - rc_tk / tau
+                qb = q - b
+                num = r3 - float(qb @ dy0) - (float(c_free @ du0) if nf else 0.0)
+                den = float(qb @ dy1) + (float(c_free @ du1) if nf else 0.0) \
+                    - (cWCW + kappa / tau)
+                if abs(den) < 1e-300:
+                    raise _IPMFailure("singular bordered system")
+                dtau = num / den
+                dy = dy0 + dtau * dy1
+                du = du0 + dtau * du1 if nf else np.zeros(0)
+                dS_, dZ_ = [], []
+                for k in range(nb):
+                    ds = smat(-rD[k] - A_parts[k].T @ dy + c_parts[k] * dtau,
+                              sizes[k])
+                    dS_.append(ds)
+                    dZ_.append(smat(rc_parts[k], sizes[k]) - W[k] @ ds @ W[k])
+                dkappa = (rc_tk - kappa * dtau) / tau
+                return dZ_, dS_, dy, du, dtau, dkappa
+
+            def max_alpha(dZ_, dS_, dtau, dkappa):
+                a = 1.0
+                for k in range(nb):
+                    a = min(a, _max_step(Z[k], dZ_[k], Lz[k]))
+                    a = min(a, _max_step(S[k], dS_[k], Ls[k]))
+                if dtau < 0:
+                    a = min(a, -tau / dtau)
+                if dkappa < 0:
+                    a = min(a, -kappa / dkappa)
+                return a
+
+            # predictor
+            rc_aff = [svec(-Z[k]) for k in range(nb)]
+            dZa, dSa, dya, dua, dta, dka = direction(rc_aff, -tau * kappa)
+            a_aff = max_alpha(dZa, dSa, dta, dka)
+            sigma = min(1.0, max((1.0 - a_aff) ** 3, 1e-4))
+
+            # corrector
+            rc = []
             for k in range(nb):
-                r1 -= A_parts[k] @ (rc_parts[k] + SK[k] @ rD[k])
-            r2 = -rDf if nf else np.zeros(0)
-            dy0, du0 = kkt(r1, r2)
-            crc = sum(float(c_parts[k] @ rc_parts[k]) for k in range(nb))
-            cSKrD = sum(float(c_parts[k] @ (SK[k] @ rD[k])) for k in range(nb))
-            r3 = -rG - crc - cSKrD - rc_tk / tau
-            qb = q - b
-            num = r3 - float(qb @ dy0) - (float(c_free @ du0) if nf else 0.0)
-            den = float(qb @ dy1) + (float(c_free @ du1) if nf else 0.0) \
-                - (cSKc + kappa / tau)
-            if abs(den) < 1e-300:
-                raise _IPMFailure("singular bordered system")
-            dtau = num / den
-            dy = dy0 + dtau * dy1
-            du = du0 + dtau * du1 if nf else np.zeros(0)
-            dS_, dZ_ = [], []
-            for k in range(nb):
-                ds = -rD[k] - A_parts[k].T @ dy + c_parts[k] * dtau
-                dz = rc_parts[k] - SK[k] @ ds
-                dS_.append(smat(ds, sizes[k]))
-                dZ_.append(smat(dz, sizes[k]))
-            dkappa = (rc_tk - kappa * dtau) / tau
-            return dZ_, dS_, dy, du, dtau, dkappa
-
-        def max_alpha(dZ_, dS_, dtau, dkappa):
-            a = 1.0
-            for k in range(nb):
-                a = min(a, _max_step(Z[k], dZ_[k], Lz[k]))
-                a = min(a, _max_step(S[k], dS_[k], Ls[k]))
-            if dtau < 0:
-                a = min(a, -tau / dtau)
-            if dkappa < 0:
-                a = min(a, -kappa / dkappa)
-            return a
-
-        # predictor
-        rc_aff = [svec(-Z[k]) for k in range(nb)]
-        dZa, dSa, dya, dua, dta, dka = direction(rc_aff, -tau * kappa)
-        a_aff = max_alpha(dZa, dSa, dta, dka)
-        sigma = min(1.0, max((1.0 - a_aff) ** 3, 1e-4))
-
-        # corrector
-        rc = []
-        for k in range(nb):
-            corr = dZa[k] @ Sinv[k] @ dSa[k]
-            rc.append(svec(sigma * mu * Sinv[k] - Z[k] - 0.5 * (corr + corr.T)))
-        rc_tk = sigma * mu - tau * kappa - dta * dka
-        dZ, dS, dy, du, dt, dk = direction(rc, rc_tk)
-        alpha = 0.98 * max_alpha(dZ, dS, dt, dk)
-        if alpha < 0.05:
-            sigma = max(sigma, 0.8)
-            rc = [svec(sigma * mu * Sinv[k] - Z[k]) for k in range(nb)]
-            dZ, dS, dy, du, dt, dk = direction(rc, sigma * mu - tau * kappa)
+                corr = dZa[k] @ Sinv[k] @ dSa[k]
+                rc.append(svec(sigma * mu * Sinv[k] - Z[k] - 0.5 * (corr + corr.T)))
+            rc_tk = sigma * mu - tau * kappa - dta * dka
+            dZ, dS, dy, du, dt, dk = direction(rc, rc_tk)
             alpha = 0.98 * max_alpha(dZ, dS, dt, dk)
+            if alpha < 0.05:
+                sigma = max(sigma, 0.8)
+                rc = [svec(sigma * mu * Sinv[k] - Z[k]) for k in range(nb)]
+                dZ, dS, dy, du, dt, dk = direction(rc, sigma * mu - tau * kappa)
+                alpha = 0.98 * max_alpha(dZ, dS, dt, dk)
 
-        def mu_at(a):
-            g = sum(float(np.tensordot(Z[k] + a * dZ[k], S[k] + a * dS[k]))
-                    for k in range(nb))
-            return (g + (tau + a * dt) * (kappa + a * dk)) / ordn
+            def mu_at(a):
+                g = sum(float(np.tensordot(Z[k] + a * dZ[k], S[k] + a * dS[k]))
+                        for k in range(nb))
+                return (g + (tau + a * dt) * (kappa + a * dk)) / ordn
 
-        # keep tau*kappa >= gamma*mu: without this the iterate can drift down
-        # the degenerate ray tau, kappa -> 0 which certifies nothing
-        gamma = 1e-3
-        for _ in range(25):
-            if (tau + alpha * dt) * (kappa + alpha * dk) >= gamma * mu_at(alpha):
-                break
-            alpha *= 0.7
-        if alpha < 1e-9:
-            raise _IPMFailure(f"step length collapsed at iteration {it}")
-        for k in range(nb):
-            Z[k] = 0.5 * ((Z[k] + alpha * dZ[k]) + (Z[k] + alpha * dZ[k]).T)
-            S[k] = 0.5 * ((S[k] + alpha * dS[k]) + (S[k] + alpha * dS[k]).T)
-        u = u + alpha * du if nf else u
-        y = y + alpha * dy
-        tau += alpha * dt
-        kappa += alpha * dk
+            # keep tau*kappa >= gamma*mu: without this the iterate can drift down
+            # the degenerate ray tau, kappa -> 0 which certifies nothing
+            gamma = 1e-3
+            for _ in range(25):
+                if (tau + alpha * dt) * (kappa + alpha * dk) >= gamma * mu_at(alpha):
+                    break
+                alpha *= 0.7
+            if alpha < 1e-9:
+                raise _IPMFailure(f"step length collapsed at iteration {it}")
+            for k in range(nb):
+                Z[k] = 0.5 * ((Z[k] + alpha * dZ[k]) + (Z[k] + alpha * dZ[k]).T)
+                S[k] = 0.5 * ((S[k] + alpha * dS[k]) + (S[k] + alpha * dS[k]).T)
+            u = u + alpha * du if nf else u
+            y = y + alpha * dy
+            tau += alpha * dt
+            kappa += alpha * dk
 
-    raise _IPMFailure(f"no convergence within {max_iter} iterations")
+        raise _IPMFailure(f"no convergence within {max_iter} iterations")
+    except _IPMFailure as exc:
+        exc.iterations = it
+        raise
 
 
 def _hsd_attempts(sizes, A_parts, A_free, b, c_parts, c_free, tol, max_iter):
     """Run the core with fallback initializations; loose outcomes only stand
-    when no initialization does better."""
+    when no initialization does better.
+
+    The returned result's info counts every attempt: ``attempts`` (init
+    scales tried) and ``iterations_total`` (summed over them, failed ones
+    included); its ``iterations`` stay those of the returned attempt.
+    """
     last: Optional[_IPMFailure] = None
     best = None
     best_acc = math.inf
+    attempts = total = 0
 
     def acc_of(res):
         return max(res.info.get("pres", 0.0), res.info.get("dres", 0.0),
                    res.info.get("relgap", 0.0))
 
+    def counted(res):
+        res.info.update(attempts=attempts, iterations_total=total)
+        return res
+
     for init_scale in (1.0, 30.0, 0.03):
+        attempts += 1
         try:
             res = _hsd_minimize(sizes, A_parts, A_free, b, c_parts, c_free,
                                 tol, max_iter, init_scale=init_scale)
         except _IPMFailure as exc:
+            total += exc.iterations
             last = exc
             continue
+        total += res.iterations
         if res.kind != "optimal" or not res.info.get("loose"):
-            return res
+            return counted(res)
         acc = acc_of(res)
         if acc < best_acc:
             best, best_acc = res, acc
         if best_acc <= 1e-9:
             break
     if best is not None:
-        return best
+        return counted(best)
     raise last if last is not None else _IPMFailure("unreachable")
 
 

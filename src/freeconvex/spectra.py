@@ -10,7 +10,6 @@ The polar dual of a set K is {A : I - sum A_j (x) X_j >= 0 for all X in K}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -20,8 +19,7 @@ import scipy.linalg as sla
 from .algebra import (HermitianTuple, LinearPencil, evaluate_pencil,
                       hermitian_part, lambda_min, monic_tuple,
                       pencil_from_tuple)
-from .cp import (InterpolationMode, KrausDecomposition, NotCompletelyPositive,
-                 interpolation_problem, kraus_of_choi, ChoiMatrix)
+from .cp import kraus_of_choi, ChoiMatrix
 from .sdp import FEAS_TOL, HermitianProblem, SolveStatus
 
 __all__ = [

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import HermitianTuple, hermitian_part
 from .cp import (ChoiMatrix, InterpolationMode, InterpolationResult,
                  interpolate)
-from .sdp import FEAS_TOL, HermitianProblem, SolveStatus
+from .sdp import HermitianProblem, SolveStatus
 
 __all__ = [
     "TracialWitness",

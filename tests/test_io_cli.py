@@ -149,3 +149,21 @@ def test_run_rejects_variable_count_mismatch():
     pf = parse_problem(json.dumps(bad))
     with pytest.raises(ValueError):
         run(pf)
+
+
+def test_cli_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    import freeconvex.io
+    from freeconvex.cli import main
+
+    def failing_solve(*args, **kwargs):
+        raise RuntimeError("recession solve failed: {}")
+
+    monkeypatch.setattr(freeconvex.io, "is_bounded", failing_solve)
+    pf = ProblemFile("bounded", {"pencil": {
+        "A0": {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]},
+        "x_coeffs": [{"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}],
+        "y_coeffs": []}})
+    path = tmp_path / "bounded.json"
+    path.write_text(pf.dumps())
+    assert main(["run", str(path)]) == 3
+    assert "solver error: recession solve failed" in capsys.readouterr().err

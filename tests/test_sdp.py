@@ -6,7 +6,7 @@ import freeconvex.sdp as S
 from freeconvex.algebra import realify
 from freeconvex.rand import rng, rand_hermitian, rand_unitary
 from freeconvex.sdp import (HermitianProblem, ProblemBuilder, SolveStatus,
-                            build_from_complex, solve, svec, smat, symkron,
+                            build_from_complex, solve, svec, smat,
                             svec_dim)
 
 
@@ -23,9 +23,14 @@ def entry_rows(builder, name, target, n, t=None):
             builder.add_row({name: e}, free, target[i, j])
 
 
+def rand_pd(gen, n):
+    w = gen.standard_normal((n, n))
+    return w @ w.T + np.eye(n)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 7), st.integers(0, 10_000))
-def test_svec_symkron_identities(n, seed):
+def test_svec_smat_and_nt_operator(n, seed):
     gen = rng(seed)
     s = gen.standard_normal((n, n))
     s = s + s.T
@@ -33,9 +38,32 @@ def test_svec_symkron_identities(n, seed):
     t = t + t.T
     assert np.allclose(smat(svec(s), n), s)
     assert abs(svec(s) @ svec(t) - np.tensordot(s, t)) < 1e-9
-    w = gen.standard_normal((n, n))
-    w = w @ w.T + np.eye(n)
-    assert np.allclose(symkron(w) @ svec(s), svec(w @ s @ w), atol=1e-8)
+    # the NT operator v -> svec(W smat(v) W), applied to a stack of svecs as
+    # the Schur assembly does, against W (x) W on vec coordinates
+    w = rand_pd(gen, n)
+    mats = gen.standard_normal((4, n, n))
+    mats = mats + mats.transpose(0, 2, 1)
+    applied = w @ smat(np.array([svec(x) for x in mats]), n) @ w
+    for x, out in zip(mats, applied):
+        ref = (np.kron(w, w) @ x.ravel()).reshape(n, n)
+        assert np.allclose(svec(out), svec(ref), atol=1e-8)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       st.integers(1, 8), st.integers(0, 10_000))
+def test_schur_complement_matches_double_loop(sizes, m, seed):
+    gen = rng(seed)
+    A_parts = [gen.standard_normal((m, svec_dim(n))) for n in sizes]
+    W = [rand_pd(gen, n) for n in sizes]
+    M = S._schur([smat(Ab, n) for Ab, n in zip(A_parts, sizes)], W, m)
+    ref = np.zeros((m, m))
+    for Ab, w, n in zip(A_parts, W, sizes):
+        for i in range(m):
+            for j in range(m):
+                ref[i, j] += np.tensordot(smat(Ab[i], n),
+                                          w @ smat(Ab[j], n) @ w)
+    assert np.allclose(M, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
 
 def test_identity_slack():
@@ -47,6 +75,8 @@ def test_identity_slack():
     sol = solve(b.build())
     assert sol.status is SolveStatus.FEASIBLE
     assert abs(sol.objective_value - 1.0) < 1e-6
+    assert sol.info["attempts"] >= 1
+    assert sol.info["iterations_total"] >= sol.iterations > 0
 
 
 def test_diagonal_slack_matches_min_eig():
