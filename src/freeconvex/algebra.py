@@ -27,6 +27,7 @@ __all__ = [
     "evaluate_polynomial",
     "involution",
     "hermitian_part",
+    "psd_part",
     "require_hermitian",
     "lambda_min",
     "ball_pencil",
@@ -59,6 +60,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def hermitian_part(m) -> np.ndarray:
     m = _asarray(m)
     return 0.5 * (m + m.conj().T)
+
+
+def psd_part(m: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix to a Hermitian (or real symmetric) m: its negative
+    eigenvalues are set to zero.  Keeps the dtype of m."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
 def require_hermitian(m, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:

@@ -30,8 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--max-iter", type=int, default=None,
                       help="iteration cap (default 200)")
     runp.add_argument("--mode", default=None,
-                      help="interpolation mode override "
-                           "(cp|unital|channel|operation)")
+                      help="interpolation mode of the interpolate kind, one "
+                           "of five: cp|unital|subunital|channel|operation")
     runp.add_argument("--format", choices=("json", "text"), default="json")
     runp.add_argument("--out", default=None, help="write the report here "
                       "instead of stdout")
@@ -71,10 +71,7 @@ def main(argv=None) -> int:
 
     try:
         report = run(pf)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
+    except ValueError as exc:            # ParseError included
         print(f"input error: {exc}", file=sys.stderr)
         return 4
     except RuntimeError as exc:

@@ -68,13 +68,6 @@ def tv_monic_lift() -> LinearPencil:
     return monicize(tv_lift(), [0.0, 0.0, 0.5]).pencil
 
 
-def tv_screen_poly() -> NCPolynomial:
-    """1 - x1^2 - x2^4 as a free polynomial."""
-    return NCPolynomial(2, 1, 1, {(): np.array([[1.0]]),
-                                  (1, 1): np.array([[-1.0]]),
-                                  (2, 2, 2, 2): np.array([[-1.0]])})
-
-
 def tv_screen_value(x1: float, x2: float) -> float:
     return 1.0 - x1 * x1 - x2 ** 4
 

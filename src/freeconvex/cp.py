@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import HermitianTuple, hermitian_part, require_hermitian
-from .sdp import FEAS_TOL, HermitianProblem, SolveStatus
+from .algebra import HermitianTuple, psd_part, require_hermitian
+from .sdp import FEAS_TOL, Decision, HermitianProblem, SolveStatus
 
 __all__ = [
     "ChoiMatrix",
@@ -36,8 +36,18 @@ class NotCompletelyPositive(ValueError):
 
 
 class InterpolationMode(Enum):
+    """The kind of cp map sought.
+
+    UNITAL and SUBUNITAL constrain Phi(I) in M_m (Phi(I) = I, Phi(I) <= I);
+    CHANNEL and OPERATION constrain the trace, i.e. the dual map (trace
+    preserving, trace non-increasing).  SUBUNITAL is the contractive form
+    behind domination and polar duals of unbounded sets; OPERATION is the
+    one behind contractive tracial hulls.
+    """
+
     CP = "cp"                 # any completely positive map
     UNITAL = "unital"         # Phi(I) = I
+    SUBUNITAL = "subunital"   # Phi(I) <= I
     CHANNEL = "channel"       # trace preserving
     OPERATION = "operation"   # trace non-increasing on PSD inputs
 
@@ -149,7 +159,7 @@ def apply_choi(c: ChoiMatrix, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class InterpolationResult:
+class InterpolationResult(Decision):
     """Outcome of a cp interpolation query."""
 
     status: SolveStatus
@@ -158,18 +168,6 @@ class InterpolationResult:
     margin: Optional[float] = None
     iterations: int = 0
     info: dict = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.status is SolveStatus.FEASIBLE
-
-    def __bool__(self) -> bool:
-        if self.status is SolveStatus.FEASIBLE:
-            return True
-        if self.status is SolveStatus.INFEASIBLE:
-            return False
-        raise ValueError(f"interpolation status {self.status.value} is not a "
-                         "yes/no answer")
 
     def kraus(self, rank_tol: float = 1e-10) -> KrausDecomposition:
         if self.choi is None:
@@ -185,21 +183,31 @@ def _coerce_mode(mode) -> InterpolationMode:
 
 def interpolation_problem(a: HermitianTuple, b: HermitianTuple,
                           mode: InterpolationMode,
-                          extra_psd_choi_trace: Optional[float] = None):
+                          extra_psd_choi_trace: Optional[float] = None,
+                          annihilate: Optional[HermitianTuple] = None):
     """Assemble the Choi-variable feasibility problem Phi(A_j) = B_j.
 
-    The optional trace bound tr(C) <= value supports the ex situ tracial
-    dual; it is encoded with a scalar slack block.
+    `annihilate` adds Phi(G_k) = 0 for each of its matrices.  The optional
+    trace bound tr(C) <= value supports the ex situ tracial dual; it is
+    encoded with a scalar slack block.
     """
     if a.g != b.g:
         raise ValueError(f"tuples have different lengths {a.g} vs {b.g}")
     n, m = a.dim, b.dim
+    if annihilate is not None and annihilate.g and annihilate.dim != n:
+        raise ValueError(f"annihilated matrices must be {n} x {n}")
     hp = HermitianProblem()
     hp.add_block("C", n * m)
     for aj, bj in zip(a, b):
         hp.add_matrix_eq([("apply", "C", aj, m)], bj)
+    for gk in annihilate or ():
+        hp.add_matrix_eq([("apply", "C", gk, m)], np.zeros((m, m)))
     if mode is InterpolationMode.UNITAL:
         hp.add_matrix_eq([("apply", "C", np.eye(n), m)], np.eye(m))
+    elif mode is InterpolationMode.SUBUNITAL:
+        hp.add_block("D", m)
+        hp.add_matrix_eq([("apply", "C", np.eye(n), m), ("entry", "D", 1.0)],
+                         np.eye(m))
     elif mode is InterpolationMode.CHANNEL:
         hp.add_matrix_eq([("blocktrace", "C", m, 1.0)], np.eye(n))
     elif mode is InterpolationMode.OPERATION:
@@ -216,9 +224,14 @@ def interpolation_problem(a: HermitianTuple, b: HermitianTuple,
 def interpolate(a: HermitianTuple, b: HermitianTuple, mode=InterpolationMode.CP,
                 tol: float = 1e-8, max_iter: int = 200,
                 feas_tol: float = FEAS_TOL,
-                extra_psd_choi_trace: Optional[float] = None) -> InterpolationResult:
-    """Decide existence of a cp map of the requested kind with Phi(A_j) = B_j.
+                extra_psd_choi_trace: Optional[float] = None,
+                annihilate: Optional[HermitianTuple] = None
+                ) -> InterpolationResult:
+    """Decide existence of a cp map of the requested kind with Phi(A_j) = B_j
+    and, when `annihilate` is given, Phi(G_k) = 0.
 
+    The mode is one of cp, unital (Phi(I) = I), subunital (Phi(I) <= I),
+    channel (trace preserving) or operation (trace non-increasing).
     FEASIBLE answers carry a positive semidefinite Choi witness satisfying
     the interpolation constraints to working precision; INFEASIBLE answers
     carry the signed phase-I margin, so decisive rejections are
@@ -226,14 +239,12 @@ def interpolate(a: HermitianTuple, b: HermitianTuple, mode=InterpolationMode.CP,
     """
     mode = _coerce_mode(mode)
     hp = interpolation_problem(a, b, mode,
-                               extra_psd_choi_trace=extra_psd_choi_trace)
+                               extra_psd_choi_trace=extra_psd_choi_trace,
+                               annihilate=annihilate)
     sol = hp.solve(tol=tol, max_iter=max_iter, feas_tol=feas_tol)
     n, m = a.dim, b.dim
     choi = None
     if sol.feasible:
-        raw = sol.block("C")
-        w, v = np.linalg.eigh(raw)
-        psd = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        choi = ChoiMatrix(n, m, hermitian_part(psd))
+        choi = ChoiMatrix(n, m, psd_part(sol.block("C")))
     return InterpolationResult(sol.status, mode, choi=choi, margin=sol.margin,
                                iterations=sol.raw.iterations, info=sol.info)

@@ -13,16 +13,16 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from . import corpus
 from .algebra import (HermitianTuple, LinearPencil, NCPolynomial,
                       require_hermitian)
-from .cp import InterpolationMode, interpolate
+from .cp import interpolate
 from .possatz import Certificate, search_certificate, verify_certificate
-from .sdp import FEAS_TOL, SolveStatus
+from .sdp import FEAS_TOL, Decision, SolveStatus
 from .spectra import (Spectrahedrop, dominates, drop_level1_bounded,
                       drop_membership, drop_polar_membership, hull_of_union,
                       is_bounded, monicize, polar_membership,
@@ -42,11 +42,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = "1"
-
-KINDS = ("membership", "interpolate", "dominate", "polar", "drop",
-         "drop-polar", "tracial", "thull", "cthull", "exsitu",
-         "possatz-verify", "possatz-search", "bounded", "monicize",
-         "hull-union")
 
 
 class ParseError(ValueError):
@@ -128,7 +123,7 @@ def decode_matrix(obj, locus: str = "matrix") -> np.ndarray:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         re = [_float_in(v, locus) for v in obj["re"]]
         im = [_float_in(v, locus) for v in obj["im"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix object ({exc})", locus)
     if len(re) != rows * cols or len(im) != rows * cols:
         raise ParseError("entry count does not match rows*cols", locus)
@@ -150,7 +145,10 @@ def decode_tuple(obj, locus: str = "tuple") -> HermitianTuple:
     if len(mats) == 0:
         if "dim" not in obj:
             raise ParseError("empty tuple", locus)
-        return HermitianTuple([], dim=int(obj["dim"]))
+        try:
+            return HermitianTuple([], dim=int(obj["dim"]))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"malformed 'dim' ({exc})", locus)
     decoded = []
     for i, m in enumerate(mats):
         raw = decode_matrix(m, f"{locus}.matrices[{i}]")
@@ -275,74 +273,6 @@ def parse_problem(data) -> ProblemFile:
     return pf
 
 
-def _decode_payload(pf: ProblemFile) -> dict:
-    p = pf.payload
-    k = pf.kind
-    out: Dict[str, Any] = {}
-    try:
-        if k == "membership":
-            out["pencil"] = decode_pencil(p["pencil"], "payload.pencil")
-            out["X"] = decode_tuple(p["X"], "payload.X")
-        elif k == "interpolate":
-            out["A"] = decode_tuple(p["A"], "payload.A")
-            out["B"] = decode_tuple(p["B"], "payload.B")
-        elif k == "dominate":
-            out["LA"] = decode_pencil(p["LA"], "payload.LA")
-            out["LB"] = decode_pencil(p["LB"], "payload.LB")
-            out["isometry"] = p.get("isometry")
-        elif k == "polar":
-            out["Omega"] = decode_tuple(p["Omega"], "payload.Omega")
-            out["X"] = decode_tuple(p["X"], "payload.X")
-            out["bounded"] = p.get("bounded")
-        elif k == "drop":
-            out["lift"] = decode_pencil(p["lift"], "payload.lift")
-            out["X"] = decode_tuple(p["X"], "payload.X")
-        elif k == "drop-polar":
-            out["lift"] = decode_pencil(p["lift"], "payload.lift")
-            out["A"] = decode_tuple(p["A"], "payload.A")
-            out["bounded"] = p.get("bounded")
-        elif k == "tracial":
-            out["B"] = decode_tuple(p["B"], "payload.B")
-            out["Y"] = decode_tuple(p["Y"], "payload.Y")
-            out["opp"] = bool(p.get("opp", False))
-        elif k in ("thull", "cthull"):
-            gens = p.get("generators")
-            if not isinstance(gens, list) or not gens:
-                raise ParseError("need a nonempty generator list",
-                                 "payload.generators")
-            out["generators"] = [decode_tuple(t, f"payload.generators[{i}]")
-                                 for i, t in enumerate(gens)]
-            out["B"] = decode_tuple(p["B"], "payload.B")
-        elif k == "exsitu":
-            out["Omega"] = decode_tuple(p["Omega"], "payload.Omega")
-            out["Y"] = decode_tuple(p["Y"], "payload.Y")
-        elif k == "possatz-verify":
-            out["p"] = decode_polynomial(p["p"], "payload.p")
-            out["certificate"] = decode_certificate(p["certificate"],
-                                                    "payload.certificate")
-            out["pencil"] = decode_pencil(p["pencil"], "payload.pencil")
-        elif k == "possatz-search":
-            out["p"] = decode_polynomial(p["p"], "payload.p")
-            out["pencil"] = decode_pencil(p["pencil"], "payload.pencil")
-            out["r"] = int(p["r"])
-        elif k == "bounded":
-            out["pencil"] = decode_pencil(p["pencil"], "payload.pencil")
-        elif k == "monicize":
-            out["pencil"] = decode_pencil(p["pencil"], "payload.pencil")
-            out["xhat"] = [_float_in(v, "payload.xhat") for v in p["xhat"]]
-        elif k == "hull-union":
-            lifts = p.get("lifts")
-            if not isinstance(lifts, list) or not lifts:
-                raise ParseError("need a nonempty lift list", "payload.lifts")
-            out["lifts"] = [decode_pencil(q, f"payload.lifts[{i}]")
-                            for i, q in enumerate(lifts)]
-            if "X" in p:
-                out["X"] = decode_tuple(p["X"], "payload.X")
-    except KeyError as exc:
-        raise ParseError(f"missing field {exc}", f"payload ({k})")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -399,12 +329,197 @@ class Report:
         return "\n".join(lines)
 
 
-def _status_str(status: SolveStatus) -> str:
-    return status.value
+# ---------------------------------------------------------------------------
+# dispatch: one table row per kind
+# ---------------------------------------------------------------------------
 
 
-def _wit(m) -> dict:
-    return encode_matrix(np.asarray(m))
+@dataclass(frozen=True)
+class _Kind:
+    """How a kind is decoded, decided and reported.
+
+    required: payload fields, passed to call positionally in this order.
+    optional: payload field -> default, passed to call by keyword.
+    call(*required, **optional, tol=, max_iter=, **options) runs the
+    procedure; options are the problem options the kind reads, with their
+    defaults.
+    report(result) returns the kind's own Report fields; for a Decision
+    result, run adds its status, decision and margin.
+    """
+
+    required: tuple
+    optional: dict
+    call: Callable
+    report: Callable
+    options: dict = field(default_factory=dict)
+
+
+def _nonempty(decode, what: str):
+    def decode_list(v, locus):
+        if not isinstance(v, list) or not v:
+            raise ParseError(f"need a nonempty {what} list", locus)
+        return [decode(x, f"{locus}[{i}]") for i, x in enumerate(v)]
+    return decode_list
+
+
+def _as_is(v, locus):
+    return v
+
+
+# the decoder of every payload field, by name
+_FIELDS = {
+    **dict.fromkeys(("A", "B", "X", "Y", "Omega"), decode_tuple),
+    **dict.fromkeys(("pencil", "LA", "LB"), decode_pencil),
+    "lift": lambda v, locus: Spectrahedrop(decode_pencil(v, locus)),
+    "generators": _nonempty(decode_tuple, "generator"),
+    "lifts": _nonempty(decode_pencil, "lift"),
+    "p": decode_polynomial,
+    "certificate": decode_certificate,
+    "r": lambda v, locus: int(v),
+    "xhat": lambda v, locus: [_float_in(x, locus) for x in v],
+    "opp": lambda v, locus: bool(v),
+    "isometry": _as_is,
+    "bounded": _as_is,
+}
+
+
+def _decided(res) -> dict:
+    """Status, yes/no decision (None unless FEASIBLE or INFEASIBLE) and
+    margin of a Decision."""
+    yes_no = res.status in (SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE)
+    return {"status": res.status.value,
+            "decision": bool(res) if yes_no else None,
+            "margin": getattr(res, "margin", None)}
+
+
+def _wits(obj, **attrs) -> dict:
+    """Witness matrices obj.<attr> under their report keys; none if obj is
+    None."""
+    if obj is None:
+        return {}
+    return {key: encode_matrix(np.asarray(getattr(obj, attr)))
+            for key, attr in attrs.items()}
+
+
+def _choi_report(res) -> dict:
+    return {"witnesses": _wits(res.choi, choi="C")}
+
+
+def _v_report(res) -> dict:
+    return {"witnesses": _wits(res.certificate, V="V")}
+
+
+def _hull_report(res) -> dict:
+    return {"detail": {"per_generator": [r.status.value
+                                         for r in res.per_generator],
+                       "margins": [r.margin for r in res.per_generator]},
+            "witnesses": _wits(res.choi, choi="C")}
+
+
+def _bounded(pencil, **kw) -> bool:
+    if pencil.h:
+        return drop_level1_bounded(Spectrahedrop(pencil), **kw)
+    return is_bounded(pencil, **kw)
+
+
+def _hull_union(lifts, X=None, **kw) -> dict:
+    """Report fields of the hull's lift and, given X, of X's membership."""
+    hull = hull_of_union([Spectrahedrop(q) for q in lifts], **kw)
+    out = {"witnesses": {"lift": encode_pencil(hull.lift)}}
+    if X is not None:
+        out.update(_decided(drop_membership(hull, X, **kw)))
+    return out
+
+
+# Calls go through module-level names, so a patched or wrapped procedure
+# is the one that runs.
+_TABLE: Dict[str, _Kind] = {
+    "membership": _Kind(
+        ("pencil", "X"), {},
+        lambda pencil, x, **kw: spectrahedron_membership(pencil, x),
+        lambda r: {"status": "TRUE" if r.inside else "FALSE",
+                   "decision": r.inside, "detail": {"lambda_min": r.lam_min}}),
+    "interpolate": _Kind(
+        ("A", "B"), {}, lambda *a, **kw: interpolate(*a, **kw), _choi_report,
+        options={"mode": "cp"}),
+    "dominate": _Kind(
+        ("LA", "LB"), {"isometry": None},
+        lambda *a, **kw: dominates(*a, **kw),
+        lambda r: {"detail": {"isometry": r.isometry},
+                   "witnesses": _wits(r.certificate, V="V",
+                                      S_square="S_square")}),
+    "polar": _Kind(
+        ("Omega", "X"), {"bounded": None},
+        lambda *a, **kw: polar_membership(*a, **kw), _v_report),
+    "drop": _Kind(
+        ("lift", "X"), {}, lambda *a, **kw: drop_membership(*a, **kw),
+        lambda r: {"witnesses": {f"Y{i + 1}": encode_matrix(y) for i, y
+                                 in enumerate(r.y_witness or ())}}),
+    "drop-polar": _Kind(
+        ("lift", "A"), {"bounded": None},
+        lambda *a, **kw: drop_polar_membership(*a, **kw), _v_report),
+    "tracial": _Kind(
+        ("B", "Y"), {"opp": False},
+        lambda b, y, opp, **kw: opp_tracial_membership(y, b, **kw) if opp
+        else tracial_membership(b, y, **kw),
+        lambda r: {"witnesses": _wits(r.witness, T="T")}),
+    "thull": _Kind(
+        ("generators", "B"), {},
+        lambda *a, **kw: thull_membership(*a, **kw), _hull_report),
+    "cthull": _Kind(
+        ("generators", "B"), {},
+        lambda *a, **kw: cthull_membership(*a, **kw), _hull_report),
+    "exsitu": _Kind(
+        ("Omega", "Y"), {},
+        lambda *a, **kw: exsitu_dual_membership(*a, **kw), _choi_report),
+    "possatz-verify": _Kind(                 # result: (ok, residual)
+        ("p", "certificate", "pencil"), {},
+        lambda *a, **kw: verify_certificate(*a),
+        lambda r: {"status": "TRUE" if r[0] else "FALSE",
+                   "decision": bool(r[0]),
+                   "detail": {"coefficient_residual": float(r[1])}}),
+    "possatz-search": _Kind(
+        ("p", "pencil", "r"), {},
+        lambda *a, **kw: search_certificate(*a, **kw),
+        lambda r: {"detail": {} if r.certificate is None
+                   else {"residual": r.residual},
+                   "witnesses": _wits(r.certificate, S="S", G="G")}),
+    "bounded": _Kind(
+        ("pencil",), {}, lambda *a, **kw: _bounded(*a, **kw),
+        lambda b: {"status": "BOUNDED" if b else "UNBOUNDED",
+                   "decision": bool(b), "detail": {"bounded": bool(b)}}),
+    "monicize": _Kind(
+        ("pencil", "xhat"), {}, lambda *a, **kw: monicize(*a),
+        lambda r: {"detail": {"shift": list(r.shift)},
+                   "witnesses": {"pencil": encode_pencil(r.pencil)}}),
+    "hull-union": _Kind(
+        ("lifts",), {"X": None}, _hull_union, lambda fields: fields),
+}
+
+KINDS = tuple(_TABLE)
+
+
+def _decode_field(name: str, value):
+    locus = f"payload.{name}"
+    try:
+        return _FIELDS[name](value, locus)
+    except ParseError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed field ({exc})", locus)
+
+
+def _decode_payload(pf: ProblemFile):
+    """Decoded (required values, optional values) of the problem's payload;
+    errors carry the field's locus."""
+    spec = _TABLE[pf.kind]
+    p = pf.payload
+    for name in spec.required:
+        if name not in p:
+            raise ParseError(f"missing field {name!r}", f"payload ({pf.kind})")
+    return ([_decode_field(name, p[name]) for name in spec.required],
+            {name: _decode_field(name, p[name]) if name in p else default
+             for name, default in spec.optional.items()})
 
 
 def run(pf: ProblemFile) -> Report:
@@ -412,147 +527,16 @@ def run(pf: ProblemFile) -> Report:
     opts = pf.options
     tol = _float_in(opts.get("tol", 1e-8), "options.tol")
     max_iter = int(opts.get("max_iter", 200))
-    kw = {"tol": tol, "max_iter": max_iter}
-    dec = _decode_payload(pf)
+    spec = _TABLE[pf.kind]
+    args, kwargs = _decode_payload(pf)
     t0 = time.perf_counter()
-    k = pf.kind
-    status = "OK"
-    decision: Optional[bool] = None
-    margin: Optional[float] = None
-    detail: Dict[str, Any] = {}
-    witnesses: Dict[str, Any] = {}
-
-    if k == "membership":
-        res = spectrahedron_membership(dec["pencil"], dec["X"])
-        decision = res.inside
-        status = "TRUE" if res.inside else "FALSE"
-        detail["lambda_min"] = res.lam_min
-    elif k == "interpolate":
-        mode = InterpolationMode(str(opts.get("mode", "cp")).lower())
-        res = interpolate(dec["A"], dec["B"], mode, **kw)
-        status = _status_str(res.status)
-        decision = res.feasible if res.status in (SolveStatus.FEASIBLE,
-                                                  SolveStatus.INFEASIBLE) else None
-        margin = res.margin
-        if res.choi is not None:
-            witnesses["choi"] = _wit(res.choi.C)
-    elif k == "dominate":
-        res = dominates(dec["LA"], dec["LB"], isometry=dec["isometry"], **kw)
-        status = _status_str(res.status)
-        decision = bool(res) if res.status in (SolveStatus.FEASIBLE,
-                                               SolveStatus.INFEASIBLE) else None
-        margin = res.margin
-        detail["isometry"] = res.isometry
-        if res.certificate is not None:
-            witnesses["V"] = _wit(res.certificate.V)
-            witnesses["S_square"] = _wit(res.certificate.S_square)
-    elif k == "polar":
-        res = polar_membership(dec["Omega"], dec["X"], bounded=dec["bounded"],
-                               **kw)
-        status = _status_str(res.status)
-        decision = bool(res) if res.status in (SolveStatus.FEASIBLE,
-                                               SolveStatus.INFEASIBLE) else None
-        margin = res.margin
-        if res.certificate is not None:
-            witnesses["V"] = _wit(res.certificate.V)
-    elif k == "drop":
-        res = drop_membership(Spectrahedrop(dec["lift"]), dec["X"], **kw)
-        status = _status_str(res.status)
-        decision = bool(res) if res.status in (SolveStatus.FEASIBLE,
-                                               SolveStatus.INFEASIBLE) else None
-        margin = res.margin
-        if res.y_witness is not None:
-            for i, y in enumerate(res.y_witness):
-                witnesses[f"Y{i + 1}"] = _wit(y)
-    elif k == "drop-polar":
-        res = drop_polar_membership(Spectrahedrop(dec["lift"]), dec["A"],
-                                    bounded=dec["bounded"], **kw)
-        status = _status_str(res.status)
-        decision = bool(res) if res.status in (SolveStatus.FEASIBLE,
-                                               SolveStatus.INFEASIBLE) else None
-        margin = res.margin
-        if res.certificate is not None:
-            witnesses["V"] = _wit(res.certificate.V)
-    elif k == "tracial":
-        if dec["opp"]:
-            res = opp_tracial_membership(dec["Y"], dec["B"], **kw)
-        else:
-            res = tracial_membership(dec["B"], dec["Y"], **kw)
-        status = _status_str(res.status)
-        decision = bool(res) if res.status in (SolveStatus.FEASIBLE,
-                                               SolveStatus.INFEASIBLE) else None
-        margin = res.margin
-        if res.witness is not None:
-            witnesses["T"] = _wit(res.witness.T)
-    elif k in ("thull", "cthull"):
-        fn = thull_membership if k == "thull" else cthull_membership
-        res = fn(dec["generators"], dec["B"], **kw)
-        status = _status_str(res.status)
-        decision = bool(res) if res.status in (SolveStatus.FEASIBLE,
-                                               SolveStatus.INFEASIBLE) else None
-        detail["per_generator"] = [r.status.value for r in res.per_generator]
-        detail["margins"] = [r.margin for r in res.per_generator]
-        if res.choi is not None:
-            witnesses["choi"] = _wit(res.choi.C)
-    elif k == "exsitu":
-        res = exsitu_dual_membership(dec["Omega"], dec["Y"], **kw)
-        status = _status_str(res.status)
-        decision = bool(res) if res.status in (SolveStatus.FEASIBLE,
-                                               SolveStatus.INFEASIBLE) else None
-        margin = res.margin
-        if res.choi is not None:
-            witnesses["choi"] = _wit(res.choi.C)
-    elif k == "possatz-verify":
-        ok, resid = verify_certificate(dec["p"], dec["certificate"],
-                                       dec["pencil"])
-        decision = bool(ok)
-        status = "TRUE" if ok else "FALSE"
-        detail["coefficient_residual"] = float(resid)
-    elif k == "possatz-search":
-        res = search_certificate(dec["p"], dec["pencil"], dec["r"], **kw)
-        status = _status_str(res.status)
-        decision = bool(res) if res.status in (SolveStatus.FEASIBLE,
-                                               SolveStatus.INFEASIBLE) else None
-        margin = res.margin
-        if res.certificate is not None:
-            witnesses["S"] = _wit(res.certificate.S)
-            witnesses["G"] = _wit(res.certificate.G)
-            detail["residual"] = res.residual
-    elif k == "bounded":
-        pencil = dec["pencil"]
-        if pencil.h:
-            bounded = drop_level1_bounded(Spectrahedrop(pencil), tol=tol,
-                                          max_iter=max_iter)
-        else:
-            bounded = is_bounded(pencil, tol=tol, max_iter=max_iter)
-        decision = bool(bounded)
-        status = "BOUNDED" if bounded else "UNBOUNDED"
-        detail["bounded"] = bool(bounded)
-    elif k == "monicize":
-        res = monicize(dec["pencil"], dec["xhat"])
-        status = "OK"
-        witnesses["pencil"] = encode_pencil(res.pencil)
-        detail["shift"] = list(res.shift)
-    elif k == "hull-union":
-        hull = hull_of_union([Spectrahedrop(q) for q in dec["lifts"]],
-                             tol=tol, max_iter=max_iter)
-        witnesses["lift"] = encode_pencil(hull.lift)
-        if "X" in dec:
-            res = drop_membership(hull, dec["X"], **kw)
-            status = _status_str(res.status)
-            decision = bool(res) if res.status in (SolveStatus.FEASIBLE,
-                                                   SolveStatus.INFEASIBLE) \
-                else None
-            margin = res.margin
-        else:
-            status = "OK"
-    else:                                        # pragma: no cover
-        raise ParseError(f"unhandled kind {k!r}")
-
+    res = spec.call(*args, **kwargs, tol=tol, max_iter=max_iter,
+                    **{k: opts.get(k, v) for k, v in spec.options.items()})
+    fields = _decided(res) if isinstance(res, Decision) else \
+        {"status": "OK", "decision": None}
+    fields.update(spec.report(res))
     elapsed = time.perf_counter() - t0
-    return Report(kind=k, status=status, decision=decision, margin=margin,
-                  detail=detail, witnesses=witnesses,
-                  timings={"seconds": elapsed},
+    return Report(kind=pf.kind, **fields, timings={"seconds": elapsed},
                   tolerances={"tol": tol, "max_iter": max_iter,
                               "feas_tol": FEAS_TOL},
                   provenance=pf.to_dict())

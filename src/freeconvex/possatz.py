@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import LinearPencil, NCPolynomial, hermitian_part, word_key
-from .sdp import FEAS_TOL, HermitianProblem, SolveStatus
+from .sdp import FEAS_TOL, Decision, HermitianProblem, SolveStatus
 
 __all__ = [
     "WordBasis",
@@ -90,12 +90,6 @@ class Certificate:
         gm.setflags(write=False)
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "G", gm)
-
-    def g_index(self, a: int, c: int, i: int) -> int:
-        return (a * self.d + c) * self.mu + i
-
-    def s_index(self, a: int, i: int) -> int:
-        return a * self.mu + i
 
     def pencil_contraction(self, m: np.ndarray, a: int, b: int) -> np.ndarray:
         """mu x mu matrix sum_ce M_ce G[(a,c,.),(b,e,.)]."""
@@ -177,23 +171,12 @@ def verify_certificate(p: NCPolynomial, cert: Certificate,
 
 
 @dataclass
-class CertificateSearch:
+class CertificateSearch(Decision):
     status: SolveStatus
     certificate: Optional[Certificate] = None
     residual: Optional[float] = None
     margin: Optional[float] = None
     info: dict = field(default_factory=dict)
-
-    @property
-    def feasible(self) -> bool:
-        return self.status is SolveStatus.FEASIBLE
-
-    def __bool__(self):
-        if self.status is SolveStatus.FEASIBLE:
-            return True
-        if self.status is SolveStatus.INFEASIBLE:
-            return False
-        raise ValueError(f"status {self.status.value} is not a yes/no answer")
 
 
 def _place(fdict, name, idx_r, idx_c, value, size):

@@ -41,10 +41,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg as sla
 
-from .algebra import derealify, hermitian_part, realify
+from .algebra import derealify, hermitian_part, psd_part, realify
 
 __all__ = [
     "SolveStatus",
+    "Decision",
     "SDPProblem",
     "SDPSolution",
     "ProblemBuilder",
@@ -65,6 +66,24 @@ class SolveStatus(Enum):
     INFEASIBLE = "INFEASIBLE"
     MARGINAL = "MARGINAL"
     ERROR = "ERROR"
+
+
+class Decision:
+    """Base of the yes/no results: ``bool()`` is True on FEASIBLE, False on
+    INFEASIBLE, and raises on MARGINAL and ERROR, which answer neither."""
+
+    status: SolveStatus
+
+    @property
+    def feasible(self) -> bool:
+        return self.status is SolveStatus.FEASIBLE
+
+    def __bool__(self) -> bool:
+        if self.status is SolveStatus.FEASIBLE:
+            return True
+        if self.status is SolveStatus.INFEASIBLE:
+            return False
+        raise ValueError(f"status {self.status.value} is not a yes/no answer")
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +607,12 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
         raise
 
 
+def _accuracy(info) -> float:
+    """The worst of the final primal, dual and gap residuals."""
+    return max(info.get("pres", 0.0), info.get("dres", 0.0),
+               info.get("relgap", 0.0))
+
+
 def _hsd_attempts(sizes, A_parts, A_free, b, c_parts, c_free, tol, max_iter):
     """Run the core with fallback initializations; loose outcomes only stand
     when no initialization does better.
@@ -600,10 +625,6 @@ def _hsd_attempts(sizes, A_parts, A_free, b, c_parts, c_free, tol, max_iter):
     best = None
     best_acc = math.inf
     attempts = total = 0
-
-    def acc_of(res):
-        return max(res.info.get("pres", 0.0), res.info.get("dres", 0.0),
-                   res.info.get("relgap", 0.0))
 
     def counted(res):
         res.info.update(attempts=attempts, iterations_total=total)
@@ -621,7 +642,7 @@ def _hsd_attempts(sizes, A_parts, A_free, b, c_parts, c_free, tol, max_iter):
         total += res.iterations
         if res.kind != "optimal" or not res.info.get("loose"):
             return counted(res)
-        acc = acc_of(res)
+        acc = _accuracy(res.info)
         if acc < best_acc:
             best, best_acc = res, acc
         if best_acc <= 1e-9:
@@ -661,32 +682,27 @@ def _polish(problem: SDPProblem, Z: Dict[str, np.ndarray],
                                 if problem.n_free else []))
     A = np.hstack([*problem.A_blocks, problem.A_free])
     delta, *_ = np.linalg.lstsq(A, problem.rhs - A @ x, rcond=None)
-    x = x + delta
+    out, rest = _unpack(problem, x + delta)
+    return out, (rest if problem.n_free else u)
+
+
+def _unpack(problem: SDPProblem, x: np.ndarray):
+    """Split a stacked variable vector into its named blocks and the free
+    part."""
     out = {}
     ofs = 0
     for name, s in problem.blocks:
         d = svec_dim(s)
         out[name] = smat(x[ofs:ofs + d], s)
         ofs += d
-    return out, (x[ofs:] if problem.n_free else u)
-
-
-def _eig_clip(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    return (v * np.clip(w, 0.0, None)) @ v.T
+    return out, x[ofs:]
 
 
 def _ls_point(problem: SDPProblem):
     """Any solution of the affine equality system, ignoring the cone."""
     A = np.hstack([*problem.A_blocks, problem.A_free])
     x0, *_ = np.linalg.lstsq(A, problem.rhs, rcond=None)
-    out = {}
-    ofs = 0
-    for name, sz in problem.blocks:
-        d = svec_dim(sz)
-        out[name] = smat(x0[ofs:ofs + d], sz)
-        ofs += d
-    return out, (x0[ofs:] if problem.n_free else np.zeros(0))
+    return _unpack(problem, x0)
 
 
 def solve(problem: SDPProblem, tol: float = 1e-8, max_iter: int = 200,
@@ -780,7 +796,9 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     INFEASIBLE below -feas_tol.  Inside the band, a witness rescue clips the
     terminal iterate to the cone and re-checks the equalities; only a
     verified witness may promote the answer to FEASIBLE, otherwise the
-    honest answer is MARGINAL.
+    honest answer is MARGINAL.  Before the rescue, a band answer is solved
+    once more at tol 1e-11; that result's ``info`` sums ``attempts`` and
+    ``iterations_total`` over both solves and sets ``resolves``.
     """
     if problem.has_objective:
         raise ValueError("solve_feasibility expects a problem without objective")
@@ -859,9 +877,7 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
         base_info["cap_active"] = bool(res.Z[nb][0, 0] < 1e-6)
     it = res.iterations
     # widen the marginal band to the achieved solver accuracy
-    acc = max(res.info.get("pres", 0.0), res.info.get("dres", 0.0),
-              res.info.get("relgap", 0.0))
-    band = max(feas_tol, 10.0 * acc * (1.0 + abs(t_star)))
+    band = max(feas_tol, 10.0 * _accuracy(res.info) * (1.0 + abs(t_star)))
 
     if t_star > band:
         witness, u = _polish(problem, witness, u)
@@ -879,11 +895,18 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
         return SDPSolution(SolveStatus.INFEASIBLE, margin=t_star, iterations=it,
                            info=base_info)
     # marginal band: first re-solve at high accuracy (the rescue below needs
-    # tiny equality residuals, or the projection ruins the eigenvalue floor)
+    # tiny equality residuals, or the projection ruins the eigenvalue floor);
+    # its info adds both solves' counts and counts the re-solve
     if tol > 1.1e-11:
-        return solve_feasibility(problem, tol=1e-11,
-                                 max_iter=max(max_iter, 300),
-                                 feas_tol=feas_tol, trace_cap=trace_cap)
+        sol = solve_feasibility(problem, tol=1e-11,
+                                max_iter=max(max_iter, 300),
+                                feas_tol=feas_tol, trace_cap=trace_cap)
+        sol.info.update(
+            attempts=res.info["attempts"] + sol.info.get("attempts", 0),
+            iterations_total=(res.info["iterations_total"]
+                              + sol.info.get("iterations_total", 0)),
+            resolves=sol.info.get("resolves", 0) + 1)
+        return sol
     # alternate equality projection and eigenvalue clipping to rescue a
     # boundary witness; only a verified witness promotes to FEASIBLE
     cand, uc = witness, u
@@ -893,7 +916,7 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
         eq_resid, eig_min = _verify_witness(problem, cand, uc)
         if eig_min >= -0.5 * _WITNESS_EIG_TOL:
             break
-        cand = {name: _eig_clip(mat) for name, mat in cand.items()}
+        cand = {name: psd_part(mat) for name, mat in cand.items()}
     if eig_min < -_WITNESS_EIG_TOL:
         # projection plateau: a small identity shift can satisfy both
         # witness invariants at once (equalities are absolute-toleranced)

@@ -11,7 +11,7 @@ The polar dual of a set K is {A : I - sum A_j (x) X_j >= 0 for all X in K}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -19,8 +19,8 @@ import scipy.linalg as sla
 from .algebra import (HermitianTuple, LinearPencil, evaluate_pencil,
                       hermitian_part, lambda_min, monic_tuple,
                       pencil_from_tuple)
-from .cp import kraus_of_choi, ChoiMatrix
-from .sdp import FEAS_TOL, HermitianProblem, SolveStatus
+from .cp import ChoiMatrix, InterpolationMode, interpolate, kraus_of_choi
+from .sdp import FEAS_TOL, Decision, HermitianProblem, SolveStatus
 
 __all__ = [
     "Spectrahedrop",
@@ -196,7 +196,7 @@ class DominationCertificate:
 
 
 @dataclass
-class DominationResult:
+class DominationResult(Decision):
     status: SolveStatus
     isometry: bool
     certificate: Optional[DominationCertificate] = None
@@ -204,52 +204,33 @@ class DominationResult:
     margin: Optional[float] = None
     info: dict = field(default_factory=dict)
 
-    @property
-    def feasible(self) -> bool:
-        return self.status is SolveStatus.FEASIBLE
 
-    def __bool__(self):
-        if self.status is SolveStatus.FEASIBLE:
-            return True
-        if self.status is SolveStatus.INFEASIBLE:
-            return False
-        raise ValueError(f"status {self.status.value} is not a yes/no answer")
-
-
-def _cp_send_to(source: HermitianTuple, target: HermitianTuple,
-                annihilate: Optional[HermitianTuple], unital: bool,
-                tol: float, max_iter: int) -> Tuple[SolveStatus, Optional[ChoiMatrix],
-                                                    Optional[float], dict]:
-    """Feasibility of a cp map with Phi(source_j) = target_j,
-    Phi(annihilate_k) = 0, and Phi(I) = I (unital) or Phi(I) <= I."""
-    n, m = source.dim, target.dim
-    hp = HermitianProblem()
-    hp.add_block("C", n * m)
-    for sj, tj in zip(source, target):
-        hp.add_matrix_eq([("apply", "C", sj, m)], tj)
-    if annihilate is not None:
-        for gk in annihilate:
-            hp.add_matrix_eq([("apply", "C", gk, m)], np.zeros((m, m)))
-    if unital:
-        hp.add_matrix_eq([("apply", "C", np.eye(n), m)], np.eye(m))
-    else:
-        hp.add_block("D", m)
-        hp.add_matrix_eq([("apply", "C", np.eye(n), m), ("entry", "D", 1.0)],
-                         np.eye(m))
-    sol = hp.solve(tol=tol, max_iter=max_iter)
-    choi = None
-    if sol.feasible:
-        raw = sol.block("C")
-        w, v = np.linalg.eigh(raw)
-        choi = ChoiMatrix(n, m, (v * np.clip(w, 0.0, None)) @ v.conj().T)
-    return sol.status, choi, sol.margin, sol.info
-
-
-def _certificate_from_choi(choi: ChoiMatrix) -> DominationCertificate:
-    k = kraus_of_choi(choi, rank_tol=1e-9)
-    v = k.stacked()
-    s2 = np.eye(choi.m) - v.conj().T @ v
-    return DominationCertificate(V=v, mu=len(k), S_square=hermitian_part(s2))
+def _cp_domination(source: HermitianTuple, target: HermitianTuple,
+                   unital: bool, tol: float, max_iter: int,
+                   annihilate: Optional[HermitianTuple] = None
+                   ) -> DominationResult:
+    """A cp map with Phi(source_j) = target_j and Phi(annihilate_k) = 0,
+    unital or subunital, with its Kraus form re-verified as the (co)isometry
+    certificate target_j = V*(I (x) source_j)V."""
+    mode = InterpolationMode.UNITAL if unital else InterpolationMode.SUBUNITAL
+    res = interpolate(source, target, mode, tol=tol, max_iter=max_iter,
+                      annihilate=annihilate)
+    cert = None
+    if res.feasible:
+        k = kraus_of_choi(res.choi, rank_tol=1e-9)
+        v = k.stacked()
+        cert = DominationCertificate(
+            V=v, mu=len(k), S_square=hermitian_part(np.eye(target.dim)
+                                                    - v.conj().T @ v))
+        resid = cert.reconstruction_residual(target, source)
+        if resid > 1e-6 or cert.contraction_defect() > 1e-8:
+            return DominationResult(SolveStatus.ERROR, unital,
+                                    margin=res.margin,
+                                    info={**res.info, "reason": "certificate "
+                                          "failed re-verification",
+                                          "resid": resid})
+    return DominationResult(res.status, unital, certificate=cert,
+                            choi=res.choi, margin=res.margin, info=res.info)
 
 
 def dominates(la: LinearPencil, lb: LinearPencil,
@@ -270,18 +251,7 @@ def dominates(la: LinearPencil, lb: LinearPencil,
     b, _ = monic_tuple(lb)
     if isometry is None:
         isometry = is_bounded(lb, tol=tol, max_iter=max_iter)
-    status, choi, margin, info = _cp_send_to(b, a, None, unital=isometry,
-                                             tol=tol, max_iter=max_iter)
-    cert = None
-    if status is SolveStatus.FEASIBLE:
-        cert = _certificate_from_choi(choi)
-        resid = cert.reconstruction_residual(a, b)
-        if resid > 1e-6 or cert.contraction_defect() > 1e-8:
-            return DominationResult(SolveStatus.ERROR, isometry, margin=margin,
-                                    info={**info, "reason": "certificate failed "
-                                          "re-verification", "resid": resid})
-    return DominationResult(status, isometry, certificate=cert, choi=choi,
-                            margin=margin, info=info)
+    return _cp_domination(b, a, isometry, tol, max_iter)
 
 
 def polar_membership(omega: HermitianTuple, x: HermitianTuple,
@@ -299,18 +269,7 @@ def polar_membership(omega: HermitianTuple, x: HermitianTuple,
     if bounded is None:
         bounded = is_bounded(pencil_from_tuple(omega), tol=tol,
                              max_iter=max_iter)
-    status, choi, margin, info = _cp_send_to(omega, x, None, unital=bounded,
-                                             tol=tol, max_iter=max_iter)
-    cert = None
-    if status is SolveStatus.FEASIBLE:
-        cert = _certificate_from_choi(choi)
-        resid = cert.reconstruction_residual(x, omega)
-        if resid > 1e-6 or cert.contraction_defect() > 1e-8:
-            return DominationResult(SolveStatus.ERROR, bounded, margin=margin,
-                                    info={**info, "reason": "certificate failed "
-                                          "re-verification", "resid": resid})
-    return DominationResult(status, bounded, certificate=cert, choi=choi,
-                            margin=margin, info=info)
+    return _cp_domination(omega, x, bounded, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +278,11 @@ def polar_membership(omega: HermitianTuple, x: HermitianTuple,
 
 
 @dataclass
-class DropMembership:
+class DropMembership(Decision):
     status: SolveStatus
     y_witness: Optional[HermitianTuple] = None
     margin: Optional[float] = None
     info: dict = field(default_factory=dict)
-
-    @property
-    def feasible(self) -> bool:
-        return self.status is SolveStatus.FEASIBLE
-
-    def __bool__(self):
-        if self.status is SolveStatus.FEASIBLE:
-            return True
-        if self.status is SolveStatus.INFEASIBLE:
-            return False
-        raise ValueError(f"status {self.status.value} is not a yes/no answer")
 
 
 def drop_membership(drop: Spectrahedrop, x: HermitianTuple, tol: float = 1e-8,
@@ -384,19 +332,7 @@ def drop_polar_membership(drop: Spectrahedrop, a: HermitianTuple,
     omega, gamma = monic_tuple(lift)
     if bounded is None:
         bounded = drop_level1_bounded(drop, tol=tol, max_iter=max_iter)
-    status, choi, margin, info = _cp_send_to(
-        omega, a, gamma if gamma.g else None, unital=bounded, tol=tol,
-        max_iter=max_iter)
-    cert = None
-    if status is SolveStatus.FEASIBLE:
-        cert = _certificate_from_choi(choi)
-        resid = cert.reconstruction_residual(a, omega)
-        if resid > 1e-6 or cert.contraction_defect() > 1e-8:
-            return DominationResult(SolveStatus.ERROR, bounded, margin=margin,
-                                    info={**info, "reason": "certificate failed "
-                                          "re-verification", "resid": resid})
-    return DominationResult(status, bounded, certificate=cert, choi=choi,
-                            margin=margin, info=info)
+    return _cp_domination(omega, a, bounded, tol, max_iter, annihilate=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +444,7 @@ def polar_dual_lift(omega: HermitianTuple, gamma: Optional[HermitianTuple] = Non
     rows_y: List[np.ndarray] = []
     rows_x: List[np.ndarray] = []
     rows_c: List[float] = []
-    w_unital = np.zeros(nv)
-    for t, (kind, p, q) in enumerate(comps):
-        if kind == "re" and p == q:
-            w_unital[t] = 1.0
-    rows_y.append(w_unital)
+    rows_y.append(_entry_weights(np.eye(d), comps))      # unitality
     rows_x.append(np.zeros(g))
     rows_c.append(-1.0)
     for j, oj in enumerate(omega):
@@ -530,15 +462,20 @@ def polar_dual_lift(omega: HermitianTuple, gamma: Optional[HermitianTuple] = Non
     e0 = np.asarray(rows_c)
 
     # pick pivot unknowns via rank-revealing QR of E_y
-    qq, rr, piv = sla.qr(Ey, mode="economic", pivoting=True)
+    _, rr, piv = sla.qr(Ey, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rr))
     rank = int(np.sum(diag > max(rank_tol * (diag[0] if diag.size else 1.0),
                                  1e-13)))
     if rank < Ey.shape[0]:
-        # a dependent equation must also be dependent on the x/constant side
-        resid = Ey - qq[:, :rank] @ (qq[:, :rank].T @ Ey)
-        raise ValueError("degenerate dual construction: the Choi equations "
-                         "constrain the x variables alone")
+        # a dependent equation is redundant only if the same combination
+        # also vanishes on the x/constant side; otherwise it constrains x
+        left_null = np.linalg.svd(Ey)[0][:, rank:]
+        if np.abs(left_null.T @ np.column_stack([Ex, e0])).max() > 1e-8:
+            raise ValueError("degenerate dual construction: the Choi "
+                             "equations constrain the x variables alone")
+        keep = np.sort(sla.qr(Ey.T, mode="r", pivoting=True)[1][:rank])
+        Ey, Ex, e0 = Ey[keep], Ex[keep], e0[keep]
+        piv = sla.qr(Ey, mode="r", pivoting=True)[1]
     pivots = list(piv[:rank])
     free = [t for t in range(nv) if t not in set(pivots)]
     Ep = Ey[:, pivots]
@@ -569,21 +506,15 @@ def has_zero_interior(drop: Spectrahedrop, radii=(1e-1, 1e-2, 1e-3),
     g = drop.g
     if g == 0:
         return bool(drop_membership(drop, HermitianTuple([], dim=1)))
-    for r in radii:
-        ok = True
-        for j in range(g):
-            for sigma in (1.0, -1.0):
-                pt = HermitianTuple([np.array([[sigma * r if k == j else 0.0]])
-                                     for k in range(g)])
-                res = drop_membership(drop, pt, tol=tol)
-                if res.status is not SolveStatus.FEASIBLE:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+
+    def member(j: int, v: float) -> bool:
+        x = HermitianTuple([np.array([[v if k == j else 0.0]])
+                            for k in range(g)])
+        return drop_membership(drop, x, tol=tol).status is SolveStatus.FEASIBLE
+
+    return any(all(member(j, sigma * r)
+                   for j in range(g) for sigma in (1.0, -1.0))
+               for r in radii)
 
 
 def _stack_drops(drops: Sequence[Spectrahedrop]) -> LinearPencil:

@@ -16,10 +16,10 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import HermitianTuple, hermitian_part
+from .algebra import HermitianTuple, hermitian_part, psd_part
 from .cp import (ChoiMatrix, InterpolationMode, InterpolationResult,
                  interpolate)
-from .sdp import HermitianProblem, SolveStatus
+from .sdp import Decision, HermitianProblem, SolveStatus
 
 __all__ = [
     "TracialWitness",
@@ -52,27 +52,17 @@ class TracialWitness:
 
 
 @dataclass
-class TracialMembership:
+class TracialMembership(Decision):
     status: SolveStatus
     witness: Optional[TracialWitness] = None
     margin: Optional[float] = None
     info: dict = field(default_factory=dict)
 
-    @property
-    def feasible(self) -> bool:
-        return self.status is SolveStatus.FEASIBLE
 
-    def __bool__(self):
-        if self.status is SolveStatus.FEASIBLE:
-            return True
-        if self.status is SolveStatus.INFEASIBLE:
-            return False
-        raise ValueError(f"status {self.status.value} is not a yes/no answer")
-
-
-def _tracial_lmi(b: HermitianTuple, y: HermitianTuple, tol: float,
-                 max_iter: int) -> TracialMembership:
-    """Feasibility of {T >= 0, tr T <= 1, I (x) T - sum B_j (x) Y_j >= 0}.
+def tracial_membership(b: HermitianTuple, y: HermitianTuple, tol: float = 1e-8,
+                       max_iter: int = 200) -> TracialMembership:
+    """Is Y in the tracial spectrahedron determined by the fixed tuple B,
+    i.e. is {T >= 0, tr T <= 1, I (x) T - sum B_j (x) Y_j >= 0} feasible?
 
     T lives on the second tensor factor, so its size is dim(Y).  The trace
     bound is used in inequality form; the definition with equality carves
@@ -95,21 +85,13 @@ def _tracial_lmi(b: HermitianTuple, y: HermitianTuple, tol: float,
     sol = hp.solve(tol=tol, max_iter=max_iter)
     witness = None
     if sol.feasible:
-        raw = sol.block("T")
-        w, v = np.linalg.eigh(raw)
-        t = (v * np.clip(w, 0.0, None)) @ v.conj().T
+        t = psd_part(sol.block("T"))
         tr = float(np.trace(t).real)
         if tr > 1.0:
             t = t / tr
         witness = TracialWitness(t)
     return TracialMembership(sol.status, witness=witness, margin=sol.margin,
                              info=sol.info)
-
-
-def tracial_membership(b: HermitianTuple, y: HermitianTuple, tol: float = 1e-8,
-                       max_iter: int = 200) -> TracialMembership:
-    """Is Y in the tracial spectrahedron determined by the fixed tuple B?"""
-    return _tracial_lmi(b, y, tol, max_iter)
 
 
 def opp_tracial_membership(y: HermitianTuple, b: HermitianTuple,
@@ -120,7 +102,7 @@ def opp_tracial_membership(y: HermitianTuple, b: HermitianTuple,
     Same matrix inequality with the roles of the fixed and queried tuples
     swapped; the witness still lives on Y's tensor factor.
     """
-    return _tracial_lmi(b, y, tol, max_iter)
+    return tracial_membership(b, y, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +114,7 @@ Generators = Union[HermitianTuple, Sequence[HermitianTuple]]
 
 
 @dataclass
-class HullMembership:
+class HullMembership(Decision):
     """Disjunction over generators: B is in the hull iff some generator
     maps onto it by a cp map of the requested kind."""
 
@@ -145,17 +127,6 @@ class HullMembership:
         if self.winner is None:
             return None
         return self.per_generator[self.winner].choi
-
-    @property
-    def feasible(self) -> bool:
-        return self.status is SolveStatus.FEASIBLE
-
-    def __bool__(self):
-        if self.status is SolveStatus.FEASIBLE:
-            return True
-        if self.status is SolveStatus.INFEASIBLE:
-            return False
-        raise ValueError(f"status {self.status.value} is not a yes/no answer")
 
 
 def _generators(a: Generators) -> List[HermitianTuple]:
@@ -223,7 +194,5 @@ def insitu_dual_check(sample: Sequence[HermitianTuple], b: HermitianTuple,
     K, tested against a finite sample of K only: every sampled Y must admit
     a tracial witness against B.  A True answer is not conclusive for
     infinite K; a False answer is."""
-    for y in sample:
-        if not tracial_membership(b, y, tol=tol, max_iter=max_iter):
-            return False
-    return True
+    return all(tracial_membership(b, y, tol=tol, max_iter=max_iter)
+               for y in sample)

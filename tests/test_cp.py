@@ -182,3 +182,30 @@ def test_interpolate_status_unitary_invariance():
             au = a.conjugate(u)
             bw = b.conjugate(w)
             assert bool(interpolate(au, bw, mode)) == expect
+
+
+def test_subunital_with_annihilation():
+    from freeconvex.algebra import monic_tuple
+    from freeconvex.corpus import scalar_tuple, tv_monic_lift
+
+    # a point of the TV screen's polar dual: Phi(W_j) = X_j, Phi(G) = 0
+    omega, gamma = monic_tuple(tv_monic_lift())
+    x = scalar_tuple(0.5, 0.5)
+    r = interpolate(omega, x, "subunital", annihilate=gamma)
+    assert r.status is SolveStatus.FEASIBLE
+    assert r.mode is InterpolationMode.SUBUNITAL
+    assert r.choi.lambda_min() >= -1e-8
+    phi_i = r.choi.block_sum_diag()
+    assert np.linalg.eigvalsh(np.eye(phi_i.shape[0]) - phi_i)[0] >= -1e-8
+    for gk in gamma:
+        assert np.abs(apply_choi(r.choi, gk)).max() <= 1e-6
+    for wj, xj in zip(omega, x):
+        assert np.abs(apply_choi(r.choi, wj) - xj).max() <= 1e-6
+    # {x >= -1} is unbounded: -1/2 is in its polar dual [-1, 0] through a
+    # contraction Phi(1) = 1/2 only, so unital fails where subunital holds
+    w = HermitianTuple([np.array([[-1.0]])])
+    half = HermitianTuple([np.array([[-0.5]])])
+    assert interpolate(w, half, "unital").status is SolveStatus.INFEASIBLE
+    r = interpolate(w, half, "subunital")
+    assert r.status is SolveStatus.FEASIBLE
+    assert abs(r.choi.block_sum_diag()[0, 0].real - 0.5) <= 1e-6

@@ -167,3 +167,88 @@ def test_cli_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     path.write_text(pf.dumps())
     assert main(["run", str(path)]) == 3
     assert "solver error: recession solve failed" in capsys.readouterr().err
+
+
+def _corpus_doc_with(name, value, *path):
+    """The corpus problem `name` with payload[path] set to value."""
+    doc = json.loads(json.dumps(
+        next(c.problem for c in corpus_problems() if c.name == name)))
+    node = doc["payload"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, locus", [
+    (_corpus_doc_with("possatz-search-inside", "abc", "r"), "payload.r"),
+    (_corpus_doc_with("possatz-search-inside", None, "r"), "payload.r"),
+    (_corpus_doc_with("monicize-tv", 5, "xhat"), "payload.xhat"),
+    (_corpus_doc_with("tvscreen-drop-inside", "a", "X", "matrices", 0, "rows"),
+     "payload.X.matrices[0]"),
+    (_corpus_doc_with("tracial-scalar-inside", {"matrices": [], "dim": "z"},
+                      "B"), "payload.B"),
+], ids=["r-string", "r-null", "xhat-number", "rows-string", "dim-string"])
+def test_cli_malformed_payload_exits_4(doc, locus, tmp_path, capsys):
+    from freeconvex.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 4
+    assert capsys.readouterr().err.startswith(f"input error: {locus}: ")
+
+
+def test_kinds_order():
+    from freeconvex.io import KINDS
+
+    assert KINDS == ("membership", "interpolate", "dominate", "polar", "drop",
+                     "drop-polar", "tracial", "thull", "cthull", "exsitu",
+                     "possatz-verify", "possatz-search", "bounded",
+                     "monicize", "hull-union")
+
+
+# kind, detail keys and witness keys of the report of every corpus problem
+REPORT_SCHEMA = {
+    "exsitu-inside": ("exsitu", (), ("choi",)),
+    "exsitu-outside": ("exsitu", (), ()),
+    "halfline-bounded": ("bounded", ("bounded",), ()),
+    "halfline-dominate-isometry": ("dominate", ("isometry",), ()),
+    "halfline-dominate": ("dominate", ("isometry",), ("V", "S_square")),
+    "halfline-membership-boundary": ("membership", ("lambda_min",), ()),
+    "halfline-membership-outside": ("membership", ("lambda_min",), ()),
+    "halfline-polar-member": ("polar", (), ("V",)),
+    "hull-union-intervals": ("hull-union", (), ("lift",)),
+    "interval-bounded": ("bounded", ("bounded",), ()),
+    "interval-polar-inside": ("polar", (), ("V",)),
+    "interval-polar-outside": ("polar", (), ()),
+    "midpoint-cthull": ("cthull", ("per_generator", "margins"), ()),
+    "monicize-tv": ("monicize", ("shift",), ("pencil",)),
+    "operator-system-interpolate-cp": ("interpolate", (), ("choi",)),
+    "operator-system-interpolate-operation": ("interpolate", (), ()),
+    "opp-tracial-inside": ("tracial", (), ("T",)),
+    "opp-tracial-outside": ("tracial", (), ()),
+    "possatz-search-inside": ("possatz-search", ("residual",), ("S", "G")),
+    "possatz-search-outside": ("possatz-search", (), ()),
+    "possatz-verify-halfline": ("possatz-verify",
+                                ("coefficient_residual",), ()),
+    "trace-mismatch-thull": ("thull", ("per_generator", "margins"), ()),
+    "tracial-scalar-inside": ("tracial", (), ("T",)),
+    "tracial-scalar-outside": ("tracial", (), ()),
+    "tvscreen-drop-inside": ("drop", (), ("Y1",)),
+    "tvscreen-drop-origin": ("drop", (), ("Y1",)),
+    "tvscreen-drop-outside": ("drop", (), ()),
+    "tvscreen-dual-inside": ("drop-polar", (), ("V",)),
+    "tvscreen-dual-outside": ("drop-polar", (), ()),
+}
+
+
+def test_report_schema_golden():
+    items = corpus_problems()
+    assert {c.name for c in items} == set(REPORT_SCHEMA)
+    for item in items:
+        rep = run(parse_problem(json.dumps(item.problem)))
+        got = (rep.kind, tuple(rep.detail), tuple(rep.witnesses))
+        assert got == REPORT_SCHEMA[item.name], item.name
+        assert list(rep.to_dict()) == ["kind", "status", "decision", "margin",
+                                       "detail", "witnesses", "timings",
+                                       "tolerances", "provenance"]

@@ -268,3 +268,47 @@ def test_feasible_witness_contract():
         resid = np.abs(problem.A_blocks[0] @ svec(z) - problem.rhs).max()
         assert resid <= 1e-6
         assert np.linalg.eigvalsh(z)[0] >= -1e-6
+
+
+def test_resolve_counts_both_solves():
+    from freeconvex.corpus import interval_tuple, scalar_tuple
+    from freeconvex.cp import InterpolationMode, interpolation_problem
+    from freeconvex.spectra import polar_membership
+
+    # 1 is on the boundary of the interval's polar dual: the first solve
+    # lands in the marginal band and the answer comes from the 1e-11 re-solve
+    omega, x = interval_tuple(-1.0, 1.0), scalar_tuple(1.0)
+    res = polar_membership(omega, x, bounded=True)
+    assert res.status is SolveStatus.FEASIBLE
+    second = interpolation_problem(omega, x, InterpolationMode.UNITAL).solve(
+        tol=1e-11, max_iter=300)
+    assert "resolves" not in second.info
+    assert res.info["resolves"] == 1
+    assert res.info["attempts"] >= 1 + second.info["attempts"]
+    assert res.info["iterations_total"] > second.info["iterations_total"]
+
+
+def _decision_results(status):
+    from freeconvex.cp import InterpolationMode, InterpolationResult
+    from freeconvex.possatz import CertificateSearch
+    from freeconvex.spectra import DominationResult, DropMembership
+    from freeconvex.tracial import HullMembership, TracialMembership
+
+    return [InterpolationResult(status, InterpolationMode.CP),
+            DominationResult(status, True), DropMembership(status),
+            TracialMembership(status), HullMembership(status, []),
+            CertificateSearch(status)]
+
+
+@pytest.mark.parametrize("status", list(SolveStatus), ids=lambda s: s.value)
+def test_decision_truth_values(status):
+    for res in _decision_results(status):
+        assert isinstance(res, S.Decision)
+        assert res.feasible is (status is SolveStatus.FEASIBLE)
+        if status is SolveStatus.FEASIBLE:
+            assert bool(res) is True
+        elif status is SolveStatus.INFEASIBLE:
+            assert bool(res) is False
+        else:
+            with pytest.raises(ValueError, match="not a yes/no answer"):
+                bool(res)

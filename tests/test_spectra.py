@@ -323,3 +323,18 @@ def test_hull_contains_tv_and_square():
         assert bool(drop_membership(square, p)) or bool(drop_membership(TVM, p))
         assert bool(drop_membership(hull, p))
     assert not bool(drop_membership(hull, pt(1.3, 1.3)))
+
+
+def test_polar_dual_lift_dependent_rows():
+    omega, gamma = monic_tuple(TVM.lift)
+    once = polar_dual_lift(omega, gamma)
+    # a repeated annihilator repeats consistent rows: they are dropped
+    twice = polar_dual_lift(omega, HermitianTuple(list(gamma) * 2))
+    for c in [(0.0, 0.0), (0.5, 0.5), (1.2, 0.0), (-0.7, 0.9), (0.3, -1.1)]:
+        a = drop_membership(once, pt(*c))
+        b = drop_membership(twice, pt(*c))
+        assert a.status is b.status, c
+        assert abs(a.margin - b.margin) <= 1e-7, c
+    # a repeated pencil tuple forces x_1 = x_3 and x_2 = x_4: rejected
+    with pytest.raises(ValueError, match="x variables alone"):
+        polar_dual_lift(HermitianTuple(list(omega) * 2), gamma)
