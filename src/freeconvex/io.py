@@ -362,7 +362,20 @@ def _nonempty(decode, what: str):
     return decode_list
 
 
-def _as_is(v, locus):
+def _flag(nullable: bool):
+    """Decoder of a JSON true or false, and of null when nullable."""
+    def decode(v, locus):
+        if isinstance(v, bool) or (nullable and v is None):
+            return v
+        allowed = "true, false or null" if nullable else "true or false"
+        raise ParseError(f"expected {allowed}, got {v!r}", locus)
+    return decode
+
+
+def _degree(v, locus) -> int:
+    """A non-negative JSON integer (not a bool, not a float)."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ParseError(f"expected a non-negative integer, got {v!r}", locus)
     return v
 
 
@@ -375,11 +388,10 @@ _FIELDS = {
     "lifts": _nonempty(decode_pencil, "lift"),
     "p": decode_polynomial,
     "certificate": decode_certificate,
-    "r": lambda v, locus: int(v),
+    "r": _degree,
     "xhat": lambda v, locus: [_float_in(x, locus) for x in v],
-    "opp": lambda v, locus: bool(v),
-    "isometry": _as_is,
-    "bounded": _as_is,
+    "opp": _flag(nullable=False),
+    **dict.fromkeys(("isometry", "bounded"), _flag(nullable=True)),
 }
 
 

@@ -8,16 +8,23 @@ are detected through certificates instead of big-M constructions.  Every
 FEASIBLE answer is re-verified by an independent eigenvalue/residual check
 before it is returned.
 
+The core sees PSD blocks only.  Presolve eliminates the free columns once:
+with A_free P = Q R (pivoted QR), the rows are projected onto the orthogonal
+complement of range(A_free), the free part c_free.u of the objective is
+folded into the block objective plus a constant, and after the solve the
+free values are recovered as u = A_free^+ (b - A z) (rays likewise, with
+b -> 0).  When c_free has a component in null(A_free), the objective is
+unbounded on every feasible point.  Witnesses are polished and verified
+against the original, unreduced rows.
+
 Feasibility questions are decided through a phase-I problem
 
     maximize t  subject to  Z_b - t I >= 0 for every block, equalities,
 
 whose optimal value t* is the reported margin: FEASIBLE above +feas_tol,
 INFEASIBLE below -feas_tol, and inside the band only a verified boundary
-witness may promote the answer to FEASIBLE (otherwise MARGINAL).  An
-optional trace cap ``sum_b tr Z_b <= trace_cap`` can be requested for
-callers that want a compact phase-I search region; the self-dual embedding
-does not need it, so it is off by default.
+witness may promote the answer to FEASIBLE (otherwise MARGINAL).  The
+slack t is one more free column, eliminated with the others.
 
 Each iteration solves the Nesterov-Todd system through the Schur complement
 M_ij = sum_b <A_bi, W_b A_bj W_b> over the m equality rows, the assembly of
@@ -137,6 +144,10 @@ class SDPProblem:
     A_blocks[b]: (m x svec_dim(size_b)) equality coefficients for block b.
     A_free: (m x n_free); rhs: (m,).
     Objective (maximized): sum_b <C_b, Z_b> + d.t, given in svec coordinates.
+
+    The free variables never reach the interior-point core: presolve
+    eliminates them (see :class:`_FreeElimination`) and recovers t from the
+    solved blocks.
     """
 
     blocks: tuple                      # tuple[(name, size)]
@@ -264,19 +275,64 @@ def _presolve(A: np.ndarray, b: np.ndarray, tol: float = 1e-11):
     return keep, True
 
 
-def _scale_rows(A_parts, A_free, b):
+def _scale_rows(A_parts, b):
     """Divide every equality row (and its rhs) by its sup-norm."""
-    m = b.shape[0]
-    if m == 0:
-        return A_parts, A_free, b
-    s = np.abs(b).copy()
+    s = np.abs(b)
     for Ab in A_parts:
-        if Ab.shape[1]:
-            s = np.maximum(s, np.abs(Ab).max(axis=1))
-    if A_free.shape[1]:
-        s = np.maximum(s, np.abs(A_free).max(axis=1))
+        s = np.maximum(s, np.abs(Ab).max(axis=1, initial=0.0))
     s[s == 0] = 1.0
-    return ([Ab / s[:, None] for Ab in A_parts], A_free / s[:, None], b / s)
+    return [Ab / s[:, None] for Ab in A_parts], b / s
+
+
+class _FreeElimination:
+    """The free columns F u of the rows A z + F u = b, eliminated once.
+
+    With F P = Q R (pivoted QR) and Q = [Q1 Q2] split at rank(F), the blocks
+    alone must satisfy Q2' A z = Q2' b, and u = F^+ (b - A z) recovers the
+    free part of any solution.  When c_free = F' lam lies in range(F'), the
+    objective term c_free.u = lam.(b - A z) folds into the block objective
+    c_b - A_b' lam plus the constant ``offset`` = lam.b.  Otherwise ``ray``
+    is a direction of null(F) with c_free.ray = -1: the objective falls
+    without bound from every feasible point.
+    """
+
+    def __init__(self, A_parts, F, b, c_parts, c_free):
+        m, nf = F.shape
+        q, r1 = np.eye(m), np.zeros((0, nf))
+        if nf:
+            q, r, piv = sla.qr(F, pivoting=True, check_finite=False)
+            diag = np.abs(np.diag(r))
+            # numerical rank by the rule of _presolve
+            rank = int(np.sum(diag > max(1e-11 * diag[0], 1e-13)))
+            r1 = np.zeros((rank, nf))
+            r1[:, piv] = r[:rank]
+        rank = r1.shape[0]
+        self.F_pinv = np.linalg.pinv(r1) @ q[:, :rank].T
+        lam = self.F_pinv.T @ c_free
+        null = c_free - F.T @ lam
+        nn = float(null @ null)
+        self.ray = -null / nn if math.sqrt(nn) > 1e-9 * (
+            1.0 + float(np.abs(c_free).max(initial=0.0))) else None
+        self.rows, self.rhs = A_parts, b
+        q2 = q[:, rank:]
+        self.A_parts = [q2.T @ Ab for Ab in A_parts]
+        self.b = q2.T @ b
+        self.c_parts = [c - Ab.T @ lam for c, Ab in zip(c_parts, A_parts)]
+        self.offset = float(lam @ b)
+
+    def free_part(self, Z, weight: float = 1.0) -> np.ndarray:
+        """u = F^+ (weight b - A z) for the blocks Z; weight 0 maps a ray."""
+        Az = sum((Ab @ svec(z) for Ab, z in zip(self.rows, Z)),
+                 np.zeros(self.rhs.shape[0]))
+        return self.F_pinv @ (weight * self.rhs - Az)
+
+    def unbounded_ray(self, res: "_HSDResult", sizes):
+        """(block ray, free ray) of an unbounded objective, or None."""
+        if self.ray is not None:
+            return [np.zeros((n, n)) for n in sizes], self.ray
+        if res.kind == "unbounded":
+            return res.ray, self.free_part(res.ray, 0.0)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +375,7 @@ def _schur(A_mats: Sequence[np.ndarray], W: Sequence[np.ndarray],
     """
     M = np.zeros((m, m))
     for F, w in zip(A_mats, W):
-        M += F.reshape(m, -1) @ (w @ F @ w).reshape(m, -1).T
+        M += F.reshape(m, w.size) @ (w @ F @ w).reshape(m, w.size).T
     return M
 
 
@@ -327,43 +383,30 @@ def _schur(A_mats: Sequence[np.ndarray], W: Sequence[np.ndarray],
 class _HSDResult:
     kind: str                     # "optimal" | "pinfeas" | "unbounded"
     Z: Optional[list] = None
-    u: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
     pobj: float = math.nan
     iterations: int = 0
     info: dict = field(default_factory=dict)
     ray: Optional[list] = None
-    ray_free: Optional[np.ndarray] = None
 
 
 def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
-                  A_free: np.ndarray, b: np.ndarray,
-                  c_parts: Sequence[np.ndarray], c_free: np.ndarray,
+                  b: np.ndarray, c_parts: Sequence[np.ndarray],
                   tol: float, max_iter: int,
                   init_scale: float = 1.0) -> _HSDResult:
-    """minimize sum <C_b,Z_b> + c_free.u  s.t. equalities, Z_b >= 0, u free,
+    """minimize sum <C_b,Z_b>  s.t. equalities, Z_b >= 0 (m = 0 allowed),
 
     via the homogeneous self-dual embedding with NT scaling."""
     nb = len(sizes)
     m = b.shape[0]
-    nf = A_free.shape[1]
-    if m == 0:
-        raise _IPMFailure("problems without equality rows are handled upstream")
 
     Z = [init_scale * np.eye(n) for n in sizes]
     S = [init_scale * np.eye(n) for n in sizes]
-    u = np.zeros(nf)
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
     ordn = sum(sizes) + 1
 
-    bnorm = 1.0 + float(np.abs(b).max())
-    cnorm = 1.0 + max([0.0] + [float(np.abs(c).max()) for c in c_parts]
-                      + ([float(np.abs(c_free).max())] if nf else []))
-
-    def cdot(zs, uu):
-        return sum(float(c_parts[k] @ zs[k]) for k in range(nb)) + \
-            (float(c_free @ uu) if nf else 0.0)
+    bnorm = 1.0 + float(np.abs(b).max(initial=0.0))
+    cnorm = 1.0 + max([0.0] + [float(np.abs(c).max()) for c in c_parts])
 
     best_score = math.inf
     best_snapshot = None
@@ -372,14 +415,14 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
     gtol = max(tol, 1e-9)
 
     def finish(snapshot, it, loose):
-        Zs, us, ys, pobj_, metrics = snapshot
+        Zs, pobj_, metrics = snapshot
         info = dict(metrics)
         if loose:
             info["loose"] = True
-        return _HSDResult("optimal", Zs, us, ys, pobj_, it, info)
+        return _HSDResult("optimal", Zs, pobj_, it, info)
 
     # equality rows unpacked once into full matrices for the Schur complement,
-    # and the blocks whose objective is nonzero (none in phase I)
+    # and the blocks whose objective is nonzero
     A_mats = [smat(A_parts[k], sizes[k]) for k in range(nb)]
     c_blocks = [k for k in range(nb) if c_parts[k].any()]
 
@@ -395,35 +438,29 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
                 lam = 1.0 / big
                 Z = [zb * lam for zb in Z]
                 S = [sb * lam for sb in S]
-                u, y = u * lam, y * lam
+                y = y * lam
                 tau, kappa = tau * lam, kappa * lam
             z_sv = [svec(Z[k]) for k in range(nb)]
             s_sv = [svec(S[k]) for k in range(nb)]
             Ax = sum(A_parts[k] @ z_sv[k] for k in range(nb))
-            if nf:
-                Ax = Ax + A_free @ u
             rP = Ax - b * tau
             rD = [A_parts[k].T @ y + s_sv[k] - c_parts[k] * tau for k in range(nb)]
-            rDf = (A_free.T @ y - c_free * tau) if nf else np.zeros(0)
-            cx = cdot(z_sv, u)
+            cx = sum(float(c_parts[k] @ z_sv[k]) for k in c_blocks)
             by = float(b @ y)
             rG = cx - by + kappa
             gap = sum(float(z_sv[k] @ s_sv[k]) for k in range(nb)) + tau * kappa
             mu = gap / ordn
 
             # convergence / certificate tests on the normalized iterate
-            pres = float(np.abs(rP).max()) / (tau * bnorm)
-            dres = max([float(np.abs(r).max()) for r in rD] + [0.0])
-            if nf:
-                dres = max(dres, float(np.abs(rDf).max()))
-            dres /= (tau * cnorm)
+            pres = float(np.abs(rP).max(initial=0.0)) / (tau * bnorm)
+            dres = max([float(np.abs(r).max()) for r in rD] + [0.0]) / (tau * cnorm)
             pobj, dobj = cx / tau, by / tau
             relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             score = max(pres / ptol, dres / ptol, relgap / gtol)
             improved = score < 0.98 * best_score
             if score < best_score:
                 best_score = score
-                best_snapshot = ([zb / tau for zb in Z], u / tau, y / tau, pobj,
+                best_snapshot = ([zb / tau for zb in Z], pobj,
                                  {"pres": pres, "dres": dres, "relgap": relgap})
             if pres <= ptol and dres <= ptol and relgap <= gtol:
                 return finish(best_snapshot, it, loose=False)
@@ -432,17 +469,14 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
                 if by > 0:
                     hres = max([float(np.abs(A_parts[k].T @ y + s_sv[k]).max())
                                 for k in range(nb)] + [0.0])
-                    if nf:
-                        hres = max(hres, float(np.abs(A_free.T @ y).max()))
                     if hres <= 1e-6 * by:
                         return _HSDResult("pinfeas", iterations=it,
                                           info={"farkas_resid": hres / by, "by": by})
                 if cx < 0:
-                    uray = float(np.abs(rP + b * tau).max())  # = |A x|
+                    uray = float(np.abs(Ax).max(initial=0.0))
                     if uray <= 1e-6 * (-cx):
                         return _HSDResult("unbounded", iterations=it,
                                           ray=[zb / (-cx) for zb in Z],
-                                          ray_free=(u / (-cx) if nf else None),
                                           info={"ray_resid": uray / (-cx)})
                 return None
 
@@ -475,7 +509,7 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
                 si = np.linalg.inv(S[k])
                 Sinv.append(0.5 * (si + si.T))
             M = _schur(A_mats, W, m)
-            M[np.arange(m), np.arange(m)] += 1e-13 * (1.0 + np.trace(M) / m)
+            M.flat[::m + 1] += 1e-13 * (1.0 + np.trace(M) / max(m, 1))
 
             cho = None
             try:
@@ -488,57 +522,30 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
             else:
                 solveM = lambda v: sla.cho_solve((cho, True), v, check_finite=False)
 
-            if nf:
-                MiAf = solveM(A_free)
-                small = A_free.T @ MiAf
-                small = 0.5 * (small + small.T) + 1e-13 * np.eye(nf)
-                small_lu = sla.lu_factor(small, check_finite=False)
-
-            def kkt_once(v1, v2):
-                if nf:
-                    Miv1 = solveM(v1)
-                    d = sla.lu_solve(small_lu, A_free.T @ Miv1 - v2, check_finite=False)
-                    a = Miv1 - MiAf @ d
-                else:
-                    a = solveM(v1)
-                    d = np.zeros(0)
-                return a, d
-
-            def kkt(v1, v2):
-                """Solve [[M, Af],[Af', 0]] [a; d] = [v1; v2], one refinement."""
-                a, d = kkt_once(v1, v2)
-                r1 = v1 - M @ a - (A_free @ d if nf else 0.0)
-                r2 = (v2 - A_free.T @ a) if nf else np.zeros(0)
-                a2, d2 = kkt_once(r1, r2)
-                return a + a2, d + d2
-
             # the parts of the elimination that stay fixed within an iteration
             WCW = {k: svec(W[k] @ smat(c_parts[k], sizes[k]) @ W[k])
                    for k in c_blocks}
             q = sum((A_parts[k] @ WCW[k] for k in c_blocks), np.zeros(m))
             cWCW = sum(float(c_parts[k] @ WCW[k]) for k in c_blocks)
-            dy1, du1 = kkt(q + b, c_free if nf else np.zeros(0))
+            dy1 = solveM(q + b)
             WrDW = [svec(W[k] @ smat(rD[k], sizes[k]) @ W[k]) for k in range(nb)]
             r1_rD = -rP - sum(A_parts[k] @ WrDW[k] for k in range(nb))
             cWrDW = sum(float(c_parts[k] @ WrDW[k]) for k in c_blocks)
 
             def direction(rc_parts, rc_tk):
                 # dZ = rc - W dS W with dS = c dtau - rD - A'dy, eliminated
-                # into the bordered Schur system over (dy, du, dtau)
+                # into the Schur system over (dy, dtau)
                 r1 = r1_rD - sum(A_parts[k] @ rc_parts[k] for k in range(nb))
-                r2 = -rDf if nf else np.zeros(0)
-                dy0, du0 = kkt(r1, r2)
+                dy0 = solveM(r1)
                 crc = sum(float(c_parts[k] @ rc_parts[k]) for k in c_blocks)
                 r3 = -rG - crc - cWrDW - rc_tk / tau
                 qb = q - b
-                num = r3 - float(qb @ dy0) - (float(c_free @ du0) if nf else 0.0)
-                den = float(qb @ dy1) + (float(c_free @ du1) if nf else 0.0) \
-                    - (cWCW + kappa / tau)
+                num = r3 - float(qb @ dy0)
+                den = float(qb @ dy1) - (cWCW + kappa / tau)
                 if abs(den) < 1e-300:
                     raise _IPMFailure("singular bordered system")
                 dtau = num / den
                 dy = dy0 + dtau * dy1
-                du = du0 + dtau * du1 if nf else np.zeros(0)
                 dS_, dZ_ = [], []
                 for k in range(nb):
                     ds = smat(-rD[k] - A_parts[k].T @ dy + c_parts[k] * dtau,
@@ -546,7 +553,7 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
                     dS_.append(ds)
                     dZ_.append(smat(rc_parts[k], sizes[k]) - W[k] @ ds @ W[k])
                 dkappa = (rc_tk - kappa * dtau) / tau
-                return dZ_, dS_, dy, du, dtau, dkappa
+                return dZ_, dS_, dy, dtau, dkappa
 
             def max_alpha(dZ_, dS_, dtau, dkappa):
                 a = 1.0
@@ -561,7 +568,7 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
 
             # predictor
             rc_aff = [svec(-Z[k]) for k in range(nb)]
-            dZa, dSa, dya, dua, dta, dka = direction(rc_aff, -tau * kappa)
+            dZa, dSa, dya, dta, dka = direction(rc_aff, -tau * kappa)
             a_aff = max_alpha(dZa, dSa, dta, dka)
             sigma = min(1.0, max((1.0 - a_aff) ** 3, 1e-4))
 
@@ -571,12 +578,12 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
                 corr = dZa[k] @ Sinv[k] @ dSa[k]
                 rc.append(svec(sigma * mu * Sinv[k] - Z[k] - 0.5 * (corr + corr.T)))
             rc_tk = sigma * mu - tau * kappa - dta * dka
-            dZ, dS, dy, du, dt, dk = direction(rc, rc_tk)
+            dZ, dS, dy, dt, dk = direction(rc, rc_tk)
             alpha = 0.98 * max_alpha(dZ, dS, dt, dk)
             if alpha < 0.05:
                 sigma = max(sigma, 0.8)
                 rc = [svec(sigma * mu * Sinv[k] - Z[k]) for k in range(nb)]
-                dZ, dS, dy, du, dt, dk = direction(rc, sigma * mu - tau * kappa)
+                dZ, dS, dy, dt, dk = direction(rc, sigma * mu - tau * kappa)
                 alpha = 0.98 * max_alpha(dZ, dS, dt, dk)
 
             def mu_at(a):
@@ -596,7 +603,6 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
             for k in range(nb):
                 Z[k] = 0.5 * ((Z[k] + alpha * dZ[k]) + (Z[k] + alpha * dZ[k]).T)
                 S[k] = 0.5 * ((S[k] + alpha * dS[k]) + (S[k] + alpha * dS[k]).T)
-            u = u + alpha * du if nf else u
             y = y + alpha * dy
             tau += alpha * dt
             kappa += alpha * dk
@@ -613,7 +619,7 @@ def _accuracy(info) -> float:
                info.get("relgap", 0.0))
 
 
-def _hsd_attempts(sizes, A_parts, A_free, b, c_parts, c_free, tol, max_iter):
+def _hsd_attempts(sizes, A_parts, b, c_parts, tol, max_iter):
     """Run the core with fallback initializations; loose outcomes only stand
     when no initialization does better.
 
@@ -633,8 +639,8 @@ def _hsd_attempts(sizes, A_parts, A_free, b, c_parts, c_free, tol, max_iter):
     for init_scale in (1.0, 30.0, 0.03):
         attempts += 1
         try:
-            res = _hsd_minimize(sizes, A_parts, A_free, b, c_parts, c_free,
-                                tol, max_iter, init_scale=init_scale)
+            res = _hsd_minimize(sizes, A_parts, b, c_parts, tol, max_iter,
+                                init_scale=init_scale)
         except _IPMFailure as exc:
             total += exc.iterations
             last = exc
@@ -706,14 +712,13 @@ def _ls_point(problem: SDPProblem):
 
 
 def solve(problem: SDPProblem, tol: float = 1e-8, max_iter: int = 200,
-          feas_tol: float = FEAS_TOL,
-          trace_cap: Optional[float] = None) -> SDPSolution:
+          feas_tol: float = FEAS_TOL) -> SDPSolution:
     """Solve an SDP.  Problems with an objective are maximized; problems
     without one are decided through the phase-I construction."""
     if not problem.has_objective:
         return solve_feasibility(problem, tol=tol, max_iter=max_iter,
-                                 feas_tol=feas_tol, trace_cap=trace_cap)
-    return _solve_optimize(problem, tol, max_iter, trace_cap)
+                                 feas_tol=feas_tol)
+    return _solve_optimize(problem, tol, max_iter)
 
 
 def _reduced(problem: SDPProblem):
@@ -726,19 +731,14 @@ def _reduced(problem: SDPProblem):
     return A_parts, A_free, b, consistent
 
 
-def _with_cap(sizes, A_parts, A_free, b, trace_cap):
-    """Append the optional trace-cap row  sum tr Z_b / cap + slack = 1."""
-    A_parts = [np.vstack([Ab, svec(np.eye(s))[None, :] / trace_cap])
-               for Ab, s in zip(A_parts, sizes)]
-    cap_col = np.zeros((b.shape[0] + 1, 1))
-    cap_col[-1, 0] = 1.0
-    A_parts.append(cap_col)
-    A_free = np.vstack([A_free, np.zeros((1, A_free.shape[1]))])
-    b = np.concatenate([b, [1.0]])
-    return A_parts, A_free, b
+def _solve_blocks(sizes, A_parts, A_free, b, c_parts, c_free, tol, max_iter):
+    """Eliminate the free columns, then run the core on the blocks alone."""
+    el = _FreeElimination(A_parts, A_free, b, c_parts, c_free)
+    A_red, b_red = _scale_rows(el.A_parts, el.b)
+    return el, _hsd_attempts(sizes, A_red, b_red, el.c_parts, tol, max_iter)
 
 
-def _solve_optimize(problem: SDPProblem, tol, max_iter, trace_cap) -> SDPSolution:
+def _solve_optimize(problem: SDPProblem, tol, max_iter) -> SDPSolution:
     A_parts, A_free, b, consistent = _reduced(problem)
     if not consistent:
         return SDPSolution(SolveStatus.INFEASIBLE, margin=-math.inf,
@@ -750,46 +750,43 @@ def _solve_optimize(problem: SDPProblem, tol, max_iter, trace_cap) -> SDPSolutio
         c_parts = [np.zeros(svec_dim(s)) for s in sizes]
     c_free = -(problem.obj_free if problem.obj_free is not None
                else np.zeros(problem.n_free))
-    if trace_cap is not None:
-        A_parts, A_free, b = _with_cap(sizes, A_parts, A_free, b, trace_cap)
-        sizes = sizes + [1]
-        c_parts = c_parts + [np.zeros(1)]
     if b.shape[0] == 0:
         return SDPSolution(SolveStatus.ERROR,
                            info={"reason": "optimization without constraints"})
-    A_parts, A_free, b = _scale_rows(A_parts, A_free, b)
     try:
-        res = _hsd_attempts(sizes, A_parts, A_free, b, c_parts, c_free,
-                            tol, max_iter)
+        el, res = _solve_blocks(sizes, A_parts, A_free, b, c_parts, c_free,
+                                tol, max_iter)
     except _IPMFailure as exc:
         return SDPSolution(SolveStatus.ERROR, info={"reason": str(exc)})
-    nb0 = len(problem.blocks)
     if res.kind == "pinfeas":
         return SDPSolution(SolveStatus.INFEASIBLE, margin=-math.inf,
                            iterations=res.iterations,
                            info={**res.info, "reason": "primal infeasible"})
-    if res.kind == "unbounded":
-        ray = {name: res.ray[k] for k, (name, _) in enumerate(problem.blocks)}
-        return SDPSolution(SolveStatus.FEASIBLE, witness=ray,
-                           free_values=res.ray_free,
+    nf = problem.n_free
+    ray = el.unbounded_ray(res, sizes)
+    if ray is not None:
+        Z_ray, u_ray = ray
+        return SDPSolution(SolveStatus.FEASIBLE,
+                           witness={name: Z_ray[k] for k, (name, _)
+                                    in enumerate(problem.blocks)},
+                           free_values=u_ray if nf else None,
                            objective_value=math.inf, iterations=res.iterations,
                            info={**res.info, "unbounded_objective": True})
     witness = {name: res.Z[k] for k, (name, _) in enumerate(problem.blocks)}
-    ures = res.u[:problem.n_free] if problem.n_free else None
+    ures = el.free_part(res.Z) if nf else None
     witness, ures = _polish(problem, witness, ures)
     eq_resid, eig_min = _verify_witness(problem, witness, ures)
-    info = {**res.info, "eq_resid": eq_resid, "eig_min": eig_min}
-    if trace_cap is not None:
-        info["cap_active"] = bool(res.Z[nb0][0, 0] < 1e-6)
     return SDPSolution(SolveStatus.FEASIBLE, witness=witness,
                        free_values=ures,
-                       objective_value=-res.pobj, iterations=res.iterations,
-                       info=info)
+                       objective_value=-(res.pobj + el.offset),
+                       iterations=res.iterations,
+                       info={**res.info, "eq_resid": eq_resid,
+                             "eig_min": eig_min})
 
 
 def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
-                      max_iter: int = 200, feas_tol: float = FEAS_TOL,
-                      trace_cap: Optional[float] = None) -> SDPSolution:
+                      max_iter: int = 200,
+                      feas_tol: float = FEAS_TOL) -> SDPSolution:
     """Phase-I feasibility with a signed margin.
 
     FEASIBLE when the best uniform eigenvalue slack t* exceeds +feas_tol,
@@ -815,42 +812,31 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
                            free_values=np.zeros(nf), margin=math.inf,
                            info={"reason": "no equality constraints"})
     # substitute Z_b = Z'_b + t I with Z'_b >= 0 and free t; maximize t
-    t_col = np.zeros((b.shape[0], 1))
-    for k in range(nb):
-        t_col[:, 0] += A_parts[k] @ svec(np.eye(sizes[k]))
-    A_free_x = np.hstack([A_free, t_col])
-    c_parts = [np.zeros(svec_dim(s)) for s in sizes]
+    t_col = sum(A_parts[k] @ svec(np.eye(sizes[k])) for k in range(nb))
     c_free = np.zeros(nf + 1)
     c_free[-1] = -1.0          # minimize -t
-    sizes_x = list(sizes)
-    A_parts_x = list(A_parts)
-    if trace_cap is not None:
-        A_parts_x, A_free_x, b = _with_cap(sizes_x, A_parts_x, A_free_x, b,
-                                           trace_cap)
-        # the cap row also carries t through the identity substitution
-        A_free_x[-1, -1] = float(sum(sizes)) / trace_cap
-        sizes_x = sizes_x + [1]
-        c_parts = c_parts + [np.zeros(1)]
-    A_parts_x, A_free_x, b_x = _scale_rows(A_parts_x, A_free_x, b)
     try:
-        res = _hsd_attempts(sizes_x, A_parts_x, A_free_x, b_x, c_parts, c_free,
-                            tol, max_iter)
+        el, res = _solve_blocks(sizes, A_parts, np.column_stack([A_free, t_col]),
+                                b, [np.zeros(svec_dim(s)) for s in sizes],
+                                c_free, tol, max_iter)
     except _IPMFailure as exc:
         return SDPSolution(SolveStatus.ERROR, info={"reason": str(exc)})
     eq_tol = max(_WITNESS_EQ_TOL,
                  _WITNESS_EQ_TOL * (np.abs(problem.rhs).max() if problem.m else 1.0))
     if res.kind == "pinfeas":
-        # cannot happen for consistent equalities without a cap; stay honest
+        # cannot happen for consistent equalities; stay honest
         return SDPSolution(SolveStatus.ERROR, iterations=res.iterations,
                            info={**res.info,
                                  "reason": "phase-I reported infeasible"})
-    if res.kind == "unbounded":
+    ray = el.unbounded_ray(res, sizes)
+    if ray is not None:
         # t can grow without bound along the certified ray; convert it into
         # an explicit verified witness before claiming FEASIBLE
-        t_ray = float(res.ray_free[nf])
-        ray = {name: res.ray[k] + t_ray * np.eye(sizes[k])
+        Z_ray, u_ray = ray
+        t_ray = float(u_ray[nf])
+        ray = {name: Z_ray[k] + t_ray * np.eye(sizes[k])
                for k, (name, _) in enumerate(problem.blocks)}
-        u_ray = res.ray_free[:nf] if nf else np.zeros(0)
+        u_ray = u_ray[:nf]
         base, ubase = _ls_point(problem)
         for s in (1.0, 1e2, 1e4, 1e6, 1e8):
             cand = {name: base[name] + s * ray[name] for name, _ in problem.blocks}
@@ -868,13 +854,11 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
                            info={**res.info,
                                  "reason": "unbounded-margin certificate did "
                                            "not yield a verified witness"})
-    t_star = float(res.u[nf])
-    u = res.u[:nf] if nf else np.zeros(0)
+    u = el.free_part(res.Z)
+    t_star, u = float(u[nf]), u[:nf]
     witness = {name: hermitian_part(res.Z[k] + t_star * np.eye(sizes[k])).real
                for k, (name, _) in enumerate(problem.blocks)}
     base_info = {**res.info, "t_star": t_star}
-    if trace_cap is not None:
-        base_info["cap_active"] = bool(res.Z[nb][0, 0] < 1e-6)
     it = res.iterations
     # widen the marginal band to the achieved solver accuracy
     band = max(feas_tol, 10.0 * _accuracy(res.info) * (1.0 + abs(t_star)))
@@ -900,7 +884,7 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     if tol > 1.1e-11:
         sol = solve_feasibility(problem, tol=1e-11,
                                 max_iter=max(max_iter, 300),
-                                feas_tol=feas_tol, trace_cap=trace_cap)
+                                feas_tol=feas_tol)
         sol.info.update(
             attempts=res.info["attempts"] + sol.info.get("attempts", 0),
             iterations_total=(res.info["iterations_total"]
@@ -1243,11 +1227,9 @@ class HermitianProblem:
     # -- solving -------------------------------------------------------------
 
     def solve(self, tol: float = 1e-8, max_iter: int = 200,
-              feas_tol: float = FEAS_TOL, trace_cap: Optional[float] = None,
-              force_realify: bool = False):
+              feas_tol: float = FEAS_TOL, force_realify: bool = False):
         problem, decoder = self.build(force_realify=force_realify)
-        sol = solve(problem, tol=tol, max_iter=max_iter, feas_tol=feas_tol,
-                    trace_cap=trace_cap)
+        sol = solve(problem, tol=tol, max_iter=max_iter, feas_tol=feas_tol)
         return HermitianSolution(sol, decoder)
 
 

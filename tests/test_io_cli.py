@@ -188,7 +188,20 @@ def _corpus_doc_with(name, value, *path):
      "payload.X.matrices[0]"),
     (_corpus_doc_with("tracial-scalar-inside", {"matrices": [], "dim": "z"},
                       "B"), "payload.B"),
-], ids=["r-string", "r-null", "xhat-number", "rows-string", "dim-string"])
+    (_corpus_doc_with("possatz-search-inside", 0.9, "r"), "payload.r"),
+    (_corpus_doc_with("possatz-search-inside", True, "r"), "payload.r"),
+    (_corpus_doc_with("possatz-search-inside", -1, "r"), "payload.r"),
+    (_corpus_doc_with("interval-polar-inside", "no", "bounded"),
+     "payload.bounded"),
+    (_corpus_doc_with("interval-polar-inside", 0, "bounded"),
+     "payload.bounded"),
+    (_corpus_doc_with("halfline-dominate", "yes", "isometry"),
+     "payload.isometry"),
+    (_corpus_doc_with("opp-tracial-inside", "false", "opp"), "payload.opp"),
+    (_corpus_doc_with("opp-tracial-inside", None, "opp"), "payload.opp"),
+], ids=["r-string", "r-null", "xhat-number", "rows-string", "dim-string",
+        "r-float", "r-bool", "r-negative", "bounded-string", "bounded-number",
+        "isometry-string", "opp-string", "opp-null"])
 def test_cli_malformed_payload_exits_4(doc, locus, tmp_path, capsys):
     from freeconvex.cli import main
 

@@ -51,7 +51,7 @@ def test_svec_smat_and_nt_operator(n, seed):
 
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=3),
-       st.integers(1, 8), st.integers(0, 10_000))
+       st.integers(0, 8), st.integers(0, 10_000))
 def test_schur_complement_matches_double_loop(sizes, m, seed):
     gen = rng(seed)
     A_parts = [gen.standard_normal((m, svec_dim(n))) for n in sizes]
@@ -63,7 +63,9 @@ def test_schur_complement_matches_double_loop(sizes, m, seed):
             for j in range(m):
                 ref[i, j] += np.tensordot(smat(Ab[i], n),
                                           w @ smat(Ab[j], n) @ w)
-    assert np.allclose(M, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+    assert M.shape == (m, m)
+    assert np.allclose(M, ref, rtol=1e-10,
+                       atol=1e-10 * np.abs(ref).max(initial=0.0))
 
 
 def test_identity_slack():
@@ -77,6 +79,108 @@ def test_identity_slack():
     assert abs(sol.objective_value - 1.0) < 1e-6
     assert sol.info["attempts"] >= 1
     assert sol.info["iterations_total"] >= sol.iterations > 0
+
+
+def _rank_deficient_free(objective):
+    """Z 2x2 with u0 and u1 entering only as u0 + u1: A_free has rank 2 of 3
+    and null space (1, -1, 0)."""
+    b = ProblemBuilder()
+    b.add_block("Z", 2)
+    u = b.add_free(3)
+    b.add_row({"Z": np.diag([1.0, 0.0])}, {u[0]: 1.0, u[1]: 1.0}, 1.0)
+    b.add_row({"Z": np.diag([0.0, 1.0])}, {u[2]: 1.0}, 2.0)
+    b.add_row({"Z": np.eye(2)}, {}, 1.0)
+    b.set_objective({}, dict(zip(u, objective)))
+    return b.build()
+
+
+def test_free_objective_along_null_space_is_unbounded():
+    problem = _rank_deficient_free((1.0, -1.0, 0.0))
+    sol = solve(problem)
+    assert sol.status is SolveStatus.FEASIBLE
+    assert sol.info["unbounded_objective"] and sol.objective_value == np.inf
+    # the free ray moves no row and raises the objective
+    assert np.abs(problem.A_free @ sol.free_values).max() < 1e-12
+    assert problem.obj_free @ sol.free_values > 0
+
+
+def test_free_objective_off_null_space_is_finite():
+    # u0 + u1 = 1 - Z_11 is largest at Z_11 = 0
+    problem = _rank_deficient_free((1.0, 1.0, 0.0))
+    sol = solve(problem)
+    assert sol.status is SolveStatus.FEASIBLE
+    assert "unbounded_objective" not in sol.info
+    assert abs(sol.objective_value - 1.0) < 1e-6
+    assert sol.info["eq_resid"] <= 1e-7 and sol.info["eig_min"] >= -1e-8
+    u = sol.free_values
+    assert abs(u[0] + u[1] - 1.0) < 1e-6 and abs(u[2] - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("n, rhs, margin", [(1, 1.0, 1.0), (1, -1.0, -1.0),
+                                             (2, 2.0, 1.0), (2, -4.0, -2.0)])
+def test_phase_one_rows_absorbed_by_slack(n, rhs, margin):
+    # one row tr Z = rhs: the slack t takes the whole row, the blocks meet
+    # zero rows, and t* = rhs / n
+    b = ProblemBuilder()
+    b.add_block("Z", n)
+    b.add_row({"Z": np.eye(n)}, {}, rhs)
+    sol = solve(b.build())
+    assert sol.status is (SolveStatus.FEASIBLE if margin > 0
+                          else SolveStatus.INFEASIBLE)
+    assert abs(sol.margin - margin) < 1e-6
+    if margin > 0:
+        assert abs(np.trace(sol.witness["Z"]) - rhs) < 1e-7
+
+
+def test_phase_one_rows_absorbed_by_free_columns():
+    # every entry of Z is shifted by its own free variable: any PSD Z works
+    # and the margin is unbounded
+    b = ProblemBuilder()
+    b.add_block("Z", 2)
+    u = b.add_free(3)
+    for k, (i, j) in enumerate([(0, 0), (1, 1), (0, 1)]):
+        e = np.zeros((2, 2))
+        e[i, j] = e[j, i] = 1.0 if i == j else 0.5
+        b.add_row({"Z": e}, {u[k]: 1.0}, [5.0, -3.0, 7.0][k])
+    problem = b.build()
+    sol = solve(problem)
+    assert sol.status is SolveStatus.FEASIBLE and sol.margin == np.inf
+    z, uv = sol.witness["Z"], sol.free_values
+    assert np.linalg.eigvalsh(z)[0] > 0
+    assert abs(z[0, 0] + uv[0] - 5.0) < 1e-7
+    assert abs(z[1, 1] + uv[1] + 3.0) < 1e-7
+    assert abs(z[0, 1] + uv[2] - 7.0) < 1e-7
+
+
+def test_tv_grid_attempts_per_solve():
+    # about one init-scale attempt per solve on the TV-screen grids: every
+    # 13th off-band point of the drop-membership and the drop-polar grid
+    from freeconvex.corpus import (DUAL_GRID, MEMBER_GRID, dual_curve_distance,
+                                   grid_points, scalar_tuple,
+                                   screen_curve_distance, tv_dual_boundary,
+                                   tv_lift, tv_monic_lift, tv_screen_value)
+    from freeconvex.spectra import (Spectrahedrop, drop_membership,
+                                    drop_polar_membership)
+
+    tv = Spectrahedrop(tv_lift())
+    tvm = Spectrahedrop(tv_monic_lift())
+    grids = [
+        (MEMBER_GRID, screen_curve_distance, tv_screen_value,
+         lambda x: drop_membership(tv, x)),
+        (DUAL_GRID, dual_curve_distance, tv_dual_boundary,
+         lambda x: drop_polar_membership(tvm, x, bounded=True)),
+    ]
+    attempts = []
+    for spec, distance, reference, decide in grids:
+        xs = grid_points(spec)
+        pts = [(a, c) for a in xs for c in xs
+               if distance(a, c) > spec["band"]][::13]
+        assert len(pts) >= 100
+        for a, c in pts:
+            res = decide(scalar_tuple(a, c))
+            assert bool(res) == (reference(a, c) > 0)
+            attempts.append(res.info["attempts"])
+    assert np.mean(attempts) <= 1.05
 
 
 def test_diagonal_slack_matches_min_eig():
