@@ -34,6 +34,13 @@ one batched product per block and iteration, and the NT operator v -> W v W
 is applied through W, never stored.  A block costs O(m n^2) memory and
 O(m n^3 + m^2 n^2) time per iteration.
 
+The Newton step is taken in NT-scaled coordinates (Todd, Toh and Tutuncu,
+SIAM J. Optim. 8, 1998; SDPT3): with R from :func:`_nt_scaling`, the scaled
+directions dZ~ = R^-1 dZ R^-T and dS~ = R' dS R satisfy dZ~ + dS~ = rc~ around
+the diagonal scaled iterate V = diag(v).  The Mehrotra corrector is
+rc~ = diag(sigma mu / v - v) - (C + C') / (v_i + v_j) with C = dZa~ dSa~, and
+the step to the boundary of a block is one eigvalsh of V^-1/2 dX~ V^-1/2.
+
 Complex Hermitian problems enter through :class:`HermitianProblem`, which
 realifies blocks via [[Re, -Im], [Im, Re]] and maps witnesses back.
 """
@@ -344,26 +351,31 @@ class _IPMFailure(Exception):
     iterations = 0     # iterations the failed attempt ran before it gave up
 
 
-def _max_step(z: np.ndarray, dz: np.ndarray, lz: np.ndarray) -> float:
-    """sup { a <= 1 : Z + a dZ >= 0 }, via eig of Lz^-1 dZ Lz^-T."""
-    m = sla.solve_triangular(lz, dz, lower=True, check_finite=False)
-    m = sla.solve_triangular(lz, m.T, lower=True, check_finite=False).T
-    lam = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
+def _max_step(dx: np.ndarray, v: np.ndarray) -> float:
+    """sup { a <= 1 : diag(v) + a dX >= 0 } for a direction dX in scaled
+    coordinates, via eig of diag(v)^-1/2 dX diag(v)^-1/2."""
+    h = v ** -0.5
+    lam = float(np.linalg.eigvalsh(h[:, None] * dx * h)[0])
     if lam >= -1e-13:
         return 1.0
     return min(1.0, -1.0 / lam)
 
 
 def _nt_scaling(z: np.ndarray, s: np.ndarray):
-    """NT scaling point W with W S W = Z, plus Cholesky factors of Z and S."""
-    lz = np.linalg.cholesky(z)
-    ls = np.linalg.cholesky(s)
+    """NT scaling factor R and scaled iterate v.
+
+    With Z = Lz Lz' and Lz' S Lz = E D E', R = Lz E D^-1/4 gives the NT point
+    W = R R' (W S W = Z) and R' S R = R^-1 Z R^-T = diag(v), v = D^1/2.
+    """
+    try:
+        lz = np.linalg.cholesky(z)
+    except np.linalg.LinAlgError:
+        raise _IPMFailure("iterate left the cone")
     m = lz.T @ s @ lz
     evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
     if evals[0] <= 0:
         raise _IPMFailure("scaling matrix not positive definite")
-    w = lz @ (evecs @ ((evals ** -0.5)[:, None] * evecs.T)) @ lz.T
-    return 0.5 * (w + w.T), lz, ls
+    return (lz @ evecs) * evals ** -0.25, np.sqrt(evals)
 
 
 def _schur(A_mats: Sequence[np.ndarray], W: Sequence[np.ndarray],
@@ -495,19 +507,11 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
                     f"stalled at iteration {it} (mu={mu:.2e}, pres={pres:.2e}, "
                     f"dres={dres:.2e}, relgap={relgap:.2e})")
 
-            # NT scaling and Schur complement; the NT operator v -> W v W is
+            # NT scaling W = R R' and the diagonal scaled iterate
+            # R' S R = R^-1 Z R^-T = diag(v); the NT operator X -> W X W is
             # applied through W and never formed as a matrix
-            W, Lz, Ls, Sinv = [], [], [], []
-            for k in range(nb):
-                try:
-                    w, lz, ls = _nt_scaling(Z[k], S[k])
-                except np.linalg.LinAlgError:
-                    raise _IPMFailure("iterate left the cone")
-                W.append(w)
-                Lz.append(lz)
-                Ls.append(ls)
-                si = np.linalg.inv(S[k])
-                Sinv.append(0.5 * (si + si.T))
+            R, V = zip(*[_nt_scaling(Z[k], S[k]) for k in range(nb)])
+            W = [r @ r.T for r in R]
             M = _schur(A_mats, W, m)
             M.flat[::m + 1] += 1e-13 * (1.0 + np.trace(M) / max(m, 1))
 
@@ -528,66 +532,60 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
             q = sum((A_parts[k] @ WCW[k] for k in c_blocks), np.zeros(m))
             cWCW = sum(float(c_parts[k] @ WCW[k]) for k in c_blocks)
             dy1 = solveM(q + b)
-            WrDW = [svec(W[k] @ smat(rD[k], sizes[k]) @ W[k]) for k in range(nb)]
-            r1_rD = -rP - sum(A_parts[k] @ WrDW[k] for k in range(nb))
-            cWrDW = sum(float(c_parts[k] @ WrDW[k]) for k in c_blocks)
+            rDs = [R[k].T @ smat(rD[k], sizes[k]) @ R[k] for k in range(nb)]
 
-            def direction(rc_parts, rc_tk):
-                # dZ = rc - W dS W with dS = c dtau - rD - A'dy, eliminated
-                # into the Schur system over (dy, dtau)
-                r1 = r1_rD - sum(A_parts[k] @ rc_parts[k] for k in range(nb))
-                dy0 = solveM(r1)
-                crc = sum(float(c_parts[k] @ rc_parts[k]) for k in c_blocks)
-                r3 = -rG - crc - cWrDW - rc_tk / tau
+            def direction(rcs, rc_tk):
+                # dZ~ + dS~ = rc~ in scaled coordinates, with dS~ = R' dS R,
+                # dZ = R dZ~ R' and dS = c dtau - rD - A'dy, eliminated into
+                # the Schur system over (dy, dtau); g = R (rc~ + R' rD R) R'
+                g = [svec(R[k] @ (rcs[k] + rDs[k]) @ R[k].T) for k in range(nb)]
+                dy0 = solveM(-rP - sum(A_parts[k] @ g[k] for k in range(nb)))
                 qb = q - b
-                num = r3 - float(qb @ dy0)
+                num = (-rG - rc_tk / tau - float(qb @ dy0)
+                       - sum(float(c_parts[k] @ g[k]) for k in c_blocks))
                 den = float(qb @ dy1) - (cWCW + kappa / tau)
                 if abs(den) < 1e-300:
                     raise _IPMFailure("singular bordered system")
                 dtau = num / den
                 dy = dy0 + dtau * dy1
-                dS_, dZ_ = [], []
-                for k in range(nb):
-                    ds = smat(-rD[k] - A_parts[k].T @ dy + c_parts[k] * dtau,
-                              sizes[k])
-                    dS_.append(ds)
-                    dZ_.append(smat(rc_parts[k], sizes[k]) - W[k] @ ds @ W[k])
+                dS_ = [smat(-rD[k] - A_parts[k].T @ dy + c_parts[k] * dtau,
+                            sizes[k]) for k in range(nb)]
+                dSs = [R[k].T @ dS_[k] @ R[k] for k in range(nb)]
+                dZs = [rcs[k] - dSs[k] for k in range(nb)]
                 dkappa = (rc_tk - kappa * dtau) / tau
-                return dZ_, dS_, dy, dtau, dkappa
+                return dZs, dSs, dS_, dy, dtau, dkappa
 
-            def max_alpha(dZ_, dS_, dtau, dkappa):
+            def max_alpha(dZs, dSs, dtau, dkappa):
                 a = 1.0
                 for k in range(nb):
-                    a = min(a, _max_step(Z[k], dZ_[k], Lz[k]))
-                    a = min(a, _max_step(S[k], dS_[k], Ls[k]))
+                    a = min(a, _max_step(dZs[k], V[k]), _max_step(dSs[k], V[k]))
                 if dtau < 0:
                     a = min(a, -tau / dtau)
                 if dkappa < 0:
                     a = min(a, -kappa / dkappa)
                 return a
 
-            # predictor
-            rc_aff = [svec(-Z[k]) for k in range(nb)]
-            dZa, dSa, dya, dta, dka = direction(rc_aff, -tau * kappa)
+            # predictor: rc~ = -V
+            dZa, dSa, _, _, dta, dka = direction(
+                [-np.diag(v) for v in V], -tau * kappa)
             a_aff = max_alpha(dZa, dSa, dta, dka)
             sigma = min(1.0, max((1.0 - a_aff) ** 3, 1e-4))
 
-            # corrector
-            rc = []
+            # corrector: rc~ = L_V^-1(sigma mu I - V^2 - sym(dZa~ dSa~)), with
+            # L_V(X) = (V X + X V) / 2 for the diagonal V
+            rcs = []
             for k in range(nb):
-                corr = dZa[k] @ Sinv[k] @ dSa[k]
-                rc.append(svec(sigma * mu * Sinv[k] - Z[k] - 0.5 * (corr + corr.T)))
+                v = V[k]
+                corr = dZa[k] @ dSa[k]
+                rcs.append(np.diag(sigma * mu / v - v)
+                           - (corr + corr.T) / (v[:, None] + v))
             rc_tk = sigma * mu - tau * kappa - dta * dka
-            dZ, dS, dy, dt, dk = direction(rc, rc_tk)
-            alpha = 0.98 * max_alpha(dZ, dS, dt, dk)
-            if alpha < 0.05:
-                sigma = max(sigma, 0.8)
-                rc = [svec(sigma * mu * Sinv[k] - Z[k]) for k in range(nb)]
-                dZ, dS, dy, dt, dk = direction(rc, sigma * mu - tau * kappa)
-                alpha = 0.98 * max_alpha(dZ, dS, dt, dk)
+            dZs, dSs, dS, dy, dt, dk = direction(rcs, rc_tk)
+            alpha = 0.98 * max_alpha(dZs, dSs, dt, dk)
 
             def mu_at(a):
-                g = sum(float(np.tensordot(Z[k] + a * dZ[k], S[k] + a * dS[k]))
+                g = sum(float(np.tensordot(np.diag(V[k]) + a * dZs[k],
+                                           np.diag(V[k]) + a * dSs[k]))
                         for k in range(nb))
                 return (g + (tau + a * dt) * (kappa + a * dk)) / ordn
 
@@ -601,8 +599,10 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
             if alpha < 1e-9:
                 raise _IPMFailure(f"step length collapsed at iteration {it}")
             for k in range(nb):
-                Z[k] = 0.5 * ((Z[k] + alpha * dZ[k]) + (Z[k] + alpha * dZ[k]).T)
-                S[k] = 0.5 * ((S[k] + alpha * dS[k]) + (S[k] + alpha * dS[k]).T)
+                zk = Z[k] + alpha * (R[k] @ dZs[k] @ R[k].T)
+                sk = S[k] + alpha * dS[k]
+                Z[k] = 0.5 * (zk + zk.T)
+                S[k] = 0.5 * (sk + sk.T)
             y = y + alpha * dy
             tau += alpha * dt
             kappa += alpha * dk

@@ -542,7 +542,10 @@ def _stack_drops(drops: Sequence[Spectrahedrop]) -> LinearPencil:
 def _interior_y_point(pencil: LinearPencil, tol: float = 1e-8,
                       max_iter: int = 200):
     """A point (0, y) with pencil value strictly positive definite, found by
-    maximizing the uniform eigenvalue slack at level 1 over y alone."""
+    maximizing the uniform eigenvalue slack at level 1 over y alone.
+
+    Raises RuntimeError when the solve fails and ValueError when no such
+    point exists (infeasible, or a slack below 1e-6)."""
     hp = HermitianProblem()
     ys = hp.add_free(pencil.h)
     t = hp.add_free(1)[0]
@@ -553,6 +556,8 @@ def _interior_y_point(pencil: LinearPencil, tol: float = 1e-8,
     hp.add_matrix_eq(terms, np.asarray(pencil.A0))
     hp.set_objective({}, {t: 1.0})
     sol = hp.solve(tol=tol, max_iter=max_iter)
+    if sol.status is SolveStatus.ERROR:
+        raise RuntimeError(f"lift point solve failed: {sol.info}")
     if sol.status is not SolveStatus.FEASIBLE or \
             (sol.objective_value is not None and sol.objective_value < 1e-6):
         raise ValueError("no strictly feasible lift point above x = 0; the "

@@ -169,6 +169,25 @@ def test_cli_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "solver error: recession solve failed" in capsys.readouterr().err
 
 
+def test_cli_hull_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a failed lift-point solve in hull_of_union is a solver error, not an
+    # input error
+    import freeconvex.sdp
+    from freeconvex.cli import main
+
+    def failing_solve(problem, tol, max_iter):
+        return freeconvex.sdp.SDPSolution(freeconvex.sdp.SolveStatus.ERROR,
+                                          info={"reason": "forced"})
+
+    monkeypatch.setattr(freeconvex.sdp, "_solve_optimize", failing_solve)
+    doc = next(c.problem for c in corpus_problems()
+               if c.name == "hull-union-intervals")
+    path = tmp_path / "hull.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 3
+    assert "solver error: lift point solve failed" in capsys.readouterr().err
+
+
 def _corpus_doc_with(name, value, *path):
     """The corpus problem `name` with payload[path] set to value."""
     doc = json.loads(json.dumps(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import freeconvex.sdp as S
@@ -47,6 +48,38 @@ def test_svec_smat_and_nt_operator(n, seed):
     for x, out in zip(mats, applied):
         ref = (np.kron(w, w) @ x.ravel()).reshape(n, n)
         assert np.allclose(svec(out), svec(ref), atol=1e-8)
+
+
+def _step_reference(x, dx):
+    """sup { a <= 1 : X + a dX >= 0 } from the pencil eigenvalues of (dX, X)."""
+    lam = sla.eigh(dx, x, eigvals_only=True)[0]
+    return 1.0 if lam >= 0 else min(1.0, -1.0 / lam)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 7), st.integers(0, 10_000), st.floats(1e-3, 1e3))
+def test_scaled_nt_step(n, seed, scale):
+    gen = rng(seed)
+    z, s = scale * rand_pd(gen, n), rand_pd(gen, n) / scale
+    r, v = S._nt_scaling(z, s)
+    w = r @ r.T
+    rinv = np.linalg.inv(r)
+    assert np.all(v > 0)
+    assert np.allclose(w @ s @ w, z, rtol=1e-8, atol=1e-8 * np.abs(z).max())
+    assert np.allclose(r.T @ s @ r, np.diag(v), atol=1e-8 * v.max())
+    assert np.allclose(rinv @ z @ rinv.T, np.diag(v), atol=1e-8 * v.max())
+    # step lengths in scaled coordinates against the generalized eigenproblem
+    # in the original ones; a PSD direction has step 1
+    for psd in (False, True):
+        dz, ds = ((rand_pd(gen, n), rand_pd(gen, n)) if psd
+                  else gen.standard_normal((2, n, n)))
+        dz, ds = scale * (dz + dz.T), (ds + ds.T) / scale
+        a_z = S._max_step(rinv @ dz @ rinv.T, v)
+        a_s = S._max_step(r.T @ ds @ r, v)
+        assert abs(a_z - _step_reference(z, dz)) < 1e-7
+        assert abs(a_s - _step_reference(s, ds)) < 1e-7
+        if psd:
+            assert a_z == a_s == 1.0
 
 
 @settings(deadline=None, max_examples=30)
@@ -170,17 +203,21 @@ def test_tv_grid_attempts_per_solve():
         (DUAL_GRID, dual_curve_distance, tv_dual_boundary,
          lambda x: drop_polar_membership(tvm, x, bounded=True)),
     ]
-    attempts = []
+    attempts, iterations = [], []
     for spec, distance, reference, decide in grids:
         xs = grid_points(spec)
         pts = [(a, c) for a in xs for c in xs
                if distance(a, c) > spec["band"]][::13]
         assert len(pts) >= 100
+        attempts.append([])
         for a, c in pts:
             res = decide(scalar_tuple(a, c))
             assert bool(res) == (reference(a, c) > 0)
-            attempts.append(res.info["attempts"])
-    assert np.mean(attempts) <= 1.05
+            attempts[-1].append(res.info["attempts"])
+            iterations.append(res.info["iterations_total"])
+    assert np.mean(attempts[0]) <= 1.05          # drop membership alone
+    assert np.mean(attempts[0] + attempts[1]) <= 1.05
+    assert np.mean(iterations) <= 12
 
 
 def test_diagonal_slack_matches_min_eig():
