@@ -41,6 +41,15 @@ the diagonal scaled iterate V = diag(v).  The Mehrotra corrector is
 rc~ = diag(sigma mu / v - v) - (C + C') / (v_i + v_j) with C = dZa~ dSa~, and
 the step to the boundary of a block is one eigvalsh of V^-1/2 dX~ V^-1/2.
 
+The core runs once per solve, from Z = S = I, in normalized units: after the
+free columns are eliminated, every row is divided by the sup-norm of its
+coefficients, and the rhs by beta = max |b|.  The core then solves for Z/beta,
+and Z and the objective are multiplied back by beta; rays and infeasibility
+certificates are directions and need no scaling.  Scaling a pencil or a
+whole rhs by c > 0 therefore scales the margin by c and changes no status.
+A failed run (a stall, a Schur complement that is not positive definite, a
+collapsed step) is an ERROR; only a margin inside the band is solved again.
+
 Complex Hermitian problems enter through :class:`HermitianProblem`, which
 realifies blocks via [[Re, -Im], [Im, Re]] and maps witnesses back.
 """
@@ -257,7 +266,16 @@ class ProblemBuilder:
 # ---------------------------------------------------------------------------
 
 
-def _presolve(A: np.ndarray, b: np.ndarray, tol: float = 1e-11):
+def _numerical_rank(r: np.ndarray) -> int:
+    """Rank read off the diagonal of a pivoted QR factor R: the entries above
+    max(1e-11 |R_00|, 1e-13)."""
+    diag = np.abs(np.diag(r))
+    if diag.size == 0 or diag[0] == 0.0:
+        return 0
+    return int(np.sum(diag > max(1e-11 * diag[0], 1e-13)))
+
+
+def _presolve(A: np.ndarray, b: np.ndarray):
     """Return (keep_rows, consistent).  Rows are scaled to unit sup-norm
     before rank detection; an inconsistent affine system reports
     consistent=False (no conic point can exist)."""
@@ -272,19 +290,15 @@ def _presolve(A: np.ndarray, b: np.ndarray, tol: float = 1e-11):
     resid = float(np.abs(As @ x0 - bs).max()) if m else 0.0
     if resid > 1e-8:
         return np.arange(m), False
-    q, r, piv = sla.qr(As.T, mode="economic", pivoting=True, check_finite=False)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(diag > max(tol * diag[0], 1e-13)))
-    keep = np.sort(piv[:rank])
+    _, r, piv = sla.qr(As.T, mode="economic", pivoting=True, check_finite=False)
+    keep = np.sort(piv[:_numerical_rank(r)])
     return keep, True
 
 
 def _scale_rows(A_parts, b):
-    """Divide every equality row (and its rhs) by its sup-norm."""
-    s = np.abs(b)
+    """Divide every equality row and its rhs by the sup-norm of the row's
+    coefficients, so that a large rhs leaves them at unit scale."""
+    s = np.zeros(b.shape[0])
     for Ab in A_parts:
         s = np.maximum(s, np.abs(Ab).max(axis=1, initial=0.0))
     s[s == 0] = 1.0
@@ -308,9 +322,7 @@ class _FreeElimination:
         q, r1 = np.eye(m), np.zeros((0, nf))
         if nf:
             q, r, piv = sla.qr(F, pivoting=True, check_finite=False)
-            diag = np.abs(np.diag(r))
-            # numerical rank by the rule of _presolve
-            rank = int(np.sum(diag > max(1e-11 * diag[0], 1e-13)))
+            rank = _numerical_rank(r)
             r1 = np.zeros((rank, nf))
             r1[:, piv] = r[:rank]
         rank = r1.shape[0]
@@ -348,7 +360,7 @@ class _FreeElimination:
 
 
 class _IPMFailure(Exception):
-    iterations = 0     # iterations the failed attempt ran before it gave up
+    """The core gave up; the solve ends in ERROR with this reason."""
 
 
 def _max_step(dx: np.ndarray, v: np.ndarray) -> float:
@@ -403,16 +415,16 @@ class _HSDResult:
 
 def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
                   b: np.ndarray, c_parts: Sequence[np.ndarray],
-                  tol: float, max_iter: int,
-                  init_scale: float = 1.0) -> _HSDResult:
+                  tol: float, max_iter: int) -> _HSDResult:
     """minimize sum <C_b,Z_b>  s.t. equalities, Z_b >= 0 (m = 0 allowed),
 
-    via the homogeneous self-dual embedding with NT scaling."""
+    via the homogeneous self-dual embedding with NT scaling, started from
+    Z = S = I; the caller normalizes the data so that this start is central."""
     nb = len(sizes)
     m = b.shape[0]
 
-    Z = [init_scale * np.eye(n) for n in sizes]
-    S = [init_scale * np.eye(n) for n in sizes]
+    Z = [np.eye(n) for n in sizes]
+    S = [np.eye(n) for n in sizes]
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
     ordn = sum(sizes) + 1
@@ -421,241 +433,163 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
     cnorm = 1.0 + max([0.0] + [float(np.abs(c).max()) for c in c_parts])
 
     best_score = math.inf
-    best_snapshot = None
     stall = 0
     ptol = max(tol, 1e-7)
     gtol = max(tol, 1e-9)
-
-    def finish(snapshot, it, loose):
-        Zs, pobj_, metrics = snapshot
-        info = dict(metrics)
-        if loose:
-            info["loose"] = True
-        return _HSDResult("optimal", Zs, pobj_, it, info)
 
     # equality rows unpacked once into full matrices for the Schur complement,
     # and the blocks whose objective is nonzero
     A_mats = [smat(A_parts[k], sizes[k]) for k in range(nb)]
     c_blocks = [k for k in range(nb) if c_parts[k].any()]
 
-    it = 0
-    try:
-        for it in range(1, max_iter + 1):
-            # the HSD solution set is a ray: renormalize if the iterate grows
-            big = max([float(np.abs(zb).max()) for zb in Z]
-                      + [float(np.abs(sb).max()) for sb in S] + [tau, kappa])
-            if not math.isfinite(big):
-                raise _IPMFailure("iterate diverged")
-            if big > 1e8:
-                lam = 1.0 / big
-                Z = [zb * lam for zb in Z]
-                S = [sb * lam for sb in S]
-                y = y * lam
-                tau, kappa = tau * lam, kappa * lam
-            z_sv = [svec(Z[k]) for k in range(nb)]
-            s_sv = [svec(S[k]) for k in range(nb)]
-            Ax = sum(A_parts[k] @ z_sv[k] for k in range(nb))
-            rP = Ax - b * tau
-            rD = [A_parts[k].T @ y + s_sv[k] - c_parts[k] * tau for k in range(nb)]
-            cx = sum(float(c_parts[k] @ z_sv[k]) for k in c_blocks)
-            by = float(b @ y)
-            rG = cx - by + kappa
-            gap = sum(float(z_sv[k] @ s_sv[k]) for k in range(nb)) + tau * kappa
-            mu = gap / ordn
+    for it in range(1, max_iter + 1):
+        if not (math.isfinite(tau + kappa)
+                and all(np.isfinite(x).all() for x in Z + S)):
+            raise _IPMFailure("iterate diverged")
+        z_sv = [svec(Z[k]) for k in range(nb)]
+        s_sv = [svec(S[k]) for k in range(nb)]
+        Ax = sum(A_parts[k] @ z_sv[k] for k in range(nb))
+        rP = Ax - b * tau
+        rD = [A_parts[k].T @ y + s_sv[k] - c_parts[k] * tau for k in range(nb)]
+        cx = sum(float(c_parts[k] @ z_sv[k]) for k in c_blocks)
+        by = float(b @ y)
+        rG = cx - by + kappa
+        gap = sum(float(z_sv[k] @ s_sv[k]) for k in range(nb)) + tau * kappa
+        mu = gap / ordn
 
-            # convergence / certificate tests on the normalized iterate
-            pres = float(np.abs(rP).max(initial=0.0)) / (tau * bnorm)
-            dres = max([float(np.abs(r).max()) for r in rD] + [0.0]) / (tau * cnorm)
-            pobj, dobj = cx / tau, by / tau
-            relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-            score = max(pres / ptol, dres / ptol, relgap / gtol)
-            improved = score < 0.98 * best_score
-            if score < best_score:
-                best_score = score
-                best_snapshot = ([zb / tau for zb in Z], pobj,
-                                 {"pres": pres, "dres": dres, "relgap": relgap})
-            if pres <= ptol and dres <= ptol and relgap <= gtol:
-                return finish(best_snapshot, it, loose=False)
-            # infeasibility certificates (rays are re-verified by the callers)
-            def certificates():
-                if by > 0:
-                    hres = max([float(np.abs(A_parts[k].T @ y + s_sv[k]).max())
-                                for k in range(nb)] + [0.0])
-                    if hres <= 1e-6 * by:
-                        return _HSDResult("pinfeas", iterations=it,
-                                          info={"farkas_resid": hres / by, "by": by})
-                if cx < 0:
-                    uray = float(np.abs(Ax).max(initial=0.0))
-                    if uray <= 1e-6 * (-cx):
-                        return _HSDResult("unbounded", iterations=it,
-                                          ray=[zb / (-cx) for zb in Z],
-                                          info={"ray_resid": uray / (-cx)})
-                return None
+        # convergence / certificate tests on the normalized iterate
+        pres = float(np.abs(rP).max(initial=0.0)) / (tau * bnorm)
+        dres = max([float(np.abs(r).max()) for r in rD] + [0.0]) / (tau * cnorm)
+        pobj, dobj = cx / tau, by / tau
+        relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        if pres <= ptol and dres <= ptol and relgap <= gtol:
+            return _HSDResult("optimal", [zb / tau for zb in Z], pobj, it,
+                              {"pres": pres, "dres": dres, "relgap": relgap})
+        # infeasibility certificates (rays are re-verified by the callers)
+        if by > 0:
+            hres = max([float(np.abs(A_parts[k].T @ y + s_sv[k]).max())
+                        for k in range(nb)] + [0.0])
+            if hres <= 1e-6 * by:
+                return _HSDResult("pinfeas", iterations=it,
+                                  info={"farkas_resid": hres / by, "by": by})
+        if cx < 0:
+            uray = float(np.abs(Ax).max(initial=0.0))
+            if uray <= 1e-6 * (-cx):
+                return _HSDResult("unbounded", iterations=it,
+                                  ray=[zb / (-cx) for zb in Z],
+                                  info={"ray_resid": uray / (-cx)})
+        if tau <= 1e-12 and kappa <= 1e-12:
+            raise _IPMFailure("tau and kappa both collapsed")
+        score = max(pres / ptol, dres / ptol, relgap / gtol)
+        stall = 0 if score < 0.98 * best_score else stall + 1
+        best_score = min(best_score, score)
+        if stall > 25 or mu <= 1e-25:
+            raise _IPMFailure(
+                f"stalled at iteration {it} (mu={mu:.2e}, pres={pres:.2e}, "
+                f"dres={dres:.2e}, relgap={relgap:.2e})")
 
-            cert = certificates()
-            if cert is not None:
-                return cert
-            if tau <= 1e-12 and kappa <= 1e-12:
-                raise _IPMFailure("tau and kappa both collapsed")
-            stall = 0 if improved else stall + 1
-            window = 8 if best_score <= 100.0 else 25
-            if stall > window or mu <= 1e-25:
-                if best_score <= 100.0:
-                    # numerically converged as far as it will go
-                    return finish(best_snapshot, it, loose=True)
-                raise _IPMFailure(
-                    f"stalled at iteration {it} (mu={mu:.2e}, pres={pres:.2e}, "
-                    f"dres={dres:.2e}, relgap={relgap:.2e})")
+        # NT scaling W = R R' and the diagonal scaled iterate
+        # R' S R = R^-1 Z R^-T = diag(v); the NT operator X -> W X W is
+        # applied through W and never formed as a matrix
+        R, V = zip(*[_nt_scaling(Z[k], S[k]) for k in range(nb)])
+        W = [r @ r.T for r in R]
+        M = _schur(A_mats, W, m)
+        M.flat[::m + 1] += 1e-13 * (1.0 + np.trace(M) / max(m, 1))
 
-            # NT scaling W = R R' and the diagonal scaled iterate
-            # R' S R = R^-1 Z R^-T = diag(v); the NT operator X -> W X W is
-            # applied through W and never formed as a matrix
-            R, V = zip(*[_nt_scaling(Z[k], S[k]) for k in range(nb)])
-            W = [r @ r.T for r in R]
-            M = _schur(A_mats, W, m)
-            M.flat[::m + 1] += 1e-13 * (1.0 + np.trace(M) / max(m, 1))
+        try:
+            cho = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise _IPMFailure("Schur complement not positive definite")
+        solveM = lambda v: sla.cho_solve((cho, True), v, check_finite=False)
 
-            cho = None
-            try:
-                cho = np.linalg.cholesky(M)
-            except np.linalg.LinAlgError:
-                pass
-            if cho is None:
-                lu = sla.lu_factor(M + 1e-10 * np.eye(m), check_finite=False)
-                solveM = lambda v: sla.lu_solve(lu, v, check_finite=False)
-            else:
-                solveM = lambda v: sla.cho_solve((cho, True), v, check_finite=False)
+        # the parts of the elimination that stay fixed within an iteration
+        WCW = {k: svec(W[k] @ smat(c_parts[k], sizes[k]) @ W[k])
+               for k in c_blocks}
+        q = sum((A_parts[k] @ WCW[k] for k in c_blocks), np.zeros(m))
+        cWCW = sum(float(c_parts[k] @ WCW[k]) for k in c_blocks)
+        dy1 = solveM(q + b)
+        rDs = [R[k].T @ smat(rD[k], sizes[k]) @ R[k] for k in range(nb)]
 
-            # the parts of the elimination that stay fixed within an iteration
-            WCW = {k: svec(W[k] @ smat(c_parts[k], sizes[k]) @ W[k])
-                   for k in c_blocks}
-            q = sum((A_parts[k] @ WCW[k] for k in c_blocks), np.zeros(m))
-            cWCW = sum(float(c_parts[k] @ WCW[k]) for k in c_blocks)
-            dy1 = solveM(q + b)
-            rDs = [R[k].T @ smat(rD[k], sizes[k]) @ R[k] for k in range(nb)]
+        def direction(rcs, rc_tk):
+            # dZ~ + dS~ = rc~ in scaled coordinates, with dS~ = R' dS R,
+            # dZ = R dZ~ R' and dS = c dtau - rD - A'dy, eliminated into
+            # the Schur system over (dy, dtau); g = R (rc~ + R' rD R) R'
+            g = [svec(R[k] @ (rcs[k] + rDs[k]) @ R[k].T) for k in range(nb)]
+            dy0 = solveM(-rP - sum(A_parts[k] @ g[k] for k in range(nb)))
+            qb = q - b
+            num = (-rG - rc_tk / tau - float(qb @ dy0)
+                   - sum(float(c_parts[k] @ g[k]) for k in c_blocks))
+            den = float(qb @ dy1) - (cWCW + kappa / tau)
+            if abs(den) < 1e-300:
+                raise _IPMFailure("singular bordered system")
+            dtau = num / den
+            dy = dy0 + dtau * dy1
+            dS_ = [smat(-rD[k] - A_parts[k].T @ dy + c_parts[k] * dtau,
+                        sizes[k]) for k in range(nb)]
+            dSs = [R[k].T @ dS_[k] @ R[k] for k in range(nb)]
+            dZs = [rcs[k] - dSs[k] for k in range(nb)]
+            dkappa = (rc_tk - kappa * dtau) / tau
+            return dZs, dSs, dS_, dy, dtau, dkappa
 
-            def direction(rcs, rc_tk):
-                # dZ~ + dS~ = rc~ in scaled coordinates, with dS~ = R' dS R,
-                # dZ = R dZ~ R' and dS = c dtau - rD - A'dy, eliminated into
-                # the Schur system over (dy, dtau); g = R (rc~ + R' rD R) R'
-                g = [svec(R[k] @ (rcs[k] + rDs[k]) @ R[k].T) for k in range(nb)]
-                dy0 = solveM(-rP - sum(A_parts[k] @ g[k] for k in range(nb)))
-                qb = q - b
-                num = (-rG - rc_tk / tau - float(qb @ dy0)
-                       - sum(float(c_parts[k] @ g[k]) for k in c_blocks))
-                den = float(qb @ dy1) - (cWCW + kappa / tau)
-                if abs(den) < 1e-300:
-                    raise _IPMFailure("singular bordered system")
-                dtau = num / den
-                dy = dy0 + dtau * dy1
-                dS_ = [smat(-rD[k] - A_parts[k].T @ dy + c_parts[k] * dtau,
-                            sizes[k]) for k in range(nb)]
-                dSs = [R[k].T @ dS_[k] @ R[k] for k in range(nb)]
-                dZs = [rcs[k] - dSs[k] for k in range(nb)]
-                dkappa = (rc_tk - kappa * dtau) / tau
-                return dZs, dSs, dS_, dy, dtau, dkappa
-
-            def max_alpha(dZs, dSs, dtau, dkappa):
-                a = 1.0
-                for k in range(nb):
-                    a = min(a, _max_step(dZs[k], V[k]), _max_step(dSs[k], V[k]))
-                if dtau < 0:
-                    a = min(a, -tau / dtau)
-                if dkappa < 0:
-                    a = min(a, -kappa / dkappa)
-                return a
-
-            # predictor: rc~ = -V
-            dZa, dSa, _, _, dta, dka = direction(
-                [-np.diag(v) for v in V], -tau * kappa)
-            a_aff = max_alpha(dZa, dSa, dta, dka)
-            sigma = min(1.0, max((1.0 - a_aff) ** 3, 1e-4))
-
-            # corrector: rc~ = L_V^-1(sigma mu I - V^2 - sym(dZa~ dSa~)), with
-            # L_V(X) = (V X + X V) / 2 for the diagonal V
-            rcs = []
+        def max_alpha(dZs, dSs, dtau, dkappa):
+            a = 1.0
             for k in range(nb):
-                v = V[k]
-                corr = dZa[k] @ dSa[k]
-                rcs.append(np.diag(sigma * mu / v - v)
-                           - (corr + corr.T) / (v[:, None] + v))
-            rc_tk = sigma * mu - tau * kappa - dta * dka
-            dZs, dSs, dS, dy, dt, dk = direction(rcs, rc_tk)
-            alpha = 0.98 * max_alpha(dZs, dSs, dt, dk)
+                a = min(a, _max_step(dZs[k], V[k]), _max_step(dSs[k], V[k]))
+            if dtau < 0:
+                a = min(a, -tau / dtau)
+            if dkappa < 0:
+                a = min(a, -kappa / dkappa)
+            return a
 
-            def mu_at(a):
-                g = sum(float(np.tensordot(np.diag(V[k]) + a * dZs[k],
-                                           np.diag(V[k]) + a * dSs[k]))
-                        for k in range(nb))
-                return (g + (tau + a * dt) * (kappa + a * dk)) / ordn
+        # predictor: rc~ = -V
+        dZa, dSa, _, _, dta, dka = direction(
+            [-np.diag(v) for v in V], -tau * kappa)
+        a_aff = max_alpha(dZa, dSa, dta, dka)
+        sigma = min(1.0, max((1.0 - a_aff) ** 3, 1e-4))
 
-            # keep tau*kappa >= gamma*mu: without this the iterate can drift down
-            # the degenerate ray tau, kappa -> 0 which certifies nothing
-            gamma = 1e-3
-            for _ in range(25):
-                if (tau + alpha * dt) * (kappa + alpha * dk) >= gamma * mu_at(alpha):
-                    break
-                alpha *= 0.7
-            if alpha < 1e-9:
-                raise _IPMFailure(f"step length collapsed at iteration {it}")
-            for k in range(nb):
-                zk = Z[k] + alpha * (R[k] @ dZs[k] @ R[k].T)
-                sk = S[k] + alpha * dS[k]
-                Z[k] = 0.5 * (zk + zk.T)
-                S[k] = 0.5 * (sk + sk.T)
-            y = y + alpha * dy
-            tau += alpha * dt
-            kappa += alpha * dk
+        # corrector: rc~ = L_V^-1(sigma mu I - V^2 - sym(dZa~ dSa~)), with
+        # L_V(X) = (V X + X V) / 2 for the diagonal V
+        rcs = []
+        for k in range(nb):
+            v = V[k]
+            corr = dZa[k] @ dSa[k]
+            rcs.append(np.diag(sigma * mu / v - v)
+                       - (corr + corr.T) / (v[:, None] + v))
+        rc_tk = sigma * mu - tau * kappa - dta * dka
+        dZs, dSs, dS, dy, dt, dk = direction(rcs, rc_tk)
+        alpha = 0.98 * max_alpha(dZs, dSs, dt, dk)
 
-        raise _IPMFailure(f"no convergence within {max_iter} iterations")
-    except _IPMFailure as exc:
-        exc.iterations = it
-        raise
+        def mu_at(a):
+            g = sum(float(np.tensordot(np.diag(V[k]) + a * dZs[k],
+                                       np.diag(V[k]) + a * dSs[k]))
+                    for k in range(nb))
+            return (g + (tau + a * dt) * (kappa + a * dk)) / ordn
+
+        # keep tau*kappa >= gamma*mu: without this the iterate can drift down
+        # the degenerate ray tau, kappa -> 0 which certifies nothing
+        gamma = 1e-3
+        for _ in range(25):
+            if (tau + alpha * dt) * (kappa + alpha * dk) >= gamma * mu_at(alpha):
+                break
+            alpha *= 0.7
+        if alpha < 1e-9:
+            raise _IPMFailure(f"step length collapsed at iteration {it}")
+        for k in range(nb):
+            zk = Z[k] + alpha * (R[k] @ dZs[k] @ R[k].T)
+            sk = S[k] + alpha * dS[k]
+            Z[k] = 0.5 * (zk + zk.T)
+            S[k] = 0.5 * (sk + sk.T)
+        y = y + alpha * dy
+        tau += alpha * dt
+        kappa += alpha * dk
+
+    raise _IPMFailure(f"no convergence within {max_iter} iterations")
 
 
 def _accuracy(info) -> float:
     """The worst of the final primal, dual and gap residuals."""
     return max(info.get("pres", 0.0), info.get("dres", 0.0),
                info.get("relgap", 0.0))
-
-
-def _hsd_attempts(sizes, A_parts, b, c_parts, tol, max_iter):
-    """Run the core with fallback initializations; loose outcomes only stand
-    when no initialization does better.
-
-    The returned result's info counts every attempt: ``attempts`` (init
-    scales tried) and ``iterations_total`` (summed over them, failed ones
-    included); its ``iterations`` stay those of the returned attempt.
-    """
-    last: Optional[_IPMFailure] = None
-    best = None
-    best_acc = math.inf
-    attempts = total = 0
-
-    def counted(res):
-        res.info.update(attempts=attempts, iterations_total=total)
-        return res
-
-    for init_scale in (1.0, 30.0, 0.03):
-        attempts += 1
-        try:
-            res = _hsd_minimize(sizes, A_parts, b, c_parts, tol, max_iter,
-                                init_scale=init_scale)
-        except _IPMFailure as exc:
-            total += exc.iterations
-            last = exc
-            continue
-        total += res.iterations
-        if res.kind != "optimal" or not res.info.get("loose"):
-            return counted(res)
-        acc = _accuracy(res.info)
-        if acc < best_acc:
-            best, best_acc = res, acc
-        if best_acc <= 1e-9:
-            break
-    if best is not None:
-        return counted(best)
-    raise last if last is not None else _IPMFailure("unreachable")
 
 
 # ---------------------------------------------------------------------------
@@ -732,10 +666,22 @@ def _reduced(problem: SDPProblem):
 
 
 def _solve_blocks(sizes, A_parts, A_free, b, c_parts, c_free, tol, max_iter):
-    """Eliminate the free columns, then run the core on the blocks alone."""
+    """Eliminate the free columns, then run the core once on the blocks alone,
+    in units where the rows and the rhs have unit sup-norm.
+
+    The core solves for Z / beta with beta = max |b_red|; its Z and pobj are
+    mapped back, while rays and Farkas certificates are directions and stay.
+    ``info`` gets ``attempts`` (1: one IPM run) and ``iterations_total``.
+    """
     el = _FreeElimination(A_parts, A_free, b, c_parts, c_free)
     A_red, b_red = _scale_rows(el.A_parts, el.b)
-    return el, _hsd_attempts(sizes, A_red, b_red, el.c_parts, tol, max_iter)
+    beta = float(np.abs(b_red).max(initial=0.0)) or 1.0
+    res = _hsd_minimize(sizes, A_red, b_red / beta, el.c_parts, tol, max_iter)
+    if res.kind == "optimal":
+        res.Z = [beta * z for z in res.Z]
+        res.pobj *= beta
+    res.info.update(attempts=1, iterations_total=res.iterations)
+    return el, res
 
 
 def _solve_optimize(problem: SDPProblem, tol, max_iter) -> SDPSolution:
@@ -901,15 +847,6 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
         if eig_min >= -0.5 * _WITNESS_EIG_TOL:
             break
         cand = {name: psd_part(mat) for name, mat in cand.items()}
-    if eig_min < -_WITNESS_EIG_TOL:
-        # projection plateau: a small identity shift can satisfy both
-        # witness invariants at once (equalities are absolute-toleranced)
-        shift = -eig_min * 1.05
-        shifted = {name: mat + shift * np.eye(mat.shape[0])
-                   for name, mat in cand.items()}
-        resid_s, eig_s = _verify_witness(problem, shifted, uc)
-        if resid_s <= eq_tol and eig_s >= -_WITNESS_EIG_TOL:
-            cand, eq_resid, eig_min = shifted, resid_s, eig_s
     if eq_resid <= eq_tol and eig_min >= -_WITNESS_EIG_TOL:
         return SDPSolution(SolveStatus.FEASIBLE, witness=cand, free_values=uc,
                            margin=t_star, iterations=it,
