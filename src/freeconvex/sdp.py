@@ -48,7 +48,20 @@ and Z and the objective are multiplied back by beta; rays and infeasibility
 certificates are directions and need no scaling.  Scaling a pencil or a
 whole rhs by c > 0 therefore scales the margin by c and changes no status.
 A failed run (a stall, a Schur complement that is not positive definite, a
-collapsed step) is an ERROR; only a margin inside the band is solved again.
+collapsed step) is an ERROR; only a margin inside the band is solved again,
+at tol 1e-11.  The core floors its residual tests at 1e-7 and its gap test
+at 1e-9 (``_RESID_TOL_FLOOR``, ``_GAP_TOL_FLOOR``), so from the default
+tol 1e-8 that re-solve tightens only the gap test, to 1e-9.
+
+Small problems pay for calls, not arithmetic, so both layers a decision
+passes through are built from whole arrays.  :class:`HermitianProblem`
+holds its rows as stacked arrays, one group per call, and builds the
+SDPProblem directly from them.  The core unpacks its rows and objective
+once and then runs in full-matrix coordinates: residuals are A_flat vec(Z)
+and A_flat' y reshaped, with no svec or smat in the loop; the Schur
+complement is factored by LAPACK's potrf/potrs directly, both step lengths
+of a block come from one batched eigvalsh, and mu along the step is an
+exact quadratic in the step length.
 
 Complex Hermitian problems enter through :class:`HermitianProblem`, which
 realifies blocks via [[Re, -Im], [Im, Re]] and maps witnesses back.
@@ -63,8 +76,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
-from .algebra import derealify, hermitian_part, psd_part, realify
+from .algebra import (derealify, hermitian_part, psd_part, realify,
+                      require_hermitian)
 
 __all__ = [
     "SolveStatus",
@@ -82,6 +97,11 @@ __all__ = [
 FEAS_TOL = 1e-7          # width of the MARGINAL band around t* = 0
 _WITNESS_EQ_TOL = 1e-7   # FEASIBLE witnesses must satisfy equalities to this
 _WITNESS_EIG_TOL = 1e-8  # ... and have lambda_min >= -this
+# The IPM stops on its residual tests at max(tol, _RESID_TOL_FLOOR) and on
+# its relative gap at max(tol, _GAP_TOL_FLOOR): a tol below 1e-7 tightens
+# only the gap test, and no further than 1e-9.
+_RESID_TOL_FLOOR = 1e-7
+_GAP_TOL_FLOOR = 1e-9
 
 
 class SolveStatus(Enum):
@@ -363,14 +383,13 @@ class _IPMFailure(Exception):
     """The core gave up; the solve ends in ERROR with this reason."""
 
 
-def _max_step(dx: np.ndarray, v: np.ndarray) -> float:
-    """sup { a <= 1 : diag(v) + a dX >= 0 } for a direction dX in scaled
-    coordinates, via eig of diag(v)^-1/2 dX diag(v)^-1/2."""
+def _max_steps(dx: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sup { a <= 1 : diag(v) + a dX >= 0 } for each direction dX of a
+    (k, n, n) stack in scaled coordinates, via one batched eigvalsh of
+    diag(v)^-1/2 dX diag(v)^-1/2."""
     h = v ** -0.5
-    lam = float(np.linalg.eigvalsh(h[:, None] * dx * h)[0])
-    if lam >= -1e-13:
-        return 1.0
-    return min(1.0, -1.0 / lam)
+    lam = np.linalg.eigvalsh(h[:, None] * dx * h)[:, 0]
+    return 1.0 / np.maximum(-lam, 1.0)
 
 
 def _nt_scaling(z: np.ndarray, s: np.ndarray):
@@ -419,7 +438,10 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
     """minimize sum <C_b,Z_b>  s.t. equalities, Z_b >= 0 (m = 0 allowed),
 
     via the homogeneous self-dual embedding with NT scaling, started from
-    Z = S = I; the caller normalizes the data so that this start is central."""
+    Z = S = I; the caller normalizes the data so that this start is central.
+    The rows and the objective arrive in svec coordinates and are unpacked
+    once: the loop works on full n x n matrices, with A_flat[b] the rows of
+    block b as (m, n^2) and <A_i, Z> = A_flat[b][i] . vec(Z)."""
     nb = len(sizes)
     m = b.shape[0]
 
@@ -434,32 +456,45 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
 
     best_score = math.inf
     stall = 0
-    ptol = max(tol, 1e-7)
-    gtol = max(tol, 1e-9)
+    ptol = max(tol, _RESID_TOL_FLOOR)
+    gtol = max(tol, _GAP_TOL_FLOOR)
 
-    # equality rows unpacked once into full matrices for the Schur complement,
-    # and the blocks whose objective is nonzero
+    # equality rows and objective unpacked once into full matrices, the
+    # blocks whose objective is nonzero, and the weights that turn the
+    # sup-norm of a symmetric matrix into that of its svec
     A_mats = [smat(A_parts[k], sizes[k]) for k in range(nb)]
+    A_flat = [F.reshape(m, n * n) for F, n in zip(A_mats, sizes)]
+    C = [smat(c, n) for c, n in zip(c_parts, sizes)]
     c_blocks = [k for k in range(nb) if c_parts[k].any()]
+    svec_wt = [np.where(np.eye(n, dtype=bool), 1.0, _SQRT2) for n in sizes]
+
+    def A_op(X):                  # sum_b <A_bi, X_b> for every row i
+        return sum((A_flat[k] @ X[k].ravel() for k in range(nb)), np.zeros(m))
+
+    def At_op(v, k):              # sum_i v_i A_bi for block k
+        return (v @ A_flat[k]).reshape(sizes[k], sizes[k])
+
+    def svec_sup(X):              # max_b sup-norm of svec(X_b)
+        return max([float(np.abs(X[k] * svec_wt[k]).max()) for k in range(nb)]
+                   + [0.0])
 
     for it in range(1, max_iter + 1):
         if not (math.isfinite(tau + kappa)
                 and all(np.isfinite(x).all() for x in Z + S)):
             raise _IPMFailure("iterate diverged")
-        z_sv = [svec(Z[k]) for k in range(nb)]
-        s_sv = [svec(S[k]) for k in range(nb)]
-        Ax = sum(A_parts[k] @ z_sv[k] for k in range(nb))
+        Ax = A_op(Z)
         rP = Ax - b * tau
-        rD = [A_parts[k].T @ y + s_sv[k] - c_parts[k] * tau for k in range(nb)]
-        cx = sum(float(c_parts[k] @ z_sv[k]) for k in c_blocks)
+        Aty = [At_op(y, k) for k in range(nb)]
+        rD = [Aty[k] + S[k] - C[k] * tau for k in range(nb)]
+        cx = sum(float(np.vdot(C[k], Z[k])) for k in c_blocks)
         by = float(b @ y)
         rG = cx - by + kappa
-        gap = sum(float(z_sv[k] @ s_sv[k]) for k in range(nb)) + tau * kappa
+        gap = sum(float(np.vdot(Z[k], S[k])) for k in range(nb)) + tau * kappa
         mu = gap / ordn
 
         # convergence / certificate tests on the normalized iterate
         pres = float(np.abs(rP).max(initial=0.0)) / (tau * bnorm)
-        dres = max([float(np.abs(r).max()) for r in rD] + [0.0]) / (tau * cnorm)
+        dres = svec_sup(rD) / (tau * cnorm)
         pobj, dobj = cx / tau, by / tau
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         if pres <= ptol and dres <= ptol and relgap <= gtol:
@@ -467,8 +502,7 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
                               {"pres": pres, "dres": dres, "relgap": relgap})
         # infeasibility certificates (rays are re-verified by the callers)
         if by > 0:
-            hres = max([float(np.abs(A_parts[k].T @ y + s_sv[k]).max())
-                        for k in range(nb)] + [0.0])
+            hres = svec_sup([Aty[k] + S[k] for k in range(nb)])
             if hres <= 1e-6 * by:
                 return _HSDResult("pinfeas", iterations=it,
                                   info={"farkas_resid": hres / by, "by": by})
@@ -496,45 +530,43 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
         M = _schur(A_mats, W, m)
         M.flat[::m + 1] += 1e-13 * (1.0 + np.trace(M) / max(m, 1))
 
-        try:
-            cho = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
+        cho, info = lapack.dpotrf(M, lower=1, overwrite_a=1)
+        if info:
             raise _IPMFailure("Schur complement not positive definite")
-        solveM = lambda v: sla.cho_solve((cho, True), v, check_finite=False)
+        # dpotrs rejects an empty system (m = 0 when the free columns absorb
+        # every row)
+        solveM = (lambda v: lapack.dpotrs(cho, v, lower=1)[0]) if m else (lambda v: v)
 
         # the parts of the elimination that stay fixed within an iteration
-        WCW = {k: svec(W[k] @ smat(c_parts[k], sizes[k]) @ W[k])
-               for k in c_blocks}
-        q = sum((A_parts[k] @ WCW[k] for k in c_blocks), np.zeros(m))
-        cWCW = sum(float(c_parts[k] @ WCW[k]) for k in c_blocks)
+        WCW = {k: W[k] @ C[k] @ W[k] for k in c_blocks}
+        q = sum((A_flat[k] @ WCW[k].ravel() for k in c_blocks), np.zeros(m))
+        cWCW = sum(float(np.vdot(C[k], WCW[k])) for k in c_blocks)
         dy1 = solveM(q + b)
-        rDs = [R[k].T @ smat(rD[k], sizes[k]) @ R[k] for k in range(nb)]
+        rDs = [R[k].T @ rD[k] @ R[k] for k in range(nb)]
 
         def direction(rcs, rc_tk):
             # dZ~ + dS~ = rc~ in scaled coordinates, with dS~ = R' dS R,
             # dZ = R dZ~ R' and dS = c dtau - rD - A'dy, eliminated into
             # the Schur system over (dy, dtau); g = R (rc~ + R' rD R) R'
-            g = [svec(R[k] @ (rcs[k] + rDs[k]) @ R[k].T) for k in range(nb)]
-            dy0 = solveM(-rP - sum(A_parts[k] @ g[k] for k in range(nb)))
+            g = [R[k] @ (rcs[k] + rDs[k]) @ R[k].T for k in range(nb)]
+            dy0 = solveM(-rP - A_op(g))
             qb = q - b
             num = (-rG - rc_tk / tau - float(qb @ dy0)
-                   - sum(float(c_parts[k] @ g[k]) for k in c_blocks))
+                   - sum(float(np.vdot(C[k], g[k])) for k in c_blocks))
             den = float(qb @ dy1) - (cWCW + kappa / tau)
             if abs(den) < 1e-300:
                 raise _IPMFailure("singular bordered system")
             dtau = num / den
             dy = dy0 + dtau * dy1
-            dS_ = [smat(-rD[k] - A_parts[k].T @ dy + c_parts[k] * dtau,
-                        sizes[k]) for k in range(nb)]
+            dS_ = [C[k] * dtau - rD[k] - At_op(dy, k) for k in range(nb)]
             dSs = [R[k].T @ dS_[k] @ R[k] for k in range(nb)]
             dZs = [rcs[k] - dSs[k] for k in range(nb)]
             dkappa = (rc_tk - kappa * dtau) / tau
             return dZs, dSs, dS_, dy, dtau, dkappa
 
         def max_alpha(dZs, dSs, dtau, dkappa):
-            a = 1.0
-            for k in range(nb):
-                a = min(a, _max_step(dZs[k], V[k]), _max_step(dSs[k], V[k]))
+            a = min([1.0] + [float(_max_steps(np.array((dZs[k], dSs[k])),
+                                              V[k]).min()) for k in range(nb)])
             if dtau < 0:
                 a = min(a, -tau / dtau)
             if dkappa < 0:
@@ -559,11 +591,14 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
         dZs, dSs, dS, dy, dt, dk = direction(rcs, rc_tk)
         alpha = 0.98 * max_alpha(dZs, dSs, dt, dk)
 
+        # sum_b <V + a dZ~, V + a dS~> as a quadratic in a
+        g0 = sum(float(v @ v) for v in V)
+        g1 = sum(float(V[k] @ (dZs[k].diagonal() + dSs[k].diagonal()))
+                 for k in range(nb))
+        g2 = sum(float(np.vdot(dZs[k], dSs[k])) for k in range(nb))
+
         def mu_at(a):
-            g = sum(float(np.tensordot(np.diag(V[k]) + a * dZs[k],
-                                       np.diag(V[k]) + a * dSs[k]))
-                    for k in range(nb))
-            return (g + (tau + a * dt) * (kappa + a * dk)) / ordn
+            return (g0 + a * g1 + a * a * g2 + (tau + a * dt) * (kappa + a * dk)) / ordn
 
         # keep tau*kappa >= gamma*mu: without this the iterate can drift down
         # the degenerate ray tau, kappa -> 0 which certifies nothing
@@ -740,8 +775,11 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     terminal iterate to the cone and re-checks the equalities; only a
     verified witness may promote the answer to FEASIBLE, otherwise the
     honest answer is MARGINAL.  Before the rescue, a band answer is solved
-    once more at tol 1e-11; that result's ``info`` sums ``attempts`` and
-    ``iterations_total`` over both solves and sets ``resolves``.
+    once more at tol 1e-11, which at the default tol tightens only the
+    core's gap test (to its floor 1e-9; the residual tests stay at their
+    floor 1e-7).  That result's ``info`` sums ``attempts`` and
+    ``iterations_total`` over both solves and sets ``resolves``, the number
+    of these tighter-gap re-solves.
     """
     if problem.has_objective:
         raise ValueError("solve_feasibility expects a problem without objective")
@@ -824,8 +862,9 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     if t_star < -band:
         return SDPSolution(SolveStatus.INFEASIBLE, margin=t_star, iterations=it,
                            info=base_info)
-    # marginal band: first re-solve at high accuracy (the rescue below needs
-    # tiny equality residuals, or the projection ruins the eigenvalue floor);
+    # marginal band: first re-solve with the tighter gap test (the rescue
+    # below needs tiny equality residuals, or the projection ruins the
+    # eigenvalue floor);
     # its info adds both solves' counts and counts the re-solve
     if tol > 1.1e-11:
         sol = solve_feasibility(problem, tol=1e-11,
@@ -877,49 +916,27 @@ class FreeHermitian:
     def n_vars(self) -> int:
         return self.size * self.size
 
-    def var_index(self, i: int, j: int, imag: bool) -> int:
+    def _basis(self) -> np.ndarray:
+        """(size^2, n_vars) complex matrix E with vec(Y) = E @ values."""
         n = self.size
-        if i == j:
-            if imag:
-                raise ValueError("diagonal entries have no imaginary part")
-            return self.start + i
-        if i > j:
-            i, j = j, i
-        off = n + 2 * ((2 * n - i - 1) * i // 2 + (j - i - 1))
-        return self.start + off + (1 if imag else 0)
-
-    def imag_vars(self):
-        n = self.size
-        return {self.var_index(i, j, True) for i in range(n) for j in range(i + 1, n)}
-
-    def entry_coeffs(self, i: int, j: int):
-        """Complex coefficients of Y_ij over the real variables."""
-        if i == j:
-            return {self.var_index(i, i, False): 1.0 + 0j}
-        conj = i > j
-        re = self.var_index(i, j, False)
-        im = self.var_index(i, j, True)
-        return {re: 1.0 + 0j, im: (-1j if conj else 1j)}
+        iu, ju = np.triu_indices(n, 1)
+        re = n + 2 * np.arange(iu.size)
+        e = np.zeros((n, n, n * n), dtype=complex)
+        e[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+        e[iu, ju, re] = e[ju, iu, re] = 1.0
+        e[iu, ju, re + 1] = 1j
+        e[ju, iu, re + 1] = -1j
+        return e.reshape(n * n, n * n)
 
     def assemble(self, values: np.ndarray) -> np.ndarray:
-        n = self.size
-        out = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            out[i, i] = values[self.var_index(i, i, False) - self.start]
-            for j in range(i + 1, n):
-                re = values[self.var_index(i, j, False) - self.start]
-                im = values[self.var_index(i, j, True) - self.start]
-                out[i, j] = re + 1j * im
-                out[j, i] = re - 1j * im
-        return out
+        return (self._basis() @ values).reshape(self.size, self.size)
 
 
 def _herm_split(f: np.ndarray):
     """Hermitian data pair (Hre, Him) with tr(Hre C) = Re tr(F* C) and
-    tr(Him C) = Im tr(F* C) for Hermitian C."""
-    hre = 0.5 * (f + f.conj().T)
-    him = 0.5j * (f - f.conj().T)
-    return hre, him
+    tr(Him C) = Im tr(F* C) for Hermitian C; F may be a stack."""
+    fh = f.conj().swapaxes(-1, -2)
+    return 0.5 * (f + fh), 0.5j * (f - fh)
 
 
 class HermitianProblem:
@@ -927,18 +944,19 @@ class HermitianProblem:
     matrix unknowns), scalar equality rows with Hermitian data matrices, and
     an optional linear objective.
 
-    ``solve`` realifies blocks through [[Re, -Im], [Im, Re]]; when every row
-    is conjugation-invariant the equivalent real-restricted problem is solved
-    directly at half the block size.
+    Rows are held in groups, one per ``add_*`` call: a (k, n, n) stack of
+    exactly Hermitian data per block, a (k, n_free) real array of free
+    coefficients and a (k,) rhs.  ``solve`` realifies blocks through
+    [[Re, -Im], [Im, Re]]; when every row is conjugation-invariant the
+    equivalent real-restricted problem is solved directly at half the block
+    size.
     """
 
     def __init__(self):
         self._blocks: List[Tuple[str, int]] = []
         self._n_free = 0
         self._free_herms: List[FreeHermitian] = []
-        self._imag_vars: set = set()
-        # row: (terms: {block: complex Hermitian}, free: {idx: complex!}, rhs complex)
-        self._rows: List[Tuple[Dict[str, np.ndarray], Dict[int, complex], float]] = []
+        self._groups: List[Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray]] = []
         self._obj: Optional[Tuple[Dict[str, np.ndarray], Dict[int, float]]] = None
 
     # -- variables ---------------------------------------------------------
@@ -946,6 +964,8 @@ class HermitianProblem:
     def add_block(self, name: str, size: int) -> str:
         if any(n == name for n, _ in self._blocks):
             raise ValueError(f"duplicate block {name!r}")
+        if size < 1:
+            raise ValueError("block size must be >= 1")
         self._blocks.append((name, size))
         return name
 
@@ -958,137 +978,102 @@ class HermitianProblem:
         fh = FreeHermitian(name, size, self._n_free)
         self._n_free += fh.n_vars
         self._free_herms.append(fh)
-        self._imag_vars |= fh.imag_vars()
         return fh
 
     # -- rows ----------------------------------------------------------------
 
+    def _block_data(self, block_data) -> Dict[str, np.ndarray]:
+        """The data matrices of one row, checked against the block sizes."""
+        sizes = dict(self._blocks)
+        out = {}
+        for name, f in block_data.items():
+            f = np.asarray(f, dtype=complex)
+            if f.shape != (sizes[name],) * 2:
+                raise ValueError(f"data for block {name!r} has wrong shape")
+            out[name] = f
+        return out
+
+    def _free_row(self, free_terms) -> np.ndarray:
+        """One row's free coefficients {index: value} as a (1, n_free) array."""
+        row = np.zeros((1, self._n_free), dtype=complex)
+        for k, v in (free_terms or {}).items():
+            row[0, int(k)] = v
+        return row
+
     def add_scalar_row(self, block_terms: Dict[str, np.ndarray],
                        free_terms: Optional[Dict[int, float]], rhs: float):
         """sum_b tr(H_b C_b) + sum a_i u_i = rhs with Hermitian H, real rhs."""
-        terms = {}
-        sizes = dict(self._blocks)
-        for name, h in block_terms.items():
-            h = np.asarray(h, dtype=complex)
-            if h.shape != (sizes[name],) * 2:
-                raise ValueError(f"data for block {name!r} has wrong shape")
-            terms[name] = h
-        self._rows.append((terms, {int(k): complex(v) for k, v in
-                                   (free_terms or {}).items()}, float(rhs)))
+        data = {name: require_hermitian(h, what=f"data for block {name!r}")[None]
+                for name, h in self._block_data(block_terms).items()}
+        self._groups.append((data, self._free_row(free_terms).real,
+                             np.array([float(rhs)])))
 
     def add_complex_row(self, block_data: Dict[str, np.ndarray],
                         free_terms: Optional[Dict[int, complex]], rhs: complex):
         """Complex equality sum_b tr(F_b* C_b) + sum c_i u_i = rhs, split
         into its real and imaginary parts (F need not be Hermitian)."""
-        sizes = dict(self._blocks)
-        res, ims = {}, {}
-        for name, f in block_data.items():
-            f = np.asarray(f, dtype=complex)
-            if f.shape != (sizes[name],) * 2:
-                raise ValueError(f"data for block {name!r} has wrong shape")
-            hre, him = _herm_split(f)
-            res[name] = hre
-            ims[name] = him
-        free_terms = {int(k): complex(v) for k, v in (free_terms or {}).items()}
-        rhs = complex(rhs)
-        fre = {i: complex(c.real) for i, c in free_terms.items() if c.real != 0.0}
-        if any(np.abs(h).max() > 0 for h in res.values()) or fre or rhs.real:
-            self._rows.append((res, fre, rhs.real))
-        fim = {i: complex(c.imag) for i, c in free_terms.items() if c.imag != 0.0}
-        if any(np.abs(h).max() > 0 for h in ims.values()) or fim or rhs.imag:
-            self._rows.append((ims, fim, rhs.imag))
+        data = {name: f[None] for name, f in self._block_data(block_data).items()}
+        self._add_split(data, self._free_row(free_terms), np.array([complex(rhs)]))
+
+    def _add_split(self, data, free, rhs):
+        """Append the rows tr(F_p* C) + free_p.u = rhs_p, each as its real
+        part then its imaginary part; a part that reads 0 = 0 is dropped."""
+        k = rhs.shape[0]
+        parts = {name: np.stack(_herm_split(f), axis=1).reshape(2 * k, *f.shape[1:])
+                 for name, f in data.items()}
+        free = np.stack([free.real, free.imag], axis=1).reshape(2 * k, -1)
+        rhs = np.stack([rhs.real, rhs.imag], axis=1).ravel()
+        keep = (free != 0).any(axis=1) | (rhs != 0)
+        for h in parts.values():
+            keep |= (h != 0).any(axis=(1, 2))
+        self._groups.append(({name: h[keep] for name, h in parts.items()},
+                             free[keep], rhs[keep]))
 
     def add_matrix_eq(self, terms, rhs):
-        """Matrix equality sum(term values) = rhs, expanded into scalar rows.
-
-        Terms (all values complex-linear in the unknowns):
+        """Matrix equality sum(term values) = rhs, expanded into the real and
+        then the imaginary part of each entry (r, s), r <= s; each term is one
+        array operation over all entries.  Terms (complex-linear values):
           ("apply", block, A, m)      sum_pq A_pq C_pq with m x m blocks C_pq
           ("entry", block, scale)     scale * C
           ("blocktrace", block, m, scale) scale * (tr C_pq)_pq, m x m blocks
-          ("freeherm", fh, scale)     scale * Y
           ("kron", coeff, fh)         coeff (x) Y
           ("kron_block", coeff, block) coeff (x) C for a PSD block C
-          ("kron_scalar", coeff, j)   coeff * u_j
-        """
+          ("kron_scalar", coeff, j)   coeff * u_j"""
         rhs = np.asarray(rhs, dtype=complex)
-        dim = rhs.shape[0]
-        sizes = dict(self._blocks)
-        for r in range(dim):
-            for s in range(r, dim):
-                block_data: Dict[str, np.ndarray] = {}
-                free_data: Dict[int, complex] = {}
-
-                def addF(name, f):
-                    block_data[name] = block_data.get(name, 0) + f
-
-                def addv(idx, c):
-                    free_data[idx] = free_data.get(idx, 0.0) + c
-
-                for term in terms:
-                    kind = term[0]
-                    if kind == "apply":
-                        _, name, A, mdim = term
-                        A = np.asarray(A, dtype=complex)
-                        e = np.zeros((mdim, mdim))
-                        e[r, s] = 1.0
-                        addF(name, np.kron(A.conj(), e))
-                    elif kind == "entry":
-                        _, name, scale = term
-                        f = np.zeros((sizes[name],) * 2, dtype=complex)
-                        f[r, s] = scale
-                        addF(name, f)
-                    elif kind == "blocktrace":
-                        _, name, mdim, scale = term
-                        ndim = sizes[name] // mdim
-                        e = np.zeros((ndim, ndim))
-                        e[r, s] = 1.0
-                        addF(name, scale * np.kron(e, np.eye(mdim)))
-                    elif kind == "freeherm":
-                        _, fh, scale = term
-                        for idx, c in fh.entry_coeffs(r, s).items():
-                            addv(idx, scale * c)
-                    elif kind == "kron":
-                        _, coeff, fh = term
-                        coeff = np.asarray(coeff, dtype=complex)
-                        k = fh.size
-                        cr, ar = divmod(r, k)
-                        cs, bs = divmod(s, k)
-                        if coeff[cr, cs] != 0:
-                            for idx, c in fh.entry_coeffs(ar, bs).items():
-                                addv(idx, coeff[cr, cs] * c)
-                    elif kind == "kron_block":
-                        _, coeff, name = term
-                        coeff = np.asarray(coeff, dtype=complex)
-                        k = sizes[name]
-                        cr, ar = divmod(r, k)
-                        cs, bs = divmod(s, k)
-                        if coeff[cr, cs] != 0:
-                            f = np.zeros((k, k), dtype=complex)
-                            f[ar, bs] = coeff[cr, cs].conjugate()
-                            addF(name, f)
-                    elif kind == "kron_scalar":
-                        _, coeff, j = term
-                        coeff = np.asarray(coeff, dtype=complex)
-                        if coeff[r, s] != 0:
-                            addv(j, coeff[r, s])
-                    else:
-                        raise ValueError(f"unknown term kind {kind!r}")
-
-                val = complex(rhs[r, s])
-                # real row
-                bre = {n: _herm_split(f)[0] for n, f in block_data.items()}
-                fre = {i: c.real for i, c in free_data.items() if c.real != 0.0}
-                if any(np.abs(h).max() > 0 for h in bre.values()) or fre or \
-                        abs(val.real) > 0:
-                    self._rows.append((bre, {i: complex(v) for i, v in fre.items()},
-                                       val.real))
-                # imaginary row
-                bim = {n: _herm_split(f)[1] for n, f in block_data.items()}
-                fim = {i: c.imag for i, c in free_data.items() if c.imag != 0.0}
-                if any(np.abs(h).max() > 0 for h in bim.values()) or fim or \
-                        abs(val.imag) > 0:
-                    self._rows.append((bim, {i: complex(v) for i, v in fim.items()},
-                                       val.imag))
+        r, s, _ = _svec_idx(rhs.shape[0])
+        p, sizes, F = np.arange(r.size), dict(self._blocks), {}
+        free = np.zeros((p.size, self._n_free), dtype=complex)
+        def block(name, *shape):      # the data of every entry, as (p, *shape)
+            if name not in F:
+                F[name] = np.zeros((p.size, sizes[name], sizes[name]), dtype=complex)
+            return F[name].reshape(p.size, *shape) if shape else F[name]
+        for kind, *args in terms:
+            if kind == "apply":
+                name, A, mdim = args
+                A = np.asarray(A, dtype=complex)
+                block(name, len(A), mdim, len(A), mdim)[p, :, r, :, s] += A.conj()
+            elif kind == "entry":
+                name, scale = args
+                block(name)[p, r, s] += scale
+            elif kind == "blocktrace":
+                name, mdim, scale = args
+                nd = sizes[name] // mdim
+                block(name, nd, mdim, nd, mdim)[p, r, :, s, :] += scale * np.eye(mdim)
+            elif kind == "kron":
+                coeff, fh = args
+                k = fh.size
+                c = np.asarray(coeff, dtype=complex)[r // k, s // k, None]
+                free[:, fh.start:fh.start + k * k] += c * fh._basis()[r % k * k + s % k]
+            elif kind == "kron_block":
+                coeff, name = args
+                k = sizes[name]
+                block(name)[p, r % k, s % k] += np.conj(coeff)[r // k, s // k]
+            elif kind == "kron_scalar":
+                coeff, j = args
+                free[:, j] += np.asarray(coeff, dtype=complex)[r, s]
+            else:
+                raise ValueError(f"unknown term kind {kind!r}")
+        self._add_split(F, free, rhs[r, s])
 
     def set_objective(self, block_terms: Dict[str, np.ndarray],
                       free_terms: Optional[Dict[int, float]] = None):
@@ -1098,68 +1083,91 @@ class HermitianProblem:
 
     # -- building ------------------------------------------------------------
 
-    def _is_real(self) -> bool:
+    def _imag_vars(self) -> np.ndarray:
+        """Mask of the free variables that are imaginary parts."""
+        imag = np.zeros(self._n_free, dtype=bool)
+        for fh in self._free_herms:
+            imag[fh.start:fh.start + fh.n_vars] = (fh._basis().imag != 0).any(axis=0)
+        return imag
+
+    def _is_real(self, imag: np.ndarray) -> bool:
         """True when restricting all unknowns to real entries is lossless.
 
         That holds when each row is either invariant under conjugating every
         unknown (real data, no imaginary-component variables) or flips sign
         entirely (imaginary data, rhs 0, only imaginary-component variables).
         """
-        for bt, ft, rhs in self._rows:
-            im_max = max([float(np.abs(h.imag).max()) for h in bt.values()] + [0.0])
-            re_max = max([float(np.abs(h.real).max()) for h in bt.values()] + [0.0])
-            keys = set(ft)
-            even = im_max <= 1e-13 and not (keys & self._imag_vars)
-            odd = re_max <= 1e-13 and abs(rhs) <= 1e-12 and \
-                keys <= self._imag_vars
-            if not (even or odd):
+        for bt, ft, rhs in self._groups:
+            im_max = re_max = np.zeros(rhs.shape[0])
+            for h in bt.values():
+                im_max = np.maximum(im_max, np.abs(h.imag).max(axis=(1, 2)))
+                re_max = np.maximum(re_max, np.abs(h.real).max(axis=(1, 2)))
+            uses = ft != 0
+            im = imag[:ft.shape[1]]
+            even = (im_max <= 1e-13) & ~uses[:, im].any(axis=1)
+            odd = (re_max <= 1e-13) & (np.abs(rhs) <= 1e-12) & \
+                ~uses[:, ~im].any(axis=1)
+            if not (even | odd).all():
                 return False
         if self._obj is not None:
             bt, ft = self._obj
             if max([float(np.abs(h.imag).max()) for h in bt.values()] + [0.0]) > 1e-13:
                 return False
-            if set(ft) & self._imag_vars:
+            if any(imag[i] for i in ft):
                 return False
         return True
 
     def build(self, force_realify: bool = False):
         """Return (SDPProblem, decoder)."""
-        real_path = (not force_realify) and self._is_real()
-        pb = ProblemBuilder()
-        if real_path:
-            for name, sz in self._blocks:
-                pb.add_block(name, sz)
-            kept_vars = sorted(set(range(self._n_free)) - self._imag_vars)
-        else:
-            for name, sz in self._blocks:
-                pb.add_block(name, 2 * sz)
-            kept_vars = list(range(self._n_free))
-        var_map = {v: k for k, v in enumerate(kept_vars)}
-        pb.add_free(len(kept_vars))
-        for bt, ft, rhs in self._rows:
+        imag = self._imag_vars()
+        real_path = (not force_realify) and self._is_real(imag)
+        kept_vars = np.flatnonzero(~imag) if real_path else np.arange(self._n_free)
+        blocks = tuple((name, sz if real_path else 2 * sz) for name, sz in self._blocks)
+        groups = []
+        for bt, ft, rhs in self._groups:
+            ft = ft[:, kept_vars[:np.searchsorted(kept_vars, ft.shape[1])]]
             if real_path:
-                data = {n: h.real for n, h in bt.items()
-                        if np.abs(h.real).max() > 0}
-                free = {var_map[i]: c.real for i, c in ft.items()
-                        if i in var_map and c.real != 0.0}
-                if not data and not free:
-                    continue   # conjugation-odd row, satisfied identically
-                pb.add_row(data, free, rhs)
+                data = {name: h.real for name, h in bt.items()}
+                # a conjugation-odd row reads 0 = 0 on real unknowns
+                keep = (ft != 0).any(axis=1)
+                for d in data.values():
+                    keep |= (d != 0).any(axis=(1, 2))
+                data = {name: d[keep] for name, d in data.items()}
+                ft, rhs = ft[keep], rhs[keep]
             else:
-                data = {n: 0.5 * realify(h) for n, h in bt.items()}
-                free = {var_map[i]: c.real for i, c in ft.items()}
-                pb.add_row(data, free, rhs)
+                data = {name: 0.5 * np.block([[h.real, -h.imag], [h.imag, h.real]])
+                        for name, h in bt.items()}
+            groups.append((data, ft, rhs))
+        m = sum(rhs.shape[0] for _, _, rhs in groups)
+        A_blocks = {name: np.zeros((m, svec_dim(sz))) for name, sz in blocks}
+        A_free, b = np.zeros((m, kept_vars.size)), np.zeros(m)
+        i = 0
+        for data, ft, rhs in groups:
+            k = rhs.shape[0]
+            for name, d in data.items():
+                # the data is symmetric; averaging the two triangles only
+                # gives each zero the sign ProblemBuilder gives it
+                iu, ju, w = _svec_idx(d.shape[1])
+                A_blocks[name][i:i + k] = 0.5 * (d[:, iu, ju] + d[:, ju, iu]) * w
+            A_free[i:i + k, :ft.shape[1]] = ft
+            b[i:i + k] = rhs
+            i += k
+        obj_blocks = obj_free = None
         if self._obj is not None:
             bt, ft = self._obj
-            if real_path:
-                pb.set_objective({n: h.real for n, h in bt.items()},
-                                 {var_map[i]: float(a) for i, a in ft.items()})
-            else:
-                pb.set_objective({n: 0.5 * realify(h) for n, h in bt.items()},
-                                 {var_map[i]: float(a) for i, a in ft.items()})
+            obj_blocks = tuple(
+                svec(bt[name].real if real_path else 0.5 * realify(bt[name]))
+                if name in bt else np.zeros(svec_dim(sz)) for name, sz in blocks)
+            var_map = {v: k for k, v in enumerate(kept_vars)}
+            obj_free = np.zeros(kept_vars.size)
+            for i, a in ft.items():
+                obj_free[var_map[i]] = float(a)
+        problem = SDPProblem(blocks, int(kept_vars.size),
+                             tuple(A_blocks[name] for name, _ in blocks),
+                             A_free, b, obj_blocks, obj_free)
         decoder = _HermitianDecoder(self._blocks, self._free_herms,
                                     self._n_free, kept_vars, real_path)
-        return pb.build(), decoder
+        return problem, decoder
 
     # -- solving -------------------------------------------------------------
 
@@ -1181,8 +1189,7 @@ class _HermitianDecoder:
     def full_free(self, free_values):
         out = np.zeros(self.n_free)
         if free_values is not None:
-            for k, v in enumerate(self.kept_vars):
-                out[v] = free_values[k]
+            out[self.kept_vars] = free_values
         return out
 
     def block(self, name, witness):

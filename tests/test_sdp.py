@@ -74,8 +74,7 @@ def test_scaled_nt_step(n, seed, scale):
         dz, ds = ((rand_pd(gen, n), rand_pd(gen, n)) if psd
                   else gen.standard_normal((2, n, n)))
         dz, ds = scale * (dz + dz.T), (ds + ds.T) / scale
-        a_z = S._max_step(rinv @ dz @ rinv.T, v)
-        a_s = S._max_step(r.T @ ds @ r, v)
+        a_z, a_s = S._max_steps(np.stack([rinv @ dz @ rinv.T, r.T @ ds @ r]), v)
         assert abs(a_z - _step_reference(z, dz)) < 1e-7
         assert abs(a_s - _step_reference(s, ds)) < 1e-7
         if psd:
@@ -400,6 +399,173 @@ def test_complex_scalar_block():
     sol = hp.solve()
     assert sol.feasible
     assert abs(sol.block("z")[0, 0] - 1.0) < 1e-7
+
+
+def _ref_entry_coeffs(fh, i, j):
+    """Complex coefficients of Y_ij over fh's real variables, from the
+    documented layout (diagonal, then (Re, Im) pairs row-major for i < j)."""
+    if i == j:
+        return {fh.start + i: 1.0 + 0j}
+    lo, hi, n = min(i, j), max(i, j), fh.size
+    re = fh.start + n + 2 * ((2 * n - lo - 1) * lo // 2 + (hi - lo - 1))
+    return {re: 1.0 + 0j, re + 1: (-1j if i > j else 1j)}
+
+
+def _ref_entry(sizes, terms, r, s):
+    """Data of entry (r, s) of a matrix equality: one np.kron or one-entry
+    matrix per term, free coefficients accumulated per variable."""
+    bt, ft = {}, {}
+    for term, *t in terms:
+        if term == "apply":
+            e = np.zeros((t[2], t[2]))
+            e[r, s] = 1.0
+            bt[t[0]] = bt.get(t[0], 0) + np.kron(np.conj(t[1]), e)
+        elif term == "entry":
+            f = np.zeros((sizes[t[0]],) * 2, complex)
+            f[r, s] = t[1]
+            bt[t[0]] = bt.get(t[0], 0) + f
+        elif term == "blocktrace":
+            e = np.zeros((sizes[t[0]] // t[1],) * 2)
+            e[r, s] = 1.0
+            bt[t[0]] = bt.get(t[0], 0) + t[2] * np.kron(e, np.eye(t[1]))
+        elif term == "kron_block":
+            k = sizes[t[1]]
+            if t[0][r // k, s // k] != 0:
+                f = np.zeros((k, k), complex)
+                f[r % k, s % k] = np.conj(t[0][r // k, s // k])
+                bt[t[1]] = bt.get(t[1], 0) + f
+        elif term == "kron":
+            k = t[1].size
+            c = t[0][r // k, s // k]
+            for idx, v in _ref_entry_coeffs(t[1], r % k, s % k).items():
+                if c != 0:
+                    ft[idx] = ft.get(idx, 0.0) + c * v
+        elif term == "kron_scalar" and t[0][r, s] != 0:
+            ft[t[1]] = ft.get(t[1], 0.0) + t[0][r, s]
+    return bt, ft
+
+
+def _ref_rows(sizes, calls):
+    """Reference expansion: a dict row per entry (r, s), each split into a
+    real and an imaginary row."""
+    rows = []
+
+    def split(bt, ft, val):
+        for part, take in ((0, np.real), (1, np.imag)):
+            data = {n: (0.5 * (f + f.conj().T), 0.5j * (f - f.conj().T))[part]
+                    for n, f in bt.items()}
+            free = {i: complex(take(c)) for i, c in ft.items() if take(c) != 0}
+            if any(np.abs(h).max() > 0 for h in data.values()) or free or take(val):
+                rows.append((data, free, float(take(val))))
+    for kind, *a in calls:
+        if kind == "scalar":
+            rows.append(({n: np.asarray(h, complex) for n, h in a[0].items()},
+                         {i: complex(c) for i, c in a[1].items()}, float(a[2])))
+        elif kind == "complex":
+            split({n: np.asarray(f, complex) for n, f in a[0].items()},
+                  {i: complex(c) for i, c in a[1].items()}, complex(a[2]))
+        else:
+            terms, rhs = a
+            for r in range(len(rhs)):
+                for s in range(r, len(rhs)):
+                    split(*_ref_entry(sizes, terms, r, s), complex(rhs[r, s]))
+    return rows
+
+
+def _ref_build(blocks, n_free, imag, rows, force_realify):
+    """Reference build through ProblemBuilder, one dict per row."""
+    def is_real():
+        for bt, ft, rhs in rows:
+            im = max([np.abs(h.imag).max() for h in bt.values()] + [0.0])
+            re = max([np.abs(h.real).max() for h in bt.values()] + [0.0])
+            if not ((im <= 1e-13 and not set(ft) & imag) or
+                    (re <= 1e-13 and abs(rhs) <= 1e-12 and set(ft) <= imag)):
+                return False
+        return True
+    real = not force_realify and is_real()
+    kept = sorted(set(range(n_free)) - imag) if real else list(range(n_free))
+    vmap = {v: k for k, v in enumerate(kept)}
+    pb = ProblemBuilder()
+    for name, sz in blocks:
+        pb.add_block(name, sz if real else 2 * sz)
+    pb.add_free(len(kept))
+    for bt, ft, rhs in rows:
+        if real:
+            data = {n: h.real for n, h in bt.items() if np.abs(h.real).max() > 0}
+            free = {vmap[i]: c.real for i, c in ft.items()
+                    if i in vmap and c.real != 0}
+            if data or free:
+                pb.add_row(data, free, rhs)
+        else:
+            pb.add_row({n: 0.5 * realify(h) for n, h in bt.items()},
+                       {vmap[i]: c.real for i, c in ft.items()}, rhs)
+    return pb.build(), kept, real
+
+
+_TERM_KINDS = ("apply", "entry", "blocktrace", "kron", "kron_block",
+               "kron_scalar")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 4]), st.booleans(),
+       st.lists(st.one_of(st.sets(st.sampled_from(_TERM_KINDS), min_size=1),
+                          st.sampled_from(["complex", "scalar"])),
+                min_size=1, max_size=4),
+       st.integers(0, 10_000))
+def test_hermitian_rows_match_entrywise_reference(d, real, calls, seed):
+    """The array-built rows of HermitianProblem equal, entry for entry, the
+    per-(r, s) expansion, on both build paths."""
+    gen = rng(seed)
+
+    def mat(*shape, mask=True):
+        x = gen.standard_normal(shape)
+        if not real:
+            x = x + 1j * gen.standard_normal(shape)
+        return x * (gen.random(shape) < 0.7) if mask else x
+
+    hp = HermitianProblem()
+    sizes = {"P": d, "C": 2 * d, "K": d // 2}
+    for name, n in sizes.items():
+        hp.add_block(name, n)
+    frees = list(hp.add_free(2))
+    fh = hp.add_free_hermitian("Y", d // 2)
+    made = []
+    for call in calls:
+        if call == "scalar":
+            h = mat(d, d, mask=False)
+            made.append(("scalar", {"P": 0.5 * (h + h.conj().T)},
+                         {frees[-1]: float(gen.standard_normal())},
+                         float(gen.standard_normal())))
+        elif call == "complex":
+            made.append(("complex", {"P": mat(d, d), "C": mat(2 * d, 2 * d)},
+                         {frees[0]: complex(mat(1)[0])}, complex(mat(1)[0])))
+        else:
+            term = {"apply": ("apply", "C", mat(2, 2), d),
+                    "entry": ("entry", "P", complex(mat(1)[0])),
+                    "blocktrace": ("blocktrace", "C", 2, complex(mat(1)[0])),
+                    "kron": ("kron", mat(2, 2), fh),
+                    "kron_block": ("kron_block", mat(2, 2), "K"),
+                    "kron_scalar": ("kron_scalar", mat(d, d), frees[-1])}
+            made.append(("eq", [term[k] for k in sorted(call)], mat(d, d)))
+        {"scalar": hp.add_scalar_row, "complex": hp.add_complex_row,
+         "eq": hp.add_matrix_eq}[made[-1][0]](*made[-1][1:])
+        if len(frees) == 2:          # a free added after the first rows
+            frees += list(hp.add_free(1))
+    rows = _ref_rows(sizes, made)
+    k = d // 2
+    imag = {fh.start + k + 2 * i + 1 for i in range(k * (k - 1) // 2)}
+    for force in (False, True):
+        problem, dec = hp.build(force_realify=force)
+        ref, kept, real_path = _ref_build(list(sizes.items()), hp._n_free,
+                                          imag, rows, force)
+        assert problem.blocks == ref.blocks and problem.n_free == ref.n_free
+        assert dec.real_path == real_path and list(dec.kept_vars) == kept
+        for got, want in zip(problem.A_blocks, ref.A_blocks):
+            assert np.array_equal(got, want)
+        assert np.array_equal(problem.A_free, ref.A_free)
+        assert np.array_equal(problem.rhs, ref.rhs)
+        if real and not force:
+            assert real_path
 
 
 def test_feasible_witness_contract():
