@@ -14,8 +14,16 @@ complement of range(A_free), the free part c_free.u of the objective is
 folded into the block objective plus a constant, and after the solve the
 free values are recovered as u = A_free^+ (b - A z) (rays likewise, with
 b -> 0).  When c_free has a component in null(A_free), the objective is
-unbounded on every feasible point.  Witnesses are polished and verified
-against the original, unreduced rows.
+unbounded on every feasible point.
+
+Presolve factors the equality rows [A_blocks | A_free] once per solve
+(:class:`_Rows`): each row and its rhs are divided by the row's sup-norm,
+and one LAPACK dgeqp3 of their transpose, As' P = Q R, gives the rank r, the
+kept rows P[:r], consistency (the least-norm point meets every scaled row to
+1e-8) and the least-norm correction Q1 R11^-T (res / scale)[P[:r]], with Q
+applied from its reflectors.  Polish, the base point of an unbounded margin,
+each rescue round and the 1e-11 re-solve use these factors; witnesses are
+verified against the original rows.
 
 Feasibility questions are decided through a phase-I problem
 
@@ -282,7 +290,7 @@ class ProblemBuilder:
 
 
 # ---------------------------------------------------------------------------
-# presolve: row scaling, rank reduction, consistency
+# the equality rows, factored once per solve
 # ---------------------------------------------------------------------------
 
 
@@ -295,24 +303,42 @@ def _numerical_rank(r: np.ndarray) -> int:
     return int(np.sum(diag > max(1e-11 * diag[0], 1e-13)))
 
 
-def _presolve(A: np.ndarray, b: np.ndarray):
-    """Return (keep_rows, consistent).  Rows are scaled to unit sup-norm
-    before rank detection; an inconsistent affine system reports
-    consistent=False (no conic point can exist)."""
-    m = A.shape[0]
-    if m == 0:
-        return np.arange(0), True
-    scale = np.maximum(np.abs(A).max(axis=1), np.abs(b))
-    scale[scale == 0] = 1.0
-    As = A / scale[:, None]
-    bs = b / scale
-    x0, *_ = np.linalg.lstsq(As, bs, rcond=None)
-    resid = float(np.abs(As @ x0 - bs).max()) if m else 0.0
-    if resid > 1e-8:
-        return np.arange(m), False
-    _, r, piv = sla.qr(As.T, mode="economic", pivoting=True, check_finite=False)
-    keep = np.sort(piv[:_numerical_rank(r)])
-    return keep, True
+class _Rows:
+    """The equality rows A x = b of a problem, with A = [A_blocks | A_free]
+    and x = (svec(Z_b)..., u), factored once per solve (see the module
+    docstring)."""
+
+    def __init__(self, problem: SDPProblem):
+        self.problem = problem
+        self.A = np.hstack([*problem.A_blocks, problem.A_free])
+        self.scale = s = np.maximum(np.abs(self.A).max(axis=1, initial=0.0),
+                                    np.abs(problem.rhs))
+        s[s == 0] = 1.0
+        # lwork leaves room for the blocked code at LAPACK's block size 32
+        self.qr, jpvt, self.tau, _, _ = lapack.dgeqp3(
+            self.A.T / s, lwork=2 * problem.m + 32 * (problem.m + 1))
+        self.piv = jpvt - 1
+        self.keep = np.sort(self.piv[:_numerical_rank(self.qr)])
+        # dtrtrs takes R11 contiguous; copied once, not once per correction
+        self.r11 = np.asfortranarray(self.qr[:self.keep.size, :self.keep.size])
+        resid = (self.A @ self.correction(problem.rhs) - problem.rhs) / s
+        self.consistent = float(np.abs(resid).max(initial=0.0)) <= 1e-8
+
+    def kept(self):
+        """(A_blocks, A_free, rhs) of the kept rows."""
+        return ([Ab[self.keep] for Ab in self.problem.A_blocks],
+                self.problem.A_free[self.keep], self.problem.rhs[self.keep])
+
+    def correction(self, res: np.ndarray) -> np.ndarray:
+        """The least-norm dx with A dx = res on the kept rows:
+        Q1 R11^-T (res / scale)[P[:r]], Q applied from its reflectors."""
+        r = self.keep.size
+        dx = np.zeros((self.A.shape[1], 1))
+        if r:                     # dtrtrs rejects an empty system
+            dx[:r, 0] = lapack.dtrtrs(self.r11, (res / self.scale)[self.piv[:r]],
+                                      trans=1)[0]
+            dx = lapack.dormqr("L", "N", self.qr[:, :r], self.tau[:r], dx, 1)[0]
+        return dx[:, 0]
 
 
 def _scale_rows(A_parts, b):
@@ -338,14 +364,10 @@ class _FreeElimination:
     """
 
     def __init__(self, A_parts, F, b, c_parts, c_free):
-        m, nf = F.shape
-        q, r1 = np.eye(m), np.zeros((0, nf))
-        if nf:
-            q, r, piv = sla.qr(F, pivoting=True, check_finite=False)
-            rank = _numerical_rank(r)
-            r1 = np.zeros((rank, nf))
-            r1[:, piv] = r[:rank]
-        rank = r1.shape[0]
+        q, r, piv = sla.qr(F, pivoting=True, check_finite=False)
+        rank = _numerical_rank(r)
+        r1 = np.zeros((rank, F.shape[1]))
+        r1[:, piv] = r[:rank]
         self.F_pinv = np.linalg.pinv(r1) @ q[:, :rank].T
         lam = self.F_pinv.T @ c_free
         null = c_free - F.T @ lam
@@ -398,13 +420,12 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray):
     With Z = Lz Lz' and Lz' S Lz = E D E', R = Lz E D^-1/4 gives the NT point
     W = R R' (W S W = Z) and R' S R = R^-1 Z R^-T = diag(v), v = D^1/2.
     """
-    try:
-        lz = np.linalg.cholesky(z)
-    except np.linalg.LinAlgError:
+    lz, info = lapack.dpotrf(z, lower=1)
+    if info:
         raise _IPMFailure("iterate left the cone")
     m = lz.T @ s @ lz
-    evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
-    if evals[0] <= 0:
+    evals, evecs, info = lapack.dsyevd(0.5 * (m + m.T), lower=1)
+    if info or evals[0] <= 0:
         raise _IPMFailure("scaling matrix not positive definite")
     return (lz @ evecs) * evals ** -0.25, np.sqrt(evals)
 
@@ -646,18 +667,12 @@ def _verify_witness(problem: SDPProblem, Z: Dict[str, np.ndarray],
     return eq_resid, eig_min
 
 
-def _polish(problem: SDPProblem, Z: Dict[str, np.ndarray],
-            u: Optional[np.ndarray]):
+def _polish(rows: _Rows, Z: Dict[str, np.ndarray], u: Optional[np.ndarray]):
     """Least-norm correction moving a witness exactly onto the equalities."""
-    if problem.m == 0:
-        return dict(Z), u
-    parts = [svec(Z[name]) for name, _ in problem.blocks]
-    x = np.concatenate(parts + ([u if u is not None
-                                 else np.zeros(problem.n_free)]
-                                if problem.n_free else []))
-    A = np.hstack([*problem.A_blocks, problem.A_free])
-    delta, *_ = np.linalg.lstsq(A, problem.rhs - A @ x, rcond=None)
-    out, rest = _unpack(problem, x + delta)
+    problem = rows.problem
+    x = np.concatenate([svec(Z[name]) for name, _ in problem.blocks]
+                       + [u if u is not None else np.zeros(problem.n_free)])
+    out, rest = _unpack(problem, x + rows.correction(problem.rhs - rows.A @ x))
     return out, (rest if problem.n_free else u)
 
 
@@ -673,13 +688,6 @@ def _unpack(problem: SDPProblem, x: np.ndarray):
     return out, x[ofs:]
 
 
-def _ls_point(problem: SDPProblem):
-    """Any solution of the affine equality system, ignoring the cone."""
-    A = np.hstack([*problem.A_blocks, problem.A_free])
-    x0, *_ = np.linalg.lstsq(A, problem.rhs, rcond=None)
-    return _unpack(problem, x0)
-
-
 def solve(problem: SDPProblem, tol: float = 1e-8, max_iter: int = 200,
           feas_tol: float = FEAS_TOL) -> SDPSolution:
     """Solve an SDP.  Problems with an objective are maximized; problems
@@ -688,16 +696,6 @@ def solve(problem: SDPProblem, tol: float = 1e-8, max_iter: int = 200,
         return solve_feasibility(problem, tol=tol, max_iter=max_iter,
                                  feas_tol=feas_tol)
     return _solve_optimize(problem, tol, max_iter)
-
-
-def _reduced(problem: SDPProblem):
-    A = np.hstack([*problem.A_blocks, problem.A_free]) if problem.m else \
-        np.zeros((0, sum(svec_dim(s) for _, s in problem.blocks) + problem.n_free))
-    keep, consistent = _presolve(A, problem.rhs)
-    A_parts = [Ab[keep] for Ab in problem.A_blocks]
-    A_free = problem.A_free[keep]
-    b = problem.rhs[keep]
-    return A_parts, A_free, b, consistent
 
 
 def _solve_blocks(sizes, A_parts, A_free, b, c_parts, c_free, tol, max_iter):
@@ -720,10 +718,11 @@ def _solve_blocks(sizes, A_parts, A_free, b, c_parts, c_free, tol, max_iter):
 
 
 def _solve_optimize(problem: SDPProblem, tol, max_iter) -> SDPSolution:
-    A_parts, A_free, b, consistent = _reduced(problem)
-    if not consistent:
+    rows = _Rows(problem)
+    if not rows.consistent:
         return SDPSolution(SolveStatus.INFEASIBLE, margin=-math.inf,
                            info={"reason": "inconsistent equalities"})
+    A_parts, A_free, b = rows.kept()
     sizes = [s for _, s in problem.blocks]
     if problem.obj_blocks is not None:
         c_parts = [-np.asarray(c, dtype=float) for c in problem.obj_blocks]
@@ -755,7 +754,7 @@ def _solve_optimize(problem: SDPProblem, tol, max_iter) -> SDPSolution:
                            info={**res.info, "unbounded_objective": True})
     witness = {name: res.Z[k] for k, (name, _) in enumerate(problem.blocks)}
     ures = el.free_part(res.Z) if nf else None
-    witness, ures = _polish(problem, witness, ures)
+    witness, ures = _polish(rows, witness, ures)
     eq_resid, eig_min = _verify_witness(problem, witness, ures)
     return SDPSolution(SolveStatus.FEASIBLE, witness=witness,
                        free_values=ures,
@@ -779,14 +778,21 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     core's gap test (to its floor 1e-9; the residual tests stay at their
     floor 1e-7).  That result's ``info`` sums ``attempts`` and
     ``iterations_total`` over both solves and sets ``resolves``, the number
-    of these tighter-gap re-solves.
+    of these tighter-gap re-solves, which reuse the factored rows.
     """
     if problem.has_objective:
         raise ValueError("solve_feasibility expects a problem without objective")
-    A_parts, A_free, b, consistent = _reduced(problem)
-    if not consistent:
+    rows = _Rows(problem)
+    if not rows.consistent:
         return SDPSolution(SolveStatus.INFEASIBLE, margin=-math.inf,
                            info={"reason": "inconsistent equalities"})
+    return _phase_one(rows, tol, max_iter, feas_tol)
+
+
+def _phase_one(rows: _Rows, tol, max_iter, feas_tol) -> SDPSolution:
+    """:func:`solve_feasibility` on consistent, factored rows."""
+    problem = rows.problem
+    A_parts, A_free, b = rows.kept()
     sizes = [s for _, s in problem.blocks]
     nb = len(sizes)
     nf = problem.n_free
@@ -821,11 +827,11 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
         ray = {name: Z_ray[k] + t_ray * np.eye(sizes[k])
                for k, (name, _) in enumerate(problem.blocks)}
         u_ray = u_ray[:nf]
-        base, ubase = _ls_point(problem)
+        base, ubase = _unpack(problem, rows.correction(problem.rhs))
         for s in (1.0, 1e2, 1e4, 1e6, 1e8):
             cand = {name: base[name] + s * ray[name] for name, _ in problem.blocks}
             ucand = ubase + s * u_ray
-            cand, ucand = _polish(problem, cand, ucand)
+            cand, ucand = _polish(rows, cand, ucand)
             eq_resid, eig_min = _verify_witness(problem, cand, ucand)
             if eq_resid <= eq_tol and eig_min > feas_tol:
                 return SDPSolution(SolveStatus.FEASIBLE, witness=cand,
@@ -848,7 +854,7 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     band = max(feas_tol, 10.0 * _accuracy(res.info) * (1.0 + abs(t_star)))
 
     if t_star > band:
-        witness, u = _polish(problem, witness, u)
+        witness, u = _polish(rows, witness, u)
         eq_resid, eig_min = _verify_witness(problem, witness, u)
         if eq_resid <= eq_tol and eig_min >= -_WITNESS_EIG_TOL:
             return SDPSolution(SolveStatus.FEASIBLE, witness=witness,
@@ -867,9 +873,7 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     # eigenvalue floor);
     # its info adds both solves' counts and counts the re-solve
     if tol > 1.1e-11:
-        sol = solve_feasibility(problem, tol=1e-11,
-                                max_iter=max(max_iter, 300),
-                                feas_tol=feas_tol)
+        sol = _phase_one(rows, 1e-11, max(max_iter, 300), feas_tol)
         sol.info.update(
             attempts=res.info["attempts"] + sol.info.get("attempts", 0),
             iterations_total=(res.info["iterations_total"]
@@ -881,7 +885,7 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     cand, uc = witness, u
     eq_resid, eig_min = math.inf, -math.inf
     for _ in range(400):
-        cand, uc = _polish(problem, cand, uc)
+        cand, uc = _polish(rows, cand, uc)
         eq_resid, eig_min = _verify_witness(problem, cand, uc)
         if eig_min >= -0.5 * _WITNESS_EIG_TOL:
             break
@@ -1128,8 +1132,9 @@ class HermitianProblem:
             ft = ft[:, kept_vars[:np.searchsorted(kept_vars, ft.shape[1])]]
             if real_path:
                 data = {name: h.real for name, h in bt.items()}
-                # a conjugation-odd row reads 0 = 0 on real unknowns
-                keep = (ft != 0).any(axis=1)
+                # a conjugation-odd row reads 0 = 0 on real unknowns; a
+                # zero row with a nonzero rhs stays, to be found inconsistent
+                keep = (ft != 0).any(axis=1) | (np.abs(rhs) > 1e-12)
                 for d in data.values():
                     keep |= (d != 0).any(axis=(1, 2))
                 data = {name: d[keep] for name, d in data.items()}

@@ -259,6 +259,69 @@ def test_inconsistent_equalities():
     assert sol.margin == -np.inf
 
 
+@pytest.mark.parametrize("force", [False, True], ids=["real", "realified"])
+def test_zero_row_with_nonzero_rhs_is_inconsistent(force):
+    hp = HermitianProblem()
+    hp.add_block("Z", 2)
+    hp.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
+    hp.add_scalar_row({"Z": np.zeros((2, 2))}, {}, 1.0)
+    sol = hp.solve(force_realify=force)
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert sol.info["reason"] == "inconsistent equalities"
+
+
+def _qr_rule_keep(A, b):
+    """The kept rows by the rule of an explicit pivoted QR of the scaled
+    rows' transpose."""
+    scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(b))
+    scale[scale == 0] = 1.0
+    _, r, piv = sla.qr((A / scale[:, None]).T, mode="economic", pivoting=True)
+    return np.sort(piv[:S._numerical_rank(r)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 6),
+       st.lists(st.sampled_from(["zero", "dup", "comb", "big", "small"]),
+                min_size=1, max_size=6),
+       st.integers(0, 10_000))
+def test_row_factorization_matches_lstsq(n, nf, k, extra, seed):
+    """The factored rows keep the rows of the explicit-QR rule, give the
+    least-norm correction of lstsq, and see a dependent row's rhs moved by
+    1e-6 of its scale."""
+    gen = rng(seed)
+    d = n * (n + 1) // 2
+    base = gen.standard_normal((min(k, d + nf), d + nf))
+    rows = list(base)
+    for kind in extra:
+        i, j = gen.integers(len(base), size=2)
+        rows.append({"zero": np.zeros(d + nf), "dup": base[i],
+                     "comb": gen.standard_normal() * base[i]
+                     + gen.standard_normal() * base[j],
+                     "big": 1e6 * base[i], "small": 1e-6 * base[i]}[kind])
+    rows = np.array(rows)[gen.permutation(len(rows))]
+    x_star = gen.standard_normal(d + nf)
+    rhs = rows @ x_star
+
+    def problem(b):
+        return S.SDPProblem((("Z", n),), nf, (rows[:, :d],), rows[:, d:], b)
+
+    fact = S._Rows(problem(rhs))
+    assert fact.consistent
+    assert np.array_equal(fact.keep, _qr_rule_keep(rows, rhs))
+    # lstsq on the rows divided by their sup-norms has the same least-norm
+    # solution as on the raw rows, without their 1e12 spread of scales
+    scale = np.abs(rows).max(axis=1)
+    scale[scale == 0] = 1.0
+    res = rhs - rows @ gen.standard_normal(d + nf)
+    want = np.linalg.lstsq(rows / scale[:, None], res / scale, rcond=None)[0]
+    got = fact.correction(res)
+    assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+    i = int(np.setdiff1d(np.arange(len(rows)), fact.keep)[0])
+    moved = rhs.copy()
+    moved[i] += 1e-6 * max(scale[i], abs(rhs[i]))
+    assert not S._Rows(problem(moved)).consistent
+
+
 def test_unbounded_margin_yields_verified_witness():
     b = ProblemBuilder()
     b.add_block("Z", 2)
@@ -494,7 +557,7 @@ def _ref_build(blocks, n_free, imag, rows, force_realify):
             data = {n: h.real for n, h in bt.items() if np.abs(h.real).max() > 0}
             free = {vmap[i]: c.real for i, c in ft.items()
                     if i in vmap and c.real != 0}
-            if data or free:
+            if data or free or abs(rhs) > 1e-12:
                 pb.add_row(data, free, rhs)
         else:
             pb.add_row({n: 0.5 * realify(h) for n, h in bt.items()},
@@ -610,6 +673,33 @@ def test_resolve_counts_both_solves():
     assert res.info["resolves"] == 1
     assert res.info["attempts"] >= 1 + second.info["attempts"]
     assert res.info["iterations_total"] > second.info["iterations_total"]
+
+
+def test_rows_factored_once_per_solve(monkeypatch):
+    from freeconvex.corpus import interval_tuple, scalar_tuple
+    from freeconvex.spectra import polar_membership
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("lstsq called")
+
+    calls = {"dgeqp3": 0, "solve_feasibility": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    monkeypatch.setattr(S.lapack, "dgeqp3", counted("dgeqp3", S.lapack.dgeqp3))
+    monkeypatch.setattr(S, "solve_feasibility",
+                        counted("solve_feasibility", S.solve_feasibility))
+    # the instance of test_resolve_counts_both_solves: re-solve and rescue
+    res = polar_membership(interval_tuple(-1.0, 1.0), scalar_tuple(1.0),
+                           bounded=True)
+    assert res.status is SolveStatus.FEASIBLE
+    assert res.info["resolves"] == 1 and res.info["rescued"] is True
+    assert calls == {"dgeqp3": 1, "solve_feasibility": 1}
 
 
 def _decision_results(status):
