@@ -43,6 +43,7 @@ from .sdp import (
     HermitianProblem,
     SDPProblem,
     SDPSolution,
+    SolverError,
     SolveStatus,
     build_from_complex,
     solve,

@@ -75,8 +75,8 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
     except RuntimeError as exc:
-        # a solve the answer depends on failed, e.g. is_bounded's recession
-        # solves
+        # a solve the answer depends on failed (sdp.SolverError), e.g. one
+        # of is_bounded's recession solves
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

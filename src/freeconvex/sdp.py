@@ -1,12 +1,12 @@
 """Self-contained dense semidefinite feasibility/optimization engine.
 
-Real symmetric PSD blocks plus free scalar variables, affine equality
-constraints, and a linear objective.  The core is a homogeneous self-dual
-interior-point method with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector, so primal/dual infeasibility and unbounded objectives
-are detected through certificates instead of big-M constructions.  Every
-FEASIBLE answer is re-verified by an independent eigenvalue/residual check
-before it is returned.
+Real symmetric and complex Hermitian PSD blocks plus free scalar variables,
+affine equality constraints, and a linear objective.  The core is a
+homogeneous self-dual interior-point method with Nesterov-Todd scaling and a
+Mehrotra predictor-corrector, so primal/dual infeasibility and unbounded
+objectives are detected through certificates instead of big-M constructions.
+Every FEASIBLE answer is re-verified by an independent eigenvalue/residual
+check before it is returned.
 
 The core sees PSD blocks only.  Presolve eliminates the free columns once:
 with A_free P = Q R (pivoted QR), the rows are projected onto the orthogonal
@@ -37,16 +37,17 @@ slack t is one more free column, eliminated with the others.
 Each iteration solves the Nesterov-Todd system through the Schur complement
 M_ij = sum_b <A_bi, W_b A_bj W_b> over the m equality rows, the assembly of
 Fujisawa, Kojima and Nakata (Math. Prog. 79, 1997) and SDPT3.  The rows of
-each n x n block are unpacked once per solve into full matrices, W A_j W is
-one batched product per block and iteration, and the NT operator v -> W v W
-is applied through W, never stored.  A block costs O(m n^2) memory and
-O(m n^3 + m^2 n^2) time per iteration.
+each n x n block are unpacked once per solve into full matrices.  With the
+NT point W = R R*, M = G G' for G_i = R* A_i R, one batched product per block
+and iteration into buffers kept for the solve, and one symmetric rank-k
+product; the NT operator v -> W v W is applied through R, never stored.  A
+block costs O(m n^2) memory and O(m n^3 + m^2 n^2) time per iteration.
 
 The Newton step is taken in NT-scaled coordinates (Todd, Toh and Tutuncu,
 SIAM J. Optim. 8, 1998; SDPT3): with R from :func:`_nt_scaling`, the scaled
-directions dZ~ = R^-1 dZ R^-T and dS~ = R' dS R satisfy dZ~ + dS~ = rc~ around
+directions dZ~ = R^-1 dZ R^-* and dS~ = R* dS R satisfy dZ~ + dS~ = rc~ around
 the diagonal scaled iterate V = diag(v).  The Mehrotra corrector is
-rc~ = diag(sigma mu / v - v) - (C + C') / (v_i + v_j) with C = dZa~ dSa~, and
+rc~ = diag(sigma mu / v - v) - (C + C*) / (v_i + v_j) with C = dZa~ dSa~, and
 the step to the boundary of a block is one eigvalsh of V^-1/2 dX~ V^-1/2.
 
 The core runs once per solve, from Z = S = I, in normalized units: after the
@@ -67,12 +68,22 @@ holds its rows as stacked arrays, one group per call, and builds the
 SDPProblem directly from them.  The core unpacks its rows and objective
 once and then runs in full-matrix coordinates: residuals are A_flat vec(Z)
 and A_flat' y reshaped, with no svec or smat in the loop; the Schur
-complement is factored by LAPACK's potrf/potrs directly, both step lengths
-of a block come from one batched eigvalsh, and mu along the step is an
-exact quadratic in the step length.
+complement is factored by LAPACK's potrf/potrs directly, and both step
+lengths of a block come from one batched eigvalsh.
 
-Complex Hermitian problems enter through :class:`HermitianProblem`, which
-realifies blocks via [[Re, -Im], [Im, Re]] and maps witnesses back.
+Complex Hermitian blocks are solved natively (as SDPT3 and SeDuMi do): an
+SDPProblem block flagged ``hermitian`` has n^2 real coordinates
+hvec(Z) = [svec(Re Z), sqrt(2) Im Z_ij (i < j)], with <F, Z> = Re tr(F Z)
+= hvec(F).hvec(Z), so presolve, polish, verification and the rescue work on
+real vectors whatever the block.  The one core loop unpacks such a block to
+complex (m, n, n) rows, uses conjugate transposes, zpotrf/zheevd for the NT
+scaling and the real parts of inner products, and forms the Schur
+complement as one real product of float views; a Hermitian block of size n
+adds n to the barrier degree.  This costs about half of the realified
+2n x 2n block [[Re, -Im], [Im, Re]], which :class:`HermitianProblem` builds
+only under ``force_realify`` as a reference.  When every row of a
+HermitianProblem is conjugation-invariant it is solved as a real problem of
+the same size instead.
 """
 
 from __future__ import annotations
@@ -86,11 +97,11 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .algebra import (derealify, hermitian_part, psd_part, realify,
-                      require_hermitian)
+from .algebra import derealify, psd_part, realify, require_hermitian
 
 __all__ = [
     "SolveStatus",
+    "SolverError",
     "Decision",
     "SDPProblem",
     "SDPSolution",
@@ -110,6 +121,10 @@ _WITNESS_EIG_TOL = 1e-8  # ... and have lambda_min >= -this
 # only the gap test, and no further than 1e-9.
 _RESID_TOL_FLOOR = 1e-7
 _GAP_TOL_FLOOR = 1e-9
+
+
+class SolverError(RuntimeError):
+    """A solve that an answer depends on ended in ERROR; the CLI exits 3."""
 
 
 class SolveStatus(Enum):
@@ -138,7 +153,8 @@ class Decision:
 
 
 # ---------------------------------------------------------------------------
-# svec utilities (sqrt-2 scaled upper triangle, so <S,T> = svec(S).svec(T))
+# svec / hvec utilities (sqrt-2 scaled upper triangle, so that
+# <S,T> = svec(S).svec(T), and Re tr(H K) = hvec(H).hvec(K))
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
@@ -174,6 +190,41 @@ def svec_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
+def hvec(h: np.ndarray) -> np.ndarray:
+    """Self-dual coordinates of a Hermitian matrix (or a stack of them):
+    svec(Re H) followed by sqrt(2) Im H_ij for i < j, n^2 reals with
+    Re tr(H K) = hvec(H).hvec(K).  Only the upper triangle is read."""
+    h = np.asarray(h)
+    iu, ju, w = _svec_idx(h.shape[-1])
+    off = w != 1.0
+    return np.concatenate([h.real[..., iu, ju] * w,
+                           _SQRT2 * h.imag[..., iu[off], ju[off]]], axis=-1)
+
+
+def hmat(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of hvec; a stack (..., n^2) gives (..., n, n) complex."""
+    iu, ju, w = _svec_idx(n)
+    off = w != 1.0
+    v = np.asarray(v, dtype=float)
+    out = smat(v[..., :iu.size], n).astype(complex)
+    im = v[..., iu.size:] / _SQRT2
+    out[..., iu[off], ju[off]] += 1j * im
+    out[..., ju[off], iu[off]] -= 1j * im
+    return out
+
+
+def _vec(x: np.ndarray, herm: bool) -> np.ndarray:
+    return hvec(x) if herm else svec(x)
+
+
+def _mat(v: np.ndarray, n: int, herm: bool) -> np.ndarray:
+    return hmat(v, n) if herm else smat(v, n)
+
+
+def _vec_dim(n: int, herm: bool) -> int:
+    return n * n if herm else svec_dim(n)
+
+
 # ---------------------------------------------------------------------------
 # problem containers
 # ---------------------------------------------------------------------------
@@ -181,13 +232,20 @@ def svec_dim(n: int) -> int:
 
 @dataclass(frozen=True)
 class SDPProblem:
-    """Dense real SDP in primal form.
+    """Dense SDP in primal form, with real data.
 
     blocks: (name, size) PSD variable blocks Z_b.
+    hermitian: per-block flags aligned with blocks; empty means all real.
+      A real block Z_b is real symmetric, in svec coordinates (svec_dim(n)
+      reals); a Hermitian one is complex Hermitian, in the self-dual
+      coordinates hvec(Z) = [svec(Re Z), sqrt(2) Im Z_ij (i < j)] (n^2
+      reals), so that <F, Z> = Re tr(F Z) = hvec(F).hvec(Z).
     n_free: number of unconstrained scalar variables t.
-    A_blocks[b]: (m x svec_dim(size_b)) equality coefficients for block b.
+    A_blocks[b]: (m x dim_b) equality coefficients for block b in those
+      coordinates.
     A_free: (m x n_free); rhs: (m,).
-    Objective (maximized): sum_b <C_b, Z_b> + d.t, given in svec coordinates.
+    Objective (maximized): sum_b <C_b, Z_b> + d.t, C_b in the same
+    coordinates.
 
     The free variables never reach the interior-point core: presolve
     eliminates them (see :class:`_FreeElimination`) and recovers t from the
@@ -201,10 +259,32 @@ class SDPProblem:
     rhs: np.ndarray
     obj_blocks: Optional[tuple] = None
     obj_free: Optional[np.ndarray] = None
+    hermitian: tuple = ()              # tuple[bool], aligned with blocks
 
     @property
     def m(self) -> int:
         return self.rhs.shape[0]
+
+    @property
+    def herm(self) -> tuple:
+        """The Hermitian flag of every block."""
+        return self.hermitian or (False,) * len(self.blocks)
+
+    def vec(self, Z: Dict[str, np.ndarray]) -> np.ndarray:
+        """The named blocks stacked in their svec / hvec coordinates."""
+        return np.concatenate([_vec(Z[name], h) for (name, _), h
+                               in zip(self.blocks, self.herm)] + [np.zeros(0)])
+
+    def unpack(self, x: np.ndarray):
+        """Split a stacked variable vector into its named blocks and the
+        free part."""
+        out = {}
+        ofs = 0
+        for (name, n), h in zip(self.blocks, self.herm):
+            d = _vec_dim(n, h)
+            out[name] = _mat(x[ofs:ofs + d], n, h)
+            ofs += d
+        return out, x[ofs:]
 
     @property
     def has_objective(self) -> bool:
@@ -305,8 +385,8 @@ def _numerical_rank(r: np.ndarray) -> int:
 
 class _Rows:
     """The equality rows A x = b of a problem, with A = [A_blocks | A_free]
-    and x = (svec(Z_b)..., u), factored once per solve (see the module
-    docstring)."""
+    and x = (svec or hvec(Z_b)..., u), factored once per solve (see the
+    module docstring)."""
 
     def __init__(self, problem: SDPProblem):
         self.problem = problem
@@ -314,10 +394,15 @@ class _Rows:
         self.scale = s = np.maximum(np.abs(self.A).max(axis=1, initial=0.0),
                                     np.abs(problem.rhs))
         s[s == 0] = 1.0
-        # lwork leaves room for the blocked code at LAPACK's block size 32
-        self.qr, jpvt, self.tau, _, _ = lapack.dgeqp3(
-            self.A.T / s, lwork=2 * problem.m + 32 * (problem.m + 1))
-        self.piv = jpvt - 1
+        if self.A.shape[1]:
+            # lwork leaves room for the blocked code at LAPACK's block size 32
+            self.qr, jpvt, self.tau, _, _ = lapack.dgeqp3(
+                self.A.T / s, lwork=2 * problem.m + 32 * (problem.m + 1))
+            self.piv = jpvt - 1
+        else:   # no variables (dgeqp3 rejects lda = 0): rank 0, and the
+            # consistency test below reads the rhs alone
+            self.qr, self.tau = np.zeros((0, problem.m)), np.zeros(0)
+            self.piv = np.arange(problem.m)
         self.keep = np.sort(self.piv[:_numerical_rank(self.qr)])
         # dtrtrs takes R11 contiguous; copied once, not once per correction
         self.r11 = np.asfortranarray(self.qr[:self.keep.size, :self.keep.size])
@@ -363,7 +448,7 @@ class _FreeElimination:
     without bound from every feasible point.
     """
 
-    def __init__(self, A_parts, F, b, c_parts, c_free):
+    def __init__(self, herm, A_parts, F, b, c_parts, c_free):
         q, r, piv = sla.qr(F, pivoting=True, check_finite=False)
         rank = _numerical_rank(r)
         r1 = np.zeros((rank, F.shape[1]))
@@ -374,7 +459,7 @@ class _FreeElimination:
         nn = float(null @ null)
         self.ray = -null / nn if math.sqrt(nn) > 1e-9 * (
             1.0 + float(np.abs(c_free).max(initial=0.0))) else None
-        self.rows, self.rhs = A_parts, b
+        self.herm, self.rows, self.rhs = herm, A_parts, b
         q2 = q[:, rank:]
         self.A_parts = [q2.T @ Ab for Ab in A_parts]
         self.b = q2.T @ b
@@ -383,7 +468,7 @@ class _FreeElimination:
 
     def free_part(self, Z, weight: float = 1.0) -> np.ndarray:
         """u = F^+ (weight b - A z) for the blocks Z; weight 0 maps a ray."""
-        Az = sum((Ab @ svec(z) for Ab, z in zip(self.rows, Z)),
+        Az = sum((Ab @ _vec(z, h) for Ab, z, h in zip(self.rows, Z, self.herm)),
                  np.zeros(self.rhs.shape[0]))
         return self.F_pinv @ (weight * self.rhs - Az)
 
@@ -414,32 +499,48 @@ def _max_steps(dx: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(-lam, 1.0)
 
 
-def _nt_scaling(z: np.ndarray, s: np.ndarray):
-    """NT scaling factor R and scaled iterate v.
+# Cholesky and symmetric/Hermitian eigensolver by the dtype of a block
+_NT_LAPACK = {np.dtype(float): (lapack.dpotrf, lapack.dsyevd),
+              np.dtype(complex): (lapack.zpotrf, lapack.zheevd)}
 
-    With Z = Lz Lz' and Lz' S Lz = E D E', R = Lz E D^-1/4 gives the NT point
-    W = R R' (W S W = Z) and R' S R = R^-1 Z R^-T = diag(v), v = D^1/2.
+
+def _nt_scaling(z: np.ndarray, s: np.ndarray):
+    """NT scaling factor R and scaled iterate v, for a real symmetric or a
+    complex Hermitian block.
+
+    With Z = Lz Lz* and Lz* S Lz = E D E*, R = Lz E D^-1/4 gives the NT point
+    W = R R* (W S W = Z) and R* S R = R^-1 Z R^-* = diag(v), v = D^1/2.
     """
-    lz, info = lapack.dpotrf(z, lower=1)
+    potrf, eigh = _NT_LAPACK[z.dtype]
+    lz, info = potrf(z, lower=1)
     if info:
         raise _IPMFailure("iterate left the cone")
-    m = lz.T @ s @ lz
-    evals, evecs, info = lapack.dsyevd(0.5 * (m + m.T), lower=1)
+    m = lz.conj().T @ s @ lz
+    evals, evecs, info = eigh(0.5 * (m + m.conj().T), lower=1)
     if info or evals[0] <= 0:
         raise _IPMFailure("scaling matrix not positive definite")
     return (lz @ evecs) * evals ** -0.25, np.sqrt(evals)
 
 
-def _schur(A_mats: Sequence[np.ndarray], W: Sequence[np.ndarray],
-           m: int) -> np.ndarray:
-    """Schur complement M_ij = sum_b <A_bi, W_b A_bj W_b>.
+def _schur(A_mats: Sequence[np.ndarray], R: Sequence[np.ndarray],
+           work: Sequence[Tuple[np.ndarray, np.ndarray]], m: int) -> np.ndarray:
+    """Schur complement M_ij = sum_b <A_bi, W_b A_bj W_b> with W_b = R_b R_b*.
 
     A_mats[b] stacks the m equality rows of block b as full (m, n, n)
-    matrices; W_b A_bj W_b is formed for all rows in one batched product.
+    matrices, real symmetric or complex Hermitian.  With G_bi = R_b* A_bi R_b
+    the same sum is <G_bi, G_bj> = Re tr(G_bi G_bj), the dot product of the
+    float views of G_bi and G_bj.  G_b is one batched product per block,
+    written into the block's two (m, n, n) ``work`` buffers (fresh
+    temporaries of a MiB or more cost about as much in page faults as the
+    products), and M is G G' of the float views, one symmetric rank-k
+    product.
     """
     M = np.zeros((m, m))
-    for F, w in zip(A_mats, W):
-        M += F.reshape(m, w.size) @ (w @ F @ w).reshape(m, w.size).T
+    for F, r, (tmp, g) in zip(A_mats, R, work):
+        np.matmul(r.conj().T, F, out=tmp)
+        np.matmul(tmp, r, out=g)
+        g = g.reshape(m, r.size).view(float)
+        M += g @ g.T
     return M
 
 
@@ -453,21 +554,26 @@ class _HSDResult:
     ray: Optional[list] = None
 
 
-def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
-                  b: np.ndarray, c_parts: Sequence[np.ndarray],
+def _hsd_minimize(sizes: Sequence[int], herm: Sequence[bool],
+                  A_parts: Sequence[np.ndarray], b: np.ndarray,
+                  c_parts: Sequence[np.ndarray],
                   tol: float, max_iter: int) -> _HSDResult:
     """minimize sum <C_b,Z_b>  s.t. equalities, Z_b >= 0 (m = 0 allowed),
 
     via the homogeneous self-dual embedding with NT scaling, started from
     Z = S = I; the caller normalizes the data so that this start is central.
-    The rows and the objective arrive in svec coordinates and are unpacked
-    once: the loop works on full n x n matrices, with A_flat[b] the rows of
-    block b as (m, n^2) and <A_i, Z> = A_flat[b][i] . vec(Z)."""
+    A block is real symmetric, or complex Hermitian where ``herm`` says so;
+    one loop serves both, with conjugate transposes and real parts of inner
+    products.  The rows and the objective arrive in svec / hvec coordinates
+    and are unpacked once: the loop works on full n x n matrices, with
+    A_flat[b] the float view of the rows of block b as (m, n^2) matrices,
+    so <A_i, Z> = A_flat[b][i] . vec(Z) viewed as floats."""
     nb = len(sizes)
     m = b.shape[0]
 
-    Z = [np.eye(n) for n in sizes]
-    S = [np.eye(n) for n in sizes]
+    dtype = [np.dtype(complex if h else float) for h in herm]
+    Z = [np.eye(n, dtype=dt) for n, dt in zip(sizes, dtype)]
+    S = [np.eye(n, dtype=dt) for n, dt in zip(sizes, dtype)]
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
     ordn = sum(sizes) + 1
@@ -482,22 +588,28 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
 
     # equality rows and objective unpacked once into full matrices, the
     # blocks whose objective is nonzero, and the weights that turn the
-    # sup-norm of a symmetric matrix into that of its svec
-    A_mats = [smat(A_parts[k], sizes[k]) for k in range(nb)]
-    A_flat = [F.reshape(m, n * n) for F, n in zip(A_mats, sizes)]
-    C = [smat(c, n) for c, n in zip(c_parts, sizes)]
+    # sup-norm of a block's float view into that of its svec / hvec
+    A_mats = [_mat(A_parts[k], sizes[k], herm[k]) for k in range(nb)]
+    A_flat = [F.reshape(m, n * n).view(float) for F, n in zip(A_mats, sizes)]
+    C = [_mat(c, n, h) for c, n, h in zip(c_parts, sizes, herm)]
     c_blocks = [k for k in range(nb) if c_parts[k].any()]
-    svec_wt = [np.where(np.eye(n, dtype=bool), 1.0, _SQRT2) for n in sizes]
+    vec_wt = [np.where(np.eye(n, dtype=bool), 1.0, _SQRT2) for n in sizes]
+    vec_wt = [np.repeat(w, 2, axis=1) if h else w for w, h in zip(vec_wt, herm)]
+    work = [(np.empty_like(F), np.empty_like(F)) for F in A_mats]
 
     def A_op(X):                  # sum_b <A_bi, X_b> for every row i
-        return sum((A_flat[k] @ X[k].ravel() for k in range(nb)), np.zeros(m))
+        return sum((A_flat[k] @ X[k].reshape(-1).view(float) for k in range(nb)),
+                   np.zeros(m))
 
     def At_op(v, k):              # sum_i v_i A_bi for block k
-        return (v @ A_flat[k]).reshape(sizes[k], sizes[k])
+        return (v @ A_flat[k]).view(dtype[k]).reshape(sizes[k], sizes[k])
 
-    def svec_sup(X):              # max_b sup-norm of svec(X_b)
-        return max([float(np.abs(X[k] * svec_wt[k]).max()) for k in range(nb)]
-                   + [0.0])
+    def inner(X, Y):              # <X, Y> = Re tr(X Y) for Hermitian X, Y
+        return float(np.vdot(X, Y).real)
+
+    def vec_sup(X):               # max_b sup-norm of svec / hvec(X_b)
+        return max([float(np.abs(X[k].view(float) * vec_wt[k]).max())
+                    for k in range(nb)] + [0.0])
 
     for it in range(1, max_iter + 1):
         if not (math.isfinite(tau + kappa)
@@ -507,15 +619,15 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
         rP = Ax - b * tau
         Aty = [At_op(y, k) for k in range(nb)]
         rD = [Aty[k] + S[k] - C[k] * tau for k in range(nb)]
-        cx = sum(float(np.vdot(C[k], Z[k])) for k in c_blocks)
+        cx = sum(inner(C[k], Z[k]) for k in c_blocks)
         by = float(b @ y)
         rG = cx - by + kappa
-        gap = sum(float(np.vdot(Z[k], S[k])) for k in range(nb)) + tau * kappa
+        gap = sum(inner(Z[k], S[k]) for k in range(nb)) + tau * kappa
         mu = gap / ordn
 
         # convergence / certificate tests on the normalized iterate
         pres = float(np.abs(rP).max(initial=0.0)) / (tau * bnorm)
-        dres = svec_sup(rD) / (tau * cnorm)
+        dres = vec_sup(rD) / (tau * cnorm)
         pobj, dobj = cx / tau, by / tau
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         if pres <= ptol and dres <= ptol and relgap <= gtol:
@@ -523,7 +635,7 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
                               {"pres": pres, "dres": dres, "relgap": relgap})
         # infeasibility certificates (rays are re-verified by the callers)
         if by > 0:
-            hres = svec_sup([Aty[k] + S[k] for k in range(nb)])
+            hres = vec_sup([Aty[k] + S[k] for k in range(nb)])
             if hres <= 1e-6 * by:
                 return _HSDResult("pinfeas", iterations=it,
                                   info={"farkas_resid": hres / by, "by": by})
@@ -543,12 +655,12 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
                 f"stalled at iteration {it} (mu={mu:.2e}, pres={pres:.2e}, "
                 f"dres={dres:.2e}, relgap={relgap:.2e})")
 
-        # NT scaling W = R R' and the diagonal scaled iterate
-        # R' S R = R^-1 Z R^-T = diag(v); the NT operator X -> W X W is
-        # applied through W and never formed as a matrix
+        # NT scaling W = R R* and the diagonal scaled iterate
+        # R* S R = R^-1 Z R^-* = diag(v); the NT operator X -> W X W is
+        # applied through R and never formed as a matrix
         R, V = zip(*[_nt_scaling(Z[k], S[k]) for k in range(nb)])
-        W = [r @ r.T for r in R]
-        M = _schur(A_mats, W, m)
+        RH = [r.conj().T for r in R]
+        M = _schur(A_mats, R, work, m)
         M.flat[::m + 1] += 1e-13 * (1.0 + np.trace(M) / max(m, 1))
 
         cho, info = lapack.dpotrf(M, lower=1, overwrite_a=1)
@@ -559,28 +671,30 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
         solveM = (lambda v: lapack.dpotrs(cho, v, lower=1)[0]) if m else (lambda v: v)
 
         # the parts of the elimination that stay fixed within an iteration
+        W = {k: R[k] @ RH[k] for k in c_blocks}
         WCW = {k: W[k] @ C[k] @ W[k] for k in c_blocks}
-        q = sum((A_flat[k] @ WCW[k].ravel() for k in c_blocks), np.zeros(m))
-        cWCW = sum(float(np.vdot(C[k], WCW[k])) for k in c_blocks)
+        q = sum((A_flat[k] @ WCW[k].reshape(-1).view(float) for k in c_blocks),
+                np.zeros(m))
+        cWCW = sum(inner(C[k], WCW[k]) for k in c_blocks)
         dy1 = solveM(q + b)
-        rDs = [R[k].T @ rD[k] @ R[k] for k in range(nb)]
+        rDs = [RH[k] @ rD[k] @ R[k] for k in range(nb)]
 
         def direction(rcs, rc_tk):
-            # dZ~ + dS~ = rc~ in scaled coordinates, with dS~ = R' dS R,
-            # dZ = R dZ~ R' and dS = c dtau - rD - A'dy, eliminated into
-            # the Schur system over (dy, dtau); g = R (rc~ + R' rD R) R'
-            g = [R[k] @ (rcs[k] + rDs[k]) @ R[k].T for k in range(nb)]
+            # dZ~ + dS~ = rc~ in scaled coordinates, with dS~ = R* dS R,
+            # dZ = R dZ~ R* and dS = c dtau - rD - A'dy, eliminated into
+            # the Schur system over (dy, dtau); g = R (rc~ + R* rD R) R*
+            g = [R[k] @ (rcs[k] + rDs[k]) @ RH[k] for k in range(nb)]
             dy0 = solveM(-rP - A_op(g))
             qb = q - b
             num = (-rG - rc_tk / tau - float(qb @ dy0)
-                   - sum(float(np.vdot(C[k], g[k])) for k in c_blocks))
+                   - sum(inner(C[k], g[k]) for k in c_blocks))
             den = float(qb @ dy1) - (cWCW + kappa / tau)
             if abs(den) < 1e-300:
                 raise _IPMFailure("singular bordered system")
             dtau = num / den
             dy = dy0 + dtau * dy1
             dS_ = [C[k] * dtau - rD[k] - At_op(dy, k) for k in range(nb)]
-            dSs = [R[k].T @ dS_[k] @ R[k] for k in range(nb)]
+            dSs = [RH[k] @ dS_[k] @ R[k] for k in range(nb)]
             dZs = [rcs[k] - dSs[k] for k in range(nb)]
             dkappa = (rc_tk - kappa * dtau) / tau
             return dZs, dSs, dS_, dy, dtau, dkappa
@@ -600,41 +714,24 @@ def _hsd_minimize(sizes: Sequence[int], A_parts: Sequence[np.ndarray],
         a_aff = max_alpha(dZa, dSa, dta, dka)
         sigma = min(1.0, max((1.0 - a_aff) ** 3, 1e-4))
 
-        # corrector: rc~ = L_V^-1(sigma mu I - V^2 - sym(dZa~ dSa~)), with
+        # corrector: rc~ = L_V^-1(sigma mu I - V^2 - herm(dZa~ dSa~)), with
         # L_V(X) = (V X + X V) / 2 for the diagonal V
         rcs = []
         for k in range(nb):
             v = V[k]
             corr = dZa[k] @ dSa[k]
             rcs.append(np.diag(sigma * mu / v - v)
-                       - (corr + corr.T) / (v[:, None] + v))
+                       - (corr + corr.conj().T) / (v[:, None] + v))
         rc_tk = sigma * mu - tau * kappa - dta * dka
         dZs, dSs, dS, dy, dt, dk = direction(rcs, rc_tk)
         alpha = 0.98 * max_alpha(dZs, dSs, dt, dk)
-
-        # sum_b <V + a dZ~, V + a dS~> as a quadratic in a
-        g0 = sum(float(v @ v) for v in V)
-        g1 = sum(float(V[k] @ (dZs[k].diagonal() + dSs[k].diagonal()))
-                 for k in range(nb))
-        g2 = sum(float(np.vdot(dZs[k], dSs[k])) for k in range(nb))
-
-        def mu_at(a):
-            return (g0 + a * g1 + a * a * g2 + (tau + a * dt) * (kappa + a * dk)) / ordn
-
-        # keep tau*kappa >= gamma*mu: without this the iterate can drift down
-        # the degenerate ray tau, kappa -> 0 which certifies nothing
-        gamma = 1e-3
-        for _ in range(25):
-            if (tau + alpha * dt) * (kappa + alpha * dk) >= gamma * mu_at(alpha):
-                break
-            alpha *= 0.7
         if alpha < 1e-9:
             raise _IPMFailure(f"step length collapsed at iteration {it}")
         for k in range(nb):
-            zk = Z[k] + alpha * (R[k] @ dZs[k] @ R[k].T)
+            zk = Z[k] + alpha * (R[k] @ dZs[k] @ RH[k])
             sk = S[k] + alpha * dS[k]
-            Z[k] = 0.5 * (zk + zk.T)
-            S[k] = 0.5 * (sk + sk.T)
+            Z[k] = 0.5 * (zk + zk.conj().T)
+            S[k] = 0.5 * (sk + sk.conj().T)
         y = y + alpha * dy
         tau += alpha * dt
         kappa += alpha * dk
@@ -656,7 +753,7 @@ def _accuracy(info) -> float:
 def _verify_witness(problem: SDPProblem, Z: Dict[str, np.ndarray],
                     u: Optional[np.ndarray]):
     """Independent residual/eigenvalue check, separate from solver internals."""
-    z_sv = [svec(Z[name]) for name, _ in problem.blocks]
+    z_sv = [_vec(Z[name], h) for (name, _), h in zip(problem.blocks, problem.herm)]
     lhs = sum(Ab @ zv for Ab, zv in zip(problem.A_blocks, z_sv)) \
         if problem.m else np.zeros(0)
     if problem.n_free:
@@ -670,22 +767,10 @@ def _verify_witness(problem: SDPProblem, Z: Dict[str, np.ndarray],
 def _polish(rows: _Rows, Z: Dict[str, np.ndarray], u: Optional[np.ndarray]):
     """Least-norm correction moving a witness exactly onto the equalities."""
     problem = rows.problem
-    x = np.concatenate([svec(Z[name]) for name, _ in problem.blocks]
-                       + [u if u is not None else np.zeros(problem.n_free)])
-    out, rest = _unpack(problem, x + rows.correction(problem.rhs - rows.A @ x))
+    x = np.concatenate([problem.vec(Z),
+                        u if u is not None else np.zeros(problem.n_free)])
+    out, rest = problem.unpack(x + rows.correction(problem.rhs - rows.A @ x))
     return out, (rest if problem.n_free else u)
-
-
-def _unpack(problem: SDPProblem, x: np.ndarray):
-    """Split a stacked variable vector into its named blocks and the free
-    part."""
-    out = {}
-    ofs = 0
-    for name, s in problem.blocks:
-        d = svec_dim(s)
-        out[name] = smat(x[ofs:ofs + d], s)
-        ofs += d
-    return out, x[ofs:]
 
 
 def solve(problem: SDPProblem, tol: float = 1e-8, max_iter: int = 200,
@@ -698,7 +783,8 @@ def solve(problem: SDPProblem, tol: float = 1e-8, max_iter: int = 200,
     return _solve_optimize(problem, tol, max_iter)
 
 
-def _solve_blocks(sizes, A_parts, A_free, b, c_parts, c_free, tol, max_iter):
+def _solve_blocks(sizes, herm, A_parts, A_free, b, c_parts, c_free, tol,
+                  max_iter):
     """Eliminate the free columns, then run the core once on the blocks alone,
     in units where the rows and the rhs have unit sup-norm.
 
@@ -706,10 +792,11 @@ def _solve_blocks(sizes, A_parts, A_free, b, c_parts, c_free, tol, max_iter):
     mapped back, while rays and Farkas certificates are directions and stay.
     ``info`` gets ``attempts`` (1: one IPM run) and ``iterations_total``.
     """
-    el = _FreeElimination(A_parts, A_free, b, c_parts, c_free)
+    el = _FreeElimination(herm, A_parts, A_free, b, c_parts, c_free)
     A_red, b_red = _scale_rows(el.A_parts, el.b)
     beta = float(np.abs(b_red).max(initial=0.0)) or 1.0
-    res = _hsd_minimize(sizes, A_red, b_red / beta, el.c_parts, tol, max_iter)
+    res = _hsd_minimize(sizes, herm, A_red, b_red / beta, el.c_parts, tol,
+                        max_iter)
     if res.kind == "optimal":
         res.Z = [beta * z for z in res.Z]
         res.pobj *= beta
@@ -723,19 +810,19 @@ def _solve_optimize(problem: SDPProblem, tol, max_iter) -> SDPSolution:
         return SDPSolution(SolveStatus.INFEASIBLE, margin=-math.inf,
                            info={"reason": "inconsistent equalities"})
     A_parts, A_free, b = rows.kept()
-    sizes = [s for _, s in problem.blocks]
+    sizes, herm = [s for _, s in problem.blocks], problem.herm
     if problem.obj_blocks is not None:
         c_parts = [-np.asarray(c, dtype=float) for c in problem.obj_blocks]
     else:
-        c_parts = [np.zeros(svec_dim(s)) for s in sizes]
+        c_parts = [np.zeros(_vec_dim(s, h)) for s, h in zip(sizes, herm)]
     c_free = -(problem.obj_free if problem.obj_free is not None
                else np.zeros(problem.n_free))
     if b.shape[0] == 0:
         return SDPSolution(SolveStatus.ERROR,
                            info={"reason": "optimization without constraints"})
     try:
-        el, res = _solve_blocks(sizes, A_parts, A_free, b, c_parts, c_free,
-                                tol, max_iter)
+        el, res = _solve_blocks(sizes, herm, A_parts, A_free, b, c_parts,
+                                c_free, tol, max_iter)
     except _IPMFailure as exc:
         return SDPSolution(SolveStatus.ERROR, info={"reason": str(exc)})
     if res.kind == "pinfeas":
@@ -793,7 +880,7 @@ def _phase_one(rows: _Rows, tol, max_iter, feas_tol) -> SDPSolution:
     """:func:`solve_feasibility` on consistent, factored rows."""
     problem = rows.problem
     A_parts, A_free, b = rows.kept()
-    sizes = [s for _, s in problem.blocks]
+    sizes, herm = [s for _, s in problem.blocks], problem.herm
     nb = len(sizes)
     nf = problem.n_free
     if b.shape[0] == 0:
@@ -802,12 +889,13 @@ def _phase_one(rows: _Rows, tol, max_iter, feas_tol) -> SDPSolution:
                            free_values=np.zeros(nf), margin=math.inf,
                            info={"reason": "no equality constraints"})
     # substitute Z_b = Z'_b + t I with Z'_b >= 0 and free t; maximize t
-    t_col = sum(A_parts[k] @ svec(np.eye(sizes[k])) for k in range(nb))
+    t_col = sum(A_parts[k] @ _vec(np.eye(sizes[k]), herm[k]) for k in range(nb))
     c_free = np.zeros(nf + 1)
     c_free[-1] = -1.0          # minimize -t
     try:
-        el, res = _solve_blocks(sizes, A_parts, np.column_stack([A_free, t_col]),
-                                b, [np.zeros(svec_dim(s)) for s in sizes],
+        el, res = _solve_blocks(sizes, herm, A_parts,
+                                np.column_stack([A_free, t_col]), b,
+                                [np.zeros(_vec_dim(s, h)) for s, h in zip(sizes, herm)],
                                 c_free, tol, max_iter)
     except _IPMFailure as exc:
         return SDPSolution(SolveStatus.ERROR, info={"reason": str(exc)})
@@ -827,7 +915,7 @@ def _phase_one(rows: _Rows, tol, max_iter, feas_tol) -> SDPSolution:
         ray = {name: Z_ray[k] + t_ray * np.eye(sizes[k])
                for k, (name, _) in enumerate(problem.blocks)}
         u_ray = u_ray[:nf]
-        base, ubase = _unpack(problem, rows.correction(problem.rhs))
+        base, ubase = problem.unpack(rows.correction(problem.rhs))
         for s in (1.0, 1e2, 1e4, 1e6, 1e8):
             cand = {name: base[name] + s * ray[name] for name, _ in problem.blocks}
             ucand = ubase + s * u_ray
@@ -846,8 +934,10 @@ def _phase_one(rows: _Rows, tol, max_iter, feas_tol) -> SDPSolution:
                                            "not yield a verified witness"})
     u = el.free_part(res.Z)
     t_star, u = float(u[nf]), u[:nf]
-    witness = {name: hermitian_part(res.Z[k] + t_star * np.eye(sizes[k])).real
-               for k, (name, _) in enumerate(problem.blocks)}
+    witness = {}
+    for (name, n), z in zip(problem.blocks, res.Z):
+        z = z + t_star * np.eye(n)
+        witness[name] = 0.5 * (z + z.conj().T)
     base_info = {**res.info, "t_star": t_star}
     it = res.iterations
     # widen the marginal band to the achieved solver accuracy
@@ -950,10 +1040,11 @@ class HermitianProblem:
 
     Rows are held in groups, one per ``add_*`` call: a (k, n, n) stack of
     exactly Hermitian data per block, a (k, n_free) real array of free
-    coefficients and a (k,) rhs.  ``solve`` realifies blocks through
-    [[Re, -Im], [Im, Re]]; when every row is conjugation-invariant the
-    equivalent real-restricted problem is solved directly at half the block
-    size.
+    coefficients and a (k,) rhs.  ``solve`` hands the engine native
+    Hermitian blocks; when every row is conjugation-invariant the equivalent
+    real-restricted problem is solved instead, with real blocks of the same
+    size.  ``force_realify`` builds the realified 2n x 2n blocks
+    [[Re, -Im], [Im, Re]] instead, as a reference.
     """
 
     def __init__(self):
@@ -1122,11 +1213,20 @@ class HermitianProblem:
         return True
 
     def build(self, force_realify: bool = False):
-        """Return (SDPProblem, decoder)."""
+        """Return (SDPProblem, decoder).
+
+        When every row is conjugation-invariant the blocks are real of the
+        same size (the real path); otherwise they are native Hermitian blocks
+        in hvec coordinates.  ``force_realify`` instead embeds every block as
+        the real 2n x 2n block [[Re, -Im], [Im, Re]] / 2, the reference the
+        native blocks are tested against.
+        """
         imag = self._imag_vars()
         real_path = (not force_realify) and self._is_real(imag)
+        herm = not (real_path or force_realify)
         kept_vars = np.flatnonzero(~imag) if real_path else np.arange(self._n_free)
-        blocks = tuple((name, sz if real_path else 2 * sz) for name, sz in self._blocks)
+        blocks = tuple((name, 2 * sz if force_realify else sz)
+                       for name, sz in self._blocks)
         groups = []
         for bt, ft, rhs in self._groups:
             ft = ft[:, kept_vars[:np.searchsorted(kept_vars, ft.shape[1])]]
@@ -1139,17 +1239,22 @@ class HermitianProblem:
                     keep |= (d != 0).any(axis=(1, 2))
                 data = {name: d[keep] for name, d in data.items()}
                 ft, rhs = ft[keep], rhs[keep]
-            else:
+            elif force_realify:
                 data = {name: 0.5 * np.block([[h.real, -h.imag], [h.imag, h.real]])
                         for name, h in bt.items()}
+            else:
+                data = bt
             groups.append((data, ft, rhs))
         m = sum(rhs.shape[0] for _, _, rhs in groups)
-        A_blocks = {name: np.zeros((m, svec_dim(sz))) for name, sz in blocks}
+        A_blocks = {name: np.zeros((m, _vec_dim(sz, herm))) for name, sz in blocks}
         A_free, b = np.zeros((m, kept_vars.size)), np.zeros(m)
         i = 0
         for data, ft, rhs in groups:
             k = rhs.shape[0]
             for name, d in data.items():
+                if herm:
+                    A_blocks[name][i:i + k] = hvec(d)
+                    continue
                 # the data is symmetric; averaging the two triangles only
                 # gives each zero the sign ProblemBuilder gives it
                 iu, ju, w = _svec_idx(d.shape[1])
@@ -1161,17 +1266,20 @@ class HermitianProblem:
         if self._obj is not None:
             bt, ft = self._obj
             obj_blocks = tuple(
-                svec(bt[name].real if real_path else 0.5 * realify(bt[name]))
-                if name in bt else np.zeros(svec_dim(sz)) for name, sz in blocks)
+                (hvec(bt[name]) if herm else
+                 svec(0.5 * realify(bt[name]) if force_realify else bt[name].real))
+                if name in bt else np.zeros(_vec_dim(sz, herm)) for name, sz in blocks)
             var_map = {v: k for k, v in enumerate(kept_vars)}
             obj_free = np.zeros(kept_vars.size)
             for i, a in ft.items():
                 obj_free[var_map[i]] = float(a)
         problem = SDPProblem(blocks, int(kept_vars.size),
                              tuple(A_blocks[name] for name, _ in blocks),
-                             A_free, b, obj_blocks, obj_free)
+                             A_free, b, obj_blocks, obj_free,
+                             (True,) * len(blocks) if herm else ())
         decoder = _HermitianDecoder(self._blocks, self._free_herms,
-                                    self._n_free, kept_vars, real_path)
+                                    self._n_free, kept_vars, real_path,
+                                    force_realify)
         return problem, decoder
 
     # -- solving -------------------------------------------------------------
@@ -1184,12 +1292,14 @@ class HermitianProblem:
 
 
 class _HermitianDecoder:
-    def __init__(self, blocks, free_herms, n_free, kept_vars, real_path):
+    def __init__(self, blocks, free_herms, n_free, kept_vars, real_path,
+                 realified):
         self.blocks = blocks
         self.free_herms = {fh.name: fh for fh in free_herms}
         self.n_free = n_free
         self.kept_vars = kept_vars
         self.real_path = real_path
+        self.realified = realified
 
     def full_free(self, free_values):
         out = np.zeros(self.n_free)
@@ -1201,9 +1311,9 @@ class _HermitianDecoder:
         raw = witness.get(name)
         if raw is None:
             return None
-        if self.real_path:
-            return np.asarray(raw, dtype=complex)
-        return derealify(raw)
+        if self.realified:
+            return derealify(raw)
+        return np.asarray(raw, dtype=complex)
 
 
 @dataclass

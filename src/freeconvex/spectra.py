@@ -20,7 +20,7 @@ from .algebra import (HermitianTuple, LinearPencil, evaluate_pencil,
                       hermitian_part, lambda_min, monic_tuple,
                       pencil_from_tuple)
 from .cp import ChoiMatrix, InterpolationMode, interpolate, kraus_of_choi
-from .sdp import FEAS_TOL, Decision, HermitianProblem, SolveStatus
+from .sdp import FEAS_TOL, Decision, HermitianProblem, SolverError, SolveStatus
 
 __all__ = [
     "Spectrahedrop",
@@ -120,7 +120,7 @@ def is_bounded(pencil: LinearPencil, tol: float = 1e-8,
                 hp.add_scalar_row({hi: np.eye(1)}, {vmap[k]: -1.0}, 1.0)
             sol = hp.solve(tol=tol, max_iter=max_iter)
             if sol.status is SolveStatus.ERROR:
-                raise RuntimeError(f"recession solve failed: {sol.info}")
+                raise SolverError(f"recession solve failed: {sol.info}")
             if sol.status is not SolveStatus.INFEASIBLE:
                 return False
     return True
@@ -133,10 +133,11 @@ def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
     First tries the exact joint recession test on the lift: a bounded lift
     spectrahedron forces a bounded projection.  Otherwise the 2g support
     values sup +-x_j over the level-1 lift are maximized; a certified
-    unbounded objective, an optimum beyond `reach`, or a support solve that
-    fails to converge (suprema can be infinite without an improving ray)
-    all count as not-certified-bounded, which is the safe answer: the dual
-    procedures then use the contractive form, valid in general.
+    unbounded objective or an optimum beyond `reach` counts as
+    not-certified-bounded, which is the safe answer: the dual procedures
+    then use the contractive form, valid in general.  A support solve that
+    fails raises :class:`SolverError`, as a failed recession solve of
+    :func:`is_bounded` does.
     """
     lift = drop.lift
     if lift.h == 0:
@@ -159,7 +160,7 @@ def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
             hp.set_objective({}, {xs[j]: sigma})
             sol = hp.solve(tol=tol, max_iter=max_iter)
             if sol.status is SolveStatus.ERROR:
-                return False
+                raise SolverError(f"support solve failed: {sol.info}")
             if sol.status is SolveStatus.INFEASIBLE:
                 return True      # empty level-1 set is bounded
             if sol.info.get("unbounded_objective") or \
@@ -544,7 +545,7 @@ def _interior_y_point(pencil: LinearPencil, tol: float = 1e-8,
     """A point (0, y) with pencil value strictly positive definite, found by
     maximizing the uniform eigenvalue slack at level 1 over y alone.
 
-    Raises RuntimeError when the solve fails and ValueError when no such
+    Raises SolverError when the solve fails and ValueError when no such
     point exists (infeasible, or a slack below 1e-6)."""
     hp = HermitianProblem()
     ys = hp.add_free(pencil.h)
@@ -557,7 +558,7 @@ def _interior_y_point(pencil: LinearPencil, tol: float = 1e-8,
     hp.set_objective({}, {t: 1.0})
     sol = hp.solve(tol=tol, max_iter=max_iter)
     if sol.status is SolveStatus.ERROR:
-        raise RuntimeError(f"lift point solve failed: {sol.info}")
+        raise SolverError(f"lift point solve failed: {sol.info}")
     if sol.status is not SolveStatus.FEASIBLE or \
             (sol.objective_value is not None and sol.objective_value < 1e-6):
         raise ValueError("no strictly feasible lift point above x = 0; the "

@@ -188,6 +188,28 @@ def test_cli_hull_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "solver error: lift point solve failed" in capsys.readouterr().err
 
 
+def test_cli_support_solve_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a failed support solve in drop_level1_bounded is a solver error, as a
+    # failed recession solve of is_bounded is, not an unbounded answer
+    import freeconvex.sdp
+    from freeconvex.cli import main
+
+    def failing_solve(problem, tol, max_iter):
+        return freeconvex.sdp.SDPSolution(freeconvex.sdp.SolveStatus.ERROR,
+                                          info={"reason": "forced"})
+
+    monkeypatch.setattr(freeconvex.sdp, "_solve_optimize", failing_solve)
+    # 1 + 0 x + y >= 0: the lift recedes along x, so the support of x runs
+    one = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
+    zero = {"rows": 1, "cols": 1, "re": [0.0], "im": [0.0]}
+    pf = ProblemFile("bounded", {"pencil": {"A0": one, "x_coeffs": [zero],
+                                            "y_coeffs": [one]}})
+    path = tmp_path / "bounded.json"
+    path.write_text(pf.dumps())
+    assert main(["run", str(path)]) == 3
+    assert "solver error: support solve failed" in capsys.readouterr().err
+
+
 def _corpus_doc_with(name, value, *path):
     """The corpus problem `name` with payload[path] set to value."""
     doc = json.loads(json.dumps(

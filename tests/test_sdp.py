@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import freeconvex.sdp as S
 from freeconvex.algebra import realify
-from freeconvex.rand import rng, rand_hermitian, rand_unitary
-from freeconvex.sdp import (HermitianProblem, ProblemBuilder, SolveStatus,
-                            build_from_complex, solve, svec, smat,
-                            svec_dim)
+from freeconvex.rand import rng, rand_complex, rand_hermitian, rand_unitary
+from freeconvex.sdp import (FEAS_TOL, HermitianProblem, ProblemBuilder,
+                            SolveStatus, build_from_complex, hmat, hvec,
+                            solve, svec, smat, svec_dim)
 
 
 def entry_rows(builder, name, target, n, t=None):
@@ -24,9 +24,9 @@ def entry_rows(builder, name, target, n, t=None):
             builder.add_row({name: e}, free, target[i, j])
 
 
-def rand_pd(gen, n):
-    w = gen.standard_normal((n, n))
-    return w @ w.T + np.eye(n)
+def rand_pd(gen, n, herm=False):
+    w = rand_complex(gen, n, n) if herm else gen.standard_normal((n, n))
+    return w @ w.conj().T + np.eye(n)
 
 
 @settings(deadline=None, max_examples=30)
@@ -50,6 +50,24 @@ def test_svec_smat_and_nt_operator(n, seed):
         assert np.allclose(svec(out), svec(ref), atol=1e-8)
 
 
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 7), st.integers(0, 10_000))
+def test_hvec_hmat(n, seed):
+    """hvec and hmat invert each other, on single matrices and on stacks,
+    and hvec(H).hvec(K) = Re tr(H K) for Hermitian H, K."""
+    gen = rng(seed)
+    h, k = rand_hermitian(gen, n), rand_hermitian(gen, n)
+    assert hvec(h).shape == (n * n,)
+    assert np.allclose(hmat(hvec(h), n), h, rtol=0, atol=1e-12)
+    assert abs(hvec(h) @ hvec(k) - np.trace(h @ k).real) < 1e-9
+    v = gen.standard_normal((3, n * n))
+    assert np.allclose(hvec(hmat(v, n)), v, rtol=0, atol=1e-12)
+    # a real symmetric matrix has the svec of its real part, then zeros
+    sym = h.real
+    assert np.array_equal(hvec(sym), np.concatenate(
+        [svec(sym), np.zeros(n * (n - 1) // 2)]))
+
+
 def _step_reference(x, dx):
     """sup { a <= 1 : X + a dX >= 0 } from the pencil eigenvalues of (dX, X)."""
     lam = sla.eigh(dx, x, eigvals_only=True)[0]
@@ -57,44 +75,59 @@ def _step_reference(x, dx):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(1, 7), st.integers(0, 10_000), st.floats(1e-3, 1e3))
-def test_scaled_nt_step(n, seed, scale):
+@given(st.integers(1, 7), st.integers(0, 10_000), st.floats(1e-3, 1e3),
+       st.booleans())
+def test_scaled_nt_step(n, seed, scale, herm):
     gen = rng(seed)
-    z, s = scale * rand_pd(gen, n), rand_pd(gen, n) / scale
+    z, s = scale * rand_pd(gen, n, herm), rand_pd(gen, n, herm) / scale
     r, v = S._nt_scaling(z, s)
-    w = r @ r.T
+    rh = r.conj().T
+    w = r @ rh
     rinv = np.linalg.inv(r)
+    assert r.dtype == z.dtype and v.dtype == float
     assert np.all(v > 0)
     assert np.allclose(w @ s @ w, z, rtol=1e-8, atol=1e-8 * np.abs(z).max())
-    assert np.allclose(r.T @ s @ r, np.diag(v), atol=1e-8 * v.max())
-    assert np.allclose(rinv @ z @ rinv.T, np.diag(v), atol=1e-8 * v.max())
+    assert np.allclose(rh @ s @ r, np.diag(v), atol=1e-8 * v.max())
+    assert np.allclose(rinv @ z @ rinv.conj().T, np.diag(v), atol=1e-8 * v.max())
     # step lengths in scaled coordinates against the generalized eigenproblem
     # in the original ones; a PSD direction has step 1
     for psd in (False, True):
-        dz, ds = ((rand_pd(gen, n), rand_pd(gen, n)) if psd
-                  else gen.standard_normal((2, n, n)))
-        dz, ds = scale * (dz + dz.T), (ds + ds.T) / scale
-        a_z, a_s = S._max_steps(np.stack([rinv @ dz @ rinv.T, r.T @ ds @ r]), v)
+        dz, ds = ((rand_pd(gen, n, herm), rand_pd(gen, n, herm)) if psd
+                  else gen.standard_normal((2, n, n))
+                  + (1j * gen.standard_normal((2, n, n)) if herm else 0))
+        dz = scale * (dz + dz.conj().T)
+        ds = (ds + ds.conj().T) / scale
+        a_z, a_s = S._max_steps(np.stack([rinv @ dz @ rinv.conj().T,
+                                          rh @ ds @ r]), v)
         assert abs(a_z - _step_reference(z, dz)) < 1e-7
         assert abs(a_s - _step_reference(s, ds)) < 1e-7
         if psd:
             assert a_z == a_s == 1.0
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1,
+                max_size=3),
        st.integers(0, 8), st.integers(0, 10_000))
-def test_schur_complement_matches_double_loop(sizes, m, seed):
+def test_schur_complement_matches_double_loop(blocks, m, seed):
+    """Real symmetric and complex Hermitian blocks, mixed: M_ij is the sum
+    of Re tr(A_i W A_j W) over the blocks."""
     gen = rng(seed)
-    A_parts = [gen.standard_normal((m, svec_dim(n))) for n in sizes]
-    W = [rand_pd(gen, n) for n in sizes]
-    M = S._schur([smat(Ab, n) for Ab, n in zip(A_parts, sizes)], W, m)
+    A_mats = [hmat(gen.standard_normal((m, n * n)), n) if herm
+              else smat(gen.standard_normal((m, svec_dim(n))), n)
+              for n, herm in blocks]
+    # any square factor R, not only a Hermitian one, gives W = R R*
+    R = [rand_complex(gen, n, n) if herm else gen.standard_normal((n, n))
+         for n, herm in blocks]
+    work = [(np.empty_like(F), np.empty_like(F)) for F in A_mats]
+    M = S._schur(A_mats, R, work, m)
     ref = np.zeros((m, m))
-    for Ab, w, n in zip(A_parts, W, sizes):
+    for F, r in zip(A_mats, R):
+        w = r @ r.conj().T
         for i in range(m):
             for j in range(m):
-                ref[i, j] += np.tensordot(smat(Ab[i], n),
-                                          w @ smat(Ab[j], n) @ w)
+                ref[i, j] += np.trace(F[i] @ w @ F[j] @ w).real
+    assert np.array_equal(M, M.T)
     assert M.shape == (m, m)
     assert np.allclose(M, ref, rtol=1e-10,
                        atol=1e-10 * np.abs(ref).max(initial=0.0))
@@ -320,6 +353,62 @@ def test_row_factorization_matches_lstsq(n, nf, k, extra, seed):
     moved = rhs.copy()
     moved[i] += 1e-6 * max(scale[i], abs(rhs[i]))
     assert not S._Rows(problem(moved)).consistent
+
+
+@pytest.mark.parametrize("rhs, status", [(1.0, SolveStatus.INFEASIBLE),
+                                         (0.0, SolveStatus.FEASIBLE)])
+def test_rows_without_variables(rhs, status, capfd):
+    # 0 = rhs on a problem with no variables at all: no factorization runs,
+    # so LAPACK prints nothing, and the rhs alone decides
+    b = ProblemBuilder()
+    b.add_row({}, {}, rhs)
+    assert solve(b.build()).status is status
+    assert capfd.readouterr().err == ""
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 4), st.booleans(), st.integers(0, 10_000))
+def test_native_hermitian_matches_realified(n, feasible, seed):
+    """Random complex feasibility problems: the native Hermitian blocks and
+    the realified 2n x 2n blocks decide the same status, and a FEASIBLE
+    witness meets the rows and is PSD.  The two runs take different central
+    paths and stop at the residual floor 1e-7, where a margin is accurate to
+    about 1e-6 (1 + |t*|) on either path, so the margins are compared at
+    100 FEAS_TOL (1 + |t*|), not at the width of the MARGINAL band."""
+    gen = rng(seed)
+    z0 = rand_pd(gen, n, herm=True) - 0.7 * np.eye(n)
+    rows = [rand_hermitian(gen, n) for _ in range(int(gen.integers(1, n * n)))]
+    if not feasible:
+        # v* Z v = -1/2 has no PSD solution
+        v = rand_complex(gen, n, 1)
+        v /= np.linalg.norm(v)
+        z0 -= (float((v.conj().T @ z0 @ v).real[0, 0]) + 0.5) * (v @ v.conj().T)
+        rows.append(v @ v.conj().T)
+    hp = HermitianProblem()
+    hp.add_block("Z", n)
+    for h in rows:
+        hp.add_scalar_row({"Z": h}, {}, float(np.trace(h @ z0).real))
+    # one complex row tr(F* Z) = tr(F* Z0), split into two real ones
+    f = rand_complex(gen, n, n)
+    hp.add_complex_row({"Z": f}, {}, complex(np.trace(f.conj().T @ z0)))
+    problem, dec = hp.build()
+    assert problem.hermitian == (True,) and not dec.real_path
+    native, realified = hp.solve(), hp.solve(force_realify=True)
+    assert native.status is realified.status
+    if not feasible:
+        assert native.status is SolveStatus.INFEASIBLE
+    if abs(native.margin) == np.inf or abs(realified.margin) == np.inf:
+        assert native.margin == realified.margin
+    else:
+        assert abs(native.margin - realified.margin) <= \
+            100 * FEAS_TOL * (1.0 + abs(realified.margin))
+    if native.feasible:
+        z = native.block("Z")
+        assert np.abs(z - z.conj().T).max() == 0.0
+        assert np.linalg.eigvalsh(z)[0] >= -1e-8
+        resid = [np.trace(h @ z).real - np.trace(h @ z0).real for h in rows]
+        resid.append(np.trace(f.conj().T @ (z - z0)))
+        assert np.abs(resid).max() <= 1e-6 * max(1.0, np.abs(z0).max())
 
 
 def test_unbounded_margin_yields_verified_witness():
@@ -577,7 +666,9 @@ _TERM_KINDS = ("apply", "entry", "blocktrace", "kron", "kron_block",
        st.integers(0, 10_000))
 def test_hermitian_rows_match_entrywise_reference(d, real, calls, seed):
     """The array-built rows of HermitianProblem equal, entry for entry, the
-    per-(r, s) expansion, on both build paths."""
+    per-(r, s) expansion on the real and the realified build; on the native
+    Hermitian build, row i read off hvec(C) is Re tr(H_i C) of the
+    expansion's H_i."""
     gen = rng(seed)
 
     def mat(*shape, mask=True):
@@ -621,14 +712,26 @@ def test_hermitian_rows_match_entrywise_reference(d, real, calls, seed):
         problem, dec = hp.build(force_realify=force)
         ref, kept, real_path = _ref_build(list(sizes.items()), hp._n_free,
                                           imag, rows, force)
-        assert problem.blocks == ref.blocks and problem.n_free == ref.n_free
+        assert problem.n_free == ref.n_free
         assert dec.real_path == real_path and list(dec.kept_vars) == kept
-        for got, want in zip(problem.A_blocks, ref.A_blocks):
-            assert np.array_equal(got, want)
         assert np.array_equal(problem.A_free, ref.A_free)
         assert np.array_equal(problem.rhs, ref.rhs)
         if real and not force:
             assert real_path
+        if force or real_path:
+            assert problem.blocks == ref.blocks and problem.hermitian == ()
+            for got, want in zip(problem.A_blocks, ref.A_blocks):
+                assert np.array_equal(got, want)
+            continue
+        assert problem.blocks == tuple(sizes.items())
+        assert problem.hermitian == (True,) * len(sizes)
+        cs = {name: rand_hermitian(gen, n) for name, n in sizes.items()}
+        got = sum(Ab @ hvec(cs[name])
+                  for (name, _), Ab in zip(problem.blocks, problem.A_blocks))
+        want = np.array([sum(np.trace(h @ cs[name]).real for name, h in bt.items())
+                         for bt, _, _ in rows])
+        assert np.allclose(got, want, rtol=0,
+                           atol=1e-12 * max(1.0, np.abs(want).max(initial=0.0)))
 
 
 def test_feasible_witness_contract():
