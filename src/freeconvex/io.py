@@ -372,11 +372,19 @@ def _flag(nullable: bool):
     return decode
 
 
-def _degree(v, locus) -> int:
-    """A non-negative JSON integer (not a bool, not a float)."""
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-        raise ParseError(f"expected a non-negative integer, got {v!r}", locus)
+def _degree(v, locus, floor: int = 0) -> int:
+    """A JSON integer >= floor (not a bool, not a float)."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < floor:
+        raise ParseError(f"expected an integer >= {floor}, got {v!r}", locus)
     return v
+
+
+def _positive(v, locus) -> float:
+    """A finite JSON number > 0 (not a bool)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or \
+            not 0 < v < math.inf:
+        raise ParseError(f"expected a finite number > 0, got {v!r}", locus)
+    return float(v)
 
 
 # the decoder of every payload field, by name
@@ -537,8 +545,8 @@ def _decode_payload(pf: ProblemFile):
 def run(pf: ProblemFile) -> Report:
     """Dispatch a parsed problem to its decision procedure."""
     opts = pf.options
-    tol = _float_in(opts.get("tol", 1e-8), "options.tol")
-    max_iter = int(opts.get("max_iter", 200))
+    tol = _positive(opts.get("tol", 1e-8), "options.tol")
+    max_iter = _degree(opts.get("max_iter", 200), "options.max_iter", floor=1)
     spec = _TABLE[pf.kind]
     args, kwargs = _decode_payload(pf)
     t0 = time.perf_counter()

@@ -7,11 +7,17 @@ of a monic pencil L(x, y) exactly when it decomposes as
 
 with sigma a sum of Hermitian squares of degree-r polynomials, the weights
 q_l degree-r polynomial columns in the x variables only, and every
-y coefficient cancelling.  Both parts are stored as Gram matrices over the
-graded word basis: S for sigma and G for the pencil part, with G indexed by
-(word, pencil coordinate) stacked over the mu polynomial columns, so the
-number of weights l is simply absorbed into the rank of G.  The degree
-bound is exact: top-degree words 2r+1 arise only from pencil cross terms.
+y coefficient cancelling.  Both parts are Gram matrices over the N graded
+words w_a of degree <= r: S for sigma, indexed (a, i) -> a*mu + i, and G
+for the pencil part, indexed (a, c, i) -> (a*d + c)*mu + i for pencil
+coordinate c and polynomial column i < mu, so the number of weights l is
+absorbed into the rank of G.  The degree bound is exact: top-degree words
+2r+1 arise only from pencil cross terms.
+
+The certificate SDP matches coefficients one word at a time: the products
+rev(w_a) x_k w_b equal to a word (k = 0 the A0 and S term) fill one stack
+of mu^2 complex rows, one per entry (i, j) of its coefficient.  Each
+y coefficient adds one stack of N mu^2 zero rows (b, i, j) per left word a.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ __all__ = [
     "CertificateSearch",
     "expand_certificate",
     "verify_certificate",
+    "certificate_problem",
     "search_certificate",
     "extract_weights",
 ]
@@ -56,18 +63,11 @@ class WordBasis:
     def __len__(self):
         return sum(self.g ** k for k in range(self.r + 1))
 
-    def index(self, w) -> int:
-        return self.words.index(tuple(w))
-
 
 @dataclass(frozen=True)
 class Certificate:
-    """Gram data (S, G) for p = sigma + sum q_l* L q_l.
-
-    S is Hermitian PSD of size mu*N; G is Hermitian PSD of size N*d*mu with
-    the index layout ((word a)*d + pencil coordinate c)*mu + column i, where
-    N is the word-basis size.
-    """
+    """Gram data (S, G) for p = sigma + sum q_l* L q_l, Hermitian PSD of
+    sizes mu*N and N*d*mu in the index layout of the module docstring."""
 
     g: int
     d: int
@@ -179,30 +179,18 @@ class CertificateSearch(Decision):
     info: dict = field(default_factory=dict)
 
 
-def _place(fdict, name, idx_r, idx_c, value, size):
-    f = fdict.get(name)
-    if f is None:
-        f = np.zeros((size, size), dtype=complex)
-        fdict[name] = f
-    f[idx_r, idx_c] += value
-
-
-def search_certificate(p: NCPolynomial, pencil: LinearPencil, r: int,
-                       tol: float = 1e-8, max_iter: int = 200,
-                       feas_tol: float = FEAS_TOL) -> CertificateSearch:
-    """Search the Gram feasibility problem for a degree-r certificate.
+def certificate_problem(p: NCPolynomial, pencil: LinearPencil,
+                        r: int) -> HermitianProblem:
+    """The Gram feasibility problem of a degree-r certificate for p.
 
     Coefficient matching runs over every word of degree <= 2r+1 in the x
     variables; words containing a y letter must cancel, which pins the
-    pencil Gram against each y coefficient pairwise.  FEASIBLE results are
-    re-verified through :func:`verify_certificate` before they are returned.
+    pencil Gram against each y coefficient pairwise.
     """
     if not pencil.monic:
         raise ValueError("certificate search needs a monic pencil")
     if not p.is_symmetric(1e-10):
         raise ValueError("p must be symmetric")
-    if p.rows != p.cols:
-        raise ValueError("p must be square matrix valued")
     if p.degree > 2 * r + 1:
         raise ValueError(f"degree {p.degree} exceeds 2r+1 = {2 * r + 1}")
     if p.g != pencil.g:
@@ -210,82 +198,64 @@ def search_certificate(p: NCPolynomial, pencil: LinearPencil, r: int,
     g, d, mu = pencil.g, pencil.d, p.rows
     basis = WordBasis(g, r).words
     n = len(basis)
-    s_size = mu * n
-    g_size = n * d * mu
-
-    def gidx(a, c, i):
-        return (a * d + c) * mu + i
-
-    # buckets: which (a, b [, j]) produce each x word
-    bucket0: Dict[tuple, List[Tuple[int, int]]] = {}
-    bucketx: Dict[tuple, List[Tuple[int, int, int]]] = {}
+    # prods[word]: the products rev(w_a) x_k w_b equal to word, k = 0 the
+    # A0 (and S) term, which adds no letter; every word of degree <= 2r+1
+    # has at least one
+    prods: Dict[tuple, List[Tuple[int, int, int]]] = {}
     for a, wa in enumerate(basis):
-        ra = wa[::-1]
         for b, wb in enumerate(basis):
-            bucket0.setdefault(ra + wb, []).append((a, b))
-            for j in range(1, g + 1):
-                bucketx.setdefault(ra + (j,) + wb, []).append((a, j, b))
-    words = sorted(set(bucket0) | set(bucketx) | set(p.terms), key=word_key)
-
+            for k in range(g + 1):
+                prods.setdefault(wa[::-1] + (k,)[:k] + wb, []).append((k, a, b))
+    coeffs = np.conj(np.array([pencil.A0, *pencil.x_coeffs], dtype=complex))
+    i, j = np.ix_(range(mu), range(mu))
     hp = HermitianProblem()
-    hp.add_block("S", s_size)
-    hp.add_block("G", g_size)
-    for v in words:
-        target = p.coeff(v)
-        pairs0 = bucket0.get(v, [])
-        pairsx = bucketx.get(v, [])
-        for i in range(mu):
-            for j_col in range(mu):
-                fS = {}
-                fG = {}
-                for a, b in pairs0:
-                    _place(fS, "S", a * mu + i, b * mu + j_col, 1.0, s_size)
-                    for c in range(d):
-                        for e in range(d):
-                            w = complex(pencil.A0[c, e]).conjugate()
-                            if w:
-                                _place(fG, "G", gidx(a, c, i),
-                                       gidx(b, e, j_col), w, g_size)
-                for a, jvar, b in pairsx:
-                    coeff = pencil.x_coeffs[jvar - 1]
-                    for c in range(d):
-                        for e in range(d):
-                            w = complex(coeff[c, e]).conjugate()
-                            if w:
-                                _place(fG, "G", gidx(a, c, i),
-                                       gidx(b, e, j_col), w, g_size)
-                hp.add_complex_row({**fS, **fG}, None, complex(target[i, j_col]))
+    hp.add_block("S", mu * n)
+    hp.add_block("G", n * d * mu)
+    # a word's rows are indexed (i, j); the S data axes then read (a, i, b, j)
+    # and the G data axes (a, c, i, b, e, j)
+    for v in sorted(prods, key=word_key):
+        k, a, b = (np.array(t)[:, None, None] for t in zip(*prods[v]))
+        s = np.zeros((mu, mu, n, mu, n, mu))
+        gm = np.zeros((mu, mu, n, d, mu, n, d, mu), dtype=complex)
+        one = k[:, 0, 0] == 0
+        s[i, j, a[one], i, b[one], j] = 1.0
+        gm[i, j, a, :, i, b, :, j] = coeffs[k]
+        hp.add_complex_row({"S": s.reshape(mu * mu, mu * n, mu * n),
+                            "G": gm.reshape(mu * mu, n * d * mu, -1)},
+                           None, p.coeff(v).ravel())
     # annihilation: each y coefficient contracts to zero against every word
-    # pair (these are exactly the coefficients of the y words)
+    # pair (these are exactly the coefficients of the y words); the rows of
+    # one left word a are indexed (b, i, j)
+    b = np.arange(n)[:, None, None]
     for coeff in pencil.y_coeffs:
         for a in range(n):
-            for b in range(n):
-                for i in range(mu):
-                    for j_col in range(mu):
-                        fG = {}
-                        for c in range(d):
-                            for e in range(d):
-                                w = complex(coeff[c, e]).conjugate()
-                                if w:
-                                    _place(fG, "G", gidx(a, c, i),
-                                           gidx(b, e, j_col), w, g_size)
-                        if fG:
-                            hp.add_complex_row(fG, None, 0.0)
-    sol = hp.solve(tol=tol, max_iter=max_iter, feas_tol=feas_tol)
+            gm = np.zeros((n, mu, mu, n, d, mu, n, d, mu), dtype=complex)
+            gm[b, i, j, a, :, i, b, :, j] = np.conj(coeff)
+            hp.add_complex_row({"G": gm.reshape(n * mu * mu, n * d * mu, -1)},
+                               None, np.zeros(n * mu * mu))
+    return hp
+
+
+def search_certificate(p: NCPolynomial, pencil: LinearPencil, r: int,
+                       tol: float = 1e-8, max_iter: int = 200,
+                       feas_tol: float = FEAS_TOL) -> CertificateSearch:
+    """Solve :func:`certificate_problem` for a degree-r certificate.
+
+    FEASIBLE results are re-verified through :func:`verify_certificate`
+    before they are returned.
+    """
+    sol = certificate_problem(p, pencil, r).solve(tol=tol, max_iter=max_iter,
+                                                  feas_tol=feas_tol)
     if not sol.feasible:
         return CertificateSearch(sol.status, margin=sol.margin, info=sol.info)
-    sraw = sol.block("S")
-    graw = sol.block("G")
-    cert = Certificate(g, d, mu, r, sraw, graw)
+    cert = Certificate(pencil.g, pencil.d, p.rows, r, sol.block("S"),
+                       sol.block("G"))
     ok, resid = verify_certificate(p, cert, pencil)
-    if not ok:
-        return CertificateSearch(SolveStatus.ERROR, certificate=cert,
-                                 residual=resid, margin=sol.margin,
-                                 info={**sol.info,
-                                       "reason": "certificate failed "
-                                       "re-verification"})
-    return CertificateSearch(SolveStatus.FEASIBLE, certificate=cert,
-                             residual=resid, margin=sol.margin, info=sol.info)
+    info = sol.info if ok else \
+        {**sol.info, "reason": "certificate failed re-verification"}
+    return CertificateSearch(SolveStatus.FEASIBLE if ok else SolveStatus.ERROR,
+                             certificate=cert, residual=resid,
+                             margin=sol.margin, info=info)
 
 
 def extract_weights(cert: Certificate, rank_tol: float = 1e-10):

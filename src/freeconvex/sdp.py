@@ -1077,22 +1077,24 @@ class HermitianProblem:
 
     # -- rows ----------------------------------------------------------------
 
-    def _block_data(self, block_data) -> Dict[str, np.ndarray]:
-        """The data matrices of one row, checked against the block sizes."""
+    def _block_data(self, block_data, lead=()) -> Dict[str, np.ndarray]:
+        """The data matrices of a row (or of a stack of rows, when `lead` is
+        (k,)), checked against the block sizes."""
         sizes = dict(self._blocks)
         out = {}
         for name, f in block_data.items():
             f = np.asarray(f, dtype=complex)
-            if f.shape != (sizes[name],) * 2:
+            if f.shape != lead + (sizes[name],) * 2:
                 raise ValueError(f"data for block {name!r} has wrong shape")
             out[name] = f
         return out
 
-    def _free_row(self, free_terms) -> np.ndarray:
-        """One row's free coefficients {index: value} as a (1, n_free) array."""
-        row = np.zeros((1, self._n_free), dtype=complex)
-        for k, v in (free_terms or {}).items():
-            row[0, int(k)] = v
+    def _free_row(self, free_terms, k: int = 1) -> np.ndarray:
+        """The free coefficients {index: value} of k rows as a (k, n_free)
+        array; each value broadcasts to (k,)."""
+        row = np.zeros((k, self._n_free), dtype=complex)
+        for i, v in (free_terms or {}).items():
+            row[:, int(i)] = v
         return row
 
     def add_scalar_row(self, block_terms: Dict[str, np.ndarray],
@@ -1104,11 +1106,16 @@ class HermitianProblem:
                              np.array([float(rhs)])))
 
     def add_complex_row(self, block_data: Dict[str, np.ndarray],
-                        free_terms: Optional[Dict[int, complex]], rhs: complex):
-        """Complex equality sum_b tr(F_b* C_b) + sum c_i u_i = rhs, split
-        into its real and imaginary parts (F need not be Hermitian)."""
-        data = {name: f[None] for name, f in self._block_data(block_data).items()}
-        self._add_split(data, self._free_row(free_terms), np.array([complex(rhs)]))
+                        free_terms: Optional[Dict[int, complex]], rhs):
+        """A stack of k complex equalities
+        sum_b tr(F_b,p* C_b) + sum c_i,p u_i = rhs_p, each split into its
+        real and imaginary parts: block_data maps a block name to a
+        (k, n, n) array (F need not be Hermitian), rhs is (k,), and each
+        free coefficient c_i broadcasts to (k,)."""
+        rhs = np.asarray(rhs, dtype=complex)
+        k = rhs.shape[0]
+        self._add_split(self._block_data(block_data, (k,)),
+                        self._free_row(free_terms, k), rhs)
 
     def _add_split(self, data, free, rhs):
         """Append the rows tr(F_p* C) + free_p.u = rhs_p, each as its real

@@ -252,6 +252,39 @@ def test_cli_malformed_payload_exits_4(doc, locus, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"input error: {locus}: ")
 
 
+@pytest.mark.parametrize("options, flags, locus", [
+    ({"max_iter": [200]}, [], "options.max_iter"),
+    ({"max_iter": None}, [], "options.max_iter"),
+    ({"max_iter": {"n": 200}}, [], "options.max_iter"),
+    ({"max_iter": 0}, [], "options.max_iter"),
+    ({"max_iter": -3}, [], "options.max_iter"),
+    ({"max_iter": 2.5}, [], "options.max_iter"),
+    ({"max_iter": True}, [], "options.max_iter"),
+    ({"max_iter": "abc"}, [], "options.max_iter"),
+    ({"tol": True}, [], "options.tol"),
+    ({"tol": 0}, [], "options.tol"),
+    ({"tol": -1e-8}, [], "options.tol"),
+    ({"tol": "inf"}, [], "options.tol"),
+    ({"tol": None}, [], "options.tol"),
+    ({}, ["--max-iter", "0"], "options.max_iter"),
+    ({}, ["--tol", "-1"], "options.tol"),
+    ({}, ["--tol", "nan"], "options.tol"),
+    ({}, ["--tol", "inf"], "options.tol"),
+], ids=["iter-list", "iter-null", "iter-object", "iter-zero", "iter-negative",
+        "iter-float", "iter-bool", "iter-string", "tol-bool", "tol-zero",
+        "tol-negative", "tol-inf-string", "tol-null", "flag-iter-zero",
+        "flag-tol-negative", "flag-tol-nan", "flag-tol-inf"])
+def test_cli_malformed_options_exit_4(options, flags, locus, tmp_path, capsys):
+    from freeconvex.cli import main
+
+    doc = _corpus_doc_with("possatz-search-inside", 0, "r")
+    doc["options"] = {**doc.get("options", {}), **options}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), *flags]) == 4
+    assert capsys.readouterr().err.startswith(f"input error: {locus}: ")
+
+
 def test_kinds_order():
     from freeconvex.io import KINDS
 

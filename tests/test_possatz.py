@@ -1,26 +1,64 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconvex.algebra import (HermitianTuple, LinearPencil, NCPolynomial,
                                 lambda_min, pencil_from_tuple)
 from freeconvex.corpus import (interval_tuple, linear_form_poly, scalar_tuple,
                                tv_dual_boundary, tv_monic_lift)
-from freeconvex.possatz import (Certificate, WordBasis, expand_certificate,
-                                extract_weights, search_certificate,
-                                verify_certificate)
-from freeconvex.rand import rng
-from freeconvex.sdp import SolveStatus
+from freeconvex.possatz import (Certificate, WordBasis, certificate_problem,
+                                expand_certificate, extract_weights,
+                                search_certificate, verify_certificate)
+from freeconvex.rand import rand_hermitian, rand_psd, rng
+from freeconvex.sdp import SolveStatus, hvec, svec
 from freeconvex.spectra import (Spectrahedrop, dominates, drop_membership,
                                 drop_polar_membership)
 
 TVM = tv_monic_lift()
 HALF = LinearPencil(np.eye(1), [2.0 * np.eye(1)])   # 1 + 2x
+# a random complex monic pencil in two x and two y variables, one y
+# coefficient zero
+_G = rng(8)
+CPLX = LinearPencil(np.eye(3), [rand_hermitian(_G, 3), rand_hermitian(_G, 3)],
+                    [rand_hermitian(_G, 3), np.zeros((3, 3))])
 
 
 def test_word_basis_counts_and_order():
     basis = WordBasis(2, 2)
     assert len(basis) == 1 + 2 + 4
     assert basis.words[:4] == ((), (1,), (2,), (1, 1))
+
+
+@settings(deadline=None, max_examples=4)
+@given(st.integers(0, 10_000))
+@pytest.mark.parametrize("pencil, real", [(TVM, True), (CPLX, False)],
+                         ids=["tv", "complex"])
+@pytest.mark.parametrize("mu, r", [(mu, r) for mu in (1, 2) for r in (0, 1, 2)])
+def test_certificate_rows_meet_expansion(pencil, real, mu, r, seed):
+    """Every row of the certificate SDP holds, to 1e-10 relative, at the
+    Gram data of a certificate whose expansion is p.  G = K (x) Q (x) M
+    with Q trace-orthogonal to every y coefficient, so every y word
+    cancels; real symmetric data on the real pencil, Hermitian otherwise."""
+    gen = rng(seed)
+    n, d = len(WordBasis(pencil.g, r)), pencil.d
+    q = rand_hermitian(gen, d, real=real)
+    ys = np.array([m.ravel() for m in pencil.y_coeffs]).reshape(-1, d * d)
+    # sum_ce Y_ce Q_ce = 0 for every y coefficient Y
+    alpha = np.linalg.lstsq(ys @ ys.conj().T, ys @ q.ravel(), rcond=None)[0]
+    q = q - (alpha @ ys.conj()).reshape(d, d)
+    gm = np.kron(rand_psd(gen, n, real=real),
+                 np.kron(q, rand_psd(gen, mu, real=real)))
+    cert = Certificate(pencil.g, d, mu, r, rand_psd(gen, mu * n, real=real), gm)
+    p = expand_certificate(cert, pencil)
+    problem, dec = certificate_problem(p, pencil, r).build()
+    assert dec.real_path == real and problem.n_free == 0
+    vec = svec if real else hvec
+    x = np.concatenate([vec(cert.S.real if real else cert.S),
+                        vec(cert.G.real if real else cert.G)])
+    a = np.hstack(problem.A_blocks)
+    scale = max(1.0, float(np.abs(problem.rhs).max()),
+                float((np.abs(a) @ np.abs(x)).max()))
+    assert np.abs(a @ x - problem.rhs).max() <= 1e-10 * scale
 
 
 def test_expand_halfline_certificate():

@@ -390,7 +390,7 @@ def test_native_hermitian_matches_realified(n, feasible, seed):
         hp.add_scalar_row({"Z": h}, {}, float(np.trace(h @ z0).real))
     # one complex row tr(F* Z) = tr(F* Z0), split into two real ones
     f = rand_complex(gen, n, n)
-    hp.add_complex_row({"Z": f}, {}, complex(np.trace(f.conj().T @ z0)))
+    hp.add_complex_row({"Z": f[None]}, {}, [np.trace(f.conj().T @ z0)])
     problem, dec = hp.build()
     assert problem.hermitian == (True,) and not dec.real_path
     native, realified = hp.solve(), hp.solve(force_realify=True)
@@ -613,9 +613,11 @@ def _ref_rows(sizes, calls):
         if kind == "scalar":
             rows.append(({n: np.asarray(h, complex) for n, h in a[0].items()},
                          {i: complex(c) for i, c in a[1].items()}, float(a[2])))
-        elif kind == "complex":
-            split({n: np.asarray(f, complex) for n, f in a[0].items()},
-                  {i: complex(c) for i, c in a[1].items()}, complex(a[2]))
+        elif kind == "complex":           # a stack, split row by row
+            for p, val in enumerate(a[2]):
+                split({n: np.asarray(f[p], complex) for n, f in a[0].items()},
+                      {i: complex(np.broadcast_to(c, len(a[2]))[p])
+                       for i, c in a[1].items()}, complex(val))
         else:
             terms, rhs = a
             for r in range(len(rhs)):
@@ -690,9 +692,11 @@ def test_hermitian_rows_match_entrywise_reference(d, real, calls, seed):
             made.append(("scalar", {"P": 0.5 * (h + h.conj().T)},
                          {frees[-1]: float(gen.standard_normal())},
                          float(gen.standard_normal())))
-        elif call == "complex":
-            made.append(("complex", {"P": mat(d, d), "C": mat(2 * d, 2 * d)},
-                         {frees[0]: complex(mat(1)[0])}, complex(mat(1)[0])))
+        elif call == "complex":       # a stack of k rows
+            k = int(gen.integers(1, 4))
+            made.append(("complex", {"P": mat(k, d, d), "C": mat(k, 2 * d, 2 * d)},
+                         {frees[0]: mat(k), frees[-1]: complex(mat(1)[0])},
+                         mat(k)))
         else:
             term = {"apply": ("apply", "C", mat(2, 2), d),
                     "entry": ("entry", "P", complex(mat(1)[0])),
