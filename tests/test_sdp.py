@@ -319,7 +319,7 @@ def _qr_rule_keep(A, b):
        st.integers(0, 10_000))
 def test_row_factorization_matches_lstsq(n, nf, k, extra, seed):
     """The factored rows keep the rows of the explicit-QR rule, give the
-    least-norm correction of lstsq, and see a dependent row's rhs moved by
+    least-norm correction (lstsq on the base rows), and see a dependent row's rhs moved by
     1e-6 of its scale."""
     gen = rng(seed)
     d = n * (n + 1) // 2
@@ -341,12 +341,16 @@ def test_row_factorization_matches_lstsq(n, nf, k, extra, seed):
     fact = S._Rows(problem(rhs))
     assert fact.consistent
     assert np.array_equal(fact.keep, _qr_rule_keep(rows, rhs))
-    # lstsq on the rows divided by their sup-norms has the same least-norm
-    # solution as on the raw rows, without their 1e12 spread of scales
+    # res = rows @ v, so the least-norm solution is v projected onto the row
+    # space of rows, which is that of the well-conditioned base. lstsq on
+    # rows themselves is no reference: a "comb" row whose two coefficients
+    # nearly cancel carries rounding noise far above eps times its norm,
+    # and lstsq (rcond=None) keeps that noise as an extra rank.
     scale = np.abs(rows).max(axis=1)
     scale[scale == 0] = 1.0
-    res = rhs - rows @ gen.standard_normal(d + nf)
-    want = np.linalg.lstsq(rows / scale[:, None], res / scale, rcond=None)[0]
+    v = x_star - gen.standard_normal(d + nf)
+    res = rows @ v
+    want = np.linalg.lstsq(base, base @ v, rcond=None)[0]
     got = fact.correction(res)
     assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
     i = int(np.setdiff1d(np.arange(len(rows)), fact.keep)[0])
