@@ -20,7 +20,7 @@ import numpy as np
 from . import corpus
 from .algebra import (HermitianTuple, LinearPencil, NCPolynomial,
                       require_hermitian)
-from .cp import interpolate
+from .cp import InterpolationMode, interpolate
 from .possatz import Certificate, search_certificate, verify_certificate
 from .sdp import FEAS_TOL, Decision, SolveStatus
 from .spectra import (Spectrahedrop, dominates, drop_level1_bounded,
@@ -403,6 +403,18 @@ _FIELDS = {
 }
 
 
+def _mode(v, locus) -> InterpolationMode:
+    """A JSON string naming an interpolation mode, in any case."""
+    names = [m.value for m in InterpolationMode]
+    if isinstance(v, str) and v.lower() in names:
+        return InterpolationMode(v.lower())
+    raise ParseError(f"expected one of {', '.join(names)}, got {v!r}", locus)
+
+
+# the decoder of every problem option a kind reads, by name
+_OPTIONS = {"mode": _mode}
+
+
 def _decided(res) -> dict:
     """Status, yes/no decision (None unless FEASIBLE or INFEASIBLE) and
     margin of a Decision."""
@@ -551,7 +563,8 @@ def run(pf: ProblemFile) -> Report:
     args, kwargs = _decode_payload(pf)
     t0 = time.perf_counter()
     res = spec.call(*args, **kwargs, tol=tol, max_iter=max_iter,
-                    **{k: opts.get(k, v) for k, v in spec.options.items()})
+                    **{k: _OPTIONS[k](opts[k], f"options.{k}") if k in opts
+                       else v for k, v in spec.options.items()})
     fields = _decided(res) if isinstance(res, Decision) else \
         {"status": "OK", "decision": None}
     fields.update(spec.report(res))

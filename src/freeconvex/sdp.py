@@ -79,17 +79,17 @@ real vectors whatever the block.  The one core loop unpacks such a block to
 complex (m, n, n) rows, uses conjugate transposes, zpotrf/zheevd for the NT
 scaling and the real parts of inner products, and forms the Schur
 complement as one real product of float views; a Hermitian block of size n
-adds n to the barrier degree.  This costs about half of the realified
-2n x 2n block [[Re, -Im], [Im, Re]], which :class:`HermitianProblem` builds
-only under ``force_realify`` as a reference.  When every row of a
-HermitianProblem is conjugation-invariant it is solved as a real problem of
-the same size instead.
+adds n to the barrier degree.  This costs about half of the real 2n x 2n
+embedding [[Re, -Im], [Im, Re]] / 2 of the block, which exists only as
+:func:`build_from_complex`, a realification of the native build kept as a
+reference.  When every row of a HermitianProblem is conjugation-invariant it
+is solved as a real problem of the same size instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -97,7 +97,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .algebra import derealify, psd_part, realify, require_hermitian
+from .algebra import psd_part, require_hermitian
 
 __all__ = [
     "SolveStatus",
@@ -105,7 +105,6 @@ __all__ = [
     "Decision",
     "SDPProblem",
     "SDPSolution",
-    "ProblemBuilder",
     "solve",
     "solve_feasibility",
     "HermitianProblem",
@@ -170,9 +169,11 @@ def _svec_idx(n: int):
 
 
 def svec(s: np.ndarray) -> np.ndarray:
-    n = s.shape[0]
-    iu, ju, w = _svec_idx(n)
-    return np.asarray(s, dtype=float)[iu, ju] * w
+    """sqrt-2 scaled upper triangle of a symmetric matrix (or of a stack
+    (..., n, n) of them); only the upper triangle is read."""
+    s = np.asarray(s, dtype=float)
+    iu, ju, w = _svec_idx(s.shape[-1])
+    return s[..., iu, ju] * w
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
@@ -304,69 +305,6 @@ class SDPSolution:
     @property
     def feasible(self) -> bool:
         return self.status is SolveStatus.FEASIBLE
-
-
-class ProblemBuilder:
-    """Incremental assembly of an :class:`SDPProblem`."""
-
-    def __init__(self):
-        self._blocks: List[Tuple[str, int]] = []
-        self._rows: List[Tuple[Dict[str, np.ndarray], Dict[int, float], float]] = []
-        self._n_free = 0
-        self._obj: Optional[Tuple[Dict[str, np.ndarray], Dict[int, float]]] = None
-
-    def add_block(self, name: str, size: int) -> str:
-        if any(n == name for n, _ in self._blocks):
-            raise ValueError(f"duplicate block {name!r}")
-        if size < 1:
-            raise ValueError("block size must be >= 1")
-        self._blocks.append((name, size))
-        return name
-
-    def add_free(self, count: int = 1) -> range:
-        start = self._n_free
-        self._n_free += count
-        return range(start, start + count)
-
-    def add_row(self, block_terms: Dict[str, np.ndarray],
-                free_terms: Optional[Dict[int, float]], rhs: float):
-        """<F_b, Z_b> summed over block_terms plus sum a_i t_i = rhs."""
-        self._rows.append((dict(block_terms), dict(free_terms or {}), float(rhs)))
-
-    def set_objective(self, block_terms: Dict[str, np.ndarray],
-                      free_terms: Optional[Dict[int, float]] = None):
-        self._obj = (dict(block_terms), dict(free_terms or {}))
-
-    def build(self) -> SDPProblem:
-        sizes = dict(self._blocks)
-        m = len(self._rows)
-        A_blocks = [np.zeros((m, svec_dim(sz))) for _, sz in self._blocks]
-        A_free = np.zeros((m, self._n_free))
-        rhs = np.zeros(m)
-        order = {name: k for k, (name, _) in enumerate(self._blocks)}
-        for i, (bt, ft, c) in enumerate(self._rows):
-            for name, f in bt.items():
-                f = np.asarray(f, dtype=float)
-                if f.shape != (sizes[name],) * 2:
-                    raise ValueError(f"row {i}: data for block {name!r} has wrong shape")
-                if np.abs(f - f.T).max() > 1e-12 * max(1.0, np.abs(f).max()):
-                    raise ValueError(f"row {i}: data for block {name!r} not symmetric")
-                A_blocks[order[name]][i] = svec(0.5 * (f + f.T))
-            for j, a in ft.items():
-                A_free[i, j] = a
-            rhs[i] = c
-        obj_blocks = obj_free = None
-        if self._obj is not None:
-            bt, ft = self._obj
-            obj_blocks = tuple(
-                svec(np.asarray(bt[name], dtype=float)) if name in bt
-                else np.zeros(svec_dim(sz))
-                for name, sz in self._blocks)
-            obj_free = np.zeros(self._n_free)
-            for j, a in ft.items():
-                obj_free[j] = a
-        return SDPProblem(tuple(self._blocks), self._n_free, tuple(A_blocks),
-                          A_free, rhs, obj_blocks, obj_free)
 
 
 # ---------------------------------------------------------------------------
@@ -1043,8 +981,8 @@ class HermitianProblem:
     coefficients and a (k,) rhs.  ``solve`` hands the engine native
     Hermitian blocks; when every row is conjugation-invariant the equivalent
     real-restricted problem is solved instead, with real blocks of the same
-    size.  ``force_realify`` builds the realified 2n x 2n blocks
-    [[Re, -Im], [Im, Re]] instead, as a reference.
+    size.  :func:`build_from_complex` realifies the built problem into
+    2n x 2n real blocks, as a reference.
     """
 
     def __init__(self):
@@ -1219,26 +1157,22 @@ class HermitianProblem:
                 return False
         return True
 
-    def build(self, force_realify: bool = False):
+    def build(self):
         """Return (SDPProblem, decoder).
 
         When every row is conjugation-invariant the blocks are real of the
         same size (the real path); otherwise they are native Hermitian blocks
-        in hvec coordinates.  ``force_realify`` instead embeds every block as
-        the real 2n x 2n block [[Re, -Im], [Im, Re]] / 2, the reference the
-        native blocks are tested against.
+        in hvec coordinates.
         """
         imag = self._imag_vars()
-        real_path = (not force_realify) and self._is_real(imag)
-        herm = not (real_path or force_realify)
+        real_path = self._is_real(imag)
+        herm = not real_path
         kept_vars = np.flatnonzero(~imag) if real_path else np.arange(self._n_free)
-        blocks = tuple((name, 2 * sz if force_realify else sz)
-                       for name, sz in self._blocks)
         groups = []
-        for bt, ft, rhs in self._groups:
+        for data, ft, rhs in self._groups:
             ft = ft[:, kept_vars[:np.searchsorted(kept_vars, ft.shape[1])]]
             if real_path:
-                data = {name: h.real for name, h in bt.items()}
+                data = {name: h.real for name, h in data.items()}
                 # a conjugation-odd row reads 0 = 0 on real unknowns; a
                 # zero row with a nonzero rhs stays, to be found inconsistent
                 keep = (ft != 0).any(axis=1) | (np.abs(rhs) > 1e-12)
@@ -1246,26 +1180,15 @@ class HermitianProblem:
                     keep |= (d != 0).any(axis=(1, 2))
                 data = {name: d[keep] for name, d in data.items()}
                 ft, rhs = ft[keep], rhs[keep]
-            elif force_realify:
-                data = {name: 0.5 * np.block([[h.real, -h.imag], [h.imag, h.real]])
-                        for name, h in bt.items()}
-            else:
-                data = bt
             groups.append((data, ft, rhs))
         m = sum(rhs.shape[0] for _, _, rhs in groups)
-        A_blocks = {name: np.zeros((m, _vec_dim(sz, herm))) for name, sz in blocks}
+        A_blocks = {name: np.zeros((m, _vec_dim(sz, herm))) for name, sz in self._blocks}
         A_free, b = np.zeros((m, kept_vars.size)), np.zeros(m)
         i = 0
         for data, ft, rhs in groups:
             k = rhs.shape[0]
             for name, d in data.items():
-                if herm:
-                    A_blocks[name][i:i + k] = hvec(d)
-                    continue
-                # the data is symmetric; averaging the two triangles only
-                # gives each zero the sign ProblemBuilder gives it
-                iu, ju, w = _svec_idx(d.shape[1])
-                A_blocks[name][i:i + k] = 0.5 * (d[:, iu, ju] + d[:, ju, iu]) * w
+                A_blocks[name][i:i + k] = _vec(d, herm)
             A_free[i:i + k, :ft.shape[1]] = ft
             b[i:i + k] = rhs
             i += k
@@ -1273,54 +1196,38 @@ class HermitianProblem:
         if self._obj is not None:
             bt, ft = self._obj
             obj_blocks = tuple(
-                (hvec(bt[name]) if herm else
-                 svec(0.5 * realify(bt[name]) if force_realify else bt[name].real))
-                if name in bt else np.zeros(_vec_dim(sz, herm)) for name, sz in blocks)
+                _vec(bt[name] if herm else bt[name].real, herm) if name in bt
+                else np.zeros(_vec_dim(sz, herm)) for name, sz in self._blocks)
             var_map = {v: k for k, v in enumerate(kept_vars)}
             obj_free = np.zeros(kept_vars.size)
             for i, a in ft.items():
                 obj_free[var_map[i]] = float(a)
-        problem = SDPProblem(blocks, int(kept_vars.size),
-                             tuple(A_blocks[name] for name, _ in blocks),
+        problem = SDPProblem(tuple(self._blocks), int(kept_vars.size),
+                             tuple(A_blocks[name] for name, _ in self._blocks),
                              A_free, b, obj_blocks, obj_free,
-                             (True,) * len(blocks) if herm else ())
-        decoder = _HermitianDecoder(self._blocks, self._free_herms,
-                                    self._n_free, kept_vars, real_path,
-                                    force_realify)
-        return problem, decoder
+                             (True,) * len(self._blocks) if herm else ())
+        return problem, _HermitianDecoder(self._n_free, kept_vars, real_path)
 
     # -- solving -------------------------------------------------------------
 
     def solve(self, tol: float = 1e-8, max_iter: int = 200,
-              feas_tol: float = FEAS_TOL, force_realify: bool = False):
-        problem, decoder = self.build(force_realify=force_realify)
+              feas_tol: float = FEAS_TOL):
+        problem, decoder = self.build()
         sol = solve(problem, tol=tol, max_iter=max_iter, feas_tol=feas_tol)
         return HermitianSolution(sol, decoder)
 
 
 class _HermitianDecoder:
-    def __init__(self, blocks, free_herms, n_free, kept_vars, real_path,
-                 realified):
-        self.blocks = blocks
-        self.free_herms = {fh.name: fh for fh in free_herms}
+    def __init__(self, n_free, kept_vars, real_path):
         self.n_free = n_free
         self.kept_vars = kept_vars
         self.real_path = real_path
-        self.realified = realified
 
     def full_free(self, free_values):
         out = np.zeros(self.n_free)
         if free_values is not None:
             out[self.kept_vars] = free_values
         return out
-
-    def block(self, name, witness):
-        raw = witness.get(name)
-        if raw is None:
-            return None
-        if self.realified:
-            return derealify(raw)
-        return np.asarray(raw, dtype=complex)
 
 
 @dataclass
@@ -1351,7 +1258,8 @@ class HermitianSolution:
         return self.raw.info
 
     def block(self, name: str):
-        return self.decoder.block(name, self.raw.witness)
+        raw = self.raw.witness.get(name)
+        return None if raw is None else np.asarray(raw, dtype=complex)
 
     def free_hermitian(self, fh: FreeHermitian):
         return fh.assemble(self.decoder.full_free(self.raw.free_values)[
@@ -1362,11 +1270,23 @@ class HermitianSolution:
 
 
 def build_from_complex(problem: HermitianProblem) -> SDPProblem:
-    """Realified real-symmetric problem equivalent to the Hermitian one.
-
-    Always doubles block sizes via [[Re, -Im], [Im, Re]], even for purely
-    real data; the witness back-map is available through
-    ``problem.build(force_realify=True)``.
-    """
-    built, _ = problem.build(force_realify=True)
-    return built
+    """The realification of ``problem.build()``: every n x n block becomes
+    the real 2n x 2n block [[Re, -Im], [Im, Re]] / 2 of its rows and
+    objective, with the same free columns and rhs.  It decides the same
+    question at about twice the cost, and serves as the reference the native
+    Hermitian blocks are tested against; a real-path build is embedded as
+    it stands."""
+    built, _ = problem.build()
+    # per block, the matrix taking svec / hvec(H) to svec of its embedding;
+    # its entries are +-1 up to the rounding of sqrt(2), so rounded and
+    # halved they are exactly 0 or +-1/2, and the products below are exact
+    maps = []
+    for (_, n), h in zip(built.blocks, built.herm):
+        e = _mat(np.eye(_vec_dim(n, h)), n, h)
+        maps.append(np.round(svec(np.block([[e.real, -e.imag],
+                                            [e.imag, e.real]]))) / 2)
+    obj = None if built.obj_blocks is None else tuple(
+        c @ M for c, M in zip(built.obj_blocks, maps))
+    return replace(built, blocks=tuple((name, 2 * n) for name, n in built.blocks),
+                   A_blocks=tuple(Ab @ M for Ab, M in zip(built.A_blocks, maps)),
+                   obj_blocks=obj, hermitian=())

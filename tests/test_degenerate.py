@@ -20,7 +20,8 @@ from freeconvex.cp import (InterpolationMode, apply_choi, interpolate,
                            interpolation_problem)
 from freeconvex.io import dumps, encode_pencil, encode_tuple
 from freeconvex.rand import rand_unitary, rng
-from freeconvex.sdp import ProblemBuilder, SolveStatus, solve
+from freeconvex.sdp import (HermitianProblem, SolveStatus, build_from_complex,
+                            solve)
 from freeconvex.spectra import (Spectrahedrop, drop_level1_bounded,
                                 drop_membership, polar_membership)
 
@@ -153,7 +154,7 @@ def test_realified_path_agrees():
         hp = interpolation_problem(square, x, InterpolationMode.UNITAL)
         assert hp.build()[1].real_path
         real = hp.solve()
-        forced = hp.solve(force_realify=True)
+        forced = solve(build_from_complex(hp))
         assert real.status is forced.status
         assert abs(real.margin - forced.margin) <= 1e-6
 
@@ -177,11 +178,11 @@ def test_max_inner_product_on_trace_slice(beta):
     # max <C, Z> over Z >= 0 with tr Z = beta is beta lambda_max(C): bounded,
     # however large beta is
     c = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, -1.0]])
-    b = ProblemBuilder()
+    b = HermitianProblem()
     b.add_block("Z", 3)
-    b.add_row({"Z": np.eye(3)}, {}, beta)
+    b.add_scalar_row({"Z": np.eye(3)}, {}, beta)
     b.set_objective({"Z": c})
-    sol = solve(b.build())
+    sol = solve(b.build()[0])
     assert sol.status is SolveStatus.FEASIBLE
     assert "unbounded_objective" not in sol.info
     ref = beta * np.linalg.eigvalsh(c)[-1]

@@ -285,6 +285,25 @@ def test_cli_malformed_options_exit_4(options, flags, locus, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"input error: {locus}: ")
 
 
+@pytest.mark.parametrize("mode, code", [
+    ([1], 4), (None, 4), ({"a": 1}, 4), (5, 4), ("foo", 4), ("unital", 0),
+    ("UNITAL", 0),
+], ids=["list", "null", "object", "number", "unknown", "unital",
+        "unital-upper"])
+def test_cli_interpolation_mode_option(mode, code, tmp_path, capsys):
+    from freeconvex.cli import main
+
+    doc = json.loads(json.dumps(next(
+        c.problem for c in corpus_problems()
+        if c.name == "operator-system-interpolate-cp")))
+    doc["options"] = {**doc.get("options", {}), "mode": mode}
+    path = tmp_path / "mode.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == code
+    if code == 4:
+        assert capsys.readouterr().err.startswith("input error: options.mode: ")
+
+
 def test_kinds_order():
     from freeconvex.io import KINDS
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 import freeconvex.sdp as S
 from freeconvex.algebra import realify
 from freeconvex.rand import rng, rand_complex, rand_hermitian, rand_unitary
-from freeconvex.sdp import (FEAS_TOL, HermitianProblem, ProblemBuilder,
-                            SolveStatus, build_from_complex, hmat, hvec,
-                            solve, svec, smat, svec_dim)
+from freeconvex.sdp import (FEAS_TOL, HermitianProblem, SolveStatus,
+                            build_from_complex, hmat, hvec, solve, svec, smat,
+                            svec_dim)
 
 
 def entry_rows(builder, name, target, n, t=None):
@@ -21,7 +21,7 @@ def entry_rows(builder, name, target, n, t=None):
             else:
                 e[i, j] = e[j, i] = 0.5
             free = {t: 1.0} if (t is not None and i == j) else {}
-            builder.add_row({name: e}, free, target[i, j])
+            builder.add_scalar_row({name: e}, free, target[i, j])
 
 
 def rand_pd(gen, n, herm=False):
@@ -134,12 +134,12 @@ def test_schur_complement_matches_double_loop(blocks, m, seed):
 
 
 def test_identity_slack():
-    b = ProblemBuilder()
+    b = HermitianProblem()
     b.add_block("Z", 2)
     t = b.add_free(1)[0]
     entry_rows(b, "Z", np.eye(2), 2, t)
     b.set_objective({}, {t: 1.0})
-    sol = solve(b.build())
+    sol = solve(b.build()[0])
     assert sol.status is SolveStatus.FEASIBLE
     assert abs(sol.objective_value - 1.0) < 1e-6
     assert sol.info["attempts"] >= 1
@@ -149,14 +149,14 @@ def test_identity_slack():
 def _rank_deficient_free(objective):
     """Z 2x2 with u0 and u1 entering only as u0 + u1: A_free has rank 2 of 3
     and null space (1, -1, 0)."""
-    b = ProblemBuilder()
+    b = HermitianProblem()
     b.add_block("Z", 2)
     u = b.add_free(3)
-    b.add_row({"Z": np.diag([1.0, 0.0])}, {u[0]: 1.0, u[1]: 1.0}, 1.0)
-    b.add_row({"Z": np.diag([0.0, 1.0])}, {u[2]: 1.0}, 2.0)
-    b.add_row({"Z": np.eye(2)}, {}, 1.0)
+    b.add_scalar_row({"Z": np.diag([1.0, 0.0])}, {u[0]: 1.0, u[1]: 1.0}, 1.0)
+    b.add_scalar_row({"Z": np.diag([0.0, 1.0])}, {u[2]: 1.0}, 2.0)
+    b.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
     b.set_objective({}, dict(zip(u, objective)))
-    return b.build()
+    return b.build()[0]
 
 
 def test_free_objective_along_null_space_is_unbounded():
@@ -186,10 +186,10 @@ def test_free_objective_off_null_space_is_finite():
 def test_phase_one_rows_absorbed_by_slack(n, rhs, margin):
     # one row tr Z = rhs: the slack t takes the whole row, the blocks meet
     # zero rows, and t* = rhs / n
-    b = ProblemBuilder()
+    b = HermitianProblem()
     b.add_block("Z", n)
-    b.add_row({"Z": np.eye(n)}, {}, rhs)
-    sol = solve(b.build())
+    b.add_scalar_row({"Z": np.eye(n)}, {}, rhs)
+    sol = solve(b.build()[0])
     assert sol.status is (SolveStatus.FEASIBLE if margin > 0
                           else SolveStatus.INFEASIBLE)
     assert abs(sol.margin - margin) < 1e-6
@@ -200,14 +200,14 @@ def test_phase_one_rows_absorbed_by_slack(n, rhs, margin):
 def test_phase_one_rows_absorbed_by_free_columns():
     # every entry of Z is shifted by its own free variable: any PSD Z works
     # and the margin is unbounded
-    b = ProblemBuilder()
+    b = HermitianProblem()
     b.add_block("Z", 2)
     u = b.add_free(3)
     for k, (i, j) in enumerate([(0, 0), (1, 1), (0, 1)]):
         e = np.zeros((2, 2))
         e[i, j] = e[j, i] = 1.0 if i == j else 0.5
-        b.add_row({"Z": e}, {u[k]: 1.0}, [5.0, -3.0, 7.0][k])
-    problem = b.build()
+        b.add_scalar_row({"Z": e}, {u[k]: 1.0}, [5.0, -3.0, 7.0][k])
+    problem = b.build()[0]
     sol = solve(problem)
     assert sol.status is SolveStatus.FEASIBLE and sol.margin == np.inf
     z, uv = sol.witness["Z"], sol.free_values
@@ -254,40 +254,40 @@ def test_tv_grid_attempts_per_solve():
 
 
 def test_diagonal_slack_matches_min_eig():
-    b = ProblemBuilder()
+    b = HermitianProblem()
     b.add_block("Z", 2)
     t = b.add_free(1)[0]
     entry_rows(b, "Z", np.diag([1.0, 2.0]), 2, t)
     b.set_objective({}, {t: 1.0})
-    sol = solve(b.build())
+    sol = solve(b.build()[0])
     assert abs(sol.objective_value - 1.0) < 1e-6
 
 
 def test_trace_pair_infeasible():
-    b = ProblemBuilder()
+    b = HermitianProblem()
     b.add_block("Z", 2)
-    b.add_row({"Z": np.eye(2)}, {}, 1.0)
-    b.add_row({"Z": np.diag([1.0, -1.0])}, {}, 2.0)
-    sol = solve(b.build())
+    b.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
+    b.add_scalar_row({"Z": np.diag([1.0, -1.0])}, {}, 2.0)
+    sol = solve(b.build()[0])
     assert sol.status is SolveStatus.INFEASIBLE
     assert abs(sol.margin + 0.5) < 1e-6
 
 
 def test_boundary_rescue():
-    b = ProblemBuilder()
+    b = HermitianProblem()
     b.add_block("Z", 2)
-    b.add_row({"Z": np.eye(2)}, {}, 0.0)
-    sol = solve(b.build())
+    b.add_scalar_row({"Z": np.eye(2)}, {}, 0.0)
+    sol = solve(b.build()[0])
     assert sol.status is SolveStatus.FEASIBLE
     assert np.abs(sol.witness["Z"]).max() < 1e-7
 
 
 def test_inconsistent_equalities():
-    b = ProblemBuilder()
+    b = HermitianProblem()
     b.add_block("Z", 1)
-    b.add_row({"Z": np.eye(1)}, {}, 1.0)
-    b.add_row({"Z": 2 * np.eye(1)}, {}, 1.0)
-    sol = solve(b.build())
+    b.add_scalar_row({"Z": np.eye(1)}, {}, 1.0)
+    b.add_scalar_row({"Z": 2 * np.eye(1)}, {}, 1.0)
+    sol = solve(b.build()[0])
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.margin == -np.inf
 
@@ -298,7 +298,7 @@ def test_zero_row_with_nonzero_rhs_is_inconsistent(force):
     hp.add_block("Z", 2)
     hp.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
     hp.add_scalar_row({"Z": np.zeros((2, 2))}, {}, 1.0)
-    sol = hp.solve(force_realify=force)
+    sol = solve(build_from_complex(hp)) if force else hp.solve()
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.info["reason"] == "inconsistent equalities"
 
@@ -364,9 +364,8 @@ def test_row_factorization_matches_lstsq(n, nf, k, extra, seed):
 def test_rows_without_variables(rhs, status, capfd):
     # 0 = rhs on a problem with no variables at all: no factorization runs,
     # so LAPACK prints nothing, and the rhs alone decides
-    b = ProblemBuilder()
-    b.add_row({}, {}, rhs)
-    assert solve(b.build()).status is status
+    problem = S.SDPProblem((), 0, (), np.zeros((1, 0)), np.array([rhs]))
+    assert solve(problem).status is status
     assert capfd.readouterr().err == ""
 
 
@@ -397,7 +396,7 @@ def test_native_hermitian_matches_realified(n, feasible, seed):
     hp.add_complex_row({"Z": f[None]}, {}, [np.trace(f.conj().T @ z0)])
     problem, dec = hp.build()
     assert problem.hermitian == (True,) and not dec.real_path
-    native, realified = hp.solve(), hp.solve(force_realify=True)
+    native, realified = hp.solve(), solve(build_from_complex(hp))
     assert native.status is realified.status
     if not feasible:
         assert native.status is SolveStatus.INFEASIBLE
@@ -416,10 +415,10 @@ def test_native_hermitian_matches_realified(n, feasible, seed):
 
 
 def test_unbounded_margin_yields_verified_witness():
-    b = ProblemBuilder()
+    b = HermitianProblem()
     b.add_block("Z", 2)
-    b.add_row({"Z": np.diag([1.0, -1.0])}, {}, 0.0)
-    sol = solve(b.build())
+    b.add_scalar_row({"Z": np.diag([1.0, -1.0])}, {}, 0.0)
+    sol = solve(b.build()[0])
     assert sol.status is SolveStatus.FEASIBLE
     assert sol.margin == np.inf
     assert np.linalg.eigvalsh(sol.witness["Z"])[0] > 0
@@ -433,13 +432,13 @@ def test_strictly_feasible_problems_solve(seed):
     m = int(gen.integers(1, n + 2))
     zstar = gen.standard_normal((n, n))
     zstar = zstar @ zstar.T + 0.5 * np.eye(n)
-    b = ProblemBuilder()
+    b = HermitianProblem()
     b.add_block("Z", n)
     for _ in range(m):
         f = gen.standard_normal((n, n))
         f = f + f.T
-        b.add_row({"Z": f}, {}, float(np.tensordot(f, zstar)))
-    sol = solve(b.build())
+        b.add_scalar_row({"Z": f}, {}, float(np.tensordot(f, zstar)))
+    sol = solve(b.build()[0])
     assert sol.status is SolveStatus.FEASIBLE
     # independent witness verification at the documented tolerances
     assert sol.info["eq_resid"] <= 1e-6
@@ -447,11 +446,11 @@ def test_strictly_feasible_problems_solve(seed):
 
 
 def _solve_rows(rows, rhs, n):
-    b = ProblemBuilder()
+    b = HermitianProblem()
     b.add_block("Z", n)
     for f, c in zip(rows, rhs):
-        b.add_row({"Z": f}, {}, c)
-    return solve(b.build())
+        b.add_scalar_row({"Z": f}, {}, c)
+    return solve(b.build()[0])
 
 
 def _status_of(rows, rhs, n):
@@ -548,6 +547,22 @@ def test_complex_cross_check_with_direct_formulation():
         assert abs(a.margin - b.margin) < 1e-6
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_realified_objective(n):
+    """max Re tr(H Z) subject to tr Z = 1 is lambda_max(H), on the native
+    Hermitian build and on its realification."""
+    h = rand_hermitian(rng(n), n)
+    hp = HermitianProblem()
+    hp.add_block("Z", n)
+    hp.add_scalar_row({"Z": np.eye(n)}, {}, 1.0)
+    hp.set_objective({"Z": h})
+    assert hp.build()[0].hermitian == (True,)
+    want = np.linalg.eigvalsh(h)[-1]
+    for sol in (hp.solve(), solve(build_from_complex(hp))):
+        assert sol.status is SolveStatus.FEASIBLE
+        assert abs(sol.objective_value - want) <= 1e-6
+
+
 def test_complex_scalar_block():
     hp = HermitianProblem()
     hp.add_block("z", 1)
@@ -630,8 +645,11 @@ def _ref_rows(sizes, calls):
     return rows
 
 
-def _ref_build(blocks, n_free, imag, rows, force_realify):
-    """Reference build through ProblemBuilder, one dict per row."""
+def _ref_build(blocks, n_free, imag, rows, realified):
+    """Reference build, one dict per row: the real-restricted rows on the
+    real free variables when every row is conjugation-invariant, else every
+    row on every variable; with ``realified``, each block's data H becomes
+    [[Re H, -Im H], [Im H, Re H]] / 2 on a block of twice the size."""
     def is_real():
         for bt, ft, rhs in rows:
             im = max([np.abs(h.imag).max() for h in bt.values()] + [0.0])
@@ -640,24 +658,32 @@ def _ref_build(blocks, n_free, imag, rows, force_realify):
                     (re <= 1e-13 and abs(rhs) <= 1e-12 and set(ft) <= imag)):
                 return False
         return True
-    real = not force_realify and is_real()
+    real = is_real()
     kept = sorted(set(range(n_free)) - imag) if real else list(range(n_free))
     vmap = {v: k for k, v in enumerate(kept)}
-    pb = ProblemBuilder()
-    for name, sz in blocks:
-        pb.add_block(name, sz if real else 2 * sz)
-    pb.add_free(len(kept))
+    ref = []
     for bt, ft, rhs in rows:
         if real:
-            data = {n: h.real for n, h in bt.items() if np.abs(h.real).max() > 0}
-            free = {vmap[i]: c.real for i, c in ft.items()
-                    if i in vmap and c.real != 0}
-            if data or free or abs(rhs) > 1e-12:
-                pb.add_row(data, free, rhs)
-        else:
-            pb.add_row({n: 0.5 * realify(h) for n, h in bt.items()},
-                       {vmap[i]: c.real for i, c in ft.items()}, rhs)
-    return pb.build(), kept, real
+            bt = {n: h.real for n, h in bt.items() if np.abs(h.real).max() > 0}
+            ft = {i: c for i, c in ft.items() if i in vmap and c.real != 0}
+            if not (bt or ft or abs(rhs) > 1e-12):
+                continue
+        ref.append(({n: 0.5 * realify(h) if realified else h
+                     for n, h in bt.items()}, ft, rhs))
+    # stack each row's svec (hvec for native Hermitian data) and free terms
+    k = 2 if realified else 1
+    vec = svec if real or realified else hvec
+    A_blocks = [np.zeros((len(ref), vec(np.eye(k * sz)).size)) for _, sz in blocks]
+    A_free = np.zeros((len(ref), len(kept)))
+    for i, (bt, ft, _) in enumerate(ref):
+        for b, (name, _) in enumerate(blocks):
+            if name in bt:
+                A_blocks[b][i] = vec(bt[name])
+        for j, c in ft.items():
+            A_free[i, vmap[j]] = c.real
+    return S.SDPProblem(tuple((name, k * sz) for name, sz in blocks), len(kept),
+                        tuple(A_blocks), A_free,
+                        np.array([rhs for _, _, rhs in ref])), kept, real
 
 
 _TERM_KINDS = ("apply", "entry", "blocktrace", "kron", "kron_block",
@@ -672,9 +698,9 @@ _TERM_KINDS = ("apply", "entry", "blocktrace", "kron", "kron_block",
        st.integers(0, 10_000))
 def test_hermitian_rows_match_entrywise_reference(d, real, calls, seed):
     """The array-built rows of HermitianProblem equal, entry for entry, the
-    per-(r, s) expansion on the real and the realified build; on the native
-    Hermitian build, row i read off hvec(C) is Re tr(H_i C) of the
-    expansion's H_i."""
+    per-(r, s) expansion, on the build (real or native Hermitian) and on its
+    realification by build_from_complex; on the native Hermitian build, row
+    i read off hvec(C) is Re tr(H_i C) of the expansion's H_i."""
     gen = rng(seed)
 
     def mat(*shape, mask=True):
@@ -716,23 +742,24 @@ def test_hermitian_rows_match_entrywise_reference(d, real, calls, seed):
     rows = _ref_rows(sizes, made)
     k = d // 2
     imag = {fh.start + k + 2 * i + 1 for i in range(k * (k - 1) // 2)}
-    for force in (False, True):
-        problem, dec = hp.build(force_realify=force)
-        ref, kept, real_path = _ref_build(list(sizes.items()), hp._n_free,
-                                          imag, rows, force)
-        assert problem.n_free == ref.n_free
-        assert dec.real_path == real_path and list(dec.kept_vars) == kept
-        assert np.array_equal(problem.A_free, ref.A_free)
-        assert np.array_equal(problem.rhs, ref.rhs)
-        if real and not force:
-            assert real_path
-        if force or real_path:
-            assert problem.blocks == ref.blocks and problem.hermitian == ()
-            for got, want in zip(problem.A_blocks, ref.A_blocks):
-                assert np.array_equal(got, want)
-            continue
-        assert problem.blocks == tuple(sizes.items())
-        assert problem.hermitian == (True,) * len(sizes)
+    blocks = list(sizes.items())
+    problem, dec = hp.build()
+    ref, kept, real_path = _ref_build(blocks, hp._n_free, imag, rows, False)
+    assert dec.real_path == real_path and list(dec.kept_vars) == kept
+    if real:
+        assert real_path
+    realified = _ref_build(blocks, hp._n_free, imag, rows, True)[0]
+    forced = build_from_complex(hp)
+    for got, want in ((problem, ref), (forced, realified)):
+        assert got.n_free == want.n_free
+        assert np.array_equal(got.A_free, want.A_free)
+        assert np.array_equal(got.rhs, want.rhs)
+        assert got.blocks == want.blocks
+        for g, w in zip(got.A_blocks, want.A_blocks):
+            assert np.array_equal(g, w)
+    assert forced.hermitian == ()
+    assert problem.hermitian == (() if real_path else (True,) * len(sizes))
+    if not real_path:
         cs = {name: rand_hermitian(gen, n) for name, n in sizes.items()}
         got = sum(Ab @ hvec(cs[name])
                   for (name, _), Ab in zip(problem.blocks, problem.A_blocks))
@@ -750,13 +777,13 @@ def test_feasible_witness_contract():
         n = int(gen.integers(2, 5))
         zstar = gen.standard_normal((n, n))
         zstar = zstar @ zstar.T + 0.1 * np.eye(n)
-        b = ProblemBuilder()
+        b = HermitianProblem()
         b.add_block("Z", n)
         for _ in range(int(gen.integers(1, n))):
             f = gen.standard_normal((n, n))
             f = f + f.T
-            b.add_row({"Z": f}, {}, float(np.tensordot(f, zstar)))
-        problem = b.build()
+            b.add_scalar_row({"Z": f}, {}, float(np.tensordot(f, zstar)))
+        problem = b.build()[0]
         sol = solve(problem)
         assert sol.status is SolveStatus.FEASIBLE
         z = sol.witness["Z"]
