@@ -6,7 +6,8 @@ Each is one instance made from a fixed seed by ``channel_instance`` and
 ``certificate_point`` of perfbench/workloads.py (a feasible channel pair, a
 point inside the TV screen's polar dual), timed as the median of 3 runs in
 one process.  The last line of output is one JSON object with the seconds,
-the statuses, nproc and the OpenBLAS thread count in effect (one unless
+the statuses, the row count m and the rank of each certificate problem's
+equality rows, nproc and the OpenBLAS thread count in effect (one unless
 OPENBLAS_NUM_THREADS says otherwise).
 
 Usage: python scripts/scaling.py
@@ -37,12 +38,12 @@ def main():
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     import numpy as np
-    from freeconvex import corpus, cp, possatz, spectra
+    from freeconvex import corpus, cp, possatz, sdp, spectra
     from run import blas_threads
     from workloads import (certificate_point, channel_instance,
                            dual_boundary_polyline)
 
-    results = {}
+    results, rows = {}, {}
     for n in (6, 8):
         a, b = channel_instance(np.random.default_rng(SEED), n, True)
         results[f"channel_n{n}"] = timed(lambda: cp.interpolate(a, b, "channel"))
@@ -53,9 +54,13 @@ def main():
     for r in (2, 3):
         results[f"certificate_r{r}"] = timed(
             lambda: possatz.search_certificate(p, lift, r))
+        problem, _ = possatz.certificate_problem(p, lift, r).build()
+        rows[f"certificate_r{r}"] = {
+            "m": problem.m, "rank": int(sdp._Rows(problem).keep.size)}
     print(json.dumps({
         "median_s": {k: round(s, 4) for k, (s, _) in results.items()},
         "status": {k: status for k, (_, status) in results.items()},
+        "rows": rows,
         "runs": RUNS, "nproc": os.cpu_count(),
         "blas_threads": blas_threads()}))
     return 0

@@ -120,9 +120,11 @@ def encode_matrix(m) -> dict:
 
 def decode_matrix(obj, locus: str = "matrix") -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = (_degree(obj[k], f"{locus}.{k}") for k in ("rows", "cols"))
         re = [_float_in(v, locus) for v in obj["re"]]
         im = [_float_in(v, locus) for v in obj["im"]]
+    except ParseError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix object ({exc})", locus)
     if len(re) != rows * cols or len(im) != rows * cols:
@@ -145,10 +147,7 @@ def decode_tuple(obj, locus: str = "tuple") -> HermitianTuple:
     if len(mats) == 0:
         if "dim" not in obj:
             raise ParseError("empty tuple", locus)
-        try:
-            return HermitianTuple([], dim=int(obj["dim"]))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed 'dim' ({exc})", locus)
+        return HermitianTuple([], dim=_degree(obj["dim"], f"{locus}.dim"))
     decoded = []
     for i, m in enumerate(mats):
         raw = decode_matrix(m, f"{locus}.matrices[{i}]")
@@ -196,12 +195,14 @@ def encode_polynomial(p: NCPolynomial) -> dict:
 
 def decode_polynomial(obj, locus: str = "polynomial") -> NCPolynomial:
     try:
-        g = int(obj["g"])
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        terms = {tuple(int(l) for l in t["word"]):
+        g, rows, cols = (_degree(obj[k], f"{locus}.{k}")
+                         for k in ("g", "rows", "cols"))
+        terms = {tuple(_degree(l, f"{locus}.terms[{n}].word")
+                       for l in t["word"]):
                  decode_matrix(t["coeff"], f"{locus}.terms")
-                 for t in obj.get("terms", [])}
+                 for n, t in enumerate(obj.get("terms", []))}
+    except ParseError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed polynomial ({exc})", locus)
     try:
@@ -217,9 +218,12 @@ def encode_certificate(c: Certificate) -> dict:
 
 def decode_certificate(obj, locus: str = "certificate") -> Certificate:
     try:
-        return Certificate(int(obj["g"]), int(obj["d"]), int(obj["mu"]),
-                           int(obj["r"]), decode_matrix(obj["S"], locus),
-                           decode_matrix(obj["G"], locus))
+        return Certificate(*(_degree(obj[k], f"{locus}.{k}")
+                             for k in ("g", "d", "mu", "r")),
+                           decode_matrix(obj["S"], f"{locus}.S"),
+                           decode_matrix(obj["G"], f"{locus}.G"))
+    except ParseError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate ({exc})", locus)
 

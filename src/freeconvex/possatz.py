@@ -14,17 +14,18 @@ coordinate c and polynomial column i < mu, so the number of weights l is
 absorbed into the rank of G.  The degree bound is exact: top-degree words
 2r+1 arise only from pencil cross terms.
 
-The certificate SDP matches coefficients one word at a time: the products
-rev(w_a) x_k w_b equal to a word (k = 0 the A0 and S term) fill one stack
-of mu^2 complex rows, one per entry (i, j) of its coefficient.  Each
-y coefficient adds one stack of N mu^2 zero rows (b, i, j) per left word a.
+The certificate SDP matches the coefficient of every word, zero for a word
+with a y letter, entry by entry.  The row of rev(w), entry (j, i), is the
+conjugate of that of w, entry (i, j), so only words w <= rev(w), entries
+i <= j of a self-adjoint w and the real part of its diagonal are kept: the
+rows are independent.  x words and y words each fill one stack of rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -198,41 +199,41 @@ def certificate_problem(p: NCPolynomial, pencil: LinearPencil,
     g, d, mu = pencil.g, pencil.d, p.rows
     basis = WordBasis(g, r).words
     n = len(basis)
-    # prods[word]: the products rev(w_a) x_k w_b equal to word, k = 0 the
-    # A0 (and S) term, which adds no letter; every word of degree <= 2r+1
-    # has at least one
-    prods: Dict[tuple, List[Tuple[int, int, int]]] = {}
+    # prods[y][word]: the products rev(w_a) x_k w_b equal to word, k = 0 the
+    # A0 (and S) term, which adds no letter, and k > g a y letter (y = True);
+    # every x word of degree <= 2r+1 has at least one, every y word one
+    prods: Tuple[dict, dict] = ({}, {})
     for a, wa in enumerate(basis):
         for b, wb in enumerate(basis):
-            for k in range(g + 1):
-                prods.setdefault(wa[::-1] + (k,)[:k] + wb, []).append((k, a, b))
-    coeffs = np.conj(np.array([pencil.A0, *pencil.x_coeffs], dtype=complex))
-    i, j = np.ix_(range(mu), range(mu))
+            for k in range(g + pencil.h + 1):
+                word = wa[::-1] + (k,)[:k] + wb
+                prods[k > g].setdefault(word, []).append((k, a, b))
+    coeffs = np.conj([pencil.A0, *pencil.x_coeffs, *pencil.y_coeffs])
     hp = HermitianProblem()
     hp.add_block("S", mu * n)
     hp.add_block("G", n * d * mu)
-    # a word's rows are indexed (i, j); the S data axes then read (a, i, b, j)
-    # and the G data axes (a, c, i, b, e, j)
-    for v in sorted(prods, key=word_key):
-        k, a, b = (np.array(t)[:, None, None] for t in zip(*prods[v]))
-        s = np.zeros((mu, mu, n, mu, n, mu))
-        gm = np.zeros((mu, mu, n, d, mu, n, d, mu), dtype=complex)
-        one = k[:, 0, 0] == 0
-        s[i, j, a[one], i, b[one], j] = 1.0
-        gm[i, j, a, :, i, b, :, j] = coeffs[k]
-        hp.add_complex_row({"S": s.reshape(mu * mu, mu * n, mu * n),
-                            "G": gm.reshape(mu * mu, n * d * mu, -1)},
-                           None, p.coeff(v).ravel())
-    # annihilation: each y coefficient contracts to zero against every word
-    # pair (these are exactly the coefficients of the y words); the rows of
-    # one left word a are indexed (b, i, j)
-    b = np.arange(n)[:, None, None]
-    for coeff in pencil.y_coeffs:
-        for a in range(n):
-            gm = np.zeros((n, mu, mu, n, d, mu, n, d, mu), dtype=complex)
-            gm[b, i, j, a, :, i, b, :, j] = np.conj(coeff)
-            hp.add_complex_row({"G": gm.reshape(n * mu * mu, n * d * mu, -1)},
-                               None, np.zeros(n * mu * mu))
+    # per table (none for y words without y letters), one stack with a
+    # complex row for each entry (i, j) of a word v <= rev(v), i <= j when
+    # v = rev(v), since rev(v) and (j, i) give the conjugate row; the
+    # imaginary part of a self-adjoint diagonal entry is round-off, so its
+    # rhs is real and that row's imaginary part reads 0 = 0
+    for table in filter(None, prods):
+        rows = [(v, i, j) for v in sorted(table, key=word_key) if v <= v[::-1]
+                for i in range(mu) for j in range(mu)
+                if i <= j or v != v[::-1]]
+        rhs = [p.coeff(v)[i, j].real if v == v[::-1] and i == j
+               else p.coeff(v)[i, j] for v, i, j in rows]
+        t, k, a, b, i, j = np.array([(t, *prod, i, j) for t, (v, i, j)
+                                     in enumerate(rows) for prod in table[v]]).T
+        # the S data axes read (a, i, b, j), the G data axes (a, c, i, b, e, j)
+        s = np.zeros((len(rows), n, mu, n, mu))
+        gm = np.zeros((len(rows), n, d, mu, n, d, mu), dtype=complex)
+        one = k == 0
+        s[t[one], a[one], i[one], b[one], j[one]] = 1.0
+        gm[t, a, :, i, b, :, j] = coeffs[k]
+        hp.add_complex_row({"S": s.reshape(len(rows), mu * n, -1),
+                            "G": gm.reshape(len(rows), n * d * mu, -1)},
+                           None, rhs)
     return hp
 
 

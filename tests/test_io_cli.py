@@ -226,9 +226,9 @@ def _corpus_doc_with(name, value, *path):
     (_corpus_doc_with("possatz-search-inside", None, "r"), "payload.r"),
     (_corpus_doc_with("monicize-tv", 5, "xhat"), "payload.xhat"),
     (_corpus_doc_with("tvscreen-drop-inside", "a", "X", "matrices", 0, "rows"),
-     "payload.X.matrices[0]"),
+     "payload.X.matrices[0].rows"),
     (_corpus_doc_with("tracial-scalar-inside", {"matrices": [], "dim": "z"},
-                      "B"), "payload.B"),
+                      "B"), "payload.B.dim"),
     (_corpus_doc_with("possatz-search-inside", 0.9, "r"), "payload.r"),
     (_corpus_doc_with("possatz-search-inside", True, "r"), "payload.r"),
     (_corpus_doc_with("possatz-search-inside", -1, "r"), "payload.r"),
@@ -248,6 +248,44 @@ def test_cli_malformed_payload_exits_4(doc, locus, tmp_path, capsys):
 
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 4
+    assert capsys.readouterr().err.startswith(f"input error: {locus}: ")
+
+
+# each integer field by its locus: the corpus problem and the path to it
+_INTEGER_FIELDS = {
+    "payload.certificate.g": ("possatz-verify-halfline", "certificate", "g"),
+    "payload.certificate.d": ("possatz-verify-halfline", "certificate", "d"),
+    "payload.certificate.mu": ("possatz-verify-halfline", "certificate", "mu"),
+    "payload.certificate.r": ("possatz-verify-halfline", "certificate", "r"),
+    "payload.certificate.S.rows":
+        ("possatz-verify-halfline", "certificate", "S", "rows"),
+    "payload.certificate.G.cols":
+        ("possatz-verify-halfline", "certificate", "G", "cols"),
+    "payload.p.g": ("possatz-verify-halfline", "p", "g"),
+    "payload.p.rows": ("possatz-verify-halfline", "p", "rows"),
+    "payload.p.cols": ("possatz-verify-halfline", "p", "cols"),
+    "payload.p.terms[1].word":
+        ("possatz-verify-halfline", "p", "terms", 1, "word", 0),
+    "payload.X.matrices[0].cols":
+        ("tvscreen-drop-inside", "X", "matrices", 0, "cols"),
+    "payload.B.dim": ("tracial-scalar-inside", "B"),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, "0", "1"],
+                         ids=["half", "float-one", "string-zero", "string-one"])
+@pytest.mark.parametrize("locus", list(_INTEGER_FIELDS))
+def test_cli_non_integer_counts_exit_4(locus, value, tmp_path, capsys):
+    """Integer fields take JSON integers only: a float or a string is an
+    input error at the field's locus, not a count rounded or converted."""
+    from freeconvex.cli import main
+
+    name, *field = _INTEGER_FIELDS[locus]
+    if locus.endswith(".dim"):            # dim is read for an empty tuple
+        value = {"matrices": [], "dim": value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_corpus_doc_with(name, value, *field)))
     assert main(["run", str(path)]) == 4
     assert capsys.readouterr().err.startswith(f"input error: {locus}: ")
 

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeconvex.algebra import (HermitianTuple, LinearPencil, NCPolynomial,
-                                lambda_min, pencil_from_tuple)
+                                lambda_min, pencil_from_tuple, word_key)
 from freeconvex.corpus import (interval_tuple, linear_form_poly, scalar_tuple,
-                               tv_dual_boundary, tv_monic_lift)
+                               tv_dual_boundary, tv_dual_support, tv_monic_lift)
 from freeconvex.possatz import (Certificate, WordBasis, certificate_problem,
                                 expand_certificate, extract_weights,
                                 search_certificate, verify_certificate)
 from freeconvex.rand import rand_hermitian, rand_psd, rng
-from freeconvex.sdp import SolveStatus, hvec, svec
+from freeconvex.sdp import HermitianProblem, SolveStatus, _Rows, hvec, svec
 from freeconvex.spectra import (Spectrahedrop, dominates, drop_membership,
                                 drop_polar_membership)
 
@@ -21,6 +21,122 @@ HALF = LinearPencil(np.eye(1), [2.0 * np.eye(1)])   # 1 + 2x
 _G = rng(8)
 CPLX = LinearPencil(np.eye(3), [rand_hermitian(_G, 3), rand_hermitian(_G, 3)],
                     [rand_hermitian(_G, 3), np.zeros((3, 3))])
+
+
+def reference_problem(p, pencil, r):
+    """The certificate SDP built one word at a time: mu^2 complex rows for
+    every word, and for each y coefficient and left word a the N mu^2 rows
+    (b, i, j), conjugate pairs included."""
+    g, d, mu = pencil.g, pencil.d, p.rows
+    basis = WordBasis(g, r).words
+    n = len(basis)
+    prods = {}
+    for a, wa in enumerate(basis):
+        for b, wb in enumerate(basis):
+            for k in range(g + 1):
+                prods.setdefault(wa[::-1] + (k,)[:k] + wb, []).append((k, a, b))
+    coeffs = np.conj(np.array([pencil.A0, *pencil.x_coeffs], dtype=complex))
+    i, j = np.ix_(range(mu), range(mu))
+    hp = HermitianProblem()
+    hp.add_block("S", mu * n)
+    hp.add_block("G", n * d * mu)
+    for v in sorted(prods, key=word_key):
+        k, a, b = (np.array(t)[:, None, None] for t in zip(*prods[v]))
+        s = np.zeros((mu, mu, n, mu, n, mu))
+        gm = np.zeros((mu, mu, n, d, mu, n, d, mu), dtype=complex)
+        one = k[:, 0, 0] == 0
+        s[i, j, a[one], i, b[one], j] = 1.0
+        gm[i, j, a, :, i, b, :, j] = coeffs[k]
+        hp.add_complex_row({"S": s.reshape(mu * mu, mu * n, mu * n),
+                            "G": gm.reshape(mu * mu, n * d * mu, -1)},
+                           None, p.coeff(v).ravel())
+    b = np.arange(n)[:, None, None]
+    for coeff in pencil.y_coeffs:
+        for a in range(n):
+            gm = np.zeros((n, mu, mu, n, d, mu, n, d, mu), dtype=complex)
+            gm[b, i, j, a, :, i, b, :, j] = np.conj(coeff)
+            hp.add_complex_row({"G": gm.reshape(n * mu * mu, n * d * mu, -1)},
+                               None, np.zeros(n * mu * mu))
+    return hp
+
+
+def _rows_up_to_sign(problem):
+    """The rows [A | b] of a built problem, each with its first nonzero
+    entry made positive, as a list of tuples."""
+    rows = np.hstack([*problem.A_blocks, problem.rhs[:, None]]) + 0.0
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return [tuple(row) for row in rows * np.where(lead < 0, -1.0, 1.0)[:, None]]
+
+
+def _symmetric_poly(gen, g, mu, degree):
+    """A random symmetric polynomial whose self-adjoint words carry exactly
+    Hermitian coefficients."""
+    p = NCPolynomial(g, mu, mu, {w: gen.normal(size=(mu, mu))
+                                 + 1j * gen.normal(size=(mu, mu))
+                                 for w in WordBasis(g, degree).words})
+    return (p + p.adjoint()) * 0.5
+
+
+@pytest.mark.parametrize("pencil, mu, r", [
+    (TVM, 1, 0), (TVM, 1, 1), (TVM, 1, 2), (TVM, 1, 3), (TVM, 2, 1),
+    (CPLX, 1, 1), (CPLX, 2, 1), (CPLX, 1, 2)],
+    ids=["tv-r0", "tv-r1", "tv-r2", "tv-r3", "tv-mu2", "complex-r1",
+         "complex-mu2", "complex-r2"])
+def test_rows_are_reference_rows_distinct_up_to_sign(pencil, mu, r):
+    """certificate_problem keeps exactly one of every set of reference rows
+    equal up to sign, and all of them are independent."""
+    p = _symmetric_poly(rng(r), pencil.g, mu, 2 * r + 1)
+    if pencil is TVM:
+        p = NCPolynomial(p.g, mu, mu, {w: c.real for w, c in p.terms.items()})
+    problem, _ = certificate_problem(p, pencil, r).build()
+    ref, _ = reference_problem(p, pencil, r).build()
+    rows = _rows_up_to_sign(problem)
+    assert len(set(rows)) == len(rows)
+    assert set(rows) == set(_rows_up_to_sign(ref))
+    assert _Rows(problem).keep.size == problem.m
+    if pencil is TVM and mu == 1:
+        assert problem.m == {0: 4, 1: 18, 2: 70, 3: 270}[r]
+
+
+def test_complex_self_adjoint_round_off_is_dropped():
+    """p expanded from a strictly feasible certificate on the complex pencil
+    carries imaginary round-off on the diagonal of its self-adjoint words.
+    The reference build turns it into rows 0 = 1e-16, which make the
+    problem inconsistent; certificate_problem matches only the real part,
+    and the search finds a certificate."""
+    gen = rng(0)
+    n, d = len(WordBasis(CPLX.g, 1)), CPLX.d
+    # Q = conj(u) u^T is PSD, and u* Y u = 0 makes Y cancel against it
+    lam, vec = np.linalg.eigh(CPLX.y_coeffs[0])
+    u = np.sqrt(-lam[0]) * vec[:, -1] + np.sqrt(lam[-1]) * vec[:, 0]
+    cert = Certificate(CPLX.g, d, 1, 1, rand_psd(gen, n) + np.eye(n),
+                       np.kron(rand_psd(gen, n), np.outer(u.conj(), u)))
+    p = expand_certificate(cert, CPLX)
+    assert max(abs(p.coeff(w)[0, 0].imag) for w in p.terms
+               if w == w[::-1]) > 0
+    ref, _ = reference_problem(p, CPLX, 1).build()
+    assert (~np.hstack(ref.A_blocks).any(axis=1) & (ref.rhs != 0)).any()
+    problem, _ = certificate_problem(p, CPLX, 1).build()
+    assert np.hstack(problem.A_blocks).any(axis=1).all()
+    assert _Rows(problem).keep.size == problem.m
+    assert bool(search_certificate(p, CPLX, 1))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_margins_match_reference(r):
+    """At criterion-5-style points, three inside the TV screen's polar dual
+    and three outside, the status and margin match the reference build."""
+    for th, u in [(0.3, 0.5), (2.0, 0.8), (4.4, 0.2),
+                  (1.1, 1.2), (3.0, 1.4), (5.5, 1.3)]:
+        w = (np.cos(th), np.sin(th))
+        c = u * np.asarray(w) / tv_dual_support(*w)
+        p = linear_form_poly(*c)
+        new = certificate_problem(p, TVM, r).solve()
+        ref = reference_problem(p, TVM, r).solve()
+        assert new.status == ref.status
+        assert new.status == (SolveStatus.FEASIBLE if u < 1 else
+                              SolveStatus.INFEASIBLE)
+        assert abs(new.margin - ref.margin) <= 1e-10
 
 
 def test_word_basis_counts_and_order():
