@@ -21,7 +21,6 @@ __all__ = [
     "NCWord",
     "kron",
     "realify",
-    "derealify",
     "direct_sum",
     "evaluate_pencil",
     "evaluate_polynomial",
@@ -102,23 +101,6 @@ def realify(h) -> np.ndarray:
     h = require_hermitian(h)
     re, im = h.real, h.imag
     return np.block([[re, -im], [im, re]])
-
-
-def derealify(r) -> np.ndarray:
-    """Project a 2n x 2n real symmetric matrix back to Hermitian n x n.
-
-    Inverse of :func:`realify` on its image; on other symmetric matrices it
-    returns the structure-averaged Hermitian matrix, which can only improve
-    the minimum eigenvalue.
-    """
-    r = np.asarray(r, dtype=float)
-    n2 = r.shape[0]
-    if n2 % 2:
-        raise ValueError("realified matrix must have even size")
-    n = n2 // 2
-    re = 0.5 * (r[:n, :n] + r[n:, n:])
-    im = 0.5 * (r[n:, :n] - r[:n, n:])
-    return hermitian_part(re + 1j * im)
 
 
 @dataclass(frozen=True)

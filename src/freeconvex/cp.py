@@ -245,6 +245,6 @@ def interpolate(a: HermitianTuple, b: HermitianTuple, mode=InterpolationMode.CP,
     n, m = a.dim, b.dim
     choi = None
     if sol.feasible:
-        choi = ChoiMatrix(n, m, psd_part(sol.block("C")))
+        choi = ChoiMatrix(n, m, psd_part(sol.witness["C"]))
     return InterpolationResult(sol.status, mode, choi=choi, margin=sol.margin,
-                               iterations=sol.raw.iterations, info=sol.info)
+                               iterations=sol.iterations, info=sol.info)

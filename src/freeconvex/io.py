@@ -181,8 +181,12 @@ def decode_pencil(obj, locus: str = "pencil") -> LinearPencil:
         pencil = LinearPencil(a0, xs, ys)
     except ValueError as exc:
         raise ParseError(str(exc), locus)
-    if "monic" in obj and bool(obj["monic"]) != pencil.monic:
-        raise ParseError("monic flag does not match A0", locus)
+    # the redundant fields encode_pencil writes must agree with the data
+    for key, decode in (("monic", _flag(nullable=False)), ("d", _degree),
+                        ("g", _degree), ("h", _degree)):
+        want = getattr(pencil, key)
+        if key in obj and decode(obj[key], f"{locus}.{key}") != want:
+            raise ParseError(f"the pencil has {key} = {want!r}", f"{locus}.{key}")
     return pencil
 
 

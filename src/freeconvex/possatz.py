@@ -249,8 +249,8 @@ def search_certificate(p: NCPolynomial, pencil: LinearPencil, r: int,
                                                   feas_tol=feas_tol)
     if not sol.feasible:
         return CertificateSearch(sol.status, margin=sol.margin, info=sol.info)
-    cert = Certificate(pencil.g, pencil.d, p.rows, r, sol.block("S"),
-                       sol.block("G"))
+    cert = Certificate(pencil.g, pencil.d, p.rows, r, sol.witness["S"],
+                       sol.witness["G"])
     ok, resid = verify_certificate(p, cert, pencil)
     info = sol.info if ok else \
         {**sol.info, "reason": "certificate failed re-verification"}

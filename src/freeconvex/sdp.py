@@ -64,12 +64,14 @@ tol 1e-8 that re-solve tightens only the gap test, to 1e-9.
 
 Small problems pay for calls, not arithmetic, so both layers a decision
 passes through are built from whole arrays.  :class:`HermitianProblem`
-holds its rows as stacked arrays, one group per call, and builds the
-SDPProblem directly from them.  The core unpacks its rows and objective
-once and then runs in full-matrix coordinates: residuals are A_flat vec(Z)
-and A_flat' y reshaped, with no svec or smat in the loop; the Schur
-complement is factored by LAPACK's potrf/potrs directly, and both step
-lengths of a block come from one batched eigvalsh.
+stores its complex rows unsplit as stacked arrays, one group per call;
+``build`` splits each group once into real and imaginary rows, drops rows
+by one rule and fills the SDPProblem directly, and ``solve`` returns the
+engine's SDPSolution.  The core unpacks its rows and objective once and
+then runs in full-matrix coordinates: residuals are A_flat vec(Z) and
+A_flat' y reshaped, with no svec or smat in the loop; the Schur complement
+is factored by LAPACK's potrf/potrs directly, and both step lengths of a
+block come from one batched eigvalsh.
 
 Complex Hermitian blocks are solved natively (as SDPT3 and SeDuMi do): an
 SDPProblem block flagged ``hermitian`` has n^2 real coordinates
@@ -293,7 +295,7 @@ class SDPProblem:
 
 
 @dataclass
-class SDPSolution:
+class SDPSolution(Decision):
     status: SolveStatus
     witness: Dict[str, np.ndarray] = field(default_factory=dict)
     free_values: Optional[np.ndarray] = None
@@ -301,10 +303,6 @@ class SDPSolution:
     margin: Optional[float] = None
     iterations: int = 0
     info: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def feasible(self) -> bool:
-        return self.status is SolveStatus.FEASIBLE
 
 
 # ---------------------------------------------------------------------------
@@ -960,29 +958,24 @@ class FreeHermitian:
         e[ju, iu, re + 1] = -1j
         return e.reshape(n * n, n * n)
 
-    def assemble(self, values: np.ndarray) -> np.ndarray:
+    def assemble(self, free_values: np.ndarray) -> np.ndarray:
+        """The matrix Y, read from the values of all free variables."""
+        values = free_values[self.start:self.start + self.n_vars]
         return (self._basis() @ values).reshape(self.size, self.size)
-
-
-def _herm_split(f: np.ndarray):
-    """Hermitian data pair (Hre, Him) with tr(Hre C) = Re tr(F* C) and
-    tr(Him C) = Im tr(F* C) for Hermitian C; F may be a stack."""
-    fh = f.conj().swapaxes(-1, -2)
-    return 0.5 * (f + fh), 0.5j * (f - fh)
 
 
 class HermitianProblem:
     """Complex Hermitian PSD blocks, real free scalars (including Hermitian
-    matrix unknowns), scalar equality rows with Hermitian data matrices, and
-    an optional linear objective.
+    matrix unknowns), complex equality rows, and an optional linear
+    objective.
 
-    Rows are held in groups, one per ``add_*`` call: a (k, n, n) stack of
-    exactly Hermitian data per block, a (k, n_free) real array of free
-    coefficients and a (k,) rhs.  ``solve`` hands the engine native
-    Hermitian blocks; when every row is conjugation-invariant the equivalent
-    real-restricted problem is solved instead, with real blocks of the same
-    size.  :func:`build_from_complex` realifies the built problem into
-    2n x 2n real blocks, as a reference.
+    Rows are stored unsplit, one group per ``add_*`` call: a (k, n, n)
+    complex stack F per block, (k, n_free) free coefficients c and a (k,)
+    rhs, for sum_b tr(F_b,p* C_b) + c_p.u = rhs_p.  ``build`` splits every
+    row once into its real and imaginary part (native Hermitian blocks, or
+    real ones of the same size when every split row is conjugation-
+    invariant), and ``solve`` returns the engine's :class:`SDPSolution`.
+    :func:`build_from_complex` realifies the build, as a reference.
     """
 
     def __init__(self):
@@ -1017,10 +1010,12 @@ class HermitianProblem:
 
     def _block_data(self, block_data, lead=()) -> Dict[str, np.ndarray]:
         """The data matrices of a row (or of a stack of rows, when `lead` is
-        (k,)), checked against the block sizes."""
+        (k,)), checked against the block names and sizes."""
         sizes = dict(self._blocks)
         out = {}
         for name, f in block_data.items():
+            if name not in sizes:
+                raise ValueError(f"unknown block {name!r}")
             f = np.asarray(f, dtype=complex)
             if f.shape != lead + (sizes[name],) * 2:
                 raise ValueError(f"data for block {name!r} has wrong shape")
@@ -1038,41 +1033,26 @@ class HermitianProblem:
     def add_scalar_row(self, block_terms: Dict[str, np.ndarray],
                        free_terms: Optional[Dict[int, float]], rhs: float):
         """sum_b tr(H_b C_b) + sum a_i u_i = rhs with Hermitian H, real rhs."""
-        data = {name: require_hermitian(h, what=f"data for block {name!r}")[None]
-                for name, h in self._block_data(block_terms).items()}
-        self._groups.append((data, self._free_row(free_terms).real,
-                             np.array([float(rhs)])))
+        self.add_complex_row(
+            {name: require_hermitian(h, what=f"data for block {name!r}")[None]
+             for name, h in self._block_data(block_terms).items()},
+            free_terms, [float(rhs)])
 
     def add_complex_row(self, block_data: Dict[str, np.ndarray],
                         free_terms: Optional[Dict[int, complex]], rhs):
         """A stack of k complex equalities
-        sum_b tr(F_b,p* C_b) + sum c_i,p u_i = rhs_p, each split into its
-        real and imaginary parts: block_data maps a block name to a
-        (k, n, n) array (F need not be Hermitian), rhs is (k,), and each
-        free coefficient c_i broadcasts to (k,)."""
+        sum_b tr(F_b,p* C_b) + sum c_i,p u_i = rhs_p: block_data maps a block
+        name to a (k, n, n) array (F need not be Hermitian), rhs is (k,), and
+        each free coefficient c_i broadcasts to (k,)."""
         rhs = np.asarray(rhs, dtype=complex)
         k = rhs.shape[0]
-        self._add_split(self._block_data(block_data, (k,)),
-                        self._free_row(free_terms, k), rhs)
-
-    def _add_split(self, data, free, rhs):
-        """Append the rows tr(F_p* C) + free_p.u = rhs_p, each as its real
-        part then its imaginary part; a part that reads 0 = 0 is dropped."""
-        k = rhs.shape[0]
-        parts = {name: np.stack(_herm_split(f), axis=1).reshape(2 * k, *f.shape[1:])
-                 for name, f in data.items()}
-        free = np.stack([free.real, free.imag], axis=1).reshape(2 * k, -1)
-        rhs = np.stack([rhs.real, rhs.imag], axis=1).ravel()
-        keep = (free != 0).any(axis=1) | (rhs != 0)
-        for h in parts.values():
-            keep |= (h != 0).any(axis=(1, 2))
-        self._groups.append(({name: h[keep] for name, h in parts.items()},
-                             free[keep], rhs[keep]))
+        self._groups.append((self._block_data(block_data, (k,)),
+                             self._free_row(free_terms, k), rhs))
 
     def add_matrix_eq(self, terms, rhs):
-        """Matrix equality sum(term values) = rhs, expanded into the real and
-        then the imaginary part of each entry (r, s), r <= s; each term is one
-        array operation over all entries.  Terms (complex-linear values):
+        """Matrix equality sum(term values) = rhs, one complex row per entry
+        (r, s), r <= s; each term is one array operation over all entries.
+        Terms (complex-linear values):
           ("apply", block, A, m)      sum_pq A_pq C_pq with m x m blocks C_pq
           ("entry", block, scale)     scale * C
           ("blocktrace", block, m, scale) scale * (tr C_pq)_pq, m x m blocks
@@ -1113,12 +1093,13 @@ class HermitianProblem:
                 free[:, j] += np.asarray(coeff, dtype=complex)[r, s]
             else:
                 raise ValueError(f"unknown term kind {kind!r}")
-        self._add_split(F, free, rhs[r, s])
+        self._groups.append((F, free, rhs[r, s]))
 
     def set_objective(self, block_terms: Dict[str, np.ndarray],
                       free_terms: Optional[Dict[int, float]] = None):
         """Maximize sum tr(H_b C_b) + sum a.u (H Hermitian)."""
-        self._obj = ({n: np.asarray(h, dtype=complex) for n, h in block_terms.items()},
+        self._obj = ({name: require_hermitian(h, what=f"objective for block {name!r}")
+                      for name, h in self._block_data(block_terms).items()},
                      dict(free_terms or {}))
 
     # -- building ------------------------------------------------------------
@@ -1130,14 +1111,15 @@ class HermitianProblem:
             imag[fh.start:fh.start + fh.n_vars] = (fh._basis().imag != 0).any(axis=0)
         return imag
 
-    def _is_real(self, imag: np.ndarray) -> bool:
+    def _is_real(self, groups, imag: np.ndarray) -> bool:
         """True when restricting all unknowns to real entries is lossless.
 
-        That holds when each row is either invariant under conjugating every
-        unknown (real data, no imaginary-component variables) or flips sign
-        entirely (imaginary data, rhs 0, only imaginary-component variables).
+        That holds when each split row is either invariant under conjugating
+        every unknown (real data, no imaginary-component variables) or flips
+        sign entirely (imaginary data, rhs 0, only imaginary-component
+        variables).
         """
-        for bt, ft, rhs in self._groups:
+        for bt, ft, rhs in groups:
             im_max = re_max = np.zeros(rhs.shape[0])
             for h in bt.values():
                 im_max = np.maximum(im_max, np.abs(h.imag).max(axis=(1, 2)))
@@ -1158,29 +1140,41 @@ class HermitianProblem:
         return True
 
     def build(self):
-        """Return (SDPProblem, decoder).
+        """Return (SDPProblem, kept_vars), kept_vars the indices of the free
+        variables the problem keeps.
 
-        When every row is conjugation-invariant the blocks are real of the
-        same size (the real path); otherwise they are native Hermitian blocks
-        in hvec coordinates.
+        Each row tr(F* C) + c.u = rhs becomes its real part, then its
+        imaginary part: tr(H C) + Re c.u = Re rhs and tr(K C) + Im c.u =
+        Im rhs, with Hermitian H = (F + F*)/2 and K = i (F - F*)/2.  When every
+        such row is conjugation-invariant the blocks are real of the same
+        size and only the real free variables stay (the real path); otherwise
+        they are native Hermitian blocks in hvec coordinates.  A row is kept
+        when a data or free coefficient is nonzero or |rhs| > 1e-12, so that
+        0 = 0 and 0 = round-off go, and 0 = 1 stays, to be found inconsistent.
         """
+        def pairs(a, b):          # row p of a, then row p of b, for every p
+            return np.stack([a, b], axis=1).reshape(2 * len(a), *a.shape[1:])
+        groups = []
+        for data, free, rhs in self._groups:
+            split = {}
+            for name, f in data.items():
+                fh = f.conj().swapaxes(-1, -2)
+                split[name] = pairs(0.5 * (f + fh), 0.5j * (f - fh))
+            groups.append((split, pairs(free.real, free.imag),
+                           pairs(rhs.real, rhs.imag)))
         imag = self._imag_vars()
-        real_path = self._is_real(imag)
+        real_path = self._is_real(groups, imag)
         herm = not real_path
         kept_vars = np.flatnonzero(~imag) if real_path else np.arange(self._n_free)
-        groups = []
-        for data, ft, rhs in self._groups:
+        for g, (data, ft, rhs) in enumerate(groups):
             ft = ft[:, kept_vars[:np.searchsorted(kept_vars, ft.shape[1])]]
             if real_path:
                 data = {name: h.real for name, h in data.items()}
-                # a conjugation-odd row reads 0 = 0 on real unknowns; a
-                # zero row with a nonzero rhs stays, to be found inconsistent
-                keep = (ft != 0).any(axis=1) | (np.abs(rhs) > 1e-12)
-                for d in data.values():
-                    keep |= (d != 0).any(axis=(1, 2))
-                data = {name: d[keep] for name, d in data.items()}
-                ft, rhs = ft[keep], rhs[keep]
-            groups.append((data, ft, rhs))
+            keep = (ft != 0).any(axis=1) | (np.abs(rhs) > 1e-12)
+            for d in data.values():
+                keep |= (d != 0).any(axis=(1, 2))
+            groups[g] = ({name: d[keep] for name, d in data.items()},
+                         ft[keep], rhs[keep])
         m = sum(rhs.shape[0] for _, _, rhs in groups)
         A_blocks = {name: np.zeros((m, _vec_dim(sz, herm))) for name, sz in self._blocks}
         A_free, b = np.zeros((m, kept_vars.size)), np.zeros(m)
@@ -1206,67 +1200,21 @@ class HermitianProblem:
                              tuple(A_blocks[name] for name, _ in self._blocks),
                              A_free, b, obj_blocks, obj_free,
                              (True,) * len(self._blocks) if herm else ())
-        return problem, _HermitianDecoder(self._n_free, kept_vars, real_path)
+        return problem, kept_vars
 
     # -- solving -------------------------------------------------------------
 
     def solve(self, tol: float = 1e-8, max_iter: int = 200,
-              feas_tol: float = FEAS_TOL):
-        problem, decoder = self.build()
+              feas_tol: float = FEAS_TOL) -> SDPSolution:
+        """The engine's solution of the built problem, with ``free_values``
+        over every free variable; one the build dropped reads 0."""
+        problem, kept_vars = self.build()
         sol = solve(problem, tol=tol, max_iter=max_iter, feas_tol=feas_tol)
-        return HermitianSolution(sol, decoder)
-
-
-class _HermitianDecoder:
-    def __init__(self, n_free, kept_vars, real_path):
-        self.n_free = n_free
-        self.kept_vars = kept_vars
-        self.real_path = real_path
-
-    def full_free(self, free_values):
-        out = np.zeros(self.n_free)
-        if free_values is not None:
-            out[self.kept_vars] = free_values
-        return out
-
-
-@dataclass
-class HermitianSolution:
-    """Complex-space view of an engine solution."""
-
-    raw: SDPSolution
-    decoder: _HermitianDecoder
-
-    @property
-    def status(self) -> SolveStatus:
-        return self.raw.status
-
-    @property
-    def feasible(self) -> bool:
-        return self.raw.status is SolveStatus.FEASIBLE
-
-    @property
-    def margin(self):
-        return self.raw.margin
-
-    @property
-    def objective_value(self):
-        return self.raw.objective_value
-
-    @property
-    def info(self):
-        return self.raw.info
-
-    def block(self, name: str):
-        raw = self.raw.witness.get(name)
-        return None if raw is None else np.asarray(raw, dtype=complex)
-
-    def free_hermitian(self, fh: FreeHermitian):
-        return fh.assemble(self.decoder.full_free(self.raw.free_values)[
-            fh.start:fh.start + fh.n_vars])
-
-    def free_value(self, idx: int) -> float:
-        return float(self.decoder.full_free(self.raw.free_values)[idx])
+        free = np.zeros(self._n_free)
+        if sol.free_values is not None:
+            free[kept_vars] = sol.free_values
+        sol.free_values = free
+        return sol
 
 
 def build_from_complex(problem: HermitianProblem) -> SDPProblem:

@@ -11,7 +11,7 @@ The polar dual of a set K is {A : I - sum A_j (x) X_j >= 0 for all X in K}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -20,7 +20,8 @@ from .algebra import (HermitianTuple, LinearPencil, evaluate_pencil,
                       hermitian_part, lambda_min, monic_tuple,
                       pencil_from_tuple)
 from .cp import ChoiMatrix, InterpolationMode, interpolate, kraus_of_choi
-from .sdp import FEAS_TOL, Decision, HermitianProblem, SolverError, SolveStatus
+from .sdp import (FEAS_TOL, Decision, HermitianProblem, SolverError, SolveStatus,
+                  hmat, hvec)
 
 __all__ = [
     "Spectrahedrop",
@@ -308,7 +309,7 @@ def drop_membership(drop: Spectrahedrop, x: HermitianTuple, tol: float = 1e-8,
     sol = hp.solve(tol=tol, max_iter=max_iter, feas_tol=feas_tol)
     witness = None
     if sol.feasible and lift.h:
-        witness = HermitianTuple([sol.free_hermitian(fh) for fh in ys])
+        witness = HermitianTuple([fh.assemble(sol.free_values) for fh in ys])
     elif sol.feasible:
         witness = HermitianTuple([], dim=n)
     return DropMembership(sol.status, y_witness=witness, margin=sol.margin,
@@ -380,46 +381,6 @@ def monicize(pencil: LinearPencil, xhat: Sequence[float],
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_unknown_layout(d: int):
-    """Coefficient matrices of the unknown block sum E_pq (x) C_pq over the
-    Hermitian components of C, plus index helpers.
-
-    Components: ('re', p, q) for p <= q and ('im', p, q) for p < q, with
-    C_pq = re + i im, C_qp its conjugate.
-    """
-    comps = []
-    coeffs = []
-    for p in range(d):
-        for q in range(p, d):
-            e = np.zeros((d, d), dtype=complex)
-            if p == q:
-                e[p, p] = 1.0
-            else:
-                e[p, q] = 1.0
-                e[q, p] = 1.0
-            comps.append(("re", p, q))
-            coeffs.append(e)
-            if p != q:
-                e = np.zeros((d, d), dtype=complex)
-                e[p, q] = 1.0j
-                e[q, p] = -1.0j
-                comps.append(("im", p, q))
-                coeffs.append(e)
-    return comps, coeffs
-
-
-def _entry_weights(mat: np.ndarray, comps) -> np.ndarray:
-    """Real weights w with sum_pq M_pq C_pq = sum_t w_t * component_t for a
-    Hermitian coefficient matrix M."""
-    out = np.zeros(len(comps))
-    for t, (kind, p, q) in enumerate(comps):
-        if kind == "re":
-            out[t] = float(mat[p, q].real) if p == q else 2.0 * float(mat[p, q].real)
-        else:
-            out[t] = -2.0 * float(mat[p, q].imag)
-    return out
-
-
 def polar_dual_lift(omega: HermitianTuple, gamma: Optional[HermitianTuple] = None,
                     rank_tol: float = 1e-10) -> Spectrahedrop:
     """Explicit drop whose members A admit a unital cp map with
@@ -438,29 +399,15 @@ def polar_dual_lift(omega: HermitianTuple, gamma: Optional[HermitianTuple] = Non
         raise ValueError("tuples must share the coefficient size")
     d = omega.dim or gamma.dim
     g, h = omega.g, gamma.g
-    comps, coeffs = _hermitian_unknown_layout(d)
-    nv = len(comps)
+    # the unknown C = sum_t y_t coeffs[t] in hvec coordinates, one unit vector
+    # per real component; sum_pq M_pq C_pq = hvec(conj M).hvec(C)
+    coeffs = hmat(np.eye(d * d), d)
 
-    # equality system  E_y . y + E_x . x + e0 = 0
-    rows_y: List[np.ndarray] = []
-    rows_x: List[np.ndarray] = []
-    rows_c: List[float] = []
-    rows_y.append(_entry_weights(np.eye(d), comps))      # unitality
-    rows_x.append(np.zeros(g))
-    rows_c.append(-1.0)
-    for j, oj in enumerate(omega):
-        ex = np.zeros(g)
-        ex[j] = -1.0
-        rows_y.append(_entry_weights(oj, comps))
-        rows_x.append(ex)
-        rows_c.append(0.0)
-    for gk in gamma:
-        rows_y.append(_entry_weights(gk, comps))
-        rows_x.append(np.zeros(g))
-        rows_c.append(0.0)
-    Ey = np.vstack(rows_y)
-    Ex = np.vstack(rows_x) if g else np.zeros((Ey.shape[0], 0))
-    e0 = np.asarray(rows_c)
+    # equality system  E_y . y + E_x . x + e0 = 0: unitality, interpolation
+    # Phi(W_j) = x_j and annihilation Phi(G_k) = 0
+    Ey = hvec(np.conj([np.eye(d), *omega, *gamma]))
+    Ex = np.vstack([np.zeros((1, g)), -np.eye(g), np.zeros((h, g))])
+    e0 = np.r_[-1.0, np.zeros(g + h)]
 
     # pick pivot unknowns via rank-revealing QR of E_y
     _, rr, piv = sla.qr(Ey, mode="economic", pivoting=True)
@@ -478,7 +425,7 @@ def polar_dual_lift(omega: HermitianTuple, gamma: Optional[HermitianTuple] = Non
         Ey, Ex, e0 = Ey[keep], Ex[keep], e0[keep]
         piv = sla.qr(Ey, mode="r", pivoting=True)[1]
     pivots = list(piv[:rank])
-    free = [t for t in range(nv) if t not in set(pivots)]
+    free = [t for t in range(d * d) if t not in set(pivots)]
     Ep = Ey[:, pivots]
     Ef = Ey[:, free]
     sol_const = np.linalg.solve(Ep, -e0)
@@ -563,7 +510,7 @@ def _interior_y_point(pencil: LinearPencil, tol: float = 1e-8,
             (sol.objective_value is not None and sol.objective_value < 1e-6):
         raise ValueError("no strictly feasible lift point above x = 0; the "
                          "stacked dual lift cannot be monicized")
-    return [sol.free_value(ys[k]) for k in range(pencil.h)]
+    return [float(sol.free_values[k]) for k in ys]
 
 
 def hull_of_union(drops: Sequence[Spectrahedrop], tol: float = 1e-8,

@@ -85,7 +85,7 @@ def tracial_membership(b: HermitianTuple, y: HermitianTuple, tol: float = 1e-8,
     sol = hp.solve(tol=tol, max_iter=max_iter)
     witness = None
     if sol.feasible:
-        t = psd_part(sol.block("T"))
+        t = psd_part(sol.witness["T"])
         tr = float(np.trace(t).real)
         if tr > 1.0:
             t = t / tr

@@ -152,7 +152,7 @@ def test_realified_path_agrees():
                              np.diag([0.0, 0.0, 1.0, -1.0])])
     for x in MATRIX_POINTS:
         hp = interpolation_problem(square, x, InterpolationMode.UNITAL)
-        assert hp.build()[1].real_path
+        assert hp.build()[0].hermitian == ()
         real = hp.solve()
         forced = solve(build_from_complex(hp))
         assert real.status is forced.status

@@ -240,9 +240,28 @@ def _corpus_doc_with(name, value, *path):
      "payload.isometry"),
     (_corpus_doc_with("opp-tracial-inside", "false", "opp"), "payload.opp"),
     (_corpus_doc_with("opp-tracial-inside", None, "opp"), "payload.opp"),
+    (_corpus_doc_with("possatz-verify-halfline", "false", "pencil", "monic"),
+     "payload.pencil.monic"),
+    (_corpus_doc_with("possatz-verify-halfline", [0], "pencil", "monic"),
+     "payload.pencil.monic"),
+    (_corpus_doc_with("possatz-verify-halfline", False, "pencil", "monic"),
+     "payload.pencil.monic"),
+    (_corpus_doc_with("tvscreen-drop-inside", True, "lift", "monic"),
+     "payload.lift.monic"),
+    (_corpus_doc_with("possatz-verify-halfline", 7, "pencil", "d"),
+     "payload.pencil.d"),
+    (_corpus_doc_with("possatz-verify-halfline", 3, "pencil", "g"),
+     "payload.pencil.g"),
+    (_corpus_doc_with("possatz-verify-halfline", 2, "pencil", "h"),
+     "payload.pencil.h"),
+    (_corpus_doc_with("possatz-verify-halfline", "1", "pencil", "d"),
+     "payload.pencil.d"),
+    (_corpus_doc_with("halfline-dominate", True, "LA", "g"), "payload.LA.g"),
 ], ids=["r-string", "r-null", "xhat-number", "rows-string", "dim-string",
         "r-float", "r-bool", "r-negative", "bounded-string", "bounded-number",
-        "isometry-string", "opp-string", "opp-null"])
+        "isometry-string", "opp-string", "opp-null", "monic-string",
+        "monic-list", "monic-mismatch", "monic-lift-mismatch", "d-mismatch",
+        "g-mismatch", "h-mismatch", "d-string", "g-bool"])
 def test_cli_malformed_payload_exits_4(doc, locus, tmp_path, capsys):
     from freeconvex.cli import main
 

@@ -101,9 +101,10 @@ def test_rows_are_reference_rows_distinct_up_to_sign(pencil, mu, r):
 def test_complex_self_adjoint_round_off_is_dropped():
     """p expanded from a strictly feasible certificate on the complex pencil
     carries imaginary round-off on the diagonal of its self-adjoint words.
-    The reference build turns it into rows 0 = 1e-16, which make the
-    problem inconsistent; certificate_problem matches only the real part,
-    and the search finds a certificate."""
+    The reference rows split it into zero rows with rhs about 1e-16, which
+    the build drops like any |rhs| <= 1e-12 (kept, they would read 0 = 1
+    once scaled, and make the problem inconsistent); certificate_problem
+    matches only the real part.  Both searches find a certificate."""
     gen = rng(0)
     n, d = len(WordBasis(CPLX.g, 1)), CPLX.d
     # Q = conj(u) u^T is PSD, and u* Y u = 0 makes Y cancel against it
@@ -114,8 +115,10 @@ def test_complex_self_adjoint_round_off_is_dropped():
     p = expand_certificate(cert, CPLX)
     assert max(abs(p.coeff(w)[0, 0].imag) for w in p.terms
                if w == w[::-1]) > 0
-    ref, _ = reference_problem(p, CPLX, 1).build()
-    assert (~np.hstack(ref.A_blocks).any(axis=1) & (ref.rhs != 0)).any()
+    ref_hp = reference_problem(p, CPLX, 1)
+    ref, _ = ref_hp.build()
+    assert np.hstack(ref.A_blocks).any(axis=1).all()
+    assert ref_hp.solve().status is SolveStatus.FEASIBLE
     problem, _ = certificate_problem(p, CPLX, 1).build()
     assert np.hstack(problem.A_blocks).any(axis=1).all()
     assert _Rows(problem).keep.size == problem.m
@@ -166,8 +169,8 @@ def test_certificate_rows_meet_expansion(pencil, real, mu, r, seed):
                  np.kron(q, rand_psd(gen, mu, real=real)))
     cert = Certificate(pencil.g, d, mu, r, rand_psd(gen, mu * n, real=real), gm)
     p = expand_certificate(cert, pencil)
-    problem, dec = certificate_problem(p, pencil, r).build()
-    assert dec.real_path == real and problem.n_free == 0
+    problem, _ = certificate_problem(p, pencil, r).build()
+    assert (problem.hermitian == ()) == real and problem.n_free == 0
     vec = svec if real else hvec
     x = np.concatenate([vec(cert.S.real if real else cert.S),
                         vec(cert.G.real if real else cert.G)])

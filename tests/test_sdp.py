@@ -303,6 +303,49 @@ def test_zero_row_with_nonzero_rhs_is_inconsistent(force):
     assert sol.info["reason"] == "inconsistent equalities"
 
 
+@pytest.mark.parametrize("native", [False, True], ids=["real", "native"])
+@pytest.mark.parametrize("rhs", [1e-16, 1e-6])
+def test_zero_row_drop_rule(native, rhs):
+    """A row with zero data is dropped when |rhs| <= 1e-12, on both paths;
+    kept, 0 = 1e-16 would be scaled to 0 = 1.  A larger rhs stays and makes
+    the equalities inconsistent."""
+    hp = HermitianProblem()
+    hp.add_block("Z", 2)
+    hp.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
+    if native:                        # complex data: 2 Im Z_01 = 1/2
+        hp.add_scalar_row({"Z": np.array([[0, 1j], [-1j, 0]])}, {}, 0.5)
+    hp.add_complex_row({"Z": np.zeros((1, 2, 2))}, None, [rhs])
+    problem, _ = hp.build()
+    assert problem.hermitian == ((True,) if native else ())
+    assert problem.m == 1 + native + (rhs > 1e-12)
+    sol = hp.solve()
+    if rhs > 1e-12:
+        assert sol.status is SolveStatus.INFEASIBLE
+        assert sol.info["reason"] == "inconsistent equalities"
+    else:
+        assert sol.status is SolveStatus.FEASIBLE
+
+
+def test_objective_data_is_checked():
+    """Objective data goes through the row checks: an unknown block and a
+    non-Hermitian matrix are rejected, as they are in a row."""
+    hp = HermitianProblem()
+    hp.add_block("Z", 2)
+    hp.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
+    with pytest.raises(ValueError, match="unknown block 'W'"):
+        hp.set_objective({"W": np.eye(2)})
+    with pytest.raises(ValueError, match="unknown block 'W'"):
+        hp.add_scalar_row({"W": np.eye(2)}, {}, 1.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hp.set_objective({"Z": np.array([[0.0, 1.0], [0.0, 0.0]])})
+    # its Hermitian part [[0, 1/2], [1/2, 0]] has the maximum 1/2 of
+    # Re tr(H Z) over tr Z = 1
+    hp.set_objective({"Z": np.array([[0.0, 0.5], [0.5, 0.0]])})
+    sol = hp.solve()
+    assert sol.status is SolveStatus.FEASIBLE
+    assert abs(sol.objective_value - 0.5) <= 1e-6
+
+
 def _qr_rule_keep(A, b):
     """The kept rows by the rule of an explicit pivoted QR of the scaled
     rows' transpose."""
@@ -394,8 +437,8 @@ def test_native_hermitian_matches_realified(n, feasible, seed):
     # one complex row tr(F* Z) = tr(F* Z0), split into two real ones
     f = rand_complex(gen, n, n)
     hp.add_complex_row({"Z": f[None]}, {}, [np.trace(f.conj().T @ z0)])
-    problem, dec = hp.build()
-    assert problem.hermitian == (True,) and not dec.real_path
+    problem, _ = hp.build()
+    assert problem.hermitian == (True,)
     native, realified = hp.solve(), solve(build_from_complex(hp))
     assert native.status is realified.status
     if not feasible:
@@ -406,7 +449,7 @@ def test_native_hermitian_matches_realified(n, feasible, seed):
         assert abs(native.margin - realified.margin) <= \
             100 * FEAS_TOL * (1.0 + abs(realified.margin))
     if native.feasible:
-        z = native.block("Z")
+        z = native.witness["Z"]
         assert np.abs(z - z.conj().T).max() == 0.0
         assert np.linalg.eigvalsh(z)[0] >= -1e-8
         resid = [np.trace(h @ z).real - np.trace(h @ z0).real for h in rows]
@@ -520,8 +563,8 @@ def test_build_from_complex_doubles_real_data():
     p = build_from_complex(hp)
     assert p.blocks == (("Z", 4),)
     # the smart path keeps the real size
-    p2, dec = hp.build()
-    assert p2.blocks == (("Z", 2),) and dec.real_path
+    p2, _ = hp.build()
+    assert p2.blocks == (("Z", 2),) and p2.hermitian == ()
     # and both decide the same feasibility with the same margin
     a = S.solve(p)
     b = S.solve(p2)
@@ -538,8 +581,8 @@ def test_complex_cross_check_with_direct_formulation():
         hp.add_block("C", 2)
         hp.add_scalar_row({"C": np.eye(2)}, {}, 1.0)
         hp.add_scalar_row({"C": sy}, {}, val)
-        problem, dec = hp.build()
-        assert not dec.real_path
+        problem, _ = hp.build()
+        assert problem.hermitian == (True,)
         forced = build_from_complex(hp)
         a = S.solve(problem)
         b = S.solve(forced)
@@ -569,7 +612,7 @@ def test_complex_scalar_block():
     hp.add_scalar_row({"z": np.eye(1)}, {}, 1.0)
     sol = hp.solve()
     assert sol.feasible
-    assert abs(sol.block("z")[0, 0] - 1.0) < 1e-7
+    assert abs(sol.witness["z"][0, 0] - 1.0) < 1e-7
 
 
 def _ref_entry_coeffs(fh, i, j):
@@ -743,9 +786,9 @@ def test_hermitian_rows_match_entrywise_reference(d, real, calls, seed):
     k = d // 2
     imag = {fh.start + k + 2 * i + 1 for i in range(k * (k - 1) // 2)}
     blocks = list(sizes.items())
-    problem, dec = hp.build()
+    problem, kept_vars = hp.build()
     ref, kept, real_path = _ref_build(blocks, hp._n_free, imag, rows, False)
-    assert dec.real_path == real_path and list(dec.kept_vars) == kept
+    assert (problem.hermitian == ()) == real_path and list(kept_vars) == kept
     if real:
         assert real_path
     realified = _ref_build(blocks, hp._n_free, imag, rows, True)[0]
@@ -849,7 +892,7 @@ def _decision_results(status):
     return [InterpolationResult(status, InterpolationMode.CP),
             DominationResult(status, True), DropMembership(status),
             TracialMembership(status), HullMembership(status, []),
-            CertificateSearch(status)]
+            CertificateSearch(status), S.SDPSolution(status)]
 
 
 @pytest.mark.parametrize("status", list(SolveStatus), ids=lambda s: s.value)
