@@ -187,6 +187,8 @@ def interpolation_problem(a: HermitianTuple, b: HermitianTuple,
                           annihilate: Optional[HermitianTuple] = None):
     """Assemble the Choi-variable feasibility problem Phi(A_j) = B_j.
 
+    Row group j (as ``add_matrix_eq`` numbers it) is Phi(A_j) = B_j, so the
+    problem can be solved again for other targets of the same size.
     `annihilate` adds Phi(G_k) = 0 for each of its matrices.  The optional
     trace bound tr(C) <= value supports the ex situ tracial dual; it is
     encoded with a scalar slack block.
@@ -241,8 +243,16 @@ def interpolate(a: HermitianTuple, b: HermitianTuple, mode=InterpolationMode.CP,
     hp = interpolation_problem(a, b, mode,
                                extra_psd_choi_trace=extra_psd_choi_trace,
                                annihilate=annihilate)
-    sol = hp.solve(tol=tol, max_iter=max_iter, feas_tol=feas_tol)
-    n, m = a.dim, b.dim
+    return _solve_interpolation(hp, mode, a.dim, b.dim, tol, max_iter, feas_tol)
+
+
+def _solve_interpolation(hp: HermitianProblem, mode: InterpolationMode,
+                         n: int, m: int, tol: float, max_iter: int,
+                         feas_tol: float, rhs=None) -> InterpolationResult:
+    """Solve an :func:`interpolation_problem` for maps M_n -> M_m, with the
+    row groups in ``rhs`` given new targets (see HermitianProblem.solve),
+    and wrap the answer with its Choi witness."""
+    sol = hp.solve(tol=tol, max_iter=max_iter, feas_tol=feas_tol, rhs=rhs)
     choi = None
     if sol.feasible:
         choi = ChoiMatrix(n, m, psd_part(sol.witness["C"]))

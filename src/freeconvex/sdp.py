@@ -25,6 +25,25 @@ applied from its reflectors.  Polish, the base point of an unbounded margin,
 each rescue round and the 1e-11 re-solve use these factors; witnesses are
 verified against the original rows.
 
+A solve has an operator half and an rhs half.  :class:`_Presolve` holds
+what the kept rows alone determine: the phase-I slack column, the free
+elimination (its QR, pseudo-inverse, projected rows and folded objective),
+the sup-norm scale of the reduced rows and the core's unpacked rows and
+objective; a solve reads only its rhs through it (Q2' b, lam.b, b / scale,
+beta).  A one-off solve makes it and drops it.  :class:`HermitianProblem`
+keeps the operator half of its last build (the split coefficients, each
+row's realness class, the nonzero-coefficient mask and the built rows) and
+the presolve of its last solve, which it hands to the engine with the next
+rhs (:class:`_Kept`).  So ``solve(rhs=...)``, which gives some row groups a
+new rhs, pays for that rhs alone; a spectrahedrop keeps such problems for
+its queries.  An rhs that changes the real path or the kept
+rows (a zero row whose rhs leaves 0), and any ``add_*`` or
+``set_objective`` call, makes both again.  :class:`_Rows` stays per solve:
+its row scale reads |rhs|, so rank, consistency and polish may move with
+the rhs, and factoring them as before keeps every answer bitwise the same.
+Nothing is cached at module level; kept data lives and dies with the
+object that owns the operator.
+
 Feasibility questions are decided through a phase-I problem
 
     maximize t  subject to  Z_b - t I >= 0 for every block, equalities,
@@ -263,6 +282,10 @@ class SDPProblem:
     obj_blocks: Optional[tuple] = None
     obj_free: Optional[np.ndarray] = None
     hermitian: tuple = ()              # tuple[bool], aligned with blocks
+    # the presolve handed to and back from one HermitianProblem solve (see
+    # _Kept); init=False, so dataclasses.replace drops it
+    _kept: Optional["_Kept"] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def m(self) -> int:
@@ -362,14 +385,15 @@ class _Rows:
         return dx[:, 0]
 
 
-def _scale_rows(A_parts, b):
-    """Divide every equality row and its rhs by the sup-norm of the row's
-    coefficients, so that a large rhs leaves them at unit scale."""
-    s = np.zeros(b.shape[0])
+def _scale_rows(A_parts, m: int):
+    """Divide each of the m equality rows by the sup-norm of its
+    coefficients, so that a large rhs leaves them at unit scale; returns the
+    rows and the scale, by which the rhs is divided too."""
+    s = np.zeros(m)
     for Ab in A_parts:
         s = np.maximum(s, np.abs(Ab).max(axis=1, initial=0.0))
     s[s == 0] = 1.0
-    return [Ab / s[:, None] for Ab in A_parts], b / s
+    return [Ab / s[:, None] for Ab in A_parts], s
 
 
 class _FreeElimination:
@@ -379,41 +403,43 @@ class _FreeElimination:
     alone must satisfy Q2' A z = Q2' b, and u = F^+ (b - A z) recovers the
     free part of any solution.  When c_free = F' lam lies in range(F'), the
     objective term c_free.u = lam.(b - A z) folds into the block objective
-    c_b - A_b' lam plus the constant ``offset`` = lam.b.  Otherwise ``ray``
-    is a direction of null(F) with c_free.ray = -1: the objective falls
-    without bound from every feasible point.
+    c_b - A_b' lam plus the constant ``offset(b)`` = lam.b.  Otherwise
+    ``ray`` is a direction of null(F) with c_free.ray = -1: the objective
+    falls without bound from every feasible point.  Only the rows enter the
+    elimination; each solve passes its rhs b to the methods that read it.
     """
 
-    def __init__(self, herm, A_parts, F, b, c_parts, c_free):
+    def __init__(self, herm, A_parts, F, c_parts, c_free):
         q, r, piv = sla.qr(F, pivoting=True, check_finite=False)
         rank = _numerical_rank(r)
         r1 = np.zeros((rank, F.shape[1]))
         r1[:, piv] = r[:rank]
         self.F_pinv = np.linalg.pinv(r1) @ q[:, :rank].T
-        lam = self.F_pinv.T @ c_free
+        self.lam = lam = self.F_pinv.T @ c_free
         null = c_free - F.T @ lam
         nn = float(null @ null)
         self.ray = -null / nn if math.sqrt(nn) > 1e-9 * (
             1.0 + float(np.abs(c_free).max(initial=0.0))) else None
-        self.herm, self.rows, self.rhs = herm, A_parts, b
-        q2 = q[:, rank:]
+        self.herm, self.rows = herm, A_parts
+        self.q2 = q2 = q[:, rank:]
         self.A_parts = [q2.T @ Ab for Ab in A_parts]
-        self.b = q2.T @ b
         self.c_parts = [c - Ab.T @ lam for c, Ab in zip(c_parts, A_parts)]
-        self.offset = float(lam @ b)
 
-    def free_part(self, Z, weight: float = 1.0) -> np.ndarray:
+    def offset(self, b: np.ndarray) -> float:
+        return float(self.lam @ b)
+
+    def free_part(self, Z, b: np.ndarray, weight: float = 1.0) -> np.ndarray:
         """u = F^+ (weight b - A z) for the blocks Z; weight 0 maps a ray."""
         Az = sum((Ab @ _vec(z, h) for Ab, z, h in zip(self.rows, Z, self.herm)),
-                 np.zeros(self.rhs.shape[0]))
-        return self.F_pinv @ (weight * self.rhs - Az)
+                 np.zeros(b.shape[0]))
+        return self.F_pinv @ (weight * b - Az)
 
-    def unbounded_ray(self, res: "_HSDResult", sizes):
+    def unbounded_ray(self, res: "_HSDResult", sizes, b: np.ndarray):
         """(block ray, free ray) of an unbounded objective, or None."""
         if self.ray is not None:
             return [np.zeros((n, n)) for n in sizes], self.ray
         if res.kind == "unbounded":
-            return res.ray, self.free_part(res.ray, 0.0)
+            return res.ray, self.free_part(res.ray, b, 0.0)
         return None
 
 
@@ -490,24 +516,24 @@ class _HSDResult:
     ray: Optional[list] = None
 
 
-def _hsd_minimize(sizes: Sequence[int], herm: Sequence[bool],
-                  A_parts: Sequence[np.ndarray], b: np.ndarray,
-                  c_parts: Sequence[np.ndarray],
-                  tol: float, max_iter: int) -> _HSDResult:
+def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
+                  max_iter: int) -> _HSDResult:
     """minimize sum <C_b,Z_b>  s.t. equalities, Z_b >= 0 (m = 0 allowed),
 
     via the homogeneous self-dual embedding with NT scaling, started from
     Z = S = I; the caller normalizes the data so that this start is central.
     A block is real symmetric, or complex Hermitian where ``herm`` says so;
     one loop serves both, with conjugate transposes and real parts of inner
-    products.  The rows and the objective arrive in svec / hvec coordinates
-    and are unpacked once: the loop works on full n x n matrices, with
-    A_flat[b] the float view of the rows of block b as (m, n^2) matrices,
-    so <A_i, Z> = A_flat[b][i] . vec(Z) viewed as floats."""
+    products.  The rows and the objective come unpacked from ``pre``: the
+    loop works on full n x n matrices, with A_flat[b] the float view of the
+    rows of block b as (m, n^2) matrices, so <A_i, Z> = A_flat[b][i] . vec(Z)
+    viewed as floats.  Only the rhs b is read here."""
+    sizes, herm, dtype = pre.sizes, pre.herm, pre.dtype
+    A_mats, A_flat, C = pre.A_mats, pre.A_flat, pre.C
+    c_blocks, vec_wt = pre.c_blocks, pre.vec_wt
     nb = len(sizes)
     m = b.shape[0]
 
-    dtype = [np.dtype(complex if h else float) for h in herm]
     Z = [np.eye(n, dtype=dt) for n, dt in zip(sizes, dtype)]
     S = [np.eye(n, dtype=dt) for n, dt in zip(sizes, dtype)]
     y = np.zeros(m)
@@ -515,22 +541,12 @@ def _hsd_minimize(sizes: Sequence[int], herm: Sequence[bool],
     ordn = sum(sizes) + 1
 
     bnorm = 1.0 + float(np.abs(b).max(initial=0.0))
-    cnorm = 1.0 + max([0.0] + [float(np.abs(c).max()) for c in c_parts])
+    cnorm = pre.cnorm
 
     best_score = math.inf
     stall = 0
     ptol = max(tol, _RESID_TOL_FLOOR)
     gtol = max(tol, _GAP_TOL_FLOOR)
-
-    # equality rows and objective unpacked once into full matrices, the
-    # blocks whose objective is nonzero, and the weights that turn the
-    # sup-norm of a block's float view into that of its svec / hvec
-    A_mats = [_mat(A_parts[k], sizes[k], herm[k]) for k in range(nb)]
-    A_flat = [F.reshape(m, n * n).view(float) for F, n in zip(A_mats, sizes)]
-    C = [_mat(c, n, h) for c, n, h in zip(c_parts, sizes, herm)]
-    c_blocks = [k for k in range(nb) if c_parts[k].any()]
-    vec_wt = [np.where(np.eye(n, dtype=bool), 1.0, _SQRT2) for n in sizes]
-    vec_wt = [np.repeat(w, 2, axis=1) if h else w for w, h in zip(vec_wt, herm)]
     work = [(np.empty_like(F), np.empty_like(F)) for F in A_mats]
 
     def A_op(X):                  # sum_b <A_bi, X_b> for every row i
@@ -719,25 +735,94 @@ def solve(problem: SDPProblem, tol: float = 1e-8, max_iter: int = 200,
     return _solve_optimize(problem, tol, max_iter)
 
 
-def _solve_blocks(sizes, herm, A_parts, A_free, b, c_parts, c_free, tol,
-                  max_iter):
-    """Eliminate the free columns, then run the core once on the blocks alone,
-    in units where the rows and the rhs have unit sup-norm.
+class _Presolve:
+    """Everything a solve derives from its kept rows alone, made once per
+    set of kept rows ``keep`` and reused by every rhs that keeps them.
 
-    The core solves for Z / beta with beta = max |b_red|; its Z and pobj are
-    mapped back, while rays and Farkas certificates are directions and stay.
-    ``info`` gets ``attempts`` (1: one IPM run) and ``iterations_total``.
-    """
-    el = _FreeElimination(herm, A_parts, A_free, b, c_parts, c_free)
-    A_red, b_red = _scale_rows(el.A_parts, el.b)
-    beta = float(np.abs(b_red).max(initial=0.0)) or 1.0
-    res = _hsd_minimize(sizes, herm, A_red, b_red / beta, el.c_parts, tol,
-                        max_iter)
-    if res.kind == "optimal":
-        res.Z = [beta * z for z in res.Z]
-        res.pobj *= beta
-    res.info.update(attempts=1, iterations_total=res.iterations)
-    return el, res
+    It holds the phase-I slack column t (or, for an optimization, the
+    negated objective), the :class:`_FreeElimination` of the free columns,
+    the sup-norm scale of the reduced rows, and the rows and objective
+    unpacked into full n x n matrices for the core.  :meth:`run` reads only
+    the rhs: Q2' b, b / scale and beta."""
+
+    def __init__(self, rows: _Rows):
+        problem = rows.problem
+        self.keep = rows.keep
+        A_parts, A_free, _ = rows.kept()
+        self.sizes = sizes = [s for _, s in problem.blocks]
+        self.herm = herm = problem.herm
+        nb, nf = len(sizes), problem.n_free
+        zeros = [np.zeros(_vec_dim(s, h)) for s, h in zip(sizes, herm)]
+        if not problem.has_objective:
+            # phase I: substitute Z_b = Z'_b + t I with Z'_b >= 0 and free t;
+            # maximize t
+            t_col = sum(A_parts[k] @ _vec(np.eye(sizes[k]), herm[k])
+                        for k in range(nb))
+            A_free = np.column_stack([A_free, t_col])
+            c_parts, c_free = zeros, np.zeros(nf + 1)
+            c_free[-1] = -1.0          # minimize -t
+        else:
+            c_parts = zeros if problem.obj_blocks is None else [
+                -np.asarray(c, dtype=float) for c in problem.obj_blocks]
+            c_free = -(problem.obj_free if problem.obj_free is not None
+                       else np.zeros(nf))
+        self.el = el = _FreeElimination(herm, A_parts, A_free, c_parts, c_free)
+        m = el.q2.shape[1]
+        A_red, self.scale = _scale_rows(el.A_parts, m)
+        # the core's rows and objective unpacked into full matrices, the
+        # blocks whose objective is nonzero, and the weights that turn the
+        # sup-norm of a block's float view into that of its svec / hvec
+        self.dtype = [np.dtype(complex if h else float) for h in herm]
+        self.A_mats = [_mat(A_red[k], sizes[k], herm[k]) for k in range(nb)]
+        self.A_flat = [F.reshape(m, n * n).view(float)
+                       for F, n in zip(self.A_mats, sizes)]
+        self.C = [_mat(c, n, h) for c, n, h in zip(el.c_parts, sizes, herm)]
+        self.c_blocks = [k for k in range(nb) if el.c_parts[k].any()]
+        self.cnorm = 1.0 + max([0.0] + [float(np.abs(c).max())
+                                        for c in el.c_parts])
+        vec_wt = [np.where(np.eye(n, dtype=bool), 1.0, _SQRT2) for n in sizes]
+        self.vec_wt = [np.repeat(w, 2, axis=1) if h else w
+                       for w, h in zip(vec_wt, herm)]
+
+    def run(self, b: np.ndarray, tol: float, max_iter: int) -> _HSDResult:
+        """Run the core once on the blocks alone for the kept rhs b, in units
+        where the rows and the rhs have unit sup-norm.
+
+        The core solves for Z / beta with beta = max |b_red|; its Z and pobj
+        are mapped back, while rays and Farkas certificates are directions
+        and stay.  ``info`` gets ``attempts`` (1: one IPM run) and
+        ``iterations_total``.
+        """
+        b_red = (self.el.q2.T @ b) / self.scale
+        beta = float(np.abs(b_red).max(initial=0.0)) or 1.0
+        res = _hsd_minimize(self, b_red / beta, tol, max_iter)
+        if res.kind == "optimal":
+            res.Z = [beta * z for z in res.Z]
+            res.pobj *= beta
+        res.info.update(attempts=1, iterations_total=res.iterations)
+        return res
+
+
+class _Kept:
+    """A presolve handed to one solve and back: ``offered`` is the one that
+    :class:`HermitianProblem` kept from its last solve of the same rows, and
+    the solve leaves the one it ran on in ``used`` (None: it ran on none)."""
+
+    def __init__(self, offered: Optional[_Presolve]):
+        self.offered, self.used = offered, None
+
+
+def _presolve(rows: _Rows) -> _Presolve:
+    """The presolve of the kept rows of ``rows``: the one their problem's
+    :class:`_Kept` offers when it was made for the same kept rows, else a
+    new one; it is handed back in that :class:`_Kept`."""
+    kept = rows.problem._kept
+    pre = kept.offered if kept is not None else None
+    if pre is None or not np.array_equal(pre.keep, rows.keep):
+        pre = _Presolve(rows)
+    if kept is not None:
+        kept.used = pre
+    return pre
 
 
 def _solve_optimize(problem: SDPProblem, tol, max_iter) -> SDPSolution:
@@ -745,28 +830,21 @@ def _solve_optimize(problem: SDPProblem, tol, max_iter) -> SDPSolution:
     if not rows.consistent:
         return SDPSolution(SolveStatus.INFEASIBLE, margin=-math.inf,
                            info={"reason": "inconsistent equalities"})
-    A_parts, A_free, b = rows.kept()
-    sizes, herm = [s for _, s in problem.blocks], problem.herm
-    if problem.obj_blocks is not None:
-        c_parts = [-np.asarray(c, dtype=float) for c in problem.obj_blocks]
-    else:
-        c_parts = [np.zeros(_vec_dim(s, h)) for s, h in zip(sizes, herm)]
-    c_free = -(problem.obj_free if problem.obj_free is not None
-               else np.zeros(problem.n_free))
-    if b.shape[0] == 0:
+    if not rows.keep.size:
         return SDPSolution(SolveStatus.ERROR,
                            info={"reason": "optimization without constraints"})
+    pre = _presolve(rows)
+    b = problem.rhs[rows.keep]
     try:
-        el, res = _solve_blocks(sizes, herm, A_parts, A_free, b, c_parts,
-                                c_free, tol, max_iter)
+        res = pre.run(b, tol, max_iter)
     except _IPMFailure as exc:
         return SDPSolution(SolveStatus.ERROR, info={"reason": str(exc)})
     if res.kind == "pinfeas":
         return SDPSolution(SolveStatus.INFEASIBLE, margin=-math.inf,
                            iterations=res.iterations,
                            info={**res.info, "reason": "primal infeasible"})
-    nf = problem.n_free
-    ray = el.unbounded_ray(res, sizes)
+    el, nf = pre.el, problem.n_free
+    ray = el.unbounded_ray(res, pre.sizes, b)
     if ray is not None:
         Z_ray, u_ray = ray
         return SDPSolution(SolveStatus.FEASIBLE,
@@ -776,12 +854,12 @@ def _solve_optimize(problem: SDPProblem, tol, max_iter) -> SDPSolution:
                            objective_value=math.inf, iterations=res.iterations,
                            info={**res.info, "unbounded_objective": True})
     witness = {name: res.Z[k] for k, (name, _) in enumerate(problem.blocks)}
-    ures = el.free_part(res.Z) if nf else None
+    ures = el.free_part(res.Z, b) if nf else None
     witness, ures = _polish(rows, witness, ures)
     eq_resid, eig_min = _verify_witness(problem, witness, ures)
     return SDPSolution(SolveStatus.FEASIBLE, witness=witness,
                        free_values=ures,
-                       objective_value=-(res.pobj + el.offset),
+                       objective_value=-(res.pobj + el.offset(b)),
                        iterations=res.iterations,
                        info={**res.info, "eq_resid": eq_resid,
                              "eig_min": eig_min})
@@ -801,7 +879,8 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     core's gap test (to its floor 1e-9; the residual tests stay at their
     floor 1e-7).  That result's ``info`` sums ``attempts`` and
     ``iterations_total`` over both solves and sets ``resolves``, the number
-    of these tighter-gap re-solves, which reuse the factored rows.
+    of these tighter-gap re-solves, which reuse the factored rows and their
+    presolve.
     """
     if problem.has_objective:
         raise ValueError("solve_feasibility expects a problem without objective")
@@ -809,30 +888,24 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     if not rows.consistent:
         return SDPSolution(SolveStatus.INFEASIBLE, margin=-math.inf,
                            info={"reason": "inconsistent equalities"})
-    return _phase_one(rows, tol, max_iter, feas_tol)
-
-
-def _phase_one(rows: _Rows, tol, max_iter, feas_tol) -> SDPSolution:
-    """:func:`solve_feasibility` on consistent, factored rows."""
-    problem = rows.problem
-    A_parts, A_free, b = rows.kept()
-    sizes, herm = [s for _, s in problem.blocks], problem.herm
-    nb = len(sizes)
-    nf = problem.n_free
-    if b.shape[0] == 0:
+    if not rows.keep.size:
         witness = {name: np.eye(s) for name, s in problem.blocks}
         return SDPSolution(SolveStatus.FEASIBLE, witness=witness,
-                           free_values=np.zeros(nf), margin=math.inf,
+                           free_values=np.zeros(problem.n_free),
+                           margin=math.inf,
                            info={"reason": "no equality constraints"})
-    # substitute Z_b = Z'_b + t I with Z'_b >= 0 and free t; maximize t
-    t_col = sum(A_parts[k] @ _vec(np.eye(sizes[k]), herm[k]) for k in range(nb))
-    c_free = np.zeros(nf + 1)
-    c_free[-1] = -1.0          # minimize -t
+    return _phase_one(rows, _presolve(rows), tol, max_iter, feas_tol)
+
+
+def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter,
+               feas_tol) -> SDPSolution:
+    """:func:`solve_feasibility` on consistent, factored rows, at least one
+    of them kept, with their presolve."""
+    problem = rows.problem
+    b = problem.rhs[rows.keep]
+    el, sizes, nf = pre.el, pre.sizes, problem.n_free
     try:
-        el, res = _solve_blocks(sizes, herm, A_parts,
-                                np.column_stack([A_free, t_col]), b,
-                                [np.zeros(_vec_dim(s, h)) for s, h in zip(sizes, herm)],
-                                c_free, tol, max_iter)
+        res = pre.run(b, tol, max_iter)
     except _IPMFailure as exc:
         return SDPSolution(SolveStatus.ERROR, info={"reason": str(exc)})
     eq_tol = max(_WITNESS_EQ_TOL,
@@ -842,7 +915,7 @@ def _phase_one(rows: _Rows, tol, max_iter, feas_tol) -> SDPSolution:
         return SDPSolution(SolveStatus.ERROR, iterations=res.iterations,
                            info={**res.info,
                                  "reason": "phase-I reported infeasible"})
-    ray = el.unbounded_ray(res, sizes)
+    ray = el.unbounded_ray(res, sizes, b)
     if ray is not None:
         # t can grow without bound along the certified ray; convert it into
         # an explicit verified witness before claiming FEASIBLE
@@ -868,7 +941,7 @@ def _phase_one(rows: _Rows, tol, max_iter, feas_tol) -> SDPSolution:
                            info={**res.info,
                                  "reason": "unbounded-margin certificate did "
                                            "not yield a verified witness"})
-    u = el.free_part(res.Z)
+    u = el.free_part(res.Z, b)
     t_star, u = float(u[nf]), u[:nf]
     witness = {}
     for (name, n), z in zip(problem.blocks, res.Z):
@@ -899,7 +972,7 @@ def _phase_one(rows: _Rows, tol, max_iter, feas_tol) -> SDPSolution:
     # eigenvalue floor);
     # its info adds both solves' counts and counts the re-solve
     if tol > 1.1e-11:
-        sol = _phase_one(rows, 1e-11, max(max_iter, 300), feas_tol)
+        sol = _phase_one(rows, pre, 1e-11, max(max_iter, 300), feas_tol)
         sol.info.update(
             attempts=res.info["attempts"] + sol.info.get("attempts", 0),
             iterations_total=(res.info["iterations_total"]
@@ -964,17 +1037,79 @@ class FreeHermitian:
         return (self._basis() @ values).reshape(self.size, self.size)
 
 
+class _Operator:
+    """The operator half of a :class:`HermitianProblem` build, kept between
+    its solves.
+
+    ``split`` holds every group's rows split into real and imaginary parts,
+    and ``imag`` marks the free variables that are imaginary parts.  Each
+    split row has a realness class: ``even`` when it is invariant under
+    conjugating every unknown (real data, no imaginary-component variables),
+    ``odd`` when its coefficients flip sign (imaginary data, only
+    imaginary-component variables), so that the row flips entirely when its
+    rhs is 0.  ``coef[real_path]`` marks the rows with a nonzero coefficient
+    on each path.  ``rows`` is (real_path, keep, problem, kept_vars) of the
+    last build, and ``pre`` the engine's :class:`_Presolve` of the last solve
+    of those rows: an rhs that changes the path or the kept rows replaces
+    ``rows`` and clears ``pre``.
+    """
+
+    def __init__(self, hp: "HermitianProblem"):
+        def pairs(a, b):          # row p of a, then row p of b, for every p
+            return np.stack([a, b], axis=1).reshape(2 * len(a), *a.shape[1:])
+        imag = np.zeros(hp._n_free, dtype=bool)
+        for fh in hp._free_herms:
+            imag[fh.start:fh.start + fh.n_vars] = (fh._basis().imag != 0).any(axis=0)
+        self.imag, self.split, self.rows, self.pre = imag, [], None, None
+        # per split row: the largest real and imaginary data entry, and
+        # whether a real / an imaginary-component variable enters
+        re_max, im_max = [np.zeros(0)], [np.zeros(0)]
+        re_use, im_use = [np.zeros(0, bool)], [np.zeros(0, bool)]
+        for data, free, _, _ in hp._groups:
+            split = {}
+            for name, f in data.items():
+                fh = f.conj().swapaxes(-1, -2)
+                split[name] = pairs(0.5 * (f + fh), 0.5j * (f - fh))
+            ft = pairs(free.real, free.imag)
+            self.split.append((split, ft))
+            re = im = np.zeros(ft.shape[0])
+            for h in split.values():
+                im = np.maximum(im, np.abs(h.imag).max(axis=(1, 2)))
+                re = np.maximum(re, np.abs(h.real).max(axis=(1, 2)))
+            uses, iv = ft != 0, imag[:ft.shape[1]]
+            re_max.append(re)
+            im_max.append(im)
+            re_use.append(uses[:, ~iv].any(axis=1))
+            im_use.append(uses[:, iv].any(axis=1))
+        re, im = np.concatenate(re_max), np.concatenate(im_max)
+        re_use, im_use = np.concatenate(re_use), np.concatenate(im_use)
+        self.even = (im <= 1e-13) & ~im_use
+        self.odd = (re <= 1e-13) & ~re_use
+        self.coef = {True: (re > 0) | re_use,
+                     False: (re > 0) | (im > 0) | re_use | im_use}
+        self.obj_real = True
+        if hp._obj is not None:
+            bt, ft = hp._obj
+            self.obj_real = not (
+                max([float(np.abs(h.imag).max()) for h in bt.values()] + [0.0])
+                > 1e-13 or any(imag[i] for i in ft))
+
+
 class HermitianProblem:
     """Complex Hermitian PSD blocks, real free scalars (including Hermitian
     matrix unknowns), complex equality rows, and an optional linear
     objective.
 
-    Rows are stored unsplit, one group per ``add_*`` call: a (k, n, n)
-    complex stack F per block, (k, n_free) free coefficients c and a (k,)
-    rhs, for sum_b tr(F_b,p* C_b) + c_p.u = rhs_p.  ``build`` splits every
-    row once into its real and imaginary part (native Hermitian blocks, or
-    real ones of the same size when every split row is conjugation-
-    invariant), and ``solve`` returns the engine's :class:`SDPSolution`.
+    Rows are stored unsplit, one group per ``add_*`` call, which returns the
+    group's index: a (k, n, n) complex stack F per block, (k, n_free) free
+    coefficients c and a (k,) rhs, for sum_b tr(F_b,p* C_b) + c_p.u = rhs_p.
+    ``build`` splits every row once into its real and imaginary part (native
+    Hermitian blocks, or real ones of the same size when every split row is
+    conjugation-invariant), and ``solve`` returns the engine's
+    :class:`SDPSolution`, for the stored rhs or for new rhs of some groups.
+    The operator half of the last build (:class:`_Operator`) is kept until
+    the next ``add_*`` or ``set_objective`` call, so that a solve with only a
+    new rhs reuses it and the presolve of the solve before.
     :func:`build_from_complex` realifies the build, as a reference.
     """
 
@@ -982,8 +1117,11 @@ class HermitianProblem:
         self._blocks: List[Tuple[str, int]] = []
         self._n_free = 0
         self._free_herms: List[FreeHermitian] = []
-        self._groups: List[Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray]] = []
+        # (data, free, rhs, form); form = (shape, index) takes an rhs given
+        # to solve() in the shape the add_* call took to the group's (k,) rhs
+        self._groups: List[tuple] = []
         self._obj: Optional[Tuple[Dict[str, np.ndarray], Dict[int, float]]] = None
+        self._op: Optional[_Operator] = None
 
     # -- variables ---------------------------------------------------------
 
@@ -993,17 +1131,20 @@ class HermitianProblem:
         if size < 1:
             raise ValueError("block size must be >= 1")
         self._blocks.append((name, size))
+        self._op = None
         return name
 
     def add_free(self, count: int = 1) -> range:
         start = self._n_free
         self._n_free += count
+        self._op = None
         return range(start, start + count)
 
     def add_free_hermitian(self, name: str, size: int) -> FreeHermitian:
         fh = FreeHermitian(name, size, self._n_free)
         self._n_free += fh.n_vars
         self._free_herms.append(fh)
+        self._op = None
         return fh
 
     # -- rows ----------------------------------------------------------------
@@ -1030,26 +1171,33 @@ class HermitianProblem:
             row[:, int(i)] = v
         return row
 
+    def _add_group(self, data, free, rhs, form) -> int:
+        self._groups.append((data, free, rhs, form))
+        self._op = None
+        return len(self._groups) - 1
+
     def add_scalar_row(self, block_terms: Dict[str, np.ndarray],
-                       free_terms: Optional[Dict[int, float]], rhs: float):
+                       free_terms: Optional[Dict[int, float]], rhs: float) -> int:
         """sum_b tr(H_b C_b) + sum a_i u_i = rhs with Hermitian H, real rhs."""
-        self.add_complex_row(
+        data = self._block_data(
             {name: require_hermitian(h, what=f"data for block {name!r}")[None]
-             for name, h in self._block_data(block_terms).items()},
-            free_terms, [float(rhs)])
+             for name, h in self._block_data(block_terms).items()}, (1,))
+        return self._add_group(data, self._free_row(free_terms),
+                               np.array([float(rhs)], dtype=complex), ((), None))
 
     def add_complex_row(self, block_data: Dict[str, np.ndarray],
-                        free_terms: Optional[Dict[int, complex]], rhs):
+                        free_terms: Optional[Dict[int, complex]], rhs) -> int:
         """A stack of k complex equalities
         sum_b tr(F_b,p* C_b) + sum c_i,p u_i = rhs_p: block_data maps a block
         name to a (k, n, n) array (F need not be Hermitian), rhs is (k,), and
         each free coefficient c_i broadcasts to (k,)."""
         rhs = np.asarray(rhs, dtype=complex)
         k = rhs.shape[0]
-        self._groups.append((self._block_data(block_data, (k,)),
-                             self._free_row(free_terms, k), rhs))
+        return self._add_group(self._block_data(block_data, (k,)),
+                               self._free_row(free_terms, k), rhs,
+                               (rhs.shape, Ellipsis))
 
-    def add_matrix_eq(self, terms, rhs):
+    def add_matrix_eq(self, terms, rhs) -> int:
         """Matrix equality sum(term values) = rhs, one complex row per entry
         (r, s), r <= s; each term is one array operation over all entries.
         Terms (complex-linear values):
@@ -1093,7 +1241,7 @@ class HermitianProblem:
                 free[:, j] += np.asarray(coeff, dtype=complex)[r, s]
             else:
                 raise ValueError(f"unknown term kind {kind!r}")
-        self._groups.append((F, free, rhs[r, s]))
+        return self._add_group(F, free, rhs[r, s], (rhs.shape, (r, s)))
 
     def set_objective(self, block_terms: Dict[str, np.ndarray],
                       free_terms: Optional[Dict[int, float]] = None):
@@ -1101,90 +1249,54 @@ class HermitianProblem:
         self._obj = ({name: require_hermitian(h, what=f"objective for block {name!r}")
                       for name, h in self._block_data(block_terms).items()},
                      dict(free_terms or {}))
+        self._op = None
 
     # -- building ------------------------------------------------------------
 
-    def _imag_vars(self) -> np.ndarray:
-        """Mask of the free variables that are imaginary parts."""
-        imag = np.zeros(self._n_free, dtype=bool)
-        for fh in self._free_herms:
-            imag[fh.start:fh.start + fh.n_vars] = (fh._basis().imag != 0).any(axis=0)
-        return imag
+    def _split_rhs(self, rhs) -> np.ndarray:
+        """The rhs of every split row, Re then Im of each row, with the
+        groups in ``rhs`` (index: values as their add_* call took them)
+        replaced; a scalar row's rhs must be real, as in add_scalar_row."""
+        rhs = rhs or {}
+        unknown = [g for g in rhs if g not in range(len(self._groups))]
+        if unknown:
+            raise ValueError(f"rhs for unknown row groups {unknown}; the "
+                             f"problem has {len(self._groups)}")
+        parts = [np.zeros(0, dtype=complex)]
+        for g, (_, _, values, (shape, index)) in enumerate(self._groups):
+            if g in rhs:
+                new = np.asarray(rhs[g])
+                if new.shape != shape:
+                    raise ValueError(f"rhs for row group {g} has shape "
+                                     f"{new.shape}, not {shape}")
+                if index is None:           # a scalar row: float(rhs)
+                    try:
+                        new = float(new)
+                    except TypeError:
+                        raise ValueError(f"rhs for row group {g} is not "
+                                         f"real: {new!r}") from None
+                values = np.asarray(new, dtype=complex)[index]
+            parts.append(values)
+        return np.concatenate(parts).view(float)
 
-    def _is_real(self, groups, imag: np.ndarray) -> bool:
-        """True when restricting all unknowns to real entries is lossless.
-
-        That holds when each split row is either invariant under conjugating
-        every unknown (real data, no imaginary-component variables) or flips
-        sign entirely (imaginary data, rhs 0, only imaginary-component
-        variables).
-        """
-        for bt, ft, rhs in groups:
-            im_max = re_max = np.zeros(rhs.shape[0])
-            for h in bt.values():
-                im_max = np.maximum(im_max, np.abs(h.imag).max(axis=(1, 2)))
-                re_max = np.maximum(re_max, np.abs(h.real).max(axis=(1, 2)))
-            uses = ft != 0
-            im = imag[:ft.shape[1]]
-            even = (im_max <= 1e-13) & ~uses[:, im].any(axis=1)
-            odd = (re_max <= 1e-13) & (np.abs(rhs) <= 1e-12) & \
-                ~uses[:, ~im].any(axis=1)
-            if not (even | odd).all():
-                return False
-        if self._obj is not None:
-            bt, ft = self._obj
-            if max([float(np.abs(h.imag).max()) for h in bt.values()] + [0.0]) > 1e-13:
-                return False
-            if any(imag[i] for i in ft):
-                return False
-        return True
-
-    def build(self):
-        """Return (SDPProblem, kept_vars), kept_vars the indices of the free
-        variables the problem keeps.
-
-        Each row tr(F* C) + c.u = rhs becomes its real part, then its
-        imaginary part: tr(H C) + Re c.u = Re rhs and tr(K C) + Im c.u =
-        Im rhs, with Hermitian H = (F + F*)/2 and K = i (F - F*)/2.  When every
-        such row is conjugation-invariant the blocks are real of the same
-        size and only the real free variables stay (the real path); otherwise
-        they are native Hermitian blocks in hvec coordinates.  A row is kept
-        when a data or free coefficient is nonzero or |rhs| > 1e-12, so that
-        0 = 0 and 0 = round-off go, and 0 = 1 stays, to be found inconsistent.
-        """
-        def pairs(a, b):          # row p of a, then row p of b, for every p
-            return np.stack([a, b], axis=1).reshape(2 * len(a), *a.shape[1:])
-        groups = []
-        for data, free, rhs in self._groups:
-            split = {}
-            for name, f in data.items():
-                fh = f.conj().swapaxes(-1, -2)
-                split[name] = pairs(0.5 * (f + fh), 0.5j * (f - fh))
-            groups.append((split, pairs(free.real, free.imag),
-                           pairs(rhs.real, rhs.imag)))
-        imag = self._imag_vars()
-        real_path = self._is_real(groups, imag)
+    def _assemble(self, op: _Operator, real_path: bool, keep: np.ndarray):
+        """(problem, kept_vars) of the rows ``keep`` on the given path, with a
+        zero rhs and read-only rows."""
         herm = not real_path
-        kept_vars = np.flatnonzero(~imag) if real_path else np.arange(self._n_free)
-        for g, (data, ft, rhs) in enumerate(groups):
-            ft = ft[:, kept_vars[:np.searchsorted(kept_vars, ft.shape[1])]]
-            if real_path:
-                data = {name: h.real for name, h in data.items()}
-            keep = (ft != 0).any(axis=1) | (np.abs(rhs) > 1e-12)
-            for d in data.values():
-                keep |= (d != 0).any(axis=(1, 2))
-            groups[g] = ({name: d[keep] for name, d in data.items()},
-                         ft[keep], rhs[keep])
-        m = sum(rhs.shape[0] for _, _, rhs in groups)
+        kept_vars = np.flatnonzero(~op.imag) if real_path else np.arange(self._n_free)
+        m = int(keep.sum())
         A_blocks = {name: np.zeros((m, _vec_dim(sz, herm))) for name, sz in self._blocks}
-        A_free, b = np.zeros((m, kept_vars.size)), np.zeros(m)
-        i = 0
-        for data, ft, rhs in groups:
-            k = rhs.shape[0]
+        A_free = np.zeros((m, kept_vars.size))
+        i = j = 0
+        for data, ft in op.split:
+            rows = keep[j:j + ft.shape[0]]
+            j += ft.shape[0]
+            ft = ft[rows][:, kept_vars[:np.searchsorted(kept_vars, ft.shape[1])]]
+            k = ft.shape[0]
             for name, d in data.items():
-                A_blocks[name][i:i + k] = _vec(d, herm)
+                d = d[rows]
+                A_blocks[name][i:i + k] = _vec(d.real if real_path else d, herm)
             A_free[i:i + k, :ft.shape[1]] = ft
-            b[i:i + k] = rhs
             i += k
         obj_blocks = obj_free = None
         if self._obj is not None:
@@ -1196,20 +1308,74 @@ class HermitianProblem:
             obj_free = np.zeros(kept_vars.size)
             for i, a in ft.items():
                 obj_free[var_map[i]] = float(a)
+        for a in [A_free, *A_blocks.values()]:
+            a.flags.writeable = False
         problem = SDPProblem(tuple(self._blocks), int(kept_vars.size),
                              tuple(A_blocks[name] for name, _ in self._blocks),
-                             A_free, b, obj_blocks, obj_free,
+                             A_free, np.zeros(m), obj_blocks, obj_free,
                              (True,) * len(self._blocks) if herm else ())
         return problem, kept_vars
+
+    def build(self, rhs=None):
+        """Return (SDPProblem, kept_vars), kept_vars the indices of the free
+        variables the problem keeps; ``rhs`` replaces the rhs of some row
+        groups, as in :meth:`solve`.
+
+        Each row tr(F* C) + c.u = rhs becomes its real part, then its
+        imaginary part: tr(H C) + Re c.u = Re rhs and tr(K C) + Im c.u =
+        Im rhs, with Hermitian H = (F + F*)/2 and K = i (F - F*)/2.  When every
+        such row is conjugation-invariant the blocks are real of the same
+        size and only the real free variables stay (the real path); otherwise
+        they are native Hermitian blocks in hvec coordinates.  A row is kept
+        when a data or free coefficient is nonzero or |rhs| > 1e-12, so that
+        0 = 0 and 0 = round-off go, and 0 = 1 stays, to be found inconsistent.
+
+        The rows are made again only when the real path or the kept rows
+        change; until then every build shares them, read-only, with the
+        kept operator half.
+        """
+        b = self._split_rhs(rhs)
+        if self._op is None:
+            self._op = _Operator(self)
+        op = self._op
+        # the real path loses nothing when every split row is even, or odd
+        # with rhs 0, and the objective is real
+        real_path = op.obj_real and bool(
+            np.all(op.even | (op.odd & (np.abs(b) <= 1e-12))))
+        keep = op.coef[real_path] | (np.abs(b) > 1e-12)
+        rows = op.rows
+        if rows is None or rows[0] != real_path \
+                or not np.array_equal(rows[1], keep):
+            rows = op.rows = (real_path, keep,
+                              *self._assemble(op, real_path, keep))
+            op.pre = None
+        _, _, problem, kept_vars = rows
+        return replace(problem, rhs=b[keep]), kept_vars
 
     # -- solving -------------------------------------------------------------
 
     def solve(self, tol: float = 1e-8, max_iter: int = 200,
-              feas_tol: float = FEAS_TOL) -> SDPSolution:
+              feas_tol: float = FEAS_TOL, rhs=None) -> SDPSolution:
         """The engine's solution of the built problem, with ``free_values``
-        over every free variable; one the build dropped reads 0."""
-        problem, kept_vars = self.build()
+        over every free variable; one the build dropped reads 0.
+
+        ``rhs`` maps group indices, as the ``add_*`` calls returned them, to
+        a new rhs for this solve only, in the form that call took: a matrix
+        for ``add_matrix_eq``, a (k,) vector for ``add_complex_row``, a
+        number for ``add_scalar_row``.  ``info["presolve_reused"]`` is True
+        when the solve reused the presolve of the one before it.  The kept
+        operator half is not locked: solves of one problem must not run
+        concurrently."""
+        problem, kept_vars = self.build(rhs)
+        op, kept = self._op, _Kept(self._op.pre)
+        # the engine's entry points take the problem alone, so the presolve
+        # goes to and comes back from this solve on the new problem
+        object.__setattr__(problem, "_kept", kept)
         sol = solve(problem, tol=tol, max_iter=max_iter, feas_tol=feas_tol)
+        sol.info["presolve_reused"] = kept.used is not None \
+            and kept.used is kept.offered
+        if kept.used is not None:
+            op.pre = kept.used
         free = np.zeros(self._n_free)
         if sol.free_values is not None:
             free[kept_vars] = sol.free_values

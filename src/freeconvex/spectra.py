@@ -19,7 +19,8 @@ import scipy.linalg as sla
 from .algebra import (HermitianTuple, LinearPencil, evaluate_pencil,
                       hermitian_part, lambda_min, monic_tuple,
                       pencil_from_tuple)
-from .cp import ChoiMatrix, InterpolationMode, interpolate, kraus_of_choi
+from .cp import (ChoiMatrix, InterpolationMode, _solve_interpolation,
+                 interpolation_problem, kraus_of_choi)
 from .sdp import (FEAS_TOL, Decision, HermitianProblem, SolverError, SolveStatus,
                   hmat, hvec)
 
@@ -48,9 +49,18 @@ MEMBERSHIP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Spectrahedrop:
-    """Projection onto the x variables of the solution set of `lift`."""
+    """Projection onto the x variables of the solution set of `lift`.
+
+    ``_memo`` keeps what the drop's queries share, made on first use: the
+    membership problem for each point size and the polar interpolation
+    problem for each (bounded, size), which later queries solve for their
+    own rhs.  These problems are not locked, so a drop's queries must not
+    run concurrently.
+    """
 
     lift: LinearPencil
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def g(self) -> int:
@@ -207,16 +217,28 @@ class DominationResult(Decision):
     info: dict = field(default_factory=dict)
 
 
+def _memoized(drop: Spectrahedrop, key, make):
+    """The drop's memo entry ``key``, made by ``make()`` on first use."""
+    if key not in drop._memo:
+        drop._memo[key] = make()
+    return drop._memo[key]
+
+
 def _cp_domination(source: HermitianTuple, target: HermitianTuple,
                    unital: bool, tol: float, max_iter: int,
-                   annihilate: Optional[HermitianTuple] = None
-                   ) -> DominationResult:
+                   annihilate: Optional[HermitianTuple] = None,
+                   problem=None) -> DominationResult:
     """A cp map with Phi(source_j) = target_j and Phi(annihilate_k) = 0,
     unital or subunital, with its Kraus form re-verified as the (co)isometry
-    certificate target_j = V*(I (x) source_j)V."""
+    certificate target_j = V*(I (x) source_j)V.  ``problem`` is the
+    interpolation problem of an earlier call with targets of the same size,
+    solved here for these targets; by default a new one is built."""
     mode = InterpolationMode.UNITAL if unital else InterpolationMode.SUBUNITAL
-    res = interpolate(source, target, mode, tol=tol, max_iter=max_iter,
-                      annihilate=annihilate)
+    if problem is None:
+        problem = interpolation_problem(source, target, mode,
+                                        annihilate=annihilate)
+    res = _solve_interpolation(problem, mode, source.dim, target.dim, tol,
+                               max_iter, FEAS_TOL, rhs=dict(enumerate(target)))
     cert = None
     if res.feasible:
         k = kraus_of_choi(res.choi, rank_tol=1e-9)
@@ -287,6 +309,20 @@ class DropMembership(Decision):
     info: dict = field(default_factory=dict)
 
 
+def _membership_problem(lift: LinearPencil, n: int):
+    """L(X, Y) = P with P >= 0 over Hermitian Y, for points X of size n: the
+    one row group's rhs is the constant term A0 (x) I + sum A_j (x) X_j.
+    Returns the problem and its Y unknowns."""
+    hp = HermitianProblem()
+    hp.add_block("P", lift.d * n)
+    ys = [hp.add_free_hermitian(f"Y{k}", n) for k in range(lift.h)]
+    terms = [("entry", "P", 1.0)]
+    for coeff, fh in zip(lift.y_coeffs, ys):
+        terms.append(("kron", -np.asarray(coeff), fh))
+    hp.add_matrix_eq(terms, np.zeros((lift.d * n, lift.d * n)))
+    return hp, ys
+
+
 def drop_membership(drop: Spectrahedrop, x: HermitianTuple, tol: float = 1e-8,
                     max_iter: int = 200,
                     feas_tol: float = FEAS_TOL) -> DropMembership:
@@ -295,18 +331,13 @@ def drop_membership(drop: Spectrahedrop, x: HermitianTuple, tol: float = 1e-8,
     if x.g != lift.g:
         raise ValueError(f"lift takes {lift.g} x variables, point has {x.g}")
     n = x.dim or 1
-    d = lift.d
     const = np.kron(np.asarray(lift.A0), np.eye(n)).astype(complex)
     for coeff, xj in zip(lift.x_coeffs, x):
         const += np.kron(np.asarray(coeff), xj)
-    hp = HermitianProblem()
-    hp.add_block("P", d * n)
-    ys = [hp.add_free_hermitian(f"Y{k}", n) for k in range(lift.h)]
-    terms = [("entry", "P", 1.0)]
-    for coeff, fh in zip(lift.y_coeffs, ys):
-        terms.append(("kron", -np.asarray(coeff), fh))
-    hp.add_matrix_eq(terms, hermitian_part(const))
-    sol = hp.solve(tol=tol, max_iter=max_iter, feas_tol=feas_tol)
+    hp, ys = _memoized(drop, ("member", n),
+                       lambda: _membership_problem(lift, n))
+    sol = hp.solve(tol=tol, max_iter=max_iter, feas_tol=feas_tol,
+                   rhs={0: hermitian_part(const)})
     witness = None
     if sol.feasible and lift.h:
         witness = HermitianTuple([fh.assemble(sol.free_values) for fh in ys])
@@ -334,7 +365,12 @@ def drop_polar_membership(drop: Spectrahedrop, a: HermitianTuple,
     omega, gamma = monic_tuple(lift)
     if bounded is None:
         bounded = drop_level1_bounded(drop, tol=tol, max_iter=max_iter)
-    return _cp_domination(omega, a, bounded, tol, max_iter, annihilate=gamma)
+    mode = InterpolationMode.UNITAL if bounded else InterpolationMode.SUBUNITAL
+    problem = _memoized(drop, ("polar", bool(bounded), a.dim),
+                        lambda: interpolation_problem(omega, a, mode,
+                                                      annihilate=gamma))
+    return _cp_domination(omega, a, bounded, tol, max_iter, annihilate=gamma,
+                          problem=problem)
 
 
 # ---------------------------------------------------------------------------

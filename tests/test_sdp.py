@@ -326,6 +326,106 @@ def test_zero_row_drop_rule(native, rhs):
         assert sol.status is SolveStatus.FEASIBLE
 
 
+def _override_problem(off, zero=0.0, trace=1.0):
+    """tr Z = trace, Z_10 = off and 0 = zero for a 2x2 block Z; returns the
+    problem and its three group indices."""
+    hp = HermitianProblem()
+    hp.add_block("Z", 2)
+    groups = (hp.add_scalar_row({"Z": np.eye(2)}, {}, trace),
+              hp.add_complex_row({"Z": np.array([[[0, 0], [1, 0]]])}, None,
+                                 [off]),
+              hp.add_complex_row({"Z": np.zeros((1, 2, 2))}, None, [zero]))
+    return hp, groups
+
+
+def _assert_same_solution(got, want):
+    assert got.status is want.status
+    assert repr(got.margin) == repr(want.margin)
+    assert got.info.get("reason") == want.info.get("reason")
+    assert got.witness.keys() == want.witness.keys()
+    for name, z in want.witness.items():
+        assert got.witness[name].dtype == z.dtype
+        assert np.array_equal(got.witness[name], z)
+    assert np.array_equal(got.free_values, want.free_values)
+
+
+def test_rhs_override_matches_fresh_problem():
+    """Solving one problem for a sequence of rhs gives exactly the solutions
+    of fresh problems built with them, across a change of the real path (an
+    imaginary Z_10 leaves it: the witness turns complex) and of the kept
+    rows; the presolve is reused only when neither changed."""
+    hp, (trace, off, zero) = _override_problem(0.25)
+    steps = [((0.25, 0.0, 1.0), False), ((0.3, 0.0, 1.0), True),
+             ((0.25j, 0.0, 1.0), False), ((0.2j, 0.0, 2.0), True),
+             ((0.2, 0.0, 1.0), False), ((0.2, 1.0, 1.0), False),
+             ((0.2, 1.0, 1.0), False)]
+    for (o, z, t), reused in steps:
+        got = hp.solve(rhs={off: [o], zero: [z], trace: t})
+        want = _override_problem(o, z, t)[0].solve()
+        _assert_same_solution(got, want)
+        assert got.info["presolve_reused"] is reused, (o, z, t)
+        if got.feasible:
+            assert got.witness["Z"].dtype == (complex if isinstance(o, complex)
+                                              else float)
+    # the stored rhs is untouched by the overrides
+    _assert_same_solution(hp.solve(), _override_problem(0.25)[0].solve())
+
+
+def test_zero_row_override():
+    """The zero-row rule reads each solve's rhs: 0 = rhs overridden
+    0 -> 1 -> 0 is dropped, kept and found inconsistent, then dropped."""
+    hp, (_, _, zero) = _override_problem(0.25)
+    assert hp.solve(rhs={zero: [0.0]}).status is SolveStatus.FEASIBLE
+    sol = hp.solve(rhs={zero: [1.0]})
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert sol.info["reason"] == "inconsistent equalities"
+    assert hp.solve(rhs={zero: [0.0]}).status is SolveStatus.FEASIBLE
+
+
+def test_add_call_drops_the_kept_presolve():
+    hp, (trace, _, _) = _override_problem(0.25)
+    assert hp.solve().info["presolve_reused"] is False
+    assert hp.solve(rhs={trace: 2.0}).info["presolve_reused"] is True
+    hp.add_scalar_row({"Z": np.diag([1.0, -1.0])}, {}, 0.0)
+    sol = hp.solve()
+    assert sol.info["presolve_reused"] is False
+    assert abs(sol.witness["Z"][0, 0] - sol.witness["Z"][1, 1]) <= 1e-9
+    assert hp.solve().info["presolve_reused"] is True
+
+
+def test_build_shares_read_only_rows():
+    """Builds that keep the rows share them, read-only; each has its rhs."""
+    hp, (trace, _, _) = _override_problem(0.25)
+    first, _ = hp.build()
+    second, _ = hp.build(rhs={trace: 2.0})
+    assert second.A_blocks[0] is first.A_blocks[0]
+    assert not first.A_blocks[0].flags.writeable
+    assert not first.A_free.flags.writeable
+    assert (first.rhs[0], second.rhs[0]) == (1.0, 2.0)
+
+
+def test_rhs_override_is_checked():
+    hp, (trace, off, _) = _override_problem(0.25)
+    eq = hp.add_matrix_eq([("entry", "Z", 1.0)], np.eye(2) / 2)
+    assert eq == 3
+    for group, values in [(trace, [1.0]), (off, [1.0, 2.0]), (off, 1.0),
+                          (eq, np.eye(3)), (eq, np.ones(2))]:
+        with pytest.raises(ValueError, match=f"row group {group} has shape"):
+            hp.solve(rhs={group: values})
+    with pytest.raises(ValueError, match=r"unknown row groups \[4\]"):
+        hp.solve(rhs={4: 1.0})
+    # a scalar row's rhs is real, as add_scalar_row takes it
+    with pytest.raises(TypeError):
+        hp.add_scalar_row({"Z": np.eye(2)}, {}, 1j)
+    for values in (1j, np.complex128(1.0)):
+        with pytest.raises(ValueError, match=f"row group {trace} is not real"):
+            hp.solve(rhs={trace: values})
+    target = np.array([[0.25, 0.25], [0.25, 0.75]])
+    sol = hp.solve(rhs={eq: target})
+    assert sol.feasible
+    assert np.abs(sol.witness["Z"] - target).max() <= 1e-7
+
+
 def test_objective_data_is_checked():
     """Objective data goes through the row checks: an unknown block and a
     non-Hermitian matrix are rejected, as they are in a row."""

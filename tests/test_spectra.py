@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from freeconvex.algebra import (HermitianTuple, LinearPencil, ball_pencil,
                                 direct_sum, evaluate_pencil, lambda_min,
@@ -209,6 +210,69 @@ def test_tv_dual_against_boundary_octic_spot():
             continue
         got = bool(drop_polar_membership(TVM, pt(*c), bounded=True))
         assert got == (q > 0), (c, q)
+
+
+# -- kept problems ------------------------------------------------------------
+
+MEMO_TV = Spectrahedrop(tv_lift())
+MEMO_TVM = Spectrahedrop(tv_monic_lift())
+
+
+def _grid_point(kind, a, b, seed):
+    """(a, b) as 1x1 matrices, or a I + S_1, b I + S_2 of size 2 with small
+    real symmetric or complex Hermitian S_j."""
+    if kind == "scalar":
+        return pt(a, b)
+    gen = rng(seed)
+    return HermitianTuple([c * np.eye(2) + rand_hermitian(gen, 2, scale=0.3,
+                                                          real=kind == "real2")
+                           for c in (a, b)])
+
+
+def _witness_arrays(res):
+    if hasattr(res, "y_witness"):
+        return [] if res.y_witness is None else list(res.y_witness)
+    out = [] if res.choi is None else [res.choi.C]
+    if res.certificate is not None:
+        out += [res.certificate.V, res.certificate.S_square]
+    return out
+
+
+def _assert_same_answer(got, want):
+    assert got.status is want.status
+    assert repr(got.margin) == repr(want.margin)
+    wg, ww = _witness_arrays(got), _witness_arrays(want)
+    assert len(wg) == len(ww)
+    assert all(np.array_equal(x, y) for x, y in zip(wg, ww))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["scalar", "real2", "complex2"]),
+       st.floats(-1.3, 1.3), st.floats(-1.3, 1.3), st.integers(0, 10_000))
+@example("scalar", 0.0, 0.0, 0)        # inside the drop and its polar
+@example("scalar", 1.2, 1.2, 0)        # outside both
+@example("real2", 0.1, -0.2, 1)
+@example("complex2", 0.1, 0.2, 2)      # complex rhs: off the real path
+@example("real2", 0.3, 0.1, 3)
+def test_kept_drop_problems_match_fresh_drops(kind, a, b, seed):
+    """Drops that keep their problems across queries answer exactly as a
+    new drop per point does: status, margin and witness arrays."""
+    x = _grid_point(kind, a, b, seed)
+    _assert_same_answer(drop_membership(MEMO_TV, x),
+                        drop_membership(Spectrahedrop(tv_lift()), x))
+    _assert_same_answer(
+        drop_polar_membership(MEMO_TVM, x, bounded=True),
+        drop_polar_membership(Spectrahedrop(tv_monic_lift()), x, bounded=True))
+
+
+def test_drop_queries_reuse_the_presolve():
+    drop, monic = Spectrahedrop(tv_lift()), Spectrahedrop(tv_monic_lift())
+    for query, points in ((lambda x: drop_membership(drop, x),
+                           [pt(0.1, 0.2), pt(0.9, -0.4), pt(1.1, 0.3)]),
+                          (lambda x: drop_polar_membership(monic, x, True),
+                           [pt(0.1, 0.2), pt(1.2, 0.0), pt(0.0, 0.9)])):
+        reused = [query(x).info["presolve_reused"] for x in points]
+        assert reused == [False, True, True]
 
 
 # -- monicize ----------------------------------------------------------------
