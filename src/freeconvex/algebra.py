@@ -2,7 +2,8 @@
 
 Everything here is plain dense complex numpy; the real-coefficient case is
 just the Im = 0 special case.  All containers are frozen dataclasses holding
-read-only arrays, so values can be shared freely between threads.
+read-only arrays, so values can be shared freely between threads; a
+pencil's certificate searches are the one exception (see LinearPencil).
 """
 
 from __future__ import annotations
@@ -177,11 +178,20 @@ def direct_sum(x: HermitianTuple, y: HermitianTuple) -> HermitianTuple:
 @dataclass(frozen=True)
 class LinearPencil:
     """Affine pencil A0 + sum_j A_j x_j + sum_k G_k y_k with Hermitian d x d
-    coefficients.  h = 0 is the plain one-variable-class case."""
+    coefficients.  h = 0 is the plain one-variable-class case.
+
+    ``_memo`` keeps the certificate SDP of
+    :func:`~freeconvex.possatz.search_certificate` for each degree r and
+    polynomial size mu, made on first use; the coefficients are frozen, so
+    an entry never goes stale.  The kept problems are not locked, so
+    searches on one pencil must not run concurrently.
+    """
 
     A0: np.ndarray
     x_coeffs: tuple
     y_coeffs: tuple = ()
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __init__(self, A0, x_coeffs: Iterable, y_coeffs: Iterable = ()):
         A0 = _freeze(require_hermitian(A0, what="A0"))
@@ -195,6 +205,7 @@ class LinearPencil:
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "x_coeffs", xs)
         object.__setattr__(self, "y_coeffs", ys)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def d(self) -> int:

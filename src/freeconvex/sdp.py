@@ -31,16 +31,18 @@ elimination (its QR, pseudo-inverse, projected rows and folded objective),
 the sup-norm scale of the reduced rows and the core's unpacked rows and
 objective; a solve reads only its rhs through it (Q2' b, lam.b, b / scale,
 beta).  A one-off solve makes it and drops it.  :class:`HermitianProblem`
-keeps the operator half of its last build (the split coefficients, each
-row's realness class, the nonzero-coefficient mask and the built rows) and
-the presolve of its last solve, which it hands to the engine with the next
-rhs (:class:`_Kept`).  So ``solve(rhs=...)``, which gives some row groups a
-new rhs, pays for that rhs alone; a spectrahedrop keeps such problems for
-its queries.  An rhs that changes the real path or the kept
-rows (a zero row whose rhs leaves 0), and any ``add_*`` or
-``set_objective`` call, makes both again.  :class:`_Rows` stays per solve:
-its row scale reads |rhs|, so rank, consistency and polish may move with
-the rhs, and factoring them as before keeps every answer bitwise the same.
+keeps the operator half of its last build (each split row's realness class
+and nonzero-coefficient masks, and the built rows; the split coefficients,
+upper triangles only, are formed by a build that makes rows and dropped
+after it) and the presolve of its last solve, which it hands to the
+engine with the next rhs (:class:`_Kept`).  So ``solve(rhs=...)``, which
+gives some row groups a new rhs, pays for that rhs alone; a spectrahedrop keeps such problems for its queries, and a
+pencil one certificate problem per degree and polynomial size.  An rhs
+that changes the real path or the kept rows (a zero row whose rhs leaves
+0), and any ``add_*`` or ``set_objective`` call, makes both again.
+:class:`_Rows` stays per solve: its row scale reads |rhs|, so rank,
+consistency and polish may move with the rhs, and factoring them as
+before keeps every answer bitwise the same.
 Nothing is cached at module level; kept data lives and dies with the
 object that owns the operator.
 
@@ -1037,45 +1039,53 @@ class FreeHermitian:
         return (self._basis() @ values).reshape(self.size, self.size)
 
 
+def _split(f: np.ndarray) -> np.ndarray:
+    """The split rows of a stack F: row 2p is the upper triangle, in svec
+    order, of H = (F_p + F_p*)/2 and row 2p + 1 that of K = i (F_p - F_p*)/2.
+    Each entry is the complex product 0.5 s or 0.5i t of an entry of F + F*
+    or F - F*, as it is in the full matrices, down to the sign of a zero,
+    which the pivoted QR of the rows reads."""
+    n = f.shape[-1]
+    iu, ju, _ = _svec_idx(n)
+    f = f.reshape(len(f), n * n)
+    up, lo = f.take(iu * n + ju, axis=1), f.take(ju * n + iu, axis=1).conj()
+    return np.stack([0.5 * (up + lo), 0.5j * (up - lo)],
+                    axis=1).reshape(2 * len(f), iu.size)
+
+
 class _Operator:
     """The operator half of a :class:`HermitianProblem` build, kept between
-    its solves.
+    its solves: flags and the built rows, not the split rows.
 
-    ``split`` holds every group's rows split into real and imaginary parts,
-    and ``imag`` marks the free variables that are imaginary parts.  Each
-    split row has a realness class: ``even`` when it is invariant under
-    conjugating every unknown (real data, no imaginary-component variables),
-    ``odd`` when its coefficients flip sign (imaginary data, only
-    imaginary-component variables), so that the row flips entirely when its
-    rhs is 0.  ``coef[real_path]`` marks the rows with a nonzero coefficient
-    on each path.  ``rows`` is (real_path, keep, problem, kept_vars) of the
-    last build, and ``pre`` the engine's :class:`_Presolve` of the last solve
-    of those rows: an rhs that changes the path or the kept rows replaces
-    ``rows`` and clears ``pre``.
+    ``imag`` marks the free variables that are imaginary parts.  Split row
+    2p is the real part H of row p, 2p + 1 its imaginary part K (see
+    :func:`_split`), and each has a realness class: ``even`` when it is
+    invariant under conjugating every unknown (real data, no
+    imaginary-component variables), ``odd`` when its coefficients flip sign
+    (imaginary data, only imaginary-component variables), so that the row
+    flips entirely when its rhs is 0.  ``coef[real_path]`` marks the rows
+    with a nonzero coefficient on each path.  The classes are read from the
+    largest real and imaginary entry of each split row.  ``rows`` is
+    (real_path, keep, problem, kept_vars) of the last build, and ``pre``
+    the engine's :class:`_Presolve` of the last solve of those rows: an rhs
+    that changes the path or the kept rows splits the problem's groups
+    again into new ``rows`` and clears ``pre``.
     """
 
-    def __init__(self, hp: "HermitianProblem"):
-        def pairs(a, b):          # row p of a, then row p of b, for every p
-            return np.stack([a, b], axis=1).reshape(2 * len(a), *a.shape[1:])
+    def __init__(self, hp: "HermitianProblem", split):
         imag = np.zeros(hp._n_free, dtype=bool)
         for fh in hp._free_herms:
             imag[fh.start:fh.start + fh.n_vars] = (fh._basis().imag != 0).any(axis=0)
-        self.imag, self.split, self.rows, self.pre = imag, [], None, None
+        self.imag, self.rows, self.pre = imag, None, None
         # per split row: the largest real and imaginary data entry, and
         # whether a real / an imaginary-component variable enters
         re_max, im_max = [np.zeros(0)], [np.zeros(0)]
         re_use, im_use = [np.zeros(0, bool)], [np.zeros(0, bool)]
-        for data, free, _, _ in hp._groups:
-            split = {}
-            for name, f in data.items():
-                fh = f.conj().swapaxes(-1, -2)
-                split[name] = pairs(0.5 * (f + fh), 0.5j * (f - fh))
-            ft = pairs(free.real, free.imag)
-            self.split.append((split, ft))
+        for data, ft in split:
             re = im = np.zeros(ft.shape[0])
-            for h in split.values():
-                im = np.maximum(im, np.abs(h.imag).max(axis=(1, 2)))
-                re = np.maximum(re, np.abs(h.real).max(axis=(1, 2)))
+            for h in data.values():
+                im = np.maximum(im, np.abs(h.imag).max(axis=1))
+                re = np.maximum(re, np.abs(h.real).max(axis=1))
             uses, iv = ft != 0, imag[:ft.shape[1]]
             re_max.append(re)
             im_max.append(im)
@@ -1103,7 +1113,7 @@ class HermitianProblem:
     Rows are stored unsplit, one group per ``add_*`` call, which returns the
     group's index: a (k, n, n) complex stack F per block, (k, n_free) free
     coefficients c and a (k,) rhs, for sum_b tr(F_b,p* C_b) + c_p.u = rhs_p.
-    ``build`` splits every row once into its real and imaginary part (native
+    ``build`` reads every row as its real and imaginary part (native
     Hermitian blocks, or real ones of the same size when every split row is
     conjugation-invariant), and ``solve`` returns the engine's
     :class:`SDPSolution`, for the stored rhs or for new rhs of some groups.
@@ -1279,23 +1289,34 @@ class HermitianProblem:
             parts.append(values)
         return np.concatenate(parts).view(float)
 
-    def _assemble(self, op: _Operator, real_path: bool, keep: np.ndarray):
-        """(problem, kept_vars) of the rows ``keep`` on the given path, with a
-        zero rhs and read-only rows."""
+    def _split_groups(self) -> list:
+        """Every group's split rows, as (data, free): the :func:`_split` of
+        each block's stack and the free coefficients Re c, then Im c."""
+        return [({name: _split(f) for name, f in data.items()},
+                 np.stack([free.real, free.imag],
+                          axis=1).reshape(2 * len(free), free.shape[1]))
+                for data, free, _, _ in self._groups]
+
+    def _assemble(self, op: _Operator, split, real_path: bool,
+                  keep: np.ndarray):
+        """(problem, kept_vars) of the split rows ``keep`` on the given path,
+        with a zero rhs and read-only rows."""
         herm = not real_path
         kept_vars = np.flatnonzero(~op.imag) if real_path else np.arange(self._n_free)
         m = int(keep.sum())
+        sizes = dict(self._blocks)
         A_blocks = {name: np.zeros((m, _vec_dim(sz, herm))) for name, sz in self._blocks}
         A_free = np.zeros((m, kept_vars.size))
         i = j = 0
-        for data, ft in op.split:
+        for data, ft in split:
             rows = keep[j:j + ft.shape[0]]
             j += ft.shape[0]
             ft = ft[rows][:, kept_vars[:np.searchsorted(kept_vars, ft.shape[1])]]
             k = ft.shape[0]
-            for name, d in data.items():
-                d = d[rows]
-                A_blocks[name][i:i + k] = _vec(d.real if real_path else d, herm)
+            for name, h in data.items():
+                h, w = h[rows], _svec_idx(sizes[name])[2]     # svec / hvec(h)
+                A_blocks[name][i:i + k] = h.real * w if real_path else \
+                    np.hstack([h.real * w, _SQRT2 * h.imag[:, w != 1.0]])
             A_free[i:i + k, :ft.shape[1]] = ft
             i += k
         obj_blocks = obj_free = None
@@ -1335,8 +1356,10 @@ class HermitianProblem:
         kept operator half.
         """
         b = self._split_rhs(rhs)
+        split = None
         if self._op is None:
-            self._op = _Operator(self)
+            split = self._split_groups()
+            self._op = _Operator(self, split)
         op = self._op
         # the real path loses nothing when every split row is even, or odd
         # with rhs 0, and the objective is real
@@ -1346,8 +1369,10 @@ class HermitianProblem:
         rows = op.rows
         if rows is None or rows[0] != real_path \
                 or not np.array_equal(rows[1], keep):
+            if split is None:
+                split = self._split_groups()
             rows = op.rows = (real_path, keep,
-                              *self._assemble(op, real_path, keep))
+                              *self._assemble(op, split, real_path, keep))
             op.pre = None
         _, _, problem, kept_vars = rows
         return replace(problem, rhs=b[keep]), kept_vars

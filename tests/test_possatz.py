@@ -142,6 +142,94 @@ def test_margins_match_reference(r):
         assert abs(new.margin - ref.margin) <= 1e-10
 
 
+def _assert_same_search(got, want):
+    """Bitwise the same search: status, margin, residual and Gram bytes."""
+    assert got.status == want.status
+    assert repr(got.margin) == repr(want.margin)
+    assert repr(got.residual) == repr(want.residual)
+    assert (got.certificate is None) == (want.certificate is None)
+    if got.certificate is not None:
+        assert got.certificate.S.tobytes() == want.certificate.S.tobytes()
+        assert got.certificate.G.tobytes() == want.certificate.G.tobytes()
+
+
+WARM = tv_monic_lift()
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(0, 2), st.floats(0.0, 2 * np.pi),
+       st.one_of(st.floats(0.15, 0.85), st.floats(1.15, 1.45)))
+def test_kept_certificate_problems_match_fresh_pencils(r, th, u):
+    """Searches on one pencil, which keeps a certificate problem per degree,
+    return exactly what a fresh pencil per search returns, at linear forms
+    inside and outside the TV screen's polar dual."""
+    w = (np.cos(th), np.sin(th))
+    p = linear_form_poly(*(u * np.asarray(w) / tv_dual_support(*w)))
+    _assert_same_search(search_certificate(p, WARM, r),
+                        search_certificate(p, tv_monic_lift(), r))
+
+
+def test_certificate_searches_reuse_the_presolve():
+    lift = tv_monic_lift()
+    first = search_certificate(linear_form_poly(0.3, 0.2), lift, 1)
+    second = search_certificate(linear_form_poly(-0.4, 1.1), lift, 1)
+    assert first.feasible and not second.feasible
+    assert first.info["presolve_reused"] is False
+    assert second.info["presolve_reused"] is True
+
+
+def test_kept_problems_follow_the_real_path_and_mu():
+    """A complex mu = 2 polynomial leaves the real path of the kept problem,
+    the real one after it returns to it; both match fresh pencils, and each
+    mu has its own kept problem."""
+    lift = tv_monic_lift()
+    search_certificate(linear_form_poly(0.3, 0.2), lift, 1)
+    cplx = _symmetric_poly(rng(11), 2, 2, 3) * 0.05 + NCPolynomial(
+        2, 2, 2, {(): 2.0 * np.eye(2)})
+    real = NCPolynomial(2, 2, 2, {w: c.real for w, c in cplx.terms.items()})
+    for p, reused in [(cplx, False), (real, False), (real * 0.5, True)]:
+        got = search_certificate(p, lift, 1)
+        _assert_same_search(got, search_certificate(p, tv_monic_lift(), 1))
+        assert got.feasible and got.info["presolve_reused"] is reused
+        cert = got.certificate
+        assert (max(np.abs(cert.S.imag).max(), np.abs(cert.G.imag).max()) > 0) \
+            == (p is cplx)
+    assert sorted(lift._memo) == [(1, 1), (1, 2)]
+
+
+def test_kept_certificate_problem_is_small():
+    """A kept r = 2 problem on the TV lift holds the stored rows, the built
+    rows and the presolve, but no split copy of the rows."""
+    import tracemalloc
+    lift = tv_monic_lift()
+    tracemalloc.start()
+    try:
+        search_certificate(linear_form_poly(0.3, 0.2), lift, 2)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 3.5 * 2 ** 20
+
+
+def test_warm_searches_still_check_their_input():
+    lift = tv_monic_lift()
+    search_certificate(linear_form_poly(0.1, 0.1), lift, 0)
+    search_certificate(linear_form_poly(0.1, 0.1), lift, 1)
+    one = np.array([[1.0]])
+    for p, r, match in [
+            (NCPolynomial(2, 1, 1, {(1, 2): one}), 1, "must be symmetric"),
+            (NCPolynomial(2, 1, 1, {(1, 1): one}), 0, "exceeds 2r\\+1"),
+            (NCPolynomial(3, 1, 1, {(3,): one}), 0, "variable counts")]:
+        with pytest.raises(ValueError, match=match):
+            search_certificate(p, lift, r)
+    assert sorted(lift._memo) == [(0, 1), (1, 1)]
+    from freeconvex.corpus import tv_lift
+    pencil = tv_lift()
+    with pytest.raises(ValueError, match="monic pencil"):
+        search_certificate(linear_form_poly(0.1, 0.1), pencil, 0)
+    assert not pencil._memo
+
+
 def test_word_basis_counts_and_order():
     basis = WordBasis(2, 2)
     assert len(basis) == 1 + 2 + 4

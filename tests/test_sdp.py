@@ -393,6 +393,21 @@ def test_add_call_drops_the_kept_presolve():
     assert hp.solve().info["presolve_reused"] is True
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_split_rows_are_the_full_matrix_products(n):
+    """The split rows build reads, for a stack with signed zeros, are
+    bitwise the upper triangles of 0.5 (F + F*) and 0.5i (F - F*) formed as
+    full matrices, as the rows' pivoted QR reads the sign of a zero."""
+    gen = rng(n)
+    vals = np.array([-1.5, -0.0, 0.0, 2.0])
+    f = gen.choice(vals, (6, n, n)) + 1j * gen.choice(vals, (6, n, n))
+    f = f + gen.standard_normal(f.shape) * (gen.random(f.shape) < 0.3)
+    iu, ju, _ = S._svec_idx(n)
+    fh = f.conj().swapaxes(1, 2)
+    full = np.stack([0.5 * (f + fh), 0.5j * (f - fh)], axis=1)
+    assert S._split(f).tobytes() == full[:, :, iu, ju].tobytes()
+
+
 def test_build_shares_read_only_rows():
     """Builds that keep the rows share them, read-only; each has its rhs."""
     hp, (trace, _, _) = _override_problem(0.25)
