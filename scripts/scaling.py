@@ -13,10 +13,11 @@ polynomial's coefficients.  ``certificate_r2_sweep`` is that second kind of
 cost: the seconds per search of 10 searches on one fresh lift.
 
 The last line of output is one JSON object with the seconds, the statuses,
-the row count m and the rank of each certificate problem's equality rows,
-nproc and the OpenBLAS thread count in effect (one unless
-OPENBLAS_NUM_THREADS says otherwise).  The exit code is 1 unless every
-status is FEASIBLE and every rank equals its m.
+the Schur route of each channel problem's blocks (``info["schur"]``), the
+row count m and the rank of each certificate problem's equality rows, nproc
+and the OpenBLAS thread count in effect (one unless OPENBLAS_NUM_THREADS
+says otherwise).  The exit code is 1 unless every status is FEASIBLE, every
+rank equals its m and both channel problems took the factored route.
 
 Usage: python scripts/scaling.py
 """
@@ -34,7 +35,7 @@ SWEEP = 10
 
 
 def timed(run, setup=lambda: None):
-    """(median seconds per call, statuses of the last run) over RUNS runs of
+    """(median seconds per call, results of the last run) over RUNS runs of
     run(setup()), which returns a list of results; setup is not timed."""
     times = []
     for _ in range(RUNS):
@@ -42,7 +43,7 @@ def timed(run, setup=lambda: None):
         start = time.perf_counter()
         results = run(arg)
         times.append((time.perf_counter() - start) / len(results))
-    return statistics.median(times), [r.status.value for r in results]
+    return statistics.median(times), results
 
 
 def main():
@@ -74,16 +75,22 @@ def main():
     results["certificate_r2_sweep"] = timed(
         lambda lift: [possatz.search_certificate(q, lift, 2) for q in polys],
         corpus.tv_monic_lift)
-    status = {k: "/".join(sorted(set(s))) for k, (_, s) in results.items()}
+    status = {k: "/".join(sorted({r.status.value for r in res}))
+              for k, (_, res) in results.items()}
+    schur = {k: list(res[0].info["schur"]) for k, (_, res) in results.items()
+             if k.startswith("channel")}
     print(json.dumps({
         "median_s": {k: round(s, 4) for k, (s, _) in results.items()},
         "status": status,
+        "schur": schur,
         "rows": rows,
         "runs": RUNS, "nproc": os.cpu_count(),
         "blas_threads": blas_threads()}))
     bad = [f"{k}: status {s}" for k, s in status.items() if s != "FEASIBLE"] \
         + [f"{k}: rank {v['rank']} of m = {v['m']}" for k, v in rows.items()
-           if v["rank"] != v["m"]]
+           if v["rank"] != v["m"]] \
+        + [f"{k}: Schur route {r}" for k, r in schur.items()
+           if r != ["factored"]]
     for line in bad:
         print(f"scaling: {line}", file=sys.stderr)
     return 1 if bad else 0

@@ -57,6 +57,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _memoized(owner, key, make):
+    """``owner._memo[key]``, made by ``make()`` on first use: the one memo
+    of the frozen objects (a pencil, a spectrahedrop) that keep the SDPs of
+    their queries.  Not locked: an owner's queries must not run
+    concurrently."""
+    if key not in owner._memo:
+        owner._memo[key] = make()
+    return owner._memo[key]
+
+
 def hermitian_part(m) -> np.ndarray:
     m = _asarray(m)
     return 0.5 * (m + m.conj().T)

@@ -29,19 +29,21 @@ staying 0: the stored rows, the built rows and the presolve are made once
 per pencil and degree.  Only an rhs that changes the real path or the kept
 rows (a p with complex coefficients on a real pencil, and the real p after
 it) builds the rows and the presolve again.  A kept problem retains its
-stored row stacks, built rows and presolve, about 3.2 MiB at r = 2 and
-55 MiB at r = 3 on the TV-screen lift, and goes with the pencil.
+stored row stacks (real on a real pencil), built rows and presolve, about
+2.5 MiB at r = 2 and 43 MiB at r = 3 on the TV-screen lift, and goes with
+the pencil.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .algebra import LinearPencil, NCPolynomial, hermitian_part, word_key
+from .algebra import (LinearPencil, NCPolynomial, _memoized, hermitian_part,
+                      word_key)
 from .sdp import FEAS_TOL, Decision, HermitianProblem, SolveStatus
 
 __all__ = [
@@ -130,37 +132,48 @@ def expand_certificate(cert: Certificate, pencil: LinearPencil,
 
     The result is a polynomial in the x variables of degree <= 2r+1; any
     surviving y coefficient above `y_tol` is an annihilation failure.
+
+    One contraction of G with every pencil coefficient M_k (A0, the x and
+    the y coefficients) gives the mu x mu blocks sum_ce M_k,ce
+    G[(a,c,.),(b,e,.)] of all pairs (a, b); block (k, a, b) of an x or
+    A0 coefficient is the coefficient of rev(w_a) x_k w_b, indexed by the
+    words' codes in base g+1 (x_0 = A0 adds no letter).  Only the word
+    basis enters, not the rows of the certificate SDP.
     """
     if pencil.d != cert.d or pencil.g != cert.g:
         raise ValueError("certificate and pencil shapes disagree")
-    basis = WordBasis(cert.g, cert.r).words
-    terms: Dict[tuple, np.ndarray] = {}
-
-    def add(word, mat):
-        if word in terms:
-            terms[word] = terms[word] + mat
-        else:
-            terms[word] = np.array(mat)
-
-    for a, wa in enumerate(basis):
-        ra = wa[::-1]
-        for b, wb in enumerate(basis):
-            add(ra + wb, cert.s_block(a, b))
-            add(ra + wb, cert.pencil_contraction(pencil.A0, a, b))
-            for j, coeff in enumerate(pencil.x_coeffs):
-                add(ra + (j + 1,) + wb, cert.pencil_contraction(coeff, a, b))
-    y_resid = 0.0
-    for k, coeff in enumerate(pencil.y_coeffs):
-        for a in range(len(basis)):
-            for b in range(len(basis)):
-                y_resid = max(y_resid, float(np.abs(
-                    cert.pencil_contraction(coeff, a, b)).max()))
+    g, d, mu = cert.g, cert.d, cert.mu
+    basis = WordBasis(g, cert.r).words
+    n = len(basis)
+    coeffs = np.array([pencil.A0, *pencil.x_coeffs, *pencil.y_coeffs],
+                      dtype=complex).reshape(-1, d * d)
+    blocks = (coeffs @ cert.G.reshape(n, d, mu, n, d, mu).transpose(
+        1, 4, 0, 3, 2, 5).reshape(d * d, -1)).reshape(-1, n, n, mu, mu)
+    y_resid = float(np.abs(blocks[g + 1:]).max(initial=0.0))
     if y_resid > y_tol:
         raise ValueError(f"annihilation violated: y coefficients survive "
                          f"at {y_resid:.3e}")
-    return NCPolynomial(cert.g, cert.mu, cert.mu,
-                        {w: m for w, m in terms.items()
-                         if np.abs(m).max() > 1e-14})
+    blocks = blocks[:g + 1]
+    blocks[0] += cert.S.reshape(n, mu, n, mu).transpose(0, 2, 1, 3)
+    # code(rev(w_a) k w_b) = (code(rev w_a) B + k) B^|w_b| + code(w_b) for a
+    # letter k, and code(rev w_a) B^|w_b| + code(w_b) without one
+    base = g + 1
+    size = base ** np.array([len(w) for w in basis])
+    code = np.array([sum(l * base ** i for i, l in enumerate(w[::-1]))
+                     for w in basis])
+    rcode = np.array([sum(l * base ** i for i, l in enumerate(w))
+                      for w in basis])
+    letter = np.arange(base)[:, None, None]
+    left = np.where(letter > 0, rcode[:, None] * base + letter, rcode[:, None])
+    words, first, index = np.unique((left * size + code).reshape(-1),
+                                    return_index=True, return_inverse=True)
+    sums = np.zeros((words.size, mu, mu), dtype=complex)
+    np.add.at(sums, index, blocks.reshape(-1, mu, mu))
+    big = np.abs(sums).reshape(words.size, -1).max(axis=1, initial=0.0) > 1e-14
+    k, a, b = (i[big].tolist() for i in np.unravel_index(first, (base, n, n)))
+    return NCPolynomial(g, mu, mu, {
+        basis[a][::-1] + (k,)[:k] + basis[b]: m
+        for k, a, b, m in zip(k, a, b, sums[big])})
 
 
 def verify_certificate(p: NCPolynomial, cert: Certificate,
@@ -225,6 +238,8 @@ def _problem(p: NCPolynomial, pencil: LinearPencil, r: int):
                 word = wa[::-1] + (k,)[:k] + wb
                 prods[k > g].setdefault(word, []).append((k, a, b))
     coeffs = np.conj([pencil.A0, *pencil.x_coeffs, *pencil.y_coeffs])
+    if not coeffs.imag.any():       # a real pencil's rows are stored real
+        coeffs = coeffs.real
     hp = HermitianProblem()
     hp.add_block("S", mu * n)
     hp.add_block("G", n * d * mu)
@@ -243,7 +258,7 @@ def _problem(p: NCPolynomial, pencil: LinearPencil, r: int):
                                      in enumerate(rows) for prod in table[v]]).T
         # the S data axes read (a, i, b, j), the G data axes (a, c, i, b, e, j)
         s = np.zeros((len(rows), n, mu, n, mu))
-        gm = np.zeros((len(rows), n, d, mu, n, d, mu), dtype=complex)
+        gm = np.zeros((len(rows), n, d, mu, n, d, mu), dtype=coeffs.dtype)
         one = k == 0
         s[t[one], a[one], i[one], b[one], j[one]] = 1.0
         gm[t, a, :, i, b, :, j] = coeffs[k]
@@ -275,9 +290,7 @@ def search_certificate(p: NCPolynomial, pencil: LinearPencil, r: int,
     before they are returned.
     """
     _check(p, pencil, r)
-    if (r, p.rows) not in pencil._memo:
-        pencil._memo[r, p.rows] = _problem(p, pencil, r)
-    hp, rows = pencil._memo[r, p.rows]
+    hp, rows = _memoized(pencil, (r, p.rows), lambda: _problem(p, pencil, r))
     sol = hp.solve(tol=tol, max_iter=max_iter, feas_tol=feas_tol,
                    rhs={0: _coefficients(p, rows)})
     if not sol.feasible:

@@ -56,13 +56,12 @@ witness may promote the answer to FEASIBLE (otherwise MARGINAL).  The
 slack t is one more free column, eliminated with the others.
 
 Each iteration solves the Nesterov-Todd system through the Schur complement
-M_ij = sum_b <A_bi, W_b A_bj W_b> over the m equality rows, the assembly of
-Fujisawa, Kojima and Nakata (Math. Prog. 79, 1997) and SDPT3.  The rows of
-each n x n block are unpacked once per solve into full matrices.  With the
-NT point W = R R*, M = G G' for G_i = R* A_i R, one batched product per block
-and iteration into buffers kept for the solve, and one symmetric rank-k
-product; the NT operator v -> W v W is applied through R, never stored.  A
-block costs O(m n^2) memory and O(m n^3 + m^2 n^2) time per iteration.
+M_ij = sum_b <A_bi, W_b A_bj W_b> over the m equality rows (Fujisawa, Kojima
+and Nakata, Math. Prog. 79, 1997; SDPT3), dense from G_i = R* A_i R, or
+factored from the Kronecker factors of a Choi block's rows (the low-rank
+constraint data of DSDP: Benson, Ye and Zhang, SIAM J. Optim. 10, 2000);
+see :func:`_schur`, :class:`_KronSchur` and the README Notes for both routes
+and the rule that picks one.
 
 The Newton step is taken in NT-scaled coordinates (Todd, Toh and Tutuncu,
 SIAM J. Optim. 8, 1998; SDPT3): with R from :func:`_nt_scaling`, the scaled
@@ -270,6 +269,9 @@ class SDPProblem:
     A_free: (m x n_free); rhs: (m,).
     Objective (maximized): sum_b <C_b, Z_b> + d.t, C_b in the same
     coordinates.
+    kron: per block, the Kronecker factor form of its rows (a
+      :class:`_KronRows`) or None; the core may assemble that block's part
+      of the Schur complement from it.
 
     The free variables never reach the interior-point core: presolve
     eliminates them (see :class:`_FreeElimination`) and recovers t from the
@@ -284,6 +286,7 @@ class SDPProblem:
     obj_blocks: Optional[tuple] = None
     obj_free: Optional[np.ndarray] = None
     hermitian: tuple = ()              # tuple[bool], aligned with blocks
+    kron: tuple = ()                   # empty: None for every block
     # the presolve handed to and back from one HermitianProblem solve (see
     # _Kept); init=False, so dataclasses.replace drops it
     _kept: Optional["_Kept"] = field(default=None, init=False, repr=False,
@@ -487,25 +490,162 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray):
 
 
 def _schur(A_mats: Sequence[np.ndarray], R: Sequence[np.ndarray],
-           work: Sequence[Tuple[np.ndarray, np.ndarray]], m: int) -> np.ndarray:
+           work: Sequence, m: int) -> np.ndarray:
     """Schur complement M_ij = sum_b <A_bi, W_b A_bj W_b> with W_b = R_b R_b*.
 
     A_mats[b] stacks the m equality rows of block b as full (m, n, n)
-    matrices, real symmetric or complex Hermitian.  With G_bi = R_b* A_bi R_b
-    the same sum is <G_bi, G_bj> = Re tr(G_bi G_bj), the dot product of the
-    float views of G_bi and G_bj.  G_b is one batched product per block,
-    written into the block's two (m, n, n) ``work`` buffers (fresh
-    temporaries of a MiB or more cost about as much in page faults as the
-    products), and M is G G' of the float views, one symmetric rank-k
-    product.
+    matrices, real symmetric or complex Hermitian.  On the dense route
+    ``work[b]`` is the block's two (m, n, n) buffers: with
+    G_bi = R_b* A_bi R_b the sum is <G_bi, G_bj> = Re tr(G_bi G_bj), the dot
+    product of the float views of G_bi and G_bj, so G_b is one batched
+    product per block, written into the buffers (fresh temporaries of a MiB
+    or more cost about as much in page faults as the products), and M is
+    G G' of the float views, one symmetric rank-k product.  On the factored
+    route ``work[b]`` is the block's :class:`_KronSchur`, which forms its
+    part of M from the Kronecker factors of the rows.
     """
     M = np.zeros((m, m))
-    for F, r, (tmp, g) in zip(A_mats, R, work):
+    for F, r, w in zip(A_mats, R, work):
+        if isinstance(w, _KronSchur):
+            M += w(r)
+            continue
+        tmp, g = w
         np.matmul(r.conj().T, F, out=tmp)
         np.matmul(tmp, r, out=g)
         g = g.reshape(m, r.size).view(float)
         M += g @ g.T
     return M
+
+
+# the fixed charge of the factored route, in flops: it makes about 30 array
+# calls per iteration where the dense route makes three; at this charge a
+# complex channel map of three matrices stays dense up to n = m = 3 and is
+# factored from 4 up, where the factored route measures faster
+_KRON_CALL_FLOPS = 1.5e6
+
+
+@dataclass(frozen=True)
+class _KronRows:
+    """The rows of one n m x n m block in Kronecker factor form.
+
+    The unit rows are F_(k,r,s) = A_k (x) E_rs for k < g and r, s < m
+    (``A`` holds the g conjugated, Hermitian "apply" matrices), numbered
+    k m^2 + r m + s, then, when ``trace`` is not 0, F_(r,s) = trace
+    E_rs (x) I_m for r, s < n, numbered g m^2 + r n + s, and last a zero
+    row.  Every r, s appears, so that F_c* is the unit row ``swapped(c)``.
+    Stored complex row p reads tr(F_(unit_p)* C) on the block (the zero row
+    where it does not touch it); its split rows 2p and 2p + 1 are the real
+    and the imaginary part, and built row i is split row ``split[i]``.  On
+    the real path A is real and every built row is a real part.
+    """
+
+    n: int
+    m: int
+    A: np.ndarray
+    trace: float
+    unit: np.ndarray
+    split: np.ndarray
+
+    def swapped(self, c: np.ndarray) -> np.ndarray:
+        n, m, ga = self.n, self.m, len(self.A) * self.m ** 2
+        k, rs = np.divmod(c, m * m)
+        r, s = np.divmod(c - ga, n)
+        return np.where(c < ga, k * m * m + rs % m * m + rs // m,
+                        np.where(c < ga + bool(self.trace) * n * n,
+                                 ga + s * n + r, c))
+
+    def beats_dense(self, kept: int, reduced: int, herm: bool) -> bool:
+        """The route rule: True when the shape-only flop count of the
+        factored route, from ``kept`` rows mapped to the core's ``reduced``
+        rows, is below that of the dense route on the reduced rows."""
+        n, m, g = self.n, self.m, len(self.A)
+        N, mac = n * m, 8 if herm else 2       # flops per multiply-add
+        gemms = N ** 3 + g * n ** 3 * m * m + (g * m * m * n) ** 2 + \
+            bool(self.trace) * (n ** 4 * m * m + g * m ** 3 * n ** 3)
+        factored = mac * gemms + 16 * kept * kept + _KRON_CALL_FLOPS
+        dense = mac * 2 * reduced * N ** 3 + 2 * reduced ** 2 * N * N * (1 + herm)
+        return factored < dense
+
+    def products(self, W: np.ndarray) -> np.ndarray:
+        """P_cd = tr(F_c W F_d W) over the unit rows.
+
+        With Wt[q, s, p, r] = W[(q, s), (p, r)] and X = A Wt (one product),
+        tr((A_k (x) E_rs) W (A_k' (x) E_r's') W) is the sum over p, p' of
+        X[k, p, s, p', r'] X[k', p', s', p, r], one product of shape
+        (g m^2 x n^2)(n^2 x g m^2); the trace rows and their cross terms
+        with the apply rows are two more products of the same kind."""
+        n, m, g, t = self.n, self.m, len(self.A), self.trace
+        ga, nt = g * m * m, bool(t) * n * n
+        P = np.zeros((ga + nt + 1, ga + nt + 1), dtype=W.dtype)
+        Wt = W.reshape(n, m, n, m)
+        if g:
+            X = (self.A.reshape(g * n, n) @ W.reshape(n, -1)).reshape(g, n, m, n, m)
+            Y = X.transpose(0, 2, 4, 1, 3).reshape(ga, n * n)
+            Yt = X.transpose(0, 2, 4, 3, 1).reshape(ga, n * n)
+            P[:ga, :ga].reshape(g, m, m, g, m, m)[...] = \
+                (Y @ Yt.T).reshape(g, m, m, g, m, m).transpose(0, 5, 1, 3, 2, 4)
+        if nt:
+            V = Wt.transpose(0, 2, 1, 3).reshape(nt, m * m)
+            Vt = Wt.transpose(0, 2, 3, 1).reshape(nt, m * m)
+            P[ga:-1, ga:-1].reshape(n, n, n, n)[...] = \
+                (t * t * V @ Vt.T).reshape(n, n, n, n).transpose(3, 0, 1, 2)
+        if g and nt:
+            L = X.transpose(0, 2, 3, 1, 4).reshape(g * m * n, n * m)
+            Rt = Wt.transpose(0, 3, 2, 1).reshape(n * m, n * m)
+            P[:ga, ga:-1].reshape(g, m, m, n, n)[...] = \
+                (L @ (t * Rt).T).reshape(g, m, n, n, m).transpose(0, 4, 1, 2, 3)
+            P[ga:-1, :ga] = P[:ga, ga:-1].T
+        return P
+
+
+class _KronSchur:
+    """One block's part of the Schur complement on the core's rows, from the
+    Kronecker factors of its kept rows (the factored route).
+
+    With P from :meth:`_KronRows.products`, complex rows on unit rows c, d
+    and P*_cd = tr(F_c W F_d* W) = P_(c, swapped(d)), the split rows' part
+    is, with A1 = P_cd and A2 = P*_cd, (Re(A1 + A2), -Im(A1 - A2)) / 2 from
+    a real part and (-Im(A1 + A2), -Re(A1 - A2)) / 2 from an imaginary
+    part: the float views of conj(A1) + A2 and i (A2 - conj(A1)), halved.
+    The core's rows are T A_keep with T = diag(1/scale) Q2', Q2 the
+    complement of the free columns' range in their pivoted QR, so the
+    block's part is T M T', with Q applied from its reflectors."""
+
+    def __init__(self, kr: _KronRows, keep: np.ndarray, F: np.ndarray,
+                 scale: np.ndarray, herm: bool):
+        split = kr.split[keep]
+        rows, inv = np.unique(split // 2, return_inverse=True)
+        self.kr, self.herm = kr, herm
+        self.kept = 2 * inv + split % 2 if herm else inv
+        c = kr.unit[rows]
+        self.rows, self.cols = c, np.concatenate([c, kr.swapped(c)])
+        (qr, tau), _, _ = sla.qr(F, pivoting=True, mode="raw",
+                                 check_finite=False)
+        self.qr, self.tau = qr[:, :tau.size], tau
+        self.rank = len(keep) - scale.size
+        self.inv = 0.5 / np.outer(scale, scale)
+        self.lwork = 64 * (len(keep) + 65)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        P = self.kr.products(r @ r.conj().T).take(self.rows, 0)
+        P = P.take(self.cols, 1)
+        k = self.rows.size
+        A1, A2 = P[:, :k], P[:, k:]
+        if self.herm:
+            A1 = A1.conj()
+            M = np.empty((k, 2, k), dtype=complex)
+            np.add(A1, A2, out=M[:, 0])
+            np.subtract(A2, A1, out=M[:, 1])
+            M[:, 1] *= 1j
+            M = M.view(float).reshape(2 * k, 2 * k)
+        else:
+            M = A1 + A2
+        M = M.take(self.kept, 0).take(self.kept, 1)
+        if self.tau.size:
+            M = lapack.dormqr("L", "T", self.qr, self.tau, M, self.lwork)[0]
+            M = lapack.dormqr("R", "N", self.qr, self.tau, M, self.lwork,
+                              overwrite_c=1)[0]
+        return M[self.rank:, self.rank:] * self.inv
 
 
 @dataclass
@@ -549,7 +689,8 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
     stall = 0
     ptol = max(tol, _RESID_TOL_FLOOR)
     gtol = max(tol, _GAP_TOL_FLOOR)
-    work = [(np.empty_like(F), np.empty_like(F)) for F in A_mats]
+    work = [kr or (np.empty_like(F), np.empty_like(F))
+            for F, kr in zip(A_mats, pre.kron)]
 
     def A_op(X):                  # sum_b <A_bi, X_b> for every row i
         return sum((A_flat[k] @ X[k].reshape(-1).view(float) for k in range(nb)),
@@ -743,9 +884,10 @@ class _Presolve:
 
     It holds the phase-I slack column t (or, for an optimization, the
     negated objective), the :class:`_FreeElimination` of the free columns,
-    the sup-norm scale of the reduced rows, and the rows and objective
-    unpacked into full n x n matrices for the core.  :meth:`run` reads only
-    the rhs: Q2' b, b / scale and beta."""
+    the sup-norm scale of the reduced rows, the rows and objective
+    unpacked into full n x n matrices for the core, and each block's Schur
+    route (``kron``: its :class:`_KronSchur`, or None for the dense route).
+    :meth:`run` reads only the rhs: Q2' b, b / scale and beta."""
 
     def __init__(self, rows: _Rows):
         problem = rows.problem
@@ -785,6 +927,19 @@ class _Presolve:
         vec_wt = [np.where(np.eye(n, dtype=bool), 1.0, _SQRT2) for n in sizes]
         self.vec_wt = [np.repeat(w, 2, axis=1) if h else w
                        for w, h in zip(vec_wt, herm)]
+        # each block's Schur route: its _KronSchur where the route rule
+        # takes the factored route, else None (dense)
+        self.free, self.forms = A_free, problem.kron or (None,) * nb
+        self.kron = [self.factored(k) if kr is not None and m
+                     and kr.beats_dense(self.keep.size, m, herm[k]) else None
+                     for k, kr in enumerate(self.forms)]
+        self.routes = tuple("dense" if kr is None else "factored"
+                            for kr in self.kron)
+
+    def factored(self, k: int) -> "_KronSchur":
+        """The factored route of block k, which has a factor form."""
+        return _KronSchur(self.forms[k], self.keep, self.free, self.scale,
+                          self.herm[k])
 
     def run(self, b: np.ndarray, tol: float, max_iter: int) -> _HSDResult:
         """Run the core once on the blocks alone for the kept rhs b, in units
@@ -792,8 +947,8 @@ class _Presolve:
 
         The core solves for Z / beta with beta = max |b_red|; its Z and pobj
         are mapped back, while rays and Farkas certificates are directions
-        and stay.  ``info`` gets ``attempts`` (1: one IPM run) and
-        ``iterations_total``.
+        and stay.  ``info`` gets ``attempts`` (1: one IPM run),
+        ``iterations_total`` and ``schur``, the route of each block.
         """
         b_red = (self.el.q2.T @ b) / self.scale
         beta = float(np.abs(b_red).max(initial=0.0)) or 1.0
@@ -801,7 +956,8 @@ class _Presolve:
         if res.kind == "optimal":
             res.Z = [beta * z for z in res.Z]
             res.pobj *= beta
-        res.info.update(attempts=1, iterations_total=res.iterations)
+        res.info.update(attempts=1, iterations_total=res.iterations,
+                        schur=self.routes)
         return res
 
 
@@ -1047,7 +1203,7 @@ def _split(f: np.ndarray) -> np.ndarray:
     which the pivoted QR of the rows reads."""
     n = f.shape[-1]
     iu, ju, _ = _svec_idx(n)
-    f = f.reshape(len(f), n * n)
+    f = f.reshape(len(f), n * n).astype(complex, copy=False)
     up, lo = f.take(iu * n + ju, axis=1), f.take(ju * n + iu, axis=1).conj()
     return np.stack([0.5 * (up + lo), 0.5j * (up - lo)],
                     axis=1).reshape(2 * len(f), iu.size)
@@ -1111,8 +1267,10 @@ class HermitianProblem:
     objective.
 
     Rows are stored unsplit, one group per ``add_*`` call, which returns the
-    group's index: a (k, n, n) complex stack F per block, (k, n_free) free
-    coefficients c and a (k,) rhs, for sum_b tr(F_b,p* C_b) + c_p.u = rhs_p.
+    group's index: a (k, n, n) stack F per block (complex, or float64 for
+    real data), (k, n_free) free coefficients c and a (k,) rhs, for
+    sum_b tr(F_b,p* C_b) + c_p.u = rhs_p, and the Kronecker factor form of
+    an ``add_matrix_eq`` group's rows on each block.
     ``build`` reads every row as its real and imaginary part (native
     Hermitian blocks, or real ones of the same size when every split row is
     conjugation-invariant), and ``solve`` returns the engine's
@@ -1127,8 +1285,11 @@ class HermitianProblem:
         self._blocks: List[Tuple[str, int]] = []
         self._n_free = 0
         self._free_herms: List[FreeHermitian] = []
-        # (data, free, rhs, form); form = (shape, index) takes an rhs given
-        # to solve() in the shape the add_* call took to the group's (k,) rhs
+        # (data, free, rhs, form, kron); form = (shape, index) takes an rhs
+        # given to solve() in the shape the add_* call took to the group's
+        # (k,) rhs, and kron maps a block to the Kronecker factor form of
+        # the group's rows on it (see add_matrix_eq), None where they have
+        # none
         self._groups: List[tuple] = []
         self._obj: Optional[Tuple[Dict[str, np.ndarray], Dict[int, float]]] = None
         self._op: Optional[_Operator] = None
@@ -1161,13 +1322,15 @@ class HermitianProblem:
 
     def _block_data(self, block_data, lead=()) -> Dict[str, np.ndarray]:
         """The data matrices of a row (or of a stack of rows, when `lead` is
-        (k,)), checked against the block names and sizes."""
+        (k,)), checked against the block names and sizes; real data stay
+        real (float64), to be read as complex by :func:`_split`."""
         sizes = dict(self._blocks)
         out = {}
         for name, f in block_data.items():
             if name not in sizes:
                 raise ValueError(f"unknown block {name!r}")
-            f = np.asarray(f, dtype=complex)
+            f = np.asarray(f)
+            f = f.astype(complex if np.iscomplexobj(f) else float, copy=False)
             if f.shape != lead + (sizes[name],) * 2:
                 raise ValueError(f"data for block {name!r} has wrong shape")
             out[name] = f
@@ -1181,8 +1344,9 @@ class HermitianProblem:
             row[:, int(i)] = v
         return row
 
-    def _add_group(self, data, free, rhs, form) -> int:
-        self._groups.append((data, free, rhs, form))
+    def _add_group(self, data, free, rhs, form, kron=None) -> int:
+        self._groups.append((data, free, rhs, form,
+                             kron or dict.fromkeys(data)))
         self._op = None
         return len(self._groups) - 1
 
@@ -1216,27 +1380,44 @@ class HermitianProblem:
           ("blocktrace", block, m, scale) scale * (tr C_pq)_pq, m x m blocks
           ("kron", coeff, fh)         coeff (x) Y
           ("kron_block", coeff, block) coeff (x) C for a PSD block C
-          ("kron_scalar", coeff, j)   coeff * u_j"""
+          ("kron_scalar", coeff, j)   coeff * u_j
+        The row of entry (r, s) is conj(A) (x) E_rs on the block of an
+        "apply" term with Hermitian A, and scale E_rs (x) I_m for a
+        "blocktrace" term with a real scale; a block whose terms are all of
+        one of these kinds keeps that factor form beside its rows."""
         rhs = np.asarray(rhs, dtype=complex)
         r, s, _ = _svec_idx(rhs.shape[0])
-        p, sizes, F = np.arange(r.size), dict(self._blocks), {}
+        p, sizes, F, kron = np.arange(r.size), dict(self._blocks), {}, {}
         free = np.zeros((p.size, self._n_free), dtype=complex)
         def block(name, *shape):      # the data of every entry, as (p, *shape)
             if name not in F:
                 F[name] = np.zeros((p.size, sizes[name], sizes[name]), dtype=complex)
             return F[name].reshape(p.size, *shape) if shape else F[name]
+        def factor(name, kind=None, mdim=None, coeff=0.0):
+            old = kron.get(name, (kind, mdim, 0.0))  # terms of one kind add
+            kron[name] = (kind, mdim, old[2] + coeff) \
+                if kind and old and old[:2] == (kind, mdim) else None
         for kind, *args in terms:
             if kind == "apply":
                 name, A, mdim = args
                 A = np.asarray(A, dtype=complex)
                 block(name, len(A), mdim, len(A), mdim)[p, :, r, :, s] += A.conj()
+                if np.array_equal(A, A.conj().T):
+                    factor(name, kind, mdim, A.conj())
+                else:
+                    factor(name)
             elif kind == "entry":
                 name, scale = args
                 block(name)[p, r, s] += scale
+                factor(name)
             elif kind == "blocktrace":
                 name, mdim, scale = args
                 nd = sizes[name] // mdim
                 block(name, nd, mdim, nd, mdim)[p, r, :, s, :] += scale * np.eye(mdim)
+                if np.imag(scale) == 0:
+                    factor(name, kind, mdim, float(np.real(scale)))
+                else:
+                    factor(name)
             elif kind == "kron":
                 coeff, fh = args
                 k = fh.size
@@ -1246,12 +1427,13 @@ class HermitianProblem:
                 coeff, name = args
                 k = sizes[name]
                 block(name)[p, r % k, s % k] += np.conj(coeff)[r // k, s // k]
+                factor(name)
             elif kind == "kron_scalar":
                 coeff, j = args
                 free[:, j] += np.asarray(coeff, dtype=complex)[r, s]
             else:
                 raise ValueError(f"unknown term kind {kind!r}")
-        return self._add_group(F, free, rhs[r, s], (rhs.shape, (r, s)))
+        return self._add_group(F, free, rhs[r, s], (rhs.shape, (r, s)), kron)
 
     def set_objective(self, block_terms: Dict[str, np.ndarray],
                       free_terms: Optional[Dict[int, float]] = None):
@@ -1273,7 +1455,7 @@ class HermitianProblem:
             raise ValueError(f"rhs for unknown row groups {unknown}; the "
                              f"problem has {len(self._groups)}")
         parts = [np.zeros(0, dtype=complex)]
-        for g, (_, _, values, (shape, index)) in enumerate(self._groups):
+        for g, (_, _, values, (shape, index), _) in enumerate(self._groups):
             if g in rhs:
                 new = np.asarray(rhs[g])
                 if new.shape != shape:
@@ -1295,7 +1477,7 @@ class HermitianProblem:
         return [({name: _split(f) for name, f in data.items()},
                  np.stack([free.real, free.imag],
                           axis=1).reshape(2 * len(free), free.shape[1]))
-                for data, free, _, _ in self._groups]
+                for data, free, _, _, _ in self._groups]
 
     def _assemble(self, op: _Operator, split, real_path: bool,
                   keep: np.ndarray):
@@ -1334,8 +1516,46 @@ class HermitianProblem:
         problem = SDPProblem(tuple(self._blocks), int(kept_vars.size),
                              tuple(A_blocks[name] for name, _ in self._blocks),
                              A_free, np.zeros(m), obj_blocks, obj_free,
-                             (True,) * len(self._blocks) if herm else ())
+                             (True,) * len(self._blocks) if herm else (),
+                             tuple(self._kron_rows(name, sz, real_path, keep)
+                                   for name, sz in self._blocks))
         return problem, kept_vars
+
+    def _kron_rows(self, name: str, size: int, real_path: bool,
+                   keep: np.ndarray) -> Optional["_KronRows"]:
+        """The factor form of block ``name``'s kept split rows, or None when
+        a group touching the block has none, the groups disagree on its
+        factors n x m, or an imaginary half is kept on the real path."""
+        forms = [kron[name] for data, _, _, _, kron in self._groups
+                 if name in data]
+        if not forms or None in forms:
+            return None
+        nm = {(len(c) if kind == "apply" else size // mdim, mdim)
+              for kind, mdim, c in forms}
+        if len(nm) != 1:
+            return None
+        (n, m), = nm
+        split = np.flatnonzero(keep)
+        if n * m != size or (real_path and (split % 2).any()):
+            return None
+        A = np.array([c for kind, _, c in forms if kind == "apply"]).reshape(-1, n, n)
+        scales = {c for kind, _, c in forms if kind == "blocktrace"}
+        if len(scales) > 1 or 0.0 in scales:
+            return None
+        trace, ga = scales.pop() if scales else 0.0, len(A) * m * m
+        unit, k = [], 0
+        for data, _, rhs, (_, index), kron in self._groups:
+            if name not in data:
+                unit.append(np.full(len(rhs), ga + bool(trace) * n * n))
+                continue
+            r, s = index
+            if kron[name][0] == "apply":
+                unit.append(k * m * m + r * m + s)
+                k += 1
+            else:
+                unit.append(ga + r * n + s)
+        return _KronRows(n, m, A.real if real_path else A, trace,
+                         np.concatenate(unit), split)
 
     def build(self, rhs=None):
         """Return (SDPProblem, kept_vars), kept_vars the indices of the free
@@ -1428,4 +1648,4 @@ def build_from_complex(problem: HermitianProblem) -> SDPProblem:
         c @ M for c, M in zip(built.obj_blocks, maps))
     return replace(built, blocks=tuple((name, 2 * n) for name, n in built.blocks),
                    A_blocks=tuple(Ab @ M for Ab, M in zip(built.A_blocks, maps)),
-                   obj_blocks=obj, hermitian=())
+                   obj_blocks=obj, hermitian=(), kron=())

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .algebra import (HermitianTuple, LinearPencil, evaluate_pencil,
-                      hermitian_part, lambda_min, monic_tuple,
+from .algebra import (HermitianTuple, LinearPencil, _memoized,
+                      evaluate_pencil, hermitian_part, lambda_min, monic_tuple,
                       pencil_from_tuple)
 from .cp import (ChoiMatrix, InterpolationMode, _solve_interpolation,
                  interpolation_problem, kraus_of_choi)
@@ -215,13 +215,6 @@ class DominationResult(Decision):
     choi: Optional[ChoiMatrix] = None
     margin: Optional[float] = None
     info: dict = field(default_factory=dict)
-
-
-def _memoized(drop: Spectrahedrop, key, make):
-    """The drop's memo entry ``key``, made by ``make()`` on first use."""
-    if key not in drop._memo:
-        drop._memo[key] = make()
-    return drop._memo[key]
 
 
 def _cp_domination(source: HermitianTuple, target: HermitianTuple,

@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from freeconvex.algebra import HermitianTuple
 from freeconvex.corpus import ex_no_tracial_extension, sigma_x, sigma_y, sigma_z
+import freeconvex.sdp as S
 from freeconvex.cp import (ChoiMatrix, InterpolationMode, KrausDecomposition,
                            NotCompletelyPositive, apply_choi, choi_of_kraus,
-                           interpolate, kraus_of_choi)
-from freeconvex.rand import rng, rand_hermitian, rand_kraus, rand_psd, rand_unitary
+                           interpolate, interpolation_problem, kraus_of_choi)
+from freeconvex.rand import (rng, rand_hermitian, rand_kraus, rand_psd,
+                             rand_tuple, rand_unitary)
 from freeconvex.sdp import SolveStatus
 
 
@@ -209,3 +211,142 @@ def test_subunital_with_annihilation():
     r = interpolate(w, half, "subunital")
     assert r.status is SolveStatus.FEASIBLE
     assert abs(r.choi.block_sum_diag()[0, 0].real - 0.5) <= 1e-6
+
+
+def _nt_points(problem, gen):
+    """An NT scaling factor R for each block, from random positive definite
+    Z and S of the block's kind."""
+    out = []
+    for (_, n), herm in zip(problem.blocks, problem.herm):
+        z, s = (rand_hermitian(gen, n, real=not herm) for _ in range(2))
+        z, s = (x @ x.conj().T + np.eye(n) for x in (z, s))
+        if not herm:
+            z, s = z.real, s.real
+        out.append(S._nt_scaling(z, s)[0])
+    return out
+
+
+def _assert_routes_agree(problem, pre, gen):
+    """On the presolve ``pre`` of ``problem``, the Schur complement with the
+    factored route on every block that has a factor form equals the dense
+    one to rtol 1e-12."""
+    m = pre.el.q2.shape[1]
+    assert any(form is not None for form in pre.forms)
+    if not m:
+        return
+    R = _nt_points(problem, gen)
+    dense = [(np.empty_like(F), np.empty_like(F)) for F in pre.A_mats]
+    factored = [pre.factored(k) if form is not None else buf
+                for k, (form, buf) in enumerate(zip(pre.forms, dense))]
+    fac = S._schur(pre.A_mats, R, factored, m)
+    ref = S._schur(pre.A_mats, R, dense, m)
+    assert np.abs(fac - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(list(InterpolationMode)), st.integers(1, 4),
+       st.integers(1, 4), st.integers(1, 3), st.booleans(), st.booleans(),
+       st.integers(0, 10_000))
+def test_factored_schur_matches_dense(mode, n, m, g, annihilate, real, seed):
+    """On the same presolved rows, the Schur complement assembled from the
+    Kronecker factors of the Choi rows equals the dense one to rtol 1e-12:
+    every mode, with and without annihilated matrices, n != m, real-path and
+    Hermitian data, and a kept presolve reused with a new rhs."""
+    gen = rng(seed)
+    a = rand_tuple(gen, g, n, real=real)
+    b, b2 = (rand_tuple(gen, g, m, real=real) for _ in range(2))
+    gamma = rand_tuple(gen, 1, n, real=real) if annihilate else None
+    hp = interpolation_problem(a, b, mode, annihilate=gamma)
+    problem, _ = hp.build()
+    assert not (real and any(problem.herm))
+    rows = S._Rows(problem)
+    if rows.consistent and rows.keep.size:
+        _assert_routes_agree(problem, S._Presolve(rows), gen)
+    # a new rhs on the kept presolve: the same Schur complement, and the
+    # answer of a fresh problem
+    hp.solve()
+    again = hp.solve(rhs=dict(enumerate(b2)))
+    fresh = interpolation_problem(a, b2, mode, annihilate=gamma).solve()
+    assert again.status is fresh.status
+    assert again.info.get("schur") == fresh.info.get("schur")
+    if again.info["presolve_reused"]:
+        _assert_routes_agree(hp._op.rows[2], hp._op.pre, gen)
+
+
+def test_schur_route_rule():
+    """The route is read from the data: the TV grids' drop and polar blocks,
+    a 3 x 3 channel map and a block with a scalar row stay dense, channel
+    maps from n = m = 4 up are factored, and the route shows in
+    info["schur"]."""
+    from freeconvex.algebra import monic_tuple
+    from freeconvex.corpus import scalar_tuple, tv_lift, tv_monic_lift
+    from freeconvex.spectra import (Spectrahedrop, drop_membership,
+                                    drop_polar_membership)
+    x = scalar_tuple(0.3, -0.2)
+    assert drop_membership(Spectrahedrop(tv_lift()), x).info["schur"] == ("dense",)
+    tvm = Spectrahedrop(tv_monic_lift())
+    for bounded in (True, False):
+        res = drop_polar_membership(tvm, x, bounded=bounded)
+        assert set(res.info["schur"]) == {"dense"}
+        problem = tvm._memo["polar", bounded, 1]
+        assert problem.build()[0].kron[0] is not None   # factored form, dense route
+    omega, gamma = monic_tuple(tv_monic_lift())
+    assert interpolate(omega, x, "subunital", annihilate=gamma).info["schur"] \
+        == ("dense", "dense")
+    gen = rng(5)
+    for n, route in [(3, "dense"), (4, "factored"), (5, "factored")]:
+        ops = rand_kraus(gen, n, n, 3, normalize="channel")
+        a = rand_tuple(gen, 3, n)
+        b = HermitianTuple([sum(v.conj().T @ aj @ v for v in ops) for aj in a])
+        res = interpolate(a, b, "channel")
+        assert res.feasible and res.info["schur"] == (route,)
+    # a scalar row on the Choi block has no factor form
+    res = interpolate(a, b, "channel", extra_psd_choi_trace=10.0)
+    assert res.feasible and res.info["schur"] == ("dense", "dense")
+
+
+def _choi_rows(groups, n, m, seed, real=False):
+    """A feasibility problem over one n m x n m Choi block with the
+    add_matrix_eq term lists ``groups`` and random rhs."""
+    gen = rng(seed)
+    hp = S.HermitianProblem()
+    hp.add_block("C", n * m)
+    for terms in groups:
+        k = m if terms[0][0] == "apply" else n
+        hp.add_matrix_eq(terms, rand_hermitian(gen, k, real=real))
+    return hp
+
+
+def test_factor_form_needs_one_kind_of_term():
+    """A block keeps its factor form only when every group's terms on it are
+    of one kind: "apply" with a Hermitian A, or "blocktrace" with one real
+    nonzero scale throughout."""
+    a = rand_tuple(rng(6), 2, 3)
+    apply0 = [("apply", "C", a[0], 2)]
+    for groups, form in [
+            ([apply0], True),
+            ([apply0, [("blocktrace", "C", 2, 2.5)]], True),
+            ([apply0, [("apply", "C", a[0], 2), ("apply", "C", a[1], 2)]], True),
+            ([apply0, [("apply", "C", a[0] + 0.1j * np.eye(3), 2)]], False),
+            ([apply0, [("blocktrace", "C", 2, 1j)]], False),
+            ([apply0, [("blocktrace", "C", 2, 1.0)],
+              [("blocktrace", "C", 2, 2.0)]], False),
+            ([apply0, [("blocktrace", "C", 2, 0.0)]], False),
+            ([apply0, [("apply", "C", a[1], 2), ("blocktrace", "C", 2, 1.0)]],
+             False)]:
+        problem = _choi_rows(groups, 3, 2, 0).build()[0]
+        assert (problem.kron[0] is not None) is form
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_factored_schur_with_scaled_trace_rows(real):
+    """Trace rows with a scale other than 1 and summed apply terms: the
+    factored Schur complement equals the dense one."""
+    gen = rng(7)
+    a = rand_tuple(gen, 3, 3, real=real)
+    hp = _choi_rows([[("apply", "C", a[0], 4)],
+                     [("apply", "C", a[1], 4), ("apply", "C", a[2], 4)],
+                     [("blocktrace", "C", 4, -2.5)]], 3, 4, 1, real)
+    problem = hp.build()[0]
+    assert not (real and any(problem.herm)) and problem.kron[0] is not None
+    _assert_routes_agree(problem, S._Presolve(S._Rows(problem)), gen)

@@ -268,6 +268,61 @@ def test_certificate_rows_meet_expansion(pencil, real, mu, r, seed):
     assert np.abs(a @ x - problem.rhs).max() <= 1e-10 * scale
 
 
+def reference_expansion(cert, pencil):
+    """(sigma + sum q_l* L q_l, largest y coefficient) expanded word by
+    word: one mu x mu contraction of the Gram data per pair (a, b) and
+    pencil coefficient, added into a dict of words."""
+    basis = WordBasis(cert.g, cert.r).words
+    terms = {}
+    for a, wa in enumerate(basis):
+        for b, wb in enumerate(basis):
+            for word, mat in [(wa[::-1] + wb, cert.s_block(a, b)),
+                              (wa[::-1] + wb,
+                               cert.pencil_contraction(pencil.A0, a, b))] + [
+                    (wa[::-1] + (j + 1,) + wb, cert.pencil_contraction(c, a, b))
+                    for j, c in enumerate(pencil.x_coeffs)]:
+                terms[word] = terms.get(word, 0) + mat
+    y_resid = max([float(np.abs(cert.pencil_contraction(c, a, b)).max())
+                   for c in pencil.y_coeffs for a in range(len(basis))
+                   for b in range(len(basis))] + [0.0])
+    return NCPolynomial(cert.g, cert.mu, cert.mu,
+                        {w: m for w, m in terms.items()
+                         if np.abs(m).max() > 1e-14}), y_resid
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([("tv", TVM, True), ("complex", CPLX, False),
+                        ("halfline", HALF, True)]),
+       st.integers(1, 2), st.integers(0, 2), st.booleans(),
+       st.integers(0, 10_000))
+def test_expansion_matches_word_by_word_reference(case, mu, r, annihilate, seed):
+    """expand_certificate equals the word-by-word expansion on random
+    certificates: the same words, coefficients to 1e-12, and the same
+    annihilation failure when a y coefficient survives."""
+    _, pencil, real = case
+    gen = rng(seed)
+    n, d = len(WordBasis(pencil.g, r)), pencil.d
+    q = rand_hermitian(gen, d, real=real)
+    if annihilate and pencil.h:
+        ys = np.array([m.ravel() for m in pencil.y_coeffs]).reshape(-1, d * d)
+        alpha = np.linalg.lstsq(ys @ ys.conj().T, ys @ q.ravel(), rcond=None)[0]
+        q = q - (alpha @ ys.conj()).reshape(d, d)
+    gm = np.kron(rand_psd(gen, n, real=real),
+                 np.kron(q, rand_psd(gen, mu, real=real)))
+    cert = Certificate(pencil.g, d, mu, r, rand_psd(gen, mu * n, real=real), gm)
+    want, y_resid = reference_expansion(cert, pencil)
+    if y_resid > 1e-9:
+        assert not annihilate or not pencil.h
+        with pytest.raises(ValueError, match="annihilation violated") as err:
+            expand_certificate(cert, pencil)
+        assert f"{y_resid:.3e}" in str(err.value)
+        return
+    got = expand_certificate(cert, pencil)
+    assert set(got.terms) == set(want.terms)
+    scale = max(1.0, max(np.abs(m).max() for m in want.terms.values()))
+    assert got.max_coeff_diff(want) <= 1e-12 * scale
+
+
 def test_expand_halfline_certificate():
     cert = Certificate(1, 1, 1, 0, np.array([[0.5]]), np.array([[0.5]]))
     out = expand_certificate(cert, HALF)
