@@ -3,7 +3,8 @@
 and polar-dual membership on a 41x41 grid, and compare both against their
 closed-form references (the sign of 1 - x1^2 - x2^4, and the sign of the
 dual boundary octic).  Writes one CSV per grid with the decided statuses,
-prints each grid's decisions per second, and exits 1 on any mismatch.
+prints each grid's decisions per second and mean interior-point iterations
+per decision (``info["iterations_total"]``), and exits 1 on any mismatch.
 
 Usage: python scripts/tv_grids.py [--out DIR] [--n 41]
 """
@@ -25,7 +26,7 @@ from freeconvex.spectra import (Spectrahedrop, drop_membership,
 
 def run_grid(name, spec, n, decide, reference, distance, writer):
     pts = np.linspace(spec["lo"], spec["hi"], n)
-    agree = mismatch = excluded = 0
+    agree = mismatch = excluded = iterations = 0
     t0 = time.perf_counter()
     for a in pts:
         for b in pts:
@@ -36,6 +37,7 @@ def run_grid(name, spec, n, decide, reference, distance, writer):
                 excluded += 1
                 continue
             res = decide(a, b)
+            iterations += res.info.get("iterations_total", 0)
             status = "member" if bool(res) else "nonmember"
             writer.writerow([f"{a:.17g}", f"{b:.17g}", status, f"{ref:.17g}"])
             if bool(res) == (ref > 0):
@@ -45,8 +47,10 @@ def run_grid(name, spec, n, decide, reference, distance, writer):
                 print(f"  MISMATCH at ({a:.3f}, {b:.3f}): ref {ref:.3e}, "
                       f"decided {status}")
     dt = time.perf_counter() - t0
+    decided = agree + mismatch
     print(f"{name}: {agree} agree, {mismatch} mismatch, {excluded} excluded "
-          f"({dt:.1f} s, {(agree + mismatch) / dt:.0f} decisions/s)")
+          f"({dt:.1f} s, {decided / dt:.0f} decisions/s, "
+          f"{iterations / max(decided, 1):.2f} IPM iterations/decision)")
     return mismatch
 
 

@@ -68,7 +68,9 @@ SIAM J. Optim. 8, 1998; SDPT3): with R from :func:`_nt_scaling`, the scaled
 directions dZ~ = R^-1 dZ R^-* and dS~ = R* dS R satisfy dZ~ + dS~ = rc~ around
 the diagonal scaled iterate V = diag(v).  The Mehrotra corrector is
 rc~ = diag(sigma mu / v - v) - (C + C*) / (v_i + v_j) with C = dZa~ dSa~, and
-the step to the boundary of a block is one eigvalsh of V^-1/2 dX~ V^-1/2.
+the step to the boundary of a block is read from the eigenvalues of
+V^-1/2 dX~ V^-1/2, one values-only LAPACK ?syevd / ?heevd each; the
+predictor's dZa~ = -V - dSa~ needs none of its own (see :func:`_max_steps`).
 
 The core runs once per solve, from Z = S = I, in normalized units: after the
 free columns are eliminated, every row is divided by the sup-norm of its
@@ -90,8 +92,9 @@ by one rule and fills the SDPProblem directly, and ``solve`` returns the
 engine's SDPSolution.  The core unpacks its rows and objective once and
 then runs in full-matrix coordinates: residuals are A_flat vec(Z) and
 A_flat' y reshaped, with no svec or smat in the loop; the Schur complement
-is factored by LAPACK's potrf/potrs directly, and both step lengths of a
-block come from one batched eigvalsh.
+is factored by LAPACK's potrf/potrs directly, the step lengths come from
+three values-only eigensolves per block, and an iteration on a small real
+block makes about 86 Python-level calls.
 
 Complex Hermitian blocks are solved natively (as SDPT3 and SeDuMi do): an
 SDPProblem block flagged ``hermitian`` has n^2 real coordinates
@@ -457,18 +460,22 @@ class _IPMFailure(Exception):
     """The core gave up; the solve ends in ERROR with this reason."""
 
 
-def _max_steps(dx: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sup { a <= 1 : diag(v) + a dX >= 0 } for each direction dX of a
-    (k, n, n) stack in scaled coordinates, via one batched eigvalsh of
-    diag(v)^-1/2 dX diag(v)^-1/2."""
-    h = v ** -0.5
-    lam = np.linalg.eigvalsh(h[:, None] * dx * h)[:, 0]
-    return 1.0 / np.maximum(-lam, 1.0)
-
-
 # Cholesky and symmetric/Hermitian eigensolver by the dtype of a block
 _NT_LAPACK = {np.dtype(float): (lapack.dpotrf, lapack.dsyevd),
               np.dtype(complex): (lapack.zpotrf, lapack.zheevd)}
+
+
+def _max_steps(dx: np.ndarray, h: np.ndarray, pair: bool = False):
+    """sup { a <= 1 : diag(v) + a dX >= 0 } for a direction dX in scaled
+    coordinates, from one values-only ?syevd / ?heevd of diag(h) dX diag(h),
+    h = v^-1/2; with ``pair``, (that step, the step of -diag(v) - dX)."""
+    # the predictor's dZ~ = -V - dS~ scales to -I - diag(h) dS~ diag(h):
+    # its least eigenvalue is -1 - the greatest of dS~'s
+    lam, _, info = _NT_LAPACK[dx.dtype][1](h[:, None] * dx * h, compute_v=0, lower=1)
+    if info:
+        raise _IPMFailure("step length eigenproblem failed")
+    a = 1.0 / max(-float(lam[0]), 1.0)
+    return (a, 1.0 / max(1.0 + float(lam[-1]), 1.0)) if pair else a
 
 
 def _nt_scaling(z: np.ndarray, s: np.ndarray):
@@ -482,8 +489,9 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray):
     lz, info = potrf(z, lower=1)
     if info:
         raise _IPMFailure("iterate left the cone")
-    m = lz.conj().T @ s @ lz
-    evals, evecs, info = eigh(0.5 * (m + m.conj().T), lower=1)
+    herm = z.dtype.kind == "c"
+    m = (lz.conj().T if herm else lz.T) @ s @ lz
+    evals, evecs, info = eigh(0.5 * (m + (m.conj().T if herm else m.T)), lower=1)
     if info or evals[0] <= 0:
         raise _IPMFailure("scaling matrix not positive definite")
     return (lz @ evecs) * evals ** -0.25, np.sqrt(evals)
@@ -504,16 +512,17 @@ def _schur(A_mats: Sequence[np.ndarray], R: Sequence[np.ndarray],
     route ``work[b]`` is the block's :class:`_KronSchur`, which forms its
     part of M from the Kronecker factors of the rows.
     """
-    M = np.zeros((m, m))
+    M = None                      # the sum starts from the first block's part
     for F, r, w in zip(A_mats, R, work):
         if isinstance(w, _KronSchur):
-            M += w(r)
-            continue
-        tmp, g = w
-        np.matmul(r.conj().T, F, out=tmp)
-        np.matmul(tmp, r, out=g)
-        g = g.reshape(m, r.size).view(float)
-        M += g @ g.T
+            part = w(r)
+        else:
+            tmp, g = w
+            np.matmul(r.conj().T if r.dtype.kind == "c" else r.T, F, out=tmp)
+            np.matmul(tmp, r, out=g)
+            g = g.reshape(m, r.size).view(float)
+            part = g @ g.T
+        M = part if M is None else M + part
     return M
 
 
@@ -670,12 +679,14 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
     loop works on full n x n matrices, with A_flat[b] the float view of the
     rows of block b as (m, n^2) matrices, so <A_i, Z> = A_flat[b][i] . vec(Z)
     viewed as floats.  Only the rhs b is read here."""
+    # the loop is call-bound on small blocks: each sum over blocks starts
+    # from its first term, and a real block transposes where a Hermitian
+    # one conjugates
     sizes, herm, dtype = pre.sizes, pre.herm, pre.dtype
-    A_mats, A_flat, C = pre.A_mats, pre.A_flat, pre.C
-    c_blocks, vec_wt = pre.c_blocks, pre.vec_wt
-    nb = len(sizes)
-    m = b.shape[0]
+    A_flat, C, c_blocks, vec_wt = pre.A_flat, pre.C, pre.c_blocks, pre.vec_wt
+    blocks, m = range(len(sizes)), b.shape[0]
 
+    eye = [np.eye(n) for n in sizes]
     Z = [np.eye(n, dtype=dt) for n, dt in zip(sizes, dtype)]
     S = [np.eye(n, dtype=dt) for n, dt in zip(sizes, dtype)]
     y = np.zeros(m)
@@ -683,46 +694,52 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
     ordn = sum(sizes) + 1
 
     bnorm = 1.0 + float(np.abs(b).max(initial=0.0))
-    cnorm = pre.cnorm
-
-    best_score = math.inf
-    stall = 0
+    best_score, stall = math.inf, 0
     ptol = max(tol, _RESID_TOL_FLOOR)
     gtol = max(tol, _GAP_TOL_FLOOR)
     work = [kr or (np.empty_like(F), np.empty_like(F))
-            for F, kr in zip(A_mats, pre.kron)]
+            for F, kr in zip(pre.A_mats, pre.kron)]
 
     def A_op(X):                  # sum_b <A_bi, X_b> for every row i
-        return sum((A_flat[k] @ X[k].reshape(-1).view(float) for k in range(nb)),
-                   np.zeros(m))
+        out = A_flat[0] @ X[0].reshape(-1).view(float)
+        for k in blocks[1:]:
+            out += A_flat[k] @ X[k].reshape(-1).view(float)
+        return out
 
     def At_op(v, k):              # sum_i v_i A_bi for block k
         return (v @ A_flat[k]).view(dtype[k]).reshape(sizes[k], sizes[k])
 
-    def inner(X, Y):              # <X, Y> = Re tr(X Y) for Hermitian X, Y
-        return float(np.vdot(X, Y).real)
-
     def vec_sup(X):               # max_b sup-norm of svec / hvec(X_b)
         return max([float(np.abs(X[k].view(float) * vec_wt[k]).max())
-                    for k in range(nb)] + [0.0])
+                    for k in blocks])
+
+    def max_alpha(steps, dtau, dkappa):   # the least step, tau, kappa >= 0
+        return min(steps + [-tau / dtau if dtau < 0 else 1.0,
+                            -kappa / dkappa if dkappa < 0 else 1.0])
 
     for it in range(1, max_iter + 1):
-        if not (math.isfinite(tau + kappa)
-                and all(np.isfinite(x).all() for x in Z + S)):
+        # <Z, S> is not finite exactly when an entry of Z or S is not (or
+        # when it overflows, as only a diverged iterate's can)
+        gap = float(np.vdot(Z[0], S[0]).real)
+        for k in blocks[1:]:
+            gap += float(np.vdot(Z[k], S[k]).real)
+        gap += tau * kappa
+        if not math.isfinite(gap):
             raise _IPMFailure("iterate diverged")
         Ax = A_op(Z)
         rP = Ax - b * tau
-        Aty = [At_op(y, k) for k in range(nb)]
-        rD = [Aty[k] + S[k] - C[k] * tau for k in range(nb)]
-        cx = sum(inner(C[k], Z[k]) for k in c_blocks)
+        AtyS = [At_op(y, k) + S[k] for k in blocks]
+        rD = [AtyS[k] - C[k] * tau for k in blocks]
+        cx = 0.0
+        for k in c_blocks:
+            cx += float(np.vdot(C[k], Z[k]).real)
         by = float(b @ y)
         rG = cx - by + kappa
-        gap = sum(inner(Z[k], S[k]) for k in range(nb)) + tau * kappa
         mu = gap / ordn
 
         # convergence / certificate tests on the normalized iterate
         pres = float(np.abs(rP).max(initial=0.0)) / (tau * bnorm)
-        dres = vec_sup(rD) / (tau * cnorm)
+        dres = vec_sup(rD) / (tau * pre.cnorm)
         pobj, dobj = cx / tau, by / tau
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         if pres <= ptol and dres <= ptol and relgap <= gtol:
@@ -730,7 +747,7 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
                               {"pres": pres, "dres": dres, "relgap": relgap})
         # infeasibility certificates (rays are re-verified by the callers)
         if by > 0:
-            hres = vec_sup([Aty[k] + S[k] for k in range(nb)])
+            hres = vec_sup(AtyS)
             if hres <= 1e-6 * by:
                 return _HSDResult("pinfeas", iterations=it,
                                   info={"farkas_resid": hres / by, "by": by})
@@ -751,12 +768,13 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
                 f"dres={dres:.2e}, relgap={relgap:.2e})")
 
         # NT scaling W = R R* and the diagonal scaled iterate
-        # R* S R = R^-1 Z R^-* = diag(v); the NT operator X -> W X W is
-        # applied through R and never formed as a matrix
-        R, V = zip(*[_nt_scaling(Z[k], S[k]) for k in range(nb)])
-        RH = [r.conj().T for r in R]
-        M = _schur(A_mats, R, work, m)
-        M.flat[::m + 1] += 1e-13 * (1.0 + np.trace(M) / max(m, 1))
+        # R* S R = R^-1 Z R^-* = diag(v), h = v^-1/2; the NT operator
+        # X -> W X W is applied through R and never formed as a matrix
+        R, V = zip(*[_nt_scaling(Z[k], S[k]) for k in blocks])
+        RH = [R[k].conj().T if herm[k] else R[k].T for k in blocks]
+        H = [v ** -0.5 for v in V]
+        M = _schur(pre.A_mats, R, work, m)
+        M.flat[::m + 1] += 1e-13 * (1.0 + M.trace() / max(m, 1))
 
         cho, info = lapack.dpotrf(M, lower=1, overwrite_a=1)
         if info:
@@ -765,68 +783,62 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
         # every row)
         solveM = (lambda v: lapack.dpotrs(cho, v, lower=1)[0]) if m else (lambda v: v)
 
-        # the parts of the elimination that stay fixed within an iteration
-        W = {k: R[k] @ RH[k] for k in c_blocks}
-        WCW = {k: W[k] @ C[k] @ W[k] for k in c_blocks}
-        q = sum((A_flat[k] @ WCW[k].reshape(-1).view(float) for k in c_blocks),
-                np.zeros(m))
-        cWCW = sum(inner(C[k], WCW[k]) for k in c_blocks)
+        # the parts of the elimination that stay fixed within an iteration:
+        # q = A(W C W), <C, W C W>, dy1, q - b and the bordered denominator
+        q, cWCW = 0.0, 0.0
+        for k in c_blocks:
+            w = R[k] @ RH[k]
+            wcw = w @ C[k] @ w
+            q = q + A_flat[k] @ wcw.reshape(-1).view(float)
+            cWCW += float(np.vdot(C[k], wcw).real)
         dy1 = solveM(q + b)
-        rDs = [RH[k] @ rD[k] @ R[k] for k in range(nb)]
+        qb = q - b
+        den = float(qb @ dy1) - (cWCW + kappa / tau)
+        if abs(den) < 1e-300:
+            raise _IPMFailure("singular bordered system")
+        rDs = [RH[k] @ rD[k] @ R[k] for k in blocks]
 
         def direction(rcs, rc_tk):
             # dZ~ + dS~ = rc~ in scaled coordinates, with dS~ = R* dS R,
             # dZ = R dZ~ R* and dS = c dtau - rD - A'dy, eliminated into
             # the Schur system over (dy, dtau); g = R (rc~ + R* rD R) R*
-            g = [R[k] @ (rcs[k] + rDs[k]) @ RH[k] for k in range(nb)]
+            g = [R[k] @ (rcs[k] + rDs[k]) @ RH[k] for k in blocks]
             dy0 = solveM(-rP - A_op(g))
-            qb = q - b
-            num = (-rG - rc_tk / tau - float(qb @ dy0)
-                   - sum(inner(C[k], g[k]) for k in c_blocks))
-            den = float(qb @ dy1) - (cWCW + kappa / tau)
-            if abs(den) < 1e-300:
-                raise _IPMFailure("singular bordered system")
-            dtau = num / den
+            cg = 0.0
+            for k in c_blocks:
+                cg += float(np.vdot(C[k], g[k]).real)
+            dtau = (-rG - rc_tk / tau - float(qb @ dy0) - cg) / den
             dy = dy0 + dtau * dy1
-            dS_ = [C[k] * dtau - rD[k] - At_op(dy, k) for k in range(nb)]
-            dSs = [RH[k] @ dS_[k] @ R[k] for k in range(nb)]
-            dZs = [rcs[k] - dSs[k] for k in range(nb)]
-            dkappa = (rc_tk - kappa * dtau) / tau
-            return dZs, dSs, dS_, dy, dtau, dkappa
+            dS_ = [C[k] * dtau - rD[k] - At_op(dy, k) for k in blocks]
+            dSs = [RH[k] @ dS_[k] @ R[k] for k in blocks]
+            return ([rcs[k] - dSs[k] for k in blocks], dSs, dS_, dy, dtau,
+                    (rc_tk - kappa * dtau) / tau)
 
-        def max_alpha(dZs, dSs, dtau, dkappa):
-            a = min([1.0] + [float(_max_steps(np.array((dZs[k], dSs[k])),
-                                              V[k]).min()) for k in range(nb)])
-            if dtau < 0:
-                a = min(a, -tau / dtau)
-            if dkappa < 0:
-                a = min(a, -kappa / dkappa)
-            return a
-
-        # predictor: rc~ = -V
+        # predictor: rc~ = -V, so both steps of a block come from dS~
         dZa, dSa, _, _, dta, dka = direction(
-            [-np.diag(v) for v in V], -tau * kappa)
-        a_aff = max_alpha(dZa, dSa, dta, dka)
+            [-(eye[k] * V[k]) for k in blocks], -tau * kappa)
+        a_aff = max_alpha([a for k in blocks
+                           for a in _max_steps(dSa[k], H[k], pair=True)], dta, dka)
         sigma = min(1.0, max((1.0 - a_aff) ** 3, 1e-4))
 
         # corrector: rc~ = L_V^-1(sigma mu I - V^2 - herm(dZa~ dSa~)), with
         # L_V(X) = (V X + X V) / 2 for the diagonal V
         rcs = []
-        for k in range(nb):
-            v = V[k]
-            corr = dZa[k] @ dSa[k]
-            rcs.append(np.diag(sigma * mu / v - v)
-                       - (corr + corr.conj().T) / (v[:, None] + v))
+        for k in blocks:
+            v, corr = V[k], dZa[k] @ dSa[k]
+            corr = corr + (corr.conj().T if herm[k] else corr.T)
+            rcs.append(eye[k] * (sigma * mu / v - v) - corr / (v[:, None] + v))
         rc_tk = sigma * mu - tau * kappa - dta * dka
         dZs, dSs, dS, dy, dt, dk = direction(rcs, rc_tk)
-        alpha = 0.98 * max_alpha(dZs, dSs, dt, dk)
+        alpha = 0.98 * max_alpha([_max_steps(d[k], H[k]) for d in (dZs, dSs)
+                                  for k in blocks], dt, dk)
         if alpha < 1e-9:
             raise _IPMFailure(f"step length collapsed at iteration {it}")
-        for k in range(nb):
+        for k in blocks:
             zk = Z[k] + alpha * (R[k] @ dZs[k] @ RH[k])
             sk = S[k] + alpha * dS[k]
-            Z[k] = 0.5 * (zk + zk.conj().T)
-            S[k] = 0.5 * (sk + sk.conj().T)
+            Z[k] = 0.5 * (zk + (zk.conj().T if herm[k] else zk.T))
+            S[k] = 0.5 * (sk + (sk.conj().T if herm[k] else sk.T))
         y = y + alpha * dy
         tau += alpha * dt
         kappa += alpha * dk

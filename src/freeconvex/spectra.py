@@ -355,7 +355,7 @@ def drop_polar_membership(drop: Spectrahedrop, a: HermitianTuple,
                          "(polar duals depend on the choice of origin)")
     if a.g != lift.g:
         raise ValueError("tuple length must match the drop's x variables")
-    omega, gamma = monic_tuple(lift)
+    omega, gamma = _memoized(drop, "monic", lambda: monic_tuple(lift))
     if bounded is None:
         bounded = drop_level1_bounded(drop, tol=tol, max_iter=max_iter)
     mode = InterpolationMode.UNITAL if bounded else InterpolationMode.SUBUNITAL
@@ -420,7 +420,8 @@ def polar_dual_lift(omega: HermitianTuple, gamma: Optional[HermitianTuple] = Non
     The Choi-variable system (PSD coupling block, unitality, interpolation,
     annihilation) is reduced at the coefficient level: the affine equations
     eliminate one Hermitian component per constraint, leaving a plain pencil
-    in the x variables and the surviving components as y variables.
+    in the x variables and the surviving components as y variables.  An
+    equation on x alone, f.x + f0 = 0, adds the 1x1 entries +-(f.x + f0).
     """
     if gamma is None:
         gamma = HermitianTuple([], dim=omega.dim)
@@ -443,13 +444,13 @@ def polar_dual_lift(omega: HermitianTuple, gamma: Optional[HermitianTuple] = Non
     diag = np.abs(np.diag(rr))
     rank = int(np.sum(diag > max(rank_tol * (diag[0] if diag.size else 1.0),
                                  1e-13)))
+    fixed = np.zeros((0, g + 1))
     if rank < Ey.shape[0]:
-        # a dependent equation is redundant only if the same combination
-        # also vanishes on the x/constant side; otherwise it constrains x
-        left_null = np.linalg.svd(Ey)[0][:, rank:]
-        if np.abs(left_null.T @ np.column_stack([Ex, e0])).max() > 1e-8:
-            raise ValueError("degenerate dual construction: the Choi "
-                             "equations constrain the x variables alone")
+        # a dependent equation is redundant when the same combination also
+        # vanishes on the x/constant side; otherwise it constrains x alone,
+        # f.x + f0 = 0, and the pencil carries it as the entries +-(f.x + f0)
+        fixed = np.linalg.svd(Ey)[0][:, rank:].T @ np.column_stack([Ex, e0])
+        fixed = fixed[np.abs(fixed).max(axis=1) > 1e-8]
         keep = np.sort(sla.qr(Ey.T, mode="r", pivoting=True)[1][:rank])
         Ey, Ex, e0 = Ey[keep], Ex[keep], e0[keep]
         piv = sla.qr(Ey, mode="r", pivoting=True)[1]
@@ -470,9 +471,13 @@ def polar_dual_lift(omega: HermitianTuple, gamma: Optional[HermitianTuple] = Non
             out += coeffs[direct]
         return hermitian_part(out)
 
-    a0 = combo(sol_const)
-    x_coeffs = [combo(sol_x[:, j]) for j in range(g)]
-    y_coeffs = [combo(sol_z[:, s], direct=free[s]) for s in range(len(free))]
+    def pad(mat, f):              # mat (+) diag(f, -f)
+        return sla.block_diag(mat, np.diag(np.r_[f, -f]))
+
+    a0 = pad(combo(sol_const), fixed[:, g])
+    x_coeffs = [pad(combo(sol_x[:, j]), fixed[:, j]) for j in range(g)]
+    y_coeffs = [pad(combo(sol_z[:, s], direct=free[s]), 0.0 * fixed[:, g])
+                for s in range(len(free))]
     return Spectrahedrop(LinearPencil(a0, x_coeffs, y_coeffs))
 
 

@@ -97,12 +97,68 @@ def test_scaled_nt_step(n, seed, scale, herm):
                   + (1j * gen.standard_normal((2, n, n)) if herm else 0))
         dz = scale * (dz + dz.conj().T)
         ds = (ds + ds.conj().T) / scale
-        a_z, a_s = S._max_steps(np.stack([rinv @ dz @ rinv.conj().T,
-                                          rh @ ds @ r]), v)
+        a_z = S._max_steps(rinv @ dz @ rinv.conj().T, v ** -0.5)
+        a_s = S._max_steps(rh @ ds @ r, v ** -0.5)
         assert abs(a_z - _step_reference(z, dz)) < 1e-7
         assert abs(a_s - _step_reference(s, ds)) < 1e-7
         if psd:
             assert a_z == a_s == 1.0
+
+
+def _hermitian(gen, n, herm):
+    x = gen.standard_normal((n, n)) + (1j * gen.standard_normal((n, n)) if herm
+                                       else 0)
+    return x + x.conj().T
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 40), st.booleans(), st.integers(0, 10_000))
+def test_step_length_kernel(n, herm, seed):
+    """_max_steps in NT-scaled coordinates against the generalized
+    eigenproblem in the original ones, on real and complex blocks: the
+    predictor's pair of steps from the eigenvalues of dS~ alone equals the
+    two steps of two eigenproblems, and a PSD direction steps exactly 1."""
+    gen = rng(seed)
+    z, s = rand_pd(gen, n, herm), rand_pd(gen, n, herm)
+    r, v = S._nt_scaling(z, s)
+    rh, h = r.conj().T, v ** -0.5
+    ds = _hermitian(gen, n, herm)
+    dss = rh @ ds @ r                          # dS~ = R* dS R
+    dzs = -np.diag(v) - dss                    # the predictor's dZ~ = -V - dS~
+    a_s, a_z = S._max_steps(dss, h, pair=True)
+    assert a_s == S._max_steps(dss, h)
+    assert abs(a_z - S._max_steps(dzs, h)) <= 1e-12
+    tol = 1e-9 * np.linalg.cond(z) * np.linalg.cond(s)
+    assert abs(a_s - _step_reference(s, ds)) <= tol
+    assert abs(a_z - _step_reference(z, r @ dzs @ rh)) <= tol
+    psd = rand_pd(gen, n, herm)
+    assert S._max_steps(rh @ psd @ r, h) == 1.0
+    # dS~ = -V - R* P R makes the predictor's dZ~ the PSD direction R* P R
+    assert S._max_steps(-np.diag(v) - rh @ psd @ r, h, pair=True)[1] == 1.0
+
+
+@pytest.mark.parametrize("herm", [False, True])
+def test_step_length_lapack_failure_is_an_error(herm, monkeypatch):
+    """A nonzero info from the values-only eigensolver of the step length
+    ends the solve in ERROR, not in an exception."""
+    dtype = np.dtype(complex if herm else float)
+    potrf, eig = S._NT_LAPACK[dtype]
+
+    def failing(a, compute_v=1, lower=0):
+        w, vecs, info = eig(a, compute_v=compute_v, lower=lower)
+        return w, vecs, info if compute_v else 3
+
+    monkeypatch.setitem(S._NT_LAPACK, dtype, (potrf, failing))
+    hp = HermitianProblem()
+    hp.add_block("Z", 2)
+    hp.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
+    if herm:
+        hp.add_complex_row({"Z": np.array([[[0.0, 1.0j], [0.0, 0.0]]])}, {},
+                           [0.1])
+    assert hp.build()[0].herm == (herm,)
+    sol = hp.solve()
+    assert sol.status is SolveStatus.ERROR
+    assert sol.info["reason"] == "step length eigenproblem failed"
 
 
 @settings(deadline=None, max_examples=40)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from freeconvex.algebra import (HermitianTuple, LinearPencil, ball_pencil,
                                 direct_sum, evaluate_pencil, lambda_min,
@@ -50,6 +51,41 @@ def test_halfline_unbounded():
 
 def test_interval_bounded():
     assert is_bounded(pencil_from_tuple(INTERVAL))
+
+
+def _lp_bounded(D):
+    """{x : D x <= 1} is bounded iff linprog bounds every +-x_j on it."""
+    return all(linprog(sign * np.eye(D.shape[1])[j], A_ub=D,
+                       b_ub=np.ones(len(D)), bounds=(None, None)).status == 0
+               for j in range(D.shape[1]) for sign in (1.0, -1.0))
+
+
+def _diagonal_pencil(D):
+    """The monic pencil I - sum_j diag(D[:, j]) x_j, whose level-1 set is
+    the polyhedron {x : D x <= 1}."""
+    return pencil_from_tuple(HermitianTuple([np.diag(c) for c in D.T]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 10_000))
+def test_is_bounded_matches_lp_oracle(g, d, seed):
+    """Random monic diagonal pencils with small integer coefficients: the
+    recession boxes of is_bounded agree with linprog's support values."""
+    D = rng(seed).integers(-3, 4, size=(d, g)).astype(float)
+    assert is_bounded(_diagonal_pencil(D)) == _lp_bounded(D)
+
+
+@pytest.mark.parametrize("D, bounded", [
+    ([[1, 0], [-1, 0], [0, 1], [0, -1]], True),     # the square
+    ([[1, 0], [-1, 0]], False),                      # a strip, free in x_2
+    ([[1, 0], [-1, 0], [0, 1]], False),              # a half-strip, x_2 -> -oo
+    ([[1, 1], [-1, -1]], False),                     # a repeated coefficient
+    ([[1, 1, 0], [-1, -1, 0], [0, 0, 1], [0, 0, -1]], False),
+])
+def test_is_bounded_degenerate_pencils(D, bounded):
+    D = np.array(D, dtype=float)
+    assert _lp_bounded(D) is bounded
+    assert is_bounded(_diagonal_pencil(D)) is bounded
 
 
 def test_tv_joint_spectrahedron_bounded():
@@ -399,6 +435,30 @@ def test_polar_dual_lift_dependent_rows():
         b = drop_membership(twice, pt(*c))
         assert a.status is b.status, c
         assert abs(a.margin - b.margin) <= 1e-7, c
-    # a repeated pencil tuple forces x_1 = x_3 and x_2 = x_4: rejected
-    with pytest.raises(ValueError, match="x variables alone"):
-        polar_dual_lift(HermitianTuple(list(omega) * 2), gamma)
+    # a repeated pencil tuple forces x_1 = x_3 and x_2 = x_4: two +- pairs
+    doubled = polar_dual_lift(HermitianTuple(list(omega) * 2), gamma)
+    assert doubled.lift.d == once.lift.d + 4
+    assert bool(drop_membership(doubled, pt(0.5, 0.5, 0.5, 0.5)))
+    assert not bool(drop_membership(doubled, pt(0.5, 0.5, 0.5, 0.2)))
+
+
+def test_polar_dual_lift_repeated_omega_entry():
+    """W_1 = W_2 forces A_1 = A_2, an equation on x alone, which the lift
+    carries as two +-1x1 diagonal entries: points with A_1 = A_2 are members
+    exactly when (A_1, A_3) is in the polar dual of the original tuple, and
+    points with A_1 != A_2 are not."""
+    omega, gamma = monic_tuple(TVM.lift)
+    dual = polar_dual_lift(HermitianTuple([omega[0], *omega]), gamma)
+    assert dual.lift.d == omega.dim + 2
+    gen = rng(17)
+    points = [pt(*c) for c in [(0.0, 0.0), (0.5, 0.5), (1.2, 0.0), (-0.7, 0.9),
+                               (0.3, -1.1), (0.2, 0.3)]]
+    points += [HermitianTuple([rand_hermitian(gen, 2, scale=0.4)
+                               for _ in range(2)]) for _ in range(3)]
+    for a in points:
+        twin = HermitianTuple([a[0], *a])
+        assert bool(drop_membership(dual, twin)) == \
+            bool(drop_polar_membership(TVM, a, bounded=True))
+        for shift in (0.2, -0.2):
+            moved = HermitianTuple([a[0] + shift * np.eye(a.dim), *a])
+            assert not bool(drop_membership(dual, moved))
