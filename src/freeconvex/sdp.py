@@ -5,46 +5,6 @@ affine equality constraints, and a linear objective.  The core is a
 homogeneous self-dual interior-point method with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector, so primal/dual infeasibility and unbounded
 objectives are detected through certificates instead of big-M constructions.
-Every FEASIBLE answer is re-verified by an independent eigenvalue/residual
-check before it is returned.
-
-The core sees PSD blocks only.  Presolve eliminates the free columns once:
-with A_free P = Q R (pivoted QR), the rows are projected onto the orthogonal
-complement of range(A_free), the free part c_free.u of the objective is
-folded into the block objective plus a constant, and after the solve the
-free values are recovered as u = A_free^+ (b - A z) (rays likewise, with
-b -> 0).  When c_free has a component in null(A_free), the objective is
-unbounded on every feasible point.
-
-Presolve factors the equality rows [A_blocks | A_free] once per solve
-(:class:`_Rows`): each row and its rhs are divided by the row's sup-norm,
-and one LAPACK dgeqp3 of their transpose, As' P = Q R, gives the rank r, the
-kept rows P[:r], consistency (the least-norm point meets every scaled row to
-1e-8) and the least-norm correction Q1 R11^-T (res / scale)[P[:r]], with Q
-applied from its reflectors.  Polish, the base point of an unbounded margin,
-each rescue round and the 1e-11 re-solve use these factors; witnesses are
-verified against the original rows.
-
-A solve has an operator half and an rhs half.  :class:`_Presolve` holds
-what the kept rows alone determine: the phase-I slack column, the free
-elimination (its QR, pseudo-inverse, projected rows and folded objective),
-the sup-norm scale of the reduced rows and the core's unpacked rows and
-objective; a solve reads only its rhs through it (Q2' b, lam.b, b / scale,
-beta).  A one-off solve makes it and drops it.  :class:`HermitianProblem`
-keeps the operator half of its last build (each split row's realness class
-and nonzero-coefficient masks, and the built rows; the split coefficients,
-upper triangles only, are formed by a build that makes rows and dropped
-after it) and the presolve of its last solve, which it hands to the
-engine with the next rhs (:class:`_Kept`).  So ``solve(rhs=...)``, which
-gives some row groups a new rhs, pays for that rhs alone; a spectrahedrop keeps such problems for its queries, and a
-pencil one certificate problem per degree and polynomial size.  An rhs
-that changes the real path or the kept rows (a zero row whose rhs leaves
-0), and any ``add_*`` or ``set_objective`` call, makes both again.
-:class:`_Rows` stays per solve: its row scale reads |rhs|, so rank,
-consistency and polish may move with the rhs, and factoring them as
-before keeps every answer bitwise the same.
-Nothing is cached at module level; kept data lives and dies with the
-object that owns the operator.
 
 Feasibility questions are decided through a phase-I problem
 
@@ -52,69 +12,23 @@ Feasibility questions are decided through a phase-I problem
 
 whose optimal value t* is the reported margin: FEASIBLE above +feas_tol,
 INFEASIBLE below -feas_tol, and inside the band only a verified boundary
-witness may promote the answer to FEASIBLE (otherwise MARGINAL).  The
-slack t is one more free column, eliminated with the others.
+witness may promote the answer to FEASIBLE (otherwise MARGINAL).  Every
+FEASIBLE answer is re-verified by an independent eigenvalue and residual
+check against the original rows before it is returned.
 
-Each iteration solves the Nesterov-Todd system through the Schur complement
-M_ij = sum_b <A_bi, W_b A_bj W_b> over the m equality rows (Fujisawa, Kojima
-and Nakata, Math. Prog. 79, 1997; SDPT3), dense from G_i = R* A_i R, or
-factored from the Kronecker factors of a Choi block's rows (the low-rank
-constraint data of DSDP: Benson, Ye and Zhang, SIAM J. Optim. 10, 2000);
-see :func:`_schur`, :class:`_KronSchur` and the README Notes for both routes
-and the rule that picks one.
-
-The Newton step is taken in NT-scaled coordinates (Todd, Toh and Tutuncu,
-SIAM J. Optim. 8, 1998; SDPT3): with R from :func:`_nt_scaling`, the scaled
-directions dZ~ = R^-1 dZ R^-* and dS~ = R* dS R satisfy dZ~ + dS~ = rc~ around
-the diagonal scaled iterate V = diag(v).  The Mehrotra corrector is
-rc~ = diag(sigma mu / v - v) - (C + C*) / (v_i + v_j) with C = dZa~ dSa~, and
-the step to the boundary of a block is read from the eigenvalues of
-V^-1/2 dX~ V^-1/2, one values-only LAPACK ?syevd / ?heevd each; the
-predictor's dZa~ = -V - dSa~ needs none of its own (see :func:`_max_steps`).
-
-The core runs once per solve, from Z = S = I, in normalized units: after the
-free columns are eliminated, every row is divided by the sup-norm of its
-coefficients, and the rhs by beta = max |b|.  The core then solves for Z/beta,
-and Z and the objective are multiplied back by beta; rays and infeasibility
-certificates are directions and need no scaling.  Scaling a pencil or a
-whole rhs by c > 0 therefore scales the margin by c and changes no status.
-A failed run (a stall, a Schur complement that is not positive definite, a
-collapsed step) is an ERROR; only a margin inside the band is solved again,
-at tol 1e-11.  The core floors its residual tests at 1e-7 and its gap test
-at 1e-9 (``_RESID_TOL_FLOOR``, ``_GAP_TOL_FLOOR``), so from the default
-tol 1e-8 that re-solve tightens only the gap test, to 1e-9.
-
-Small problems pay for calls, not arithmetic, so both layers a decision
-passes through are built from whole arrays.  :class:`HermitianProblem`
-stores its complex rows unsplit as stacked arrays, one group per call;
-``build`` splits each group once into real and imaginary rows, drops rows
-by one rule and fills the SDPProblem directly, and ``solve`` returns the
-engine's SDPSolution.  The core unpacks its rows and objective once and
-then runs in full-matrix coordinates: residuals are A_flat vec(Z) and
-A_flat' y reshaped, with no svec or smat in the loop; the Schur complement
-is factored by LAPACK's potrf/potrs directly, the step lengths come from
-three values-only eigensolves per block, and an iteration on a small real
-block makes about 86 Python-level calls.
-
-Complex Hermitian blocks are solved natively (as SDPT3 and SeDuMi do): an
-SDPProblem block flagged ``hermitian`` has n^2 real coordinates
-hvec(Z) = [svec(Re Z), sqrt(2) Im Z_ij (i < j)], with <F, Z> = Re tr(F Z)
-= hvec(F).hvec(Z), so presolve, polish, verification and the rescue work on
-real vectors whatever the block.  The one core loop unpacks such a block to
-complex (m, n, n) rows, uses conjugate transposes, zpotrf/zheevd for the NT
-scaling and the real parts of inner products, and forms the Schur
-complement as one real product of float views; a Hermitian block of size n
-adds n to the barrier degree.  This costs about half of the real 2n x 2n
-embedding [[Re, -Im], [Im, Re]] / 2 of the block, which exists only as
-:func:`build_from_complex`, a realification of the native build kept as a
-reference.  When every row of a HermitianProblem is conjugation-invariant it
-is solved as a real problem of the same size instead.
+A problem keeps the presolve of its last solve in its private memo, which
+every problem :func:`dataclasses.replace` makes from it shares, so a solve
+with only a new rhs pays for that rhs alone; nothing is cached at module
+level.  How the engine works (native Hermitian blocks, the free-column
+elimination, the two Schur complement routes, the NT step, normalized
+units and the 1e-11 re-solve, the kept operator half and the row
+factorization) is explained in the Notes of README.md.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -290,10 +204,9 @@ class SDPProblem:
     obj_free: Optional[np.ndarray] = None
     hermitian: tuple = ()              # tuple[bool], aligned with blocks
     kron: tuple = ()                   # empty: None for every block
-    # the presolve handed to and back from one HermitianProblem solve (see
-    # _Kept); init=False, so dataclasses.replace drops it
-    _kept: Optional["_Kept"] = field(default=None, init=False, repr=False,
-                                     compare=False)
+    # the presolve of the last solve (see _presolve); dataclasses.replace
+    # shares it, so a problem with only a new rhs reuses it
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -353,7 +266,7 @@ def _numerical_rank(r: np.ndarray) -> int:
 class _Rows:
     """The equality rows A x = b of a problem, with A = [A_blocks | A_free]
     and x = (svec or hvec(Z_b)..., u), factored once per solve (see the
-    module docstring)."""
+    README Notes)."""
 
     def __init__(self, problem: SDPProblem):
         self.problem = problem
@@ -903,7 +816,11 @@ class _Presolve:
 
     def __init__(self, rows: _Rows):
         problem = rows.problem
-        self.keep = rows.keep
+        self.keep, self.reused = rows.keep, False
+        # what it was made from besides the kept rows: every field of the
+        # problem but the rhs, compared by identity (see _presolve)
+        self.made_from = {f.name: getattr(problem, f.name) for f in fields(problem)
+                          if f.name not in ("rhs", "_memo")}
         A_parts, A_free, _ = rows.kept()
         self.sizes = sizes = [s for _, s in problem.blocks]
         self.herm = herm = problem.herm
@@ -960,7 +877,9 @@ class _Presolve:
         The core solves for Z / beta with beta = max |b_red|; its Z and pobj
         are mapped back, while rays and Farkas certificates are directions
         and stay.  ``info`` gets ``attempts`` (1: one IPM run),
-        ``iterations_total`` and ``schur``, the route of each block.
+        ``iterations_total``, ``schur``, the route of each block, and
+        ``presolve_reused``, True when this presolve was kept from an
+        earlier solve (see :func:`_presolve`).
         """
         b_red = (self.el.q2.T @ b) / self.scale
         beta = float(np.abs(b_red).max(initial=0.0)) or 1.0
@@ -969,29 +888,21 @@ class _Presolve:
             res.Z = [beta * z for z in res.Z]
             res.pobj *= beta
         res.info.update(attempts=1, iterations_total=res.iterations,
-                        schur=self.routes)
+                        schur=self.routes, presolve_reused=self.reused)
         return res
 
 
-class _Kept:
-    """A presolve handed to one solve and back: ``offered`` is the one that
-    :class:`HermitianProblem` kept from its last solve of the same rows, and
-    the solve leaves the one it ran on in ``used`` (None: it ran on none)."""
-
-    def __init__(self, offered: Optional[_Presolve]):
-        self.offered, self.used = offered, None
-
-
 def _presolve(rows: _Rows) -> _Presolve:
-    """The presolve of the kept rows of ``rows``: the one their problem's
-    :class:`_Kept` offers when it was made for the same kept rows, else a
-    new one; it is handed back in that :class:`_Kept`."""
-    kept = rows.problem._kept
-    pre = kept.offered if kept is not None else None
-    if pre is None or not np.array_equal(pre.keep, rows.keep):
-        pre = _Presolve(rows)
-    if kept is not None:
-        kept.used = pre
+    """The presolve of the kept rows of ``rows``, kept in their problem's
+    memo: the one there is reused when it was made for the same kept rows
+    from the same fields but the rhs (the same objects); otherwise a new
+    one is made and takes its place."""
+    problem, pre = rows.problem, rows.problem._memo.get("presolve")
+    if pre is not None and np.array_equal(pre.keep, rows.keep) and all(
+            getattr(problem, k) is v for k, v in pre.made_from.items()):
+        pre.reused = True
+    else:
+        pre = problem._memo["presolve"] = _Presolve(rows)
     return pre
 
 
@@ -1008,7 +919,8 @@ def _solve_optimize(problem: SDPProblem, tol, max_iter) -> SDPSolution:
     try:
         res = pre.run(b, tol, max_iter)
     except _IPMFailure as exc:
-        return SDPSolution(SolveStatus.ERROR, info={"reason": str(exc)})
+        return SDPSolution(SolveStatus.ERROR, info={
+            "reason": str(exc), "presolve_reused": pre.reused})
     if res.kind == "pinfeas":
         return SDPSolution(SolveStatus.INFEASIBLE, margin=-math.inf,
                            iterations=res.iterations,
@@ -1077,7 +989,8 @@ def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter,
     try:
         res = pre.run(b, tol, max_iter)
     except _IPMFailure as exc:
-        return SDPSolution(SolveStatus.ERROR, info={"reason": str(exc)})
+        return SDPSolution(SolveStatus.ERROR, info={
+            "reason": str(exc), "presolve_reused": pre.reused})
     eq_tol = max(_WITNESS_EQ_TOL,
                  _WITNESS_EQ_TOL * (np.abs(problem.rhs).max() if problem.m else 1.0))
     if res.kind == "pinfeas":
@@ -1234,17 +1147,17 @@ class _Operator:
     flips entirely when its rhs is 0.  ``coef[real_path]`` marks the rows
     with a nonzero coefficient on each path.  The classes are read from the
     largest real and imaginary entry of each split row.  ``rows`` is
-    (real_path, keep, problem, kept_vars) of the last build, and ``pre``
-    the engine's :class:`_Presolve` of the last solve of those rows: an rhs
-    that changes the path or the kept rows splits the problem's groups
-    again into new ``rows`` and clears ``pre``.
+    (real_path, keep, problem, kept_vars) of the last build; the problem's
+    memo keeps the presolve of its last solve.  An rhs that changes the path
+    or the kept rows splits the problem's groups again into new ``rows``,
+    with a new memo.
     """
 
     def __init__(self, hp: "HermitianProblem", split):
         imag = np.zeros(hp._n_free, dtype=bool)
         for fh in hp._free_herms:
             imag[fh.start:fh.start + fh.n_vars] = (fh._basis().imag != 0).any(axis=0)
-        self.imag, self.rows, self.pre = imag, None, None
+        self.imag, self.rows = imag, None
         # per split row: the largest real and imaginary data entry, and
         # whether a real / an imaginary-component variable enters
         re_max, im_max = [np.zeros(0)], [np.zeros(0)]
@@ -1289,7 +1202,7 @@ class HermitianProblem:
     :class:`SDPSolution`, for the stored rhs or for new rhs of some groups.
     The operator half of the last build (:class:`_Operator`) is kept until
     the next ``add_*`` or ``set_objective`` call, so that a solve with only a
-    new rhs reuses it and the presolve of the solve before.
+    new rhs reuses it and the presolve its built problem keeps.
     :func:`build_from_complex` realifies the build, as a reference.
     """
 
@@ -1605,7 +1518,6 @@ class HermitianProblem:
                 split = self._split_groups()
             rows = op.rows = (real_path, keep,
                               *self._assemble(op, split, real_path, keep))
-            op.pre = None
         _, _, problem, kept_vars = rows
         return replace(problem, rhs=b[keep]), kept_vars
 
@@ -1624,15 +1536,8 @@ class HermitianProblem:
         operator half is not locked: solves of one problem must not run
         concurrently."""
         problem, kept_vars = self.build(rhs)
-        op, kept = self._op, _Kept(self._op.pre)
-        # the engine's entry points take the problem alone, so the presolve
-        # goes to and comes back from this solve on the new problem
-        object.__setattr__(problem, "_kept", kept)
         sol = solve(problem, tol=tol, max_iter=max_iter, feas_tol=feas_tol)
-        sol.info["presolve_reused"] = kept.used is not None \
-            and kept.used is kept.offered
-        if kept.used is not None:
-            op.pre = kept.used
+        sol.info.setdefault("presolve_reused", False)   # no presolve reached
         free = np.zeros(self._n_free)
         if sol.free_values is not None:
             free[kept_vars] = sol.free_values
@@ -1646,7 +1551,8 @@ def build_from_complex(problem: HermitianProblem) -> SDPProblem:
     objective, with the same free columns and rhs.  It decides the same
     question at about twice the cost, and serves as the reference the native
     Hermitian blocks are tested against; a real-path build is embedded as
-    it stands."""
+    it stands.  It starts a memo of its own, so its solves leave the
+    presolve kept in the build's alone."""
     built, _ = problem.build()
     # per block, the matrix taking svec / hvec(H) to svec of its embedding;
     # its entries are +-1 up to the rounding of sqrt(2), so rounded and
@@ -1660,4 +1566,4 @@ def build_from_complex(problem: HermitianProblem) -> SDPProblem:
         c @ M for c, M in zip(built.obj_blocks, maps))
     return replace(built, blocks=tuple((name, 2 * n) for name, n in built.blocks),
                    A_blocks=tuple(Ab @ M for Ab, M in zip(built.A_blocks, maps)),
-                   obj_blocks=obj, hermitian=(), kron=())
+                   obj_blocks=obj, hermitian=(), kron=(), _memo={})

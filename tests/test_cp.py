@@ -270,7 +270,8 @@ def test_factored_schur_matches_dense(mode, n, m, g, annihilate, real, seed):
     assert again.status is fresh.status
     assert again.info.get("schur") == fresh.info.get("schur")
     if again.info["presolve_reused"]:
-        _assert_routes_agree(hp._op.rows[2], hp._op.pre, gen)
+        built = hp._op.rows[2]
+        _assert_routes_agree(built, built._memo["presolve"], gen)
 
 
 def test_schur_route_rule():

@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from freeconvex.corpus import corpus_problems, write_corpus
+from freeconvex.algebra import LinearPencil
+from freeconvex.corpus import corpus_problems, scalar_tuple, write_corpus
 from freeconvex.io import (ParseError, ProblemFile, dumps, emit_corpus,
-                           parse_problem, run)
+                           encode_pencil, encode_tuple, parse_problem, run)
 
 
 def light_corpus():
@@ -120,6 +121,19 @@ def test_cli_run_and_exit_codes(tmp_path):
         capture_output=True, text=True)
     assert out.returncode == 0
     assert "INFEASIBLE" in out.stdout
+    # the 1x1 lift -5e-8 + 0 x at X = 0: its margin stays inside the band
+    # and the witness rescue fails, so the answer is MARGINAL (exit 2)
+    lift = LinearPencil(np.array([[-5e-8]]), [np.zeros((1, 1))])
+    (tmp_path / "drop-marginal.json").write_text(dumps(
+        {"version": "1", "kind": "drop",
+         "payload": {"lift": encode_pencil(lift),
+                     "X": encode_tuple(scalar_tuple(0.0))}}))
+    out = subprocess.run(
+        [sys.executable, "-m", "freeconvex.cli", "run",
+         str(tmp_path / "drop-marginal.json"), "--format", "json"],
+        capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert json.loads(out.stdout)["status"] == "MARGINAL"
     out = subprocess.run(
         [sys.executable, "-m", "freeconvex.cli", "run", "/no/such/file.json"],
         capture_output=True, text=True)

@@ -237,6 +237,21 @@ def test_free_objective_off_null_space_is_finite():
     assert abs(u[0] + u[1] - 1.0) < 1e-6 and abs(u[2] - 1.0) < 1e-6
 
 
+def test_replace_shares_the_presolve_only_for_the_same_operator():
+    """A problem made by dataclasses.replace shares the memo: a new rhs
+    reuses the presolve, a new objective gets a new one."""
+    from dataclasses import replace
+
+    problem = _rank_deficient_free((1.0, 1.0, 0.0))
+    assert solve(problem).info["presolve_reused"] is False
+    moved = solve(replace(problem, rhs=problem.rhs * 2))
+    assert moved.info["presolve_reused"] is True
+    assert abs(moved.objective_value - 2.0) < 1e-6
+    doubled = solve(replace(problem, obj_free=problem.obj_free * 2))
+    assert doubled.info["presolve_reused"] is False
+    assert abs(doubled.objective_value - 2.0) < 1e-6
+
+
 @pytest.mark.parametrize("n, rhs, margin", [(1, 1.0, 1.0), (1, -1.0, -1.0),
                                              (2, 2.0, 1.0), (2, -4.0, -2.0)])
 def test_phase_one_rows_absorbed_by_slack(n, rhs, margin):
@@ -327,6 +342,33 @@ def test_trace_pair_infeasible():
     sol = solve(b.build()[0])
     assert sol.status is SolveStatus.INFEASIBLE
     assert abs(sol.margin + 0.5) < 1e-6
+
+
+def test_optimization_primal_infeasible():
+    """maximize tr Z subject to tr Z = -1 has no feasible point."""
+    b = HermitianProblem()
+    b.add_block("Z", 2)
+    b.add_scalar_row({"Z": np.eye(2)}, {}, -1.0)
+    b.set_objective({"Z": np.eye(2)})
+    sol = b.solve()
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert sol.info["reason"] == "primal infeasible"
+    assert sol.margin == -np.inf and sol.info["presolve_reused"] is False
+
+
+def test_optimization_inconsistent_equalities():
+    """tr Z + u = 1 and tr Z + u = 2 with an objective: no presolve is
+    reached."""
+    b = HermitianProblem()
+    b.add_block("Z", 2)
+    u = b.add_free(1)[0]
+    for rhs in (1.0, 2.0):
+        b.add_scalar_row({"Z": np.eye(2)}, {u: 1.0}, rhs)
+    b.set_objective({"Z": np.eye(2)}, {u: 1.0})
+    sol = b.solve()
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert sol.info["reason"] == "inconsistent equalities"
+    assert sol.info["presolve_reused"] is False
 
 
 def test_boundary_rescue():
@@ -436,6 +478,23 @@ def test_zero_row_override():
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.info["reason"] == "inconsistent equalities"
     assert hp.solve(rhs={zero: [0.0]}).status is SolveStatus.FEASIBLE
+
+
+def test_realified_solve_keeps_the_native_presolve():
+    """Solving ``build_from_complex(hp)`` after ``hp.solve()`` matches a fresh
+    realified solve and leaves hp's kept presolve in place."""
+    hp, (trace, off, _) = _override_problem(0.25j)
+    assert hp.solve().info["presolve_reused"] is False
+    assert hp.build()[0].herm == (True,)              # a native Hermitian block
+    realified = build_from_complex(hp)
+    got = solve(realified)
+    assert got.info["presolve_reused"] is False
+    _assert_same_solution(got, solve(build_from_complex(
+        _override_problem(0.25j)[0])))
+    assert solve(realified).info["presolve_reused"] is True
+    again = hp.solve(rhs={trace: 2.0, off: [0.5j]})
+    assert again.info["presolve_reused"] is True
+    _assert_same_solution(again, _override_problem(0.5j, trace=2.0)[0].solve())
 
 
 def test_add_call_drops_the_kept_presolve():
@@ -629,13 +688,19 @@ def test_native_hermitian_matches_realified(n, feasible, seed):
 
 
 def test_unbounded_margin_yields_verified_witness():
-    b = HermitianProblem()
-    b.add_block("Z", 2)
-    b.add_scalar_row({"Z": np.diag([1.0, -1.0])}, {}, 0.0)
-    sol = solve(b.build()[0])
-    assert sol.status is SolveStatus.FEASIBLE
-    assert sol.margin == np.inf
-    assert np.linalg.eigvalsh(sol.witness["Z"])[0] > 0
+    """Z_00 - Z_11 = rhs leaves the margin unbounded.  At rhs 0 the ray at
+    scale 1 is a witness; at -10 the base point diag(-5, 5) plus the ray
+    fails at scale 1, and the scale 1e2 passes."""
+    for rhs in (0.0, -10.0):
+        b = HermitianProblem()
+        b.add_block("Z", 2)
+        b.add_scalar_row({"Z": np.diag([1.0, -1.0])}, {}, rhs)
+        sol = solve(b.build()[0])
+        assert sol.status is SolveStatus.FEASIBLE
+        assert sol.margin == np.inf and sol.info["unbounded_margin"]
+        assert np.linalg.eigvalsh(sol.witness["Z"])[0] > 0
+    assert np.allclose(np.linalg.eigvalsh(sol.witness["Z"]), [95.0, 105.0],
+                       rtol=1e-9)
 
 
 @settings(deadline=None, max_examples=30)

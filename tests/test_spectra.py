@@ -104,6 +104,35 @@ def test_drop_with_unbounded_projection():
     assert not drop_level1_bounded(drop)
 
 
+def test_empty_level1_set_is_bounded():
+    """A0 + diag(0, 1) x >= 0 with A0 = diag(-1, 1) has no point: the lift's
+    x-pencil has a recession direction, and the support solve reads
+    INFEASIBLE."""
+    lift = LinearPencil(np.diag([-1.0, 1.0]), [np.diag([0.0, 1.0])],
+                        [np.zeros((2, 2))])
+    assert not is_bounded(lift.as_x_pencil())
+    assert drop_level1_bounded(Spectrahedrop(lift))
+
+
+@pytest.mark.parametrize("a0, status", [(-5e-8, SolveStatus.MARGINAL),
+                                        (-1e-8, SolveStatus.FEASIBLE)])
+def test_drop_answer_inside_the_band(a0, status):
+    """The 1x1 lift a0 + 0 x at X = 0: a margin a0 inside the band is solved
+    again at tol 1e-11, and the witness rescue then fails (MARGINAL, which
+    is no yes/no answer) or verifies a boundary witness (FEASIBLE)."""
+    lift = LinearPencil(np.array([[a0]]), [np.zeros((1, 1))])
+    res = drop_membership(Spectrahedrop(lift), scalar_tuple(0.0))
+    assert res.status is status
+    assert abs(res.margin - a0) <= 1e-9
+    assert res.info["resolves"] == 1
+    assert res.info.get("rescued", False) is (status is SolveStatus.FEASIBLE)
+    if status is SolveStatus.MARGINAL:
+        with pytest.raises(ValueError, match="not a yes/no answer"):
+            bool(res)
+    else:
+        assert res
+
+
 # -- domination -------------------------------------------------------------
 
 
