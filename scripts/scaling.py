@@ -13,11 +13,13 @@ polynomial's coefficients.  ``certificate_r2_sweep`` is that second kind of
 cost: the seconds per search of 10 searches on one fresh lift.
 
 The last line of output is one JSON object with the seconds, the statuses,
-the Schur route of each channel problem's blocks (``info["schur"]``), the
-row count m and the rank of each certificate problem's equality rows, nproc
-and the OpenBLAS thread count in effect (one unless OPENBLAS_NUM_THREADS
-says otherwise).  The exit code is 1 unless every status is FEASIBLE, every
-rank equals its m and both channel problems took the factored route.
+the Schur route of the blocks (``info["schur"]``) of each channel problem
+and of the certificate problems at r=2 and 3 (S, then G), the row count m
+and the rank of each certificate problem's equality rows, nproc and the
+OpenBLAS thread count in effect (one unless OPENBLAS_NUM_THREADS says
+otherwise).  The exit code is 1 unless every status is FEASIBLE, every rank
+equals its m, and both channel problems' Choi block and both certificate
+problems' G block took the factored route.
 
 Usage: python scripts/scaling.py
 """
@@ -78,7 +80,7 @@ def main():
     status = {k: "/".join(sorted({r.status.value for r in res}))
               for k, (_, res) in results.items()}
     schur = {k: list(res[0].info["schur"]) for k, (_, res) in results.items()
-             if k.startswith("channel")}
+             if k.startswith("channel") or k in ("certificate_r2", "certificate_r3")}
     print(json.dumps({
         "median_s": {k: round(s, 4) for k, (s, _) in results.items()},
         "status": status,
@@ -90,7 +92,7 @@ def main():
         + [f"{k}: rank {v['rank']} of m = {v['m']}" for k, v in rows.items()
            if v["rank"] != v["m"]] \
         + [f"{k}: Schur route {r}" for k, r in schur.items()
-           if r != ["factored"]]
+           if r[-1] != "factored"]
     for line in bad:
         print(f"scaling: {line}", file=sys.stderr)
     return 1 if bad else 0

@@ -20,6 +20,15 @@ conjugate of that of w, entry (i, j), so only words w <= rev(w), entries
 i <= j of a self-adjoint w and the real part of its diagonal are kept: the
 rows are independent.  x words and y words each fill one stack of rows.
 
+Every G row is a sum of Kronecker products E_ab (x) conj(M_k) (x) E_ij, one
+per product rev(w_a) x_k w_b of its word (M_k the pencil coefficient of
+letter k, M_0 = A0).  In G's basis reordered to (c, a, i) each is
+conj(M_k) (x) E_(a,i),(b,j), so each stack gives the engine its G rows in
+that factor form alone: the coefficients it uses (A0 and the x
+coefficients, or the y coefficients), the reordering, and each row's
+units.  The engine makes G's data from them, and may assemble G's part of
+the Schur complement from the factors (see the README Notes).
+
 The rows depend only on the pencil, r and the size mu of p; p enters only
 the rhs of the x rows.  So :func:`search_certificate` keeps the SDP on the
 pencil, in its private memo, one per (r, mu), made by the first search.
@@ -30,7 +39,7 @@ per pencil and degree.  Only an rhs that changes the real path or the kept
 rows (a p with complex coefficients on a real pencil, and the real p after
 it) builds the rows and the presolve again.  A kept problem retains its
 stored row stacks (real on a real pencil), built rows and presolve, about
-2.5 MiB at r = 2 and 43 MiB at r = 3 on the TV-screen lift, and goes with
+2.6 MiB at r = 2 and 44 MiB at r = 3 on the TV-screen lift, and goes with
 the pencil.
 """
 
@@ -243,28 +252,35 @@ def _problem(p: NCPolynomial, pencil: LinearPencil, r: int):
     hp = HermitianProblem()
     hp.add_block("S", mu * n)
     hp.add_block("G", n * d * mu)
+    # the G data in Kronecker factor form: in the basis order (c, a, i),
+    # which is index (a d + c) mu + i of G, the product (k, a, b) of entry
+    # (i, j) is conj(M_k) (x) E_(a,i),(b,j); each table's units use its own
+    # coefficients, A0 and the x coefficients or the y coefficients
+    perm = np.arange(n * d * mu).reshape(n, d, mu).transpose(1, 0, 2).reshape(-1)
     # per table (none for y words without y letters), one stack with a
     # complex row for each entry (i, j) of a word v <= rev(v), i <= j when
     # v = rev(v), since rev(v) and (j, i) give the conjugate row; the
     # imaginary part of a self-adjoint diagonal entry is round-off, so its
     # rhs is real and that row's imaginary part reads 0 = 0
     row_lists = []
-    for table in filter(None, prods):
+    for y, table in enumerate(prods):
+        if not table:
+            continue
         rows = [(v, i, j) for v in sorted(table, key=word_key) if v <= v[::-1]
                 for i in range(mu) for j in range(mu)
                 if i <= j or v != v[::-1]]
         row_lists.append(rows)
         t, k, a, b, i, j = np.array([(t, *prod, i, j) for t, (v, i, j)
                                      in enumerate(rows) for prod in table[v]]).T
-        # the S data axes read (a, i, b, j), the G data axes (a, c, i, b, e, j)
+        # the S data axes read (a, i, b, j)
         s = np.zeros((len(rows), n, mu, n, mu))
-        gm = np.zeros((len(rows), n, d, mu, n, d, mu), dtype=coeffs.dtype)
         one = k == 0
         s[t[one], a[one], i[one], b[one], j[one]] = 1.0
-        gm[t, a, :, i, b, :, j] = coeffs[k]
-        hp.add_complex_row({"S": s.reshape(len(rows), mu * n, -1),
-                            "G": gm.reshape(len(rows), n * d * mu, -1)},
-                           None, _coefficients(p, rows))
+        first, count = (g + 1, pencil.h) if y else (0, g + 1)
+        units = ((k - first) * n * mu + a * mu + i) * n * mu + b * mu + j
+        hp.add_complex_row({"S": s.reshape(len(rows), mu * n, -1)},
+                           None, _coefficients(p, rows),
+                           kron={"G": (coeffs[first:first + count], perm, t, units)})
     return hp, row_lists[0]
 
 

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy import sparse
 from scipy.linalg import lapack
 
 from .algebra import psd_part, require_hermitian
@@ -450,23 +451,34 @@ _KRON_CALL_FLOPS = 1.5e6
 class _KronRows:
     """The rows of one n m x n m block in Kronecker factor form.
 
-    The unit rows are F_(k,r,s) = A_k (x) E_rs for k < g and r, s < m
-    (``A`` holds the g conjugated, Hermitian "apply" matrices), numbered
+    The units are F_(k,r,s) = A_k (x) E_rs for k < g and r, s < m (``A``
+    holds the g Hermitian matrices of the groups' factor forms), numbered
     k m^2 + r m + s, then, when ``trace`` is not 0, F_(r,s) = trace
     E_rs (x) I_m for r, s < n, numbered g m^2 + r n + s, and last a zero
-    row.  Every r, s appears, so that F_c* is the unit row ``swapped(c)``.
-    Stored complex row p reads tr(F_(unit_p)* C) on the block (the zero row
-    where it does not touch it); its split rows 2p and 2p + 1 are the real
-    and the imaginary part, and built row i is split row ``split[i]``.  On
-    the real path A is real and every built row is a real part.
+    unit.  Every r, s appears, so that F_c* is the unit ``swapped(c)``.
+    The units are written in the factor order of the block's basis, whose
+    index q is index ``perm[q]`` of the block (its own order when ``perm``
+    is None).  Stored complex row p reads tr(F_p* C) on the block, F_p the
+    sum of the units ``unit[row == p]`` (``row`` is sorted, and a row that
+    does not touch the block sums the zero unit); its split rows 2p and
+    2p + 1 are the real and the imaginary part, and built row i is split
+    row ``split[i]``.  On the real path A is real and every built row is a
+    real part.
     """
 
     n: int
     m: int
     A: np.ndarray
     trace: float
+    perm: Optional[np.ndarray]
+    row: np.ndarray
     unit: np.ndarray
     split: np.ndarray
+
+    @property
+    def units(self) -> int:
+        """The number of units, the zero unit included."""
+        return len(self.A) * self.m ** 2 + bool(self.trace) * self.n ** 2 + 1
 
     def swapped(self, c: np.ndarray) -> np.ndarray:
         n, m, ga = self.n, self.m, len(self.A) * self.m ** 2
@@ -484,7 +496,9 @@ class _KronRows:
         N, mac = n * m, 8 if herm else 2       # flops per multiply-add
         gemms = N ** 3 + g * n ** 3 * m * m + (g * m * m * n) ** 2 + \
             bool(self.trace) * (n ** 4 * m * m + g * m ** 3 * n ** 3)
-        factored = mac * gemms + 16 * kept * kept + _KRON_CALL_FLOPS
+        # the sums of P over each row's units, at most every stored unit
+        sums = (1 + herm) * self.unit.size * (self.units + 2 * kept)
+        factored = mac * gemms + sums + 16 * kept * kept + _KRON_CALL_FLOPS
         dense = mac * 2 * reduced * N ** 3 + 2 * reduced ** 2 * N * N * (1 + herm)
         return factored < dense
 
@@ -494,18 +508,19 @@ class _KronRows:
         With Wt[q, s, p, r] = W[(q, s), (p, r)] and X = A Wt (one product),
         tr((A_k (x) E_rs) W (A_k' (x) E_r's') W) is the sum over p, p' of
         X[k, p, s, p', r'] X[k', p', s', p, r], one product of shape
-        (g m^2 x n^2)(n^2 x g m^2); the trace rows and their cross terms
-        with the apply rows are two more products of the same kind."""
+        (g m^2 x n^2)(n^2 x g m^2), its columns ordered (k', r, s') so that
+        P reads them in order; the trace rows and their cross terms with the
+        apply rows are two more products of the same kind."""
         n, m, g, t = self.n, self.m, len(self.A), self.trace
         ga, nt = g * m * m, bool(t) * n * n
-        P = np.zeros((ga + nt + 1, ga + nt + 1), dtype=W.dtype)
+        P = np.zeros((self.units, self.units), dtype=W.dtype)
         Wt = W.reshape(n, m, n, m)
         if g:
             X = (self.A.reshape(g * n, n) @ W.reshape(n, -1)).reshape(g, n, m, n, m)
             Y = X.transpose(0, 2, 4, 1, 3).reshape(ga, n * n)
-            Yt = X.transpose(0, 2, 4, 3, 1).reshape(ga, n * n)
+            Yt = X.transpose(0, 4, 2, 3, 1).reshape(ga, n * n)
             P[:ga, :ga].reshape(g, m, m, g, m, m)[...] = \
-                (Y @ Yt.T).reshape(g, m, m, g, m, m).transpose(0, 5, 1, 3, 2, 4)
+                (Y @ Yt.T).reshape(g, m, m, g, m, m).transpose(0, 4, 1, 3, 2, 5)
         if nt:
             V = Wt.transpose(0, 2, 1, 3).reshape(nt, m * m)
             Vt = Wt.transpose(0, 2, 3, 1).reshape(nt, m * m)
@@ -524,14 +539,17 @@ class _KronSchur:
     """One block's part of the Schur complement on the core's rows, from the
     Kronecker factors of its kept rows (the factored route).
 
-    With P from :meth:`_KronRows.products`, complex rows on unit rows c, d
-    and P*_cd = tr(F_c W F_d* W) = P_(c, swapped(d)), the split rows' part
-    is, with A1 = P_cd and A2 = P*_cd, (Re(A1 + A2), -Im(A1 - A2)) / 2 from
-    a real part and (-Im(A1 + A2), -Re(A1 - A2)) / 2 from an imaginary
-    part: the float views of conj(A1) + A2 and i (A2 - conj(A1)), halved.
-    The core's rows are T A_keep with T = diag(1/scale) Q2', Q2 the
-    complement of the free columns' range in their pivoted QR, so the
-    block's part is T M T', with Q applied from its reflectors."""
+    P from :meth:`_KronRows.products` on W in the factor order holds
+    tr(F_c W F_d W) for units c, d, and P*_cd = tr(F_c W F_d* W) =
+    P_(c, swapped(d)).  Summed over the units of each kept stored row, they
+    give that row pair's A1 = tr(F_p W F_q W) and A2 = tr(F_p W F_q* W);
+    a row of one unit sums one term.  The split rows' part is, with these,
+    (Re(A1 + A2), -Im(A1 - A2)) / 2 from a real part and
+    (-Im(A1 + A2), -Re(A1 - A2)) / 2 from an imaginary part: the float
+    views of conj(A1) + A2 and i (A2 - conj(A1)), halved.  The core's rows
+    are T A_keep with T = diag(1/scale) Q2', Q2 the complement of the free
+    columns' range in their pivoted QR, so the block's part is T M T', with
+    Q applied from its reflectors."""
 
     def __init__(self, kr: _KronRows, keep: np.ndarray, F: np.ndarray,
                  scale: np.ndarray, herm: bool):
@@ -539,8 +557,26 @@ class _KronSchur:
         rows, inv = np.unique(split // 2, return_inverse=True)
         self.kr, self.herm = kr, herm
         self.kept = 2 * inv + split % 2 if herm else inv
-        c = kr.unit[rows]
-        self.rows, self.cols = c, np.concatenate([c, kr.swapped(c)])
+        # each kept stored row's first unit, and the 0/1 incidence of the
+        # rows and their other units, then of the rows and those units'
+        # swaps (CSR: the rows are sorted); None when no row has another
+        take = np.isin(kr.row, rows)
+        unit, k = kr.unit[take], rows.size
+        ptr = np.concatenate([[0], np.searchsorted(kr.row[take], rows[:-1],
+                                                   "right"), [unit.size]])
+        first = unit[ptr[:-1]]
+        self.first, self.pairs = first, np.concatenate([first, kr.swapped(first)])
+        rest = np.delete(unit, ptr[:-1])
+        ptr -= np.arange(k + 1)
+        self.rest = self.rest_pairs = None
+        if rest.size:
+            ones = np.ones(2 * rest.size)
+            self.rest = sparse.csr_array((ones[:rest.size], rest, ptr),
+                                         shape=(k, kr.units))
+            self.rest_pairs = sparse.csr_array(
+                (ones, np.concatenate([rest, kr.swapped(rest)]),
+                 np.concatenate([ptr, ptr[1:] + rest.size])),
+                shape=(2 * k, kr.units))
         (qr, tau), _, _ = sla.qr(F, pivoting=True, mode="raw",
                                  check_finite=False)
         self.qr, self.tau = qr[:, :tau.size], tau
@@ -549,9 +585,18 @@ class _KronSchur:
         self.lwork = 64 * (len(keep) + 65)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        P = self.kr.products(r @ r.conj().T).take(self.rows, 0)
-        P = P.take(self.cols, 1)
-        k = self.rows.size
+        if self.kr.perm is not None:
+            r = r.take(self.kr.perm, 0)
+        P = self.kr.products(r @ r.conj().T)
+        # the sums over each row's units, first on the rows, then on the
+        # columns (P is symmetric): P = [A1 A2]
+        S = P.take(self.first, 0)
+        if self.rest is not None:
+            S += self.rest @ P
+        P = S.take(self.pairs, 1)
+        if self.rest is not None:
+            P += (self.rest_pairs @ S.T).T
+        k = P.shape[0]
         A1, A2 = P[:, :k], P[:, k:]
         if self.herm:
             A1 = A1.conj()
@@ -1195,7 +1240,8 @@ class HermitianProblem:
     group's index: a (k, n, n) stack F per block (complex, or float64 for
     real data), (k, n_free) free coefficients c and a (k,) rhs, for
     sum_b tr(F_b,p* C_b) + c_p.u = rhs_p, and the Kronecker factor form of
-    an ``add_matrix_eq`` group's rows on each block.
+    the group's rows on each block where it has one (from ``add_matrix_eq``
+    terms, or given to ``add_complex_row``).
     ``build`` reads every row as its real and imaginary part (native
     Hermitian blocks, or real ones of the same size when every split row is
     conjugation-invariant), and ``solve`` returns the engine's
@@ -1213,8 +1259,9 @@ class HermitianProblem:
         # (data, free, rhs, form, kron); form = (shape, index) takes an rhs
         # given to solve() in the shape the add_* call took to the group's
         # (k,) rhs, and kron maps a block to the Kronecker factor form of
-        # the group's rows on it (see add_matrix_eq), None where they have
-        # none
+        # the group's rows on it, ("sum", m, (A, perm, row, unit)) as
+        # add_complex_row describes it or ("blocktrace", m, scale) (see
+        # add_matrix_eq), None where they have none
         self._groups: List[tuple] = []
         self._obj: Optional[Tuple[Dict[str, np.ndarray], Dict[int, float]]] = None
         self._op: Optional[_Operator] = None
@@ -1271,7 +1318,7 @@ class HermitianProblem:
 
     def _add_group(self, data, free, rhs, form, kron=None) -> int:
         self._groups.append((data, free, rhs, form,
-                             kron or dict.fromkeys(data)))
+                             {**dict.fromkeys(data), **(kron or {})}))
         self._op = None
         return len(self._groups) - 1
 
@@ -1285,16 +1332,65 @@ class HermitianProblem:
                                np.array([float(rhs)], dtype=complex), ((), None))
 
     def add_complex_row(self, block_data: Dict[str, np.ndarray],
-                        free_terms: Optional[Dict[int, complex]], rhs) -> int:
+                        free_terms: Optional[Dict[int, complex]], rhs,
+                        kron=None) -> int:
         """A stack of k complex equalities
         sum_b tr(F_b,p* C_b) + sum c_i,p u_i = rhs_p: block_data maps a block
         name to a (k, n, n) array (F need not be Hermitian), rhs is (k,), and
-        each free coefficient c_i broadcasts to (k,)."""
+        each free coefficient c_i broadcasts to (k,).
+
+        ``kron`` maps further blocks to their data in Kronecker factor form,
+        (A, perm, row, unit): F_p is the sum, over the e with row[e] = p, of
+        A_k (x) E_rs for unit[e] = k m^2 + r m + s, with A a (g, n, n)
+        stack, m = size / n, written in the block's basis reordered so that
+        its index q is the block's index perm[q].  ``row`` is sorted and
+        names every row.  The stack is made from the form, and the form is
+        kept for the factored Schur route when every A_k is Hermitian."""
         rhs = np.asarray(rhs, dtype=complex)
         k = rhs.shape[0]
-        return self._add_group(self._block_data(block_data, (k,)),
-                               self._free_row(free_terms, k), rhs,
-                               (rhs.shape, Ellipsis))
+        data, forms = self._block_data(block_data, (k,)), {}
+        for name, form in (kron or {}).items():
+            if name in data:
+                raise ValueError(f"block {name!r} given as data and as factors")
+            data[name], forms[name] = self._factor_data(name, k, *form)
+        return self._add_group(data, self._free_row(free_terms, k), rhs,
+                               (rhs.shape, Ellipsis), forms)
+
+    def _factor_data(self, name: str, k: int, A, perm, row, unit):
+        """The (k, size, size) stack of block ``name`` from its factor form
+        (see add_complex_row), and the form to keep: ("sum", m, (A, perm,
+        row, unit)), perm None for the block's own order, or None when an
+        A_k is not Hermitian."""
+        size = dict(self._blocks).get(name)
+        if size is None:
+            raise ValueError(f"unknown block {name!r}")
+        A = np.asarray(A)
+        A = A.astype(complex if np.iscomplexobj(A) else float, copy=False)
+        perm, row, unit = (np.asarray(x, dtype=int) for x in (perm, row, unit))
+        n = A.shape[-1] if A.ndim == 3 else 0
+        m = size // n if n else 0
+        if A.shape[1:] != (n, n) or n * m != size or \
+                not np.array_equal(np.sort(perm), np.arange(size)) or \
+                row.shape != unit.shape or np.any(np.diff(row) < 0) or \
+                not np.array_equal(np.unique(row), np.arange(k)) or \
+                np.any(unit < 0) or np.any(unit >= len(A) * m * m):
+            raise ValueError(f"malformed factor form for block {name!r}")
+        c, rs = np.divmod(unit, m * m)
+        F = np.zeros((k, n, m, n, m), dtype=A.dtype)
+        # each (row, r, s) is assigned its first unit, so that a signed zero
+        # stays as given, and the others are added to it
+        first = np.zeros(unit.size, dtype=bool)
+        first[np.unique(row * m * m + rs, return_index=True)[1]] = True
+        def at(e):
+            return row[e], slice(None), rs[e] // m, slice(None), rs[e] % m
+        F[at(first)] = A[c[first]]
+        np.add.at(F, at(~first), A[c[~first]])
+        data = np.empty((k, size, size), dtype=A.dtype)
+        data[:, perm[:, None], perm] = F.reshape(k, size, size)
+        if not all(np.array_equal(a, a.conj().T) for a in A):
+            return data, None
+        return data, ("sum", m, (A, None if np.array_equal(perm, np.arange(size))
+                                 else perm, row, unit))
 
     def add_matrix_eq(self, terms, rhs) -> int:
         """Matrix equality sum(term values) = rhs, one complex row per entry
@@ -1307,9 +1403,10 @@ class HermitianProblem:
           ("kron_block", coeff, block) coeff (x) C for a PSD block C
           ("kron_scalar", coeff, j)   coeff * u_j
         The row of entry (r, s) is conj(A) (x) E_rs on the block of an
-        "apply" term with Hermitian A, and scale E_rs (x) I_m for a
-        "blocktrace" term with a real scale; a block whose terms are all of
-        one of these kinds keeps that factor form beside its rows."""
+        "apply" term with Hermitian A, one unit per row of the factor form
+        add_complex_row takes, and scale E_rs (x) I_m for a "blocktrace"
+        term with a real scale; a block whose terms are all of one of these
+        kinds keeps that factor form beside its rows."""
         rhs = np.asarray(rhs, dtype=complex)
         r, s, _ = _svec_idx(rhs.shape[0])
         p, sizes, F, kron = np.arange(r.size), dict(self._blocks), {}, {}
@@ -1328,7 +1425,7 @@ class HermitianProblem:
                 A = np.asarray(A, dtype=complex)
                 block(name, len(A), mdim, len(A), mdim)[p, :, r, :, s] += A.conj()
                 if np.array_equal(A, A.conj().T):
-                    factor(name, kind, mdim, A.conj())
+                    factor(name, "sum", mdim, A.conj())
                 else:
                     factor(name)
             elif kind == "entry":
@@ -1358,6 +1455,9 @@ class HermitianProblem:
                 free[:, j] += np.asarray(coeff, dtype=complex)[r, s]
             else:
                 raise ValueError(f"unknown term kind {kind!r}")
+        for name, f in kron.items():    # the summed apply matrix, one unit a row
+            if f is not None and f[0] == "sum":
+                kron[name] = ("sum", f[1], (f[2][None], None, p, r * f[1] + s))
         return self._add_group(F, free, rhs[r, s], (rhs.shape, (r, s)), kron)
 
     def set_objective(self, block_terms: Dict[str, np.ndarray],
@@ -1450,37 +1550,43 @@ class HermitianProblem:
                    keep: np.ndarray) -> Optional["_KronRows"]:
         """The factor form of block ``name``'s kept split rows, or None when
         a group touching the block has none, the groups disagree on its
-        factors n x m, or an imaginary half is kept on the real path."""
+        factors n x m or its basis order, or an imaginary half is kept on
+        the real path.  The groups' matrices A are numbered in group order."""
         forms = [kron[name] for data, _, _, _, kron in self._groups
                  if name in data]
         if not forms or None in forms:
             return None
-        nm = {(len(c) if kind == "apply" else size // mdim, mdim)
+        nm = {(c[0].shape[-1] if kind == "sum" else size // mdim, mdim)
               for kind, mdim, c in forms}
-        if len(nm) != 1:
+        perms = {None if kind != "sum" or c[1] is None else c[1].tobytes()
+                 for kind, _, c in forms}
+        if len(nm) != 1 or len(perms) != 1:
             return None
         (n, m), = nm
         split = np.flatnonzero(keep)
         if n * m != size or (real_path and (split % 2).any()):
             return None
-        A = np.array([c for kind, _, c in forms if kind == "apply"]).reshape(-1, n, n)
+        A = np.concatenate([c[0] for kind, _, c in forms if kind == "sum"]
+                           + [np.zeros((0, n, n))])
         scales = {c for kind, _, c in forms if kind == "blocktrace"}
         if len(scales) > 1 or 0.0 in scales:
             return None
         trace, ga = scales.pop() if scales else 0.0, len(A) * m * m
-        unit, k = [], 0
+        row, unit, k, p = [], [], 0, 0
         for data, _, rhs, (_, index), kron in self._groups:
-            if name not in data:
-                unit.append(np.full(len(rhs), ga + bool(trace) * n * n))
-                continue
-            r, s = index
-            if kron[name][0] == "apply":
-                unit.append(k * m * m + r * m + s)
-                k += 1
-            else:
-                unit.append(ga + r * n + s)
-        return _KronRows(n, m, A.real if real_path else A, trace,
-                         np.concatenate(unit), split)
+            kind, _, c = kron[name] if name in data else (None, 0, None)
+            if kind == "sum":                 # the group's units, renumbered
+                row.append(p + c[2])
+                unit.append(k * m * m + c[3])
+                k += len(c[0])
+            else:           # the trace unit of entry (r, s), or the zero unit
+                row.append(np.arange(p, p + len(rhs)))
+                unit.append(ga + index[0] * n + index[1] if kind == "blocktrace"
+                            else np.full(len(rhs), ga + bool(trace) * n * n))
+            p += len(rhs)
+        perm = next((c[1] for kind, _, c in forms if kind == "sum"), None)
+        return _KronRows(n, m, A.real if real_path else A, trace, perm,
+                         np.concatenate(row), np.concatenate(unit), split)
 
     def build(self, rhs=None):
         """Return (SDPProblem, kept_vars), kept_vars the indices of the free

@@ -351,3 +351,51 @@ def test_factored_schur_with_scaled_trace_rows(real):
     problem = hp.build()[0]
     assert not (real and any(problem.herm)) and problem.kron[0] is not None
     _assert_routes_agree(problem, S._Presolve(S._Rows(problem)), gen)
+
+
+def _sum_form_problem(A, perm, gen):
+    """A 2 x 3 factor form on one 6 x 6 block: four rows of one, two, one
+    and two units, the last row naming one cell twice."""
+    row = np.array([0, 1, 1, 2, 3, 3])
+    unit = np.array([0, 4, 9 + 5, 9 + 3, 7, 9 + 7])
+    hp = S.HermitianProblem()
+    hp.add_block("C", 6)
+    hp.add_complex_row({}, None, gen.normal(size=4) + 1j * gen.normal(size=4),
+                       kron={"C": (A, perm, row, unit)})
+    ref = np.zeros((4, 6, 6), dtype=complex)
+    for p, u in zip(row, unit):
+        k, rs = divmod(u, 9)
+        ref[p][np.ix_(perm, perm)] += np.kron(A[k], np.eye(9)[rs].reshape(3, 3))
+    return hp, ref
+
+
+def test_add_complex_row_factor_form():
+    """add_complex_row makes a block's rows from their factor form, F_p the
+    sum of A_k (x) E_rs over row p's units in the permuted basis; it keeps
+    the form, with perm None for the block's own order (as for Choi rows),
+    only when every A_k is Hermitian, and the factored Schur complement
+    equals the dense one.  A malformed form, or a block given as data and
+    as factors, raises."""
+    gen = rng(9)
+    A = np.array([rand_hermitian(gen, 2) for _ in range(2)])
+    perm = gen.permutation(6)
+    hp, ref = _sum_form_problem(A, perm, gen)
+    assert np.allclose(hp._groups[0][0]["C"], ref, rtol=0, atol=1e-15)
+    problem = hp.build()[0]
+    assert np.array_equal(problem.kron[0].perm, perm)
+    _assert_routes_agree(problem, S._Presolve(S._Rows(problem)), gen)
+    assert _sum_form_problem(A, np.arange(6), gen)[0].build()[0].kron[0].perm is None
+    assert _choi_rows([[("apply", "C", A[0], 3)]], 2, 3, 0).build()[0].kron[0].perm is None
+    skew = A + np.array([[[0, 1], [0, 0]]])
+    hp, ref = _sum_form_problem(skew, perm, gen)
+    assert np.allclose(hp._groups[0][0]["C"], ref, rtol=0, atol=1e-15)
+    assert hp.build()[0].kron[0] is None
+    for bad in [(A, perm, [0, 1, 1, 3], [0, 1, 2, 3]),     # row 2 has no unit
+                (A, perm, [0, 1, 2, 3], [0, 1, 2, 18]),    # no A_2
+                (A, perm[:5], [0, 1, 2, 3], [0, 1, 2, 3]),
+                (A[:, :1], perm, [0, 1, 2, 3], [0, 1, 2, 3])]:
+        with pytest.raises(ValueError, match="malformed factor form"):
+            hp.add_complex_row({}, None, np.zeros(4), kron={"C": bad})
+    with pytest.raises(ValueError, match="as data and as factors"):
+        hp.add_complex_row({"C": np.zeros((4, 6, 6))}, None, np.zeros(4),
+                           kron={"C": (A, perm, [0, 1, 2, 3], [0, 1, 2, 3])})

@@ -10,9 +10,11 @@ from freeconvex.possatz import (Certificate, WordBasis, certificate_problem,
                                 expand_certificate, extract_weights,
                                 search_certificate, verify_certificate)
 from freeconvex.rand import rand_hermitian, rand_psd, rng
-from freeconvex.sdp import HermitianProblem, SolveStatus, _Rows, hvec, svec
+from freeconvex.sdp import (HermitianProblem, SolveStatus, _Presolve, _Rows,
+                            hvec, svec)
 from freeconvex.spectra import (Spectrahedrop, dominates, drop_membership,
                                 drop_polar_membership)
+from test_cp import _assert_routes_agree
 
 TVM = tv_monic_lift()
 HALF = LinearPencil(np.eye(1), [2.0 * np.eye(1)])   # 1 + 2x
@@ -209,6 +211,54 @@ def test_kept_certificate_problem_is_small():
     finally:
         tracemalloc.stop()
     assert kept <= 3.5 * 2 ** 20
+
+
+def _random_pencil(gen, real):
+    """A random monic 3 x 3 pencil in two x and one y variable, real or
+    complex."""
+    coeffs = [rand_hermitian(gen, 3, real=real) for _ in range(3)]
+    return LinearPencil(np.eye(3), coeffs[:2], coeffs[2:])
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2), st.integers(1, 2), st.booleans(),
+       st.integers(0, 10_000))
+def test_factored_certificate_schur_matches_dense(r, mu, real, seed):
+    """On the same presolved rows, the G block's Schur complement assembled
+    from its Kronecker factors (each row's units summed, the basis
+    permuted to the factor order) equals the dense one to rtol 1e-12: r = 0
+    to 2, mu = 1 and 2, real and complex pencils, and a kept presolve
+    reused with a new p."""
+    gen = rng(seed)
+    pencil = _random_pencil(gen, real)
+    p, q = (_symmetric_poly(gen, 2, mu, 2 * r + 1) for _ in range(2))
+    if real:
+        p, q = (NCPolynomial(2, mu, mu, {w: c.real for w, c in f.terms.items()})
+                for f in (p, q))
+    problem, _ = certificate_problem(p, pencil, r).build()
+    assert problem.kron[0] is None and problem.kron[1] is not None
+    assert not (real and any(problem.herm))
+    rows = _Rows(problem)
+    if rows.consistent:
+        _assert_routes_agree(problem, _Presolve(rows), gen)
+    search_certificate(p, pencil, r)
+    again = search_certificate(q, pencil, r)
+    if again.info.get("presolve_reused"):
+        built = pencil._memo[r, mu][0]._op.rows[2]
+        _assert_routes_agree(built, built._memo["presolve"], gen)
+
+
+def test_certificate_schur_route():
+    """On the TV lift the G block is dense at r <= 1 and factored at r = 2
+    and 3 (built and presolved only at r = 3); S has no factor form."""
+    p = linear_form_poly(0.3, 0.2)
+    for r in (0, 1, 2):
+        res = search_certificate(p, tv_monic_lift(), r)
+        assert res.feasible
+        assert res.info["schur"] == ("dense", "dense" if r <= 1 else "factored")
+    problem, _ = certificate_problem(p, TVM, 3).build()
+    assert problem.kron[0] is None
+    assert _Presolve(_Rows(problem)).routes == ("dense", "factored")
 
 
 def test_warm_searches_still_check_their_input():
