@@ -80,10 +80,13 @@ def psd_part(m: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
-    """Symmetrize round-trip noise below `tol`; reject genuine asymmetry."""
+    """Symmetrize round-trip noise below `tol`; reject genuine asymmetry
+    and entries that are not finite."""
     m = _asarray(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} is not square: shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has an entry that is not finite")
     asym = np.abs(m - m.conj().T).max() if m.size else 0.0
     scale = max(1.0, np.abs(m).max()) if m.size else 1.0
     if asym > tol * scale:

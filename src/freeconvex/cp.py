@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import HermitianTuple, psd_part, require_hermitian
-from .sdp import FEAS_TOL, Decision, HermitianProblem, SolveStatus
+from .sdp import Decision, HermitianProblem, SolveStatus
 
 __all__ = [
     "ChoiMatrix",
@@ -225,7 +225,6 @@ def interpolation_problem(a: HermitianTuple, b: HermitianTuple,
 
 def interpolate(a: HermitianTuple, b: HermitianTuple, mode=InterpolationMode.CP,
                 tol: float = 1e-8, max_iter: int = 200,
-                feas_tol: float = FEAS_TOL,
                 extra_psd_choi_trace: Optional[float] = None,
                 annihilate: Optional[HermitianTuple] = None
                 ) -> InterpolationResult:
@@ -243,16 +242,16 @@ def interpolate(a: HermitianTuple, b: HermitianTuple, mode=InterpolationMode.CP,
     hp = interpolation_problem(a, b, mode,
                                extra_psd_choi_trace=extra_psd_choi_trace,
                                annihilate=annihilate)
-    return _solve_interpolation(hp, mode, a.dim, b.dim, tol, max_iter, feas_tol)
+    return _solve_interpolation(hp, mode, a.dim, b.dim, tol, max_iter)
 
 
 def _solve_interpolation(hp: HermitianProblem, mode: InterpolationMode,
                          n: int, m: int, tol: float, max_iter: int,
-                         feas_tol: float, rhs=None) -> InterpolationResult:
+                         rhs=None) -> InterpolationResult:
     """Solve an :func:`interpolation_problem` for maps M_n -> M_m, with the
     row groups in ``rhs`` given new targets (see HermitianProblem.solve),
     and wrap the answer with its Choi witness."""
-    sol = hp.solve(tol=tol, max_iter=max_iter, feas_tol=feas_tol, rhs=rhs)
+    sol = hp.solve(tol=tol, max_iter=max_iter, rhs=rhs)
     choi = None
     if sol.feasible:
         choi = ChoiMatrix(n, m, psd_part(sol.witness["C"]))

@@ -100,15 +100,14 @@ def dumps(obj) -> str:
 
 
 def _float_in(v, locus: str) -> float:
-    if isinstance(v, str):
-        if v == "inf":
-            return math.inf
-        if v == "-inf":
-            return -math.inf
-        raise ParseError(f"expected a number, got {v!r}", locus)
-    if isinstance(v, (int, float)):
-        return float(v)
-    raise ParseError(f"expected a number, got {type(v).__name__}", locus)
+    """A finite JSON number: NaN, Infinity, strings and integers beyond
+    the float range are rejected."""
+    try:
+        if isinstance(v, (int, float)) and math.isfinite(v):
+            return float(v)
+    except OverflowError:
+        pass
+    raise ParseError(f"expected a finite number, got {v!r}", locus)
 
 
 def encode_matrix(m) -> dict:
@@ -121,8 +120,8 @@ def encode_matrix(m) -> dict:
 def decode_matrix(obj, locus: str = "matrix") -> np.ndarray:
     try:
         rows, cols = (_degree(obj[k], f"{locus}.{k}") for k in ("rows", "cols"))
-        re = [_float_in(v, locus) for v in obj["re"]]
-        im = [_float_in(v, locus) for v in obj["im"]]
+        re, im = ([_float_in(v, f"{locus}.{k}[{i}]") for i, v in enumerate(obj[k])]
+                  for k in ("re", "im"))
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -389,8 +388,7 @@ def _degree(v, locus, floor: int = 0) -> int:
 
 def _positive(v, locus) -> float:
     """A finite JSON number > 0 (not a bool)."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or \
-            not 0 < v < math.inf:
+    if isinstance(v, bool) or not _float_in(v, locus) > 0:
         raise ParseError(f"expected a finite number > 0, got {v!r}", locus)
     return float(v)
 
@@ -405,7 +403,8 @@ _FIELDS = {
     "p": decode_polynomial,
     "certificate": decode_certificate,
     "r": _degree,
-    "xhat": lambda v, locus: [_float_in(x, locus) for x in v],
+    "xhat": lambda v, locus: [_float_in(x, f"{locus}[{i}]")
+                              for i, x in enumerate(v)],
     "opp": _flag(nullable=False),
     **dict.fromkeys(("isometry", "bounded"), _flag(nullable=True)),
 }

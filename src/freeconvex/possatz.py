@@ -39,7 +39,7 @@ per pencil and degree.  Only an rhs that changes the real path or the kept
 rows (a p with complex coefficients on a real pencil, and the real p after
 it) builds the rows and the presolve again.  A kept problem retains its
 stored row stacks (real on a real pencil), built rows and presolve, about
-2.6 MiB at r = 2 and 44 MiB at r = 3 on the TV-screen lift, and goes with
+1.9 MiB at r = 2 and 32 MiB at r = 3 on the TV-screen lift, and goes with
 the pencil.
 """
 
@@ -53,7 +53,7 @@ import numpy as np
 
 from .algebra import (LinearPencil, NCPolynomial, _memoized, hermitian_part,
                       word_key)
-from .sdp import FEAS_TOL, Decision, HermitianProblem, SolveStatus
+from .sdp import Decision, HermitianProblem, SolveStatus
 
 __all__ = [
     "WordBasis",
@@ -186,11 +186,10 @@ def expand_certificate(cert: Certificate, pencil: LinearPencil,
 
 
 def verify_certificate(p: NCPolynomial, cert: Certificate,
-                       pencil: LinearPencil,
-                       coeff_tol: float = COEFF_TOL):
+                       pencil: LinearPencil):
     """Check a certificate against p: coefficientwise match of the
-    expansion, PSD Gram matrices, and the annihilation conditions at the
-    certificate invariant tolerance 1e-7.
+    expansion to COEFF_TOL, PSD Gram matrices, and the annihilation
+    conditions at the certificate invariant tolerance 1e-7.
 
     Returns (ok, max coefficient residual).
     """
@@ -201,7 +200,7 @@ def verify_certificate(p: NCPolynomial, cert: Certificate,
     except ValueError:
         return False, np.inf
     resid = p.max_coeff_diff(expanded)
-    ok = resid <= coeff_tol and cert.min_eig() >= -1e-8
+    ok = resid <= COEFF_TOL and cert.min_eig() >= -1e-8
     return ok, resid
 
 
@@ -297,8 +296,8 @@ def certificate_problem(p: NCPolynomial, pencil: LinearPencil,
 
 
 def search_certificate(p: NCPolynomial, pencil: LinearPencil, r: int,
-                       tol: float = 1e-8, max_iter: int = 200,
-                       feas_tol: float = FEAS_TOL) -> CertificateSearch:
+                       tol: float = 1e-8,
+                       max_iter: int = 200) -> CertificateSearch:
     """Solve :func:`certificate_problem` for a degree-r certificate, on the
     pencil's kept problem for (r, mu) with p's coefficients as the rhs.
 
@@ -307,8 +306,7 @@ def search_certificate(p: NCPolynomial, pencil: LinearPencil, r: int,
     """
     _check(p, pencil, r)
     hp, rows = _memoized(pencil, (r, p.rows), lambda: _problem(p, pencil, r))
-    sol = hp.solve(tol=tol, max_iter=max_iter, feas_tol=feas_tol,
-                   rhs={0: _coefficients(p, rows)})
+    sol = hp.solve(tol=tol, max_iter=max_iter, rhs={0: _coefficients(p, rows)})
     if not sol.feasible:
         return CertificateSearch(sol.status, margin=sol.margin, info=sol.info)
     cert = Certificate(pencil.g, pencil.d, p.rows, r, sol.witness["S"],
@@ -321,8 +319,9 @@ def search_certificate(p: NCPolynomial, pencil: LinearPencil, r: int,
                              margin=sol.margin, info=info)
 
 
-def extract_weights(cert: Certificate, rank_tol: float = 1e-10):
-    """Eigendecomposition of the Gram matrices into explicit polynomials.
+def extract_weights(cert: Certificate):
+    """Eigendecomposition of the Gram matrices into explicit polynomials,
+    one per eigenvalue above 1e-10 times the largest.
 
     Returns (sos_factors, pencil_weights): lists of mu x mu and d x mu
     polynomials h_i and q_l with sigma = sum h_i* h_i and pencil part
@@ -335,7 +334,7 @@ def extract_weights(cert: Certificate, rank_tol: float = 1e-10):
         w, vecs = np.linalg.eigh(cert.S)
         top = max(float(w[-1]), 0.0)
         for lam, vec in zip(w, vecs.T):
-            if lam > rank_tol * max(top, 1e-300):
+            if lam > 1e-10 * max(top, 1e-300):
                 mat = np.sqrt(lam) * vec.reshape(len(basis), mu)
                 terms = {wa: mat[a].conj().reshape(1, mu)
                          for a, wa in enumerate(basis)
@@ -347,7 +346,7 @@ def extract_weights(cert: Certificate, rank_tol: float = 1e-10):
         w, vecs = np.linalg.eigh(cert.G)
         top = max(float(w[-1]), 0.0)
         for lam, vec in zip(w, vecs.T):
-            if lam > rank_tol * max(top, 1e-300):
+            if lam > 1e-10 * max(top, 1e-300):
                 h = np.sqrt(lam) * vec.reshape(len(basis), d, mu)
                 terms = {}
                 for a, wa in enumerate(basis):

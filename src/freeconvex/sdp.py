@@ -10,8 +10,8 @@ Feasibility questions are decided through a phase-I problem
 
     maximize t  subject to  Z_b - t I >= 0 for every block, equalities,
 
-whose optimal value t* is the reported margin: FEASIBLE above +feas_tol,
-INFEASIBLE below -feas_tol, and inside the band only a verified boundary
+whose optimal value t* is the reported margin: FEASIBLE above +FEAS_TOL,
+INFEASIBLE below -FEAS_TOL, and inside the band only a verified boundary
 witness may promote the answer to FEASIBLE (otherwise MARGINAL).  Every
 FEASIBLE answer is re-verified by an independent eigenvalue and residual
 check against the original rows before it is returned.
@@ -329,9 +329,11 @@ class _FreeElimination:
     ``ray`` is a direction of null(F) with c_free.ray = -1: the objective
     falls without bound from every feasible point.  Only the rows enter the
     elimination; each solve passes its rhs b to the methods that read it.
+    A_parts are the kept rows ``keep`` of the problem's A_blocks, which
+    :meth:`free_part` reads there rather than keep a copy.
     """
 
-    def __init__(self, herm, A_parts, F, c_parts, c_free):
+    def __init__(self, problem: SDPProblem, keep, A_parts, F, c_parts, c_free):
         q, r, piv = sla.qr(F, pivoting=True, check_finite=False)
         rank = _numerical_rank(r)
         r1 = np.zeros((rank, F.shape[1]))
@@ -342,9 +344,8 @@ class _FreeElimination:
         nn = float(null @ null)
         self.ray = -null / nn if math.sqrt(nn) > 1e-9 * (
             1.0 + float(np.abs(c_free).max(initial=0.0))) else None
-        self.herm, self.rows = herm, A_parts
-        self.q2 = q2 = q[:, rank:]
-        self.A_parts = [q2.T @ Ab for Ab in A_parts]
+        self.herm, self.A_blocks, self.keep = problem.herm, problem.A_blocks, keep
+        self.q2 = q[:, rank:]
         self.c_parts = [c - Ab.T @ lam for c, Ab in zip(c_parts, A_parts)]
 
     def offset(self, b: np.ndarray) -> float:
@@ -352,7 +353,8 @@ class _FreeElimination:
 
     def free_part(self, Z, b: np.ndarray, weight: float = 1.0) -> np.ndarray:
         """u = F^+ (weight b - A z) for the blocks Z; weight 0 maps a ray."""
-        Az = sum((Ab @ _vec(z, h) for Ab, z, h in zip(self.rows, Z, self.herm)),
+        Az = sum((Ab[self.keep] @ _vec(z, h)
+                  for Ab, z, h in zip(self.A_blocks, Z, self.herm)),
                  np.zeros(b.shape[0]))
         return self.F_pinv @ (weight * b - Az)
 
@@ -403,38 +405,32 @@ def _nt_scaling(z: np.ndarray, s: np.ndarray):
     lz, info = potrf(z, lower=1)
     if info:
         raise _IPMFailure("iterate left the cone")
-    herm = z.dtype.kind == "c"
-    m = (lz.conj().T if herm else lz.T) @ s @ lz
-    evals, evecs, info = eigh(0.5 * (m + (m.conj().T if herm else m.T)), lower=1)
+    m = lz.conj().T @ s @ lz
+    evals, evecs, info = eigh(0.5 * (m + m.conj().T), lower=1)
     if info or evals[0] <= 0:
         raise _IPMFailure("scaling matrix not positive definite")
     return (lz @ evecs) * evals ** -0.25, np.sqrt(evals)
 
 
 def _schur(A_mats: Sequence[np.ndarray], R: Sequence[np.ndarray],
-           work: Sequence, m: int) -> np.ndarray:
+           kron: Sequence) -> np.ndarray:
     """Schur complement M_ij = sum_b <A_bi, W_b A_bj W_b> with W_b = R_b R_b*.
 
     A_mats[b] stacks the m equality rows of block b as full (m, n, n)
     matrices, real symmetric or complex Hermitian.  On the dense route
-    ``work[b]`` is the block's two (m, n, n) buffers: with
-    G_bi = R_b* A_bi R_b the sum is <G_bi, G_bj> = Re tr(G_bi G_bj), the dot
-    product of the float views of G_bi and G_bj, so G_b is one batched
-    product per block, written into the buffers (fresh temporaries of a MiB
-    or more cost about as much in page faults as the products), and M is
-    G G' of the float views, one symmetric rank-k product.  On the factored
-    route ``work[b]`` is the block's :class:`_KronSchur`, which forms its
-    part of M from the Kronecker factors of the rows.
+    (``kron[b]`` None), with G_bi = R_b* A_bi R_b the sum is
+    <G_bi, G_bj> = Re tr(G_bi G_bj), the dot product of the float views of
+    G_bi and G_bj, so G_b is one batched product per block and M is G G' of
+    the float views, one symmetric rank-k product.  On the factored route
+    ``kron[b]`` is the block's :class:`_KronSchur`, which forms its part of
+    M from the Kronecker factors of the rows.
     """
     M = None                      # the sum starts from the first block's part
-    for F, r, w in zip(A_mats, R, work):
-        if isinstance(w, _KronSchur):
-            part = w(r)
+    for F, r, kr in zip(A_mats, R, kron):
+        if kr is not None:
+            part = kr(r)
         else:
-            tmp, g = w
-            np.matmul(r.conj().T if r.dtype.kind == "c" else r.T, F, out=tmp)
-            np.matmul(tmp, r, out=g)
-            g = g.reshape(m, r.size).view(float)
+            g = (r.conj().T @ F @ r).reshape(len(F), r.size).view(float)
             part = g @ g.T
         M = part if M is None else M + part
     return M
@@ -631,16 +627,16 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
 
     via the homogeneous self-dual embedding with NT scaling, started from
     Z = S = I; the caller normalizes the data so that this start is central.
-    A block is real symmetric, or complex Hermitian where ``herm`` says so;
-    one loop serves both, with conjugate transposes and real parts of inner
-    products.  The rows and the objective come unpacked from ``pre``: the
-    loop works on full n x n matrices, with A_flat[b] the float view of the
-    rows of block b as (m, n^2) matrices, so <A_i, Z> = A_flat[b][i] . vec(Z)
-    viewed as floats.  Only the rhs b is read here."""
+    A block is real symmetric, or complex Hermitian where ``pre.herm`` says
+    so; one loop serves both, with conjugate transposes (a real array's is
+    its transpose) and real parts of inner products.  The rows and the
+    objective come unpacked from ``pre``: the loop works on full n x n
+    matrices, with A_flat[b] the float view of the rows of block b as
+    (m, n^2) matrices, so <A_i, Z> = A_flat[b][i] . vec(Z) viewed as floats.
+    Only the rhs b is read here."""
     # the loop is call-bound on small blocks: each sum over blocks starts
-    # from its first term, and a real block transposes where a Hermitian
-    # one conjugates
-    sizes, herm, dtype = pre.sizes, pre.herm, pre.dtype
+    # from its first term
+    sizes, dtype = pre.sizes, pre.dtype
     A_flat, C, c_blocks, vec_wt = pre.A_flat, pre.C, pre.c_blocks, pre.vec_wt
     blocks, m = range(len(sizes)), b.shape[0]
 
@@ -655,8 +651,6 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
     best_score, stall = math.inf, 0
     ptol = max(tol, _RESID_TOL_FLOOR)
     gtol = max(tol, _GAP_TOL_FLOOR)
-    work = [kr or (np.empty_like(F), np.empty_like(F))
-            for F, kr in zip(pre.A_mats, pre.kron)]
 
     def A_op(X):                  # sum_b <A_bi, X_b> for every row i
         out = A_flat[0] @ X[0].reshape(-1).view(float)
@@ -729,9 +723,9 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
         # R* S R = R^-1 Z R^-* = diag(v), h = v^-1/2; the NT operator
         # X -> W X W is applied through R and never formed as a matrix
         R, V = zip(*[_nt_scaling(Z[k], S[k]) for k in blocks])
-        RH = [R[k].conj().T if herm[k] else R[k].T for k in blocks]
+        RH = [R[k].conj().T for k in blocks]
         H = [v ** -0.5 for v in V]
-        M = _schur(pre.A_mats, R, work, m)
+        M = _schur(pre.A_mats, R, pre.kron)
         M.flat[::m + 1] += 1e-13 * (1.0 + M.trace() / max(m, 1))
 
         cho, info = lapack.dpotrf(M, lower=1, overwrite_a=1)
@@ -784,7 +778,7 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
         rcs = []
         for k in blocks:
             v, corr = V[k], dZa[k] @ dSa[k]
-            corr = corr + (corr.conj().T if herm[k] else corr.T)
+            corr = corr + corr.conj().T
             rcs.append(eye[k] * (sigma * mu / v - v) - corr / (v[:, None] + v))
         rc_tk = sigma * mu - tau * kappa - dta * dka
         dZs, dSs, dS, dy, dt, dk = direction(rcs, rc_tk)
@@ -795,8 +789,8 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
         for k in blocks:
             zk = Z[k] + alpha * (R[k] @ dZs[k] @ RH[k])
             sk = S[k] + alpha * dS[k]
-            Z[k] = 0.5 * (zk + (zk.conj().T if herm[k] else zk.T))
-            S[k] = 0.5 * (sk + (sk.conj().T if herm[k] else sk.T))
+            Z[k] = 0.5 * (zk + zk.conj().T)
+            S[k] = 0.5 * (sk + sk.conj().T)
         y = y + alpha * dy
         tau += alpha * dt
         kappa += alpha * dk
@@ -838,13 +832,13 @@ def _polish(rows: _Rows, Z: Dict[str, np.ndarray], u: Optional[np.ndarray]):
     return out, (rest if problem.n_free else u)
 
 
-def solve(problem: SDPProblem, tol: float = 1e-8, max_iter: int = 200,
-          feas_tol: float = FEAS_TOL) -> SDPSolution:
+def solve(problem: SDPProblem, tol: float = 1e-8,
+          max_iter: int = 200) -> SDPSolution:
     """Solve an SDP.  Problems with an objective are maximized; problems
-    without one are decided through the phase-I construction."""
+    without one are decided through the phase-I construction, with the
+    MARGINAL band FEAS_TOL."""
     if not problem.has_objective:
-        return solve_feasibility(problem, tol=tol, max_iter=max_iter,
-                                 feas_tol=feas_tol)
+        return solve_feasibility(problem, tol=tol, max_iter=max_iter)
     return _solve_optimize(problem, tol, max_iter)
 
 
@@ -884,9 +878,10 @@ class _Presolve:
                 -np.asarray(c, dtype=float) for c in problem.obj_blocks]
             c_free = -(problem.obj_free if problem.obj_free is not None
                        else np.zeros(nf))
-        self.el = el = _FreeElimination(herm, A_parts, A_free, c_parts, c_free)
+        self.el = el = _FreeElimination(problem, self.keep, A_parts, A_free,
+                                        c_parts, c_free)
         m = el.q2.shape[1]
-        A_red, self.scale = _scale_rows(el.A_parts, m)
+        A_red, self.scale = _scale_rows([el.q2.T @ Ab for Ab in A_parts], m)
         # the core's rows and objective unpacked into full matrices, the
         # blocks whose objective is nonzero, and the weights that turn the
         # sup-norm of a block's float view into that of its svec / hvec
@@ -993,12 +988,11 @@ def _solve_optimize(problem: SDPProblem, tol, max_iter) -> SDPSolution:
 
 
 def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
-                      max_iter: int = 200,
-                      feas_tol: float = FEAS_TOL) -> SDPSolution:
+                      max_iter: int = 200) -> SDPSolution:
     """Phase-I feasibility with a signed margin.
 
-    FEASIBLE when the best uniform eigenvalue slack t* exceeds +feas_tol,
-    INFEASIBLE below -feas_tol.  Inside the band, a witness rescue clips the
+    FEASIBLE when the best uniform eigenvalue slack t* exceeds +FEAS_TOL,
+    INFEASIBLE below -FEAS_TOL.  Inside the band, a witness rescue clips the
     terminal iterate to the cone and re-checks the equalities; only a
     verified witness may promote the answer to FEASIBLE, otherwise the
     honest answer is MARGINAL.  Before the rescue, a band answer is solved
@@ -1021,11 +1015,10 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
                            free_values=np.zeros(problem.n_free),
                            margin=math.inf,
                            info={"reason": "no equality constraints"})
-    return _phase_one(rows, _presolve(rows), tol, max_iter, feas_tol)
+    return _phase_one(rows, _presolve(rows), tol, max_iter)
 
 
-def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter,
-               feas_tol) -> SDPSolution:
+def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter) -> SDPSolution:
     """:func:`solve_feasibility` on consistent, factored rows, at least one
     of them kept, with their presolve."""
     problem = rows.problem
@@ -1058,7 +1051,7 @@ def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter,
             ucand = ubase + s * u_ray
             cand, ucand = _polish(rows, cand, ucand)
             eq_resid, eig_min = _verify_witness(problem, cand, ucand)
-            if eq_resid <= eq_tol and eig_min > feas_tol:
+            if eq_resid <= eq_tol and eig_min > FEAS_TOL:
                 return SDPSolution(SolveStatus.FEASIBLE, witness=cand,
                                    free_values=ucand, margin=math.inf,
                                    iterations=res.iterations,
@@ -1078,7 +1071,7 @@ def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter,
     base_info = {**res.info, "t_star": t_star}
     it = res.iterations
     # widen the marginal band to the achieved solver accuracy
-    band = max(feas_tol, 10.0 * _accuracy(res.info) * (1.0 + abs(t_star)))
+    band = max(FEAS_TOL, 10.0 * _accuracy(res.info) * (1.0 + abs(t_star)))
 
     if t_star > band:
         witness, u = _polish(rows, witness, u)
@@ -1100,7 +1093,7 @@ def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter,
     # eigenvalue floor);
     # its info adds both solves' counts and counts the re-solve
     if tol > 1.1e-11:
-        sol = _phase_one(rows, pre, 1e-11, max(max_iter, 300), feas_tol)
+        sol = _phase_one(rows, pre, 1e-11, max(max_iter, 300))
         sol.info.update(
             attempts=res.info["attempts"] + sol.info.get("attempts", 0),
             iterations_total=(res.info["iterations_total"]
@@ -1630,7 +1623,7 @@ class HermitianProblem:
     # -- solving -------------------------------------------------------------
 
     def solve(self, tol: float = 1e-8, max_iter: int = 200,
-              feas_tol: float = FEAS_TOL, rhs=None) -> SDPSolution:
+              rhs=None) -> SDPSolution:
         """The engine's solution of the built problem, with ``free_values``
         over every free variable; one the build dropped reads 0.
 
@@ -1642,7 +1635,7 @@ class HermitianProblem:
         operator half is not locked: solves of one problem must not run
         concurrently."""
         problem, kept_vars = self.build(rhs)
-        sol = solve(problem, tol=tol, max_iter=max_iter, feas_tol=feas_tol)
+        sol = solve(problem, tol=tol, max_iter=max_iter)
         sol.info.setdefault("presolve_reused", False)   # no presolve reached
         free = np.zeros(self._n_free)
         if sol.free_values is not None:

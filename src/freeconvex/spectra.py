@@ -21,7 +21,7 @@ from .algebra import (HermitianTuple, LinearPencil, _memoized,
                       pencil_from_tuple)
 from .cp import (ChoiMatrix, InterpolationMode, _solve_interpolation,
                  interpolation_problem, kraus_of_choi)
-from .sdp import (FEAS_TOL, Decision, HermitianProblem, SolverError, SolveStatus,
+from .sdp import (Decision, HermitianProblem, SolverError, SolveStatus,
                   hmat, hvec)
 
 __all__ = [
@@ -80,18 +80,30 @@ class SpectraMembership:
         return self.inside
 
 
-def spectrahedron_membership(pencil: LinearPencil, x: HermitianTuple,
-                             tol: float = MEMBERSHIP_TOL) -> SpectraMembership:
-    """X in the solution set of L iff lambda_min(L(X)) >= -tol."""
+def spectrahedron_membership(pencil: LinearPencil,
+                             x: HermitianTuple) -> SpectraMembership:
+    """X in the solution set of L iff lambda_min(L(X)) >= -MEMBERSHIP_TOL."""
     if pencil.h:
         raise ValueError("pencil has y variables; use drop_membership")
     lam = lambda_min(evaluate_pencil(pencil, x))
-    return SpectraMembership(lam >= -tol, lam)
+    return SpectraMembership(lam >= -MEMBERSHIP_TOL, lam)
 
 
 # ---------------------------------------------------------------------------
 # boundedness
 # ---------------------------------------------------------------------------
+
+
+def _level1(const, coeffs):
+    """The level-1 problem P = const + sum_k c_k v_k >= 0 over free scalars
+    v_k: (the problem, with block P and this one row group, the v_k)."""
+    hp = HermitianProblem()
+    vs = hp.add_free(len(coeffs))
+    hp.add_block("P", len(const))
+    hp.add_matrix_eq([("entry", "P", 1.0)] + [
+        ("kron_scalar", -np.asarray(c), v) for c, v in zip(coeffs, vs)],
+        np.asarray(const))
+    return hp, vs
 
 
 def is_bounded(pencil: LinearPencil, tol: float = 1e-8,
@@ -108,27 +120,19 @@ def is_bounded(pencil: LinearPencil, tol: float = 1e-8,
     if pencil.h:
         raise ValueError("pencil has y variables; flatten or use "
                          "drop_level1_bounded for the projection")
-    g, d = pencil.g, pencil.d
+    g = pencil.g
     if g == 0:
         return True
     for j in range(g):
         for sigma in (1.0, -1.0):
-            hp = HermitianProblem()
-            vs = hp.add_free(g - 1)
             others = [k for k in range(g) if k != j]
-            vmap = dict(zip(others, vs))
-            hp.add_block("P", d)
-            terms = [("entry", "P", 1.0)]
-            const = sigma * np.asarray(pencil.x_coeffs[j])
-            for k in others:
-                terms.append(("kron_scalar", -np.asarray(pencil.x_coeffs[k]),
-                              vmap[k]))
-            hp.add_matrix_eq(terms, const)
-            for k in others:
+            hp, vs = _level1(sigma * np.asarray(pencil.x_coeffs[j]),
+                             [pencil.x_coeffs[k] for k in others])
+            for k, v in zip(others, vs):
                 lo = hp.add_block(f"lo{k}", 1)
                 hi = hp.add_block(f"hi{k}", 1)
-                hp.add_scalar_row({lo: np.eye(1)}, {vmap[k]: 1.0}, 1.0)
-                hp.add_scalar_row({hi: np.eye(1)}, {vmap[k]: -1.0}, 1.0)
+                hp.add_scalar_row({lo: np.eye(1)}, {v: 1.0}, 1.0)
+                hp.add_scalar_row({hi: np.eye(1)}, {v: -1.0}, 1.0)
             sol = hp.solve(tol=tol, max_iter=max_iter)
             if sol.status is SolveStatus.ERROR:
                 raise SolverError(f"recession solve failed: {sol.info}")
@@ -138,13 +142,13 @@ def is_bounded(pencil: LinearPencil, tol: float = 1e-8,
 
 
 def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
-                        max_iter: int = 200, reach: float = 1e3) -> bool:
+                        max_iter: int = 200) -> bool:
     """Boundedness of the level-1 projection (hence of the whole drop).
 
     First tries the exact joint recession test on the lift: a bounded lift
     spectrahedron forces a bounded projection.  Otherwise the 2g support
     values sup +-x_j over the level-1 lift are maximized; a certified
-    unbounded objective or an optimum beyond `reach` counts as
+    unbounded objective or an optimum beyond 1e3 counts as
     not-certified-bounded, which is the safe answer: the dual procedures
     then use the contractive form, valid in general.  A support solve that
     fails raises :class:`SolverError`, as a failed recession solve of
@@ -155,19 +159,9 @@ def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
         return is_bounded(lift, tol=tol, max_iter=max_iter)
     if is_bounded(lift.as_x_pencil(), tol=tol, max_iter=max_iter):
         return True
-    g, h, d = lift.g, lift.h, lift.d
-    for j in range(g):
+    for j in range(lift.g):
         for sigma in (1.0, -1.0):
-            hp = HermitianProblem()
-            xs = hp.add_free(g)
-            ys = hp.add_free(h)
-            hp.add_block("P", d)
-            terms = [("entry", "P", 1.0)]
-            for k in range(g):
-                terms.append(("kron_scalar", -np.asarray(lift.x_coeffs[k]), xs[k]))
-            for k in range(h):
-                terms.append(("kron_scalar", -np.asarray(lift.y_coeffs[k]), ys[k]))
-            hp.add_matrix_eq(terms, np.asarray(lift.A0))
+            hp, xs = _level1(lift.A0, lift.x_coeffs + lift.y_coeffs)
             hp.set_objective({}, {xs[j]: sigma})
             sol = hp.solve(tol=tol, max_iter=max_iter)
             if sol.status is SolveStatus.ERROR:
@@ -176,7 +170,7 @@ def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
                 return True      # empty level-1 set is bounded
             if sol.info.get("unbounded_objective") or \
                     (sol.objective_value is not None
-                     and sol.objective_value > reach):
+                     and sol.objective_value > 1e3):
                 return False
     return True
 
@@ -231,7 +225,7 @@ def _cp_domination(source: HermitianTuple, target: HermitianTuple,
         problem = interpolation_problem(source, target, mode,
                                         annihilate=annihilate)
     res = _solve_interpolation(problem, mode, source.dim, target.dim, tol,
-                               max_iter, FEAS_TOL, rhs=dict(enumerate(target)))
+                               max_iter, rhs=dict(enumerate(target)))
     cert = None
     if res.feasible:
         k = kraus_of_choi(res.choi, rank_tol=1e-9)
@@ -317,8 +311,7 @@ def _membership_problem(lift: LinearPencil, n: int):
 
 
 def drop_membership(drop: Spectrahedrop, x: HermitianTuple, tol: float = 1e-8,
-                    max_iter: int = 200,
-                    feas_tol: float = FEAS_TOL) -> DropMembership:
+                    max_iter: int = 200) -> DropMembership:
     """X in proj_x of the lift: feasibility of L(X, Y) >= 0 over Hermitian Y."""
     lift = drop.lift
     if x.g != lift.g:
@@ -329,8 +322,7 @@ def drop_membership(drop: Spectrahedrop, x: HermitianTuple, tol: float = 1e-8,
         const += np.kron(np.asarray(coeff), xj)
     hp, ys = _memoized(drop, ("member", n),
                        lambda: _membership_problem(lift, n))
-    sol = hp.solve(tol=tol, max_iter=max_iter, feas_tol=feas_tol,
-                   rhs={0: hermitian_part(const)})
+    sol = hp.solve(tol=tol, max_iter=max_iter, rhs={0: hermitian_part(const)})
     witness = None
     if sol.feasible and lift.h:
         witness = HermitianTuple([fh.assemble(sol.free_values) for fh in ys])
@@ -384,8 +376,9 @@ class MonicizeResult:
     scale: np.ndarray
 
 
-def monicize(pencil: LinearPencil, xhat: Sequence[float],
-             tol: float = 1e-8) -> MonicizeResult:
+def monicize(pencil: LinearPencil, xhat: Sequence[float]) -> MonicizeResult:
+    """R L(x + xhat) R, R = L(xhat)^-1/2, for an interior point xhat of the
+    pencil's solution set (lambda_min(L(xhat)) >= 1e-8)."""
     xhat = tuple(float(v) for v in xhat)
     if len(xhat) != pencil.g + pencil.h:
         raise ValueError(f"interior point needs {pencil.g + pencil.h} "
@@ -395,7 +388,7 @@ def monicize(pencil: LinearPencil, xhat: Sequence[float],
         l0 += v * np.asarray(coeff)
     l0 = hermitian_part(l0)
     w, v = np.linalg.eigh(l0)
-    if w[0] < tol:
+    if w[0] < 1e-8:
         raise ValueError(f"pencil value at the given point is not positive "
                          f"definite (lambda_min = {w[0]:.3e})")
     r = v @ np.diag(w ** -0.5) @ v.conj().T
@@ -410,8 +403,8 @@ def monicize(pencil: LinearPencil, xhat: Sequence[float],
 # ---------------------------------------------------------------------------
 
 
-def polar_dual_lift(omega: HermitianTuple, gamma: Optional[HermitianTuple] = None,
-                    rank_tol: float = 1e-10) -> Spectrahedrop:
+def polar_dual_lift(omega: HermitianTuple,
+                    gamma: Optional[HermitianTuple] = None) -> Spectrahedrop:
     """Explicit drop whose members A admit a unital cp map with
     Phi(W_j) = A_j and Phi(G_k) = 0 (the polar dual of a bounded drop with
     monic lift tuples (W, G); pad with zero blocks first for the general
@@ -442,7 +435,7 @@ def polar_dual_lift(omega: HermitianTuple, gamma: Optional[HermitianTuple] = Non
     # pick pivot unknowns via rank-revealing QR of E_y
     _, rr, piv = sla.qr(Ey, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rr))
-    rank = int(np.sum(diag > max(rank_tol * (diag[0] if diag.size else 1.0),
+    rank = int(np.sum(diag > max(1e-10 * (diag[0] if diag.size else 1.0),
                                  1e-13)))
     fixed = np.zeros((0, g + 1))
     if rank < Ey.shape[0]:
@@ -481,10 +474,10 @@ def polar_dual_lift(omega: HermitianTuple, gamma: Optional[HermitianTuple] = Non
     return Spectrahedrop(LinearPencil(a0, x_coeffs, y_coeffs))
 
 
-def has_zero_interior(drop: Spectrahedrop, radii=(1e-1, 1e-2, 1e-3),
-                      tol: float = 1e-8) -> bool:
+def has_zero_interior(drop: Spectrahedrop, tol: float = 1e-8) -> bool:
     """Sufficient test that 0 lies in the interior of the level-1 projection:
-    all 2g points +-r e_j must be members for a common radius r."""
+    all 2g points +-r e_j must be members for a common radius r of 1e-1,
+    1e-2 or 1e-3."""
     g = drop.g
     if g == 0:
         return bool(drop_membership(drop, HermitianTuple([], dim=1)))
@@ -496,29 +489,18 @@ def has_zero_interior(drop: Spectrahedrop, radii=(1e-1, 1e-2, 1e-3),
 
     return any(all(member(j, sigma * r)
                    for j in range(g) for sigma in (1.0, -1.0))
-               for r in radii)
+               for r in (1e-1, 1e-2, 1e-3))
 
 
 def _stack_drops(drops: Sequence[Spectrahedrop]) -> LinearPencil:
     """Direct sum of the lift pencils, sharing x and stacking y variables."""
-    g = drops[0].g
-    d_total = sum(dr.lift.d for dr in drops)
-    a0 = np.zeros((d_total, d_total), dtype=complex)
-    xs = [np.zeros((d_total, d_total), dtype=complex) for _ in range(g)]
-    ys = []
-    ofs = 0
-    for dr in drops:
-        d = dr.lift.d
-        sl = slice(ofs, ofs + d)
-        a0[sl, sl] = dr.lift.A0
-        for j in range(g):
-            xs[j][sl, sl] = dr.lift.x_coeffs[j]
-        for c in dr.lift.y_coeffs:
-            yc = np.zeros((d_total, d_total), dtype=complex)
-            yc[sl, sl] = c
-            ys.append(yc)
-        ofs += d
-    return LinearPencil(a0, xs, ys)
+    lifts = [dr.lift for dr in drops]
+    zeros = [np.zeros((lf.d, lf.d)) for lf in lifts]
+    return LinearPencil(
+        sla.block_diag(*[lf.A0 for lf in lifts]),
+        [sla.block_diag(*cs) for cs in zip(*[lf.x_coeffs for lf in lifts])],
+        [sla.block_diag(*zeros[:i], c, *zeros[i + 1:])
+         for i, lf in enumerate(lifts) for c in lf.y_coeffs])
 
 
 def _interior_y_point(pencil: LinearPencil, tol: float = 1e-8,
@@ -528,14 +510,8 @@ def _interior_y_point(pencil: LinearPencil, tol: float = 1e-8,
 
     Raises SolverError when the solve fails and ValueError when no such
     point exists (infeasible, or a slack below 1e-6)."""
-    hp = HermitianProblem()
-    ys = hp.add_free(pencil.h)
-    t = hp.add_free(1)[0]
-    hp.add_block("P", pencil.d)
-    terms = [("entry", "P", 1.0), ("kron_scalar", np.eye(pencil.d), t)]
-    for k in range(pencil.h):
-        terms.append(("kron_scalar", -np.asarray(pencil.y_coeffs[k]), ys[k]))
-    hp.add_matrix_eq(terms, np.asarray(pencil.A0))
+    hp, vs = _level1(pencil.A0, pencil.y_coeffs + (-np.eye(pencil.d),))
+    ys, t = vs[:-1], vs[-1]
     hp.set_objective({}, {t: 1.0})
     sol = hp.solve(tol=tol, max_iter=max_iter)
     if sol.status is SolveStatus.ERROR:

@@ -65,6 +65,16 @@ def test_hermiticity_policy():
         require_hermitian(np.array([[1.0 + 0.1j]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_entries_are_rejected(bad):
+    mat = np.eye(2, dtype=complex)
+    mat[1, 1] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        HermitianTuple([np.eye(2), mat])
+    with pytest.raises(ValueError, match="not finite"):
+        LinearPencil(mat, [np.eye(2)])
+
+
 def test_involution_rule():
     p = NCPolynomial(2, 1, 1, {(1, 2): np.array([[1j]])})
     q = involution(p)

@@ -235,11 +235,10 @@ def _assert_routes_agree(problem, pre, gen):
     if not m:
         return
     R = _nt_points(problem, gen)
-    dense = [(np.empty_like(F), np.empty_like(F)) for F in pre.A_mats]
-    factored = [pre.factored(k) if form is not None else buf
-                for k, (form, buf) in enumerate(zip(pre.forms, dense))]
-    fac = S._schur(pre.A_mats, R, factored, m)
-    ref = S._schur(pre.A_mats, R, dense, m)
+    factored = [pre.factored(k) if form is not None else None
+                for k, form in enumerate(pre.forms)]
+    fac = S._schur(pre.A_mats, R, factored)
+    ref = S._schur(pre.A_mats, R, [None] * len(pre.A_mats))
     assert np.abs(fac - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

@@ -285,6 +285,48 @@ def test_cli_malformed_payload_exits_4(doc, locus, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"input error: {locus}: ")
 
 
+@pytest.mark.parametrize("doc, locus", [
+    (_corpus_doc_with("tvscreen-drop-inside", "inf", "X", "matrices", 0, "re",
+                      0), "payload.X.matrices[0].re[0]"),
+    (_corpus_doc_with("tvscreen-drop-inside", float("nan"), "X", "matrices", 1,
+                      "im", 0), "payload.X.matrices[1].im[0]"),
+    (_corpus_doc_with("tvscreen-drop-inside", float("-inf"), "lift", "A0", "re",
+                      0), "payload.lift.A0.re[0]"),
+    (_corpus_doc_with("operator-system-interpolate-cp", float("nan"), "B",
+                      "matrices", 0, "re", 0), "payload.B.matrices[0].re[0]"),
+    (_corpus_doc_with("monicize-tv", [0, "inf", 0.5], "xhat"), "payload.xhat[1]"),
+    (_corpus_doc_with("monicize-tv", [0, 0, float("nan")], "xhat"),
+     "payload.xhat[2]"),
+    (_corpus_doc_with("monicize-tv", [10 ** 400, 0, 0.5], "xhat"),
+     "payload.xhat[0]"),
+], ids=["inf-string", "nan-literal", "minus-infinity-literal", "nan-in-B",
+        "xhat-inf-string", "xhat-nan", "xhat-huge-integer"])
+def test_cli_non_finite_entries_exit_4(doc, locus, tmp_path, capsys):
+    """A matrix or xhat entry that is not a finite number is an input error
+    at its locus, not a decision made on it (json.dumps writes NaN and
+    Infinity literals, which the parser accepts)."""
+    from freeconvex.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {locus}: expected a finite number")
+
+
+def test_cli_huge_integer_tol_exits_4(tmp_path, capsys):
+    """An integer tol beyond the float range is an input error, not an
+    OverflowError escaping the exit-code contract."""
+    from freeconvex.cli import main
+
+    doc = _corpus_doc_with("possatz-search-inside", 0, "r")
+    doc["options"] = {"tol": 10 ** 400}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("input error: options.tol: ")
+
+
 # each integer field by its locus: the corpus problem and the path to it
 _INTEGER_FIELDS = {
     "payload.certificate.g": ("possatz-verify-halfline", "certificate", "g"),

@@ -213,6 +213,29 @@ def test_kept_certificate_problem_is_small():
     assert kept <= 3.5 * 2 ** 20
 
 
+def test_presolve_keeps_no_row_copies():
+    """The kept presolve of an r = 2 problem reads the built problem's rows
+    where they are, by identity, and keeps neither a copy of the kept rows
+    nor their free-column elimination: the kept problem holds at most
+    2.2 MiB."""
+    import tracemalloc
+    lift = tv_monic_lift()
+    tracemalloc.start()
+    try:
+        search_certificate(linear_form_poly(0.3, 0.2), lift, 2)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    hp, _ = lift._memo[(2, 1)]
+    problem = hp._op.rows[2]
+    el = problem._memo["presolve"].el
+    assert el.A_blocks is problem.A_blocks
+    widths = {Ab.shape[1] for Ab in problem.A_blocks}
+    assert not any(a.shape[-1] in widths for a in vars(el).values()
+                   if isinstance(a, np.ndarray) and a.ndim == 2)
+    assert kept <= 2.2 * 2 ** 20
+
+
 def _random_pencil(gen, real):
     """A random monic 3 x 3 pencil in two x and one y variable, real or
     complex."""

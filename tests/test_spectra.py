@@ -266,6 +266,18 @@ def test_tv_dual_examples():
     assert bool(drop_polar_membership(TVM, pt(0.0, 0.0), bounded=True))
 
 
+def test_drop_polar_bounded_default_matches_bounded():
+    """bounded=None decides boundedness of the TV drop itself (bounded), so
+    it answers as bounded=True does, inside and outside the polar dual."""
+    for c in [(0.0, -0.525), (0.9, 1.05)]:
+        auto = drop_polar_membership(Spectrahedrop(tv_monic_lift()), pt(*c))
+        fixed = drop_polar_membership(Spectrahedrop(tv_monic_lift()), pt(*c),
+                                      bounded=True)
+        assert auto.isometry and auto.status is fixed.status
+        assert auto.margin == fixed.margin
+        assert auto.feasible == (tv_dual_boundary(*c) > 0)
+
+
 def test_tv_dual_against_boundary_octic_spot():
     gen = rng(2)
     for _ in range(10):
