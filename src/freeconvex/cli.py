@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .io import ParseError, emit_corpus, parse_problem, run, ProblemFile
+from .io import ParseError, emit_corpus, parse_problem, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,14 +57,13 @@ def main(argv=None) -> int:
             with open(args.problem, "rb") as fh:
                 data = fh.read()
         pf = parse_problem(data)
-        options = dict(pf.options)
+        options = pf.options   # updated in place, so run takes the kept decode
         if args.tol is not None:
             options["tol"] = args.tol
         if args.max_iter is not None:
             options["max_iter"] = args.max_iter
         if args.mode is not None:
             options["mode"] = args.mode
-        pf = ProblemFile(pf.kind, pf.payload, options, pf.version)
     except (OSError, ParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4

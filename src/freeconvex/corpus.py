@@ -11,6 +11,7 @@ problem; membership in the dual region is sign(q) away from that curve.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _stdio
 import os
 from dataclasses import dataclass
@@ -79,12 +80,22 @@ def tv_dual_boundary(c1: float, c2: float) -> float:
             + 16 * c1 ** 2 - 20 * c1 ** 2 * c2 ** 4 - c2 ** 8 + c2 ** 4)
 
 
+@functools.lru_cache(maxsize=None)
+def _tv_arc(samples: int):
+    """Read-only abscissae t in [-1, 1] and the upper boundary arc
+    sqrt(1 - t^4) of the TV screen, at ``samples`` points."""
+    t = np.linspace(-1.0, 1.0, samples)
+    arc = np.sqrt(np.clip(1.0 - t ** 4, 0.0, None))
+    t.flags.writeable = arc.flags.writeable = False
+    return t, arc
+
+
 def tv_dual_support(c1: float, c2: float, samples: int = 4001) -> float:
     """Support function of the TV screen: max of c.x over the region,
-    computed by scanning the boundary arcs (an SDP-free oracle)."""
-    t = np.linspace(-1.0, 1.0, samples)
-    vals = abs(c1) * np.sqrt(np.clip(1.0 - t ** 4, 0.0, None)) + c2 * t
-    return float(vals.max())
+    computed by scanning the boundary arcs (an SDP-free oracle).  The arc
+    is sampled once per ``samples`` and kept; a call only scans it."""
+    t, arc = _tv_arc(samples)
+    return float((abs(c1) * arc + c2 * t).max())
 
 
 def grid_points(spec) -> np.ndarray:

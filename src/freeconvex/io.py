@@ -242,6 +242,10 @@ class ProblemFile:
     payload: dict
     options: dict = field(default_factory=dict)
     version: str = FORMAT_VERSION
+    # parse_problem's decoded payload, taken by the first run; a later run
+    # decodes afresh, so no two runs share decoded objects (and their SDPs)
+    _decoded: list = field(default_factory=list, init=False, repr=False,
+                           compare=False)
 
     def to_dict(self) -> dict:
         return {"version": self.version, "kind": self.kind,
@@ -276,7 +280,8 @@ def parse_problem(data) -> ProblemFile:
     if not isinstance(options, dict):
         raise ParseError("options must be an object")
     pf = ProblemFile(kind, payload, options, version)
-    _decode_payload(pf)      # validation pass; errors carry a field locus
+    # validation pass, kept for the first run; errors carry a field locus
+    pf._decoded.append(_decode_payload(pf))
     return pf
 
 
@@ -567,7 +572,7 @@ def run(pf: ProblemFile) -> Report:
     tol = _positive(opts.get("tol", 1e-8), "options.tol")
     max_iter = _degree(opts.get("max_iter", 200), "options.max_iter", floor=1)
     spec = _TABLE[pf.kind]
-    args, kwargs = _decode_payload(pf)
+    args, kwargs = pf._decoded.pop() if pf._decoded else _decode_payload(pf)
     t0 = time.perf_counter()
     res = spec.call(*args, **kwargs, tol=tol, max_iter=max_iter,
                     **{k: _OPTIONS[k](opts[k], f"options.{k}") if k in opts

@@ -21,8 +21,8 @@ from .algebra import (HermitianTuple, LinearPencil, _memoized,
                       pencil_from_tuple)
 from .cp import (ChoiMatrix, InterpolationMode, _solve_interpolation,
                  interpolation_problem, kraus_of_choi)
-from .sdp import (Decision, HermitianProblem, SolverError, SolveStatus,
-                  hmat, hvec)
+from .sdp import (FEAS_TOL, Decision, HermitianProblem, SolverError,
+                  SolveStatus, hmat, hvec)
 
 __all__ = [
     "Spectrahedrop",
@@ -477,12 +477,18 @@ def polar_dual_lift(omega: HermitianTuple,
 def has_zero_interior(drop: Spectrahedrop, tol: float = 1e-8) -> bool:
     """Sufficient test that 0 lies in the interior of the level-1 projection:
     all 2g points +-r e_j must be members for a common radius r of 1e-1,
-    1e-2 or 1e-3."""
-    g = drop.g
+    1e-2 or 1e-3.  A point v e_j with lambda_min(A0 + v A_j) > FEAS_TOL is
+    a member with the witness Y = 0 and takes no solve; only the other
+    points go to :func:`drop_membership`.  A monic lift (A0 = I) needs a
+    solve only where r |lambda(A_j)| nears 1."""
+    g, lift = drop.g, drop.lift
     if g == 0:
-        return bool(drop_membership(drop, HermitianTuple([], dim=1)))
+        return lambda_min(lift.A0) > FEAS_TOL or \
+            bool(drop_membership(drop, HermitianTuple([], dim=1)))
 
     def member(j: int, v: float) -> bool:
+        if lambda_min(lift.A0 + v * lift.x_coeffs[j]) > FEAS_TOL:
+            return True
         x = HermitianTuple([np.array([[v if k == j else 0.0]])
                             for k in range(g)])
         return drop_membership(drop, x, tol=tol).status is SolveStatus.FEASIBLE

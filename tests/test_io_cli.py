@@ -73,6 +73,32 @@ def test_parse_error_dimension_mismatch():
         parse_problem(json.dumps(bad))
 
 
+@pytest.fixture
+def decodes(monkeypatch):
+    """The kinds of the payloads decoded so far, one entry per decode."""
+    import freeconvex.io
+    calls = []
+    decode = freeconvex.io._decode_payload
+
+    def counted(pf):
+        calls.append(pf.kind)
+        return decode(pf)
+    monkeypatch.setattr(freeconvex.io, "_decode_payload", counted)
+    return calls
+
+
+def test_run_takes_the_parse_time_decode(decodes):
+    for item in light_corpus():
+        del decodes[:]
+        pf = parse_problem(json.dumps(item.problem))
+        first = run(pf).to_dict()
+        assert len(decodes) == 1, item.name
+        second = run(pf).to_dict()      # decodes afresh
+        assert len(decodes) == 2, item.name
+        del first["timings"], second["timings"]
+        assert dumps(first) == dumps(second), item.name
+
+
 def test_run_statuses_match_manifest():
     for item in light_corpus():
         rep = run(parse_problem(json.dumps(item.problem)))
@@ -150,6 +176,18 @@ def test_cli_option_overrides(tmp_path):
     assert out.returncode == 0
     rep = json.loads(out.stdout)
     assert rep["tolerances"]["tol"] == 1e-9
+
+
+def test_cli_decodes_the_payload_once(decodes, tmp_path, capsys):
+    import freeconvex.cli
+    write_corpus(tmp_path)
+    path = str(tmp_path / "interval-polar-inside.json")
+    code = freeconvex.cli.main(["run", path, "--tol", "1e-9",
+                                "--format", "json"])
+    assert code == 0 and decodes == ["polar"]
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["tolerances"]["tol"] == 1e-9
+    assert rep["provenance"]["options"]["tol"] == 1e-9
 
 
 def test_run_rejects_variable_count_mismatch():

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from freeconvex.algebra import (HermitianTuple, LinearPencil, NCPolynomial,
                                 lambda_min, pencil_from_tuple, word_key)
-from freeconvex.corpus import (interval_tuple, linear_form_poly, scalar_tuple,
-                               tv_dual_boundary, tv_dual_support, tv_monic_lift)
+from freeconvex.corpus import (_tv_arc, interval_tuple, linear_form_poly,
+                               scalar_tuple, tv_dual_boundary, tv_dual_support,
+                               tv_monic_lift)
 from freeconvex.possatz import (Certificate, WordBasis, certificate_problem,
                                 expand_certificate, extract_weights,
                                 search_certificate, verify_certificate)
@@ -169,6 +170,30 @@ def test_kept_certificate_problems_match_fresh_pencils(r, th, u):
     p = linear_form_poly(*(u * np.asarray(w) / tv_dual_support(*w)))
     _assert_same_search(search_certificate(p, WARM, r),
                         search_certificate(p, tv_monic_lift(), r))
+
+
+def _support_direct(c1, c2, samples):
+    """tv_dual_support's scan with the arc rebuilt on every call."""
+    t = np.linspace(-1.0, 1.0, samples)
+    vals = abs(c1) * np.sqrt(np.clip(1.0 - t ** 4, 0.0, None)) + c2 * t
+    return float(vals.max())
+
+
+@pytest.mark.parametrize("samples", [4001, 1001])
+def test_tv_dual_support_matches_the_direct_scan_bitwise(samples):
+    # 720 directions, then the exact axes (cos(pi/2) is 6e-17 in floats)
+    for th in np.linspace(0.0, 2 * np.pi, 720, endpoint=False):
+        w = (float(np.cos(th)), float(np.sin(th)))
+        got = tv_dual_support(*w, samples=samples)
+        assert repr(got) == repr(_support_direct(*w, samples)), th
+    for w in [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]:
+        assert repr(tv_dual_support(*w, samples=samples)) == \
+            repr(_support_direct(*w, samples))
+    t, arc = _tv_arc(samples)
+    assert t.shape == arc.shape == (samples,)
+    assert not t.flags.writeable and not arc.flags.writeable
+    with pytest.raises(ValueError):
+        arc[0] = 1.0
 
 
 def test_certificate_searches_reuse_the_presolve():

@@ -11,6 +11,7 @@ from freeconvex.corpus import (ex_fails, interval_pencil, interval_tuple,
                                tv_dual_boundary, tv_screen_value)
 from freeconvex.rand import rng, rand_hermitian, rand_tuple, rand_unitary
 from freeconvex.sdp import SolveStatus
+from freeconvex import spectra
 from freeconvex.spectra import (Spectrahedrop, dominates, drop_level1_bounded,
                                 drop_membership, drop_polar_membership,
                                 has_zero_interior, hull_of_union, is_bounded,
@@ -436,6 +437,55 @@ def test_tv_dual_lift_cross_oracle():
 def test_zero_interior_probe():
     assert has_zero_interior(TV)
     assert has_zero_interior(Spectrahedrop(interval_pencil(-1.0, 0.5)))
+
+
+def test_zero_interior_needs_no_solve_on_a_monic_lift(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("drop_membership called")
+    monkeypatch.setattr(spectra, "drop_membership", no_solve)
+    assert has_zero_interior(Spectrahedrop(interval_pencil(-1.0, 0.5)))
+
+
+def test_zero_interior_solves_where_y0_is_no_witness(monkeypatch):
+    # the TV lift's A0 is singular, so no point is decided at Y = 0
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return drop_membership(*args, **kwargs)
+    monkeypatch.setattr(spectra, "drop_membership", counted)
+    assert has_zero_interior(Spectrahedrop(tv_lift()))
+    assert len(calls) == 4
+
+
+def _zero_interior_by_solves(drop):
+    """has_zero_interior with every point decided by drop_membership."""
+    def member(j, v):
+        x = HermitianTuple([np.array([[v if k == j else 0.0]])
+                            for k in range(drop.g)])
+        return drop_membership(drop, x).status is SolveStatus.FEASIBLE
+    return any(all(member(j, sigma * r)
+                   for j in range(drop.g) for sigma in (1.0, -1.0))
+               for r in (1e-1, 1e-2, 1e-3))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 2))
+def test_zero_interior_matches_the_solve_only_answer(seed, g, d, h):
+    # each A_j has spectral norm f 10^k, f in [0.8, 1.25], k in 0..3, so
+    # lambda_min(I + v A_j) at the radius r = 10^-k lies within 0.25 of 0:
+    # there the answer turns on the Y = 0 test's threshold unless Y rescues
+    gen = rng(seed)
+    xs = []
+    for _ in range(g):
+        a = rand_hermitian(gen, d)
+        norm = gen.uniform(0.8, 1.25) * 10.0 ** gen.integers(0, 4)
+        xs.append(a * norm / np.abs(np.linalg.eigvalsh(a)).max())
+    pencil = LinearPencil(np.eye(d), xs,
+                          [rand_hermitian(gen, d) for _ in range(h)])
+    assert has_zero_interior(Spectrahedrop(pencil)) == \
+        _zero_interior_by_solves(Spectrahedrop(pencil))
 
 
 def test_hull_of_single_drop_matches_input():
