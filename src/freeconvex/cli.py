@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .io import ParseError, emit_corpus, parse_problem, run
+from .io import emit_corpus, parse_problem, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,33 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "emit-corpus":
-        names = emit_corpus(args.directory)
-        for name in names:
-            print(name)
-        return 0
-
+    # one error boundary; the report goes to stdout outside it, so that a
+    # closed pipe is not read as an input error
     try:
-        if args.problem == "-":
-            data = sys.stdin.read()
+        if args.command == "emit-corpus":
+            text, code = "\n".join(emit_corpus(args.directory)), 0
         else:
-            with open(args.problem, "rb") as fh:
-                data = fh.read()
-        pf = parse_problem(data)
-        options = pf.options   # updated in place, so run takes the kept decode
-        if args.tol is not None:
-            options["tol"] = args.tol
-        if args.max_iter is not None:
-            options["max_iter"] = args.max_iter
-        if args.mode is not None:
-            options["mode"] = args.mode
-    except (OSError, ParseError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 4
-
-    try:
-        report = run(pf)
-    except ValueError as exc:            # ParseError included
+            text, code = _run(args)
+    except (OSError, ValueError) as exc:     # ParseError included
         print(f"input error: {exc}", file=sys.stderr)
         return 4
     except RuntimeError as exc:
@@ -78,15 +59,34 @@ def main(argv=None) -> int:
         # of is_bounded's recession solves
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    if text is not None:
+        print(text)
+    return code
 
+
+def _run(args):
+    """The report text (None when it went to --out) and the exit code."""
+    if args.problem == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(args.problem, "rb") as fh:
+            data = fh.read()
+    pf = parse_problem(data)
+    options = pf.options   # updated in place, so run takes the kept decode
+    if args.tol is not None:
+        options["tol"] = args.tol
+    if args.max_iter is not None:
+        options["max_iter"] = args.max_iter
+    if args.mode is not None:
+        options["mode"] = args.mode
+    report = run(pf)
     text = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
             fh.write("\n")
-    else:
-        print(text)
-    return report.exit_code
+        text = None
+    return text, report.exit_code
 
 
 if __name__ == "__main__":

@@ -258,7 +258,10 @@ class ProblemFile:
 def parse_problem(data) -> ProblemFile:
     """Validate a problem document (bytes, str, or dict)."""
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc}") from None
     if isinstance(data, str):
         try:
             data = json.loads(data)

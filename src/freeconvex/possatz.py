@@ -328,31 +328,21 @@ def extract_weights(cert: Certificate):
     sum q_l* L q_l.
     """
     basis = WordBasis(cert.g, cert.r).words
-    mu, d = cert.mu, cert.d
-    sos = []
-    if cert.S.size:
-        w, vecs = np.linalg.eigh(cert.S)
-        top = max(float(w[-1]), 0.0)
-        for lam, vec in zip(w, vecs.T):
-            if lam > 1e-10 * max(top, 1e-300):
-                mat = np.sqrt(lam) * vec.reshape(len(basis), mu)
-                terms = {wa: mat[a].conj().reshape(1, mu)
-                         for a, wa in enumerate(basis)
-                         if np.abs(mat[a]).max() > 1e-14}
-                if terms:
-                    sos.append(NCPolynomial(cert.g, 1, mu, terms))
-    weights = []
-    if cert.G.size:
-        w, vecs = np.linalg.eigh(cert.G)
-        top = max(float(w[-1]), 0.0)
-        for lam, vec in zip(w, vecs.T):
-            if lam > 1e-10 * max(top, 1e-300):
-                h = np.sqrt(lam) * vec.reshape(len(basis), d, mu)
-                terms = {}
-                for a, wa in enumerate(basis):
-                    q_a = h[a].conj()   # Q_{l,a}[c, i] = conj(h[(a,c,i)])
-                    if np.abs(q_a).max() > 1e-14:
-                        terms[wa] = q_a
-                if terms:
-                    weights.append(NCPolynomial(cert.g, d, mu, terms))
-    return sos, weights
+
+    def factors(gram, rows):
+        # sqrt(lam) vec of each eigenpair, read as the (rows, mu)
+        # coefficients Q_a[c, i] = conj(vec[(a, c, i)]) of a polynomial
+        out = []
+        if gram.size:
+            w, vecs = np.linalg.eigh(gram)
+            top = max(float(w[-1]), 0.0)
+            for lam, vec in zip(w, vecs.T):
+                if lam > 1e-10 * max(top, 1e-300):
+                    h = np.sqrt(lam) * vec.reshape(len(basis), rows, cert.mu)
+                    terms = {wa: h[a].conj() for a, wa in enumerate(basis)
+                             if np.abs(h[a]).max() > 1e-14}
+                    if terms:
+                        out.append(NCPolynomial(cert.g, rows, cert.mu, terms))
+        return out
+
+    return factors(cert.S, 1), factors(cert.G, cert.d)

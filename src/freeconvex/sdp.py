@@ -1,10 +1,12 @@
-"""Self-contained dense semidefinite feasibility/optimization engine.
+"""Self-contained dense semidefinite feasibility engine.
 
 Real symmetric and complex Hermitian PSD blocks plus free scalar variables,
-affine equality constraints, and a linear objective.  The core is a
-homogeneous self-dual interior-point method with Nesterov-Todd scaling and a
-Mehrotra predictor-corrector, so primal/dual infeasibility and unbounded
-objectives are detected through certificates instead of big-M constructions.
+and affine equality constraints; an optional objective is a linear form of
+the free variables alone (the support values of
+:func:`freeconvex.spectra.drop_level1_bounded`).  The core is a homogeneous
+self-dual interior-point method with Nesterov-Todd scaling and a Mehrotra
+predictor-corrector, so primal/dual infeasibility and unbounded objectives
+are detected through certificates instead of big-M constructions.
 
 Feasibility questions are decided through a phase-I problem
 
@@ -185,8 +187,8 @@ class SDPProblem:
     A_blocks[b]: (m x dim_b) equality coefficients for block b in those
       coordinates.
     A_free: (m x n_free); rhs: (m,).
-    Objective (maximized): sum_b <C_b, Z_b> + d.t, C_b in the same
-    coordinates.
+    obj_free: the objective d.t (maximized) over the free variables alone;
+      None decides feasibility through phase I.
     kron: per block, the Kronecker factor form of its rows (a
       :class:`_KronRows`) or None; the core may assemble that block's part
       of the Schur complement from it.
@@ -201,7 +203,6 @@ class SDPProblem:
     A_blocks: tuple                    # tuple[np.ndarray], aligned with blocks
     A_free: np.ndarray
     rhs: np.ndarray
-    obj_blocks: Optional[tuple] = None
     obj_free: Optional[np.ndarray] = None
     hermitian: tuple = ()              # tuple[bool], aligned with blocks
     kron: tuple = ()                   # empty: None for every block
@@ -233,10 +234,6 @@ class SDPProblem:
             out[name] = _mat(x[ofs:ofs + d], n, h)
             ofs += d
         return out, x[ofs:]
-
-    @property
-    def has_objective(self) -> bool:
-        return self.obj_blocks is not None or self.obj_free is not None
 
 
 @dataclass
@@ -324,8 +321,8 @@ class _FreeElimination:
     With F P = Q R (pivoted QR) and Q = [Q1 Q2] split at rank(F), the blocks
     alone must satisfy Q2' A z = Q2' b, and u = F^+ (b - A z) recovers the
     free part of any solution.  When c_free = F' lam lies in range(F'), the
-    objective term c_free.u = lam.(b - A z) folds into the block objective
-    c_b - A_b' lam plus the constant ``offset(b)`` = lam.b.  Otherwise
+    objective c_free.u = lam.(b - A z) becomes the block objective -A_b' lam
+    plus the constant ``offset(b)`` = lam.b.  Otherwise
     ``ray`` is a direction of null(F) with c_free.ray = -1: the objective
     falls without bound from every feasible point.  Only the rows enter the
     elimination; each solve passes its rhs b to the methods that read it.
@@ -333,7 +330,7 @@ class _FreeElimination:
     :meth:`free_part` reads there rather than keep a copy.
     """
 
-    def __init__(self, problem: SDPProblem, keep, A_parts, F, c_parts, c_free):
+    def __init__(self, problem: SDPProblem, keep, A_parts, F, c_free):
         q, r, piv = sla.qr(F, pivoting=True, check_finite=False)
         rank = _numerical_rank(r)
         r1 = np.zeros((rank, F.shape[1]))
@@ -346,7 +343,7 @@ class _FreeElimination:
             1.0 + float(np.abs(c_free).max(initial=0.0))) else None
         self.herm, self.A_blocks, self.keep = problem.herm, problem.A_blocks, keep
         self.q2 = q[:, rank:]
-        self.c_parts = [c - Ab.T @ lam for c, Ab in zip(c_parts, A_parts)]
+        self.c_parts = [-(Ab.T @ lam) for Ab in A_parts]
 
     def offset(self, b: np.ndarray) -> float:
         return float(self.lam @ b)
@@ -450,16 +447,15 @@ class _KronRows:
     The units are F_(k,r,s) = A_k (x) E_rs for k < g and r, s < m (``A``
     holds the g Hermitian matrices of the groups' factor forms), numbered
     k m^2 + r m + s, then, when ``trace`` is not 0, F_(r,s) = trace
-    E_rs (x) I_m for r, s < n, numbered g m^2 + r n + s, and last a zero
-    unit.  Every r, s appears, so that F_c* is the unit ``swapped(c)``.
-    The units are written in the factor order of the block's basis, whose
-    index q is index ``perm[q]`` of the block (its own order when ``perm``
-    is None).  Stored complex row p reads tr(F_p* C) on the block, F_p the
-    sum of the units ``unit[row == p]`` (``row`` is sorted, and a row that
-    does not touch the block sums the zero unit); its split rows 2p and
-    2p + 1 are the real and the imaginary part, and built row i is split
-    row ``split[i]``.  On the real path A is real and every built row is a
-    real part.
+    E_rs (x) I_m for r, s < n, numbered g m^2 + r n + s.  Every r, s
+    appears, so that F_c* is the unit ``swapped(c)``.  The units are written
+    in the factor order of the block's basis, whose index q is index
+    ``perm[q]`` of the block (its own order when ``perm`` is None).  Stored
+    complex row p reads tr(F_p* C) on the block, F_p the sum of the units
+    ``unit[row == p]`` (``row`` is sorted); its split rows 2p and 2p + 1 are
+    the real and the imaginary part, and built row i is split row
+    ``split[i]``.  On the real path A is real and every built row is a real
+    part.
     """
 
     n: int
@@ -473,16 +469,14 @@ class _KronRows:
 
     @property
     def units(self) -> int:
-        """The number of units, the zero unit included."""
-        return len(self.A) * self.m ** 2 + bool(self.trace) * self.n ** 2 + 1
+        """The number of units."""
+        return len(self.A) * self.m ** 2 + bool(self.trace) * self.n ** 2
 
     def swapped(self, c: np.ndarray) -> np.ndarray:
         n, m, ga = self.n, self.m, len(self.A) * self.m ** 2
         k, rs = np.divmod(c, m * m)
         r, s = np.divmod(c - ga, n)
-        return np.where(c < ga, k * m * m + rs % m * m + rs // m,
-                        np.where(c < ga + bool(self.trace) * n * n,
-                                 ga + s * n + r, c))
+        return np.where(c < ga, k * m * m + rs % m * m + rs // m, ga + s * n + r)
 
     def beats_dense(self, kept: int, reduced: int, herm: bool) -> bool:
         """The route rule: True when the shape-only flop count of the
@@ -520,14 +514,14 @@ class _KronRows:
         if nt:
             V = Wt.transpose(0, 2, 1, 3).reshape(nt, m * m)
             Vt = Wt.transpose(0, 2, 3, 1).reshape(nt, m * m)
-            P[ga:-1, ga:-1].reshape(n, n, n, n)[...] = \
+            P[ga:, ga:].reshape(n, n, n, n)[...] = \
                 (t * t * V @ Vt.T).reshape(n, n, n, n).transpose(3, 0, 1, 2)
         if g and nt:
             L = X.transpose(0, 2, 3, 1, 4).reshape(g * m * n, n * m)
             Rt = Wt.transpose(0, 3, 2, 1).reshape(n * m, n * m)
-            P[:ga, ga:-1].reshape(g, m, m, n, n)[...] = \
+            P[:ga, ga:].reshape(g, m, m, n, n)[...] = \
                 (L @ (t * Rt).T).reshape(g, m, n, n, m).transpose(0, 4, 1, 2, 3)
-            P[ga:-1, :ga] = P[:ga, ga:-1].T
+            P[ga:, :ga] = P[:ga, ga:].T
         return P
 
 
@@ -834,10 +828,10 @@ def _polish(rows: _Rows, Z: Dict[str, np.ndarray], u: Optional[np.ndarray]):
 
 def solve(problem: SDPProblem, tol: float = 1e-8,
           max_iter: int = 200) -> SDPSolution:
-    """Solve an SDP.  Problems with an objective are maximized; problems
-    without one are decided through the phase-I construction, with the
-    MARGINAL band FEAS_TOL."""
-    if not problem.has_objective:
+    """Solve an SDP.  A problem with an objective (``obj_free``, over its
+    free variables) is maximized; one without is decided through the
+    phase-I construction, with the MARGINAL band FEAS_TOL."""
+    if problem.obj_free is None:
         return solve_feasibility(problem, tol=tol, max_iter=max_iter)
     return _solve_optimize(problem, tol, max_iter)
 
@@ -863,23 +857,18 @@ class _Presolve:
         A_parts, A_free, _ = rows.kept()
         self.sizes = sizes = [s for _, s in problem.blocks]
         self.herm = herm = problem.herm
-        nb, nf = len(sizes), problem.n_free
-        zeros = [np.zeros(_vec_dim(s, h)) for s, h in zip(sizes, herm)]
-        if not problem.has_objective:
+        nb = len(sizes)
+        if problem.obj_free is None:
             # phase I: substitute Z_b = Z'_b + t I with Z'_b >= 0 and free t;
             # maximize t
             t_col = sum(A_parts[k] @ _vec(np.eye(sizes[k]), herm[k])
                         for k in range(nb))
             A_free = np.column_stack([A_free, t_col])
-            c_parts, c_free = zeros, np.zeros(nf + 1)
-            c_free[-1] = -1.0          # minimize -t
+            c_free = np.r_[np.zeros(problem.n_free), -1.0]    # minimize -t
         else:
-            c_parts = zeros if problem.obj_blocks is None else [
-                -np.asarray(c, dtype=float) for c in problem.obj_blocks]
-            c_free = -(problem.obj_free if problem.obj_free is not None
-                       else np.zeros(nf))
+            c_free = -problem.obj_free
         self.el = el = _FreeElimination(problem, self.keep, A_parts, A_free,
-                                        c_parts, c_free)
+                                        c_free)
         m = el.q2.shape[1]
         A_red, self.scale = _scale_rows([el.q2.T @ Ab for Ab in A_parts], m)
         # the core's rows and objective unpacked into full matrices, the
@@ -1003,7 +992,7 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     of these tighter-gap re-solves, which reuse the factored rows and their
     presolve.
     """
-    if problem.has_objective:
+    if problem.obj_free is not None:
         raise ValueError("solve_feasibility expects a problem without objective")
     rows = _Rows(problem)
     if not rows.consistent:
@@ -1216,18 +1205,13 @@ class _Operator:
         self.odd = (re <= 1e-13) & ~re_use
         self.coef = {True: (re > 0) | re_use,
                      False: (re > 0) | (im > 0) | re_use | im_use}
-        self.obj_real = True
-        if hp._obj is not None:
-            bt, ft = hp._obj
-            self.obj_real = not (
-                max([float(np.abs(h.imag).max()) for h in bt.values()] + [0.0])
-                > 1e-13 or any(imag[i] for i in ft))
+        self.obj_real = not any(imag[i] for i in hp._obj or {})
 
 
 class HermitianProblem:
     """Complex Hermitian PSD blocks, real free scalars (including Hermitian
     matrix unknowns), complex equality rows, and an optional linear
-    objective.
+    objective over the free scalars.
 
     Rows are stored unsplit, one group per ``add_*`` call, which returns the
     group's index: a (k, n, n) stack F per block (complex, or float64 for
@@ -1256,7 +1240,7 @@ class HermitianProblem:
         # add_complex_row describes it or ("blocktrace", m, scale) (see
         # add_matrix_eq), None where they have none
         self._groups: List[tuple] = []
-        self._obj: Optional[Tuple[Dict[str, np.ndarray], Dict[int, float]]] = None
+        self._obj: Optional[Dict[int, float]] = None
         self._op: Optional[_Operator] = None
 
     # -- variables ---------------------------------------------------------
@@ -1453,12 +1437,9 @@ class HermitianProblem:
                 kron[name] = ("sum", f[1], (f[2][None], None, p, r * f[1] + s))
         return self._add_group(F, free, rhs[r, s], (rhs.shape, (r, s)), kron)
 
-    def set_objective(self, block_terms: Dict[str, np.ndarray],
-                      free_terms: Optional[Dict[int, float]] = None):
-        """Maximize sum tr(H_b C_b) + sum a.u (H Hermitian)."""
-        self._obj = ({name: require_hermitian(h, what=f"objective for block {name!r}")
-                      for name, h in self._block_data(block_terms).items()},
-                     dict(free_terms or {}))
+    def set_objective(self, free_terms: Dict[int, float]):
+        """Maximize sum a_i u_i over the free variables u."""
+        self._obj = dict(free_terms)
         self._op = None
 
     # -- building ------------------------------------------------------------
@@ -1519,21 +1500,16 @@ class HermitianProblem:
                     np.hstack([h.real * w, _SQRT2 * h.imag[:, w != 1.0]])
             A_free[i:i + k, :ft.shape[1]] = ft
             i += k
-        obj_blocks = obj_free = None
+        obj_free = None
         if self._obj is not None:
-            bt, ft = self._obj
-            obj_blocks = tuple(
-                _vec(bt[name] if herm else bt[name].real, herm) if name in bt
-                else np.zeros(_vec_dim(sz, herm)) for name, sz in self._blocks)
-            var_map = {v: k for k, v in enumerate(kept_vars)}
-            obj_free = np.zeros(kept_vars.size)
-            for i, a in ft.items():
-                obj_free[var_map[i]] = float(a)
+            obj_free = np.zeros(self._n_free)
+            obj_free[list(self._obj)] = list(self._obj.values())
+            obj_free = obj_free[kept_vars]
         for a in [A_free, *A_blocks.values()]:
             a.flags.writeable = False
         problem = SDPProblem(tuple(self._blocks), int(kept_vars.size),
                              tuple(A_blocks[name] for name, _ in self._blocks),
-                             A_free, np.zeros(m), obj_blocks, obj_free,
+                             A_free, np.zeros(m), obj_free,
                              (True,) * len(self._blocks) if herm else (),
                              tuple(self._kron_rows(name, sz, real_path, keep)
                                    for name, sz in self._blocks))
@@ -1542,11 +1518,11 @@ class HermitianProblem:
     def _kron_rows(self, name: str, size: int, real_path: bool,
                    keep: np.ndarray) -> Optional["_KronRows"]:
         """The factor form of block ``name``'s kept split rows, or None when
-        a group touching the block has none, the groups disagree on its
-        factors n x m or its basis order, or an imaginary half is kept on
-        the real path.  The groups' matrices A are numbered in group order."""
-        forms = [kron[name] for data, _, _, _, kron in self._groups
-                 if name in data]
+        a group does not touch the block or has no form on it, the groups
+        disagree on its factors n x m or its basis order, or an imaginary
+        half is kept on the real path.  The groups' matrices A are numbered
+        in group order."""
+        forms = [kron.get(name) for *_, kron in self._groups]
         if not forms or None in forms:
             return None
         nm = {(c[0].shape[-1] if kind == "sum" else size // mdim, mdim)
@@ -1566,16 +1542,15 @@ class HermitianProblem:
             return None
         trace, ga = scales.pop() if scales else 0.0, len(A) * m * m
         row, unit, k, p = [], [], 0, 0
-        for data, _, rhs, (_, index), kron in self._groups:
-            kind, _, c = kron[name] if name in data else (None, 0, None)
+        for _, _, rhs, (_, index), kron in self._groups:
+            kind, _, c = kron[name]
             if kind == "sum":                 # the group's units, renumbered
                 row.append(p + c[2])
                 unit.append(k * m * m + c[3])
                 k += len(c[0])
-            else:           # the trace unit of entry (r, s), or the zero unit
+            else:                             # the trace unit of entry (r, s)
                 row.append(np.arange(p, p + len(rhs)))
-                unit.append(ga + index[0] * n + index[1] if kind == "blocktrace"
-                            else np.full(len(rhs), ga + bool(trace) * n * n))
+                unit.append(ga + index[0] * n + index[1])
             p += len(rhs)
         perm = next((c[1] for kind, _, c in forms if kind == "sum"), None)
         return _KronRows(n, m, A.real if real_path else A, trace, perm,
@@ -1606,7 +1581,7 @@ class HermitianProblem:
             self._op = _Operator(self, split)
         op = self._op
         # the real path loses nothing when every split row is even, or odd
-        # with rhs 0, and the objective is real
+        # with rhs 0, and no imaginary-component variable is in the objective
         real_path = op.obj_real and bool(
             np.all(op.even | (op.odd & (np.abs(b) <= 1e-12))))
         keep = op.coef[real_path] | (np.abs(b) > 1e-12)
@@ -1646,8 +1621,8 @@ class HermitianProblem:
 
 def build_from_complex(problem: HermitianProblem) -> SDPProblem:
     """The realification of ``problem.build()``: every n x n block becomes
-    the real 2n x 2n block [[Re, -Im], [Im, Re]] / 2 of its rows and
-    objective, with the same free columns and rhs.  It decides the same
+    the real 2n x 2n block [[Re, -Im], [Im, Re]] / 2 of its rows, with the
+    same free columns, rhs and objective.  It decides the same
     question at about twice the cost, and serves as the reference the native
     Hermitian blocks are tested against; a real-path build is embedded as
     it stands.  It starts a memo of its own, so its solves leave the
@@ -1661,8 +1636,6 @@ def build_from_complex(problem: HermitianProblem) -> SDPProblem:
         e = _mat(np.eye(_vec_dim(n, h)), n, h)
         maps.append(np.round(svec(np.block([[e.real, -e.imag],
                                             [e.imag, e.real]]))) / 2)
-    obj = None if built.obj_blocks is None else tuple(
-        c @ M for c, M in zip(built.obj_blocks, maps))
     return replace(built, blocks=tuple((name, 2 * n) for name, n in built.blocks),
                    A_blocks=tuple(Ab @ M for Ab, M in zip(built.A_blocks, maps)),
-                   obj_blocks=obj, hermitian=(), kron=(), _memo={})
+                   hermitian=(), kron=(), _memo={})

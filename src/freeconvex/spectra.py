@@ -150,28 +150,32 @@ def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
     values sup +-x_j over the level-1 lift are maximized; a certified
     unbounded objective or an optimum beyond 1e3 counts as
     not-certified-bounded, which is the safe answer: the dual procedures
-    then use the contractive form, valid in general.  A support solve that
-    fails raises :class:`SolverError`, as a failed recession solve of
-    :func:`is_bounded` does.
+    then use the contractive form, valid in general.  A support problem
+    whose optimal face is unbounded can stall while another certifies the
+    ray, so :class:`SolverError` (as for a failed recession solve of
+    :func:`is_bounded`) is raised only when no support solve decided.
     """
     lift = drop.lift
     if lift.h == 0:
         return is_bounded(lift, tol=tol, max_iter=max_iter)
     if is_bounded(lift.as_x_pencil(), tol=tol, max_iter=max_iter):
         return True
+    failed = None
     for j in range(lift.g):
         for sigma in (1.0, -1.0):
             hp, xs = _level1(lift.A0, lift.x_coeffs + lift.y_coeffs)
-            hp.set_objective({}, {xs[j]: sigma})
+            hp.set_objective({xs[j]: sigma})
             sol = hp.solve(tol=tol, max_iter=max_iter)
             if sol.status is SolveStatus.ERROR:
-                raise SolverError(f"support solve failed: {sol.info}")
-            if sol.status is SolveStatus.INFEASIBLE:
+                failed = sol.info if failed is None else failed
+            elif sol.status is SolveStatus.INFEASIBLE:
                 return True      # empty level-1 set is bounded
-            if sol.info.get("unbounded_objective") or \
+            elif sol.info.get("unbounded_objective") or \
                     (sol.objective_value is not None
                      and sol.objective_value > 1e3):
                 return False
+    if failed is not None:
+        raise SolverError(f"support solve failed: {failed}")
     return True
 
 
@@ -511,19 +515,17 @@ def _stack_drops(drops: Sequence[Spectrahedrop]) -> LinearPencil:
 
 def _interior_y_point(pencil: LinearPencil, tol: float = 1e-8,
                       max_iter: int = 200):
-    """A point (0, y) with pencil value strictly positive definite, found by
-    maximizing the uniform eigenvalue slack at level 1 over y alone.
+    """A point (0, y) with pencil value strictly positive definite: the
+    phase-I solve of L(0, y) >= 0 at level 1, whose margin is the uniform
+    eigenvalue slack it reaches (+inf along a verified ray).
 
     Raises SolverError when the solve fails and ValueError when no such
-    point exists (infeasible, or a slack below 1e-6)."""
-    hp, vs = _level1(pencil.A0, pencil.y_coeffs + (-np.eye(pencil.d),))
-    ys, t = vs[:-1], vs[-1]
-    hp.set_objective({}, {t: 1.0})
+    point exists (infeasible, or a margin below 1e-6)."""
+    hp, ys = _level1(pencil.A0, pencil.y_coeffs)
     sol = hp.solve(tol=tol, max_iter=max_iter)
     if sol.status is SolveStatus.ERROR:
         raise SolverError(f"lift point solve failed: {sol.info}")
-    if sol.status is not SolveStatus.FEASIBLE or \
-            (sol.objective_value is not None and sol.objective_value < 1e-6):
+    if sol.status is not SolveStatus.FEASIBLE or sol.margin < 1e-6:
         raise ValueError("no strictly feasible lift point above x = 0; the "
                          "stacked dual lift cannot be monicized")
     return [float(sol.free_values[k]) for k in ys]

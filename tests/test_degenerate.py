@@ -175,13 +175,16 @@ def test_unitary_conjugation_invariance():
 
 @pytest.mark.parametrize("beta", [1e-6, 1.0, 1e6])
 def test_max_inner_product_on_trace_slice(beta):
-    # max <C, Z> over Z >= 0 with tr Z = beta is beta lambda_max(C): bounded,
-    # however large beta is
+    # max u with u = <C, Z> over Z >= 0 with tr Z = beta is
+    # beta lambda_max(C): bounded, however large beta is; the objective
+    # reaches the core as the block objective -C
     c = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, -1.0]])
     b = HermitianProblem()
     b.add_block("Z", 3)
+    u = b.add_free(1)[0]
     b.add_scalar_row({"Z": np.eye(3)}, {}, beta)
-    b.set_objective({"Z": c})
+    b.add_scalar_row({"Z": -c}, {u: 1.0}, 0.0)
+    b.set_objective({u: 1.0})
     sol = solve(b.build()[0])
     assert sol.status is SolveStatus.FEASIBLE
     assert "unbounded_objective" not in sol.info
@@ -189,6 +192,7 @@ def test_max_inner_product_on_trace_slice(beta):
     assert abs(sol.objective_value - ref) <= 1e-6 * beta
     z = sol.witness["Z"]
     assert abs(np.trace(z) - beta) <= 1e-7 * beta
+    assert abs(sol.free_values[0] - ref) <= 1e-6 * beta
     assert np.linalg.eigvalsh(z)[0] >= -EIG_TOL * beta
 
 

@@ -223,15 +223,21 @@ def test_cli_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_cli_hull_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     # a failed lift-point solve in hull_of_union is a solver error, not an
-    # input error
+    # input error; only that solve fails here
     import freeconvex.sdp
+    from freeconvex import spectra
     from freeconvex.cli import main
 
-    def failing_solve(problem, tol, max_iter):
-        return freeconvex.sdp.SDPSolution(freeconvex.sdp.SolveStatus.ERROR,
-                                          info={"reason": "forced"})
+    level1 = spectra._level1
 
-    monkeypatch.setattr(freeconvex.sdp, "_solve_optimize", failing_solve)
+    def failing_lift_point(const, coeffs):
+        hp, vs = level1(const, coeffs)
+        if sys._getframe(1).f_code.co_name == "_interior_y_point":
+            hp.solve = lambda **kw: freeconvex.sdp.SDPSolution(
+                freeconvex.sdp.SolveStatus.ERROR, info={"reason": "forced"})
+        return hp, vs
+
+    monkeypatch.setattr(spectra, "_level1", failing_lift_point)
     doc = next(c.problem for c in corpus_problems()
                if c.name == "hull-union-intervals")
     path = tmp_path / "hull.json"
@@ -260,6 +266,70 @@ def test_cli_support_solve_failure_exits_3(tmp_path, monkeypatch, capsys):
     path.write_text(pf.dumps())
     assert main(["run", str(path)]) == 3
     assert "solver error: support solve failed" in capsys.readouterr().err
+
+
+def test_cli_support_unbounded_face_exits_0(tmp_path, capsys):
+    # 1 - 2x >= 0 and 1 - 3x - 3y >= 0: the projection x <= 1/2 is
+    # unbounded; the +x support problem's optimal face recedes along
+    # y -> -oo, and the -x problem certifies the ray
+    from freeconvex.cli import main
+
+    def diag(*v):
+        return {"rows": 3, "cols": 3, "re": list(np.diag(v).ravel()),
+                "im": [0.0] * 9}
+
+    pf = ProblemFile("bounded", {"pencil": {
+        "A0": diag(1.0, 1.0, 1.0), "x_coeffs": [diag(-2.0, -3.0, -3.0)],
+        "y_coeffs": [diag(0.0, -3.0, -3.0)]}})
+    path = tmp_path / "bounded.json"
+    path.write_text(pf.dumps())
+    assert main(["run", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "UNBOUNDED" and rep["decision"] is False
+
+
+def test_cli_undecodable_file_exits_4(tmp_path, monkeypatch, capsys):
+    import io
+
+    from freeconvex.cli import main
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "bounded", "note": "\xe9"}')
+    assert main(["run", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("input error: not UTF-8: ")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(path.read_bytes())))
+    assert main(["run", "-"]) == 4
+    assert capsys.readouterr().err.startswith("input error: not UTF-8: ")
+
+
+def test_cli_stdin_is_read_as_bytes(tmp_path, monkeypatch, capsys):
+    import io
+
+    from freeconvex.cli import main
+    write_corpus(tmp_path)
+    data = (tmp_path / "halfline-dominate.json").read_bytes()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert main(["run", "-", "--format", "text",
+                 "--out", str(tmp_path / "report.txt")]) == 0
+    assert capsys.readouterr().out == ""
+    assert "FEASIBLE" in (tmp_path / "report.txt").read_text()
+
+
+def test_cli_out_into_missing_directory_exits_4(tmp_path, capsys):
+    from freeconvex.cli import main
+    write_corpus(tmp_path)
+    code = main(["run", str(tmp_path / "halfline-dominate.json"),
+                 "--out", str(tmp_path / "missing" / "report.json")])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and captured.out == ""
+
+
+def test_cli_emit_corpus_under_a_file_exits_4(tmp_path, capsys):
+    from freeconvex.cli import main
+    (tmp_path / "file").write_text("")
+    assert main(["emit-corpus", str(tmp_path / "file" / "corpus")]) == 4
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def _corpus_doc_with(name, value, *path):

@@ -193,7 +193,7 @@ def test_identity_slack():
     b.add_block("Z", 2)
     t = b.add_free(1)[0]
     entry_rows(b, "Z", np.eye(2), 2, t)
-    b.set_objective({}, {t: 1.0})
+    b.set_objective({t: 1.0})
     sol = solve(b.build()[0])
     assert sol.status is SolveStatus.FEASIBLE
     assert abs(sol.objective_value - 1.0) < 1e-6
@@ -210,7 +210,7 @@ def _rank_deficient_free(objective):
     b.add_scalar_row({"Z": np.diag([1.0, 0.0])}, {u[0]: 1.0, u[1]: 1.0}, 1.0)
     b.add_scalar_row({"Z": np.diag([0.0, 1.0])}, {u[2]: 1.0}, 2.0)
     b.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
-    b.set_objective({}, dict(zip(u, objective)))
+    b.set_objective(dict(zip(u, objective)))
     return b.build()[0]
 
 
@@ -328,7 +328,7 @@ def test_diagonal_slack_matches_min_eig():
     b.add_block("Z", 2)
     t = b.add_free(1)[0]
     entry_rows(b, "Z", np.diag([1.0, 2.0]), 2, t)
-    b.set_objective({}, {t: 1.0})
+    b.set_objective({t: 1.0})
     sol = solve(b.build()[0])
     assert abs(sol.objective_value - 1.0) < 1e-6
 
@@ -344,11 +344,14 @@ def test_trace_pair_infeasible():
 
 
 def test_optimization_primal_infeasible():
-    """maximize tr Z subject to tr Z = -1 has no feasible point."""
+    """maximize u subject to Z_00 + u = 0 and tr Z = -1 has no feasible
+    point."""
     b = HermitianProblem()
     b.add_block("Z", 2)
+    u = b.add_free(1)[0]
+    b.add_scalar_row({"Z": np.diag([1.0, 0.0])}, {u: 1.0}, 0.0)
     b.add_scalar_row({"Z": np.eye(2)}, {}, -1.0)
-    b.set_objective({"Z": np.eye(2)})
+    b.set_objective({u: 1.0})
     sol = b.solve()
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.info["reason"] == "primal infeasible"
@@ -363,7 +366,7 @@ def test_optimization_inconsistent_equalities():
     u = b.add_free(1)[0]
     for rhs in (1.0, 2.0):
         b.add_scalar_row({"Z": np.eye(2)}, {u: 1.0}, rhs)
-    b.set_objective({"Z": np.eye(2)}, {u: 1.0})
+    b.set_objective({u: 1.0})
     sol = b.solve()
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.info["reason"] == "inconsistent equalities"
@@ -556,23 +559,12 @@ def test_rhs_override_is_checked():
 
 
 def test_objective_data_is_checked():
-    """Objective data goes through the row checks: an unknown block and a
-    non-Hermitian matrix are rejected, as they are in a row."""
+    """Row data names known blocks: an unknown one is rejected."""
     hp = HermitianProblem()
     hp.add_block("Z", 2)
     hp.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
     with pytest.raises(ValueError, match="unknown block 'W'"):
-        hp.set_objective({"W": np.eye(2)})
-    with pytest.raises(ValueError, match="unknown block 'W'"):
         hp.add_scalar_row({"W": np.eye(2)}, {}, 1.0)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        hp.set_objective({"Z": np.array([[0.0, 1.0], [0.0, 0.0]])})
-    # its Hermitian part [[0, 1/2], [1/2, 0]] has the maximum 1/2 of
-    # Re tr(H Z) over tr Z = 1
-    hp.set_objective({"Z": np.array([[0.0, 0.5], [0.5, 0.0]])})
-    sol = hp.solve()
-    assert sol.status is SolveStatus.FEASIBLE
-    assert abs(sol.objective_value - 0.5) <= 1e-6
 
 
 def _qr_rule_keep(A, b):
@@ -827,18 +819,22 @@ def test_complex_cross_check_with_direct_formulation():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_realified_objective(n):
-    """max Re tr(H Z) subject to tr Z = 1 is lambda_max(H), on the native
-    Hermitian build and on its realification."""
-    h = rand_hermitian(rng(n), n)
+    """max Im Y_01 over Hermitian Y with -I <= Y <= I is 1.  The rows alone
+    take the real path; the objective on an imaginary-component variable
+    keeps the build native, and its realification agrees."""
     hp = HermitianProblem()
-    hp.add_block("Z", n)
-    hp.add_scalar_row({"Z": np.eye(n)}, {}, 1.0)
-    hp.set_objective({"Z": h})
-    assert hp.build()[0].hermitian == (True,)
-    want = np.linalg.eigvalsh(h)[-1]
+    hp.add_block("P", n)
+    hp.add_block("Q", n)
+    y = hp.add_free_hermitian("Y", n)
+    hp.add_matrix_eq([("entry", "P", 1.0), ("kron", np.eye(1), y)], np.eye(n))
+    hp.add_matrix_eq([("entry", "Q", 1.0), ("kron", -np.eye(1), y)], np.eye(n))
+    assert hp.build()[0].hermitian == ()
+    hp.set_objective({y.start + n + 1: 1.0})      # Im Y_01
+    assert hp.build()[0].hermitian == (True, True)
     for sol in (hp.solve(), solve(build_from_complex(hp))):
         assert sol.status is SolveStatus.FEASIBLE
-        assert abs(sol.objective_value - want) <= 1e-6
+        assert abs(sol.objective_value - 1.0) <= 1e-6
+    assert abs(y.assemble(hp.solve().free_values)[0, 1].imag - 1.0) <= 1e-6
 
 
 def test_complex_scalar_block():

@@ -89,6 +89,47 @@ def test_is_bounded_degenerate_pencils(D, bounded):
     assert is_bounded(_diagonal_pencil(D)) is bounded
 
 
+def _diagonal_lift(D, E):
+    """The lift I - sum_j diag(D[:, j]) x_j - sum_k diag(E[:, k]) y_k, whose
+    level-1 set is the polyhedron {(x, y) : D x + E y <= 1}."""
+    return Spectrahedrop(LinearPencil(np.eye(len(D)),
+                                      [-np.diag(c) for c in D.T],
+                                      [-np.diag(c) for c in E.T]))
+
+
+def _lp_projection_bounded(D, E):
+    """The projection of {(x, y) : D x + E y <= 1} onto x is bounded iff
+    linprog bounds every +-x_j on the polyhedron (0 is a point of it)."""
+    A, g = np.hstack([D, E]), D.shape[1]
+    return all(linprog(sign * np.eye(A.shape[1])[j], A_ub=A,
+                       b_ub=np.ones(len(A)), bounds=(None, None)).status == 0
+               for j in range(g) for sign in (1.0, -1.0))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([(1, 1), (1, 2), (2, 1)]), st.integers(1, 5),
+       st.integers(0, 10_000))
+def test_drop_level1_bounded_matches_lp_oracle(gh, d, seed):
+    """Random diagonal lifts with small integer coefficients: the support
+    problems of drop_level1_bounded agree with linprog's, and none raises."""
+    (g, h), gen = gh, rng(seed)
+    D = gen.integers(-3, 4, size=(d, g)).astype(float)
+    E = gen.integers(-3, 4, size=(d, h)).astype(float)
+    assert drop_level1_bounded(_diagonal_lift(D, E)) == \
+        _lp_projection_bounded(D, E)
+
+
+@pytest.mark.parametrize("x, y", [((2, 3, 3), (0, 3, 3)),
+                                  ((-1, 2, -1), (1, 0, 1))])
+def test_support_with_an_unbounded_optimal_face(x, y):
+    """Projections that are unbounded one way while the other way's support
+    problem has an unbounded optimal face (y -> -oo), which can stall: the
+    support problems run on to the certified ray."""
+    D, E = np.array([x], dtype=float).T, np.array([y], dtype=float).T
+    assert not _lp_projection_bounded(D, E)
+    assert not drop_level1_bounded(_diagonal_lift(D, E))
+
+
 def test_tv_joint_spectrahedron_bounded():
     assert is_bounded(tv_lift().as_x_pencil())
     assert drop_level1_bounded(TV)
@@ -514,6 +555,15 @@ def test_hull_contains_tv_and_square():
         assert bool(drop_membership(square, p)) or bool(drop_membership(TVM, p))
         assert bool(drop_membership(hull, p))
     assert not bool(drop_membership(hull, pt(1.3, 1.3)))
+
+
+def test_interior_y_point_on_an_unbounded_slack():
+    # L(0, y) = diag(y - 1, y + 1): the slack grows without bound along y,
+    # and the lift point is a verified interior point, not the ray's
+    # direction y = 1, where lambda_min is 0
+    pencil = LinearPencil(np.diag([-1.0, 1.0]), [], [np.eye(2)])
+    (y,) = spectra._interior_y_point(pencil)
+    assert lambda_min(pencil.A0 + y * np.eye(2)) >= 1e-6
 
 
 def test_polar_dual_lift_dependent_rows():
