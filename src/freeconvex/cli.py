@@ -55,8 +55,8 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
     except RuntimeError as exc:
-        # a solve the answer depends on failed (sdp.SolverError), e.g. one
-        # of is_bounded's recession solves
+        # a solve the answer depends on failed (sdp.SolverError), e.g. the
+        # solve of is_bounded
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     if text is not None:

@@ -111,11 +111,13 @@ def is_bounded(pencil: LinearPencil, tol: float = 1e-8,
     """Uniform boundedness of the free spectrahedron of an x-only pencil.
 
     Matrix convexity plus closure under isometry conjugation reduce the
-    question to level 1, where it becomes a recession-cone test: the set is
-    bounded iff no direction v != 0 has sum A_j v_j >= 0.  Each of the 2g
-    feasibility problems pins v_j = +-1 and boxes the other coordinates.
-    A MARGINAL recession answer is treated as unbounded (the conservative
-    reading: a boundary recession direction exists up to tolerance).
+    question to level 1: the set is bounded iff no v != 0 has
+    sum A_j v_j >= 0.  By Gordan's alternative for the PSD cone, exactly
+    when the A_j are linearly independent over the reals (the least singular
+    value of [Re A_j | Im A_j] above FEAS_TOL times the largest) and one
+    phase-I solve finds a Z > 0 with tr Z = 1 and every tr(A_j Z) = 0, its
+    margin lambda_min(Z) above FEAS_TOL; a MARGINAL answer reads unbounded
+    (a boundary recession direction exists up to tolerance).
     """
     if pencil.h:
         raise ValueError("pencil has y variables; flatten or use "
@@ -123,36 +125,35 @@ def is_bounded(pencil: LinearPencil, tol: float = 1e-8,
     g = pencil.g
     if g == 0:
         return True
-    for j in range(g):
-        for sigma in (1.0, -1.0):
-            others = [k for k in range(g) if k != j]
-            hp, vs = _level1(sigma * np.asarray(pencil.x_coeffs[j]),
-                             [pencil.x_coeffs[k] for k in others])
-            for k, v in zip(others, vs):
-                lo = hp.add_block(f"lo{k}", 1)
-                hi = hp.add_block(f"hi{k}", 1)
-                hp.add_scalar_row({lo: np.eye(1)}, {v: 1.0}, 1.0)
-                hp.add_scalar_row({hi: np.eye(1)}, {v: -1.0}, 1.0)
-            sol = hp.solve(tol=tol, max_iter=max_iter)
-            if sol.status is SolveStatus.ERROR:
-                raise SolverError(f"recession solve failed: {sol.info}")
-            if sol.status is not SolveStatus.INFEASIBLE:
-                return False
-    return True
+    coeffs = np.asarray(pencil.x_coeffs)
+    flat = coeffs.reshape(g, -1)
+    # a Hermitian d x d matrix has d^2 real coordinates, so g > d^2 leaves
+    # the least of the min(g, 2 d^2) singular values at rounding level
+    s = np.linalg.svd(np.hstack([flat.real, flat.imag]), compute_uv=False)
+    if s[-1] <= FEAS_TOL * s[0]:
+        return False
+    hp = HermitianProblem()
+    hp.add_block("Z", pencil.d)
+    hp.add_scalar_row({"Z": np.eye(pencil.d)}, None, 1.0)
+    hp.add_complex_row({"Z": coeffs}, None, np.zeros(g))
+    sol = hp.solve(tol=tol, max_iter=max_iter)
+    if sol.status is SolveStatus.ERROR:
+        raise SolverError(f"recession solve failed: {sol.info}")
+    return sol.feasible and sol.margin > FEAS_TOL
 
 
 def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
                         max_iter: int = 200) -> bool:
     """Boundedness of the level-1 projection (hence of the whole drop).
 
-    First tries the exact joint recession test on the lift: a bounded lift
-    spectrahedron forces a bounded projection.  Otherwise the 2g support
+    First tries :func:`is_bounded` on the lift's joint pencil: a bounded
+    lift spectrahedron forces a bounded projection.  Otherwise the 2g support
     values sup +-x_j over the level-1 lift are maximized; a certified
     unbounded objective or an optimum beyond 1e3 counts as
     not-certified-bounded, which is the safe answer: the dual procedures
     then use the contractive form, valid in general.  A support problem
     whose optimal face is unbounded can stall while another certifies the
-    ray, so :class:`SolverError` (as for a failed recession solve of
+    ray, so :class:`SolverError` (as for a failed solve of
     :func:`is_bounded`) is raised only when no support solve decided.
     """
     lift = drop.lift
@@ -537,8 +538,8 @@ def hull_of_union(drops: Sequence[Spectrahedrop], tol: float = 1e-8,
 
     Dualize each input (intersection of polar duals = dual of the union),
     stack the dual lifts, monicize above x = 0, and dualize once more.
-    Every input needs a monic lift, a bounded level-1 projection, and 0 in
-    the interior of its level-1 set; each condition is checked.
+    Every input needs a monic lift and a bounded level-1 projection, both
+    checked, and 0 interior to its level-1 set, which L(0, 0) = I > 0 gives.
     """
     drops = list(drops)
     if not drops:
@@ -551,8 +552,6 @@ def hull_of_union(drops: Sequence[Spectrahedrop], tol: float = 1e-8,
             raise ValueError(f"drop {i}: lift is not monic; monicize first")
         if not drop_level1_bounded(dr, tol=tol, max_iter=max_iter):
             raise ValueError(f"drop {i}: level-1 projection is unbounded")
-        if not has_zero_interior(dr, tol=tol):
-            raise ValueError(f"drop {i}: 0 is not interior to the level-1 set")
     duals = []
     for dr in drops:
         om, ga = monic_tuple(dr.lift)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
@@ -9,8 +10,10 @@ from freeconvex.algebra import (HermitianTuple, LinearPencil, ball_pencil,
 from freeconvex.corpus import (ex_fails, interval_pencil, interval_tuple,
                                scalar_tuple, tv_lift, tv_monic_lift,
                                tv_dual_boundary, tv_screen_value)
-from freeconvex.rand import rng, rand_hermitian, rand_tuple, rand_unitary
-from freeconvex.sdp import SolveStatus
+from freeconvex.rand import (rng, rand_hermitian, rand_psd, rand_tuple,
+                             rand_unitary)
+from freeconvex.sdp import HermitianProblem, SDPSolution, SolveStatus, \
+    SolverError
 from freeconvex import spectra
 from freeconvex.spectra import (Spectrahedrop, dominates, drop_level1_bounded,
                                 drop_membership, drop_polar_membership,
@@ -87,6 +90,73 @@ def test_is_bounded_degenerate_pencils(D, bounded):
     D = np.array(D, dtype=float)
     assert _lp_bounded(D) is bounded
     assert is_bounded(_diagonal_pencil(D)) is bounded
+
+
+PAULI = [np.array([[0.0, 1.0], [1.0, 0.0]]),
+         np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.diag([1.0, -1.0])]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["ball", "planted", "dependent"]), st.booleans(),
+       st.integers(1, 3), st.integers(1, 3), st.integers(0, 10_000))
+def test_is_bounded_on_constructed_pencils(kind, real, g, d, seed):
+    """Non-diagonal real and complex pencils I - sum U* W_j U x_j, whose
+    construction is the oracle: the sigma-matrix ball (the real ball pencil
+    when real) (+) a random d x d block is bounded; a planted v with
+    sum v_j W_j <= 0, and W_{g+1} = c W_1, give recession directions."""
+    gen = rng(seed)
+    if kind == "ball":
+        ball = ball_pencil(g, 1.0).x_coeffs if real else PAULI[:g]
+        ws = [sla.block_diag(b, rand_hermitian(gen, d, real=real))
+              for b in ball]
+    elif kind == "planted":
+        ws = list(rand_tuple(gen, g, d, real=real))
+        v = gen.standard_normal(g)
+        v[-1] = np.copysign(max(abs(v[-1]), 0.5), v[-1])
+        p = rand_psd(gen, d, rank=int(gen.integers(0, d + 1)), real=real)
+        ws[-1] = -(p + sum(vj * w for vj, w in zip(v[:-1], ws))) / v[-1]
+    else:
+        ws = list(rand_tuple(gen, g, d, real=real))
+        ws.append(gen.uniform(-2.0, 2.0) * ws[0])
+    u = rand_unitary(gen, len(ws[0]), real=real)
+    pencil = pencil_from_tuple(HermitianTuple([u.conj().T @ w @ u
+                                               for w in ws]))
+    assert is_bounded(pencil) is (kind == "ball")
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-8, 1e-6, 1.0, 1e6])
+def test_is_bounded_is_scale_free(c):
+    # the interval [-1/c, 1/c] and the box [-1/c, 1/c]^2
+    assert is_bounded(pencil_from_tuple(HermitianTuple([np.diag([c, -c])])))
+    assert is_bounded(pencil_from_tuple(HermitianTuple(
+        [np.diag([c, -c, 0.0, 0.0]), np.diag([0.0, 0.0, c, -c])])))
+
+
+def test_is_bounded_solves_once(monkeypatch):
+    solve, statuses = HermitianProblem.solve, []
+
+    def counted(self, *args, **kwargs):
+        sol = solve(self, *args, **kwargs)
+        statuses.append(sol.status)
+        return sol
+    monkeypatch.setattr(HermitianProblem, "solve", counted)
+    for pencil, bounded in [(pencil_from_tuple(INTERVAL), True), (LB, False),
+                            (tv_lift().as_x_pencil(), True)]:
+        statuses.clear()
+        assert is_bounded(pencil) is bounded
+        assert len(statuses) == 1
+    statuses.clear()    # dependent coefficients are decided without a solve
+    assert not is_bounded(pencil_from_tuple(HermitianTuple(
+        [np.diag([1.0, -1.0]), np.diag([2.0, -2.0])])))
+    assert statuses == []
+
+
+def test_is_bounded_raises_on_a_failed_solve(monkeypatch):
+    monkeypatch.setattr(HermitianProblem, "solve", lambda self, **kw:
+                        SDPSolution(SolveStatus.ERROR,
+                                    info={"reason": "forced"}))
+    with pytest.raises(SolverError, match="recession solve failed"):
+        is_bounded(pencil_from_tuple(INTERVAL))
 
 
 def _diagonal_lift(D, E):
@@ -555,6 +625,16 @@ def test_hull_contains_tv_and_square():
         assert bool(drop_membership(square, p)) or bool(drop_membership(TVM, p))
         assert bool(drop_membership(hull, p))
     assert not bool(drop_membership(hull, pt(1.3, 1.3)))
+
+
+def test_hull_of_tiny_intervals():
+    # 0 is interior to both, though no probe radius of has_zero_interior
+    # (1e-1, 1e-2, 1e-3) fits inside them
+    hull = hull_of_union([Spectrahedrop(interval_pencil(-1e-4, 1e-4)),
+                          Spectrahedrop(interval_pencil(-2e-4, 5e-5))])
+    for v, expect in [(-2.1e-4, False), (-1.9e-4, True), (0.0, True),
+                      (0.9e-4, True), (1.1e-4, False)]:
+        assert bool(drop_membership(hull, pt(v))) is expect, v
 
 
 def test_interior_y_point_on_an_unbounded_slack():
