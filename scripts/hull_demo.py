@@ -3,9 +3,14 @@
 and the free square of radius 1/2, intersect, dualize back, and probe the
 hull membership oracle on a small grid of plane points.
 
+Exits 1 unless every grid point in the TV screen or the square (by
+drop_membership on the inputs) reads inside the hull and every point with
+max(|x1|, |x2|) > 1 reads outside it (both inputs lie in [-1, 1]^2).
+
 Usage: python scripts/hull_demo.py
 """
 
+import sys
 import time
 
 import numpy as np
@@ -24,16 +29,26 @@ def main():
     print(f"hull lift: size {hull.lift.d}, {hull.g} x vars, "
           f"{hull.h} auxiliary vars ({time.time() - t0:.1f} s)")
     print()
-    print("   x2: " + "".join(f"{v:+.1f} " for v in np.linspace(-1.2, 1.2, 9)))
-    for a in np.linspace(-1.2, 1.2, 9):
+    grid = np.linspace(-1.2, 1.2, 9)
+    print("   x2: " + "".join(f"{v:+.1f} " for v in grid))
+    wrong = []
+    for a in grid:
         row = []
-        for b in np.linspace(-1.2, 1.2, 9):
-            res = drop_membership(hull, scalar_tuple(a, b))
-            row.append("#" if bool(res) else ".")
+        for b in grid:
+            x = scalar_tuple(a, b)
+            inside = bool(drop_membership(hull, x))
+            row.append("#" if inside else ".")
+            if inside and max(abs(a), abs(b)) > 1.0 or not inside and (
+                    bool(drop_membership(tv, x))
+                    or bool(drop_membership(square, x))):
+                wrong.append((a, b))
         print(f"x1 {a:+.1f}  " + "    ".join(row))
     print()
     print("('#' = inside the hull of TV-screen and square)")
+    for a, b in wrong:
+        print(f"wrong hull answer at ({a:+.1f}, {b:+.1f})", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

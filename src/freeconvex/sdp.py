@@ -691,6 +691,10 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
         if pres <= ptol and dres <= ptol and relgap <= gtol:
             return _HSDResult("optimal", [zb / tau for zb in Z], pobj, it,
                               {"pres": pres, "dres": dres, "relgap": relgap})
+        score = max(pres / ptol, dres / ptol, relgap / gtol)
+        stall = 0 if score < 0.98 * best_score else stall + 1
+        best_score = min(best_score, score)
+        stalled = stall > 25 or mu <= 1e-25
         # infeasibility certificates (rays are re-verified by the callers)
         if by > 0:
             hres = vec_sup(AtyS)
@@ -698,17 +702,16 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
                 return _HSDResult("pinfeas", iterations=it,
                                   info={"farkas_resid": hres / by, "by": by})
         if cx < 0:
+            # a stalled iterate whose tau has fallen against kappa is taken
+            # as the ray even when its residual settled just above the test
             uray = float(np.abs(Ax).max(initial=0.0))
-            if uray <= 1e-6 * (-cx):
+            if uray <= 1e-6 * (-cx) or (stalled and tau <= 1e-12 * kappa):
                 return _HSDResult("unbounded", iterations=it,
                                   ray=[zb / (-cx) for zb in Z],
                                   info={"ray_resid": uray / (-cx)})
         if tau <= 1e-12 and kappa <= 1e-12:
             raise _IPMFailure("tau and kappa both collapsed")
-        score = max(pres / ptol, dres / ptol, relgap / gtol)
-        stall = 0 if score < 0.98 * best_score else stall + 1
-        best_score = min(best_score, score)
-        if stall > 25 or mu <= 1e-25:
+        if stalled:
             raise _IPMFailure(
                 f"stalled at iteration {it} (mu={mu:.2e}, pres={pres:.2e}, "
                 f"dres={dres:.2e}, relgap={relgap:.2e})")

@@ -41,7 +41,6 @@ __all__ = [
     "MonicizeResult",
     "polar_dual_lift",
     "hull_of_union",
-    "has_zero_interior",
 ]
 
 MEMBERSHIP_TOL = 1e-9
@@ -415,92 +414,39 @@ def polar_dual_lift(omega: HermitianTuple,
     monic lift tuples (W, G); pad with zero blocks first for the general
     case).
 
-    The Choi-variable system (PSD coupling block, unitality, interpolation,
-    annihilation) is reduced at the coefficient level: the affine equations
-    eliminate one Hermitian component per constraint, leaving a plain pencil
-    in the x variables and the surviving components as y variables.  An
-    equation on x alone, f.x + f0 = 0, adds the 1x1 entries +-(f.x + f0).
+    The Choi equations (unitality, interpolation, annihilation) are linear in
+    the hvec coordinates c of the coupling block C = hmat(c) >= 0:
+    E_y c = E [x; 1].  One SVD E_y = U S V' eliminates them: the solutions
+    are c = V1 S1^-1 U1' E [x; 1] + V2 y, which gives the x and constant
+    coefficients of the pencil, and the y coefficients are hmat of the rows
+    of V2'.  The solutions exist iff U2' E [x; 1] = 0: a row of U2' E with
+    an entry above 1e-8 is an equation on x alone, f.x + f0 = 0, and adds
+    the 1x1 entries +-(f.x + f0); the other rows are redundant.
     """
     if gamma is None:
         gamma = HermitianTuple([], dim=omega.dim)
     if omega.g and gamma.g and omega.dim != gamma.dim:
         raise ValueError("tuples must share the coefficient size")
-    d = omega.dim or gamma.dim
-    g, h = omega.g, gamma.g
-    # the unknown C = sum_t y_t coeffs[t] in hvec coordinates, one unit vector
-    # per real component; sum_pq M_pq C_pq = hvec(conj M).hvec(C)
-    coeffs = hmat(np.eye(d * d), d)
-
-    # equality system  E_y . y + E_x . x + e0 = 0: unitality, interpolation
-    # Phi(W_j) = x_j and annihilation Phi(G_k) = 0
+    d, g = omega.dim or gamma.dim, omega.g
+    # hvec(conj M).hvec(C) = sum_pq M_pq C_pq; the rows of E are [0, 1] for
+    # tr C = 1, [e_j, 0] for Phi(W_j) = x_j and zero for Phi(G_k) = 0
     Ey = hvec(np.conj([np.eye(d), *omega, *gamma]))
-    Ex = np.vstack([np.zeros((1, g)), -np.eye(g), np.zeros((h, g))])
-    e0 = np.r_[-1.0, np.zeros(g + h)]
-
-    # pick pivot unknowns via rank-revealing QR of E_y
-    _, rr, piv = sla.qr(Ey, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(rr))
-    rank = int(np.sum(diag > max(1e-10 * (diag[0] if diag.size else 1.0),
-                                 1e-13)))
-    fixed = np.zeros((0, g + 1))
-    if rank < Ey.shape[0]:
-        # a dependent equation is redundant when the same combination also
-        # vanishes on the x/constant side; otherwise it constrains x alone,
-        # f.x + f0 = 0, and the pencil carries it as the entries +-(f.x + f0)
-        fixed = np.linalg.svd(Ey)[0][:, rank:].T @ np.column_stack([Ex, e0])
-        fixed = fixed[np.abs(fixed).max(axis=1) > 1e-8]
-        keep = np.sort(sla.qr(Ey.T, mode="r", pivoting=True)[1][:rank])
-        Ey, Ex, e0 = Ey[keep], Ex[keep], e0[keep]
-        piv = sla.qr(Ey, mode="r", pivoting=True)[1]
-    pivots = list(piv[:rank])
-    free = [t for t in range(d * d) if t not in set(pivots)]
-    Ep = Ey[:, pivots]
-    Ef = Ey[:, free]
-    sol_const = np.linalg.solve(Ep, -e0)
-    sol_x = np.linalg.solve(Ep, -Ex) if g else np.zeros((rank, 0))
-    sol_z = np.linalg.solve(Ep, -Ef)
-
-    # substitute into the coupling block  sum_t coeff_t (x) y_t
-    def combo(weights_on_pivots, direct=None):
-        out = np.zeros((d, d), dtype=complex)
-        for r_i, t in enumerate(pivots):
-            out += weights_on_pivots[r_i] * coeffs[t]
-        if direct is not None:
-            out += coeffs[direct]
-        return hermitian_part(out)
+    E = np.zeros((Ey.shape[0], g + 1))
+    E[0, g] = 1.0
+    E[1:g + 1, :g] = np.eye(g)
+    u, sv, vh = np.linalg.svd(Ey)
+    rank = int(np.sum(sv > max(1e-10 * sv[0], 1e-13)))
+    part = hmat(((vh[:rank].T / sv[:rank]) @ (u[:, :rank].T @ E)).T, d)
+    fixed = u[:, rank:].T @ E
+    fixed = fixed[np.abs(fixed).max(axis=1) > 1e-8]
 
     def pad(mat, f):              # mat (+) diag(f, -f)
         return sla.block_diag(mat, np.diag(np.r_[f, -f]))
 
-    a0 = pad(combo(sol_const), fixed[:, g])
-    x_coeffs = [pad(combo(sol_x[:, j]), fixed[:, j]) for j in range(g)]
-    y_coeffs = [pad(combo(sol_z[:, s], direct=free[s]), 0.0 * fixed[:, g])
-                for s in range(len(free))]
-    return Spectrahedrop(LinearPencil(a0, x_coeffs, y_coeffs))
-
-
-def has_zero_interior(drop: Spectrahedrop, tol: float = 1e-8) -> bool:
-    """Sufficient test that 0 lies in the interior of the level-1 projection:
-    all 2g points +-r e_j must be members for a common radius r of 1e-1,
-    1e-2 or 1e-3.  A point v e_j with lambda_min(A0 + v A_j) > FEAS_TOL is
-    a member with the witness Y = 0 and takes no solve; only the other
-    points go to :func:`drop_membership`.  A monic lift (A0 = I) needs a
-    solve only where r |lambda(A_j)| nears 1."""
-    g, lift = drop.g, drop.lift
-    if g == 0:
-        return lambda_min(lift.A0) > FEAS_TOL or \
-            bool(drop_membership(drop, HermitianTuple([], dim=1)))
-
-    def member(j: int, v: float) -> bool:
-        if lambda_min(lift.A0 + v * lift.x_coeffs[j]) > FEAS_TOL:
-            return True
-        x = HermitianTuple([np.array([[v if k == j else 0.0]])
-                            for k in range(g)])
-        return drop_membership(drop, x, tol=tol).status is SolveStatus.FEASIBLE
-
-    return any(all(member(j, sigma * r)
-                   for j in range(g) for sigma in (1.0, -1.0))
-               for r in (1e-1, 1e-2, 1e-3))
+    return Spectrahedrop(LinearPencil(
+        pad(part[g], fixed[:, g]),
+        [pad(part[j], fixed[:, j]) for j in range(g)],
+        [pad(c, np.zeros(len(fixed))) for c in hmat(vh[rank:], d)]))
 
 
 def _stack_drops(drops: Sequence[Spectrahedrop]) -> LinearPencil:
@@ -552,12 +498,8 @@ def hull_of_union(drops: Sequence[Spectrahedrop], tol: float = 1e-8,
             raise ValueError(f"drop {i}: lift is not monic; monicize first")
         if not drop_level1_bounded(dr, tol=tol, max_iter=max_iter):
             raise ValueError(f"drop {i}: level-1 projection is unbounded")
-    duals = []
-    for dr in drops:
-        om, ga = monic_tuple(dr.lift)
-        duals.append(polar_dual_lift(om, ga if ga.g else None))
-    stacked = _stack_drops(duals)
+    stacked = _stack_drops([polar_dual_lift(*monic_tuple(dr.lift))
+                            for dr in drops])
     yhat = _interior_y_point(stacked, tol=tol, max_iter=max_iter)
     mon = monicize(stacked, [0.0] * g + list(yhat))
-    om, ga = monic_tuple(mon.pencil)
-    return polar_dual_lift(om, ga if ga.g else None)
+    return polar_dual_lift(*monic_tuple(mon.pencil))

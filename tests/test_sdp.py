@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import freeconvex.sdp as S
 from freeconvex.algebra import realify
@@ -635,6 +635,7 @@ def test_rows_without_variables(rhs, status, capfd):
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(2, 4), st.booleans(), st.integers(0, 10_000))
+@example(4, True, 4011)        # the realified run stalls on the ray's residual
 def test_native_hermitian_matches_realified(n, feasible, seed):
     """Random complex feasibility problems: the native Hermitian blocks and
     the realified 2n x 2n blocks decide the same status, and a FEASIBLE

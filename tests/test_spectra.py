@@ -17,7 +17,7 @@ from freeconvex.sdp import HermitianProblem, SDPSolution, SolveStatus, \
 from freeconvex import spectra
 from freeconvex.spectra import (Spectrahedrop, dominates, drop_level1_bounded,
                                 drop_membership, drop_polar_membership,
-                                has_zero_interior, hull_of_union, is_bounded,
+                                hull_of_union, is_bounded,
                                 monicize, polar_dual_lift, polar_membership,
                                 spectrahedron_membership)
 
@@ -545,60 +545,6 @@ def test_tv_dual_lift_cross_oracle():
 # -- hulls --------------------------------------------------------------------
 
 
-def test_zero_interior_probe():
-    assert has_zero_interior(TV)
-    assert has_zero_interior(Spectrahedrop(interval_pencil(-1.0, 0.5)))
-
-
-def test_zero_interior_needs_no_solve_on_a_monic_lift(monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("drop_membership called")
-    monkeypatch.setattr(spectra, "drop_membership", no_solve)
-    assert has_zero_interior(Spectrahedrop(interval_pencil(-1.0, 0.5)))
-
-
-def test_zero_interior_solves_where_y0_is_no_witness(monkeypatch):
-    # the TV lift's A0 is singular, so no point is decided at Y = 0
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return drop_membership(*args, **kwargs)
-    monkeypatch.setattr(spectra, "drop_membership", counted)
-    assert has_zero_interior(Spectrahedrop(tv_lift()))
-    assert len(calls) == 4
-
-
-def _zero_interior_by_solves(drop):
-    """has_zero_interior with every point decided by drop_membership."""
-    def member(j, v):
-        x = HermitianTuple([np.array([[v if k == j else 0.0]])
-                            for k in range(drop.g)])
-        return drop_membership(drop, x).status is SolveStatus.FEASIBLE
-    return any(all(member(j, sigma * r)
-                   for j in range(drop.g) for sigma in (1.0, -1.0))
-               for r in (1e-1, 1e-2, 1e-3))
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 4),
-       st.integers(0, 2))
-def test_zero_interior_matches_the_solve_only_answer(seed, g, d, h):
-    # each A_j has spectral norm f 10^k, f in [0.8, 1.25], k in 0..3, so
-    # lambda_min(I + v A_j) at the radius r = 10^-k lies within 0.25 of 0:
-    # there the answer turns on the Y = 0 test's threshold unless Y rescues
-    gen = rng(seed)
-    xs = []
-    for _ in range(g):
-        a = rand_hermitian(gen, d)
-        norm = gen.uniform(0.8, 1.25) * 10.0 ** gen.integers(0, 4)
-        xs.append(a * norm / np.abs(np.linalg.eigvalsh(a)).max())
-    pencil = LinearPencil(np.eye(d), xs,
-                          [rand_hermitian(gen, d) for _ in range(h)])
-    assert has_zero_interior(Spectrahedrop(pencil)) == \
-        _zero_interior_by_solves(Spectrahedrop(pencil))
-
-
 def test_hull_of_single_drop_matches_input():
     d1 = Spectrahedrop(interval_pencil(-1.0, 0.5))
     hull = hull_of_union([d1])
@@ -628,8 +574,7 @@ def test_hull_contains_tv_and_square():
 
 
 def test_hull_of_tiny_intervals():
-    # 0 is interior to both, though no probe radius of has_zero_interior
-    # (1e-1, 1e-2, 1e-3) fits inside them
+    # 0 is interior to both, though neither holds a point of size 1e-3
     hull = hull_of_union([Spectrahedrop(interval_pencil(-1e-4, 1e-4)),
                           Spectrahedrop(interval_pencil(-2e-4, 5e-5))])
     for v, expect in [(-2.1e-4, False), (-1.9e-4, True), (0.0, True),
@@ -683,3 +628,63 @@ def test_polar_dual_lift_repeated_omega_entry():
         for shift in (0.2, -0.2):
             moved = HermitianTuple([a[0] + shift * np.eye(a.dim), *a])
             assert not bool(drop_membership(dual, moved))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 10_000), st.integers(1, 2), st.integers(2, 3),
+       st.sampled_from(["generic", "span", "repeat", "near"]), st.booleans(),
+       st.booleans())
+def test_polar_dual_lift_matches_cp_interpolation(seed, g, d, kind, annihilate,
+                                                  real):
+    """Membership in the lift is the unital cp interpolation Phi(W_j) = X_j,
+    Phi(G_k) = 0 that polar_membership / drop_polar_membership decide
+    directly, on systems of full and deficient rank: a G_k in the span of I
+    and the W_j, a repeated W_1, and a near-copy G = W_1 + 1e-12 H, whose
+    lift has the size of the exact copy's.  The state Phi = tr(rho .) with
+    every tr(rho G_k) = 0 puts X_j = tr(rho W_j) I in the set; each point
+    steps from there along a random direction, once along the equations the
+    structure puts on x and once off them."""
+    gen = rng(seed)
+    rho = rand_psd(gen, d, real=real)
+    rho /= np.trace(rho).real
+
+    def centred(m):
+        return m - np.trace(rho @ m).real * np.eye(d)
+
+    omega = [rand_hermitian(gen, d, real=real) for _ in range(g)]
+    gamma = [centred(rand_hermitian(gen, d, real=real))
+             for _ in range(annihilate)]
+    weights = gen.uniform(0.5, 1.5, size=g)
+    if kind == "span":         # forces sum_j w_j X_j = sum_j w_j tr(rho W_j) I
+        gamma.append(centred(sum(w * m for w, m in zip(weights, omega))))
+    elif kind == "repeat":     # forces X_1 = X_2
+        omega.insert(0, omega[0])
+    elif kind == "near":       # forces X_1 = 0, up to rounding
+        omega[0] = centred(omega[0])
+        exact = polar_dual_lift(HermitianTuple(omega),
+                                HermitianTuple(gamma + [omega[0]]))
+        gamma.append(omega[0] + 1e-12 * rand_hermitian(gen, d, real=real))
+    omega, gamma = HermitianTuple(omega), HermitianTuple(gamma, dim=d)
+    dual = polar_dual_lift(omega, gamma)
+    if kind == "near":
+        assert (dual.lift.d, dual.lift.h) == (exact.lift.d, exact.lift.h)
+    drop = Spectrahedrop(pencil_from_tuple(omega, gamma))
+    for n in (1, 2):
+        centre = [np.trace(rho @ w).real * np.eye(n) for w in omega]
+        for t, on_equations in [(0.0, True), (0.3, True), (0.3, False),
+                                (2.0, True), (2.0, False)]:
+            step = [rand_hermitian(gen, n, real=real) for _ in omega]
+            if on_equations and kind == "span":
+                step[0] = step[0] - sum(
+                    w * s for w, s in zip(weights, step)) / weights[0]
+            elif on_equations and kind == "repeat":
+                step[1] = step[0]
+            elif on_equations and kind == "near":
+                step[0] = np.zeros((n, n))
+            x = HermitianTuple([c + t * s for c, s in zip(centre, step)])
+            direct = drop_polar_membership(drop, x, bounded=True) \
+                if gamma.g else polar_membership(omega, x, bounded=True)
+            assert direct.status is not SolveStatus.ERROR
+            if abs(direct.margin) > 1e-6:
+                assert bool(drop_membership(dual, x)) == bool(direct), \
+                    (n, t, on_equations, direct.margin)
