@@ -20,12 +20,18 @@ from freeconvex.corpus import scalar_tuple, tv_monic_lift
 from freeconvex.spectra import Spectrahedrop, drop_membership, hull_of_union
 
 
-def main():
+def demo_hull():
+    """(TV drop, square, their hull): the monicized TV drop, the free square
+    of radius 1/2 and the hull of their union."""
     tv = Spectrahedrop(tv_monic_lift())
     square = Spectrahedrop(pencil_from_tuple(HermitianTuple(
         [np.diag([2.0, -2.0, 0.0, 0.0]), np.diag([0.0, 0.0, 2.0, -2.0])])))
+    return tv, square, hull_of_union([tv, square])
+
+
+def main():
     t0 = time.time()
-    hull = hull_of_union([tv, square])
+    tv, square, hull = demo_hull()
     print(f"hull lift: size {hull.lift.d}, {hull.g} x vars, "
           f"{hull.h} auxiliary vars ({time.time() - t0:.1f} s)")
     print()

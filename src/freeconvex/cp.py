@@ -191,7 +191,8 @@ def interpolation_problem(a: HermitianTuple, b: HermitianTuple,
     problem can be solved again for other targets of the same size.
     `annihilate` adds Phi(G_k) = 0 for each of its matrices.  The optional
     trace bound tr(C) <= value supports the ex situ tracial dual; it is
-    encoded with a scalar slack block.
+    encoded with a scalar slack block, and its row in the Choi block's
+    factor form.
     """
     if a.g != b.g:
         raise ValueError(f"tuples have different lengths {a.g} vs {b.g}")
@@ -217,9 +218,13 @@ def interpolation_problem(a: HermitianTuple, b: HermitianTuple,
         hp.add_matrix_eq([("blocktrace", "C", m, 1.0), ("entry", "D", 1.0)],
                          np.eye(n))
     if extra_psd_choi_trace is not None:
+        # tr C = sum_r tr(I_n (x) E_rr C): one row of m units of the factor
+        # form, so the Choi block keeps it
         hp.add_block("s", 1)
-        hp.add_scalar_row({"C": np.eye(n * m), "s": np.eye(1)}, {},
-                          float(extra_psd_choi_trace))
+        hp.add_complex_row({"s": np.ones((1, 1, 1))}, None,
+                           [float(extra_psd_choi_trace)],
+                           kron={"C": (np.eye(n)[None], np.arange(n * m),
+                                       np.zeros(m), np.arange(m) * (m + 1))})
     return hp
 
 

@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy import sparse
 from scipy.linalg import lapack
 
 from .algebra import psd_part, require_hermitian
@@ -331,7 +330,14 @@ class _FreeElimination:
     """
 
     def __init__(self, problem: SDPProblem, keep, A_parts, F, c_free):
-        q, r, piv = sla.qr(F, pivoting=True, check_finite=False)
+        # Q is made from the reflectors, which the factored route applies
+        (qr, tau), r, piv = sla.qr(F, pivoting=True, mode="raw",
+                                   check_finite=False)
+        self.qr, self.tau = qr[:, :tau.size], tau
+        q = np.zeros((len(F), len(F)))
+        q[:, :tau.size] = self.qr
+        lwork = int(lapack.dorgqr(q, tau, lwork=-1)[1][0])
+        q = lapack.dorgqr(q, tau, lwork=lwork, overwrite_a=1)[0]
         rank = _numerical_rank(r)
         r1 = np.zeros((rank, F.shape[1]))
         r1[:, piv] = r[:rank]
@@ -538,38 +544,32 @@ class _KronSchur:
     (-Im(A1 + A2), -Re(A1 - A2)) / 2 from an imaginary part: the float
     views of conj(A1) + A2 and i (A2 - conj(A1)), halved.  The core's rows
     are T A_keep with T = diag(1/scale) Q2', Q2 the complement of the free
-    columns' range in their pivoted QR, so the block's part is T M T', with
-    Q applied from its reflectors."""
+    columns' range in the pivoted QR of :class:`_FreeElimination`, so the
+    block's part is T M T', with Q applied from its reflectors."""
 
-    def __init__(self, kr: _KronRows, keep: np.ndarray, F: np.ndarray,
+    def __init__(self, kr: _KronRows, keep: np.ndarray, el: _FreeElimination,
                  scale: np.ndarray, herm: bool):
         split = kr.split[keep]
         rows, inv = np.unique(split // 2, return_inverse=True)
         self.kr, self.herm = kr, herm
         self.kept = 2 * inv + split % 2 if herm else inv
-        # each kept stored row's first unit, and the 0/1 incidence of the
-        # rows and their other units, then of the rows and those units'
-        # swaps (CSR: the rows are sorted); None when no row has another
+        # each kept stored row's first unit, and its other units (the rows
+        # are sorted) grouped by their count c: the rows with c others and
+        # those others as (rows, c), then the same on the swapped side
         take = np.isin(kr.row, rows)
         unit, k = kr.unit[take], rows.size
         ptr = np.concatenate([[0], np.searchsorted(kr.row[take], rows[:-1],
                                                    "right"), [unit.size]])
         first = unit[ptr[:-1]]
         self.first, self.pairs = first, np.concatenate([first, kr.swapped(first)])
-        rest = np.delete(unit, ptr[:-1])
-        ptr -= np.arange(k + 1)
-        self.rest = self.rest_pairs = None
-        if rest.size:
-            ones = np.ones(2 * rest.size)
-            self.rest = sparse.csr_array((ones[:rest.size], rest, ptr),
-                                         shape=(k, kr.units))
-            self.rest_pairs = sparse.csr_array(
-                (ones, np.concatenate([rest, kr.swapped(rest)]),
-                 np.concatenate([ptr, ptr[1:] + rest.size])),
-                shape=(2 * k, kr.units))
-        (qr, tau), _, _ = sla.qr(F, pivoting=True, mode="raw",
-                                 check_finite=False)
-        self.qr, self.tau = qr[:, :tau.size], tau
+        rest, count = np.delete(unit, ptr[:-1]), np.diff(ptr) - 1
+        self.groups = []
+        for c in np.unique(count[count > 0]):
+            at = np.flatnonzero(count == c)
+            others = rest[(ptr[at] - at)[:, None] + np.arange(c)]
+            self.groups.append((at, others, np.concatenate([at, at + k]),
+                                np.concatenate([others, kr.swapped(others)])))
+        self.qr, self.tau = el.qr, el.tau
         self.rank = len(keep) - scale.size
         self.inv = 0.5 / np.outer(scale, scale)
         self.lwork = 64 * (len(keep) + 65)
@@ -579,13 +579,15 @@ class _KronSchur:
             r = r.take(self.kr.perm, 0)
         P = self.kr.products(r @ r.conj().T)
         # the sums over each row's units, first on the rows, then on the
-        # columns (P is symmetric): P = [A1 A2]
+        # columns as rows of a contiguous S' (P is symmetric): P = [A1 A2]
         S = P.take(self.first, 0)
-        if self.rest is not None:
-            S += self.rest @ P
-        P = S.take(self.pairs, 1)
-        if self.rest is not None:
-            P += (self.rest_pairs @ S.T).T
+        for at, others, _, _ in self.groups:
+            S[at] += P.take(others.ravel(), 0).reshape(*others.shape, -1).sum(1)
+        S = np.ascontiguousarray(S.T)
+        P = S.take(self.pairs, 0)
+        for _, _, at, others in self.groups:
+            P[at] += S.take(others.ravel(), 0).reshape(*others.shape, -1).sum(1)
+        P = P.T
         k = P.shape[0]
         A1, A2 = P[:, :k], P[:, k:]
         if self.herm:
@@ -890,7 +892,7 @@ class _Presolve:
                        for w, h in zip(vec_wt, herm)]
         # each block's Schur route: its _KronSchur where the route rule
         # takes the factored route, else None (dense)
-        self.free, self.forms = A_free, problem.kron or (None,) * nb
+        self.forms = problem.kron or (None,) * nb
         self.kron = [self.factored(k) if kr is not None and m
                      and kr.beats_dense(self.keep.size, m, herm[k]) else None
                      for k, kr in enumerate(self.forms)]
@@ -899,7 +901,7 @@ class _Presolve:
 
     def factored(self, k: int) -> "_KronSchur":
         """The factored route of block k, which has a factor form."""
-        return _KronSchur(self.forms[k], self.keep, self.free, self.scale,
+        return _KronSchur(self.forms[k], self.keep, self.el, self.scale,
                           self.herm[k])
 
     def run(self, b: np.ndarray, tol: float, max_iter: int) -> _HSDResult:
@@ -1116,40 +1118,6 @@ def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter) -> SDPSolution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeHermitian:
-    """Handle for a Hermitian matrix unknown, parametrized by real scalars.
-
-    Variable layout: n diagonal entries, then (Re, Im) pairs for i < j in
-    row-major upper-triangle order.
-    """
-
-    name: str
-    size: int
-    start: int
-
-    @property
-    def n_vars(self) -> int:
-        return self.size * self.size
-
-    def _basis(self) -> np.ndarray:
-        """(size^2, n_vars) complex matrix E with vec(Y) = E @ values."""
-        n = self.size
-        iu, ju = np.triu_indices(n, 1)
-        re = n + 2 * np.arange(iu.size)
-        e = np.zeros((n, n, n * n), dtype=complex)
-        e[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-        e[iu, ju, re] = e[ju, iu, re] = 1.0
-        e[iu, ju, re + 1] = 1j
-        e[ju, iu, re + 1] = -1j
-        return e.reshape(n * n, n * n)
-
-    def assemble(self, free_values: np.ndarray) -> np.ndarray:
-        """The matrix Y, read from the values of all free variables."""
-        values = free_values[self.start:self.start + self.n_vars]
-        return (self._basis() @ values).reshape(self.size, self.size)
-
-
 def _split(f: np.ndarray) -> np.ndarray:
     """The split rows of a stack F: row 2p is the upper triangle, in svec
     order, of H = (F_p + F_p*)/2 and row 2p + 1 that of K = i (F_p - F_p*)/2.
@@ -1168,53 +1136,44 @@ class _Operator:
     """The operator half of a :class:`HermitianProblem` build, kept between
     its solves: flags and the built rows, not the split rows.
 
-    ``imag`` marks the free variables that are imaginary parts.  Split row
-    2p is the real part H of row p, 2p + 1 its imaginary part K (see
-    :func:`_split`), and each has a realness class: ``even`` when it is
-    invariant under conjugating every unknown (real data, no
-    imaginary-component variables), ``odd`` when its coefficients flip sign
-    (imaginary data, only imaginary-component variables), so that the row
-    flips entirely when its rhs is 0.  ``coef[real_path]`` marks the rows
-    with a nonzero coefficient on each path.  The classes are read from the
-    largest real and imaginary entry of each split row.  ``rows`` is
-    (real_path, keep, problem, kept_vars) of the last build; the problem's
-    memo keeps the presolve of its last solve.  An rhs that changes the path
-    or the kept rows splits the problem's groups again into new ``rows``,
-    with a new memo.
+    Split row 2p is the real part H of row p, 2p + 1 its imaginary part K
+    (see :func:`_split`), and each has a realness class: ``even`` when it is
+    invariant under conjugating every block (real data), ``odd`` when its
+    coefficients flip sign (imaginary data, no free variable, as every free
+    variable is real), so that the row flips entirely when its rhs is 0.
+    ``coef[real_path]`` marks the rows with a nonzero coefficient on each
+    path; on the real path a row that is odd and not even reads 0 = 0, its
+    real part below the class threshold taken as round-off.  The classes
+    are read from the largest real and imaginary entry of each split row.
+    ``rows`` is (real_path, keep, problem) of the last build; the problem's
+    memo keeps the presolve of its last solve.  An rhs that changes the
+    path or the kept rows splits the problem's groups again into new
+    ``rows``, with a new memo.
     """
 
-    def __init__(self, hp: "HermitianProblem", split):
-        imag = np.zeros(hp._n_free, dtype=bool)
-        for fh in hp._free_herms:
-            imag[fh.start:fh.start + fh.n_vars] = (fh._basis().imag != 0).any(axis=0)
-        self.imag, self.rows = imag, None
+    def __init__(self, split):
+        self.rows = None
         # per split row: the largest real and imaginary data entry, and
-        # whether a real / an imaginary-component variable enters
-        re_max, im_max = [np.zeros(0)], [np.zeros(0)]
-        re_use, im_use = [np.zeros(0, bool)], [np.zeros(0, bool)]
+        # whether a free variable enters
+        re_max, im_max, use = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, bool)]
         for data, ft in split:
             re = im = np.zeros(ft.shape[0])
             for h in data.values():
                 im = np.maximum(im, np.abs(h.imag).max(axis=1))
                 re = np.maximum(re, np.abs(h.real).max(axis=1))
-            uses, iv = ft != 0, imag[:ft.shape[1]]
             re_max.append(re)
             im_max.append(im)
-            re_use.append(uses[:, ~iv].any(axis=1))
-            im_use.append(uses[:, iv].any(axis=1))
-        re, im = np.concatenate(re_max), np.concatenate(im_max)
-        re_use, im_use = np.concatenate(re_use), np.concatenate(im_use)
-        self.even = (im <= 1e-13) & ~im_use
-        self.odd = (re <= 1e-13) & ~re_use
-        self.coef = {True: (re > 0) | re_use,
-                     False: (re > 0) | (im > 0) | re_use | im_use}
-        self.obj_real = not any(imag[i] for i in hp._obj or {})
+            use.append((ft != 0).any(axis=1))
+        re, im, use = (np.concatenate(x) for x in (re_max, im_max, use))
+        self.even = im <= 1e-13
+        self.odd = (re <= 1e-13) & ~use
+        self.coef = {True: ((re > 0) & self.even) | use,
+                     False: (re > 0) | (im > 0) | use}
 
 
 class HermitianProblem:
-    """Complex Hermitian PSD blocks, real free scalars (including Hermitian
-    matrix unknowns), complex equality rows, and an optional linear
-    objective over the free scalars.
+    """Complex Hermitian PSD blocks, real free scalars, complex equality
+    rows, and an optional linear objective over the free scalars.
 
     Rows are stored unsplit, one group per ``add_*`` call, which returns the
     group's index: a (k, n, n) stack F per block (complex, or float64 for
@@ -1235,10 +1194,10 @@ class HermitianProblem:
     def __init__(self):
         self._blocks: List[Tuple[str, int]] = []
         self._n_free = 0
-        self._free_herms: List[FreeHermitian] = []
         # (data, free, rhs, form, kron); form = (shape, index) takes an rhs
         # given to solve() in the shape the add_* call took to the group's
-        # (k,) rhs, and kron maps a block to the Kronecker factor form of
+        # (k,) rhs, its flattened entries ``index`` (None for a scalar
+        # row), and kron maps a block to the Kronecker factor form of
         # the group's rows on it, ("sum", m, (A, perm, row, unit)) as
         # add_complex_row describes it or ("blocktrace", m, scale) (see
         # add_matrix_eq), None where they have none
@@ -1262,13 +1221,6 @@ class HermitianProblem:
         self._n_free += count
         self._op = None
         return range(start, start + count)
-
-    def add_free_hermitian(self, name: str, size: int) -> FreeHermitian:
-        fh = FreeHermitian(name, size, self._n_free)
-        self._n_free += fh.n_vars
-        self._free_herms.append(fh)
-        self._op = None
-        return fh
 
     # -- rows ----------------------------------------------------------------
 
@@ -1334,7 +1286,7 @@ class HermitianProblem:
                 raise ValueError(f"block {name!r} given as data and as factors")
             data[name], forms[name] = self._factor_data(name, k, *form)
         return self._add_group(data, self._free_row(free_terms, k), rhs,
-                               (rhs.shape, Ellipsis), forms)
+                               (rhs.shape, np.arange(k)), forms)
 
     def _factor_data(self, name: str, k: int, A, perm, row, unit):
         """The (k, size, size) stack of block ``name`` from its factor form
@@ -1367,7 +1319,7 @@ class HermitianProblem:
         np.add.at(F, at(~first), A[c[~first]])
         data = np.empty((k, size, size), dtype=A.dtype)
         data[:, perm[:, None], perm] = F.reshape(k, size, size)
-        if not all(np.array_equal(a, a.conj().T) for a in A):
+        if not np.array_equal(A, A.conj().swapaxes(1, 2)):
             return data, None
         return data, ("sum", m, (A, None if np.array_equal(perm, np.arange(size))
                                  else perm, row, unit))
@@ -1379,7 +1331,6 @@ class HermitianProblem:
           ("apply", block, A, m)      sum_pq A_pq C_pq with m x m blocks C_pq
           ("entry", block, scale)     scale * C
           ("blocktrace", block, m, scale) scale * (tr C_pq)_pq, m x m blocks
-          ("kron", coeff, fh)         coeff (x) Y
           ("kron_block", coeff, block) coeff (x) C for a PSD block C
           ("kron_scalar", coeff, j)   coeff * u_j
         The row of entry (r, s) is conj(A) (x) E_rs on the block of an
@@ -1420,11 +1371,6 @@ class HermitianProblem:
                     factor(name, kind, mdim, float(np.real(scale)))
                 else:
                     factor(name)
-            elif kind == "kron":
-                coeff, fh = args
-                k = fh.size
-                c = np.asarray(coeff, dtype=complex)[r // k, s // k, None]
-                free[:, fh.start:fh.start + k * k] += c * fh._basis()[r % k * k + s % k]
             elif kind == "kron_block":
                 coeff, name = args
                 k = sizes[name]
@@ -1438,7 +1384,8 @@ class HermitianProblem:
         for name, f in kron.items():    # the summed apply matrix, one unit a row
             if f is not None and f[0] == "sum":
                 kron[name] = ("sum", f[1], (f[2][None], None, p, r * f[1] + s))
-        return self._add_group(F, free, rhs[r, s], (rhs.shape, (r, s)), kron)
+        return self._add_group(F, free, rhs[r, s], (rhs.shape, r * len(rhs) + s),
+                               kron)
 
     def set_objective(self, free_terms: Dict[int, float]):
         """Maximize sum a_i u_i over the free variables u."""
@@ -1465,11 +1412,12 @@ class HermitianProblem:
                                      f"{new.shape}, not {shape}")
                 if index is None:           # a scalar row: float(rhs)
                     try:
-                        new = float(new)
+                        values = np.array([float(new)])
                     except TypeError:
                         raise ValueError(f"rhs for row group {g} is not "
                                          f"real: {new!r}") from None
-                values = np.asarray(new, dtype=complex)[index]
+                else:       # read as complex by the concatenation
+                    values = new.reshape(-1).take(index)
             parts.append(values)
         return np.concatenate(parts).view(float)
 
@@ -1481,21 +1429,19 @@ class HermitianProblem:
                           axis=1).reshape(2 * len(free), free.shape[1]))
                 for data, free, _, _, _ in self._groups]
 
-    def _assemble(self, op: _Operator, split, real_path: bool,
-                  keep: np.ndarray):
-        """(problem, kept_vars) of the split rows ``keep`` on the given path,
-        with a zero rhs and read-only rows."""
+    def _assemble(self, split, real_path: bool, keep: np.ndarray) -> SDPProblem:
+        """The problem of the split rows ``keep`` on the given path, with a
+        zero rhs and read-only rows."""
         herm = not real_path
-        kept_vars = np.flatnonzero(~op.imag) if real_path else np.arange(self._n_free)
         m = int(keep.sum())
         sizes = dict(self._blocks)
         A_blocks = {name: np.zeros((m, _vec_dim(sz, herm))) for name, sz in self._blocks}
-        A_free = np.zeros((m, kept_vars.size))
+        A_free = np.zeros((m, self._n_free))
         i = j = 0
         for data, ft in split:
             rows = keep[j:j + ft.shape[0]]
             j += ft.shape[0]
-            ft = ft[rows][:, kept_vars[:np.searchsorted(kept_vars, ft.shape[1])]]
+            ft = ft[rows]
             k = ft.shape[0]
             for name, h in data.items():
                 h, w = h[rows], _svec_idx(sizes[name])[2]     # svec / hvec(h)
@@ -1507,16 +1453,14 @@ class HermitianProblem:
         if self._obj is not None:
             obj_free = np.zeros(self._n_free)
             obj_free[list(self._obj)] = list(self._obj.values())
-            obj_free = obj_free[kept_vars]
         for a in [A_free, *A_blocks.values()]:
             a.flags.writeable = False
-        problem = SDPProblem(tuple(self._blocks), int(kept_vars.size),
-                             tuple(A_blocks[name] for name, _ in self._blocks),
-                             A_free, np.zeros(m), obj_free,
-                             (True,) * len(self._blocks) if herm else (),
-                             tuple(self._kron_rows(name, sz, real_path, keep)
-                                   for name, sz in self._blocks))
-        return problem, kept_vars
+        return SDPProblem(tuple(self._blocks), self._n_free,
+                          tuple(A_blocks[name] for name, _ in self._blocks),
+                          A_free, np.zeros(m), obj_free,
+                          (True,) * len(self._blocks) if herm else (),
+                          tuple(self._kron_rows(name, sz, real_path, keep)
+                                for name, sz in self._blocks))
 
     def _kron_rows(self, name: str, size: int, real_path: bool,
                    keep: np.ndarray) -> Optional["_KronRows"]:
@@ -1553,22 +1497,21 @@ class HermitianProblem:
                 k += len(c[0])
             else:                             # the trace unit of entry (r, s)
                 row.append(np.arange(p, p + len(rhs)))
-                unit.append(ga + index[0] * n + index[1])
+                unit.append(ga + index)
             p += len(rhs)
         perm = next((c[1] for kind, _, c in forms if kind == "sum"), None)
         return _KronRows(n, m, A.real if real_path else A, trace, perm,
                          np.concatenate(row), np.concatenate(unit), split)
 
     def build(self, rhs=None):
-        """Return (SDPProblem, kept_vars), kept_vars the indices of the free
-        variables the problem keeps; ``rhs`` replaces the rhs of some row
-        groups, as in :meth:`solve`.
+        """Return the SDPProblem; ``rhs`` replaces the rhs of some row groups,
+        as in :meth:`solve`.
 
         Each row tr(F* C) + c.u = rhs becomes its real part, then its
         imaginary part: tr(H C) + Re c.u = Re rhs and tr(K C) + Im c.u =
         Im rhs, with Hermitian H = (F + F*)/2 and K = i (F - F*)/2.  When every
         such row is conjugation-invariant the blocks are real of the same
-        size and only the real free variables stay (the real path); otherwise
+        size (the real path); otherwise
         they are native Hermitian blocks in hvec coordinates.  A row is kept
         when a data or free coefficient is nonzero or |rhs| > 1e-12, so that
         0 = 0 and 0 = round-off go, and 0 = 1 stays, to be found inconsistent.
@@ -1581,12 +1524,11 @@ class HermitianProblem:
         split = None
         if self._op is None:
             split = self._split_groups()
-            self._op = _Operator(self, split)
+            self._op = _Operator(split)
         op = self._op
         # the real path loses nothing when every split row is even, or odd
-        # with rhs 0, and no imaginary-component variable is in the objective
-        real_path = op.obj_real and bool(
-            np.all(op.even | (op.odd & (np.abs(b) <= 1e-12))))
+        # with rhs 0
+        real_path = bool(np.all(op.even | (op.odd & (np.abs(b) <= 1e-12))))
         keep = op.coef[real_path] | (np.abs(b) > 1e-12)
         rows = op.rows
         if rows is None or rows[0] != real_path \
@@ -1594,16 +1536,15 @@ class HermitianProblem:
             if split is None:
                 split = self._split_groups()
             rows = op.rows = (real_path, keep,
-                              *self._assemble(op, split, real_path, keep))
-        _, _, problem, kept_vars = rows
-        return replace(problem, rhs=b[keep]), kept_vars
+                              self._assemble(split, real_path, keep))
+        return replace(rows[2], rhs=b[keep])
 
     # -- solving -------------------------------------------------------------
 
     def solve(self, tol: float = 1e-8, max_iter: int = 200,
               rhs=None) -> SDPSolution:
         """The engine's solution of the built problem, with ``free_values``
-        over every free variable; one the build dropped reads 0.
+        over every free variable (zeros when the solve found none).
 
         ``rhs`` maps group indices, as the ``add_*`` calls returned them, to
         a new rhs for this solve only, in the form that call took: a matrix
@@ -1612,13 +1553,10 @@ class HermitianProblem:
         when the solve reused the presolve of the one before it.  The kept
         operator half is not locked: solves of one problem must not run
         concurrently."""
-        problem, kept_vars = self.build(rhs)
-        sol = solve(problem, tol=tol, max_iter=max_iter)
+        sol = solve(self.build(rhs), tol=tol, max_iter=max_iter)
         sol.info.setdefault("presolve_reused", False)   # no presolve reached
-        free = np.zeros(self._n_free)
-        if sol.free_values is not None:
-            free[kept_vars] = sol.free_values
-        sol.free_values = free
+        if sol.free_values is None:
+            sol.free_values = np.zeros(self._n_free)
         return sol
 
 
@@ -1630,7 +1568,7 @@ def build_from_complex(problem: HermitianProblem) -> SDPProblem:
     Hermitian blocks are tested against; a real-path build is embedded as
     it stands.  It starts a memo of its own, so its solves leave the
     presolve kept in the build's alone."""
-    built, _ = problem.build()
+    built = problem.build()
     # per block, the matrix taking svec / hvec(H) to svec of its embedding;
     # its entries are +-1 up to the rounding of sqrt(2), so rounded and
     # halved they are exactly 0 or +-1/2, and the products below are exact

@@ -21,8 +21,9 @@ from .algebra import (HermitianTuple, LinearPencil, _memoized,
                       pencil_from_tuple)
 from .cp import (ChoiMatrix, InterpolationMode, _solve_interpolation,
                  interpolation_problem, kraus_of_choi)
-from .sdp import (FEAS_TOL, Decision, HermitianProblem, SolverError,
-                  SolveStatus, hmat, hvec)
+from .sdp import (_WITNESS_EIG_TOL, _WITNESS_EQ_TOL, FEAS_TOL, Decision,
+                  HermitianProblem, SolverError, SolveStatus, _numerical_rank,
+                  _svec_idx, hmat, hvec)
 
 __all__ = [
     "Spectrahedrop",
@@ -51,10 +52,10 @@ class Spectrahedrop:
     """Projection onto the x variables of the solution set of `lift`.
 
     ``_memo`` keeps what the drop's queries share, made on first use: the
-    membership problem for each point size and the polar interpolation
-    problem for each (bounded, size), which later queries solve for their
-    own rhs.  These problems are not locked, so a drop's queries must not
-    run concurrently.
+    annihilators of the lift, the membership problem for each point size
+    and the polar interpolation problem for each (bounded, size), which
+    later queries solve for their own rhs.  These problems are not locked,
+    so a drop's queries must not run concurrently.
     """
 
     lift: LinearPencil
@@ -300,40 +301,90 @@ class DropMembership(Decision):
     info: dict = field(default_factory=dict)
 
 
-def _membership_problem(lift: LinearPencil, n: int):
-    """L(X, Y) = P with P >= 0 over Hermitian Y, for points X of size n: the
-    one row group's rhs is the constant term A0 (x) I + sum A_j (x) X_j.
-    Returns the problem and its Y unknowns."""
+def _drop_kernel(lift: LinearPencil):
+    """What a lift's membership queries share, from one SVD of the hvec
+    coordinates of the B_k (rank by the row factorization's rule; the
+    coordinates no B_k touches split off first, so that a real lift keeps
+    the real path).  With S = (I, X_1, ..., X_g): the C_q, an orthonormal
+    basis of the complement of the B_k's real span in Herm(d); K, with
+    Phi(C_q^T) = sum_j K[q, j] S_j; D and J, with the least-squares Y_k =
+    sum_pq (D_k)_pq P_pq - sum_j J[k, j] S_j; the stack of coefficients."""
+    d, g = lift.d, lift.g
+    coeffs = np.asarray([lift.A0, *lift.x_coeffs, *lift.y_coeffs]).reshape(
+        1 + g + lift.h, d, d)
+    hx, hb = hvec(coeffs[:g + 1]), hvec(coeffs[g + 1:])
+    live = hb.any(axis=0)
+    u, sv, vh = np.linalg.svd(hb[:, live])
+    r = _numerical_rank(np.diag(sv))
+    null = np.zeros((d * d - r, d * d))
+    null[:len(vh) - r, live] = vh[r:]
+    null[len(vh) - r:, ~live] = np.eye(d * d - len(vh))
+    dual = np.zeros((lift.h, d * d))
+    dual[:, live] = (u[:, :r] / sv[:r]) @ vh[:r]
+    # Re tr(H M) = hvec(H).hvec(M), and the transpose of a Hermitian
+    # matrix is its conjugate
+    return (hmat(null, d), null @ hx.T, hmat(dual, d).conj(), dual @ hx.T,
+            coeffs)
+
+
+def _membership_problem(C: np.ndarray, n: int) -> HermitianProblem:
+    """The cp interpolation Phi(C_q^T) = T_q over the Choi matrices of maps
+    M_d -> M_n: the rows and the factor form (units C_q (x) E_rs) of
+    ``interpolation_problem((C_q^T), T, CP)``, in one row group whose rhs
+    is T_q[r, s] for each q and r <= s, so that a query passes one vector."""
+    q, d = len(C), C.shape[-1]
+    r, s, _ = _svec_idx(n)
+    k = q * r.size
     hp = HermitianProblem()
-    hp.add_block("P", lift.d * n)
-    ys = [hp.add_free_hermitian(f"Y{k}", n) for k in range(lift.h)]
-    terms = [("entry", "P", 1.0)]
-    for coeff, fh in zip(lift.y_coeffs, ys):
-        terms.append(("kron", -np.asarray(coeff), fh))
-    hp.add_matrix_eq(terms, np.zeros((lift.d * n, lift.d * n)))
-    return hp, ys
+    hp.add_block("C", d * n)
+    hp.add_complex_row({}, None, np.zeros(k), kron={"C": (
+        C, np.arange(d * n), np.arange(k),
+        (np.arange(q)[:, None] * n * n + r * n + s).ravel())})
+    return hp
 
 
 def drop_membership(drop: Spectrahedrop, x: HermitianTuple, tol: float = 1e-8,
                     max_iter: int = 200) -> DropMembership:
-    """X in proj_x of the lift: feasibility of L(X, Y) >= 0 over Hermitian Y."""
+    """X in proj_x of the lift: some P >= 0 with P - L(X, 0) in V (x) Herm(n),
+    V the real span of the B_k, so that P = L(X, Y).
+
+    With C_q an orthonormal basis of the complement of V, P is the Choi
+    matrix of a cp map M_d -> M_n with Phi(C_q^T) = tr(C_q A_0) I +
+    sum_j tr(C_q A_j) X_j (the image-to-kernel conversion of Lofberg,
+    "Dualize it", Optim. Methods Softw. 24, 2009), kept per point size.
+    Y is recovered from P - L(X, 0) by least squares; FEASIBLE needs
+    lambda_min(L(X, Y)) >= -1e-8 and |L(X, Y) - P| within the equality
+    tolerance, else ERROR."""
     lift = drop.lift
     if x.g != lift.g:
         raise ValueError(f"lift takes {lift.g} x variables, point has {x.g}")
-    n = x.dim or 1
-    const = np.kron(np.asarray(lift.A0), np.eye(n)).astype(complex)
-    for coeff, xj in zip(lift.x_coeffs, x):
-        const += np.kron(np.asarray(coeff), xj)
-    hp, ys = _memoized(drop, ("member", n),
-                       lambda: _membership_problem(lift, n))
-    sol = hp.solve(tol=tol, max_iter=max_iter, rhs={0: hermitian_part(const)})
-    witness = None
-    if sol.feasible and lift.h:
-        witness = HermitianTuple([fh.assemble(sol.free_values) for fh in ys])
-    elif sol.feasible:
-        witness = HermitianTuple([], dim=n)
-    return DropMembership(sol.status, y_witness=witness, margin=sol.margin,
-                          info=sol.info)
+    d, n = lift.d, x.dim or 1
+    C, K, dual, J, coeffs = _memoized(drop, "kernel",
+                                      lambda: _drop_kernel(lift))
+    point = np.asarray([np.eye(n), *x]).reshape(lift.g + 1, n * n)
+    targets = (K @ point).reshape(-1, n, n)
+    r, s, _ = _svec_idx(n)
+    problem = _memoized(drop, ("member", n), lambda: _membership_problem(C, n))
+    res = _solve_interpolation(problem, InterpolationMode.CP, d, n, tol,
+                               max_iter, rhs={0: targets[:, r, s].ravel()})
+    if not res.feasible:
+        return DropMembership(res.status, margin=res.margin, info=res.info)
+    P = res.choi.C
+    y = HermitianTuple(np.tensordot(dual, P.reshape(d, n, d, n), ([1, 2], [0, 2]))
+                       - (J @ point).reshape(-1, n, n), dim=n)
+    # L(X, Y), each coefficient (x) its variable
+    value = np.tensordot(coeffs, np.concatenate([
+        point.reshape(-1, n, n), np.reshape(y.matrices, (-1, n, n))]),
+        (0, 0)).transpose(0, 2, 1, 3).reshape(d * n, d * n)
+    eig_min = float(np.linalg.eigvalsh(value)[0])
+    resid = float(np.abs(value - P).max())
+    if eig_min < -_WITNESS_EIG_TOL or resid > _WITNESS_EQ_TOL * max(
+            1.0, float(np.abs(targets).max(initial=0.0))):
+        return DropMembership(SolveStatus.ERROR, margin=res.margin, info={
+            **res.info, "reason": "Y witness failed verification",
+            "eig_min": eig_min, "resid": resid})
+    return DropMembership(res.status, y_witness=y, margin=res.margin,
+                          info=res.info)
 
 
 def drop_polar_membership(drop: Spectrahedrop, a: HermitianTuple,

@@ -245,18 +245,22 @@ def _assert_routes_agree(problem, pre, gen):
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(list(InterpolationMode)), st.integers(1, 4),
        st.integers(1, 4), st.integers(1, 3), st.booleans(), st.booleans(),
-       st.integers(0, 10_000))
-def test_factored_schur_matches_dense(mode, n, m, g, annihilate, real, seed):
+       st.booleans(), st.integers(0, 10_000))
+def test_factored_schur_matches_dense(mode, n, m, g, annihilate, bound, real,
+                                      seed):
     """On the same presolved rows, the Schur complement assembled from the
     Kronecker factors of the Choi rows equals the dense one to rtol 1e-12:
-    every mode, with and without annihilated matrices, n != m, real-path and
-    Hermitian data, and a kept presolve reused with a new rhs."""
+    every mode, with and without annihilated matrices and the trace bound
+    (a row of m units), n != m, real-path and Hermitian data, and a kept
+    presolve reused with a new rhs."""
     gen = rng(seed)
     a = rand_tuple(gen, g, n, real=real)
     b, b2 = (rand_tuple(gen, g, m, real=real) for _ in range(2))
     gamma = rand_tuple(gen, 1, n, real=real) if annihilate else None
-    hp = interpolation_problem(a, b, mode, annihilate=gamma)
-    problem, _ = hp.build()
+    trace = 2.0 * n * m if bound else None
+    hp = interpolation_problem(a, b, mode, annihilate=gamma,
+                               extra_psd_choi_trace=trace)
+    problem = hp.build()
     assert not (real and any(problem.herm))
     rows = S._Rows(problem)
     if rows.consistent and rows.keep.size:
@@ -265,7 +269,8 @@ def test_factored_schur_matches_dense(mode, n, m, g, annihilate, real, seed):
     # answer of a fresh problem
     hp.solve()
     again = hp.solve(rhs=dict(enumerate(b2)))
-    fresh = interpolation_problem(a, b2, mode, annihilate=gamma).solve()
+    fresh = interpolation_problem(a, b2, mode, annihilate=gamma,
+                                  extra_psd_choi_trace=trace).solve()
     assert again.status is fresh.status
     assert again.info.get("schur") == fresh.info.get("schur")
     if again.info["presolve_reused"]:
@@ -274,9 +279,9 @@ def test_factored_schur_matches_dense(mode, n, m, g, annihilate, real, seed):
 
 
 def test_schur_route_rule():
-    """The route is read from the data: the TV grids' drop and polar blocks,
-    a 3 x 3 channel map and a block with a scalar row stay dense, channel
-    maps from n = m = 4 up are factored, and the route shows in
+    """The route is read from the data: the TV grids' drop and polar blocks
+    and a 3 x 3 channel map stay dense, channel maps from n = m = 4 up are
+    factored, also with the ex situ trace bound, and the route shows in
     info["schur"]."""
     from freeconvex.algebra import monic_tuple
     from freeconvex.corpus import scalar_tuple, tv_lift, tv_monic_lift
@@ -289,7 +294,7 @@ def test_schur_route_rule():
         res = drop_polar_membership(tvm, x, bounded=bounded)
         assert set(res.info["schur"]) == {"dense"}
         problem = tvm._memo["polar", bounded, 1]
-        assert problem.build()[0].kron[0] is not None   # factored form, dense route
+        assert problem.build().kron[0] is not None   # factored form, dense route
     omega, gamma = monic_tuple(tv_monic_lift())
     assert interpolate(omega, x, "subunital", annihilate=gamma).info["schur"] \
         == ("dense", "dense")
@@ -300,9 +305,10 @@ def test_schur_route_rule():
         b = HermitianTuple([sum(v.conj().T @ aj @ v for v in ops) for aj in a])
         res = interpolate(a, b, "channel")
         assert res.feasible and res.info["schur"] == (route,)
-    # a scalar row on the Choi block has no factor form
+    # the trace bound is a row of the Choi block's factor form; its slack
+    # block is a dense 1 x 1
     res = interpolate(a, b, "channel", extra_psd_choi_trace=10.0)
-    assert res.feasible and res.info["schur"] == ("dense", "dense")
+    assert res.feasible and res.info["schur"] == ("factored", "dense")
 
 
 def _choi_rows(groups, n, m, seed, real=False):
@@ -334,7 +340,7 @@ def test_factor_form_needs_one_kind_of_term():
             ([apply0, [("blocktrace", "C", 2, 0.0)]], False),
             ([apply0, [("apply", "C", a[1], 2), ("blocktrace", "C", 2, 1.0)]],
              False)]:
-        problem = _choi_rows(groups, 3, 2, 0).build()[0]
+        problem = _choi_rows(groups, 3, 2, 0).build()
         assert (problem.kron[0] is not None) is form
 
 
@@ -347,7 +353,7 @@ def test_factored_schur_with_scaled_trace_rows(real):
     hp = _choi_rows([[("apply", "C", a[0], 4)],
                      [("apply", "C", a[1], 4), ("apply", "C", a[2], 4)],
                      [("blocktrace", "C", 4, -2.5)]], 3, 4, 1, real)
-    problem = hp.build()[0]
+    problem = hp.build()
     assert not (real and any(problem.herm)) and problem.kron[0] is not None
     _assert_routes_agree(problem, S._Presolve(S._Rows(problem)), gen)
 
@@ -380,15 +386,15 @@ def test_add_complex_row_factor_form():
     perm = gen.permutation(6)
     hp, ref = _sum_form_problem(A, perm, gen)
     assert np.allclose(hp._groups[0][0]["C"], ref, rtol=0, atol=1e-15)
-    problem = hp.build()[0]
+    problem = hp.build()
     assert np.array_equal(problem.kron[0].perm, perm)
     _assert_routes_agree(problem, S._Presolve(S._Rows(problem)), gen)
-    assert _sum_form_problem(A, np.arange(6), gen)[0].build()[0].kron[0].perm is None
-    assert _choi_rows([[("apply", "C", A[0], 3)]], 2, 3, 0).build()[0].kron[0].perm is None
+    assert _sum_form_problem(A, np.arange(6), gen)[0].build().kron[0].perm is None
+    assert _choi_rows([[("apply", "C", A[0], 3)]], 2, 3, 0).build().kron[0].perm is None
     skew = A + np.array([[[0, 1], [0, 0]]])
     hp, ref = _sum_form_problem(skew, perm, gen)
     assert np.allclose(hp._groups[0][0]["C"], ref, rtol=0, atol=1e-15)
-    assert hp.build()[0].kron[0] is None
+    assert hp.build().kron[0] is None
     for bad in [(A, perm, [0, 1, 1, 3], [0, 1, 2, 3]),     # row 2 has no unit
                 (A, perm, [0, 1, 2, 3], [0, 1, 2, 18]),    # no A_2
                 (A, perm[:5], [0, 1, 2, 3], [0, 1, 2, 3]),

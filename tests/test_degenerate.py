@@ -152,7 +152,7 @@ def test_realified_path_agrees():
                              np.diag([0.0, 0.0, 1.0, -1.0])])
     for x in MATRIX_POINTS:
         hp = interpolation_problem(square, x, InterpolationMode.UNITAL)
-        assert hp.build()[0].hermitian == ()
+        assert hp.build().hermitian == ()
         real = hp.solve()
         forced = solve(build_from_complex(hp))
         assert real.status is forced.status
@@ -185,7 +185,7 @@ def test_max_inner_product_on_trace_slice(beta):
     b.add_scalar_row({"Z": np.eye(3)}, {}, beta)
     b.add_scalar_row({"Z": -c}, {u: 1.0}, 0.0)
     b.set_objective({u: 1.0})
-    sol = solve(b.build()[0])
+    sol = solve(b.build())
     assert sol.status is SolveStatus.FEASIBLE
     assert "unbounded_objective" not in sol.info
     ref = beta * np.linalg.eigvalsh(c)[-1]

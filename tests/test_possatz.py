@@ -91,8 +91,8 @@ def test_rows_are_reference_rows_distinct_up_to_sign(pencil, mu, r):
     p = _symmetric_poly(rng(r), pencil.g, mu, 2 * r + 1)
     if pencil is TVM:
         p = NCPolynomial(p.g, mu, mu, {w: c.real for w, c in p.terms.items()})
-    problem, _ = certificate_problem(p, pencil, r).build()
-    ref, _ = reference_problem(p, pencil, r).build()
+    problem = certificate_problem(p, pencil, r).build()
+    ref = reference_problem(p, pencil, r).build()
     rows = _rows_up_to_sign(problem)
     assert len(set(rows)) == len(rows)
     assert set(rows) == set(_rows_up_to_sign(ref))
@@ -119,10 +119,10 @@ def test_complex_self_adjoint_round_off_is_dropped():
     assert max(abs(p.coeff(w)[0, 0].imag) for w in p.terms
                if w == w[::-1]) > 0
     ref_hp = reference_problem(p, CPLX, 1)
-    ref, _ = ref_hp.build()
+    ref = ref_hp.build()
     assert np.hstack(ref.A_blocks).any(axis=1).all()
     assert ref_hp.solve().status is SolveStatus.FEASIBLE
-    problem, _ = certificate_problem(p, CPLX, 1).build()
+    problem = certificate_problem(p, CPLX, 1).build()
     assert np.hstack(problem.A_blocks).any(axis=1).all()
     assert _Rows(problem).keep.size == problem.m
     assert bool(search_certificate(p, CPLX, 1))
@@ -283,7 +283,7 @@ def test_factored_certificate_schur_matches_dense(r, mu, real, seed):
     if real:
         p, q = (NCPolynomial(2, mu, mu, {w: c.real for w, c in f.terms.items()})
                 for f in (p, q))
-    problem, _ = certificate_problem(p, pencil, r).build()
+    problem = certificate_problem(p, pencil, r).build()
     assert problem.kron[0] is None and problem.kron[1] is not None
     assert not (real and any(problem.herm))
     rows = _Rows(problem)
@@ -304,7 +304,7 @@ def test_certificate_schur_route():
         res = search_certificate(p, tv_monic_lift(), r)
         assert res.feasible
         assert res.info["schur"] == ("dense", "dense" if r <= 1 else "factored")
-    problem, _ = certificate_problem(p, TVM, 3).build()
+    problem = certificate_problem(p, TVM, 3).build()
     assert problem.kron[0] is None
     assert _Presolve(_Rows(problem)).routes == ("dense", "factored")
 
@@ -355,7 +355,7 @@ def test_certificate_rows_meet_expansion(pencil, real, mu, r, seed):
                  np.kron(q, rand_psd(gen, mu, real=real)))
     cert = Certificate(pencil.g, d, mu, r, rand_psd(gen, mu * n, real=real), gm)
     p = expand_certificate(cert, pencil)
-    problem, _ = certificate_problem(p, pencil, r).build()
+    problem = certificate_problem(p, pencil, r).build()
     assert (problem.hermitian == ()) == real and problem.n_free == 0
     vec = svec if real else hvec
     x = np.concatenate([vec(cert.S.real if real else cert.S),

@@ -155,7 +155,7 @@ def test_step_length_lapack_failure_is_an_error(herm, monkeypatch):
     if herm:
         hp.add_complex_row({"Z": np.array([[[0.0, 1.0j], [0.0, 0.0]]])}, {},
                            [0.1])
-    assert hp.build()[0].herm == (herm,)
+    assert hp.build().herm == (herm,)
     sol = hp.solve()
     assert sol.status is SolveStatus.ERROR
     assert sol.info["reason"] == "step length eigenproblem failed"
@@ -194,7 +194,7 @@ def test_identity_slack():
     t = b.add_free(1)[0]
     entry_rows(b, "Z", np.eye(2), 2, t)
     b.set_objective({t: 1.0})
-    sol = solve(b.build()[0])
+    sol = solve(b.build())
     assert sol.status is SolveStatus.FEASIBLE
     assert abs(sol.objective_value - 1.0) < 1e-6
     assert sol.info["attempts"] >= 1
@@ -211,7 +211,7 @@ def _rank_deficient_free(objective):
     b.add_scalar_row({"Z": np.diag([0.0, 1.0])}, {u[2]: 1.0}, 2.0)
     b.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
     b.set_objective(dict(zip(u, objective)))
-    return b.build()[0]
+    return b.build()
 
 
 def test_free_objective_along_null_space_is_unbounded():
@@ -259,7 +259,7 @@ def test_phase_one_rows_absorbed_by_slack(n, rhs, margin):
     b = HermitianProblem()
     b.add_block("Z", n)
     b.add_scalar_row({"Z": np.eye(n)}, {}, rhs)
-    sol = solve(b.build()[0])
+    sol = solve(b.build())
     assert sol.status is (SolveStatus.FEASIBLE if margin > 0
                           else SolveStatus.INFEASIBLE)
     assert abs(sol.margin - margin) < 1e-6
@@ -277,7 +277,7 @@ def test_phase_one_rows_absorbed_by_free_columns():
         e = np.zeros((2, 2))
         e[i, j] = e[j, i] = 1.0 if i == j else 0.5
         b.add_scalar_row({"Z": e}, {u[k]: 1.0}, [5.0, -3.0, 7.0][k])
-    problem = b.build()[0]
+    problem = b.build()
     sol = solve(problem)
     assert sol.status is SolveStatus.FEASIBLE and sol.margin == np.inf
     z, uv = sol.witness["Z"], sol.free_values
@@ -329,7 +329,7 @@ def test_diagonal_slack_matches_min_eig():
     t = b.add_free(1)[0]
     entry_rows(b, "Z", np.diag([1.0, 2.0]), 2, t)
     b.set_objective({t: 1.0})
-    sol = solve(b.build()[0])
+    sol = solve(b.build())
     assert abs(sol.objective_value - 1.0) < 1e-6
 
 
@@ -338,7 +338,7 @@ def test_trace_pair_infeasible():
     b.add_block("Z", 2)
     b.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
     b.add_scalar_row({"Z": np.diag([1.0, -1.0])}, {}, 2.0)
-    sol = solve(b.build()[0])
+    sol = solve(b.build())
     assert sol.status is SolveStatus.INFEASIBLE
     assert abs(sol.margin + 0.5) < 1e-6
 
@@ -377,7 +377,7 @@ def test_boundary_rescue():
     b = HermitianProblem()
     b.add_block("Z", 2)
     b.add_scalar_row({"Z": np.eye(2)}, {}, 0.0)
-    sol = solve(b.build()[0])
+    sol = solve(b.build())
     assert sol.status is SolveStatus.FEASIBLE
     assert np.abs(sol.witness["Z"]).max() < 1e-7
 
@@ -387,7 +387,7 @@ def test_inconsistent_equalities():
     b.add_block("Z", 1)
     b.add_scalar_row({"Z": np.eye(1)}, {}, 1.0)
     b.add_scalar_row({"Z": 2 * np.eye(1)}, {}, 1.0)
-    sol = solve(b.build()[0])
+    sol = solve(b.build())
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.margin == -np.inf
 
@@ -415,7 +415,7 @@ def test_zero_row_drop_rule(native, rhs):
     if native:                        # complex data: 2 Im Z_01 = 1/2
         hp.add_scalar_row({"Z": np.array([[0, 1j], [-1j, 0]])}, {}, 0.5)
     hp.add_complex_row({"Z": np.zeros((1, 2, 2))}, None, [rhs])
-    problem, _ = hp.build()
+    problem = hp.build()
     assert problem.hermitian == ((True,) if native else ())
     assert problem.m == 1 + native + (rhs > 1e-12)
     sol = hp.solve()
@@ -487,7 +487,7 @@ def test_realified_solve_keeps_the_native_presolve():
     realified solve and leaves hp's kept presolve in place."""
     hp, (trace, off, _) = _override_problem(0.25j)
     assert hp.solve().info["presolve_reused"] is False
-    assert hp.build()[0].herm == (True,)              # a native Hermitian block
+    assert hp.build().herm == (True,)              # a native Hermitian block
     realified = build_from_complex(hp)
     got = solve(realified)
     assert got.info["presolve_reused"] is False
@@ -528,8 +528,8 @@ def test_split_rows_are_the_full_matrix_products(n):
 def test_build_shares_read_only_rows():
     """Builds that keep the rows share them, read-only; each has its rhs."""
     hp, (trace, _, _) = _override_problem(0.25)
-    first, _ = hp.build()
-    second, _ = hp.build(rhs={trace: 2.0})
+    first = hp.build()
+    second = hp.build(rhs={trace: 2.0})
     assert second.A_blocks[0] is first.A_blocks[0]
     assert not first.A_blocks[0].flags.writeable
     assert not first.A_free.flags.writeable
@@ -659,7 +659,7 @@ def test_native_hermitian_matches_realified(n, feasible, seed):
     # one complex row tr(F* Z) = tr(F* Z0), split into two real ones
     f = rand_complex(gen, n, n)
     hp.add_complex_row({"Z": f[None]}, {}, [np.trace(f.conj().T @ z0)])
-    problem, _ = hp.build()
+    problem = hp.build()
     assert problem.hermitian == (True,)
     native, realified = hp.solve(), solve(build_from_complex(hp))
     assert native.status is realified.status
@@ -687,7 +687,7 @@ def test_unbounded_margin_yields_verified_witness():
         b = HermitianProblem()
         b.add_block("Z", 2)
         b.add_scalar_row({"Z": np.diag([1.0, -1.0])}, {}, rhs)
-        sol = solve(b.build()[0])
+        sol = solve(b.build())
         assert sol.status is SolveStatus.FEASIBLE
         assert sol.margin == np.inf and sol.info["unbounded_margin"]
         assert np.linalg.eigvalsh(sol.witness["Z"])[0] > 0
@@ -709,7 +709,7 @@ def test_strictly_feasible_problems_solve(seed):
         f = gen.standard_normal((n, n))
         f = f + f.T
         b.add_scalar_row({"Z": f}, {}, float(np.tensordot(f, zstar)))
-    sol = solve(b.build()[0])
+    sol = solve(b.build())
     assert sol.status is SolveStatus.FEASIBLE
     # independent witness verification at the documented tolerances
     assert sol.info["eq_resid"] <= 1e-6
@@ -721,7 +721,7 @@ def _solve_rows(rows, rhs, n):
     b.add_block("Z", n)
     for f, c in zip(rows, rhs):
         b.add_scalar_row({"Z": f}, {}, c)
-    return solve(b.build()[0])
+    return solve(b.build())
 
 
 def _status_of(rows, rhs, n):
@@ -791,7 +791,7 @@ def test_build_from_complex_doubles_real_data():
     p = build_from_complex(hp)
     assert p.blocks == (("Z", 4),)
     # the smart path keeps the real size
-    p2, _ = hp.build()
+    p2 = hp.build()
     assert p2.blocks == (("Z", 2),) and p2.hermitian == ()
     # and both decide the same feasibility with the same margin
     a = S.solve(p)
@@ -809,33 +809,13 @@ def test_complex_cross_check_with_direct_formulation():
         hp.add_block("C", 2)
         hp.add_scalar_row({"C": np.eye(2)}, {}, 1.0)
         hp.add_scalar_row({"C": sy}, {}, val)
-        problem, _ = hp.build()
+        problem = hp.build()
         assert problem.hermitian == (True,)
         forced = build_from_complex(hp)
         a = S.solve(problem)
         b = S.solve(forced)
         assert a.status is b.status is expect
         assert abs(a.margin - b.margin) < 1e-6
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_realified_objective(n):
-    """max Im Y_01 over Hermitian Y with -I <= Y <= I is 1.  The rows alone
-    take the real path; the objective on an imaginary-component variable
-    keeps the build native, and its realification agrees."""
-    hp = HermitianProblem()
-    hp.add_block("P", n)
-    hp.add_block("Q", n)
-    y = hp.add_free_hermitian("Y", n)
-    hp.add_matrix_eq([("entry", "P", 1.0), ("kron", np.eye(1), y)], np.eye(n))
-    hp.add_matrix_eq([("entry", "Q", 1.0), ("kron", -np.eye(1), y)], np.eye(n))
-    assert hp.build()[0].hermitian == ()
-    hp.set_objective({y.start + n + 1: 1.0})      # Im Y_01
-    assert hp.build()[0].hermitian == (True, True)
-    for sol in (hp.solve(), solve(build_from_complex(hp))):
-        assert sol.status is SolveStatus.FEASIBLE
-        assert abs(sol.objective_value - 1.0) <= 1e-6
-    assert abs(y.assemble(hp.solve().free_values)[0, 1].imag - 1.0) <= 1e-6
 
 
 def test_complex_scalar_block():
@@ -845,16 +825,6 @@ def test_complex_scalar_block():
     sol = hp.solve()
     assert sol.feasible
     assert abs(sol.witness["z"][0, 0] - 1.0) < 1e-7
-
-
-def _ref_entry_coeffs(fh, i, j):
-    """Complex coefficients of Y_ij over fh's real variables, from the
-    documented layout (diagonal, then (Re, Im) pairs row-major for i < j)."""
-    if i == j:
-        return {fh.start + i: 1.0 + 0j}
-    lo, hi, n = min(i, j), max(i, j), fh.size
-    re = fh.start + n + 2 * ((2 * n - lo - 1) * lo // 2 + (hi - lo - 1))
-    return {re: 1.0 + 0j, re + 1: (-1j if i > j else 1j)}
 
 
 def _ref_entry(sizes, terms, r, s):
@@ -880,12 +850,6 @@ def _ref_entry(sizes, terms, r, s):
                 f = np.zeros((k, k), complex)
                 f[r % k, s % k] = np.conj(t[0][r // k, s // k])
                 bt[t[1]] = bt.get(t[1], 0) + f
-        elif term == "kron":
-            k = t[1].size
-            c = t[0][r // k, s // k]
-            for idx, v in _ref_entry_coeffs(t[1], r % k, s % k).items():
-                if c != 0:
-                    ft[idx] = ft.get(idx, 0.0) + c * v
         elif term == "kron_scalar" and t[0][r, s] != 0:
             ft[t[1]] = ft.get(t[1], 0.0) + t[0][r, s]
     return bt, ft
@@ -920,27 +884,25 @@ def _ref_rows(sizes, calls):
     return rows
 
 
-def _ref_build(blocks, n_free, imag, rows, realified):
-    """Reference build, one dict per row: the real-restricted rows on the
-    real free variables when every row is conjugation-invariant, else every
-    row on every variable; with ``realified``, each block's data H becomes
-    [[Re H, -Im H], [Im H, Re H]] / 2 on a block of twice the size."""
+def _ref_build(blocks, n_free, rows, realified):
+    """Reference build, one dict per row: the real-restricted rows when
+    every row is conjugation-invariant, else every row; with
+    ``realified``, each block's data H becomes [[Re H, -Im H], [Im H, Re H]]
+    / 2 on a block of twice the size."""
     def is_real():
         for bt, ft, rhs in rows:
             im = max([np.abs(h.imag).max() for h in bt.values()] + [0.0])
             re = max([np.abs(h.real).max() for h in bt.values()] + [0.0])
-            if not ((im <= 1e-13 and not set(ft) & imag) or
-                    (re <= 1e-13 and abs(rhs) <= 1e-12 and set(ft) <= imag)):
+            if not (im <= 1e-13 or (re <= 1e-13 and abs(rhs) <= 1e-12
+                                    and not ft)):
                 return False
         return True
     real = is_real()
-    kept = sorted(set(range(n_free)) - imag) if real else list(range(n_free))
-    vmap = {v: k for k, v in enumerate(kept)}
     ref = []
     for bt, ft, rhs in rows:
         if real:
             bt = {n: h.real for n, h in bt.items() if np.abs(h.real).max() > 0}
-            ft = {i: c for i, c in ft.items() if i in vmap and c.real != 0}
+            ft = {i: c for i, c in ft.items() if c.real != 0}
             if not (bt or ft or abs(rhs) > 1e-12):
                 continue
         ref.append(({n: 0.5 * realify(h) if realified else h
@@ -949,20 +911,19 @@ def _ref_build(blocks, n_free, imag, rows, realified):
     k = 2 if realified else 1
     vec = svec if real or realified else hvec
     A_blocks = [np.zeros((len(ref), vec(np.eye(k * sz)).size)) for _, sz in blocks]
-    A_free = np.zeros((len(ref), len(kept)))
+    A_free = np.zeros((len(ref), n_free))
     for i, (bt, ft, _) in enumerate(ref):
         for b, (name, _) in enumerate(blocks):
             if name in bt:
                 A_blocks[b][i] = vec(bt[name])
         for j, c in ft.items():
-            A_free[i, vmap[j]] = c.real
-    return S.SDPProblem(tuple((name, k * sz) for name, sz in blocks), len(kept),
+            A_free[i, j] = c.real
+    return S.SDPProblem(tuple((name, k * sz) for name, sz in blocks), n_free,
                         tuple(A_blocks), A_free,
-                        np.array([rhs for _, _, rhs in ref])), kept, real
+                        np.array([rhs for _, _, rhs in ref])), real
 
 
-_TERM_KINDS = ("apply", "entry", "blocktrace", "kron", "kron_block",
-               "kron_scalar")
+_TERM_KINDS = ("apply", "entry", "blocktrace", "kron_block", "kron_scalar")
 
 
 @settings(deadline=None, max_examples=60)
@@ -989,7 +950,6 @@ def test_hermitian_rows_match_entrywise_reference(d, real, calls, seed):
     for name, n in sizes.items():
         hp.add_block(name, n)
     frees = list(hp.add_free(2))
-    fh = hp.add_free_hermitian("Y", d // 2)
     made = []
     for call in calls:
         if call == "scalar":
@@ -1006,7 +966,6 @@ def test_hermitian_rows_match_entrywise_reference(d, real, calls, seed):
             term = {"apply": ("apply", "C", mat(2, 2), d),
                     "entry": ("entry", "P", complex(mat(1)[0])),
                     "blocktrace": ("blocktrace", "C", 2, complex(mat(1)[0])),
-                    "kron": ("kron", mat(2, 2), fh),
                     "kron_block": ("kron_block", mat(2, 2), "K"),
                     "kron_scalar": ("kron_scalar", mat(d, d), frees[-1])}
             made.append(("eq", [term[k] for k in sorted(call)], mat(d, d)))
@@ -1015,15 +974,13 @@ def test_hermitian_rows_match_entrywise_reference(d, real, calls, seed):
         if len(frees) == 2:          # a free added after the first rows
             frees += list(hp.add_free(1))
     rows = _ref_rows(sizes, made)
-    k = d // 2
-    imag = {fh.start + k + 2 * i + 1 for i in range(k * (k - 1) // 2)}
     blocks = list(sizes.items())
-    problem, kept_vars = hp.build()
-    ref, kept, real_path = _ref_build(blocks, hp._n_free, imag, rows, False)
-    assert (problem.hermitian == ()) == real_path and list(kept_vars) == kept
+    problem = hp.build()
+    ref, real_path = _ref_build(blocks, hp._n_free, rows, False)
+    assert (problem.hermitian == ()) == real_path
     if real:
         assert real_path
-    realified = _ref_build(blocks, hp._n_free, imag, rows, True)[0]
+    realified = _ref_build(blocks, hp._n_free, rows, True)[0]
     forced = build_from_complex(hp)
     for got, want in ((problem, ref), (forced, realified)):
         assert got.n_free == want.n_free
@@ -1058,7 +1015,7 @@ def test_feasible_witness_contract():
             f = gen.standard_normal((n, n))
             f = f + f.T
             b.add_scalar_row({"Z": f}, {}, float(np.tensordot(f, zstar)))
-        problem = b.build()[0]
+        problem = b.build()
         sol = solve(problem)
         assert sol.status is SolveStatus.FEASIBLE
         z = sol.witness["Z"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -10,10 +12,11 @@ from freeconvex.algebra import (HermitianTuple, LinearPencil, ball_pencil,
 from freeconvex.corpus import (ex_fails, interval_pencil, interval_tuple,
                                scalar_tuple, tv_lift, tv_monic_lift,
                                tv_dual_boundary, tv_screen_value)
+from freeconvex.cp import ChoiMatrix
 from freeconvex.rand import (rng, rand_hermitian, rand_psd, rand_tuple,
                              rand_unitary)
 from freeconvex.sdp import HermitianProblem, SDPSolution, SolveStatus, \
-    SolverError
+    SolverError, hmat
 from freeconvex import spectra
 from freeconvex.spectra import (Spectrahedrop, dominates, drop_level1_bounded,
                                 drop_membership, drop_polar_membership,
@@ -340,6 +343,80 @@ def test_tv_drop_membership_examples():
     assert bool(res)
     y = float(res.y_witness[0][0, 0].real)
     assert y >= 0.25 - 1e-6 and 0.81 + y * y <= 1 + 1e-6
+
+
+def _free_y_reference(lift, x):
+    """The free-Y formulation of drop membership, as a reference: P = L(X, Y)
+    >= 0 with each Hermitian Y_k spanned by its n^2 hvec coordinates, as
+    add_free scalars on "kron_scalar" terms beside an "entry" term on P."""
+    n = x.dim
+    basis = hmat(np.eye(n * n), n)
+    hp = HermitianProblem()
+    hp.add_block("P", lift.d * n)
+    terms = [("entry", "P", 1.0)]
+    for b in lift.y_coeffs:
+        terms += [("kron_scalar", -np.kron(b, c), v)
+                  for c, v in zip(basis, hp.add_free(n * n))]
+    const = np.kron(lift.A0, np.eye(n)) + sum(
+        np.kron(a, xj) for a, xj in zip(lift.x_coeffs, x))
+    hp.add_matrix_eq(terms, const)
+    return hp.solve()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.booleans(), st.sampled_from([0, 1, 3]), st.booleans(),
+       st.sampled_from([1, 2, 3]), st.floats(0.05, 2.0), st.integers(0, 10_000))
+@example(True, 0, False, 1, 1.0, 0)
+@example(True, 3, True, 2, 1.0, 1)
+@example(False, 3, True, 3, 1.0, 2)
+@example(False, 1, False, 2, 2.0, 3)
+def test_drop_membership_matches_free_y_reference(real, h, repeat, n, scale,
+                                                  seed):
+    """The kernel form of drop membership (a cp interpolation on the lift's
+    annihilators) decides as the free-Y formulation does: real and complex
+    lifts, h = 0, 1 and 3 with and without a repeated B_k (a rank-deficient
+    span), and points of size 1 to 3; every FEASIBLE Y is re-checked on
+    L(X, Y)."""
+    gen = rng(seed)
+    d = 3
+    ys = [rand_hermitian(gen, d, real=real) for _ in range(h)]
+    if repeat and h > 1:
+        ys[-1] = ys[0]
+    lift = LinearPencil(np.eye(d), list(rand_tuple(gen, 2, d, real=real)), ys)
+    x = rand_tuple(gen, 2, n, scale=scale, real=real)
+    got, ref = drop_membership(Spectrahedrop(lift), x), _free_y_reference(lift, x)
+    assert got.status is ref.status
+    if math.isinf(ref.margin):
+        assert got.margin == ref.margin
+    else:
+        # either solve may stop on its residual tests at their 1e-7 floor,
+        # in units of the solution: t* then errs by up to about 1e-6 of
+        # 1 + |t*| + max |P| (6.7e-7 at most over 2,000 random cases)
+        scale = 1 + abs(ref.margin)
+        if ref.feasible:
+            scale += float(np.abs(ref.witness["P"]).max())
+        assert abs(got.margin - ref.margin) <= 2e-6 * scale
+    if got.feasible:
+        lam = np.linalg.eigvalsh(evaluate_pencil(lift, x, got.y_witness))[0]
+        assert lam >= -1e-8
+
+
+def test_drop_membership_reverifies_its_y(monkeypatch):
+    """A Choi witness that misses the rows (P - L(X, 0) has a part outside
+    V (x) Herm(n), here 1e-3 I) gives a Y whose L(X, Y) misses P: ERROR."""
+    solve = spectra._solve_interpolation
+
+    def off_rows(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.choi = ChoiMatrix(res.choi.n, res.choi.m,
+                              res.choi.C + 1e-3 * np.eye(len(res.choi.C)))
+        return res
+
+    monkeypatch.setattr(spectra, "_solve_interpolation", off_rows)
+    res = drop_membership(Spectrahedrop(tv_lift()), pt(0.3, 0.2))
+    assert res.status is SolveStatus.ERROR and res.y_witness is None
+    assert res.info["reason"] == "Y witness failed verification"
+    assert res.info["resid"] > 1e-4
 
 
 def test_drop_membership_matrix_convexity_samples():
