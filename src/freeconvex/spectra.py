@@ -94,18 +94,6 @@ def spectrahedron_membership(pencil: LinearPencil,
 # ---------------------------------------------------------------------------
 
 
-def _level1(const, coeffs):
-    """The level-1 problem P = const + sum_k c_k v_k >= 0 over free scalars
-    v_k: (the problem, with block P and this one row group, the v_k)."""
-    hp = HermitianProblem()
-    vs = hp.add_free(len(coeffs))
-    hp.add_block("P", len(const))
-    hp.add_matrix_eq([("entry", "P", 1.0)] + [
-        ("kron_scalar", -np.asarray(c), v) for c, v in zip(coeffs, vs)],
-        np.asarray(const))
-    return hp, vs
-
-
 def is_bounded(pencil: LinearPencil, tol: float = 1e-8,
                max_iter: int = 200) -> bool:
     """Uniform boundedness of the free spectrahedron of an x-only pencil.
@@ -147,30 +135,44 @@ def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
     """Boundedness of the level-1 projection (hence of the whole drop).
 
     First tries :func:`is_bounded` on the lift's joint pencil: a bounded
-    lift spectrahedron forces a bounded projection.  Otherwise the 2g support
-    values sup +-x_j over the level-1 lift are maximized; a certified
-    unbounded objective or an optimum beyond 1e3 counts as
-    not-certified-bounded, which is the safe answer: the dual procedures
-    then use the contractive form, valid in general.  A support problem
-    whose optimal face is unbounded can stall while another certifies the
-    ray, so :class:`SolverError` (as for a failed solve of
-    :func:`is_bounded`) is raised only when no support solve decided.
+    lift spectrahedron forces a bounded projection.  Otherwise the 2g
+    support values sup +-x_j are maximized in the kernel form of
+    :func:`drop_membership`, P >= 0 with tr(C_q P) = K[q, 0] + sum_i
+    K[q, i] x_i (no C_q: every x is in the drop).  An unbounded objective
+    or an optimum beyond 1e3 reads not-certified-bounded, the safe answer
+    (the dual procedures then use the contractive form, valid in general).
+    An INFEASIBLE support solve, which a set with empty interior can give,
+    reads empty only if the phase I of the joint lift agrees.  A support
+    problem whose optimal face is unbounded can stall while another
+    certifies the ray, so :class:`SolverError` is raised only when no solve
+    decided.
     """
     lift = drop.lift
     if lift.h == 0:
         return is_bounded(lift, tol=tol, max_iter=max_iter)
     if is_bounded(lift.as_x_pencil(), tol=tol, max_iter=max_iter):
         return True
+    C, K, *_ = _memoized(drop, "kernel", lambda: _drop_kernel(lift))
+    if not len(C):
+        return False
+    hp = HermitianProblem()
+    xs = hp.add_free(lift.g)
+    hp.add_block("P", lift.d)
+    hp.add_complex_row({"P": C}, {i: -K[:, 1 + i] for i in xs}, K[:, 0])
     failed = None
-    for j in range(lift.g):
+    for j in xs:
         for sigma in (1.0, -1.0):
-            hp, xs = _level1(lift.A0, lift.x_coeffs + lift.y_coeffs)
-            hp.set_objective({xs[j]: sigma})
+            hp.set_objective({j: sigma})
             sol = hp.solve(tol=tol, max_iter=max_iter)
+            if sol.status is SolveStatus.INFEASIBLE:
+                joint = LinearPencil(lift.A0, [], [*lift.x_coeffs,
+                                                   *lift.y_coeffs])
+                sol = drop_membership(Spectrahedrop(joint), HermitianTuple(
+                    [], dim=1), tol=tol, max_iter=max_iter)
+                if sol.status is not SolveStatus.ERROR:   # empty: bounded
+                    return sol.status is SolveStatus.INFEASIBLE
             if sol.status is SolveStatus.ERROR:
                 failed = sol.info if failed is None else failed
-            elif sol.status is SolveStatus.INFEASIBLE:
-                return True      # empty level-1 set is bounded
             elif sol.info.get("unbounded_objective") or \
                     (sol.objective_value is not None
                      and sol.objective_value > 1e3):
@@ -513,20 +515,20 @@ def _stack_drops(drops: Sequence[Spectrahedrop]) -> LinearPencil:
 
 def _interior_y_point(pencil: LinearPencil, tol: float = 1e-8,
                       max_iter: int = 200):
-    """A point (0, y) with pencil value strictly positive definite: the
-    phase-I solve of L(0, y) >= 0 at level 1, whose margin is the uniform
-    eigenvalue slack it reaches (+inf along a verified ray).
+    """A point (0, y) with pencil value strictly positive definite: the Y
+    witness of :func:`drop_membership` at X = 0 of level 1, whose margin is
+    the uniform eigenvalue slack of L(0, Y) (+inf along a verified ray).
 
     Raises SolverError when the solve fails and ValueError when no such
     point exists (infeasible, or a margin below 1e-6)."""
-    hp, ys = _level1(pencil.A0, pencil.y_coeffs)
-    sol = hp.solve(tol=tol, max_iter=max_iter)
-    if sol.status is SolveStatus.ERROR:
-        raise SolverError(f"lift point solve failed: {sol.info}")
-    if sol.status is not SolveStatus.FEASIBLE or sol.margin < 1e-6:
+    res = drop_membership(Spectrahedrop(pencil), HermitianTuple(
+        [np.zeros((1, 1))] * pencil.g, dim=1), tol=tol, max_iter=max_iter)
+    if res.status is SolveStatus.ERROR:
+        raise SolverError(f"lift point solve failed: {res.info}")
+    if res.status is not SolveStatus.FEASIBLE or res.margin < 1e-6:
         raise ValueError("no strictly feasible lift point above x = 0; the "
                          "stacked dual lift cannot be monicized")
-    return [float(sol.free_values[k]) for k in ys]
+    return [float(y[0, 0].real) for y in res.y_witness]
 
 
 def hull_of_union(drops: Sequence[Spectrahedrop], tol: float = 1e-8,

@@ -223,21 +223,20 @@ def test_cli_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_cli_hull_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     # a failed lift-point solve in hull_of_union is a solver error, not an
-    # input error; only that solve fails here
+    # input error; only that solve, a drop membership at X = 0, fails here
     import freeconvex.sdp
     from freeconvex import spectra
     from freeconvex.cli import main
 
-    level1 = spectra._level1
+    membership = spectra.drop_membership
 
-    def failing_lift_point(const, coeffs):
-        hp, vs = level1(const, coeffs)
+    def failing_lift_point(*args, **kwargs):
         if sys._getframe(1).f_code.co_name == "_interior_y_point":
-            hp.solve = lambda **kw: freeconvex.sdp.SDPSolution(
+            return spectra.DropMembership(
                 freeconvex.sdp.SolveStatus.ERROR, info={"reason": "forced"})
-        return hp, vs
+        return membership(*args, **kwargs)
 
-    monkeypatch.setattr(spectra, "_level1", failing_lift_point)
+    monkeypatch.setattr(spectra, "drop_membership", failing_lift_point)
     doc = next(c.problem for c in corpus_problems()
                if c.name == "hull-union-intervals")
     path = tmp_path / "hull.json"
@@ -257,11 +256,15 @@ def test_cli_support_solve_failure_exits_3(tmp_path, monkeypatch, capsys):
                                           info={"reason": "forced"})
 
     monkeypatch.setattr(freeconvex.sdp, "_solve_optimize", failing_solve)
-    # 1 + 0 x + y >= 0: the lift recedes along x, so the support of x runs
-    one = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
-    zero = {"rows": 1, "cols": 1, "re": [0.0], "im": [0.0]}
-    pf = ProblemFile("bounded", {"pencil": {"A0": one, "x_coeffs": [zero],
-                                            "y_coeffs": [one]}})
+    # I + 0 x + diag(y, 0) >= 0: the joint pencil recedes along x, and
+    # diag(1, 0) spans only part of Herm(2), so the support of x runs
+    def diag(*v):
+        return {"rows": 2, "cols": 2, "re": list(np.diag(v).ravel()),
+                "im": [0.0] * 4}
+
+    pf = ProblemFile("bounded", {"pencil": {"A0": diag(1.0, 1.0),
+                                            "x_coeffs": [diag(0.0, 0.0)],
+                                            "y_coeffs": [diag(1.0, 0.0)]}})
     path = tmp_path / "bounded.json"
     path.write_text(pf.dumps())
     assert main(["run", str(path)]) == 3

@@ -170,26 +170,55 @@ def _diagonal_lift(D, E):
                                       [-np.diag(c) for c in E.T]))
 
 
-def _lp_projection_bounded(D, E):
-    """The projection of {(x, y) : D x + E y <= 1} onto x is bounded iff
-    linprog bounds every +-x_j on the polyhedron (0 is a point of it)."""
-    A, g = np.hstack([D, E]), D.shape[1]
-    return all(linprog(sign * np.eye(A.shape[1])[j], A_ub=A,
-                       b_ub=np.ones(len(A)), bounds=(None, None)).status == 0
-               for j in range(g) for sign in (1.0, -1.0))
+def _lp_diagonal_bounded(a0, xs, ys):
+    """The LP oracle for the lift diag(a0) + sum_j diag(xs_j) x_j +
+    sum_k diag(ys_k) y_k, whose level-1 set is the polyhedron
+    {(x, y) : a0 + X x + Y y >= 0}: empty (hence bounded) iff its largest
+    uniform slack is negative, and otherwise bounded iff linprog bounds
+    every +-x_j by 1e3, the cap of drop_level1_bounded.  Presolve is off:
+    HiGHS presolve reads some unbounded LPs as infeasible."""
+    A = -np.array([*xs, *ys], dtype=float).T
+    b, (d, n) = np.asarray(a0, dtype=float), A.shape
+    slack = linprog(-np.eye(n + 1)[n], A_ub=np.hstack([A, np.ones((d, 1))]),
+                    b_ub=b, bounds=(None, None), options={"presolve": False})
+    if slack.status == 0 and slack.fun > 1e-9:
+        return True
+    for j in range(len(xs)):
+        for sign in (1.0, -1.0):
+            res = linprog(-sign * np.eye(n)[j], A_ub=A, b_ub=b,
+                          bounds=(None, None), options={"presolve": False})
+            if res.status != 0 or -res.fun > 1e3:
+                return False
+    return True
+
+
+def _random_diagonals(gh, d, seed):
+    """The diagonals (a0, xs, ys) of a random lift with integer entries in
+    [-3, 3], so that empty level-1 sets and ones with empty interior occur."""
+    g, h = gh
+    gen = np.random.default_rng([seed, g, h, d])
+    return (gen.integers(-3, 4, d), [gen.integers(-3, 4, d) for _ in range(g)],
+            [gen.integers(-3, 4, d) for _ in range(h)])
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.sampled_from([(1, 1), (1, 2), (2, 1)]), st.integers(1, 5),
-       st.integers(0, 10_000))
-def test_drop_level1_bounded_matches_lp_oracle(gh, d, seed):
-    """Random diagonal lifts with small integer coefficients: the support
-    problems of drop_level1_bounded agree with linprog's, and none raises."""
-    (g, h), gen = gh, rng(seed)
-    D = gen.integers(-3, 4, size=(d, g)).astype(float)
-    E = gen.integers(-3, 4, size=(d, h)).astype(float)
-    assert drop_level1_bounded(_diagonal_lift(D, E)) == \
-        _lp_projection_bounded(D, E)
+@given(st.builds(_random_diagonals, st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+                 st.integers(1, 5), st.integers(0, 10_000)))
+@example(((3, -1, 0, -3), [(-1, 0, 0, 1)], [(1, 2, 0, -1), (2, 0, 0, -2)]))
+@example(((0, 0, 3), [(3, -3, -1)], [(2, -2, -3)]))
+@example(((0, 0, 0, 3), [(0, 2, -2, -2)], [(3, -2, 1, 0), (-3, 0, 1, 1)]))
+@example(((0, -3, -1, 2), [(0, 3, 1, 1), (0, -2, -3, 0)], [(0, 1, 3, -3)]))
+def test_drop_level1_bounded_matches_lp_oracle(diagonals):
+    """Random non-monic diagonal lifts with small integer coefficients agree
+    with the LP oracle, and none raises.  The examples have unbounded
+    projections and level-1 sets with empty interior, on which a support
+    solve can end in the core's Farkas exit."""
+    a0, xs, ys = diagonals
+    lift = LinearPencil(np.diag(np.asarray(a0, dtype=float)),
+                        [np.diag(np.asarray(c, dtype=float)) for c in xs],
+                        [np.diag(np.asarray(c, dtype=float)) for c in ys])
+    assert drop_level1_bounded(Spectrahedrop(lift)) == \
+        _lp_diagonal_bounded(a0, xs, ys)
 
 
 @pytest.mark.parametrize("x, y", [((2, 3, 3), (0, 3, 3)),
@@ -198,8 +227,8 @@ def test_support_with_an_unbounded_optimal_face(x, y):
     """Projections that are unbounded one way while the other way's support
     problem has an unbounded optimal face (y -> -oo), which can stall: the
     support problems run on to the certified ray."""
+    assert not _lp_diagonal_bounded(np.ones(3), [-np.array(x)], [-np.array(y)])
     D, E = np.array([x], dtype=float).T, np.array([y], dtype=float).T
-    assert not _lp_projection_bounded(D, E)
     assert not drop_level1_bounded(_diagonal_lift(D, E))
 
 
@@ -221,12 +250,20 @@ def test_drop_with_unbounded_projection():
 
 def test_empty_level1_set_is_bounded():
     """A0 + diag(0, 1) x >= 0 with A0 = diag(-1, 1) has no point: the lift's
-    x-pencil has a recession direction, and the support solve reads
-    INFEASIBLE."""
+    x-pencil has a recession direction, the support solve reads
+    INFEASIBLE, and the joint lift's phase I confirms it."""
     lift = LinearPencil(np.diag([-1.0, 1.0]), [np.diag([0.0, 1.0])],
                         [np.zeros((2, 2))])
     assert not is_bounded(lift.as_x_pencil())
     assert drop_level1_bounded(Spectrahedrop(lift))
+
+
+def test_y_span_of_all_of_herm_d_reads_unbounded_unsolved(monkeypatch):
+    # 1 + 0 x + y >= 0: the B_k span Herm(1), so every x is in the drop,
+    # decided by the rank test and the kernel alone
+    monkeypatch.setattr(HermitianProblem, "solve", None)
+    lift = LinearPencil(np.eye(1), [np.zeros((1, 1))], [np.eye(1)])
+    assert drop_level1_bounded(Spectrahedrop(lift)) is False
 
 
 @pytest.mark.parametrize("a0, status", [(-5e-8, SolveStatus.MARGINAL),
@@ -666,6 +703,15 @@ def test_interior_y_point_on_an_unbounded_slack():
     pencil = LinearPencil(np.diag([-1.0, 1.0]), [], [np.eye(2)])
     (y,) = spectra._interior_y_point(pencil)
     assert lambda_min(pencil.A0 + y * np.eye(2)) >= 1e-6
+
+
+def test_interior_y_point_with_a_bounded_slack():
+    # L(0, y) = I + diag(y_1, y_2, 0): the slack is at most 1, reached on
+    # the unbounded face y_1, y_2 >= 0
+    e = np.eye(3)
+    pencil = LinearPencil(e, [], [np.diag(e[0]), np.diag(e[1])])
+    y = spectra._interior_y_point(pencil)
+    assert lambda_min(e + np.diag([*y, 0.0])) >= 1e-6
 
 
 def test_polar_dual_lift_dependent_rows():
