@@ -25,8 +25,7 @@ from .possatz import Certificate, search_certificate, verify_certificate
 from .sdp import FEAS_TOL, Decision, SolveStatus
 from .spectra import (Spectrahedrop, dominates, drop_level1_bounded,
                       drop_membership, drop_polar_membership, hull_of_union,
-                      is_bounded, monicize, polar_membership,
-                      spectrahedron_membership)
+                      monicize, polar_membership, spectrahedron_membership)
 from .tracial import (cthull_membership, exsitu_dual_membership,
                       opp_tracial_membership, thull_membership,
                       tracial_membership)
@@ -463,12 +462,6 @@ def _hull_report(res) -> dict:
             "witnesses": _wits(res.choi, choi="C")}
 
 
-def _bounded(pencil, **kw) -> bool:
-    if pencil.h:
-        return drop_level1_bounded(Spectrahedrop(pencil), **kw)
-    return is_bounded(pencil, **kw)
-
-
 def _hull_union(lifts, X=None, **kw) -> dict:
     """Report fields of the hull's lift and, given X, of X's membership."""
     hull = hull_of_union([Spectrahedrop(q) for q in lifts], **kw)
@@ -532,7 +525,8 @@ _TABLE: Dict[str, _Kind] = {
                    else {"residual": r.residual},
                    "witnesses": _wits(r.certificate, S="S", G="G")}),
     "bounded": _Kind(
-        ("pencil",), {}, lambda *a, **kw: _bounded(*a, **kw),
+        ("pencil",), {},
+        lambda pencil, **kw: drop_level1_bounded(Spectrahedrop(pencil), **kw),
         lambda b: {"status": "BOUNDED" if b else "UNBOUNDED",
                    "decision": bool(b), "detail": {"bounded": bool(b)}}),
     "monicize": _Kind(

@@ -1,12 +1,10 @@
 """Self-contained dense semidefinite feasibility engine.
 
 Real symmetric and complex Hermitian PSD blocks plus free scalar variables,
-and affine equality constraints; an optional objective is a linear form of
-the free variables alone (the support values of
-:func:`freeconvex.spectra.drop_level1_bounded`).  The core is a homogeneous
-self-dual interior-point method with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector, so primal/dual infeasibility and unbounded objectives
-are detected through certificates instead of big-M constructions.
+and affine equality constraints.  The core is a homogeneous self-dual
+interior-point method with Nesterov-Todd scaling and a Mehrotra
+predictor-corrector, so infeasibility and an unbounded margin are detected
+through certificates instead of big-M constructions.
 
 Feasibility questions are decided through a phase-I problem
 
@@ -186,8 +184,6 @@ class SDPProblem:
     A_blocks[b]: (m x dim_b) equality coefficients for block b in those
       coordinates.
     A_free: (m x n_free); rhs: (m,).
-    obj_free: the objective d.t (maximized) over the free variables alone;
-      None decides feasibility through phase I.
     kron: per block, the Kronecker factor form of its rows (a
       :class:`_KronRows`) or None; the core may assemble that block's part
       of the Schur complement from it.
@@ -202,7 +198,6 @@ class SDPProblem:
     A_blocks: tuple                    # tuple[np.ndarray], aligned with blocks
     A_free: np.ndarray
     rhs: np.ndarray
-    obj_free: Optional[np.ndarray] = None
     hermitian: tuple = ()              # tuple[bool], aligned with blocks
     kron: tuple = ()                   # empty: None for every block
     # the presolve of the last solve (see _presolve); dataclasses.replace
@@ -240,7 +235,6 @@ class SDPSolution(Decision):
     status: SolveStatus
     witness: Dict[str, np.ndarray] = field(default_factory=dict)
     free_values: Optional[np.ndarray] = None
-    objective_value: Optional[float] = None
     margin: Optional[float] = None
     iterations: int = 0
     info: Dict[str, object] = field(default_factory=dict)
@@ -321,10 +315,10 @@ class _FreeElimination:
     alone must satisfy Q2' A z = Q2' b, and u = F^+ (b - A z) recovers the
     free part of any solution.  When c_free = F' lam lies in range(F'), the
     objective c_free.u = lam.(b - A z) becomes the block objective -A_b' lam
-    plus the constant ``offset(b)`` = lam.b.  Otherwise
-    ``ray`` is a direction of null(F) with c_free.ray = -1: the objective
-    falls without bound from every feasible point.  Only the rows enter the
-    elimination; each solve passes its rhs b to the methods that read it.
+    plus a constant.  Otherwise ``ray`` is a direction of null(F) with
+    c_free.ray = -1: the objective falls without bound from every feasible
+    point.  Only the rows enter the elimination; each solve passes its rhs
+    b to the methods that read it.
     A_parts are the kept rows ``keep`` of the problem's A_blocks, which
     :meth:`free_part` reads there rather than keep a copy.
     """
@@ -342,7 +336,7 @@ class _FreeElimination:
         r1 = np.zeros((rank, F.shape[1]))
         r1[:, piv] = r[:rank]
         self.F_pinv = np.linalg.pinv(r1) @ q[:, :rank].T
-        self.lam = lam = self.F_pinv.T @ c_free
+        lam = self.F_pinv.T @ c_free
         null = c_free - F.T @ lam
         nn = float(null @ null)
         self.ray = -null / nn if math.sqrt(nn) > 1e-9 * (
@@ -350,9 +344,6 @@ class _FreeElimination:
         self.herm, self.A_blocks, self.keep = problem.herm, problem.A_blocks, keep
         self.q2 = q[:, rank:]
         self.c_parts = [-(Ab.T @ lam) for Ab in A_parts]
-
-    def offset(self, b: np.ndarray) -> float:
-        return float(self.lam @ b)
 
     def free_part(self, Z, b: np.ndarray, weight: float = 1.0) -> np.ndarray:
         """u = F^+ (weight b - A z) for the blocks Z; weight 0 maps a ray."""
@@ -362,7 +353,8 @@ class _FreeElimination:
         return self.F_pinv @ (weight * b - Az)
 
     def unbounded_ray(self, res: "_HSDResult", sizes, b: np.ndarray):
-        """(block ray, free ray) of an unbounded objective, or None."""
+        """(block ray, free ray) of an unbounded objective (in phase I, an
+        unbounded margin), or None."""
         if self.ray is not None:
             return [np.zeros((n, n)) for n in sizes], self.ray
         if res.kind == "unbounded":
@@ -611,7 +603,6 @@ class _KronSchur:
 class _HSDResult:
     kind: str                     # "optimal" | "pinfeas" | "unbounded"
     Z: Optional[list] = None
-    pobj: float = math.nan
     iterations: int = 0
     info: dict = field(default_factory=dict)
     ray: Optional[list] = None
@@ -691,7 +682,7 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
         pobj, dobj = cx / tau, by / tau
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         if pres <= ptol and dres <= ptol and relgap <= gtol:
-            return _HSDResult("optimal", [zb / tau for zb in Z], pobj, it,
+            return _HSDResult("optimal", [zb / tau for zb in Z], it,
                               {"pres": pres, "dres": dres, "relgap": relgap})
         score = max(pres / ptol, dres / ptol, relgap / gtol)
         stall = 0 if score < 0.98 * best_score else stall + 1
@@ -833,23 +824,21 @@ def _polish(rows: _Rows, Z: Dict[str, np.ndarray], u: Optional[np.ndarray]):
 
 def solve(problem: SDPProblem, tol: float = 1e-8,
           max_iter: int = 200) -> SDPSolution:
-    """Solve an SDP.  A problem with an objective (``obj_free``, over its
-    free variables) is maximized; one without is decided through the
-    phase-I construction, with the MARGINAL band FEAS_TOL."""
-    if problem.obj_free is None:
-        return solve_feasibility(problem, tol=tol, max_iter=max_iter)
-    return _solve_optimize(problem, tol, max_iter)
+    """Decide an SDP through the phase-I construction, with the MARGINAL
+    band FEAS_TOL: :func:`solve_feasibility`, under the name every caller
+    uses (a function of its own, so that a tracer wraps each once)."""
+    return solve_feasibility(problem, tol=tol, max_iter=max_iter)
 
 
 class _Presolve:
     """Everything a solve derives from its kept rows alone, made once per
     set of kept rows ``keep`` and reused by every rhs that keeps them.
 
-    It holds the phase-I slack column t (or, for an optimization, the
-    negated objective), the :class:`_FreeElimination` of the free columns,
-    the sup-norm scale of the reduced rows, the rows and objective
-    unpacked into full n x n matrices for the core, and each block's Schur
-    route (``kron``: its :class:`_KronSchur`, or None for the dense route).
+    It holds the phase-I slack column t and its objective (maximize t), the
+    :class:`_FreeElimination` of the free columns, the sup-norm scale of the
+    reduced rows, the rows and objective unpacked into full n x n matrices
+    for the core, and each block's Schur route (``kron``: its
+    :class:`_KronSchur`, or None for the dense route).
     :meth:`run` reads only the rhs: Q2' b, b / scale and beta."""
 
     def __init__(self, rows: _Rows):
@@ -863,15 +852,12 @@ class _Presolve:
         self.sizes = sizes = [s for _, s in problem.blocks]
         self.herm = herm = problem.herm
         nb = len(sizes)
-        if problem.obj_free is None:
-            # phase I: substitute Z_b = Z'_b + t I with Z'_b >= 0 and free t;
-            # maximize t
-            t_col = sum(A_parts[k] @ _vec(np.eye(sizes[k]), herm[k])
-                        for k in range(nb))
-            A_free = np.column_stack([A_free, t_col])
-            c_free = np.r_[np.zeros(problem.n_free), -1.0]    # minimize -t
-        else:
-            c_free = -problem.obj_free
+        # phase I: substitute Z_b = Z'_b + t I with Z'_b >= 0 and free t;
+        # maximize t
+        t_col = sum(A_parts[k] @ _vec(np.eye(sizes[k]), herm[k])
+                    for k in range(nb))
+        A_free = np.column_stack([A_free, t_col])
+        c_free = np.r_[np.zeros(problem.n_free), -1.0]    # minimize -t
         self.el = el = _FreeElimination(problem, self.keep, A_parts, A_free,
                                         c_free)
         m = el.q2.shape[1]
@@ -908,8 +894,8 @@ class _Presolve:
         """Run the core once on the blocks alone for the kept rhs b, in units
         where the rows and the rhs have unit sup-norm.
 
-        The core solves for Z / beta with beta = max |b_red|; its Z and pobj
-        are mapped back, while rays and Farkas certificates are directions
+        The core solves for Z / beta with beta = max |b_red|; its Z is
+        mapped back, while rays and Farkas certificates are directions
         and stay.  ``info`` gets ``attempts`` (1: one IPM run),
         ``iterations_total``, ``schur``, the route of each block, and
         ``presolve_reused``, True when this presolve was kept from an
@@ -920,7 +906,6 @@ class _Presolve:
         res = _hsd_minimize(self, b_red / beta, tol, max_iter)
         if res.kind == "optimal":
             res.Z = [beta * z for z in res.Z]
-            res.pobj *= beta
         res.info.update(attempts=1, iterations_total=res.iterations,
                         schur=self.routes, presolve_reused=self.reused)
         return res
@@ -940,47 +925,6 @@ def _presolve(rows: _Rows) -> _Presolve:
     return pre
 
 
-def _solve_optimize(problem: SDPProblem, tol, max_iter) -> SDPSolution:
-    rows = _Rows(problem)
-    if not rows.consistent:
-        return SDPSolution(SolveStatus.INFEASIBLE, margin=-math.inf,
-                           info={"reason": "inconsistent equalities"})
-    if not rows.keep.size:
-        return SDPSolution(SolveStatus.ERROR,
-                           info={"reason": "optimization without constraints"})
-    pre = _presolve(rows)
-    b = problem.rhs[rows.keep]
-    try:
-        res = pre.run(b, tol, max_iter)
-    except _IPMFailure as exc:
-        return SDPSolution(SolveStatus.ERROR, info={
-            "reason": str(exc), "presolve_reused": pre.reused})
-    if res.kind == "pinfeas":
-        return SDPSolution(SolveStatus.INFEASIBLE, margin=-math.inf,
-                           iterations=res.iterations,
-                           info={**res.info, "reason": "primal infeasible"})
-    el, nf = pre.el, problem.n_free
-    ray = el.unbounded_ray(res, pre.sizes, b)
-    if ray is not None:
-        Z_ray, u_ray = ray
-        return SDPSolution(SolveStatus.FEASIBLE,
-                           witness={name: Z_ray[k] for k, (name, _)
-                                    in enumerate(problem.blocks)},
-                           free_values=u_ray if nf else None,
-                           objective_value=math.inf, iterations=res.iterations,
-                           info={**res.info, "unbounded_objective": True})
-    witness = {name: res.Z[k] for k, (name, _) in enumerate(problem.blocks)}
-    ures = el.free_part(res.Z, b) if nf else None
-    witness, ures = _polish(rows, witness, ures)
-    eq_resid, eig_min = _verify_witness(problem, witness, ures)
-    return SDPSolution(SolveStatus.FEASIBLE, witness=witness,
-                       free_values=ures,
-                       objective_value=-(res.pobj + el.offset(b)),
-                       iterations=res.iterations,
-                       info={**res.info, "eq_resid": eq_resid,
-                             "eig_min": eig_min})
-
-
 def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
                       max_iter: int = 200) -> SDPSolution:
     """Phase-I feasibility with a signed margin.
@@ -997,8 +941,6 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     of these tighter-gap re-solves, which reuse the factored rows and their
     presolve.
     """
-    if problem.obj_free is not None:
-        raise ValueError("solve_feasibility expects a problem without objective")
     rows = _Rows(problem)
     if not rows.consistent:
         return SDPSolution(SolveStatus.INFEASIBLE, margin=-math.inf,
@@ -1172,8 +1114,8 @@ class _Operator:
 
 
 class HermitianProblem:
-    """Complex Hermitian PSD blocks, real free scalars, complex equality
-    rows, and an optional linear objective over the free scalars.
+    """Complex Hermitian PSD blocks, real free scalars and complex equality
+    rows.
 
     Rows are stored unsplit, one group per ``add_*`` call, which returns the
     group's index: a (k, n, n) stack F per block (complex, or float64 for
@@ -1186,7 +1128,7 @@ class HermitianProblem:
     conjugation-invariant), and ``solve`` returns the engine's
     :class:`SDPSolution`, for the stored rhs or for new rhs of some groups.
     The operator half of the last build (:class:`_Operator`) is kept until
-    the next ``add_*`` or ``set_objective`` call, so that a solve with only a
+    the next ``add_*`` call, so that a solve with only a
     new rhs reuses it and the presolve its built problem keeps.
     :func:`build_from_complex` realifies the build, as a reference.
     """
@@ -1202,7 +1144,6 @@ class HermitianProblem:
         # add_complex_row describes it or ("blocktrace", m, scale) (see
         # add_matrix_eq), None where they have none
         self._groups: List[tuple] = []
-        self._obj: Optional[Dict[int, float]] = None
         self._op: Optional[_Operator] = None
 
     # -- variables ---------------------------------------------------------
@@ -1387,11 +1328,6 @@ class HermitianProblem:
         return self._add_group(F, free, rhs[r, s], (rhs.shape, r * len(rhs) + s),
                                kron)
 
-    def set_objective(self, free_terms: Dict[int, float]):
-        """Maximize sum a_i u_i over the free variables u."""
-        self._obj = dict(free_terms)
-        self._op = None
-
     # -- building ------------------------------------------------------------
 
     def _split_rhs(self, rhs) -> np.ndarray:
@@ -1449,15 +1385,11 @@ class HermitianProblem:
                     np.hstack([h.real * w, _SQRT2 * h.imag[:, w != 1.0]])
             A_free[i:i + k, :ft.shape[1]] = ft
             i += k
-        obj_free = None
-        if self._obj is not None:
-            obj_free = np.zeros(self._n_free)
-            obj_free[list(self._obj)] = list(self._obj.values())
         for a in [A_free, *A_blocks.values()]:
             a.flags.writeable = False
         return SDPProblem(tuple(self._blocks), self._n_free,
                           tuple(A_blocks[name] for name, _ in self._blocks),
-                          A_free, np.zeros(m), obj_free,
+                          A_free, np.zeros(m),
                           (True,) * len(self._blocks) if herm else (),
                           tuple(self._kron_rows(name, sz, real_path, keep)
                                 for name, sz in self._blocks))
@@ -1563,7 +1495,7 @@ class HermitianProblem:
 def build_from_complex(problem: HermitianProblem) -> SDPProblem:
     """The realification of ``problem.build()``: every n x n block becomes
     the real 2n x 2n block [[Re, -Im], [Im, Re]] / 2 of its rows, with the
-    same free columns, rhs and objective.  It decides the same
+    same free columns and rhs.  It decides the same
     question at about twice the cost, and serves as the reference the native
     Hermitian blocks are tested against; a real-path build is embedded as
     it stands.  It starts a memo of its own, so its solves leave the

@@ -134,52 +134,95 @@ def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
                         max_iter: int = 200) -> bool:
     """Boundedness of the level-1 projection (hence of the whole drop).
 
-    First tries :func:`is_bounded` on the lift's joint pencil: a bounded
-    lift spectrahedron forces a bounded projection.  Otherwise the 2g
-    support values sup +-x_j are maximized in the kernel form of
-    :func:`drop_membership`, P >= 0 with tr(C_q P) = K[q, 0] + sum_i
-    K[q, i] x_i (no C_q: every x is in the drop).  An unbounded objective
-    or an optimum beyond 1e3 reads not-certified-bounded, the safe answer
-    (the dual procedures then use the contractive form, valid in general).
-    An INFEASIBLE support solve, which a set with empty interior can give,
-    reads empty only if the phase I of the joint lift agrees.  A support
-    problem whose optimal face is unbounded can stall while another
-    certifies the ray, so :class:`SolverError` is raised only when no solve
-    decided.
+    A lift with no y is :func:`is_bounded`'s question, a lift with no x or
+    a bounded joint pencil has a bounded projection, and B_k spanning
+    Herm(d) put every x in the drop.  Otherwise the answer is certified by weak duality: a
+    Z >= 0 with tr(B_k Z) = 0 and tr(A_i Z) = -c_i bounds c.x <= tr(A_0 Z)
+    on the level-1 set, and one Z for each c = +-|A_j| e_j bounds it.  The
+    Z are sought on one face (a partial facial-reduction step, Permenter
+    and Parrilo, Math. Program. 171, 2018): a phase-I S >= 0 with tr S = 1
+    in the real span of the B_k (tr(C_q S) = 0 on the drop's annihilators)
+    reads unbounded when its margin exceeds FEAS_TOL (some sum w_k B_k > 0
+    lets y absorb any x); a FEASIBLE S inside the band confines every Z to
+    ker S, where the 2g certificates are one kept problem with rows
+    V* B_k V = 0 (round-off rows dropped) and V* A_i V / |A_i| = -+delta_ij.
+    All 2g FEASIBLE and not ``rescued`` read bounded.  Otherwise only an
+    empty set reads bounded: it is not when lambda_min(A_0) >= 0, and else
+    the drop membership of the joint lift (every variable a y) at the
+    level-1 empty tuple decides.  Not certified reads unbounded, the safe
+    answer (the dual procedures then use the contractive form, valid in
+    general); :class:`SolverError` is raised when a solve failed and no
+    solve decided.
     """
     lift = drop.lift
     if lift.h == 0:
         return is_bounded(lift, tol=tol, max_iter=max_iter)
-    if is_bounded(lift.as_x_pencil(), tol=tol, max_iter=max_iter):
+    if not lift.g or is_bounded(lift.as_x_pencil(), tol=tol,
+                                max_iter=max_iter):
         return True
-    C, K, *_ = _memoized(drop, "kernel", lambda: _drop_kernel(lift))
+    C = _memoized(drop, "kernel", lambda: _drop_kernel(lift))[0]
     if not len(C):
         return False
     hp = HermitianProblem()
-    xs = hp.add_free(lift.g)
-    hp.add_block("P", lift.d)
-    hp.add_complex_row({"P": C}, {i: -K[:, 1 + i] for i in xs}, K[:, 0])
-    failed = None
-    for j in xs:
-        for sigma in (1.0, -1.0):
-            hp.set_objective({j: sigma})
-            sol = hp.solve(tol=tol, max_iter=max_iter)
-            if sol.status is SolveStatus.INFEASIBLE:
-                joint = LinearPencil(lift.A0, [], [*lift.x_coeffs,
-                                                   *lift.y_coeffs])
-                sol = drop_membership(Spectrahedrop(joint), HermitianTuple(
-                    [], dim=1), tol=tol, max_iter=max_iter)
-                if sol.status is not SolveStatus.ERROR:   # empty: bounded
-                    return sol.status is SolveStatus.INFEASIBLE
-            if sol.status is SolveStatus.ERROR:
-                failed = sol.info if failed is None else failed
-            elif sol.info.get("unbounded_objective") or \
-                    (sol.objective_value is not None
-                     and sol.objective_value > 1e3):
-                return False
+    hp.add_block("S", lift.d)
+    hp.add_scalar_row({"S": np.eye(lift.d)}, None, 1.0)
+    hp.add_complex_row({"S": C}, None, np.zeros(len(C)))
+    face = hp.solve(tol=tol, max_iter=max_iter)
+    failed = face.info if face.status is SolveStatus.ERROR else None
+    basis = np.eye(lift.d)
+    if face.feasible:
+        if face.margin > FEAS_TOL:
+            return False
+        w, v = np.linalg.eigh(face.witness["S"])
+        basis = v[:, w <= 1e-6 * w[-1]]
+    sols = _bound_certificates(lift, basis, tol, max_iter)
+    if sols is not None and all(s.feasible and not s.info.get("rescued")
+                                for s in sols):
+        return True
+    failed = failed or next((s.info for s in sols or ()
+                             if s.status is SolveStatus.ERROR), None)
+    if lambda_min(lift.A0) < 0:
+        joint = LinearPencil(lift.A0, [], [*lift.x_coeffs, *lift.y_coeffs])
+        empty = drop_membership(Spectrahedrop(joint), HermitianTuple(
+            [], dim=1), tol=tol, max_iter=max_iter)
+        if empty.status is SolveStatus.INFEASIBLE:
+            return True
+        if empty.status is SolveStatus.ERROR:
+            failed = failed or empty.info
     if failed is not None:
-        raise SolverError(f"support solve failed: {failed}")
-    return True
+        raise SolverError(f"boundedness solve failed: {failed}")
+    return False
+
+
+def _bound_certificates(lift: LinearPencil, basis: np.ndarray, tol: float,
+                        max_iter: int) -> Optional[list]:
+    """The phase-I solutions for Z = V W V* (V = ``basis``) with W >= 0,
+    V* B_k V . W = 0 and V* A_i V . W / |A_i| = -sigma delta_ij, for every j
+    and sigma = +-1 (see :func:`drop_level1_bounded`), |.| the largest
+    entry.  A compressed row whose entries are round-off (at most 1e-10
+    times the largest coefficient) is dropped among the B_k; among the A_i
+    it leaves x_i without a certificate: None, and no solve runs."""
+    def compress(coeffs):
+        coeffs = np.reshape(coeffs, (-1, lift.d, lift.d))
+        m = basis.conj().T @ coeffs @ basis
+        return 0.5 * (m + m.conj().swapaxes(1, 2)), np.abs(coeffs).max(
+            axis=(1, 2), initial=0.0)
+    ax, a_max = compress(lift.x_coeffs)
+    by, b_max = compress(lift.y_coeffs)
+    ax_max = np.abs(ax).max(axis=(1, 2), initial=0.0)
+    if not basis.shape[1] or np.any(ax_max <= 1e-10 * a_max):
+        return None
+    by = by[np.abs(by).max(axis=(1, 2)) > 1e-10 * b_max.max()]
+    hp = HermitianProblem()
+    hp.add_block("Z", basis.shape[1])
+    if len(by):
+        hp.add_complex_row({"Z": by}, None, np.zeros(len(by)))
+    g = lift.g
+    rows = hp.add_complex_row({"Z": ax / a_max[:, None, None]}, None,
+                              np.zeros(g))
+    return [hp.solve(tol=tol, max_iter=max_iter,
+                     rhs={rows: -sigma * np.eye(g)[j]})
+            for j in range(g) for sigma in (1.0, -1.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -204,13 +204,13 @@ def test_run_rejects_variable_count_mismatch():
 
 
 def test_cli_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
-    import freeconvex.io
+    import freeconvex.spectra
     from freeconvex.cli import main
 
     def failing_solve(*args, **kwargs):
         raise RuntimeError("recession solve failed: {}")
 
-    monkeypatch.setattr(freeconvex.io, "is_bounded", failing_solve)
+    monkeypatch.setattr(freeconvex.spectra, "is_bounded", failing_solve)
     pf = ProblemFile("bounded", {"pencil": {
         "A0": {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]},
         "x_coeffs": [{"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}],
@@ -246,29 +246,40 @@ def test_cli_hull_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_support_solve_failure_exits_3(tmp_path, monkeypatch, capsys):
-    # a failed support solve in drop_level1_bounded is a solver error, as a
-    # failed recession solve of is_bounded is, not an unbounded answer
+    # a failed face or certificate solve in drop_level1_bounded is a solver
+    # error when no other solve decided, as a failed recession solve of
+    # is_bounded is, not an unbounded answer
     import freeconvex.sdp
     from freeconvex.cli import main
+    from freeconvex.sdp import HermitianProblem
 
-    def failing_solve(problem, tol, max_iter):
-        return freeconvex.sdp.SDPSolution(freeconvex.sdp.SolveStatus.ERROR,
-                                          info={"reason": "forced"})
-
-    monkeypatch.setattr(freeconvex.sdp, "_solve_optimize", failing_solve)
-    # I + 0 x + diag(y, 0) >= 0: the joint pencil recedes along x, and
-    # diag(1, 0) spans only part of Herm(2), so the support of x runs
+    # I + diag(0, 1) x + diag(1, 0) y >= 0, i.e. x >= -1: the joint pencil
+    # recedes, diag(1, 0) spans only part of Herm(2), and its face and
+    # certificate solves both run; the set is not empty (A0 = I)
     def diag(*v):
         return {"rows": 2, "cols": 2, "re": list(np.diag(v).ravel()),
                 "im": [0.0] * 4}
 
     pf = ProblemFile("bounded", {"pencil": {"A0": diag(1.0, 1.0),
-                                            "x_coeffs": [diag(0.0, 0.0)],
+                                            "x_coeffs": [diag(0.0, 1.0)],
                                             "y_coeffs": [diag(1.0, 0.0)]}})
     path = tmp_path / "bounded.json"
     path.write_text(pf.dumps())
-    assert main(["run", str(path)]) == 3
-    assert "solver error: support solve failed" in capsys.readouterr().err
+    solve = HermitianProblem.solve
+    for site in ("drop_level1_bounded", "_bound_certificates"):
+        def failing_solve(self, *args, **kwargs):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):   # a comprehension
+                caller = caller.f_back
+            if caller.f_code.co_name == site:
+                return freeconvex.sdp.SDPSolution(
+                    freeconvex.sdp.SolveStatus.ERROR, info={"reason": "forced"})
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(HermitianProblem, "solve", failing_solve)
+        assert main(["run", str(path)]) == 3
+        assert "solver error: boundedness solve failed" in \
+            capsys.readouterr().err
 
 
 def test_cli_support_unbounded_face_exits_0(tmp_path, capsys):

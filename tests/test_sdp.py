@@ -11,8 +11,8 @@ from freeconvex.sdp import (FEAS_TOL, HermitianProblem, SolveStatus,
                             svec_dim)
 
 
-def entry_rows(builder, name, target, n, t=None):
-    """Pin block `name` entrywise to target (- t*I when t is given)."""
+def entry_rows(builder, name, target, n):
+    """Pin block `name` entrywise to target."""
     for i in range(n):
         for j in range(i, n):
             e = np.zeros((n, n))
@@ -20,8 +20,7 @@ def entry_rows(builder, name, target, n, t=None):
                 e[i, i] = 1.0
             else:
                 e[i, j] = e[j, i] = 0.5
-            free = {t: 1.0} if (t is not None and i == j) else {}
-            builder.add_scalar_row({name: e}, free, target[i, j])
+            builder.add_scalar_row({name: e}, {}, target[i, j])
 
 
 def rand_pd(gen, n, herm=False):
@@ -189,66 +188,46 @@ def test_schur_complement_matches_double_loop(blocks, m, seed):
 
 
 def test_identity_slack():
+    # Z pinned to I: the phase-I margin is lambda_min(I) = 1
     b = HermitianProblem()
     b.add_block("Z", 2)
-    t = b.add_free(1)[0]
-    entry_rows(b, "Z", np.eye(2), 2, t)
-    b.set_objective({t: 1.0})
+    entry_rows(b, "Z", np.eye(2), 2)
     sol = solve(b.build())
     assert sol.status is SolveStatus.FEASIBLE
-    assert abs(sol.objective_value - 1.0) < 1e-6
+    assert abs(sol.margin - 1.0) < 1e-6
     assert sol.info["attempts"] >= 1
     assert sol.info["iterations_total"] >= sol.iterations > 0
 
 
-def _rank_deficient_free(objective):
+def _rank_deficient_free():
     """Z 2x2 with u0 and u1 entering only as u0 + u1: A_free has rank 2 of 3
-    and null space (1, -1, 0)."""
+    and null space (1, -1, 0).  The free columns absorb the first two rows,
+    so tr Z = 1 alone bounds the margin, at 1/2."""
     b = HermitianProblem()
     b.add_block("Z", 2)
     u = b.add_free(3)
     b.add_scalar_row({"Z": np.diag([1.0, 0.0])}, {u[0]: 1.0, u[1]: 1.0}, 1.0)
     b.add_scalar_row({"Z": np.diag([0.0, 1.0])}, {u[2]: 1.0}, 2.0)
     b.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
-    b.set_objective(dict(zip(u, objective)))
     return b.build()
-
-
-def test_free_objective_along_null_space_is_unbounded():
-    problem = _rank_deficient_free((1.0, -1.0, 0.0))
-    sol = solve(problem)
-    assert sol.status is SolveStatus.FEASIBLE
-    assert sol.info["unbounded_objective"] and sol.objective_value == np.inf
-    # the free ray moves no row and raises the objective
-    assert np.abs(problem.A_free @ sol.free_values).max() < 1e-12
-    assert problem.obj_free @ sol.free_values > 0
-
-
-def test_free_objective_off_null_space_is_finite():
-    # u0 + u1 = 1 - Z_11 is largest at Z_11 = 0
-    problem = _rank_deficient_free((1.0, 1.0, 0.0))
-    sol = solve(problem)
-    assert sol.status is SolveStatus.FEASIBLE
-    assert "unbounded_objective" not in sol.info
-    assert abs(sol.objective_value - 1.0) < 1e-6
-    assert sol.info["eq_resid"] <= 1e-7 and sol.info["eig_min"] >= -1e-8
-    u = sol.free_values
-    assert abs(u[0] + u[1] - 1.0) < 1e-6 and abs(u[2] - 1.0) < 1e-6
 
 
 def test_replace_shares_the_presolve_only_for_the_same_operator():
     """A problem made by dataclasses.replace shares the memo: a new rhs
-    reuses the presolve, a new objective gets a new one."""
+    reuses the presolve, new rows get a new one."""
     from dataclasses import replace
 
-    problem = _rank_deficient_free((1.0, 1.0, 0.0))
-    assert solve(problem).info["presolve_reused"] is False
+    problem = _rank_deficient_free()
+    first = solve(problem)
+    assert first.info["presolve_reused"] is False
+    assert abs(first.margin - 0.5) < 1e-6
     moved = solve(replace(problem, rhs=problem.rhs * 2))
     assert moved.info["presolve_reused"] is True
-    assert abs(moved.objective_value - 2.0) < 1e-6
-    doubled = solve(replace(problem, obj_free=problem.obj_free * 2))
+    assert abs(moved.margin - 1.0) < 1e-6
+    doubled = solve(replace(problem, A_blocks=tuple(2 * Ab for Ab
+                                                    in problem.A_blocks)))
     assert doubled.info["presolve_reused"] is False
-    assert abs(doubled.objective_value - 2.0) < 1e-6
+    assert abs(doubled.margin - 0.25) < 1e-6
 
 
 @pytest.mark.parametrize("n, rhs, margin", [(1, 1.0, 1.0), (1, -1.0, -1.0),
@@ -326,11 +305,10 @@ def test_tv_grid_attempts_per_solve():
 def test_diagonal_slack_matches_min_eig():
     b = HermitianProblem()
     b.add_block("Z", 2)
-    t = b.add_free(1)[0]
-    entry_rows(b, "Z", np.diag([1.0, 2.0]), 2, t)
-    b.set_objective({t: 1.0})
+    entry_rows(b, "Z", np.diag([1.0, 2.0]), 2)
     sol = solve(b.build())
-    assert abs(sol.objective_value - 1.0) < 1e-6
+    assert sol.status is SolveStatus.FEASIBLE
+    assert abs(sol.margin - 1.0) < 1e-6
 
 
 def test_trace_pair_infeasible():
@@ -341,36 +319,6 @@ def test_trace_pair_infeasible():
     sol = solve(b.build())
     assert sol.status is SolveStatus.INFEASIBLE
     assert abs(sol.margin + 0.5) < 1e-6
-
-
-def test_optimization_primal_infeasible():
-    """maximize u subject to Z_00 + u = 0 and tr Z = -1 has no feasible
-    point."""
-    b = HermitianProblem()
-    b.add_block("Z", 2)
-    u = b.add_free(1)[0]
-    b.add_scalar_row({"Z": np.diag([1.0, 0.0])}, {u: 1.0}, 0.0)
-    b.add_scalar_row({"Z": np.eye(2)}, {}, -1.0)
-    b.set_objective({u: 1.0})
-    sol = b.solve()
-    assert sol.status is SolveStatus.INFEASIBLE
-    assert sol.info["reason"] == "primal infeasible"
-    assert sol.margin == -np.inf and sol.info["presolve_reused"] is False
-
-
-def test_optimization_inconsistent_equalities():
-    """tr Z + u = 1 and tr Z + u = 2 with an objective: no presolve is
-    reached."""
-    b = HermitianProblem()
-    b.add_block("Z", 2)
-    u = b.add_free(1)[0]
-    for rhs in (1.0, 2.0):
-        b.add_scalar_row({"Z": np.eye(2)}, {u: 1.0}, rhs)
-    b.set_objective({u: 1.0})
-    sol = b.solve()
-    assert sol.status is SolveStatus.INFEASIBLE
-    assert sol.info["reason"] == "inconsistent equalities"
-    assert sol.info["presolve_reused"] is False
 
 
 def test_boundary_rescue():
