@@ -221,7 +221,7 @@ def interpolation_problem(a: HermitianTuple, b: HermitianTuple,
         # tr C = sum_r tr(I_n (x) E_rr C): one row of m units of the factor
         # form, so the Choi block keeps it
         hp.add_block("s", 1)
-        hp.add_complex_row({"s": np.ones((1, 1, 1))}, None,
+        hp.add_complex_row({"s": np.ones((1, 1, 1))},
                            [float(extra_psd_choi_trace)],
                            kron={"C": (np.eye(n)[None], np.arange(n * m),
                                        np.zeros(m), np.arange(m) * (m + 1))})

@@ -278,7 +278,7 @@ def _problem(p: NCPolynomial, pencil: LinearPencil, r: int):
         first, count = (g + 1, pencil.h) if y else (0, g + 1)
         units = ((k - first) * n * mu + a * mu + i) * n * mu + b * mu + j
         hp.add_complex_row({"S": s.reshape(len(rows), mu * n, -1)},
-                           None, _coefficients(p, rows),
+                           _coefficients(p, rows),
                            kron={"G": (coeffs[first:first + count], perm, t, units)})
     return hp, row_lists[0]
 

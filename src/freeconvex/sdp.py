@@ -180,10 +180,8 @@ class SDPProblem:
       reals); a Hermitian one is complex Hermitian, in the self-dual
       coordinates hvec(Z) = [svec(Re Z), sqrt(2) Im Z_ij (i < j)] (n^2
       reals), so that <F, Z> = Re tr(F Z) = hvec(F).hvec(Z).
-    n_free: number of unconstrained scalar variables t.
     A_blocks[b]: (m x dim_b) equality coefficients for block b in those
-      coordinates.
-    A_free: (m x n_free); rhs: (m,).
+      coordinates; rhs: (m,).
     kron: per block, the Kronecker factor form of its rows (a
       :class:`_KronRows`) or None; the core may assemble that block's part
       of the Schur complement from it.
@@ -194,9 +192,7 @@ class SDPProblem:
     """
 
     blocks: tuple                      # tuple[(name, size)]
-    n_free: int
     A_blocks: tuple                    # tuple[np.ndarray], aligned with blocks
-    A_free: np.ndarray
     rhs: np.ndarray
     hermitian: tuple = ()              # tuple[bool], aligned with blocks
     kron: tuple = ()                   # empty: None for every block
@@ -218,23 +214,21 @@ class SDPProblem:
         return np.concatenate([_vec(Z[name], h) for (name, _), h
                                in zip(self.blocks, self.herm)] + [np.zeros(0)])
 
-    def unpack(self, x: np.ndarray):
-        """Split a stacked variable vector into its named blocks and the
-        free part."""
+    def unpack(self, x: np.ndarray) -> Dict[str, np.ndarray]:
+        """Split a stacked variable vector into its named blocks."""
         out = {}
         ofs = 0
         for (name, n), h in zip(self.blocks, self.herm):
             d = _vec_dim(n, h)
             out[name] = _mat(x[ofs:ofs + d], n, h)
             ofs += d
-        return out, x[ofs:]
+        return out
 
 
 @dataclass
 class SDPSolution(Decision):
     status: SolveStatus
     witness: Dict[str, np.ndarray] = field(default_factory=dict)
-    free_values: Optional[np.ndarray] = None
     margin: Optional[float] = None
     iterations: int = 0
     info: Dict[str, object] = field(default_factory=dict)
@@ -255,13 +249,13 @@ def _numerical_rank(r: np.ndarray) -> int:
 
 
 class _Rows:
-    """The equality rows A x = b of a problem, with A = [A_blocks | A_free]
-    and x = (svec or hvec(Z_b)..., u), factored once per solve (see the
-    README Notes)."""
+    """The equality rows A x = b of a problem, with A the blocks' A_blocks
+    side by side and x = (svec or hvec(Z_b)...), factored once per solve
+    (see the README Notes)."""
 
     def __init__(self, problem: SDPProblem):
         self.problem = problem
-        self.A = np.hstack([*problem.A_blocks, problem.A_free])
+        self.A = np.hstack([*problem.A_blocks, np.zeros((problem.m, 0))])
         self.scale = s = np.maximum(np.abs(self.A).max(axis=1, initial=0.0),
                                     np.abs(problem.rhs))
         s[s == 0] = 1.0
@@ -279,11 +273,6 @@ class _Rows:
         self.r11 = np.asfortranarray(self.qr[:self.keep.size, :self.keep.size])
         resid = (self.A @ self.correction(problem.rhs) - problem.rhs) / s
         self.consistent = float(np.abs(resid).max(initial=0.0)) <= 1e-8
-
-    def kept(self):
-        """(A_blocks, A_free, rhs) of the kept rows."""
-        return ([Ab[self.keep] for Ab in self.problem.A_blocks],
-                self.problem.A_free[self.keep], self.problem.rhs[self.keep])
 
     def correction(self, res: np.ndarray) -> np.ndarray:
         """The least-norm dx with A dx = res on the kept rows:
@@ -799,27 +788,22 @@ def _accuracy(info) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _verify_witness(problem: SDPProblem, Z: Dict[str, np.ndarray],
-                    u: Optional[np.ndarray]):
+def _verify_witness(problem: SDPProblem, Z: Dict[str, np.ndarray]):
     """Independent residual/eigenvalue check, separate from solver internals."""
     z_sv = [_vec(Z[name], h) for (name, _), h in zip(problem.blocks, problem.herm)]
     lhs = sum(Ab @ zv for Ab, zv in zip(problem.A_blocks, z_sv)) \
         if problem.m else np.zeros(0)
-    if problem.n_free:
-        lhs = lhs + problem.A_free @ (u if u is not None else np.zeros(problem.n_free))
     eq_resid = float(np.abs(lhs - problem.rhs).max()) if problem.m else 0.0
     eig_min = min([float(np.linalg.eigvalsh(Z[name])[0])
                    for name, _ in problem.blocks] + [math.inf])
     return eq_resid, eig_min
 
 
-def _polish(rows: _Rows, Z: Dict[str, np.ndarray], u: Optional[np.ndarray]):
+def _polish(rows: _Rows, Z: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Least-norm correction moving a witness exactly onto the equalities."""
     problem = rows.problem
-    x = np.concatenate([problem.vec(Z),
-                        u if u is not None else np.zeros(problem.n_free)])
-    out, rest = problem.unpack(x + rows.correction(problem.rhs - rows.A @ x))
-    return out, (rest if problem.n_free else u)
+    x = problem.vec(Z)
+    return problem.unpack(x + rows.correction(problem.rhs - rows.A @ x))
 
 
 def solve(problem: SDPProblem, tol: float = 1e-8,
@@ -848,7 +832,7 @@ class _Presolve:
         # problem but the rhs, compared by identity (see _presolve)
         self.made_from = {f.name: getattr(problem, f.name) for f in fields(problem)
                           if f.name not in ("rhs", "_memo")}
-        A_parts, A_free, _ = rows.kept()
+        A_parts = [Ab[self.keep] for Ab in problem.A_blocks]
         self.sizes = sizes = [s for _, s in problem.blocks]
         self.herm = herm = problem.herm
         nb = len(sizes)
@@ -856,10 +840,8 @@ class _Presolve:
         # maximize t
         t_col = sum(A_parts[k] @ _vec(np.eye(sizes[k]), herm[k])
                     for k in range(nb))
-        A_free = np.column_stack([A_free, t_col])
-        c_free = np.r_[np.zeros(problem.n_free), -1.0]    # minimize -t
-        self.el = el = _FreeElimination(problem, self.keep, A_parts, A_free,
-                                        c_free)
+        self.el = el = _FreeElimination(problem, self.keep, A_parts,
+                                        t_col[:, None], np.array([-1.0]))
         m = el.q2.shape[1]
         A_red, self.scale = _scale_rows([el.q2.T @ Ab for Ab in A_parts], m)
         # the core's rows and objective unpacked into full matrices, the
@@ -948,7 +930,6 @@ def solve_feasibility(problem: SDPProblem, tol: float = 1e-8,
     if not rows.keep.size:
         witness = {name: np.eye(s) for name, s in problem.blocks}
         return SDPSolution(SolveStatus.FEASIBLE, witness=witness,
-                           free_values=np.zeros(problem.n_free),
                            margin=math.inf,
                            info={"reason": "no equality constraints"})
     return _phase_one(rows, _presolve(rows), tol, max_iter)
@@ -959,7 +940,7 @@ def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter) -> SDPSolution:
     of them kept, with their presolve."""
     problem = rows.problem
     b = problem.rhs[rows.keep]
-    el, sizes, nf = pre.el, pre.sizes, problem.n_free
+    el, sizes = pre.el, pre.sizes
     try:
         res = pre.run(b, tol, max_iter)
     except _IPMFailure as exc:
@@ -977,19 +958,17 @@ def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter) -> SDPSolution:
         # t can grow without bound along the certified ray; convert it into
         # an explicit verified witness before claiming FEASIBLE
         Z_ray, u_ray = ray
-        t_ray = float(u_ray[nf])
+        t_ray = float(u_ray[0])
         ray = {name: Z_ray[k] + t_ray * np.eye(sizes[k])
                for k, (name, _) in enumerate(problem.blocks)}
-        u_ray = u_ray[:nf]
-        base, ubase = problem.unpack(rows.correction(problem.rhs))
+        base = problem.unpack(rows.correction(problem.rhs))
         for s in (1.0, 1e2, 1e4, 1e6, 1e8):
             cand = {name: base[name] + s * ray[name] for name, _ in problem.blocks}
-            ucand = ubase + s * u_ray
-            cand, ucand = _polish(rows, cand, ucand)
-            eq_resid, eig_min = _verify_witness(problem, cand, ucand)
+            cand = _polish(rows, cand)
+            eq_resid, eig_min = _verify_witness(problem, cand)
             if eq_resid <= eq_tol and eig_min > FEAS_TOL:
                 return SDPSolution(SolveStatus.FEASIBLE, witness=cand,
-                                   free_values=ucand, margin=math.inf,
+                                   margin=math.inf,
                                    iterations=res.iterations,
                                    info={**res.info, "unbounded_margin": True,
                                          "eq_resid": eq_resid,
@@ -998,8 +977,7 @@ def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter) -> SDPSolution:
                            info={**res.info,
                                  "reason": "unbounded-margin certificate did "
                                            "not yield a verified witness"})
-    u = el.free_part(res.Z, b)
-    t_star, u = float(u[nf]), u[:nf]
+    t_star = float(el.free_part(res.Z, b)[0])
     witness = {}
     for (name, n), z in zip(problem.blocks, res.Z):
         z = z + t_star * np.eye(n)
@@ -1010,11 +988,11 @@ def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter) -> SDPSolution:
     band = max(FEAS_TOL, 10.0 * _accuracy(res.info) * (1.0 + abs(t_star)))
 
     if t_star > band:
-        witness, u = _polish(rows, witness, u)
-        eq_resid, eig_min = _verify_witness(problem, witness, u)
+        witness = _polish(rows, witness)
+        eq_resid, eig_min = _verify_witness(problem, witness)
         if eq_resid <= eq_tol and eig_min >= -_WITNESS_EIG_TOL:
             return SDPSolution(SolveStatus.FEASIBLE, witness=witness,
-                               free_values=u, margin=t_star, iterations=it,
+                               margin=t_star, iterations=it,
                                info={**base_info, "eq_resid": eq_resid,
                                      "eig_min": eig_min})
         return SDPSolution(SolveStatus.ERROR, margin=t_star, iterations=it,
@@ -1038,20 +1016,20 @@ def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter) -> SDPSolution:
         return sol
     # alternate equality projection and eigenvalue clipping to rescue a
     # boundary witness; only a verified witness promotes to FEASIBLE
-    cand, uc = witness, u
+    cand = witness
     eq_resid, eig_min = math.inf, -math.inf
     for _ in range(400):
-        cand, uc = _polish(rows, cand, uc)
-        eq_resid, eig_min = _verify_witness(problem, cand, uc)
+        cand = _polish(rows, cand)
+        eq_resid, eig_min = _verify_witness(problem, cand)
         if eig_min >= -0.5 * _WITNESS_EIG_TOL:
             break
         cand = {name: psd_part(mat) for name, mat in cand.items()}
     if eq_resid <= eq_tol and eig_min >= -_WITNESS_EIG_TOL:
-        return SDPSolution(SolveStatus.FEASIBLE, witness=cand, free_values=uc,
+        return SDPSolution(SolveStatus.FEASIBLE, witness=cand,
                            margin=t_star, iterations=it,
                            info={**base_info, "eq_resid": eq_resid,
                                  "eig_min": eig_min, "rescued": True})
-    return SDPSolution(SolveStatus.MARGINAL, witness=witness, free_values=u,
+    return SDPSolution(SolveStatus.MARGINAL, witness=witness,
                        margin=t_star, iterations=it, info=base_info)
 
 
@@ -1081,8 +1059,8 @@ class _Operator:
     Split row 2p is the real part H of row p, 2p + 1 its imaginary part K
     (see :func:`_split`), and each has a realness class: ``even`` when it is
     invariant under conjugating every block (real data), ``odd`` when its
-    coefficients flip sign (imaginary data, no free variable, as every free
-    variable is real), so that the row flips entirely when its rhs is 0.
+    coefficients flip sign (imaginary data), so that the row flips entirely
+    when its rhs is 0.
     ``coef[real_path]`` marks the rows with a nonzero coefficient on each
     path; on the real path a row that is odd and not even reads 0 = 0, its
     real part below the class threshold taken as round-off.  The classes
@@ -1095,32 +1073,28 @@ class _Operator:
 
     def __init__(self, split):
         self.rows = None
-        # per split row: the largest real and imaginary data entry, and
-        # whether a free variable enters
-        re_max, im_max, use = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, bool)]
-        for data, ft in split:
-            re = im = np.zeros(ft.shape[0])
+        # per split row: the largest real and imaginary data entry
+        re_max, im_max = [np.zeros(0)], [np.zeros(0)]
+        for data, k in split:
+            re = im = np.zeros(k)
             for h in data.values():
                 im = np.maximum(im, np.abs(h.imag).max(axis=1))
                 re = np.maximum(re, np.abs(h.real).max(axis=1))
             re_max.append(re)
             im_max.append(im)
-            use.append((ft != 0).any(axis=1))
-        re, im, use = (np.concatenate(x) for x in (re_max, im_max, use))
+        re, im = np.concatenate(re_max), np.concatenate(im_max)
         self.even = im <= 1e-13
-        self.odd = (re <= 1e-13) & ~use
-        self.coef = {True: ((re > 0) & self.even) | use,
-                     False: (re > 0) | (im > 0) | use}
+        self.odd = re <= 1e-13
+        self.coef = {True: (re > 0) & self.even, False: (re > 0) | (im > 0)}
 
 
 class HermitianProblem:
-    """Complex Hermitian PSD blocks, real free scalars and complex equality
-    rows.
+    """Complex Hermitian PSD blocks and complex equality rows.
 
     Rows are stored unsplit, one group per ``add_*`` call, which returns the
     group's index: a (k, n, n) stack F per block (complex, or float64 for
-    real data), (k, n_free) free coefficients c and a (k,) rhs, for
-    sum_b tr(F_b,p* C_b) + c_p.u = rhs_p, and the Kronecker factor form of
+    real data) and a (k,) rhs, for sum_b tr(F_b,p* C_b) = rhs_p, and the
+    Kronecker factor form of
     the group's rows on each block where it has one (from ``add_matrix_eq``
     terms, or given to ``add_complex_row``).
     ``build`` reads every row as its real and imaginary part (native
@@ -1135,8 +1109,7 @@ class HermitianProblem:
 
     def __init__(self):
         self._blocks: List[Tuple[str, int]] = []
-        self._n_free = 0
-        # (data, free, rhs, form, kron); form = (shape, index) takes an rhs
+        # (data, rhs, form, kron); form = (shape, index) takes an rhs
         # given to solve() in the shape the add_* call took to the group's
         # (k,) rhs, its flattened entries ``index`` (None for a scalar
         # row), and kron maps a block to the Kronecker factor form of
@@ -1157,12 +1130,6 @@ class HermitianProblem:
         self._op = None
         return name
 
-    def add_free(self, count: int = 1) -> range:
-        start = self._n_free
-        self._n_free += count
-        self._op = None
-        return range(start, start + count)
-
     # -- rows ----------------------------------------------------------------
 
     def _block_data(self, block_data, lead=()) -> Dict[str, np.ndarray]:
@@ -1181,36 +1148,26 @@ class HermitianProblem:
             out[name] = f
         return out
 
-    def _free_row(self, free_terms, k: int = 1) -> np.ndarray:
-        """The free coefficients {index: value} of k rows as a (k, n_free)
-        array; each value broadcasts to (k,)."""
-        row = np.zeros((k, self._n_free), dtype=complex)
-        for i, v in (free_terms or {}).items():
-            row[:, int(i)] = v
-        return row
-
-    def _add_group(self, data, free, rhs, form, kron=None) -> int:
-        self._groups.append((data, free, rhs, form,
+    def _add_group(self, data, rhs, form, kron=None) -> int:
+        self._groups.append((data, rhs, form,
                              {**dict.fromkeys(data), **(kron or {})}))
         self._op = None
         return len(self._groups) - 1
 
     def add_scalar_row(self, block_terms: Dict[str, np.ndarray],
-                       free_terms: Optional[Dict[int, float]], rhs: float) -> int:
-        """sum_b tr(H_b C_b) + sum a_i u_i = rhs with Hermitian H, real rhs."""
+                       rhs: float) -> int:
+        """sum_b tr(H_b C_b) = rhs with Hermitian H, real rhs."""
         data = self._block_data(
             {name: require_hermitian(h, what=f"data for block {name!r}")[None]
              for name, h in self._block_data(block_terms).items()}, (1,))
-        return self._add_group(data, self._free_row(free_terms),
-                               np.array([float(rhs)], dtype=complex), ((), None))
+        return self._add_group(data, np.array([float(rhs)], dtype=complex),
+                               ((), None))
 
-    def add_complex_row(self, block_data: Dict[str, np.ndarray],
-                        free_terms: Optional[Dict[int, complex]], rhs,
+    def add_complex_row(self, block_data: Dict[str, np.ndarray], rhs,
                         kron=None) -> int:
-        """A stack of k complex equalities
-        sum_b tr(F_b,p* C_b) + sum c_i,p u_i = rhs_p: block_data maps a block
-        name to a (k, n, n) array (F need not be Hermitian), rhs is (k,), and
-        each free coefficient c_i broadcasts to (k,).
+        """A stack of k complex equalities sum_b tr(F_b,p* C_b) = rhs_p:
+        block_data maps a block name to a (k, n, n) array (F need not be
+        Hermitian) and rhs is (k,).
 
         ``kron`` maps further blocks to their data in Kronecker factor form,
         (A, perm, row, unit): F_p is the sum, over the e with row[e] = p, of
@@ -1226,8 +1183,7 @@ class HermitianProblem:
             if name in data:
                 raise ValueError(f"block {name!r} given as data and as factors")
             data[name], forms[name] = self._factor_data(name, k, *form)
-        return self._add_group(data, self._free_row(free_terms, k), rhs,
-                               (rhs.shape, np.arange(k)), forms)
+        return self._add_group(data, rhs, (rhs.shape, np.arange(k)), forms)
 
     def _factor_data(self, name: str, k: int, A, perm, row, unit):
         """The (k, size, size) stack of block ``name`` from its factor form
@@ -1273,7 +1229,6 @@ class HermitianProblem:
           ("entry", block, scale)     scale * C
           ("blocktrace", block, m, scale) scale * (tr C_pq)_pq, m x m blocks
           ("kron_block", coeff, block) coeff (x) C for a PSD block C
-          ("kron_scalar", coeff, j)   coeff * u_j
         The row of entry (r, s) is conj(A) (x) E_rs on the block of an
         "apply" term with Hermitian A, one unit per row of the factor form
         add_complex_row takes, and scale E_rs (x) I_m for a "blocktrace"
@@ -1282,7 +1237,6 @@ class HermitianProblem:
         rhs = np.asarray(rhs, dtype=complex)
         r, s, _ = _svec_idx(rhs.shape[0])
         p, sizes, F, kron = np.arange(r.size), dict(self._blocks), {}, {}
-        free = np.zeros((p.size, self._n_free), dtype=complex)
         def block(name, *shape):      # the data of every entry, as (p, *shape)
             if name not in F:
                 F[name] = np.zeros((p.size, sizes[name], sizes[name]), dtype=complex)
@@ -1317,16 +1271,12 @@ class HermitianProblem:
                 k = sizes[name]
                 block(name)[p, r % k, s % k] += np.conj(coeff)[r // k, s // k]
                 factor(name)
-            elif kind == "kron_scalar":
-                coeff, j = args
-                free[:, j] += np.asarray(coeff, dtype=complex)[r, s]
             else:
                 raise ValueError(f"unknown term kind {kind!r}")
         for name, f in kron.items():    # the summed apply matrix, one unit a row
             if f is not None and f[0] == "sum":
                 kron[name] = ("sum", f[1], (f[2][None], None, p, r * f[1] + s))
-        return self._add_group(F, free, rhs[r, s], (rhs.shape, r * len(rhs) + s),
-                               kron)
+        return self._add_group(F, rhs[r, s], (rhs.shape, r * len(rhs) + s), kron)
 
     # -- building ------------------------------------------------------------
 
@@ -1340,7 +1290,7 @@ class HermitianProblem:
             raise ValueError(f"rhs for unknown row groups {unknown}; the "
                              f"problem has {len(self._groups)}")
         parts = [np.zeros(0, dtype=complex)]
-        for g, (_, _, values, (shape, index), _) in enumerate(self._groups):
+        for g, (_, values, (shape, index), _) in enumerate(self._groups):
             if g in rhs:
                 new = np.asarray(rhs[g])
                 if new.shape != shape:
@@ -1358,12 +1308,10 @@ class HermitianProblem:
         return np.concatenate(parts).view(float)
 
     def _split_groups(self) -> list:
-        """Every group's split rows, as (data, free): the :func:`_split` of
-        each block's stack and the free coefficients Re c, then Im c."""
-        return [({name: _split(f) for name, f in data.items()},
-                 np.stack([free.real, free.imag],
-                          axis=1).reshape(2 * len(free), free.shape[1]))
-                for data, free, _, _, _ in self._groups]
+        """Every group's split rows, as (data, count): the :func:`_split` of
+        each block's stack and the number of split rows."""
+        return [({name: _split(f) for name, f in data.items()}, 2 * len(rhs))
+                for data, rhs, _, _ in self._groups]
 
     def _assemble(self, split, real_path: bool, keep: np.ndarray) -> SDPProblem:
         """The problem of the split rows ``keep`` on the given path, with a
@@ -1372,24 +1320,21 @@ class HermitianProblem:
         m = int(keep.sum())
         sizes = dict(self._blocks)
         A_blocks = {name: np.zeros((m, _vec_dim(sz, herm))) for name, sz in self._blocks}
-        A_free = np.zeros((m, self._n_free))
         i = j = 0
-        for data, ft in split:
-            rows = keep[j:j + ft.shape[0]]
-            j += ft.shape[0]
-            ft = ft[rows]
-            k = ft.shape[0]
+        for data, count in split:
+            rows = keep[j:j + count]
+            j += count
+            k = int(rows.sum())
             for name, h in data.items():
                 h, w = h[rows], _svec_idx(sizes[name])[2]     # svec / hvec(h)
                 A_blocks[name][i:i + k] = h.real * w if real_path else \
                     np.hstack([h.real * w, _SQRT2 * h.imag[:, w != 1.0]])
-            A_free[i:i + k, :ft.shape[1]] = ft
             i += k
-        for a in [A_free, *A_blocks.values()]:
+        for a in A_blocks.values():
             a.flags.writeable = False
-        return SDPProblem(tuple(self._blocks), self._n_free,
+        return SDPProblem(tuple(self._blocks),
                           tuple(A_blocks[name] for name, _ in self._blocks),
-                          A_free, np.zeros(m),
+                          np.zeros(m),
                           (True,) * len(self._blocks) if herm else (),
                           tuple(self._kron_rows(name, sz, real_path, keep)
                                 for name, sz in self._blocks))
@@ -1421,7 +1366,7 @@ class HermitianProblem:
             return None
         trace, ga = scales.pop() if scales else 0.0, len(A) * m * m
         row, unit, k, p = [], [], 0, 0
-        for _, _, rhs, (_, index), kron in self._groups:
+        for _, rhs, (_, index), kron in self._groups:
             kind, _, c = kron[name]
             if kind == "sum":                 # the group's units, renumbered
                 row.append(p + c[2])
@@ -1439,13 +1384,13 @@ class HermitianProblem:
         """Return the SDPProblem; ``rhs`` replaces the rhs of some row groups,
         as in :meth:`solve`.
 
-        Each row tr(F* C) + c.u = rhs becomes its real part, then its
-        imaginary part: tr(H C) + Re c.u = Re rhs and tr(K C) + Im c.u =
-        Im rhs, with Hermitian H = (F + F*)/2 and K = i (F - F*)/2.  When every
+        Each row tr(F* C) = rhs becomes its real part, then its imaginary
+        part: tr(H C) = Re rhs and tr(K C) = Im rhs, with Hermitian
+        H = (F + F*)/2 and K = i (F - F*)/2.  When every
         such row is conjugation-invariant the blocks are real of the same
         size (the real path); otherwise
         they are native Hermitian blocks in hvec coordinates.  A row is kept
-        when a data or free coefficient is nonzero or |rhs| > 1e-12, so that
+        when a data coefficient is nonzero or |rhs| > 1e-12, so that
         0 = 0 and 0 = round-off go, and 0 = 1 stays, to be found inconsistent.
 
         The rows are made again only when the real path or the kept rows
@@ -1475,8 +1420,7 @@ class HermitianProblem:
 
     def solve(self, tol: float = 1e-8, max_iter: int = 200,
               rhs=None) -> SDPSolution:
-        """The engine's solution of the built problem, with ``free_values``
-        over every free variable (zeros when the solve found none).
+        """The engine's solution of the built problem.
 
         ``rhs`` maps group indices, as the ``add_*`` calls returned them, to
         a new rhs for this solve only, in the form that call took: a matrix
@@ -1487,15 +1431,13 @@ class HermitianProblem:
         concurrently."""
         sol = solve(self.build(rhs), tol=tol, max_iter=max_iter)
         sol.info.setdefault("presolve_reused", False)   # no presolve reached
-        if sol.free_values is None:
-            sol.free_values = np.zeros(self._n_free)
         return sol
 
 
 def build_from_complex(problem: HermitianProblem) -> SDPProblem:
     """The realification of ``problem.build()``: every n x n block becomes
     the real 2n x 2n block [[Re, -Im], [Im, Re]] / 2 of its rows, with the
-    same free columns and rhs.  It decides the same
+    same rhs.  It decides the same
     question at about twice the cost, and serves as the reference the native
     Hermitian blocks are tested against; a real-path build is embedded as
     it stands.  It starts a memo of its own, so its solves leave the

@@ -122,8 +122,8 @@ def is_bounded(pencil: LinearPencil, tol: float = 1e-8,
         return False
     hp = HermitianProblem()
     hp.add_block("Z", pencil.d)
-    hp.add_scalar_row({"Z": np.eye(pencil.d)}, None, 1.0)
-    hp.add_complex_row({"Z": coeffs}, None, np.zeros(g))
+    hp.add_scalar_row({"Z": np.eye(pencil.d)}, 1.0)
+    hp.add_complex_row({"Z": coeffs}, np.zeros(g))
     sol = hp.solve(tol=tol, max_iter=max_iter)
     if sol.status is SolveStatus.ERROR:
         raise SolverError(f"recession solve failed: {sol.info}")
@@ -165,8 +165,8 @@ def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
         return False
     hp = HermitianProblem()
     hp.add_block("S", lift.d)
-    hp.add_scalar_row({"S": np.eye(lift.d)}, None, 1.0)
-    hp.add_complex_row({"S": C}, None, np.zeros(len(C)))
+    hp.add_scalar_row({"S": np.eye(lift.d)}, 1.0)
+    hp.add_complex_row({"S": C}, np.zeros(len(C)))
     face = hp.solve(tol=tol, max_iter=max_iter)
     failed = face.info if face.status is SolveStatus.ERROR else None
     basis = np.eye(lift.d)
@@ -216,10 +216,9 @@ def _bound_certificates(lift: LinearPencil, basis: np.ndarray, tol: float,
     hp = HermitianProblem()
     hp.add_block("Z", basis.shape[1])
     if len(by):
-        hp.add_complex_row({"Z": by}, None, np.zeros(len(by)))
+        hp.add_complex_row({"Z": by}, np.zeros(len(by)))
     g = lift.g
-    rows = hp.add_complex_row({"Z": ax / a_max[:, None, None]}, None,
-                              np.zeros(g))
+    rows = hp.add_complex_row({"Z": ax / a_max[:, None, None]}, np.zeros(g))
     return [hp.solve(tol=tol, max_iter=max_iter,
                      rhs={rows: -sigma * np.eye(g)[j]})
             for j in range(g) for sigma in (1.0, -1.0)]
@@ -382,7 +381,7 @@ def _membership_problem(C: np.ndarray, n: int) -> HermitianProblem:
     k = q * r.size
     hp = HermitianProblem()
     hp.add_block("C", d * n)
-    hp.add_complex_row({}, None, np.zeros(k), kron={"C": (
+    hp.add_complex_row({}, np.zeros(k), kron={"C": (
         C, np.arange(d * n), np.arange(k),
         (np.arange(q)[:, None] * n * n + r * n + s).ravel())})
     return hp

@@ -81,7 +81,7 @@ def tracial_membership(b: HermitianTuple, y: HermitianTuple, tol: float = 1e-8,
         const -= np.kron(np.asarray(bj), yj)
     hp.add_matrix_eq([("entry", "P", 1.0), ("kron_block", -np.eye(k), "T")],
                      hermitian_part(const))
-    hp.add_scalar_row({"T": np.eye(m), "s": np.eye(1)}, {}, 1.0)
+    hp.add_scalar_row({"T": np.eye(m), "s": np.eye(1)}, 1.0)
     sol = hp.solve(tol=tol, max_iter=max_iter)
     witness = None
     if sol.feasible:

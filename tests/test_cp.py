@@ -365,7 +365,7 @@ def _sum_form_problem(A, perm, gen):
     unit = np.array([0, 4, 9 + 5, 9 + 3, 7, 9 + 7])
     hp = S.HermitianProblem()
     hp.add_block("C", 6)
-    hp.add_complex_row({}, None, gen.normal(size=4) + 1j * gen.normal(size=4),
+    hp.add_complex_row({}, gen.normal(size=4) + 1j * gen.normal(size=4),
                        kron={"C": (A, perm, row, unit)})
     ref = np.zeros((4, 6, 6), dtype=complex)
     for p, u in zip(row, unit):
@@ -400,7 +400,7 @@ def test_add_complex_row_factor_form():
                 (A, perm[:5], [0, 1, 2, 3], [0, 1, 2, 3]),
                 (A[:, :1], perm, [0, 1, 2, 3], [0, 1, 2, 3])]:
         with pytest.raises(ValueError, match="malformed factor form"):
-            hp.add_complex_row({}, None, np.zeros(4), kron={"C": bad})
+            hp.add_complex_row({}, np.zeros(4), kron={"C": bad})
     with pytest.raises(ValueError, match="as data and as factors"):
-        hp.add_complex_row({"C": np.zeros((4, 6, 6))}, None, np.zeros(4),
+        hp.add_complex_row({"C": np.zeros((4, 6, 6))}, np.zeros(4),
                            kron={"C": (A, perm, [0, 1, 2, 3], [0, 1, 2, 3])})

@@ -52,14 +52,14 @@ def reference_problem(p, pencil, r):
         gm[i, j, a, :, i, b, :, j] = coeffs[k]
         hp.add_complex_row({"S": s.reshape(mu * mu, mu * n, mu * n),
                             "G": gm.reshape(mu * mu, n * d * mu, -1)},
-                           None, p.coeff(v).ravel())
+                           p.coeff(v).ravel())
     b = np.arange(n)[:, None, None]
     for coeff in pencil.y_coeffs:
         for a in range(n):
             gm = np.zeros((n, mu, mu, n, d, mu, n, d, mu), dtype=complex)
             gm[b, i, j, a, :, i, b, :, j] = np.conj(coeff)
             hp.add_complex_row({"G": gm.reshape(n * mu * mu, n * d * mu, -1)},
-                               None, np.zeros(n * mu * mu))
+                               np.zeros(n * mu * mu))
     return hp
 
 
@@ -356,7 +356,7 @@ def test_certificate_rows_meet_expansion(pencil, real, mu, r, seed):
     cert = Certificate(pencil.g, d, mu, r, rand_psd(gen, mu * n, real=real), gm)
     p = expand_certificate(cert, pencil)
     problem = certificate_problem(p, pencil, r).build()
-    assert (problem.hermitian == ()) == real and problem.n_free == 0
+    assert (problem.hermitian == ()) == real
     vec = svec if real else hvec
     x = np.concatenate([vec(cert.S.real if real else cert.S),
                         vec(cert.G.real if real else cert.G)])

@@ -20,7 +20,7 @@ def entry_rows(builder, name, target, n):
                 e[i, i] = 1.0
             else:
                 e[i, j] = e[j, i] = 0.5
-            builder.add_scalar_row({name: e}, {}, target[i, j])
+            builder.add_scalar_row({name: e}, target[i, j])
 
 
 def rand_pd(gen, n, herm=False):
@@ -150,9 +150,9 @@ def test_step_length_lapack_failure_is_an_error(herm, monkeypatch):
     monkeypatch.setitem(S._NT_LAPACK, dtype, (potrf, failing))
     hp = HermitianProblem()
     hp.add_block("Z", 2)
-    hp.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
+    hp.add_scalar_row({"Z": np.eye(2)}, 1.0)
     if herm:
-        hp.add_complex_row({"Z": np.array([[[0.0, 1.0j], [0.0, 0.0]]])}, {},
+        hp.add_complex_row({"Z": np.array([[[0.0, 1.0j], [0.0, 0.0]]])},
                            [0.1])
     assert hp.build().herm == (herm,)
     sol = hp.solve()
@@ -199,16 +199,13 @@ def test_identity_slack():
     assert sol.info["iterations_total"] >= sol.iterations > 0
 
 
-def _rank_deficient_free():
-    """Z 2x2 with u0 and u1 entering only as u0 + u1: A_free has rank 2 of 3
-    and null space (1, -1, 0).  The free columns absorb the first two rows,
-    so tr Z = 1 alone bounds the margin, at 1/2."""
+def _equal_diagonal():
+    """Z 2x2 with tr Z = 1 and Z_00 = Z_11: Z = I/2 is the best, so the
+    margin is 1/2."""
     b = HermitianProblem()
     b.add_block("Z", 2)
-    u = b.add_free(3)
-    b.add_scalar_row({"Z": np.diag([1.0, 0.0])}, {u[0]: 1.0, u[1]: 1.0}, 1.0)
-    b.add_scalar_row({"Z": np.diag([0.0, 1.0])}, {u[2]: 1.0}, 2.0)
-    b.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
+    b.add_scalar_row({"Z": np.eye(2)}, 1.0)
+    b.add_scalar_row({"Z": np.diag([1.0, -1.0])}, 0.0)
     return b.build()
 
 
@@ -217,7 +214,7 @@ def test_replace_shares_the_presolve_only_for_the_same_operator():
     reuses the presolve, new rows get a new one."""
     from dataclasses import replace
 
-    problem = _rank_deficient_free()
+    problem = _equal_diagonal()
     first = solve(problem)
     assert first.info["presolve_reused"] is False
     assert abs(first.margin - 0.5) < 1e-6
@@ -237,7 +234,7 @@ def test_phase_one_rows_absorbed_by_slack(n, rhs, margin):
     # zero rows, and t* = rhs / n
     b = HermitianProblem()
     b.add_block("Z", n)
-    b.add_scalar_row({"Z": np.eye(n)}, {}, rhs)
+    b.add_scalar_row({"Z": np.eye(n)}, rhs)
     sol = solve(b.build())
     assert sol.status is (SolveStatus.FEASIBLE if margin > 0
                           else SolveStatus.INFEASIBLE)
@@ -246,24 +243,20 @@ def test_phase_one_rows_absorbed_by_slack(n, rhs, margin):
         assert abs(np.trace(sol.witness["Z"]) - rhs) < 1e-7
 
 
-def test_phase_one_rows_absorbed_by_free_columns():
-    # every entry of Z is shifted by its own free variable: any PSD Z works
-    # and the margin is unbounded
+def test_phase_one_traceless_rows():
+    # Z_00 - Z_11 = 5 and Z_01 = 7 both annihilate I: Z + s I meets them for
+    # every s, so any solution shifts into the cone and the margin is
+    # unbounded
     b = HermitianProblem()
     b.add_block("Z", 2)
-    u = b.add_free(3)
-    for k, (i, j) in enumerate([(0, 0), (1, 1), (0, 1)]):
-        e = np.zeros((2, 2))
-        e[i, j] = e[j, i] = 1.0 if i == j else 0.5
-        b.add_scalar_row({"Z": e}, {u[k]: 1.0}, [5.0, -3.0, 7.0][k])
-    problem = b.build()
-    sol = solve(problem)
+    b.add_scalar_row({"Z": np.diag([1.0, -1.0])}, 5.0)
+    b.add_scalar_row({"Z": np.array([[0.0, 0.5], [0.5, 0.0]])}, 7.0)
+    sol = solve(b.build())
     assert sol.status is SolveStatus.FEASIBLE and sol.margin == np.inf
-    z, uv = sol.witness["Z"], sol.free_values
+    z = sol.witness["Z"]
     assert np.linalg.eigvalsh(z)[0] > 0
-    assert abs(z[0, 0] + uv[0] - 5.0) < 1e-7
-    assert abs(z[1, 1] + uv[1] + 3.0) < 1e-7
-    assert abs(z[0, 1] + uv[2] - 7.0) < 1e-7
+    assert abs(z[0, 0] - z[1, 1] - 5.0) < 1e-7
+    assert abs(z[0, 1] - 7.0) < 1e-7
 
 
 def test_tv_grid_attempts_per_solve():
@@ -314,8 +307,8 @@ def test_diagonal_slack_matches_min_eig():
 def test_trace_pair_infeasible():
     b = HermitianProblem()
     b.add_block("Z", 2)
-    b.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
-    b.add_scalar_row({"Z": np.diag([1.0, -1.0])}, {}, 2.0)
+    b.add_scalar_row({"Z": np.eye(2)}, 1.0)
+    b.add_scalar_row({"Z": np.diag([1.0, -1.0])}, 2.0)
     sol = solve(b.build())
     assert sol.status is SolveStatus.INFEASIBLE
     assert abs(sol.margin + 0.5) < 1e-6
@@ -324,7 +317,7 @@ def test_trace_pair_infeasible():
 def test_boundary_rescue():
     b = HermitianProblem()
     b.add_block("Z", 2)
-    b.add_scalar_row({"Z": np.eye(2)}, {}, 0.0)
+    b.add_scalar_row({"Z": np.eye(2)}, 0.0)
     sol = solve(b.build())
     assert sol.status is SolveStatus.FEASIBLE
     assert np.abs(sol.witness["Z"]).max() < 1e-7
@@ -333,8 +326,8 @@ def test_boundary_rescue():
 def test_inconsistent_equalities():
     b = HermitianProblem()
     b.add_block("Z", 1)
-    b.add_scalar_row({"Z": np.eye(1)}, {}, 1.0)
-    b.add_scalar_row({"Z": 2 * np.eye(1)}, {}, 1.0)
+    b.add_scalar_row({"Z": np.eye(1)}, 1.0)
+    b.add_scalar_row({"Z": 2 * np.eye(1)}, 1.0)
     sol = solve(b.build())
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.margin == -np.inf
@@ -344,8 +337,8 @@ def test_inconsistent_equalities():
 def test_zero_row_with_nonzero_rhs_is_inconsistent(force):
     hp = HermitianProblem()
     hp.add_block("Z", 2)
-    hp.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
-    hp.add_scalar_row({"Z": np.zeros((2, 2))}, {}, 1.0)
+    hp.add_scalar_row({"Z": np.eye(2)}, 1.0)
+    hp.add_scalar_row({"Z": np.zeros((2, 2))}, 1.0)
     sol = solve(build_from_complex(hp)) if force else hp.solve()
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.info["reason"] == "inconsistent equalities"
@@ -359,10 +352,10 @@ def test_zero_row_drop_rule(native, rhs):
     the equalities inconsistent."""
     hp = HermitianProblem()
     hp.add_block("Z", 2)
-    hp.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
+    hp.add_scalar_row({"Z": np.eye(2)}, 1.0)
     if native:                        # complex data: 2 Im Z_01 = 1/2
-        hp.add_scalar_row({"Z": np.array([[0, 1j], [-1j, 0]])}, {}, 0.5)
-    hp.add_complex_row({"Z": np.zeros((1, 2, 2))}, None, [rhs])
+        hp.add_scalar_row({"Z": np.array([[0, 1j], [-1j, 0]])}, 0.5)
+    hp.add_complex_row({"Z": np.zeros((1, 2, 2))}, [rhs])
     problem = hp.build()
     assert problem.hermitian == ((True,) if native else ())
     assert problem.m == 1 + native + (rhs > 1e-12)
@@ -379,10 +372,10 @@ def _override_problem(off, zero=0.0, trace=1.0):
     problem and its three group indices."""
     hp = HermitianProblem()
     hp.add_block("Z", 2)
-    groups = (hp.add_scalar_row({"Z": np.eye(2)}, {}, trace),
-              hp.add_complex_row({"Z": np.array([[[0, 0], [1, 0]]])}, None,
+    groups = (hp.add_scalar_row({"Z": np.eye(2)}, trace),
+              hp.add_complex_row({"Z": np.array([[[0, 0], [1, 0]]])},
                                  [off]),
-              hp.add_complex_row({"Z": np.zeros((1, 2, 2))}, None, [zero]))
+              hp.add_complex_row({"Z": np.zeros((1, 2, 2))}, [zero]))
     return hp, groups
 
 
@@ -394,7 +387,6 @@ def _assert_same_solution(got, want):
     for name, z in want.witness.items():
         assert got.witness[name].dtype == z.dtype
         assert np.array_equal(got.witness[name], z)
-    assert np.array_equal(got.free_values, want.free_values)
 
 
 def test_rhs_override_matches_fresh_problem():
@@ -451,7 +443,7 @@ def test_add_call_drops_the_kept_presolve():
     hp, (trace, _, _) = _override_problem(0.25)
     assert hp.solve().info["presolve_reused"] is False
     assert hp.solve(rhs={trace: 2.0}).info["presolve_reused"] is True
-    hp.add_scalar_row({"Z": np.diag([1.0, -1.0])}, {}, 0.0)
+    hp.add_scalar_row({"Z": np.diag([1.0, -1.0])}, 0.0)
     sol = hp.solve()
     assert sol.info["presolve_reused"] is False
     assert abs(sol.witness["Z"][0, 0] - sol.witness["Z"][1, 1]) <= 1e-9
@@ -480,7 +472,6 @@ def test_build_shares_read_only_rows():
     second = hp.build(rhs={trace: 2.0})
     assert second.A_blocks[0] is first.A_blocks[0]
     assert not first.A_blocks[0].flags.writeable
-    assert not first.A_free.flags.writeable
     assert (first.rhs[0], second.rhs[0]) == (1.0, 2.0)
 
 
@@ -496,7 +487,7 @@ def test_rhs_override_is_checked():
         hp.solve(rhs={4: 1.0})
     # a scalar row's rhs is real, as add_scalar_row takes it
     with pytest.raises(TypeError):
-        hp.add_scalar_row({"Z": np.eye(2)}, {}, 1j)
+        hp.add_scalar_row({"Z": np.eye(2)}, 1j)
     for values in (1j, np.complex128(1.0)):
         with pytest.raises(ValueError, match=f"row group {trace} is not real"):
             hp.solve(rhs={trace: values})
@@ -510,9 +501,9 @@ def test_objective_data_is_checked():
     """Row data names known blocks: an unknown one is rejected."""
     hp = HermitianProblem()
     hp.add_block("Z", 2)
-    hp.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
+    hp.add_scalar_row({"Z": np.eye(2)}, 1.0)
     with pytest.raises(ValueError, match="unknown block 'W'"):
-        hp.add_scalar_row({"W": np.eye(2)}, {}, 1.0)
+        hp.add_scalar_row({"W": np.eye(2)}, 1.0)
 
 
 def _qr_rule_keep(A, b):
@@ -525,30 +516,33 @@ def _qr_rule_keep(A, b):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 6),
+@given(st.integers(1, 3), st.integers(0, 2), st.integers(1, 6),
        st.lists(st.sampled_from(["zero", "dup", "comb", "big", "small"]),
                 min_size=1, max_size=6),
        st.integers(0, 10_000))
-def test_row_factorization_matches_lstsq(n, nf, k, extra, seed):
-    """The factored rows keep the rows of the explicit-QR rule, give the
-    least-norm correction (lstsq on the base rows), and see a dependent row's rhs moved by
-    1e-6 of its scale."""
+def test_row_factorization_matches_lstsq(n, n2, k, extra, seed):
+    """The factored rows of one block, or of two (the second of size n2),
+    keep the rows of the explicit-QR rule, give the least-norm correction
+    (lstsq on the base rows), and see a dependent row's rhs moved by 1e-6
+    of its scale."""
     gen = rng(seed)
-    d = n * (n + 1) // 2
-    base = gen.standard_normal((min(k, d + nf), d + nf))
+    d, d2 = n * (n + 1) // 2, n2 * (n2 + 1) // 2
+    base = gen.standard_normal((min(k, d + d2), d + d2))
     rows = list(base)
     for kind in extra:
         i, j = gen.integers(len(base), size=2)
-        rows.append({"zero": np.zeros(d + nf), "dup": base[i],
+        rows.append({"zero": np.zeros(d + d2), "dup": base[i],
                      "comb": gen.standard_normal() * base[i]
                      + gen.standard_normal() * base[j],
                      "big": 1e6 * base[i], "small": 1e-6 * base[i]}[kind])
     rows = np.array(rows)[gen.permutation(len(rows))]
-    x_star = gen.standard_normal(d + nf)
+    x_star = gen.standard_normal(d + d2)
     rhs = rows @ x_star
 
     def problem(b):
-        return S.SDPProblem((("Z", n),), nf, (rows[:, :d],), rows[:, d:], b)
+        if not n2:
+            return S.SDPProblem((("Z", n),), (rows,), b)
+        return S.SDPProblem((("Z", n), ("W", n2)), (rows[:, :d], rows[:, d:]), b)
 
     fact = S._Rows(problem(rhs))
     assert fact.consistent
@@ -560,7 +554,7 @@ def test_row_factorization_matches_lstsq(n, nf, k, extra, seed):
     # and lstsq (rcond=None) keeps that noise as an extra rank.
     scale = np.abs(rows).max(axis=1)
     scale[scale == 0] = 1.0
-    v = x_star - gen.standard_normal(d + nf)
+    v = x_star - gen.standard_normal(d + d2)
     res = rows @ v
     want = np.linalg.lstsq(base, base @ v, rcond=None)[0]
     got = fact.correction(res)
@@ -576,7 +570,7 @@ def test_row_factorization_matches_lstsq(n, nf, k, extra, seed):
 def test_rows_without_variables(rhs, status, capfd):
     # 0 = rhs on a problem with no variables at all: no factorization runs,
     # so LAPACK prints nothing, and the rhs alone decides
-    problem = S.SDPProblem((), 0, (), np.zeros((1, 0)), np.array([rhs]))
+    problem = S.SDPProblem((), (), np.array([rhs]))
     assert solve(problem).status is status
     assert capfd.readouterr().err == ""
 
@@ -603,10 +597,10 @@ def test_native_hermitian_matches_realified(n, feasible, seed):
     hp = HermitianProblem()
     hp.add_block("Z", n)
     for h in rows:
-        hp.add_scalar_row({"Z": h}, {}, float(np.trace(h @ z0).real))
+        hp.add_scalar_row({"Z": h}, float(np.trace(h @ z0).real))
     # one complex row tr(F* Z) = tr(F* Z0), split into two real ones
     f = rand_complex(gen, n, n)
-    hp.add_complex_row({"Z": f[None]}, {}, [np.trace(f.conj().T @ z0)])
+    hp.add_complex_row({"Z": f[None]}, [np.trace(f.conj().T @ z0)])
     problem = hp.build()
     assert problem.hermitian == (True,)
     native, realified = hp.solve(), solve(build_from_complex(hp))
@@ -634,7 +628,7 @@ def test_unbounded_margin_yields_verified_witness():
     for rhs in (0.0, -10.0):
         b = HermitianProblem()
         b.add_block("Z", 2)
-        b.add_scalar_row({"Z": np.diag([1.0, -1.0])}, {}, rhs)
+        b.add_scalar_row({"Z": np.diag([1.0, -1.0])}, rhs)
         sol = solve(b.build())
         assert sol.status is SolveStatus.FEASIBLE
         assert sol.margin == np.inf and sol.info["unbounded_margin"]
@@ -656,7 +650,7 @@ def test_strictly_feasible_problems_solve(seed):
     for _ in range(m):
         f = gen.standard_normal((n, n))
         f = f + f.T
-        b.add_scalar_row({"Z": f}, {}, float(np.tensordot(f, zstar)))
+        b.add_scalar_row({"Z": f}, float(np.tensordot(f, zstar)))
     sol = solve(b.build())
     assert sol.status is SolveStatus.FEASIBLE
     # independent witness verification at the documented tolerances
@@ -668,7 +662,7 @@ def _solve_rows(rows, rhs, n):
     b = HermitianProblem()
     b.add_block("Z", n)
     for f, c in zip(rows, rhs):
-        b.add_scalar_row({"Z": f}, {}, c)
+        b.add_scalar_row({"Z": f}, c)
     return solve(b.build())
 
 
@@ -735,7 +729,7 @@ def test_orthogonal_conjugation_invariance():
 def test_build_from_complex_doubles_real_data():
     hp = HermitianProblem()
     hp.add_block("Z", 2)
-    hp.add_scalar_row({"Z": np.eye(2)}, {}, 1.0)
+    hp.add_scalar_row({"Z": np.eye(2)}, 1.0)
     p = build_from_complex(hp)
     assert p.blocks == (("Z", 4),)
     # the smart path keeps the real size
@@ -755,8 +749,8 @@ def test_complex_cross_check_with_direct_formulation():
                         (1.5, SolveStatus.INFEASIBLE)):
         hp = HermitianProblem()
         hp.add_block("C", 2)
-        hp.add_scalar_row({"C": np.eye(2)}, {}, 1.0)
-        hp.add_scalar_row({"C": sy}, {}, val)
+        hp.add_scalar_row({"C": np.eye(2)}, 1.0)
+        hp.add_scalar_row({"C": sy}, val)
         problem = hp.build()
         assert problem.hermitian == (True,)
         forced = build_from_complex(hp)
@@ -769,7 +763,7 @@ def test_complex_cross_check_with_direct_formulation():
 def test_complex_scalar_block():
     hp = HermitianProblem()
     hp.add_block("z", 1)
-    hp.add_scalar_row({"z": np.eye(1)}, {}, 1.0)
+    hp.add_scalar_row({"z": np.eye(1)}, 1.0)
     sol = hp.solve()
     assert sol.feasible
     assert abs(sol.witness["z"][0, 0] - 1.0) < 1e-7
@@ -777,8 +771,8 @@ def test_complex_scalar_block():
 
 def _ref_entry(sizes, terms, r, s):
     """Data of entry (r, s) of a matrix equality: one np.kron or one-entry
-    matrix per term, free coefficients accumulated per variable."""
-    bt, ft = {}, {}
+    matrix per term."""
+    bt = {}
     for term, *t in terms:
         if term == "apply":
             e = np.zeros((t[2], t[2]))
@@ -798,9 +792,7 @@ def _ref_entry(sizes, terms, r, s):
                 f = np.zeros((k, k), complex)
                 f[r % k, s % k] = np.conj(t[0][r // k, s // k])
                 bt[t[1]] = bt.get(t[1], 0) + f
-        elif term == "kron_scalar" and t[0][r, s] != 0:
-            ft[t[1]] = ft.get(t[1], 0.0) + t[0][r, s]
-    return bt, ft
+    return bt
 
 
 def _ref_rows(sizes, calls):
@@ -808,70 +800,63 @@ def _ref_rows(sizes, calls):
     real and an imaginary row."""
     rows = []
 
-    def split(bt, ft, val):
+    def split(bt, val):
         for part, take in ((0, np.real), (1, np.imag)):
             data = {n: (0.5 * (f + f.conj().T), 0.5j * (f - f.conj().T))[part]
                     for n, f in bt.items()}
-            free = {i: complex(take(c)) for i, c in ft.items() if take(c) != 0}
-            if any(np.abs(h).max() > 0 for h in data.values()) or free or take(val):
-                rows.append((data, free, float(take(val))))
+            if any(np.abs(h).max() > 0 for h in data.values()) or take(val):
+                rows.append((data, float(take(val))))
     for kind, *a in calls:
         if kind == "scalar":
             rows.append(({n: np.asarray(h, complex) for n, h in a[0].items()},
-                         {i: complex(c) for i, c in a[1].items()}, float(a[2])))
+                         float(a[1])))
         elif kind == "complex":           # a stack, split row by row
-            for p, val in enumerate(a[2]):
+            for p, val in enumerate(a[1]):
                 split({n: np.asarray(f[p], complex) for n, f in a[0].items()},
-                      {i: complex(np.broadcast_to(c, len(a[2]))[p])
-                       for i, c in a[1].items()}, complex(val))
+                      complex(val))
         else:
             terms, rhs = a
             for r in range(len(rhs)):
                 for s in range(r, len(rhs)):
-                    split(*_ref_entry(sizes, terms, r, s), complex(rhs[r, s]))
+                    split(_ref_entry(sizes, terms, r, s), complex(rhs[r, s]))
     return rows
 
 
-def _ref_build(blocks, n_free, rows, realified):
+def _ref_build(blocks, rows, realified):
     """Reference build, one dict per row: the real-restricted rows when
     every row is conjugation-invariant, else every row; with
     ``realified``, each block's data H becomes [[Re H, -Im H], [Im H, Re H]]
     / 2 on a block of twice the size."""
     def is_real():
-        for bt, ft, rhs in rows:
+        for bt, rhs in rows:
             im = max([np.abs(h.imag).max() for h in bt.values()] + [0.0])
             re = max([np.abs(h.real).max() for h in bt.values()] + [0.0])
-            if not (im <= 1e-13 or (re <= 1e-13 and abs(rhs) <= 1e-12
-                                    and not ft)):
+            if not (im <= 1e-13 or (re <= 1e-13 and abs(rhs) <= 1e-12)):
                 return False
         return True
     real = is_real()
     ref = []
-    for bt, ft, rhs in rows:
+    for bt, rhs in rows:
         if real:
             bt = {n: h.real for n, h in bt.items() if np.abs(h.real).max() > 0}
-            ft = {i: c for i, c in ft.items() if c.real != 0}
-            if not (bt or ft or abs(rhs) > 1e-12):
+            if not (bt or abs(rhs) > 1e-12):
                 continue
         ref.append(({n: 0.5 * realify(h) if realified else h
-                     for n, h in bt.items()}, ft, rhs))
-    # stack each row's svec (hvec for native Hermitian data) and free terms
+                     for n, h in bt.items()}, rhs))
+    # stack each row's svec (hvec for native Hermitian data)
     k = 2 if realified else 1
     vec = svec if real or realified else hvec
     A_blocks = [np.zeros((len(ref), vec(np.eye(k * sz)).size)) for _, sz in blocks]
-    A_free = np.zeros((len(ref), n_free))
-    for i, (bt, ft, _) in enumerate(ref):
+    for i, (bt, _) in enumerate(ref):
         for b, (name, _) in enumerate(blocks):
             if name in bt:
                 A_blocks[b][i] = vec(bt[name])
-        for j, c in ft.items():
-            A_free[i, j] = c.real
-    return S.SDPProblem(tuple((name, k * sz) for name, sz in blocks), n_free,
-                        tuple(A_blocks), A_free,
-                        np.array([rhs for _, _, rhs in ref])), real
+    return S.SDPProblem(tuple((name, k * sz) for name, sz in blocks),
+                        tuple(A_blocks),
+                        np.array([rhs for _, rhs in ref])), real
 
 
-_TERM_KINDS = ("apply", "entry", "blocktrace", "kron_block", "kron_scalar")
+_TERM_KINDS = ("apply", "entry", "blocktrace", "kron_block")
 
 
 @settings(deadline=None, max_examples=60)
@@ -897,42 +882,34 @@ def test_hermitian_rows_match_entrywise_reference(d, real, calls, seed):
     sizes = {"P": d, "C": 2 * d, "K": d // 2}
     for name, n in sizes.items():
         hp.add_block(name, n)
-    frees = list(hp.add_free(2))
     made = []
     for call in calls:
         if call == "scalar":
             h = mat(d, d, mask=False)
             made.append(("scalar", {"P": 0.5 * (h + h.conj().T)},
-                         {frees[-1]: float(gen.standard_normal())},
                          float(gen.standard_normal())))
         elif call == "complex":       # a stack of k rows
             k = int(gen.integers(1, 4))
             made.append(("complex", {"P": mat(k, d, d), "C": mat(k, 2 * d, 2 * d)},
-                         {frees[0]: mat(k), frees[-1]: complex(mat(1)[0])},
                          mat(k)))
         else:
             term = {"apply": ("apply", "C", mat(2, 2), d),
                     "entry": ("entry", "P", complex(mat(1)[0])),
                     "blocktrace": ("blocktrace", "C", 2, complex(mat(1)[0])),
-                    "kron_block": ("kron_block", mat(2, 2), "K"),
-                    "kron_scalar": ("kron_scalar", mat(d, d), frees[-1])}
+                    "kron_block": ("kron_block", mat(2, 2), "K")}
             made.append(("eq", [term[k] for k in sorted(call)], mat(d, d)))
         {"scalar": hp.add_scalar_row, "complex": hp.add_complex_row,
          "eq": hp.add_matrix_eq}[made[-1][0]](*made[-1][1:])
-        if len(frees) == 2:          # a free added after the first rows
-            frees += list(hp.add_free(1))
     rows = _ref_rows(sizes, made)
     blocks = list(sizes.items())
     problem = hp.build()
-    ref, real_path = _ref_build(blocks, hp._n_free, rows, False)
+    ref, real_path = _ref_build(blocks, rows, False)
     assert (problem.hermitian == ()) == real_path
     if real:
         assert real_path
-    realified = _ref_build(blocks, hp._n_free, rows, True)[0]
+    realified = _ref_build(blocks, rows, True)[0]
     forced = build_from_complex(hp)
     for got, want in ((problem, ref), (forced, realified)):
-        assert got.n_free == want.n_free
-        assert np.array_equal(got.A_free, want.A_free)
         assert np.array_equal(got.rhs, want.rhs)
         assert got.blocks == want.blocks
         for g, w in zip(got.A_blocks, want.A_blocks):
@@ -944,7 +921,7 @@ def test_hermitian_rows_match_entrywise_reference(d, real, calls, seed):
         got = sum(Ab @ hvec(cs[name])
                   for (name, _), Ab in zip(problem.blocks, problem.A_blocks))
         want = np.array([sum(np.trace(h @ cs[name]).real for name, h in bt.items())
-                         for bt, _, _ in rows])
+                         for bt, _ in rows])
         assert np.allclose(got, want, rtol=0,
                            atol=1e-12 * max(1.0, np.abs(want).max(initial=0.0)))
 
@@ -962,7 +939,7 @@ def test_feasible_witness_contract():
         for _ in range(int(gen.integers(1, n))):
             f = gen.standard_normal((n, n))
             f = f + f.T
-            b.add_scalar_row({"Z": f}, {}, float(np.tensordot(f, zstar)))
+            b.add_scalar_row({"Z": f}, float(np.tensordot(f, zstar)))
         problem = b.build()
         sol = solve(problem)
         assert sol.status is SolveStatus.FEASIBLE

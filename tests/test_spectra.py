@@ -16,7 +16,7 @@ from freeconvex.cp import ChoiMatrix
 from freeconvex.rand import (rng, rand_hermitian, rand_psd, rand_tuple,
                              rand_unitary)
 from freeconvex.sdp import HermitianProblem, SDPSolution, SolveStatus, \
-    SolverError, hmat
+    SolverError
 from freeconvex import spectra
 from freeconvex.spectra import (Spectrahedrop, dominates, drop_level1_bounded,
                                 drop_membership, drop_polar_membership,
@@ -442,16 +442,16 @@ def test_tv_drop_membership_examples():
 
 def _free_y_reference(lift, x):
     """The free-Y formulation of drop membership, as a reference: P = L(X, Y)
-    >= 0 with each Hermitian Y_k spanned by its n^2 hvec coordinates, as
-    add_free scalars on "kron_scalar" terms beside an "entry" term on P."""
+    >= 0 with each Hermitian Y_k = Y_k+ - Y_k- the difference of two PSD
+    blocks, on "kron_block" terms beside an "entry" term on P.  Y_k+ + s I
+    and Y_k- + s I give the same Y_k, so only P bounds the margin."""
     n = x.dim
-    basis = hmat(np.eye(n * n), n)
     hp = HermitianProblem()
     hp.add_block("P", lift.d * n)
     terms = [("entry", "P", 1.0)]
-    for b in lift.y_coeffs:
-        terms += [("kron_scalar", -np.kron(b, c), v)
-                  for c, v in zip(basis, hp.add_free(n * n))]
+    for k, b in enumerate(lift.y_coeffs):
+        terms += [("kron_block", -b, hp.add_block(f"Y{k}+", n)),
+                  ("kron_block", b, hp.add_block(f"Y{k}-", n))]
     const = np.kron(lift.A0, np.eye(n)) + sum(
         np.kron(a, xj) for a, xj in zip(lift.x_coeffs, x))
     hp.add_matrix_eq(terms, const)
