@@ -1,10 +1,10 @@
 """Self-contained dense semidefinite feasibility engine.
 
-Real symmetric and complex Hermitian PSD blocks plus free scalar variables,
-and affine equality constraints.  The core is a homogeneous self-dual
-interior-point method with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector, so infeasibility and an unbounded margin are detected
-through certificates instead of big-M constructions.
+Real symmetric and complex Hermitian PSD blocks and affine equality
+constraints.  The core is a homogeneous self-dual interior-point method
+with Nesterov-Todd scaling and a Mehrotra predictor-corrector, so an
+unbounded margin is detected through a certificate (a ray) instead of a
+big-M construction.
 
 Feasibility questions are decided through a phase-I problem
 
@@ -19,8 +19,8 @@ check against the original rows before it is returned.
 A problem keeps the presolve of its last solve in its private memo, which
 every problem :func:`dataclasses.replace` makes from it shares, so a solve
 with only a new rhs pays for that rhs alone; nothing is cached at module
-level.  How the engine works (native Hermitian blocks, the free-column
-elimination, the two Schur complement routes, the NT step, normalized
+level.  How the engine works (native Hermitian blocks, the elimination of
+the phase-I slack, the two Schur complement routes, the NT step, normalized
 units and the 1e-11 re-solve, the kept operator half and the row
 factorization) is explained in the Notes of README.md.
 """
@@ -33,7 +33,6 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .algebra import psd_part, require_hermitian
@@ -186,9 +185,9 @@ class SDPProblem:
       :class:`_KronRows`) or None; the core may assemble that block's part
       of the Schur complement from it.
 
-    The free variables never reach the interior-point core: presolve
-    eliminates them (see :class:`_FreeElimination`) and recovers t from the
-    solved blocks.
+    Phase I adds one scalar, the slack t; it never reaches the
+    interior-point core: presolve eliminates it (see :class:`_Presolve`)
+    and recovers it from the solved blocks.
     """
 
     blocks: tuple                      # tuple[(name, size)]
@@ -284,71 +283,6 @@ class _Rows:
                                       trans=1)[0]
             dx = lapack.dormqr("L", "N", self.qr[:, :r], self.tau[:r], dx, 1)[0]
         return dx[:, 0]
-
-
-def _scale_rows(A_parts, m: int):
-    """Divide each of the m equality rows by the sup-norm of its
-    coefficients, so that a large rhs leaves them at unit scale; returns the
-    rows and the scale, by which the rhs is divided too."""
-    s = np.zeros(m)
-    for Ab in A_parts:
-        s = np.maximum(s, np.abs(Ab).max(axis=1, initial=0.0))
-    s[s == 0] = 1.0
-    return [Ab / s[:, None] for Ab in A_parts], s
-
-
-class _FreeElimination:
-    """The free columns F u of the rows A z + F u = b, eliminated once.
-
-    With F P = Q R (pivoted QR) and Q = [Q1 Q2] split at rank(F), the blocks
-    alone must satisfy Q2' A z = Q2' b, and u = F^+ (b - A z) recovers the
-    free part of any solution.  When c_free = F' lam lies in range(F'), the
-    objective c_free.u = lam.(b - A z) becomes the block objective -A_b' lam
-    plus a constant.  Otherwise ``ray`` is a direction of null(F) with
-    c_free.ray = -1: the objective falls without bound from every feasible
-    point.  Only the rows enter the elimination; each solve passes its rhs
-    b to the methods that read it.
-    A_parts are the kept rows ``keep`` of the problem's A_blocks, which
-    :meth:`free_part` reads there rather than keep a copy.
-    """
-
-    def __init__(self, problem: SDPProblem, keep, A_parts, F, c_free):
-        # Q is made from the reflectors, which the factored route applies
-        (qr, tau), r, piv = sla.qr(F, pivoting=True, mode="raw",
-                                   check_finite=False)
-        self.qr, self.tau = qr[:, :tau.size], tau
-        q = np.zeros((len(F), len(F)))
-        q[:, :tau.size] = self.qr
-        lwork = int(lapack.dorgqr(q, tau, lwork=-1)[1][0])
-        q = lapack.dorgqr(q, tau, lwork=lwork, overwrite_a=1)[0]
-        rank = _numerical_rank(r)
-        r1 = np.zeros((rank, F.shape[1]))
-        r1[:, piv] = r[:rank]
-        self.F_pinv = np.linalg.pinv(r1) @ q[:, :rank].T
-        lam = self.F_pinv.T @ c_free
-        null = c_free - F.T @ lam
-        nn = float(null @ null)
-        self.ray = -null / nn if math.sqrt(nn) > 1e-9 * (
-            1.0 + float(np.abs(c_free).max(initial=0.0))) else None
-        self.herm, self.A_blocks, self.keep = problem.herm, problem.A_blocks, keep
-        self.q2 = q[:, rank:]
-        self.c_parts = [-(Ab.T @ lam) for Ab in A_parts]
-
-    def free_part(self, Z, b: np.ndarray, weight: float = 1.0) -> np.ndarray:
-        """u = F^+ (weight b - A z) for the blocks Z; weight 0 maps a ray."""
-        Az = sum((Ab[self.keep] @ _vec(z, h)
-                  for Ab, z, h in zip(self.A_blocks, Z, self.herm)),
-                 np.zeros(b.shape[0]))
-        return self.F_pinv @ (weight * b - Az)
-
-    def unbounded_ray(self, res: "_HSDResult", sizes, b: np.ndarray):
-        """(block ray, free ray) of an unbounded objective (in phase I, an
-        unbounded margin), or None."""
-        if self.ray is not None:
-            return [np.zeros((n, n)) for n in sizes], self.ray
-        if res.kind == "unbounded":
-            return res.ray, self.free_part(res.ray, b, 0.0)
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +458,12 @@ class _KronSchur:
     (Re(A1 + A2), -Im(A1 - A2)) / 2 from a real part and
     (-Im(A1 + A2), -Re(A1 - A2)) / 2 from an imaginary part: the float
     views of conj(A1) + A2 and i (A2 - conj(A1)), halved.  The core's rows
-    are T A_keep with T = diag(1/scale) Q2', Q2 the complement of the free
-    columns' range in the pivoted QR of :class:`_FreeElimination`, so the
-    block's part is T M T', with Q applied from its reflectors."""
+    are T A_keep with T = diag(1/scale) (Q')[1:], Q the phase-I slack's
+    reflector (``qr``, ``tau``; see :class:`_Presolve`), so the block's part
+    is T M T', with Q applied from its reflector."""
 
-    def __init__(self, kr: _KronRows, keep: np.ndarray, el: _FreeElimination,
-                 scale: np.ndarray, herm: bool):
+    def __init__(self, kr: _KronRows, keep: np.ndarray, qr: np.ndarray,
+                 tau: np.ndarray, scale: np.ndarray, herm: bool):
         split = kr.split[keep]
         rows, inv = np.unique(split // 2, return_inverse=True)
         self.kr, self.herm = kr, herm
@@ -550,8 +484,7 @@ class _KronSchur:
             others = rest[(ptr[at] - at)[:, None] + np.arange(c)]
             self.groups.append((at, others, np.concatenate([at, at + k]),
                                 np.concatenate([others, kr.swapped(others)])))
-        self.qr, self.tau = el.qr, el.tau
-        self.rank = len(keep) - scale.size
+        self.qr, self.tau = qr, tau
         self.inv = 0.5 / np.outer(scale, scale)
         self.lwork = 64 * (len(keep) + 65)
 
@@ -581,20 +514,20 @@ class _KronSchur:
         else:
             M = A1 + A2
         M = M.take(self.kept, 0).take(self.kept, 1)
-        if self.tau.size:
-            M = lapack.dormqr("L", "T", self.qr, self.tau, M, self.lwork)[0]
-            M = lapack.dormqr("R", "N", self.qr, self.tau, M, self.lwork,
-                              overwrite_c=1)[0]
-        return M[self.rank:, self.rank:] * self.inv
+        M = lapack.dormqr("L", "T", self.qr, self.tau, M, self.lwork)[0]
+        M = lapack.dormqr("R", "N", self.qr, self.tau, M, self.lwork,
+                          overwrite_c=1)[0]
+        return M[1:, 1:] * self.inv
 
 
 @dataclass
 class _HSDResult:
-    kind: str                     # "optimal" | "pinfeas" | "unbounded"
+    kind: str                     # "optimal" | "unbounded"
     Z: Optional[list] = None
     iterations: int = 0
     info: dict = field(default_factory=dict)
     ray: Optional[list] = None
+    t: float = math.inf           # the slack t* of Z, once mapped back
 
 
 def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
@@ -609,7 +542,14 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
     objective come unpacked from ``pre``: the loop works on full n x n
     matrices, with A_flat[b] the float view of the rows of block b as
     (m, n^2) matrices, so <A_i, Z> = A_flat[b][i] . vec(Z) viewed as floats.
-    Only the rhs b is read here."""
+    Only the rhs b is read here.
+
+    There is no infeasibility (Farkas) exit.  The rows annihilate the
+    identity (see :class:`_Presolve`), so Z_0 + s I is strictly feasible
+    for any Z_0 that meets them and any large s, and rows with no
+    solution at all are INFEASIBLE before the core runs (``_Rows``):
+    sum y_i A_i >= 0 has trace y.A(I) = 0, so it is 0, and b.y > 0 would
+    make the rows inconsistent."""
     # the loop is call-bound on small blocks: each sum over blocks starts
     # from its first term
     sizes, dtype = pre.sizes, pre.dtype
@@ -677,12 +617,7 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
         stall = 0 if score < 0.98 * best_score else stall + 1
         best_score = min(best_score, score)
         stalled = stall > 25 or mu <= 1e-25
-        # infeasibility certificates (rays are re-verified by the callers)
-        if by > 0:
-            hres = vec_sup(AtyS)
-            if hres <= 1e-6 * by:
-                return _HSDResult("pinfeas", iterations=it,
-                                  info={"farkas_resid": hres / by, "by": by})
+        # an unbounded objective (the ray is re-verified by the callers)
         if cx < 0:
             # a stalled iterate whose tau has fallen against kappa is taken
             # as the ray even when its residual settled just above the test
@@ -710,8 +645,8 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
         cho, info = lapack.dpotrf(M, lower=1, overwrite_a=1)
         if info:
             raise _IPMFailure("Schur complement not positive definite")
-        # dpotrs rejects an empty system (m = 0 when the free columns absorb
-        # every row)
+        # dpotrs rejects an empty system (m = 0 when the slack absorbs the
+        # one kept row)
         solveM = (lambda v: lapack.dpotrs(cho, v, lower=1)[0]) if m else (lambda v: v)
 
         # the parts of the elimination that stay fixed within an iteration:
@@ -818,12 +753,22 @@ class _Presolve:
     """Everything a solve derives from its kept rows alone, made once per
     set of kept rows ``keep`` and reused by every rhs that keeps them.
 
-    It holds the phase-I slack column t and its objective (maximize t), the
-    :class:`_FreeElimination` of the free columns, the sup-norm scale of the
-    reduced rows, the rows and objective unpacked into full n x n matrices
-    for the core, and each block's Schur route (``kron``: its
-    :class:`_KronSchur`, or None for the dense route).
-    :meth:`run` reads only the rhs: Q2' b, b / scale and beta."""
+    Phase I substitutes Z_b = Z'_b + t I with Z'_b >= 0 and maximizes t, so
+    the kept rows read A z + t t_col = b with t_col = A vec(I).  One
+    Householder reflector Q with Q' t_col = r00 e_0 (``qr`` and ``tau`` as
+    LAPACK's dgeqrf gives them, applied by dormqr) eliminates t: row 0 of
+    Q' A z + r00 t e_0 = Q' b gives t = (Q'(b - A z))_0 / r00, the core
+    keeps rows 1 on, and maximizing t is minimizing c.z, c = (Q' A)_0 / r00,
+    the objective row of the same reflected stack.  The core rows
+    annihilate the identity, (Q' A)[1:] vec(I) = (Q' t_col)[1:] = 0.  When
+    |r00| is at most 1e-13 (every kept row annihilates I, the floor of
+    :func:`_numerical_rank`) ``traceless`` is set and no core is made: t
+    is free of the rows and the margin unbounded along e_t.
+
+    It also holds the sup-norm scale of the core rows, the rows and the
+    objective unpacked into full n x n matrices for the core, and each
+    block's Schur route (``kron``: its :class:`_KronSchur`, or None for
+    the dense route).  :meth:`run` reads only the rhs."""
 
     def __init__(self, rows: _Rows):
         problem = rows.problem
@@ -832,18 +777,23 @@ class _Presolve:
         # problem but the rhs, compared by identity (see _presolve)
         self.made_from = {f.name: getattr(problem, f.name) for f in fields(problem)
                           if f.name not in ("rhs", "_memo")}
-        A_parts = [Ab[self.keep] for Ab in problem.A_blocks]
         self.sizes = sizes = [s for _, s in problem.blocks]
         self.herm = herm = problem.herm
         nb = len(sizes)
-        # phase I: substitute Z_b = Z'_b + t I with Z'_b >= 0 and free t;
-        # maximize t
-        t_col = sum(A_parts[k] @ _vec(np.eye(sizes[k]), herm[k])
-                    for k in range(nb))
-        self.el = el = _FreeElimination(problem, self.keep, A_parts,
-                                        t_col[:, None], np.array([-1.0]))
-        m = el.q2.shape[1]
-        A_red, self.scale = _scale_rows([el.q2.T @ Ab for Ab in A_parts], m)
+        A = rows.A[self.keep]
+        t_col = A @ problem.vec({name: np.eye(n) for name, n in problem.blocks})
+        self.qr, self.tau, _, _ = lapack.dgeqrf(t_col[:, None])
+        self.traceless = not _numerical_rank(self.qr)
+        if self.traceless:
+            return
+        self.r00 = float(self.qr[0, 0])
+        QA = self.reflect(A)
+        m = len(QA) - 1
+        self.scale = np.abs(QA[1:]).max(axis=1, initial=0.0)
+        self.scale[self.scale == 0] = 1.0
+        ofs = np.cumsum([0] + [_vec_dim(n, h) for n, h in zip(sizes, herm)])[1:-1]
+        A_red = np.split(QA[1:] / self.scale[:, None], ofs, axis=1)
+        c_parts = np.split(QA[0] / self.r00, ofs)
         # the core's rows and objective unpacked into full matrices, the
         # blocks whose objective is nonzero, and the weights that turn the
         # sup-norm of a block's float view into that of its svec / hvec
@@ -851,10 +801,10 @@ class _Presolve:
         self.A_mats = [_mat(A_red[k], sizes[k], herm[k]) for k in range(nb)]
         self.A_flat = [F.reshape(m, n * n).view(float)
                        for F, n in zip(self.A_mats, sizes)]
-        self.C = [_mat(c, n, h) for c, n, h in zip(el.c_parts, sizes, herm)]
-        self.c_blocks = [k for k in range(nb) if el.c_parts[k].any()]
+        self.C = [_mat(c, n, h) for c, n, h in zip(c_parts, sizes, herm)]
+        self.c_blocks = [k for k in range(nb) if c_parts[k].any()]
         self.cnorm = 1.0 + max([0.0] + [float(np.abs(c).max())
-                                        for c in el.c_parts])
+                                        for c in c_parts])
         vec_wt = [np.where(np.eye(n, dtype=bool), 1.0, _SQRT2) for n in sizes]
         self.vec_wt = [np.repeat(w, 2, axis=1) if h else w
                        for w, h in zip(vec_wt, herm)]
@@ -867,27 +817,53 @@ class _Presolve:
         self.routes = tuple("dense" if kr is None else "factored"
                             for kr in self.kron)
 
+    def reflect(self, x: np.ndarray) -> np.ndarray:
+        """Q' x, for a vector or for the columns of a matrix."""
+        c = x.reshape(len(x), -1)
+        return lapack.dormqr("L", "T", self.qr, self.tau, c,
+                             max(1, c.shape[1]))[0].reshape(x.shape)
+
     def factored(self, k: int) -> "_KronSchur":
         """The factored route of block k, which has a factor form."""
-        return _KronSchur(self.forms[k], self.keep, self.el, self.scale,
-                          self.herm[k])
+        return _KronSchur(self.forms[k], self.keep, self.qr, self.tau,
+                          self.scale, self.herm[k])
+
+    def slack(self, Z, b: np.ndarray) -> float:
+        """t = (Q'(b - A z))_0 / r00 = (Q' b)_0 / r00 - c.z for the blocks Z
+        (b = 0 for a ray)."""
+        t = float(self.reflect(b)[0]) / self.r00
+        for k in self.c_blocks:
+            t -= float(np.vdot(self.C[k], Z[k]).real)
+        return t
 
     def run(self, b: np.ndarray, tol: float, max_iter: int) -> _HSDResult:
         """Run the core once on the blocks alone for the kept rhs b, in units
-        where the rows and the rhs have unit sup-norm.
+        where the rows and the rhs have unit sup-norm, and map its answer
+        back to the blocks Z = Z' + t I.
 
-        The core solves for Z / beta with beta = max |b_red|; its Z is
-        mapped back, while rays and Farkas certificates are directions
-        and stay.  ``info`` gets ``attempts`` (1: one IPM run),
-        ``iterations_total``, ``schur``, the route of each block, and
-        ``presolve_reused``, True when this presolve was kept from an
-        earlier solve (see :func:`_presolve`).
+        The core solves for Z' / beta with beta = max |b_red|; its Z' is
+        multiplied back by beta, and ``t`` is the slack t* of the result.
+        A ray of Z' (a direction, so it stays) becomes one of Z; on
+        traceless rows the ray is I and no core runs.  ``info`` gets
+        ``attempts`` (1: one IPM run, 0: none), ``iterations_total``,
+        ``schur``, the route of each block, and ``presolve_reused``, True
+        when this presolve was kept from an earlier solve (see
+        :func:`_presolve`).
         """
-        b_red = (self.el.q2.T @ b) / self.scale
+        if self.traceless:
+            return _HSDResult("unbounded", ray=[np.eye(n) for n in self.sizes],
+                              info={"attempts": 0, "iterations_total": 0,
+                                    "presolve_reused": self.reused})
+        b_red = self.reflect(b)[1:] / self.scale
         beta = float(np.abs(b_red).max(initial=0.0)) or 1.0
         res = _hsd_minimize(self, b_red / beta, tol, max_iter)
         if res.kind == "optimal":
             res.Z = [beta * z for z in res.Z]
+            res.t = self.slack(res.Z, b)
+            res.Z = [z + res.t * np.eye(n) for z, n in zip(res.Z, self.sizes)]
+        else:
+            t = self.slack(res.ray, 0.0 * b)
+            res.ray = [z + t * np.eye(n) for z, n in zip(res.ray, self.sizes)]
         res.info.update(attempts=1, iterations_total=res.iterations,
                         schur=self.routes, presolve_reused=self.reused)
         return res
@@ -939,32 +915,20 @@ def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter) -> SDPSolution:
     """:func:`solve_feasibility` on consistent, factored rows, at least one
     of them kept, with their presolve."""
     problem = rows.problem
-    b = problem.rhs[rows.keep]
-    el, sizes = pre.el, pre.sizes
     try:
-        res = pre.run(b, tol, max_iter)
+        res = pre.run(problem.rhs[rows.keep], tol, max_iter)
     except _IPMFailure as exc:
         return SDPSolution(SolveStatus.ERROR, info={
             "reason": str(exc), "presolve_reused": pre.reused})
     eq_tol = max(_WITNESS_EQ_TOL,
                  _WITNESS_EQ_TOL * (np.abs(problem.rhs).max() if problem.m else 1.0))
-    if res.kind == "pinfeas":
-        # cannot happen for consistent equalities; stay honest
-        return SDPSolution(SolveStatus.ERROR, iterations=res.iterations,
-                           info={**res.info,
-                                 "reason": "phase-I reported infeasible"})
-    ray = el.unbounded_ray(res, sizes, b)
-    if ray is not None:
+    if res.kind == "unbounded":
         # t can grow without bound along the certified ray; convert it into
         # an explicit verified witness before claiming FEASIBLE
-        Z_ray, u_ray = ray
-        t_ray = float(u_ray[0])
-        ray = {name: Z_ray[k] + t_ray * np.eye(sizes[k])
-               for k, (name, _) in enumerate(problem.blocks)}
         base = problem.unpack(rows.correction(problem.rhs))
         for s in (1.0, 1e2, 1e4, 1e6, 1e8):
-            cand = {name: base[name] + s * ray[name] for name, _ in problem.blocks}
-            cand = _polish(rows, cand)
+            cand = _polish(rows, {name: base[name] + s * ray for (name, _), ray
+                                  in zip(problem.blocks, res.ray)})
             eq_resid, eig_min = _verify_witness(problem, cand)
             if eq_resid <= eq_tol and eig_min > FEAS_TOL:
                 return SDPSolution(SolveStatus.FEASIBLE, witness=cand,
@@ -977,11 +941,9 @@ def _phase_one(rows: _Rows, pre: _Presolve, tol, max_iter) -> SDPSolution:
                            info={**res.info,
                                  "reason": "unbounded-margin certificate did "
                                            "not yield a verified witness"})
-    t_star = float(el.free_part(res.Z, b)[0])
-    witness = {}
-    for (name, n), z in zip(problem.blocks, res.Z):
-        z = z + t_star * np.eye(n)
-        witness[name] = 0.5 * (z + z.conj().T)
+    t_star = res.t
+    witness = {name: 0.5 * (z + z.conj().T)
+               for (name, _), z in zip(problem.blocks, res.Z)}
     base_info = {**res.info, "t_star": t_star}
     it = res.iterations
     # widen the marginal band to the achieved solver accuracy
@@ -1094,9 +1056,8 @@ class HermitianProblem:
     Rows are stored unsplit, one group per ``add_*`` call, which returns the
     group's index: a (k, n, n) stack F per block (complex, or float64 for
     real data) and a (k,) rhs, for sum_b tr(F_b,p* C_b) = rhs_p, and the
-    Kronecker factor form of
-    the group's rows on each block where it has one (from ``add_matrix_eq``
-    terms, or given to ``add_complex_row``).
+    Kronecker factor form of the group's rows on each block where it has
+    one (from ``add_matrix_eq`` terms, or given to ``add_complex_row``).
     ``build`` reads every row as its real and imaginary part (native
     Hermitian blocks, or real ones of the same size when every split row is
     conjugation-invariant), and ``solve`` returns the engine's
@@ -1386,10 +1347,10 @@ class HermitianProblem:
 
         Each row tr(F* C) = rhs becomes its real part, then its imaginary
         part: tr(H C) = Re rhs and tr(K C) = Im rhs, with Hermitian
-        H = (F + F*)/2 and K = i (F - F*)/2.  When every
-        such row is conjugation-invariant the blocks are real of the same
-        size (the real path); otherwise
-        they are native Hermitian blocks in hvec coordinates.  A row is kept
+        H = (F + F*)/2 and K = i (F - F*)/2.  When every such row is
+        conjugation-invariant the blocks are real of the same size (the
+        real path); otherwise they are native Hermitian blocks in hvec
+        coordinates.  A row is kept
         when a data coefficient is nonzero or |rhs| > 1e-12, so that
         0 = 0 and 0 = round-off go, and 0 = 1 stays, to be found inconsistent.
 
@@ -1437,8 +1398,7 @@ class HermitianProblem:
 def build_from_complex(problem: HermitianProblem) -> SDPProblem:
     """The realification of ``problem.build()``: every n x n block becomes
     the real 2n x 2n block [[Re, -Im], [Im, Re]] / 2 of its rows, with the
-    same rhs.  It decides the same
-    question at about twice the cost, and serves as the reference the native
+    same rhs.  It decides the same question at about twice the cost, and serves as the reference the native
     Hermitian blocks are tested against; a real-path build is embedded as
     it stands.  It starts a memo of its own, so its solves leave the
     presolve kept in the build's alone."""

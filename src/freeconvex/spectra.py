@@ -54,8 +54,9 @@ class Spectrahedrop:
     ``_memo`` keeps what the drop's queries share, made on first use: the
     annihilators of the lift, the membership problem for each point size
     and the polar interpolation problem for each (bounded, size), which
-    later queries solve for their own rhs.  These problems are not locked,
-    so a drop's queries must not run concurrently.
+    later queries solve for their own rhs, and the level-1 boundedness for
+    each (tol, max_iter).  These problems are not locked, so a drop's
+    queries must not run concurrently.
     """
 
     lift: LinearPencil
@@ -99,13 +100,15 @@ def is_bounded(pencil: LinearPencil, tol: float = 1e-8,
     """Uniform boundedness of the free spectrahedron of an x-only pencil.
 
     Matrix convexity plus closure under isometry conjugation reduce the
-    question to level 1: the set is bounded iff no v != 0 has
+    question to level 1: a nonempty set is bounded iff no v != 0 has
     sum A_j v_j >= 0.  By Gordan's alternative for the PSD cone, exactly
     when the A_j are linearly independent over the reals (the least singular
     value of [Re A_j | Im A_j] above FEAS_TOL times the largest) and one
     phase-I solve finds a Z > 0 with tr Z = 1 and every tr(A_j Z) = 0, its
     margin lambda_min(Z) above FEAS_TOL; a MARGINAL answer reads unbounded
-    (a boundary recession direction exists up to tolerance).
+    (a boundary recession direction exists up to tolerance).  A set with
+    a recession direction reads bounded only when it is empty (see
+    :func:`_level1_empty`).
     """
     if pencil.h:
         raise ValueError("pencil has y variables; flatten or use "
@@ -119,7 +122,7 @@ def is_bounded(pencil: LinearPencil, tol: float = 1e-8,
     # the least of the min(g, 2 d^2) singular values at rounding level
     s = np.linalg.svd(np.hstack([flat.real, flat.imag]), compute_uv=False)
     if s[-1] <= FEAS_TOL * s[0]:
-        return False
+        return _level1_empty(pencil, tol, max_iter)
     hp = HermitianProblem()
     hp.add_block("Z", pencil.d)
     hp.add_scalar_row({"Z": np.eye(pencil.d)}, 1.0)
@@ -127,7 +130,24 @@ def is_bounded(pencil: LinearPencil, tol: float = 1e-8,
     sol = hp.solve(tol=tol, max_iter=max_iter)
     if sol.status is SolveStatus.ERROR:
         raise SolverError(f"recession solve failed: {sol.info}")
-    return sol.feasible and sol.margin > FEAS_TOL
+    if sol.feasible and sol.margin > FEAS_TOL:
+        return True
+    return _level1_empty(pencil, tol, max_iter)
+
+
+def _level1_empty(pencil: LinearPencil, tol: float, max_iter: int) -> bool:
+    """Whether the level-1 set of an x-only pencil is empty: not when
+    lambda_min(A_0) >= 0 (x = 0 is in it), and otherwise when the drop
+    membership of the pencil with every x taken as a y, at the level-1
+    empty tuple, is INFEASIBLE; :class:`SolverError` when it is ERROR."""
+    if lambda_min(pencil.A0) >= 0:
+        return False
+    empty = drop_membership(Spectrahedrop(LinearPencil(
+        pencil.A0, [], pencil.x_coeffs)), HermitianTuple([], dim=1), tol=tol,
+        max_iter=max_iter)
+    if empty.status is SolveStatus.ERROR:
+        raise SolverError(f"emptiness solve failed: {empty.info}")
+    return empty.status is SolveStatus.INFEASIBLE
 
 
 def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
@@ -135,8 +155,9 @@ def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
     """Boundedness of the level-1 projection (hence of the whole drop).
 
     A lift with no y is :func:`is_bounded`'s question, a lift with no x or
-    a bounded joint pencil has a bounded projection, and B_k spanning
-    Herm(d) put every x in the drop.  Otherwise the answer is certified by weak duality: a
+    a bounded (or empty) joint pencil has a bounded projection, and B_k
+    spanning Herm(d) put every x in the drop.  Otherwise the answer is
+    certified by weak duality: a
     Z >= 0 with tr(B_k Z) = 0 and tr(A_i Z) = -c_i bounds c.x <= tr(A_0 Z)
     on the level-1 set, and one Z for each c = +-|A_j| e_j bounds it.  The
     Z are sought on one face (a partial facial-reduction step, Permenter
@@ -146,13 +167,11 @@ def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
     lets y absorb any x); a FEASIBLE S inside the band confines every Z to
     ker S, where the 2g certificates are one kept problem with rows
     V* B_k V = 0 (round-off rows dropped) and V* A_i V / |A_i| = -+delta_ij.
-    All 2g FEASIBLE and not ``rescued`` read bounded.  Otherwise only an
-    empty set reads bounded: it is not when lambda_min(A_0) >= 0, and else
-    the drop membership of the joint lift (every variable a y) at the
-    level-1 empty tuple decides.  Not certified reads unbounded, the safe
-    answer (the dual procedures then use the contractive form, valid in
-    general); :class:`SolverError` is raised when a solve failed and no
-    solve decided.
+    All 2g FEASIBLE and not ``rescued`` read bounded.  Not certified
+    reads unbounded, the safe answer (the dual procedures then use the
+    contractive form, valid in general); :class:`SolverError` is raised
+    when the joint pencil's solves failed, or when a face or certificate
+    solve failed and no solve decided.
     """
     lift = drop.lift
     if lift.h == 0:
@@ -181,14 +200,6 @@ def drop_level1_bounded(drop: Spectrahedrop, tol: float = 1e-8,
         return True
     failed = failed or next((s.info for s in sols or ()
                              if s.status is SolveStatus.ERROR), None)
-    if lambda_min(lift.A0) < 0:
-        joint = LinearPencil(lift.A0, [], [*lift.x_coeffs, *lift.y_coeffs])
-        empty = drop_membership(Spectrahedrop(joint), HermitianTuple(
-            [], dim=1), tol=tol, max_iter=max_iter)
-        if empty.status is SolveStatus.INFEASIBLE:
-            return True
-        if empty.status is SolveStatus.ERROR:
-            failed = failed or empty.info
     if failed is not None:
         raise SolverError(f"boundedness solve failed: {failed}")
     return False
@@ -438,7 +449,8 @@ def drop_polar_membership(drop: Spectrahedrop, a: HermitianTuple,
 
     Needs a monic lift (polar duals are origin-dependent); membership is a
     cp map with Phi(W_j) = A_j and Phi(G_k) = 0, unital when the drop is
-    bounded and contractive otherwise.
+    bounded and contractive otherwise.  ``bounded=None`` reads
+    :func:`drop_level1_bounded`, made once per drop, tol and max_iter.
     """
     lift = drop.lift
     if not lift.monic:
@@ -448,7 +460,9 @@ def drop_polar_membership(drop: Spectrahedrop, a: HermitianTuple,
         raise ValueError("tuple length must match the drop's x variables")
     omega, gamma = _memoized(drop, "monic", lambda: monic_tuple(lift))
     if bounded is None:
-        bounded = drop_level1_bounded(drop, tol=tol, max_iter=max_iter)
+        bounded = _memoized(drop, ("bounded", tol, max_iter),
+                            lambda: drop_level1_bounded(drop, tol=tol,
+                                                        max_iter=max_iter))
     mode = InterpolationMode.UNITAL if bounded else InterpolationMode.SUBUNITAL
     problem = _memoized(drop, ("polar", bool(bounded), a.dim),
                         lambda: interpolation_problem(omega, a, mode,

@@ -230,9 +230,10 @@ def _assert_routes_agree(problem, pre, gen):
     """On the presolve ``pre`` of ``problem``, the Schur complement with the
     factored route on every block that has a factor form equals the dense
     one to rtol 1e-12."""
-    m = pre.el.q2.shape[1]
+    if pre.traceless:          # no core rows are made
+        return
     assert any(form is not None for form in pre.forms)
-    if not m:
+    if not len(pre.scale):
         return
     R = _nt_points(problem, gen)
     factored = [pre.factored(k) if form is not None else None

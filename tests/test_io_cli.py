@@ -302,6 +302,26 @@ def test_cli_support_unbounded_face_exits_0(tmp_path, capsys):
     assert rep["status"] == "UNBOUNDED" and rep["decision"] is False
 
 
+@pytest.mark.parametrize("xs", [[(0.0, 1.0)], [(0.0, 1.0), (0.0, -1.0)]],
+                         ids=["one", "pair"])
+def test_cli_empty_x_only_set_is_bounded(xs, tmp_path, capsys):
+    # diag(-1, 1) + sum diag(a_j) x_j >= 0 has no point: BOUNDED
+    from freeconvex.cli import main
+
+    def diag(*v):
+        return {"rows": 2, "cols": 2, "re": list(np.diag(v).ravel()),
+                "im": [0.0] * 4}
+
+    pf = ProblemFile("bounded", {"pencil": {
+        "A0": diag(-1.0, 1.0), "x_coeffs": [diag(*a) for a in xs],
+        "y_coeffs": []}})
+    path = tmp_path / "bounded.json"
+    path.write_text(pf.dumps())
+    assert main(["run", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "BOUNDED" and rep["decision"] is True
+
+
 def test_cli_undecodable_file_exits_4(tmp_path, monkeypatch, capsys):
     import io
 

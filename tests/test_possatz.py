@@ -239,10 +239,9 @@ def test_kept_certificate_problem_is_small():
 
 
 def test_presolve_keeps_no_row_copies():
-    """The kept presolve of an r = 2 problem reads the built problem's rows
-    where they are, by identity, and keeps neither a copy of the kept rows
-    nor their free-column elimination: the kept problem holds at most
-    2.2 MiB."""
+    """The kept presolve of an r = 2 problem keeps no copy of the built
+    problem's rows, of one block's or of their stack (t is recovered from
+    the objective row): the kept problem holds at most 2.2 MiB."""
     import tracemalloc
     lift = tv_monic_lift()
     tracemalloc.start()
@@ -253,10 +252,10 @@ def test_presolve_keeps_no_row_copies():
         tracemalloc.stop()
     hp, _ = lift._memo[(2, 1)]
     problem = hp._op.rows[2]
-    el = problem._memo["presolve"].el
-    assert el.A_blocks is problem.A_blocks
+    pre = problem._memo["presolve"]
     widths = {Ab.shape[1] for Ab in problem.A_blocks}
-    assert not any(a.shape[-1] in widths for a in vars(el).values()
+    widths.add(sum(widths))
+    assert not any(a.shape[-1] in widths for a in vars(pre).values()
                    if isinstance(a, np.ndarray) and a.ndim == 2)
     assert kept <= 2.2 * 2 ** 20
 

@@ -621,6 +621,37 @@ def test_native_hermitian_matches_realified(n, feasible, seed):
         assert np.abs(resid).max() <= 1e-6 * max(1.0, np.abs(z0).max())
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.booleans(), st.booleans(), st.integers(0, 10_000))
+def test_core_rows_annihilate_the_identity(n, herm, traceless, seed):
+    """The rows the core solves, applied to the identity of every block,
+    are 0 to 1e-12 of the scaled rows' size n, so phase I's core always has
+    a strictly feasible point and needs no infeasibility exit: random
+    consistent real and Hermitian rows, drawn as in
+    test_native_hermitian_matches_realified.  Made traceless (each minus
+    its trace times I / n), the rows leave the core no rows at all."""
+    gen = rng(seed)
+    z0 = rand_pd(gen, n, herm=herm) - 0.7 * np.eye(n)
+    rows = [rand_hermitian(gen, n, real=not herm)
+            for _ in range(int(gen.integers(1, n * n)))]
+    f = rand_complex(gen, n, n) if herm else gen.standard_normal((n, n))
+    if traceless:
+        rows = [h - np.trace(h).real / n * np.eye(n) for h in rows]
+        f = f - np.trace(f) / n * np.eye(n)
+    hp = HermitianProblem()
+    hp.add_block("Z", n)
+    for h in rows:
+        hp.add_scalar_row({"Z": h}, float(np.trace(h @ z0).real))
+    hp.add_complex_row({"Z": f[None]}, [np.trace(f.conj().T @ z0)])
+    problem = hp.build()
+    assert any(problem.herm) is herm
+    pre = S._Presolve(S._Rows(problem))
+    assert pre.traceless is traceless
+    if not traceless:
+        eye = np.eye(n, dtype=pre.dtype[0]).reshape(-1).view(float)
+        assert np.abs(pre.A_flat[0] @ eye).max(initial=0.0) <= 1e-12 * n
+
+
 def test_unbounded_margin_yields_verified_witness():
     """Z_00 - Z_11 = rhs leaves the margin unbounded.  At rhs 0 the ray at
     scale 1 is a witness; at -10 the base point diag(-5, 5) plus the ray

@@ -252,11 +252,60 @@ def test_empty_level1_set_is_bounded():
     """A0 + diag(0, 1) x >= 0 with A0 = diag(-1, 1) has no point: the lift's
     x-pencil has a recession direction and x >= 0 has no upper bound
     certificate, but lambda_min(A0) < 0 and the joint lift's drop
-    membership reads INFEASIBLE."""
+    membership reads INFEASIBLE, so the joint pencil reads bounded."""
     lift = LinearPencil(np.diag([-1.0, 1.0]), [np.diag([0.0, 1.0])],
                         [np.zeros((2, 2))])
-    assert not is_bounded(lift.as_x_pencil())
+    assert is_bounded(lift.as_x_pencil())
     assert drop_level1_bounded(Spectrahedrop(lift))
+
+
+EMPTY_X = [np.diag([0.0, 1.0])], [np.diag([0.0, 1.0]), -np.diag([0.0, 1.0])]
+
+
+@pytest.mark.parametrize("xs", EMPTY_X, ids=["one", "pair"])
+def test_empty_x_only_sets_are_bounded(xs):
+    """diag(-1, 1) + sum A_j x_j >= 0 has no point for A_1 = diag(0, 1) (a
+    recession direction, found by the recession solve) and for A_1, A_2 =
+    +-diag(0, 1) (dependent coefficients, found by the rank test): the
+    emptiness solve makes both read bounded, as x-only pencils and as
+    lifts with no y."""
+    pencil = LinearPencil(np.diag([-1.0, 1.0]), xs)
+    assert is_bounded(pencil)
+    assert drop_level1_bounded(Spectrahedrop(pencil))
+
+
+def test_nonempty_x_only_halfline_with_negative_a0_is_unbounded():
+    # diag(-1, 1) + diag(1, 0) x >= 0 is {x >= 1}: lambda_min(A0) < 0, and
+    # the emptiness solve finds a point
+    pencil = LinearPencil(np.diag([-1.0, 1.0]), [np.diag([1.0, 0.0])])
+    assert not is_bounded(pencil)
+    assert not drop_level1_bounded(Spectrahedrop(pencil))
+
+
+def test_emptiness_solve_failure_raises(monkeypatch):
+    monkeypatch.setattr(spectra, "drop_membership", lambda *a, **kw:
+                        spectra.DropMembership(SolveStatus.ERROR,
+                                               info={"reason": "forced"}))
+    with pytest.raises(SolverError, match="emptiness solve failed"):
+        is_bounded(LinearPencil(np.diag([-1.0, 1.0]), EMPTY_X[0]))
+
+
+def test_polar_membership_reads_boundedness_once_per_drop(monkeypatch):
+    """Queries with bounded=None on one drop share one boundedness answer
+    per (tol, max_iter)."""
+    calls = []
+    bounded = spectra.drop_level1_bounded
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return bounded(*args, **kwargs)
+    monkeypatch.setattr(spectra, "drop_level1_bounded", counted)
+    drop = Spectrahedrop(tv_monic_lift())
+    for a, c in [(0.1, 0.2), (0.3, -0.1), (2.0, 2.0)]:
+        drop_polar_membership(drop, pt(a, c))
+    assert len(calls) == 1
+    drop_polar_membership(drop, pt(0.1, 0.2), tol=1e-9)
+    assert len(calls) == 2
 
 
 def test_y_span_of_all_of_herm_d_reads_unbounded_unsolved(monkeypatch):
