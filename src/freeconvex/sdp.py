@@ -565,6 +565,7 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
 
     bnorm = 1.0 + float(np.abs(b).max(initial=0.0))
     best_score, stall = math.inf, 0
+    refine, rp_last, alpha = False, math.inf, 0.0
     ptol = max(tol, _RESID_TOL_FLOOR)
     gtol = max(tol, _GAP_TOL_FLOOR)
 
@@ -606,7 +607,8 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
         mu = gap / ordn
 
         # convergence / certificate tests on the normalized iterate
-        pres = float(np.abs(rP).max(initial=0.0)) / (tau * bnorm)
+        rp = float(np.abs(rP).max(initial=0.0))
+        pres = rp / (tau * bnorm)
         dres = vec_sup(rD) / (tau * pre.cnorm)
         pobj, dobj = cx / tau, by / tau
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -617,6 +619,11 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
         stall = 0 if score < 0.98 * best_score else stall + 1
         best_score = min(best_score, score)
         stalled = stall > 25 or mu <= 1e-25
+        # a step of at least 0.9 scales rP by 1 - alpha; one that left it
+        # above half its size met the Schur solve's error (nearly dependent
+        # rows), so from here on every Schur solve is refined once
+        refine = refine or (pres > ptol and alpha > 0.9 and rp > 0.5 * rp_last)
+        rp_last = rp
         # an unbounded objective (the ray is re-verified by the callers)
         if cx < 0:
             # a stalled iterate whose tau has fallen against kappa is taken
@@ -645,9 +652,17 @@ def _hsd_minimize(pre: "_Presolve", b: np.ndarray, tol: float,
         cho, info = lapack.dpotrf(M, lower=1, overwrite_a=1)
         if info:
             raise _IPMFailure("Schur complement not positive definite")
-        # dpotrs rejects an empty system (m = 0 when the slack absorbs the
-        # one kept row)
-        solveM = (lambda v: lapack.dpotrs(cho, v, lower=1)[0]) if m else (lambda v: v)
+        def solveM(v):
+            # dpotrs rejects an empty system (m = 0 when the slack absorbs
+            # the one kept row); a refinement step reads the residual on the
+            # rows themselves, A(W (A'x) W) for M x
+            if not m:
+                return v
+            x = lapack.dpotrs(cho, v, lower=1)[0]
+            if refine:
+                x += lapack.dpotrs(cho, v - A_op([R[k] @ (RH[k] @ At_op(x, k) @ R[k])
+                                                  @ RH[k] for k in blocks]), lower=1)[0]
+            return x
 
         # the parts of the elimination that stay fixed within an iteration:
         # q = A(W C W), <C, W C W>, dy1, q - b and the bordered denominator

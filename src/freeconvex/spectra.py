@@ -121,17 +121,16 @@ def is_bounded(pencil: LinearPencil, tol: float = 1e-8,
     # a Hermitian d x d matrix has d^2 real coordinates, so g > d^2 leaves
     # the least of the min(g, 2 d^2) singular values at rounding level
     s = np.linalg.svd(np.hstack([flat.real, flat.imag]), compute_uv=False)
-    if s[-1] <= FEAS_TOL * s[0]:
-        return _level1_empty(pencil, tol, max_iter)
-    hp = HermitianProblem()
-    hp.add_block("Z", pencil.d)
-    hp.add_scalar_row({"Z": np.eye(pencil.d)}, 1.0)
-    hp.add_complex_row({"Z": coeffs}, np.zeros(g))
-    sol = hp.solve(tol=tol, max_iter=max_iter)
-    if sol.status is SolveStatus.ERROR:
-        raise SolverError(f"recession solve failed: {sol.info}")
-    if sol.feasible and sol.margin > FEAS_TOL:
-        return True
+    if s[-1] > FEAS_TOL * s[0]:
+        hp = HermitianProblem()
+        hp.add_block("Z", pencil.d)
+        hp.add_scalar_row({"Z": np.eye(pencil.d)}, 1.0)
+        hp.add_complex_row({"Z": coeffs}, np.zeros(g))
+        sol = hp.solve(tol=tol, max_iter=max_iter)
+        if sol.status is SolveStatus.ERROR:
+            raise SolverError(f"recession solve failed: {sol.info}")
+        if sol.feasible and sol.margin > FEAS_TOL:
+            return True
     return _level1_empty(pencil, tol, max_iter)
 
 

@@ -1,6 +1,7 @@
 """Degenerate inputs: badly scaled data, exact boundary points, an unbounded
-drop, duplicated interpolation pairs, a rank-one Choi matrix, and the real
-versus realified and unitarily conjugated forms of one question.
+drop, duplicated and nearly dependent interpolation pairs, a rank-one Choi
+matrix, and the real versus realified and unitarily conjugated forms of one
+question.
 
 Each answer is checked against an oracle that does not run the solver: the
 closed forms in ``corpus``, a direct ``eigvalsh`` of L(X, Y), or the Choi map
@@ -128,6 +129,32 @@ def test_duplicated_interpolation_pairs(mode):
     assert res.margin == pytest.approx(ref.margin, abs=1e-6)
     if res.feasible:
         assert_choi(res, a2, b2, mode)
+
+
+def test_nearly_dependent_interpolation_rows():
+    """W_1, W_2 and I are nearly dependent (least singular value of their
+    svecs 6e-4), so the unital interpolation's rows are too and the Schur
+    solves miss the primal rows by about 3e-10 from the first iteration;
+    against a solution 2,000 times the data that held the primal residual
+    at 1.3e-7, above the 1e-7 test, until the iterate left the cone
+    (ERROR).  Refined Schur solves reach the test; the realified form,
+    which does not stall, is the oracle for the margin."""
+    omega = HermitianTuple([
+        np.array([[1.0370565435880381, -0.012501379086537534],
+                  [-0.012501379086537534, 0.30241844992465877]]),
+        np.array([[-1.1795041608711272, 0.059131851130850344],
+                  [0.059131851130850344, 2.1489626110280424]])])
+    x = HermitianTuple([
+        np.array([[-0.905951907540997, 2.066357701739839],
+                  [2.066357701739839, 0.13902913218380109]]),
+        np.array([[-0.8977046180453383, 0.16747044433619193],
+                  [0.16747044433619193, 0.4941726479635219]])])
+    res = polar_membership(omega, x, bounded=True)
+    assert res.status is SolveStatus.INFEASIBLE
+    ref = solve(build_from_complex(interpolation_problem(
+        omega, x, InterpolationMode.UNITAL)))
+    assert ref.status is SolveStatus.INFEASIBLE
+    assert res.margin == pytest.approx(ref.margin, rel=1e-6)
 
 
 def test_rank_one_channel():
