@@ -59,8 +59,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _memoized(owner, key, make):
     """``owner._memo[key]``, made by ``make()`` on first use: the one memo
-    of the frozen objects (a pencil, a spectrahedrop) that keep the SDPs of
-    their queries.  Not locked: an owner's queries must not run
+    of the frozen objects (a pencil, a tuple, a spectrahedrop) that keep
+    what their queries share.  Not locked: an owner's queries must not run
     concurrently."""
     if key not in owner._memo:
         owner._memo[key] = make()
@@ -119,9 +119,13 @@ def realify(h) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianTuple:
-    """A g-tuple of n x n complex Hermitian matrices."""
+    """A g-tuple of n x n complex Hermitian matrices; ``_memo`` keeps the
+    boundedness answer that :func:`~freeconvex.spectra.polar_membership`
+    reads, made on first use."""
 
     matrices: tuple
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __init__(self, matrices: Iterable, dim: Optional[int] = None):
         mats = tuple(_freeze(require_hermitian(m, what=f"tuple entry {i}"))
@@ -136,6 +140,7 @@ class HermitianTuple:
             d = dim
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "_dim", d)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def g(self) -> int:

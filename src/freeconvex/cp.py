@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import HermitianTuple, psd_part, require_hermitian
-from .sdp import Decision, HermitianProblem, SolveStatus
+from .sdp import Decision, HermitianProblem
 
 __all__ = [
     "ChoiMatrix",
@@ -160,19 +160,14 @@ def apply_choi(c: ChoiMatrix, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class InterpolationResult(Decision):
-    """Outcome of a cp interpolation query."""
+    """Outcome of a cp interpolation query; a FEASIBLE answer ships its
+    Choi matrix as ``witness["choi"]``."""
 
-    status: SolveStatus
-    mode: InterpolationMode
-    choi: Optional[ChoiMatrix] = None
-    margin: Optional[float] = None
-    iterations: int = 0
-    info: dict = None
+    mode: Optional[InterpolationMode] = None
 
-    def kraus(self, rank_tol: float = 1e-10) -> KrausDecomposition:
-        if self.choi is None:
-            raise ValueError("no witness available")
-        return kraus_of_choi(self.choi, rank_tol=rank_tol)
+    @property
+    def choi(self) -> Optional[ChoiMatrix]:
+        return self.witness.get("choi")
 
 
 def _coerce_mode(mode) -> InterpolationMode:
@@ -257,8 +252,8 @@ def _solve_interpolation(hp: HermitianProblem, mode: InterpolationMode,
     row groups in ``rhs`` given new targets (see HermitianProblem.solve),
     and wrap the answer with its Choi witness."""
     sol = hp.solve(tol=tol, max_iter=max_iter, rhs=rhs)
-    choi = None
+    witness = {}
     if sol.feasible:
-        choi = ChoiMatrix(n, m, psd_part(sol.witness["C"]))
-    return InterpolationResult(sol.status, mode, choi=choi, margin=sol.margin,
-                               iterations=sol.iterations, info=sol.info)
+        witness["choi"] = ChoiMatrix(n, m, psd_part(sol.witness["C"]))
+    return InterpolationResult(sol.status, sol.margin, witness, info=sol.info,
+                               mode=mode)

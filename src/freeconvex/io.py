@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -20,12 +20,13 @@ import numpy as np
 from . import corpus
 from .algebra import (HermitianTuple, LinearPencil, NCPolynomial,
                       require_hermitian)
-from .cp import InterpolationMode, interpolate
+from .cp import ChoiMatrix, InterpolationMode, interpolate
 from .possatz import Certificate, search_certificate, verify_certificate
 from .sdp import FEAS_TOL, Decision, SolveStatus
-from .spectra import (Spectrahedrop, dominates, drop_level1_bounded,
-                      drop_membership, drop_polar_membership, hull_of_union,
-                      monicize, polar_membership, spectrahedron_membership)
+from .spectra import (DominationCertificate, Spectrahedrop, dominates,
+                      drop_level1_bounded, drop_membership,
+                      drop_polar_membership, hull_of_union, monicize,
+                      polar_membership, spectrahedron_membership)
 from .tracial import (cthull_membership, exsitu_dual_membership,
                       opp_tracial_membership, thull_membership,
                       tracial_membership)
@@ -213,6 +214,31 @@ def decode_polynomial(obj, locus: str = "polynomial") -> NCPolynomial:
         raise ParseError(str(exc), locus)
 
 
+# the matrices a certificate is reported as, by its type
+_CERTIFICATE_MATRICES = {Certificate: ("S", "G"),
+                         DominationCertificate: ("V", "S_square")}
+
+
+def encode_witnesses(witness: dict) -> dict:
+    """The report entries of a Decision's witness map, by each value's
+    type: a tuple named N as N1, N2, ...; a certificate as its matrices,
+    under their own names; a pencil whole; a Choi matrix or a matrix as
+    one matrix."""
+    out = {}
+    for name, w in witness.items():
+        if isinstance(w, HermitianTuple):
+            out.update((f"{name}{i + 1}", encode_matrix(m))
+                       for i, m in enumerate(w))
+        elif type(w) in _CERTIFICATE_MATRICES:
+            out.update((k, encode_matrix(getattr(w, k)))
+                       for k in _CERTIFICATE_MATRICES[type(w)])
+        elif isinstance(w, LinearPencil):
+            out[name] = encode_pencil(w)
+        else:
+            out[name] = encode_matrix(w.C if isinstance(w, ChoiMatrix) else w)
+    return out
+
+
 def encode_certificate(c: Certificate) -> dict:
     return {"g": c.g, "d": c.d, "mu": c.mu, "r": c.r,
             "S": encode_matrix(c.S), "G": encode_matrix(c.G)}
@@ -306,12 +332,7 @@ class Report:
 
     @property
     def exit_code(self) -> int:
-        if self.status in ("FEASIBLE", "INFEASIBLE", "TRUE", "FALSE", "OK",
-                           "BOUNDED", "UNBOUNDED"):
-            return 0
-        if self.status == "MARGINAL":
-            return 2
-        return 3
+        return {"MARGINAL": 2, "ERROR": 3}.get(self.status, 0)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "status": self.status,
@@ -350,22 +371,22 @@ class Report:
 
 @dataclass(frozen=True)
 class _Kind:
-    """How a kind is decoded, decided and reported.
+    """How a kind is decoded and decided.
 
     required: payload fields, passed to call positionally in this order.
     optional: payload field -> default, passed to call by keyword.
-    call(*required, **optional, tol=, max_iter=, **options) runs the
-    procedure; options are the problem options the kind reads, with their
-    defaults.
-    report(result) returns the kind's own Report fields; for a Decision
-    result, run adds its status, decision and margin.
+    call(*required, **optional, tol=, max_iter=, **options) returns the
+    kind's Decision, which run reports; options are the problem options
+    the kind reads, with their defaults.
+    labels: the (yes, no) statuses a kind reports for FEASIBLE and
+    INFEASIBLE, when its answers are named otherwise.
     """
 
     required: tuple
     optional: dict
     call: Callable
-    report: Callable
     options: dict = field(default_factory=dict)
+    labels: Optional[tuple] = None
 
 
 def _nonempty(decode, what: str):
@@ -429,46 +450,34 @@ def _mode(v, locus) -> InterpolationMode:
 _OPTIONS = {"mode": _mode}
 
 
-def _decided(res) -> dict:
-    """Status, yes/no decision (None unless FEASIBLE or INFEASIBLE) and
-    margin of a Decision."""
-    yes_no = res.status in (SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE)
-    return {"status": res.status.value,
-            "decision": bool(res) if yes_no else None,
-            "margin": getattr(res, "margin", None)}
+def _yes_no(yes, **detail) -> Decision:
+    """The Decision of a procedure that answers with a bool."""
+    return Decision(SolveStatus.FEASIBLE if yes else SolveStatus.INFEASIBLE,
+                    detail=detail)
 
 
-def _wits(obj, **attrs) -> dict:
-    """Witness matrices obj.<attr> under their report keys; none if obj is
-    None."""
-    if obj is None:
-        return {}
-    return {key: encode_matrix(np.asarray(getattr(obj, attr)))
-            for key, attr in attrs.items()}
+def _verify(p, cert, pencil, **kw) -> Decision:
+    ok, resid = verify_certificate(p, cert, pencil)
+    return _yes_no(ok, coefficient_residual=float(resid))
 
 
-def _choi_report(res) -> dict:
-    return {"witnesses": _wits(res.choi, choi="C")}
+def _bounded(pencil, **kw) -> Decision:
+    bounded = bool(drop_level1_bounded(Spectrahedrop(pencil), **kw))
+    return _yes_no(bounded, bounded=bounded)
 
 
-def _v_report(res) -> dict:
-    return {"witnesses": _wits(res.certificate, V="V")}
+def _monicize(pencil, xhat, **kw) -> Decision:
+    res = monicize(pencil, xhat)
+    return Decision(SolveStatus.OK, witness={"pencil": res.pencil},
+                    detail={"shift": list(res.shift)})
 
 
-def _hull_report(res) -> dict:
-    return {"detail": {"per_generator": [r.status.value
-                                         for r in res.per_generator],
-                       "margins": [r.margin for r in res.per_generator]},
-            "witnesses": _wits(res.choi, choi="C")}
-
-
-def _hull_union(lifts, X=None, **kw) -> dict:
-    """Report fields of the hull's lift and, given X, of X's membership."""
+def _hull_union(lifts, X=None, **kw) -> Decision:
+    """The hull's lift and, given X, X's membership in the hull."""
     hull = hull_of_union([Spectrahedrop(q) for q in lifts], **kw)
-    out = {"witnesses": {"lift": encode_pencil(hull.lift)}}
-    if X is not None:
-        out.update(_decided(drop_membership(hull, X, **kw)))
-    return out
+    res = Decision(SolveStatus.OK) if X is None else \
+        drop_membership(hull, X, **kw)
+    return replace(res, witness={"lift": hull.lift, **res.witness})
 
 
 # Calls go through module-level names, so a patched or wrapped procedure
@@ -477,64 +486,43 @@ _TABLE: Dict[str, _Kind] = {
     "membership": _Kind(
         ("pencil", "X"), {},
         lambda pencil, x, **kw: spectrahedron_membership(pencil, x),
-        lambda r: {"status": "TRUE" if r.inside else "FALSE",
-                   "decision": r.inside, "detail": {"lambda_min": r.lam_min}}),
+        labels=("TRUE", "FALSE")),
     "interpolate": _Kind(
-        ("A", "B"), {}, lambda *a, **kw: interpolate(*a, **kw), _choi_report,
+        ("A", "B"), {}, lambda *a, **kw: interpolate(*a, **kw),
         options={"mode": "cp"}),
     "dominate": _Kind(
         ("LA", "LB"), {"isometry": None},
-        lambda *a, **kw: dominates(*a, **kw),
-        lambda r: {"detail": {"isometry": r.isometry},
-                   "witnesses": _wits(r.certificate, V="V",
-                                      S_square="S_square")}),
+        lambda *a, **kw: dominates(*a, **kw)),
     "polar": _Kind(
         ("Omega", "X"), {"bounded": None},
-        lambda *a, **kw: polar_membership(*a, **kw), _v_report),
+        lambda *a, **kw: polar_membership(*a, **kw)),
     "drop": _Kind(
-        ("lift", "X"), {}, lambda *a, **kw: drop_membership(*a, **kw),
-        lambda r: {"witnesses": {f"Y{i + 1}": encode_matrix(y) for i, y
-                                 in enumerate(r.y_witness or ())}}),
+        ("lift", "X"), {}, lambda *a, **kw: drop_membership(*a, **kw)),
     "drop-polar": _Kind(
         ("lift", "A"), {"bounded": None},
-        lambda *a, **kw: drop_polar_membership(*a, **kw), _v_report),
+        lambda *a, **kw: drop_polar_membership(*a, **kw)),
     "tracial": _Kind(
         ("B", "Y"), {"opp": False},
         lambda b, y, opp, **kw: opp_tracial_membership(y, b, **kw) if opp
-        else tracial_membership(b, y, **kw),
-        lambda r: {"witnesses": _wits(r.witness, T="T")}),
+        else tracial_membership(b, y, **kw)),
     "thull": _Kind(
         ("generators", "B"), {},
-        lambda *a, **kw: thull_membership(*a, **kw), _hull_report),
+        lambda *a, **kw: thull_membership(*a, **kw)),
     "cthull": _Kind(
         ("generators", "B"), {},
-        lambda *a, **kw: cthull_membership(*a, **kw), _hull_report),
+        lambda *a, **kw: cthull_membership(*a, **kw)),
     "exsitu": _Kind(
         ("Omega", "Y"), {},
-        lambda *a, **kw: exsitu_dual_membership(*a, **kw), _choi_report),
-    "possatz-verify": _Kind(                 # result: (ok, residual)
-        ("p", "certificate", "pencil"), {},
-        lambda *a, **kw: verify_certificate(*a),
-        lambda r: {"status": "TRUE" if r[0] else "FALSE",
-                   "decision": bool(r[0]),
-                   "detail": {"coefficient_residual": float(r[1])}}),
+        lambda *a, **kw: exsitu_dual_membership(*a, **kw)),
+    "possatz-verify": _Kind(
+        ("p", "certificate", "pencil"), {}, _verify, labels=("TRUE", "FALSE")),
     "possatz-search": _Kind(
         ("p", "pencil", "r"), {},
-        lambda *a, **kw: search_certificate(*a, **kw),
-        lambda r: {"detail": {} if r.certificate is None
-                   else {"residual": r.residual},
-                   "witnesses": _wits(r.certificate, S="S", G="G")}),
-    "bounded": _Kind(
-        ("pencil",), {},
-        lambda pencil, **kw: drop_level1_bounded(Spectrahedrop(pencil), **kw),
-        lambda b: {"status": "BOUNDED" if b else "UNBOUNDED",
-                   "decision": bool(b), "detail": {"bounded": bool(b)}}),
-    "monicize": _Kind(
-        ("pencil", "xhat"), {}, lambda *a, **kw: monicize(*a),
-        lambda r: {"detail": {"shift": list(r.shift)},
-                   "witnesses": {"pencil": encode_pencil(r.pencil)}}),
-    "hull-union": _Kind(
-        ("lifts",), {"X": None}, _hull_union, lambda fields: fields),
+        lambda *a, **kw: search_certificate(*a, **kw)),
+    "bounded": _Kind(("pencil",), {}, _bounded,
+                     labels=("BOUNDED", "UNBOUNDED")),
+    "monicize": _Kind(("pencil", "xhat"), {}, _monicize),
+    "hull-union": _Kind(("lifts",), {"X": None}, _hull_union),
 }
 
 KINDS = tuple(_TABLE)
@@ -574,11 +562,14 @@ def run(pf: ProblemFile) -> Report:
     res = spec.call(*args, **kwargs, tol=tol, max_iter=max_iter,
                     **{k: _OPTIONS[k](opts[k], f"options.{k}") if k in opts
                        else v for k, v in spec.options.items()})
-    fields = _decided(res) if isinstance(res, Decision) else \
-        {"status": "OK", "decision": None}
-    fields.update(spec.report(res))
+    decided = res.status in (SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE)
+    status = res.status.value
+    if decided and spec.labels:
+        status = spec.labels[not res]
+    witnesses = encode_witnesses(res.witness)
     elapsed = time.perf_counter() - t0
-    return Report(kind=pf.kind, **fields, timings={"seconds": elapsed},
+    return Report(pf.kind, status, bool(res) if decided else None, res.margin,
+                  res.detail, witnesses, timings={"seconds": elapsed},
                   tolerances={"tol": tol, "max_iter": max_iter,
                               "feas_tol": FEAS_TOL},
                   provenance=pf.to_dict())

@@ -46,7 +46,7 @@ the pencil.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -206,11 +206,12 @@ def verify_certificate(p: NCPolynomial, cert: Certificate,
 
 @dataclass
 class CertificateSearch(Decision):
-    status: SolveStatus
-    certificate: Optional[Certificate] = None
-    residual: Optional[float] = None
-    margin: Optional[float] = None
-    info: dict = field(default_factory=dict)
+    """A solved search ships ``witness["certificate"]`` and its coefficient
+    residual as ``detail["residual"]``."""
+
+    @property
+    def certificate(self) -> Optional[Certificate]:
+        return self.witness.get("certificate")
 
 
 def _check(p: NCPolynomial, pencil: LinearPencil, r: int):
@@ -308,15 +309,15 @@ def search_certificate(p: NCPolynomial, pencil: LinearPencil, r: int,
     hp, rows = _memoized(pencil, (r, p.rows), lambda: _problem(p, pencil, r))
     sol = hp.solve(tol=tol, max_iter=max_iter, rhs={0: _coefficients(p, rows)})
     if not sol.feasible:
-        return CertificateSearch(sol.status, margin=sol.margin, info=sol.info)
+        return CertificateSearch(sol.status, sol.margin, info=sol.info)
     cert = Certificate(pencil.g, pencil.d, p.rows, r, sol.witness["S"],
                        sol.witness["G"])
     ok, resid = verify_certificate(p, cert, pencil)
     info = sol.info if ok else \
         {**sol.info, "reason": "certificate failed re-verification"}
     return CertificateSearch(SolveStatus.FEASIBLE if ok else SolveStatus.ERROR,
-                             certificate=cert, residual=resid,
-                             margin=sol.margin, info=info)
+                             sol.margin, {"certificate": cert},
+                             {"residual": resid}, info)
 
 
 def extract_weights(cert: Certificate):

@@ -69,13 +69,26 @@ class SolveStatus(Enum):
     INFEASIBLE = "INFEASIBLE"
     MARGINAL = "MARGINAL"
     ERROR = "ERROR"
+    OK = "OK"            # a construction, which asks no yes/no question
 
 
+@dataclass
 class Decision:
-    """Base of the yes/no results: ``bool()`` is True on FEASIBLE, False on
-    INFEASIBLE, and raises on MARGINAL and ERROR, which answer neither."""
+    """The one result of every answer: ``bool()`` is True on FEASIBLE,
+    False on INFEASIBLE, and raises on MARGINAL, ERROR and OK, which answer
+    neither.
+
+    ``witness`` maps each report name to what the answer ships: a matrix,
+    a ``ChoiMatrix``, a ``HermitianTuple``, a ``LinearPencil`` or a
+    certificate.  ``detail`` holds the facts a report prints beside the
+    margin, and ``info`` how the solves went.
+    """
 
     status: SolveStatus
+    margin: Optional[float] = None
+    witness: Dict[str, object] = field(default_factory=dict)
+    detail: Dict[str, object] = field(default_factory=dict)
+    info: Dict[str, object] = field(default_factory=dict)
 
     @property
     def feasible(self) -> bool:
@@ -226,11 +239,9 @@ class SDPProblem:
 
 @dataclass
 class SDPSolution(Decision):
-    status: SolveStatus
-    witness: Dict[str, np.ndarray] = field(default_factory=dict)
-    margin: Optional[float] = None
+    """A solve; ``witness`` holds the block matrices by block name."""
+
     iterations: int = 0
-    info: Dict[str, object] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

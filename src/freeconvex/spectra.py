@@ -73,12 +73,9 @@ class Spectrahedrop:
 
 
 @dataclass
-class SpectraMembership:
-    inside: bool
-    lam_min: float
-
-    def __bool__(self):
-        return self.inside
+class SpectraMembership(Decision):
+    """FEASIBLE iff X is in the solution set; the margin is
+    lambda_min(L(X)), also reported as ``detail["lambda_min"]``."""
 
 
 def spectrahedron_membership(pencil: LinearPencil,
@@ -87,7 +84,9 @@ def spectrahedron_membership(pencil: LinearPencil,
     if pencil.h:
         raise ValueError("pencil has y variables; use drop_membership")
     lam = lambda_min(evaluate_pencil(pencil, x))
-    return SpectraMembership(lam >= -MEMBERSHIP_TOL, lam)
+    status = SolveStatus.FEASIBLE if lam >= -MEMBERSHIP_TOL else \
+        SolveStatus.INFEASIBLE
+    return SpectraMembership(status, lam, detail={"lambda_min": lam})
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +261,17 @@ class DominationCertificate:
 
 @dataclass
 class DominationResult(Decision):
-    status: SolveStatus
-    isometry: bool
-    certificate: Optional[DominationCertificate] = None
-    choi: Optional[ChoiMatrix] = None
-    margin: Optional[float] = None
-    info: dict = field(default_factory=dict)
+    """A FEASIBLE answer ships ``witness["certificate"]`` and its
+    ``witness["choi"]``; ``detail["isometry"]`` tells whether the map was
+    sought unital."""
+
+    @property
+    def certificate(self) -> Optional[DominationCertificate]:
+        return self.witness.get("certificate")
+
+    @property
+    def choi(self) -> Optional[ChoiMatrix]:
+        return self.witness.get("choi")
 
 
 def _cp_domination(source: HermitianTuple, target: HermitianTuple,
@@ -285,22 +289,23 @@ def _cp_domination(source: HermitianTuple, target: HermitianTuple,
                                         annihilate=annihilate)
     res = _solve_interpolation(problem, mode, source.dim, target.dim, tol,
                                max_iter, rhs=dict(enumerate(target)))
-    cert = None
-    if res.feasible:
-        k = kraus_of_choi(res.choi, rank_tol=1e-9)
-        v = k.stacked()
-        cert = DominationCertificate(
-            V=v, mu=len(k), S_square=hermitian_part(np.eye(target.dim)
-                                                    - v.conj().T @ v))
-        resid = cert.reconstruction_residual(target, source)
-        if resid > 1e-6 or cert.contraction_defect() > 1e-8:
-            return DominationResult(SolveStatus.ERROR, unital,
-                                    margin=res.margin,
-                                    info={**res.info, "reason": "certificate "
-                                          "failed re-verification",
-                                          "resid": resid})
-    return DominationResult(res.status, unital, certificate=cert,
-                            choi=res.choi, margin=res.margin, info=res.info)
+    detail = {"isometry": bool(unital)}
+    if not res.feasible:
+        return DominationResult(res.status, res.margin, detail=detail,
+                                info=res.info)
+    k = kraus_of_choi(res.choi, rank_tol=1e-9)
+    v = k.stacked()
+    cert = DominationCertificate(
+        V=v, mu=len(k), S_square=hermitian_part(np.eye(target.dim)
+                                                - v.conj().T @ v))
+    resid = cert.reconstruction_residual(target, source)
+    if resid > 1e-6 or cert.contraction_defect() > 1e-8:
+        return DominationResult(SolveStatus.ERROR, res.margin, detail=detail,
+                                info={**res.info, "reason": "certificate "
+                                      "failed re-verification",
+                                      "resid": resid})
+    return DominationResult(res.status, res.margin, {
+        "certificate": cert, "choi": res.choi}, detail, res.info)
 
 
 def dominates(la: LinearPencil, lb: LinearPencil,
@@ -332,13 +337,15 @@ def polar_membership(omega: HermitianTuple, x: HermitianTuple,
     Membership is the existence of a cp map sending the pencil tuple to X,
     contractive in general and unital when the spectrahedron is bounded;
     the certificate carries the (co)isometry representation X_j = V*(I (x)
-    W_j)V.
+    W_j)V.  ``bounded=None`` reads :func:`is_bounded`, made once per tuple,
+    tol and max_iter.
     """
     if omega.g != x.g:
         raise ValueError("tuples must share the variable count")
     if bounded is None:
-        bounded = is_bounded(pencil_from_tuple(omega), tol=tol,
-                             max_iter=max_iter)
+        bounded = _memoized(omega, ("bounded", tol, max_iter),
+                            lambda: is_bounded(pencil_from_tuple(omega),
+                                               tol=tol, max_iter=max_iter))
     return _cp_domination(omega, x, bounded, tol, max_iter)
 
 
@@ -349,10 +356,11 @@ def polar_membership(omega: HermitianTuple, x: HermitianTuple,
 
 @dataclass
 class DropMembership(Decision):
-    status: SolveStatus
-    y_witness: Optional[HermitianTuple] = None
-    margin: Optional[float] = None
-    info: dict = field(default_factory=dict)
+    """A FEASIBLE answer ships its Y as ``witness["Y"]``."""
+
+    @property
+    def y_witness(self) -> Optional[HermitianTuple]:
+        return self.witness.get("Y")
 
 
 def _drop_kernel(lift: LinearPencil):
@@ -422,7 +430,7 @@ def drop_membership(drop: Spectrahedrop, x: HermitianTuple, tol: float = 1e-8,
     res = _solve_interpolation(problem, InterpolationMode.CP, d, n, tol,
                                max_iter, rhs={0: targets[:, r, s].ravel()})
     if not res.feasible:
-        return DropMembership(res.status, margin=res.margin, info=res.info)
+        return DropMembership(res.status, res.margin, info=res.info)
     P = res.choi.C
     y = HermitianTuple(np.tensordot(dual, P.reshape(d, n, d, n), ([1, 2], [0, 2]))
                        - (J @ point).reshape(-1, n, n), dim=n)
@@ -434,11 +442,10 @@ def drop_membership(drop: Spectrahedrop, x: HermitianTuple, tol: float = 1e-8,
     resid = float(np.abs(value - P).max())
     if eig_min < -_WITNESS_EIG_TOL or resid > _WITNESS_EQ_TOL * max(
             1.0, float(np.abs(targets).max(initial=0.0))):
-        return DropMembership(SolveStatus.ERROR, margin=res.margin, info={
+        return DropMembership(SolveStatus.ERROR, res.margin, info={
             **res.info, "reason": "Y witness failed verification",
             "eig_min": eig_min, "resid": resid})
-    return DropMembership(res.status, y_witness=y, margin=res.margin,
-                          info=res.info)
+    return DropMembership(res.status, res.margin, {"Y": y}, info=res.info)
 
 
 def drop_polar_membership(drop: Spectrahedrop, a: HermitianTuple,

@@ -11,8 +11,8 @@ hulls are unions, not convex sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,10 +53,8 @@ class TracialWitness:
 
 @dataclass
 class TracialMembership(Decision):
-    status: SolveStatus
-    witness: Optional[TracialWitness] = None
-    margin: Optional[float] = None
-    info: dict = field(default_factory=dict)
+    """A FEASIBLE answer ships the checked T of a :class:`TracialWitness`
+    as ``witness["T"]``."""
 
 
 def tracial_membership(b: HermitianTuple, y: HermitianTuple, tol: float = 1e-8,
@@ -83,15 +81,14 @@ def tracial_membership(b: HermitianTuple, y: HermitianTuple, tol: float = 1e-8,
                      hermitian_part(const))
     hp.add_scalar_row({"T": np.eye(m), "s": np.eye(1)}, 1.0)
     sol = hp.solve(tol=tol, max_iter=max_iter)
-    witness = None
+    witness = {}
     if sol.feasible:
         t = psd_part(sol.witness["T"])
         tr = float(np.trace(t).real)
         if tr > 1.0:
             t = t / tr
-        witness = TracialWitness(t)
-    return TracialMembership(sol.status, witness=witness, margin=sol.margin,
-                             info=sol.info)
+        witness["T"] = TracialWitness(t).T
+    return TracialMembership(sol.status, sol.margin, witness, info=sol.info)
 
 
 def opp_tracial_membership(y: HermitianTuple, b: HermitianTuple,
@@ -116,44 +113,31 @@ Generators = Union[HermitianTuple, Sequence[HermitianTuple]]
 @dataclass
 class HullMembership(Decision):
     """Disjunction over generators: B is in the hull iff some generator
-    maps onto it by a cp map of the requested kind."""
-
-    status: SolveStatus
-    per_generator: List[InterpolationResult]
-    winner: Optional[int] = None
+    maps onto it by a cp map of the requested kind.  ``detail`` lists each
+    generator's status and margin, the margin is the largest of these, and
+    a FEASIBLE answer ships the first feasible generator's Choi matrix."""
 
     @property
     def choi(self) -> Optional[ChoiMatrix]:
-        if self.winner is None:
-            return None
-        return self.per_generator[self.winner].choi
-
-
-def _generators(a: Generators) -> List[HermitianTuple]:
-    if isinstance(a, HermitianTuple):
-        return [a]
-    return list(a)
+        return self.witness.get("choi")
 
 
 def _hull(a: Generators, b: HermitianTuple, mode: InterpolationMode,
           tol: float, max_iter: int) -> HullMembership:
-    results = []
-    winner = None
-    saw_undecided = False
-    for i, gen in enumerate(_generators(a)):
-        r = interpolate(gen, b, mode, tol=tol, max_iter=max_iter)
-        results.append(r)
-        if r.status is SolveStatus.FEASIBLE and winner is None:
-            winner = i
-        elif r.status not in (SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE):
-            saw_undecided = True
-    if winner is not None:
-        status = SolveStatus.FEASIBLE
-    elif saw_undecided:
-        status = SolveStatus.MARGINAL
-    else:
-        status = SolveStatus.INFEASIBLE
-    return HullMembership(status, results, winner)
+    """Status by precedence: a FEASIBLE generator, then an ERROR, then a
+    MARGINAL one, else INFEASIBLE."""
+    results = [interpolate(gen, b, mode, tol=tol, max_iter=max_iter)
+               for gen in ([a] if isinstance(a, HermitianTuple) else a)]
+    statuses = [r.status for r in results]
+    status = next((s for s in (SolveStatus.FEASIBLE, SolveStatus.ERROR,
+                               SolveStatus.MARGINAL) if s in statuses),
+                  SolveStatus.INFEASIBLE)
+    margins = [r.margin for r in results]
+    return HullMembership(
+        status, max((m for m in margins if m is not None), default=None),
+        next((r.witness for r in results if r.feasible), {}),
+        {"per_generator": [s.value for s in statuses], "margins": margins},
+        {"per_generator": [r.info for r in results]})
 
 
 def thull_membership(a: Generators, b: HermitianTuple, tol: float = 1e-8,

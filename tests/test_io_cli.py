@@ -221,6 +221,33 @@ def test_cli_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "solver error: recession solve failed" in capsys.readouterr().err
 
 
+def test_cli_hull_generator_error_exits_3(tmp_path, monkeypatch, capsys):
+    # a generator solve that ends in ERROR, the other INFEASIBLE: the hull
+    # reads ERROR, not MARGINAL
+    from freeconvex import tracial
+    from freeconvex.cli import main
+    from freeconvex.cp import InterpolationMode, InterpolationResult
+    from freeconvex.sdp import SolveStatus
+
+    solve = tracial.interpolate
+    seen = []
+
+    def second_fails(*args, **kwargs):
+        seen.append(None)
+        if len(seen) == 2:
+            return InterpolationResult(SolveStatus.ERROR,
+                                       mode=InterpolationMode.OPERATION)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(tracial, "interpolate", second_fails)
+    write_corpus(tmp_path)
+    assert main(["run", str(tmp_path / "midpoint-cthull.json"),
+                 "--format", "text"]) == 3
+    out = capsys.readouterr().out
+    assert "status:   ERROR" in out
+    assert "per_generator: ['INFEASIBLE', 'ERROR']" in out
+
+
 def test_cli_hull_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     # a failed lift-point solve in hull_of_union is a solver error, not an
     # input error; only that solve, a drop membership at X = 0, fails here
@@ -574,14 +601,18 @@ REPORT_SCHEMA = {
     "exsitu-outside": ("exsitu", (), ()),
     "halfline-bounded": ("bounded", ("bounded",), ()),
     "halfline-dominate-isometry": ("dominate", ("isometry",), ()),
-    "halfline-dominate": ("dominate", ("isometry",), ("V", "S_square")),
+    "halfline-dominate": ("dominate", ("isometry",),
+                          ("V", "S_square", "choi")),
     "halfline-membership-boundary": ("membership", ("lambda_min",), ()),
     "halfline-membership-outside": ("membership", ("lambda_min",), ()),
-    "halfline-polar-member": ("polar", (), ("V",)),
-    "hull-union-intervals": ("hull-union", (), ("lift",)),
+    "halfline-polar-member": ("polar", ("isometry",),
+                              ("V", "S_square", "choi")),
+    "hull-union-intervals": ("hull-union", (), ("lift", *(f"Y{k}" for k
+                                                     in range(1, 11)))),
     "interval-bounded": ("bounded", ("bounded",), ()),
-    "interval-polar-inside": ("polar", (), ("V",)),
-    "interval-polar-outside": ("polar", (), ()),
+    "interval-polar-inside": ("polar", ("isometry",),
+                              ("V", "S_square", "choi")),
+    "interval-polar-outside": ("polar", ("isometry",), ()),
     "midpoint-cthull": ("cthull", ("per_generator", "margins"), ()),
     "monicize-tv": ("monicize", ("shift",), ("pencil",)),
     "operator-system-interpolate-cp": ("interpolate", (), ("choi",)),
@@ -598,8 +629,9 @@ REPORT_SCHEMA = {
     "tvscreen-drop-inside": ("drop", (), ("Y1",)),
     "tvscreen-drop-origin": ("drop", (), ("Y1",)),
     "tvscreen-drop-outside": ("drop", (), ()),
-    "tvscreen-dual-inside": ("drop-polar", (), ("V",)),
-    "tvscreen-dual-outside": ("drop-polar", (), ()),
+    "tvscreen-dual-inside": ("drop-polar", ("isometry",),
+                             ("V", "S_square", "choi")),
+    "tvscreen-dual-outside": ("drop-polar", ("isometry",), ()),
 }
 
 

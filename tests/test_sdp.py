@@ -1031,13 +1031,15 @@ def test_rows_factored_once_per_solve(monkeypatch):
 def _decision_results(status):
     from freeconvex.cp import InterpolationMode, InterpolationResult
     from freeconvex.possatz import CertificateSearch
-    from freeconvex.spectra import DominationResult, DropMembership
+    from freeconvex.spectra import (DominationResult, DropMembership,
+                                    SpectraMembership)
     from freeconvex.tracial import HullMembership, TracialMembership
 
-    return [InterpolationResult(status, InterpolationMode.CP),
-            DominationResult(status, True), DropMembership(status),
-            TracialMembership(status), HullMembership(status, []),
-            CertificateSearch(status), S.SDPSolution(status)]
+    return [InterpolationResult(status, mode=InterpolationMode.CP),
+            DominationResult(status, detail={"isometry": True}),
+            DropMembership(status), TracialMembership(status),
+            HullMembership(status), CertificateSearch(status),
+            SpectraMembership(status), S.SDPSolution(status)]
 
 
 @pytest.mark.parametrize("status", list(SolveStatus), ids=lambda s: s.value)

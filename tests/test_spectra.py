@@ -37,10 +37,18 @@ def pt(*vals):
 # -- membership -------------------------------------------------------------
 
 
+def test_membership_margin_is_lambda_min():
+    for x in (0.0, -1.0, 3.0):
+        res = spectrahedron_membership(LB, pt(x))
+        assert res.margin == res.detail["lambda_min"]
+        assert res.margin == lambda_min(evaluate_pencil(LB, pt(x)))
+        assert res.feasible == (res.margin >= -spectra.MEMBERSHIP_TOL)
+
+
 def test_membership_examples():
     assert bool(spectrahedron_membership(LB, pt(0.0)))
     res = spectrahedron_membership(LB, pt(-1.0))
-    assert not res and abs(res.lam_min + 1.0) < 1e-12
+    assert not res and abs(res.margin + 1.0) < 1e-12
     assert bool(spectrahedron_membership(LA, pt(-1.0)))   # boundary
 
 
@@ -308,6 +316,24 @@ def test_polar_membership_reads_boundedness_once_per_drop(monkeypatch):
     assert len(calls) == 2
 
 
+def test_polar_membership_reads_boundedness_once_per_tuple(monkeypatch):
+    """Queries with bounded=None on one tuple share one is_bounded answer
+    per (tol, max_iter)."""
+    calls = []
+    bounded = spectra.is_bounded
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return bounded(*args, **kwargs)
+    monkeypatch.setattr(spectra, "is_bounded", counted)
+    omega = interval_tuple(-1.0, 1.0)
+    for c in (0.5, -0.9, 1.5):
+        assert polar_membership(omega, pt(c)).feasible == (abs(c) <= 1)
+    assert len(calls) == 1
+    polar_membership(omega, pt(0.5), tol=1e-9)
+    assert len(calls) == 2
+
+
 def test_y_span_of_all_of_herm_d_reads_unbounded_unsolved(monkeypatch):
     # 1 + 0 x + y >= 0: the B_k span Herm(1), so every x is in the drop,
     # decided by the rank test and the kernel alone
@@ -397,7 +423,7 @@ def test_drop_answer_inside_the_band(a0, status):
 
 def test_halfline_domination_contraction():
     res = dominates(LA, LB)
-    assert bool(res) and not res.isometry
+    assert bool(res) and not res.detail["isometry"]
     vv = res.certificate.V.conj().T @ res.certificate.V
     assert np.abs(vv - 0.5).max() <= 1e-6
     assert res.certificate.reconstruction_residual(*[monic_tuple(p)[0]
@@ -558,8 +584,8 @@ def test_drop_membership_reverifies_its_y(monkeypatch):
 
     def off_rows(*args, **kwargs):
         res = solve(*args, **kwargs)
-        res.choi = ChoiMatrix(res.choi.n, res.choi.m,
-                              res.choi.C + 1e-3 * np.eye(len(res.choi.C)))
+        res.witness["choi"] = ChoiMatrix(
+            res.choi.n, res.choi.m, res.choi.C + 1e-3 * np.eye(len(res.choi.C)))
         return res
 
     monkeypatch.setattr(spectra, "_solve_interpolation", off_rows)
@@ -612,7 +638,7 @@ def test_drop_polar_bounded_default_matches_bounded():
         auto = drop_polar_membership(Spectrahedrop(tv_monic_lift()), pt(*c))
         fixed = drop_polar_membership(Spectrahedrop(tv_monic_lift()), pt(*c),
                                       bounded=True)
-        assert auto.isometry and auto.status is fixed.status
+        assert auto.detail["isometry"] and auto.status is fixed.status
         assert auto.margin == fixed.margin
         assert auto.feasible == (tv_dual_boundary(*c) > 0)
 

@@ -4,6 +4,9 @@ import pytest
 from freeconvex.algebra import HermitianTuple
 from freeconvex.corpus import (ex_nocon_pair, ex_nocon_single, interval_tuple,
                                scalar_tuple)
+from freeconvex import tracial
+from freeconvex.cp import (InterpolationMode, InterpolationResult,
+                           kraus_of_choi)
 from freeconvex.rand import rng, rand_complex, rand_hermitian, rand_unitary
 from freeconvex.sdp import SolveStatus
 from freeconvex.spectra import polar_membership
@@ -26,7 +29,7 @@ def test_zero_tuple_member():
 def test_scalar_fixed_positive_part_oracle():
     res = tracial_membership(B_SCALAR, HermitianTuple([np.diag([0.6, -5.0])]))
     assert bool(res)
-    t = res.witness.T
+    t = res.witness["T"]
     assert np.trace(t).real <= 1 + 1e-8
     assert np.linalg.eigvalsh(t)[0] >= -1e-8
     assert not bool(tracial_membership(B_SCALAR,
@@ -108,7 +111,7 @@ def test_levelwise_convexity_invariant():
         mid = HermitianTuple([s * a + (1 - s) * c for a, c in zip(y1, y2)])
         assert tracial_membership(b, mid).feasible
         # the averaged witness certifies directly
-        t = s * r1.witness.T + (1 - s) * r2.witness.T
+        t = s * r1.witness["T"] + (1 - s) * r2.witness["T"]
         assert np.trace(t).real <= 1 + 1e-7
         checked += 1
 
@@ -138,7 +141,40 @@ def test_cthull_midpoint_escapes_union():
     a, b, d = ex_nocon_pair()
     res = cthull_membership([a, b], d)
     assert not bool(res)
-    assert all(r.margin <= -1e-7 for r in res.per_generator)
+    assert all(m <= -1e-7 for m in res.detail["margins"])
+
+
+def test_hull_margin_is_the_largest_generator_margin():
+    a, b, d = ex_nocon_pair()
+    for gens, inside in (([a, b], False), ([b, a], False), ([a, b, d], True)):
+        res = cthull_membership(gens, d)
+        assert res.margin == max(res.detail["margins"])
+        assert res.feasible is inside
+
+
+@pytest.mark.parametrize("forced, want", [
+    ((None, "ERROR"), "ERROR"), (("ERROR", "ERROR"), "ERROR"),
+    (("MARGINAL", "ERROR"), "ERROR"), ((None, "MARGINAL"), "MARGINAL")],
+    ids=["infeasible-error", "error-error", "marginal-error",
+         "infeasible-marginal"])
+def test_hull_status_precedence(monkeypatch, forced, want):
+    """No FEASIBLE generator: an ERROR one decides before a MARGINAL one,
+    and both before the INFEASIBLE ones (None runs the real solve)."""
+    a, b, d = ex_nocon_pair()
+    solve = tracial.interpolate
+    answers = iter(forced)
+
+    def interpolate(*args, **kwargs):
+        status = next(answers)
+        if status is None:
+            return solve(*args, **kwargs)
+        return InterpolationResult(SolveStatus(status),
+                                   mode=InterpolationMode.OPERATION)
+    monkeypatch.setattr(tracial, "interpolate", interpolate)
+    res = cthull_membership([a, b], d)
+    assert res.status is SolveStatus(want)
+    assert list(res.detail["per_generator"]) == [s or "INFEASIBLE"
+                                                 for s in forced]
 
 
 def test_hull_nesting():
@@ -173,7 +209,7 @@ def test_exsitu_sms_factorization():
         res = exsitu_dual_membership(om, y)
         if not res.feasible:
             continue
-        kd = res.kraus(rank_tol=1e-8)
+        kd = kraus_of_choi(res.choi, rank_tol=1e-8)
         s2 = sum(v.conj().T @ v for v in kd.ops) if len(kd) else \
             np.zeros((y.dim, y.dim))
         assert np.trace(s2).real <= 1 + 1e-6
